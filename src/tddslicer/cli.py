@@ -18,7 +18,7 @@ from pathlib import Path
 from .contracts import Contract
 from .errors import ParseError
 from .lang import ast, parse_bindings, parse_program, pretty_print, project, run
-from .lang.interp import DEFAULT_STEP_BUDGET
+from .lang.interp import DEFAULT_STEP_BUDGET, OK
 from .predicates import (
     Domain,
     PredicateUndefinedError,
@@ -35,7 +35,7 @@ from .slicer import (
     VacuousContractError,
     slice as compute_slice,
 )
-from .verifier import check
+from .verifier import VACUOUS, VERIFIED, check
 from . import contracts as ct
 
 FORMAT_VERSION = 1
@@ -89,9 +89,9 @@ def _contract_from_args(pre: str, post: str) -> Contract:
 
 
 def _verdict_text(verdict: str) -> str:
-    if verdict == "verified":
+    if verdict == VERIFIED:
         return _good(verdict)
-    if verdict == "vacuous":
+    if verdict == VACUOUS:
         return _warn(verdict)
     return _bad(verdict)
 
@@ -117,9 +117,9 @@ def cmd_check(args: argparse.Namespace) -> int:
             print(f"witness final:  {_fmt_state(result.witness.final)}")
             if result.witness.detail:
                 print(f"detail: {result.witness.detail}")
-        if result.verdict == "vacuous":
+        if result.verdict == VACUOUS:
             print(_warn("warning: no domain point satisfies the precondition"))
-    return OK_STATUS if result.verdict in ("verified", "vacuous") else CHECK_FAILED
+    return OK_STATUS if result.verdict in (VERIFIED, VACUOUS) else CHECK_FAILED
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
@@ -259,10 +259,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
             print(f"stmt {entry.stmt_id}: {entry.var} := {entry.value}")
         print(f"final: {_fmt_state(result.final)}")
         print(f"steps: {result.steps}")
-        if result.status != "ok":
+        if result.status != OK:
             print(_bad(f"{result.status}: {result.fault_reason} "
                        f"at statement {result.fault_stmt_id} (trajectory is partial)"))
-    return OK_STATUS if result.status == "ok" else CHECK_FAILED
+    return OK_STATUS if result.status == OK else CHECK_FAILED
 
 
 # --- argument parsing ------------------------------------------------------
@@ -342,6 +342,10 @@ def main(argv: list[str] | None = None) -> int:
         return CHECK_FAILED
     except (ParseError, SessionFormatError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
+        return USAGE_ERROR
+    except RecursionError:
+        # parsing, compiling and evaluating recurse once per nesting level
+        print("error: expression nested too deeply", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -8,7 +8,6 @@ from .interp import (
     Trajectory,
     TrajectoryEntry,
     project,
-    replay_trajectory,
     run,
 )
 from .parser import parse_bindings, parse_domain_spec, parse_program
@@ -28,6 +27,5 @@ __all__ = [
     "parse_program",
     "pretty_print",
     "project",
-    "replay_trajectory",
     "run",
 ]

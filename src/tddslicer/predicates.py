@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 from .errors import EvaluationFault, ParseError, UnboundVariableError
 from .lang import ast
-from .lang.interp import eval_bool
+from .lang.interp import compile_bool, eval_bool
 from .lang.parser import parse_bindings, parse_domain_spec
 from .lang.parser import parse_predicate as _parse_predicate
 from .lang.printer import format_predicate
@@ -57,10 +57,6 @@ class Domain:
             seen.add(name)
             if lo > hi:
                 raise ValueError(f"empty range {lo}..{hi} for {name!r}")
-
-    @classmethod
-    def of(cls, **ranges: tuple[int, int]) -> "Domain":
-        return cls(tuple((name, lo, hi) for name, (lo, hi) in ranges.items()))
 
     @classmethod
     def from_dict(cls, ranges: dict[str, tuple[int, int]]) -> "Domain":
@@ -237,12 +233,13 @@ def implies(
         return ImplicationResult(True, None, 0, dom)
 
     floor = dom.floor_assignment(dom.vars - needed)
+    premise, conclusion = compile_bool(p1), compile_bool(p2)
     checked = 0
     for point in dom.points(only=frozenset(needed)) if needed else [{}]:
         checked += 1
         state = {**floor, **point}
         try:
-            if eval_bool(p1, dict(state)) and not eval_bool(p2, dict(state)):
+            if premise(state) and not conclusion(state):
                 return ImplicationResult(False, state, checked, dom)
         except EvaluationFault as fault:
             raise PredicateUndefinedError(state, fault.reason) from None

@@ -24,11 +24,11 @@ from pathlib import Path
 from . import contracts as ct
 from .errors import ParseError
 from .lang import ast
-from .lang.interp import DEFAULT_STEP_BUDGET, run
+from .lang.interp import DEFAULT_STEP_BUDGET, OK, run
 from .lang.parser import parse_bindings, parse_domain_spec, parse_program
 from .lang.printer import format_predicate
 from .predicates import Domain, is_tautology, parse_predicate
-from .verifier import PointCheck, VerificationResult, check, check_point
+from .verifier import VACUOUS, VERIFIED, PointCheck, VerificationResult, check, check_point
 
 REFACTOR_NOTE = "refactor"
 
@@ -332,7 +332,7 @@ class Report:
                 ("snapshot", record.snapshot_contract),
                 ("oracle", record.oracle_contract),
             ):
-                if result is not None and result.verdict not in ("verified", "vacuous"):
+                if result is not None and result.verdict not in (VERIFIED, VACUOUS):
                     found.append(f"{where}: {label} contract {result.verdict}")
             if record.chain_holds is False:
                 found.append(f"{where}: contract not subsumed by the running union")
@@ -361,7 +361,7 @@ class Report:
                 ("snapshot", record.snapshot_contract),
                 ("oracle", record.oracle_contract),
             ):
-                if result is not None and result.verdict == "vacuous":
+                if result is not None and result.verdict == VACUOUS:
                     found.append(f"{where}: {label} contract check is vacuous")
         return found
 
@@ -396,8 +396,8 @@ def run_test(
     program: ast.Program, test: ct.TestCase, step_budget: int = DEFAULT_STEP_BUDGET
 ) -> TestOutcome:
     """Execute one test: every expected out-parameter must match exactly."""
-    result = run(program, test.inputs, step_budget)
-    if result.status != "ok":
+    result = run(program, test.inputs, step_budget, record=False)
+    if result.status != OK:
         return TestOutcome(
             test.name, False,
             f"run {result.status}: {result.fault_reason} at statement {result.fault_stmt_id}",
@@ -422,10 +422,10 @@ def qlty(program: ast.Program, suite: list[ct.TestCase] | tuple[ct.TestCase, ...
     total = 0
     passed = 0
     for test in suite:
-        result = run(program, test.inputs, step_budget)
+        result = run(program, test.inputs, step_budget, record=False)
         for var, want in sorted(test.expected.items()):
             total += 1
-            if result.status == "ok" and result.final.get(var) == want:
+            if result.status == OK and result.final.get(var) == want:
                 passed += 1
     return 100.0 * passed / total
 

@@ -99,11 +99,6 @@ def deletable_units(program: ast.Program) -> list[DeletionUnit]:
     return units
 
 
-def present_units(program: ast.Program) -> list[DeletionUnit]:
-    """The deletable units still present in a (possibly sliced) program."""
-    return deletable_units(program)
-
-
 def apply_deletion(
     program: ast.Program, deleted: frozenset[DeletionUnit] | set[DeletionUnit]
 ) -> ast.Program:
@@ -295,7 +290,7 @@ def _slice_exhaustive(
                 result = check(candidate, contract, dom, step_budget)
                 verdict_cache[candidate] = result
             if result.verified:
-                retained = frozenset(present_units(candidate))
+                retained = frozenset(deletable_units(candidate))
                 return SliceResult(
                     retained=retained,
                     deleted=frozenset(units) - retained,
@@ -332,7 +327,7 @@ def _slice_greedy(
             deleted = trial
             current = candidate
             verification = result
-    retained = frozenset(present_units(current))
+    retained = frozenset(deletable_units(current))
     return SliceResult(
         retained=retained,
         deleted=frozenset(units) - retained,

@@ -15,14 +15,21 @@ from dataclasses import dataclass
 from .contracts import Contract, validate_scope
 from .errors import EvaluationFault
 from .lang import ast
-from .lang.interp import DEFAULT_STEP_BUDGET, RunResult, run
+from .lang.interp import (
+    BUDGET_EXCEEDED,
+    DEFAULT_STEP_BUDGET,
+    FAULT,
+    OK,
+    RunResult,
+    compile_bool,
+    run,
+)
 from .predicates import Domain, State, eval_predicate
 
 VERIFIED = "verified"
 COUNTEREXAMPLE = "counterexample"
 VACUOUS = "vacuous"
-FAULT = "fault"
-BUDGET_EXCEEDED = "budget_exceeded"
+# the run statuses FAULT and BUDGET_EXCEEDED are verdicts too
 
 PASS = "pass"
 FAIL = "fail"
@@ -84,10 +91,11 @@ def check(
 ) -> VerificationResult:
     """Decide {pre} program {post} over dom by exhaustive execution."""
     _validate(program, contract, dom)
+    pre, post = compile_bool(contract.pre), compile_bool(contract.post)
     checked = 0
     for inputs in dom.points():
         try:
-            if not eval_predicate(contract.pre, inputs):
+            if not pre(inputs):
                 continue
         except EvaluationFault as fault:
             return VerificationResult(
@@ -97,15 +105,14 @@ def check(
                 dom,
             )
         checked += 1
-        result = run(program, inputs, step_budget)
-        if result.status != "ok":
-            verdict = BUDGET_EXCEEDED if result.status == "budget_exceeded" else FAULT
+        result = run(program, inputs, step_budget, record=False)
+        if result.status != OK:
             detail = f"{result.fault_reason} at statement {result.fault_stmt_id}"
             return VerificationResult(
-                verdict, Witness(inputs, result.final, detail), checked, dom
+                result.status, Witness(inputs, result.final, detail), checked, dom
             )
         try:
-            if not eval_predicate(contract.post, result.final):
+            if not post(result.final):
                 return VerificationResult(
                     COUNTEREXAMPLE,
                     Witness(inputs, result.final, "postcondition is false"),
@@ -169,11 +176,10 @@ def check_point(
         return PointCheck(
             PRE_VIOLATION, inputs, None, "inputs do not satisfy the precondition"
         )
-    result = run(program, inputs, step_budget)
-    if result.status != "ok":
-        status = BUDGET_EXCEEDED if result.status == "budget_exceeded" else FAULT
+    result = run(program, inputs, step_budget, record=False)
+    if result.status != OK:
         detail = f"{result.fault_reason} at statement {result.fault_stmt_id}"
-        return PointCheck(status, inputs, result.final, detail, result)
+        return PointCheck(result.status, inputs, result.final, detail, result)
     try:
         post_holds = eval_predicate(contract.post, result.final)
     except EvaluationFault as fault:

@@ -95,6 +95,69 @@ def bf_exec(block: ast.Block, env: dict[str, int]) -> None:
             raise AssertionError(f"unexpected statement {stmt!r}")
 
 
+_FAULT_REASONS = {"/": "division by zero", "%": "modulo by zero",
+                  "negative exponent": "negative exponent"}
+
+
+class _Halt(Exception):
+    def __init__(self, status: str, stmt_id: int, reason: str):
+        self.status, self.stmt_id, self.reason = status, stmt_id, reason
+
+
+def bf_run(program: ast.Program, inputs: dict[str, int], budget: int):
+    """Run a program by the README's rules, loops and faults included.
+
+    Outs and locals start at 0. Each statement executed costs one step, and
+    so does each evaluation of a loop condition; the step that goes over
+    the budget stops the run with "budget_exceeded" at its statement,
+    before the statement does anything. A division or modulo by zero or a
+    negative exponent stops it with "fault" at the statement whose
+    expression or condition faulted. Returns (status, steps, fault_stmt_id,
+    fault_reason, final, trajectory), the trajectory being the
+    (stmt_id, var, value) triples of every assignment executed.
+    """
+    env = dict(inputs)
+    for name in (*program.out_params, *program.locals):
+        env[name] = 0
+    trajectory = []
+    steps = 0
+
+    def charge(stmt_id):
+        nonlocal steps
+        steps += 1
+        if steps > budget:
+            raise _Halt("budget_exceeded", stmt_id, "step budget exceeded")
+
+    def evaluate(evaluator, node, stmt_id):
+        try:
+            return evaluator(node, env)
+        except ZeroDivisionError as err:
+            raise _Halt("fault", stmt_id, _FAULT_REASONS[str(err)]) from None
+
+    def execute(block):
+        for stmt in block.stmts:
+            charge(stmt.stmt_id)
+            if isinstance(stmt, ast.Assign):
+                value = evaluate(bf_eval, stmt.expr, stmt.stmt_id)
+                env[stmt.target] = value
+                trajectory.append((stmt.stmt_id, stmt.target, value))
+            elif isinstance(stmt, ast.If):
+                taken = evaluate(bf_holds, stmt.cond, stmt.stmt_id)
+                execute(stmt.then if taken else stmt.orelse)
+            elif isinstance(stmt, ast.While):
+                while evaluate(bf_holds, stmt.cond, stmt.stmt_id):
+                    execute(stmt.body)
+                    charge(stmt.stmt_id)
+            elif not isinstance(stmt, ast.Skip):
+                raise AssertionError(f"unexpected statement {stmt!r}")
+
+    try:
+        execute(program.body)
+    except _Halt as halt:
+        return halt.status, steps, halt.stmt_id, halt.reason, env, tuple(trajectory)
+    return "ok", steps, None, None, env, tuple(trajectory)
+
+
 def bf_check(program: ast.Program, pre, post, ranges: dict[str, tuple[int, int]]):
     """Decide {pre} program {post} by exhaustive execution.
 
@@ -121,3 +184,17 @@ def bf_check(program: ast.Program, pre, post, ranges: dict[str, tuple[int, int]]
     if satisfied == 0:
         return "vacuous", None
     return "verified", None
+
+
+def replay_trajectory(program: ast.Program, inputs: dict[str, int], trajectory) -> dict[str, int]:
+    """Fold a trajectory's assignments over the zero-initialized state.
+
+    For an "ok" run this reproduces the final state exactly; the soundness
+    oracle for trajectories.
+    """
+    state = dict(inputs)
+    for name in (*program.out_params, *program.locals):
+        state[name] = 0
+    for stmt_id, var, value in trajectory:
+        state[var] = value
+    return state

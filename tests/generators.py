@@ -2,7 +2,9 @@
 
 Everything takes an explicit random.Random so the suites are reproducible;
 the acceptance criteria fix their seeds. Generated arithmetic sticks to
-+ - * (and the occasional literal power), so predicates can never fault.
++ - * (and the occasional literal power), so predicates can never fault,
+except in programs asked for with faults=True: those also use / % ^ with
+zero or negative operands, and loops that need not terminate.
 """
 
 from __future__ import annotations
@@ -33,7 +35,27 @@ def linear_expr(rng: random.Random, vars: tuple[str, ...]) -> str:
     return text
 
 
-def comparison(rng: random.Random, vars: tuple[str, ...]) -> str:
+def faulting_expr(rng: random.Random, vars: tuple[str, ...], small: tuple[str, ...]) -> str:
+    """A linear expression with one / % or ^ term that may fault.
+
+    Divisors and exponents may be zero or negative. Powers only combine
+    the never-assigned `small` variables and small literals, so values
+    stay small however long a loop runs.
+    """
+    op = rng.choice("/%^")
+    if op == "^":
+        base = rng.choice((*small, "2", "(-1)"))
+        term = f"{base} ^ {rng.choice((*small, str(rng.randint(-1, 3))))}"
+    else:
+        term = f"{rng.choice(vars)} {op} {rng.choice((*vars, str(rng.randint(-2, 2))))}"
+    return f"{linear_expr(rng, vars)} {rng.choice('+-')} ({term})"
+
+
+def comparison(rng: random.Random, vars: tuple[str, ...], small: tuple[str, ...] = ()) -> str:
+    """A comparison of linear expressions; with `small` (the faults=True
+    programs), sometimes a faulting_expr on the left."""
+    if small and rng.random() < 0.3:
+        return f"{faulting_expr(rng, vars, small)} {rng.choice(CMP_OPS)} {linear_expr(rng, vars)}"
     return f"{linear_expr(rng, vars)} {rng.choice(CMP_OPS)} {linear_expr(rng, vars)}"
 
 
@@ -94,6 +116,7 @@ def _block_lines(
     reads: tuple[str, ...],
     indent: str,
     allow_while: bool,
+    small: tuple[str, ...],
 ) -> list[str]:
     lines: list[str] = []
     while budget > 0:
@@ -102,15 +125,24 @@ def _block_lines(
             inner = rng.randint(1, budget - 1)
             then_n = rng.randint(0, inner)
             else_n = inner - then_n
-            lines.append(f"{indent}if ({comparison(rng, reads)}) {{")
+            lines.append(f"{indent}if ({comparison(rng, reads, small)}) {{")
             lines.extend(
-                _block_lines(rng, then_n, depth + 1, targets, reads, indent + "    ", allow_while)
+                _block_lines(rng, then_n, depth + 1, targets, reads, indent + "    ", allow_while, small)
             )
             if else_n:
                 lines.append(f"{indent}}} else {{")
                 lines.extend(
-                    _block_lines(rng, else_n, depth + 1, targets, reads, indent + "    ", allow_while)
+                    _block_lines(rng, else_n, depth + 1, targets, reads, indent + "    ", allow_while, small)
                 )
+            lines.append(f"{indent}}}")
+            budget -= 1 + inner
+        elif small and allow_while and depth < 2 and budget >= 2 and roll < 0.38:
+            # any condition, any body: may run out of budget or fault
+            inner = rng.randint(1, budget - 1)
+            lines.append(f"{indent}while ({comparison(rng, reads, small)}) {{")
+            lines.extend(
+                _block_lines(rng, inner, depth + 1, targets, reads, indent + "    ", allow_while, small)
+            )
             lines.append(f"{indent}}}")
             budget -= 1 + inner
         elif allow_while and depth < 1 and budget >= 2 and roll < 0.38:
@@ -126,7 +158,10 @@ def _block_lines(
             budget -= 1
         else:
             target = rng.choice(targets)
-            lines.append(f"{indent}{target} := {linear_expr(rng, reads)};")
+            if small and rng.random() < 0.3:
+                lines.append(f"{indent}{target} := {faulting_expr(rng, reads, small)};")
+            else:
+                lines.append(f"{indent}{target} := {linear_expr(rng, reads)};")
             budget -= 1
     return lines
 
@@ -136,8 +171,13 @@ def random_program(
     max_stmts: int,
     allow_while: bool = False,
     name: str = "f",
+    faults: bool = False,
 ) -> Program:
-    """A well-formed program over (in a, in b, out o) plus sometimes a local."""
+    """A well-formed program over (in a, in b, out o) plus sometimes a local.
+
+    With faults=True, expressions and conditions may fault (see
+    faulting_expr) and, with allow_while, loops may never terminate.
+    """
     use_local = rng.random() < 0.4
     targets = ("o", "w") if use_local else ("o",)
     reads = ("a", "b") + targets
@@ -145,6 +185,7 @@ def random_program(
     lines = [f"proc {name}(in a, in b, out o) {{"]
     if use_local:
         lines.append("    var w;")
-    lines.extend(_block_lines(rng, budget, 0, targets, reads, "    ", allow_while))
+    small = ("a", "b") if faults else ()
+    lines.extend(_block_lines(rng, budget, 0, targets, reads, "    ", allow_while, small))
     lines.append("}")
     return parse_program("\n".join(lines))

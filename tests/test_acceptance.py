@@ -35,7 +35,7 @@ from tddslicer import slice as compute_slice
 from tddslicer.cli import main
 from tddslicer.corpus import corpus_path
 from tddslicer.session import FAILED_AS_EXPECTED, NOT_APPLICABLE, load_session
-from tddslicer.slicer import GREEDY, present_units
+from tddslicer.slicer import GREEDY
 
 from bruteforce import bf_check
 from generators import random_contract, random_program, random_test
@@ -142,7 +142,7 @@ def _bruteforce_min_retained(program, contract, dom) -> int:
                 verified = check(candidate, contract, dom).verified
                 cache[candidate] = verified
             if verified:
-                best = min(best, len(present_units(candidate)))
+                best = min(best, len(deletable_units(candidate)))
     return best
 
 

@@ -256,6 +256,37 @@ class TestTrace:
         assert payload["status"] == "ok"
 
 
+def _sum_program(tmp_path, terms):
+    path = tmp_path / "sum.prog"
+    path.write_text("proc f(in a, out o) { o := " + " + ".join(["a"] * terms) + "; }")
+    return str(path)
+
+
+class TestDeepExpressions:
+    def test_check_reports_nesting_with_exit_two(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "check", _sum_program(tmp_path, 5000),
+            "--pre", "TRUE", "--post", "TRUE", "--domain", "a in 0..1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: expression nested too deeply\n"
+
+    def test_trace_reports_nesting_with_exit_two(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "trace", _sum_program(tmp_path, 5000), "--inputs", "a=1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: expression nested too deeply\n"
+
+    def test_900_terms_still_run(self, capsys, tmp_path):
+        code, out, _ = run_cli(
+            capsys, "check", _sum_program(tmp_path, 900),
+            "--pre", "TRUE", "--post", "o == 900 * a", "--domain", "a in -2..2",
+        )
+        assert code == 0
+        assert "verdict: verified" in out
+
+
 def test_no_color_codes_when_not_a_tty(capsys, monkeypatch):
     monkeypatch.setenv("TDDSLICER_COLOR", "0")
     _, out, _ = run_cli(

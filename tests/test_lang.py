@@ -2,15 +2,26 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
 
-from tddslicer import ParseError, parse_program, pretty_print, project, run
-from tddslicer.lang import ast, replay_trajectory
-from tddslicer.lang.interp import TrajectoryEntry
+from tddslicer import (
+    ParseError,
+    UnboundVariableError,
+    eval_predicate,
+    parse_predicate,
+    parse_program,
+    pretty_print,
+    project,
+    run,
+)
+from tddslicer.lang import ast
+from tddslicer.lang.interp import BUDGET_EXCEEDED, FAULT, OK, TrajectoryEntry
 from tddslicer.corpus import corpus_path
 
+from bruteforce import bf_run, replay_trajectory
 from generators import random_program
 
 MINIMAL = "proc id(in x, out y){ y := x; }"
@@ -217,6 +228,60 @@ class TestRun:
             result = run(program, inputs, 500)
             if result.ok:
                 assert replay_trajectory(program, inputs, result.trajectory) == result.final
+
+
+def _oracle_cases(seed: int, count: int = 300):
+    """Programs that fault, loop forever or finish, under budgets from 1 up."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        program = random_program(rng, max_stmts=8, allow_while=True, faults=True)
+        inputs = {"a": rng.randint(-3, 3), "b": rng.randint(-3, 3)}
+        budget = rng.randint(1, 12) if rng.random() < 0.4 else rng.randint(13, 400)
+        yield program, inputs, budget
+
+
+class TestRunAgainstOracle:
+    def test_every_field_matches_bf_run(self):
+        statuses = {OK: 0, FAULT: 0, BUDGET_EXCEEDED: 0}
+        for program, inputs, budget in _oracle_cases(20261017):
+            result = run(program, inputs, budget)
+            expected = bf_run(program, inputs, budget)
+            got = (result.status, result.steps, result.fault_stmt_id, result.fault_reason,
+                   result.final, result.trajectory)
+            assert got == expected, pretty_print(program)
+            statuses[result.status] += 1
+        assert min(statuses.values()) >= 30, statuses
+
+    def test_unrecorded_run_differs_only_in_trajectory(self):
+        for program, inputs, budget in _oracle_cases(11, count=100):
+            recorded = run(program, inputs, budget)
+            unrecorded = run(program, inputs, budget, record=False)
+            assert unrecorded.trajectory == ()
+            assert unrecorded == dataclasses.replace(recorded, trajectory=())
+
+
+class TestUnboundVariable:
+    PARAMS = (ast.Param("x", "in"), ast.Param("y", "out"))
+
+    def test_hand_built_program_reading_an_undeclared_variable(self):
+        reads_z = ast.Assign(1, "y", ast.Arith("+", ast.Var("x"), ast.Var("z")))
+        program = ast.Program("f", self.PARAMS, frozenset(), ast.Block((reads_z,)))
+        with pytest.raises(UnboundVariableError) as excinfo:
+            run(program, {"x": 1})
+        assert excinfo.value.name == "z"
+
+    def test_hand_built_loop_condition_on_an_undeclared_variable(self):
+        loop = ast.While(1, ast.Cmp("<", ast.Var("z"), ast.IntLit(1)), ast.Block())
+        program = ast.Program("f", self.PARAMS, frozenset(), ast.Block((loop,)))
+        with pytest.raises(UnboundVariableError):
+            run(program, {"x": 1}, record=False)
+
+    def test_predicate_on_a_state_missing_one_of_its_variables(self):
+        state = {"a": 1}
+        with pytest.raises(UnboundVariableError) as excinfo:
+            eval_predicate(parse_predicate("exists n in 0..2 : n == a + b"), state)
+        assert excinfo.value.name == "b"
+        assert state == {"a": 1}
 
 
 class TestProject:

@@ -29,7 +29,6 @@ from tddslicer.slicer import (
     ExhaustiveCapError,
     OriginalNotVerifiedError,
     VacuousContractError,
-    present_units,
 )
 
 from generators import random_contract, random_program
@@ -246,4 +245,4 @@ class TestCheckProjection:
 
 def test_present_units_after_deletion(max2):
     sliced = apply_deletion(max2, {else_clause(1)})
-    assert present_units(sliced) == [stmt(1), stmt(2)]
+    assert deletable_units(sliced) == [stmt(1), stmt(2)]

@@ -135,6 +135,6 @@ class TestAgainstBruteForce:
             hi_a = rng.randint(lo_a, 3)
             lo_b = rng.randint(-3, 3)
             hi_b = rng.randint(lo_b, 3)
-            sub = Domain.of(a=(lo_a, hi_a), b=(lo_b, hi_b))
+            sub = Domain.from_dict({"a": (lo_a, hi_a), "b": (lo_b, hi_b)})
             assert check(program, contract, sub).verdict in (VERIFIED, VACUOUS)
         assert verified_seen > 5
