@@ -57,7 +57,7 @@ from .slicer import (
     is_slice_of,
     slice,
 )
-from .verifier import PointCheck, VerificationResult, Witness, check, check_point
+from .verifier import PointCheck, VerificationResult, Witness, check, check_all, check_point
 
 __version__ = "0.1.0"
 
@@ -89,6 +89,7 @@ __all__ = [
     "Witness",
     "apply_deletion",
     "check",
+    "check_all",
     "check_point",
     "check_projection",
     "classify_test",

@@ -28,7 +28,7 @@ from .lang.interp import DEFAULT_STEP_BUDGET, OK, run
 from .lang.parser import parse_bindings, parse_domain_spec, parse_program
 from .lang.printer import format_predicate
 from .predicates import Domain, is_tautology, parse_predicate
-from .verifier import VACUOUS, VERIFIED, PointCheck, VerificationResult, check, check_point
+from .verifier import VACUOUS, VERIFIED, PointCheck, VerificationResult, check_all, check_point
 
 REFACTOR_NOTE = "refactor"
 
@@ -439,11 +439,27 @@ def _guard(errors: list[str], label: str, thunk):
         return None
 
 
+def _unwrap(outcome):
+    """A check_all result, re-raising the exception it stands for."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 def replay(session: Session, step_budget: int = DEFAULT_STEP_BUDGET) -> Report:
     """Re-check every relationship the session postulates. Deterministic:
     identical session bytes produce identical reports."""
     records: list[CycleRecord] = []
     union_so_far: ct.Contract | None = None
+    # every cycle contract against its snapshot, then against the final
+    # program, decided in one scan of the domain
+    count = len(session.cycles)
+    contract_checks = check_all(
+        [(c.snapshot, c.contract) for c in session.cycles]
+        + [(session.final, c.contract) for c in session.cycles],
+        session.dom,
+        step_budget,
+    )
 
     for position, cycle in enumerate(session.cycles):
         errors: list[str] = []
@@ -502,12 +518,10 @@ def replay(session: Session, step_budget: int = DEFAULT_STEP_BUDGET) -> Report:
             lambda: check_point(cycle.snapshot, cycle.contract, cycle.test.inputs, step_budget),
         )
         snapshot_contract = _guard(
-            errors, "snapshot contract",
-            lambda: check(cycle.snapshot, cycle.contract, session.dom, step_budget),
+            errors, "snapshot contract", lambda: _unwrap(contract_checks[position])
         )
         oracle_contract = _guard(
-            errors, "oracle contract",
-            lambda: check(session.final, cycle.contract, session.dom, step_budget),
+            errors, "oracle contract", lambda: _unwrap(contract_checks[count + position])
         )
         witnessed = bool(
             snapshot_contract and snapshot_contract.verified

@@ -302,10 +302,6 @@ def _slice_exhaustive(
     raise AssertionError("unreachable: the empty deletion always verifies")
 
 
-def _unit_present(unit: DeletionUnit, program: ast.Program) -> bool:
-    return unit in set(deletable_units(program))
-
-
 def _slice_greedy(
     program: ast.Program,
     contract: Contract,
@@ -316,9 +312,10 @@ def _slice_greedy(
 ) -> SliceResult:
     deleted: set[DeletionUnit] = set()
     current = program
+    present = set(units)
     verification = base
     for unit in reversed(units):
-        if not _unit_present(unit, current):
+        if unit not in present:
             continue  # nested inside something already deleted
         trial = deleted | {unit}
         candidate = apply_deletion(program, trial)
@@ -326,6 +323,7 @@ def _slice_greedy(
         if result.verified:
             deleted = trial
             current = candidate
+            present = set(deletable_units(current))
             verification = result
     retained = frozenset(deletable_units(current))
     return SliceResult(

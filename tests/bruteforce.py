@@ -158,29 +158,42 @@ def bf_run(program: ast.Program, inputs: dict[str, int], budget: int):
     return "ok", steps, None, None, env, tuple(trajectory)
 
 
-def bf_check(program: ast.Program, pre, post, ranges: dict[str, tuple[int, int]]):
+def bf_check(program: ast.Program, pre, post, ranges: dict[str, tuple[int, int]],
+             budget: int | None = None):
     """Decide {pre} program {post} by exhaustive execution.
 
     Returns (verdict, witness_inputs) with verdicts "verified",
-    "counterexample", "vacuous"; enumeration is lexicographic by variable
-    name with values ascending, matching the documented order.
+    "counterexample", "vacuous" and "fault" (a predicate faulted);
+    enumeration is lexicographic by variable name with values ascending,
+    matching the documented order. Without a budget the program must
+    terminate and not fault (bf_exec); with one it runs under bf_run, and
+    its "fault" or "budget_exceeded" status is the verdict.
     """
     names = sorted(ranges)
     spans = [range(ranges[n][0], ranges[n][1] + 1) for n in names]
     satisfied = 0
     for values in itertools.product(*spans):
         inputs = dict(zip(names, values))
-        if not bf_holds(pre, dict(inputs)):
-            continue
+        try:
+            if not bf_holds(pre, dict(inputs)):
+                continue
+        except ZeroDivisionError:
+            return "fault", inputs
         satisfied += 1
-        env = dict(inputs)
-        for out in program.out_params:
-            env[out] = 0
-        for local in program.locals:
-            env[local] = 0
-        bf_exec(program.body, env)
-        if not bf_holds(post, env):
-            return "counterexample", inputs
+        if budget is None:
+            env = dict(inputs)
+            for name in (*program.out_params, *program.locals):
+                env[name] = 0
+            bf_exec(program.body, env)
+        else:
+            status, _, _, _, env, _ = bf_run(program, inputs, budget)
+            if status != "ok":
+                return status, inputs
+        try:
+            if not bf_holds(post, env):
+                return "counterexample", inputs
+        except ZeroDivisionError:
+            return "fault", inputs
     if satisfied == 0:
         return "vacuous", None
     return "verified", None

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from tddslicer import Contract, TestCase, check_point, parse_predicate, qlty, replay
+from tddslicer import verifier
+from tddslicer.cli import main
 from tddslicer.contracts import REGRESSION
 from tddslicer.corpus import corpus_path
 from tddslicer.lang import parse_program
@@ -271,3 +275,133 @@ def test_load_session_missing_file(tmp_path):
 def test_bundled_corpus_loads_via_helper():
     session = load_session(corpus_path("div.session"))
     assert session.name == "div-kata"
+
+
+# Replay's `--format machine` output, captured before replay decided all
+# cycle contracts in one shared scan; any change to it is a regression.
+DIV_REPLAY_SHA256 = "2ca978f1f437972464c1303ac6f0f91bc8de63b2d1515e9be3552b2cd6ac61d5"
+BROKEN_REPLAY = """\
+{
+  "command": "replay",
+  "cycles": [
+    {
+      "chain_holds": true,
+      "classification": "new",
+      "contract_point": {
+        "detail": "postcondition is false",
+        "final": {
+          "x": 1,
+          "y": 2
+        },
+        "inputs": {
+          "x": 1
+        },
+        "status": "fail"
+      },
+      "declared_kind": null,
+      "errors": [],
+      "green": {
+        "detail": "",
+        "passed": true,
+        "test": "says_two"
+      },
+      "implication_witnessed": false,
+      "index": 1,
+      "kind_mismatch": false,
+      "matched_contract": null,
+      "oracle_contract": {
+        "checked_points": 1,
+        "domain": "x in 0..4",
+        "verdict": "counterexample",
+        "witness": {
+          "detail": "postcondition is false",
+          "final": {
+            "x": 0,
+            "y": 1
+          },
+          "inputs": {
+            "x": 0
+          }
+        }
+      },
+      "red": {
+        "detail": "first cycle",
+        "status": "not_applicable"
+      },
+      "regressions": [],
+      "snapshot_contract": {
+        "checked_points": 1,
+        "domain": "x in 0..4",
+        "verdict": "counterexample",
+        "witness": {
+          "detail": "postcondition is false",
+          "final": {
+            "x": 0,
+            "y": 1
+          },
+          "inputs": {
+            "x": 0
+          }
+        }
+      },
+      "test": "says_two"
+    }
+  ],
+  "domain": "x in 0..4",
+  "failures": [
+    "cycle 1: snapshot contract counterexample",
+    "cycle 1: oracle contract counterexample"
+  ],
+  "final_matches_last_snapshot": true,
+  "format_version": 1,
+  "ok": false,
+  "qlty": 100.0,
+  "session": "broken",
+  "union_contract": {
+    "post": "y == 0",
+    "pre": "TRUE"
+  },
+  "union_pre_tautology": true,
+  "warnings": [
+    "cycle 1: cycle test vs its own contract: fail"
+  ]
+}
+"""
+
+
+class TestReplayGoldens:
+    def _replay_output(self, capsys, path):
+        code = main(["replay", str(path), "--format", "machine"])
+        return code, capsys.readouterr().out
+
+    def test_div_session_machine_output(self, capsys):
+        code, out = self._replay_output(capsys, corpus_path("div.session"))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIV_REPLAY_SHA256
+
+    def test_broken_session_machine_output(self, capsys, minimal_dir):
+        path = minimal_dir / "broken.session"
+        path.write_text(TestReplayNegative.BROKEN)
+        code, out = self._replay_output(capsys, path)
+        assert code == 1
+        assert out == BROKEN_REPLAY
+
+    def test_div_session_run_count(self, div_session, monkeypatch):
+        """Each distinct program runs once per point at which a pair using
+        it still needs it: the 18 contract checks of div.session use 6
+        distinct programs (snapshots 5 to 7 are equal, and so are snapshots
+        8, 9 and the final program) over 153 points, and a pair needs its
+        program only where its precondition holds, up to its first failure.
+        The 9 contract point checks add one run each. Checking the 18
+        pairs one by one took 858 runs."""
+        calls = []
+        real_run = verifier.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args[0])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(verifier, "run", counting_run)
+        report = replay(div_session)
+        assert report.ok
+        assert len(calls) == 223

@@ -3,10 +3,20 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
+from collections import Counter
 
 import pytest
 
-from tddslicer import Contract, Domain, check, check_point, parse_predicate, parse_program
+from tddslicer import (
+    Contract,
+    Domain,
+    check,
+    check_all,
+    check_point,
+    parse_predicate,
+    parse_program,
+)
 from tddslicer.verifier import (
     BUDGET_EXCEEDED,
     COUNTEREXAMPLE,
@@ -17,8 +27,8 @@ from tddslicer.verifier import (
     VERIFIED,
 )
 
-from bruteforce import bf_check
-from generators import random_contract, random_program
+from bruteforce import bf_check, bf_holds
+from generators import CMP_OPS, predicate_text, random_contract, random_program
 
 ONE_SIDED_MAX = "proc max2(in a, in b, out max) { if (a > b) { max := a; } }"
 
@@ -138,3 +148,177 @@ class TestAgainstBruteForce:
             sub = Domain.from_dict({"a": (lo_a, hi_a), "b": (lo_b, hi_b)})
             assert check(program, contract, sub).verdict in (VERIFIED, VACUOUS)
         assert verified_seen > 5
+
+
+def _solo(program, contract, dom, budget):
+    """What check returns, or the exception it raises."""
+    try:
+        return check(program, contract, dom, budget)
+    except Exception as err:  # noqa: BLE001 - compared with check_all's result
+        return err
+
+
+def _bf_checked_points(pre, dom, witness):
+    """Points whose precondition holds, in enumeration order, up to the
+    witness; a precondition fault ends the count before its point."""
+    count = 0
+    for inputs in dom.points():
+        try:
+            if not bf_holds(pre, dict(inputs)):
+                continue
+        except ZeroDivisionError:
+            break
+        count += 1
+        if inputs == witness:
+            break
+    return count
+
+
+def _fault_text(rng, dividend_vars, divisor_vars):
+    """A comparison dividing by (v - c): faults wherever v == c."""
+    dividend = rng.choice(dividend_vars)
+    divisor = f"({rng.choice(divisor_vars)} - {rng.randint(-2, 2)})"
+    return f"{dividend} / {divisor} {rng.choice(CMP_OPS)} {rng.randint(-1, 1)}"
+
+
+class TestCheckAll:
+    """check_all decides each pair exactly as a solo check does."""
+
+    RANGES = {"a": (-2, 2), "b": (-2, 2)}
+
+    def _batch(self, rng):
+        """2-8 pairs that repeat programs, pres and posts, as the same
+        objects and as equal but distinct ones."""
+        program_seeds = [rng.randrange(10**6) for _ in range(rng.randint(1, 3))]
+        pre_texts = [
+            predicate_text(rng, ("a", "b")),
+            # TRUE, or one of three preconditions that no point satisfies
+            rng.choice(("TRUE", "FALSE", "a > 5", "a < b && b < a")),
+            _fault_text(rng, ("a", "b"), ("a", "b")),
+        ]
+        post_texts = [
+            predicate_text(rng, ("a", "b", "o")),
+            _fault_text(rng, ("a", "o"), ("b", "o")),
+            "TRUE",
+        ]
+        same_object = random_program(random.Random(program_seeds[0]), 4, True, faults=True)
+        pairs = []
+        for _ in range(rng.randint(2, 8)):
+            if rng.random() < 0.3:
+                program = same_object
+            else:
+                seed = rng.choice(program_seeds)
+                program = random_program(random.Random(seed), 4, True, faults=True)
+            contract = Contract(
+                parse_predicate(rng.choice(pre_texts)),
+                parse_predicate(rng.choice(post_texts)),
+            )
+            pairs.append((program, contract))
+        return pairs
+
+    def test_shared_scan_matches_solo_check_and_bruteforce(self):
+        rng = random.Random(3031)
+        # 25 points fit in one chunk of the scan; 169 points take three
+        domains = [self.RANGES, {"a": (-6, 6), "b": (-6, 6)}]
+        verdicts = Counter()
+        invalid_batches = 0
+        for batch in range(150):
+            ranges = domains[batch % 5 == 4]
+            dom = Domain.from_dict(ranges)
+            pairs = self._batch(rng)
+            budget = rng.choice((1, 3, 8, 25, 10000))
+            invalid = None
+            if rng.random() < 0.3:
+                # the precondition may not read the out-parameter
+                invalid = rng.randrange(len(pairs) + 1)
+                pairs.insert(invalid, (pairs[0][0], _contract("o > 0", "TRUE")))
+                invalid_batches += 1
+            results = check_all(pairs, dom, budget)
+            assert len(results) == len(pairs)
+            for position, ((program, contract), result) in enumerate(zip(pairs, results)):
+                solo = _solo(program, contract, dom, budget)
+                if position == invalid:
+                    assert isinstance(result, ValueError)
+                    assert isinstance(solo, ValueError) and str(result) == str(solo)
+                    continue
+                assert result == solo
+                verdict, witness = bf_check(program, contract.pre, contract.post, ranges, budget)
+                assert result.verdict == verdict
+                assert (result.witness and result.witness.inputs) == witness
+                assert result.checked_points == _bf_checked_points(contract.pre, dom, witness)
+                verdicts[verdict] += 1
+        assert invalid_batches > 20
+        # every verdict shows up often enough to mean something
+        for verdict in (VERIFIED, COUNTEREXAMPLE, VACUOUS, FAULT, BUDGET_EXCEEDED):
+            assert verdicts[verdict] >= 20, verdicts
+
+    def test_shared_fault_gives_every_reader_the_same_witness(self):
+        program = parse_program("proc f(in a, in b, out o){ o := a; }")
+        faulty_pre, faulty_post = "b / (a - 1) >= 0", "b / o == b / o"
+        contracts = [
+            _contract(faulty_pre, "TRUE"),
+            _contract(faulty_pre, "o == a"),
+            _contract("TRUE", faulty_post),
+            _contract("a > -5", faulty_post),
+        ]
+        dom = Domain.from_dict(self.RANGES)
+        results = check_all([(program, c) for c in contracts], dom)
+        assert results == [check(program, c, dom) for c in contracts]
+        for result in results[:2]:
+            assert result.verdict == FAULT
+            assert result.witness.inputs == {"a": 1, "b": -2}
+            assert result.witness.detail == "precondition fault: division by zero"
+        for result in results[2:]:
+            assert result.verdict == FAULT
+            assert result.witness.inputs == {"a": 0, "b": -2}
+            assert result.witness.final == {"a": 0, "b": -2, "o": 0}
+            assert result.witness.detail == "postcondition fault: division by zero"
+
+    def test_an_error_in_a_shared_run_reaches_every_pair_that_runs(self, max2, dom_ab8):
+        contracts = [_contract("a > b", "max == a"), _contract("a <= b", "max == b")]
+        pairs = [(max2, c) for c in contracts] + [(max2, _contract("FALSE", "TRUE"))]
+        results = check_all(pairs, dom_ab8, 0)
+        for (program, contract), result in zip(pairs[:2], results):
+            with pytest.raises(ValueError, match="step_budget") as solo:
+                check(program, contract, dom_ab8, 0)
+            assert isinstance(result, ValueError) and str(result) == str(solo.value)
+        assert results[2].verdict == VACUOUS  # never runs, so never sees the error
+
+    def test_no_pairs_and_only_invalid_pairs(self, max2, dom_ab8):
+        assert check_all([], dom_ab8) == []
+        (only,) = check_all([(max2, _contract("max > 0", "TRUE"))], dom_ab8)
+        assert isinstance(only, ValueError)
+        with pytest.raises(ValueError, match="precondition"):
+            check(max2, _contract("max > 0", "TRUE"), dom_ab8)
+
+    def test_programs_too_deep_to_compare_are_kept_apart(self):
+        text = "proc f(in a, out o) { o := " + " + ".join(["a"] * 900) + "; }"
+        first, second = parse_program(text), parse_program(text)
+        contract = _contract("TRUE", "o == 900 * a")
+        dom = Domain.parse("a in -2..2")
+        expected = check(first, contract, dom)
+        assert expected.verdict == VERIFIED
+        assert check_all([(first, contract), (second, contract)], dom) == [expected] * 2
+
+    def test_scan_memory_does_not_grow_with_the_domain(self, div_oracle):
+        contracts = [
+            _contract("x >= 0 && y > 0", "0 <= r && r < y && x == y * q + r"),
+            _contract("exists k in 0..4 : x == y * k", "r == 0"),
+            _contract("x >= 0 && y > 0", "q * y <= x"),
+        ]
+        pairs = [(div_oracle, c) for c in contracts] * 2
+
+        def peak(spec):
+            dom = Domain.parse(spec)
+            tracemalloc.start()
+            try:
+                results = check_all(pairs, dom)
+                return tracemalloc.get_traced_memory()[1], results
+            finally:
+                tracemalloc.stop()
+
+        small, small_results = peak("x in 0..9, y in 1..10")
+        large, large_results = peak("x in 0..99, y in 1..100")
+        assert [r.verdict for r in small_results] == [r.verdict for r in large_results]
+        assert large_results[0].checked_points == 10_000
+        assert large < small + 32_000
