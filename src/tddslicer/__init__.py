@@ -27,22 +27,22 @@ from .lang import (
     ALL,
     DEFAULT_STEP_BUDGET,
     RunResult,
+    format_predicate,
     parse_program,
     pretty_print,
     project,
     run,
 )
+from .lang.ast import free_vars
+from .lang.parser import parse_predicate
 from .predicates import (
     Domain,
     ImplicationResult,
     Predicate,
     PredicateUndefinedError,
     eval_predicate,
-    format_predicate,
-    free_vars,
     implies,
     is_tautology,
-    parse_predicate,
 )
 from .session import Report, Session, load_session, parse_session, qlty, replay
 from .slicer import (
@@ -52,9 +52,7 @@ from .slicer import (
     SliceResult,
     VacuousContractError,
     apply_deletion,
-    check_projection,
     deletable_units,
-    is_slice_of,
     slice,
 )
 from .verifier import PointCheck, VerificationResult, Witness, check, check_all, check_point
@@ -91,7 +89,6 @@ __all__ = [
     "check",
     "check_all",
     "check_point",
-    "check_projection",
     "classify_test",
     "deletable_units",
     "eval_predicate",
@@ -99,7 +96,6 @@ __all__ = [
     "free_vars",
     "implies",
     "is_instance",
-    "is_slice_of",
     "is_tautology",
     "load_session",
     "parse_predicate",

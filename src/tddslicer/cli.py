@@ -13,20 +13,15 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
 from .contracts import Contract
 from .errors import ParseError
-from .lang import ast, parse_bindings, parse_program, pretty_print, project, run
+from .lang import parse_bindings, pretty_print, project, run
 from .lang.interp import DEFAULT_STEP_BUDGET, OK
-from .predicates import (
-    Domain,
-    PredicateUndefinedError,
-    format_predicate,
-    is_tautology,
-    parse_predicate,
-)
-from .session import SessionFormatError, load_session, replay
+from .lang.parser import parse_predicate
+from .lang.printer import format_predicate
+from .predicates import Domain, PredicateUndefinedError, is_tautology
+from .session import SessionFormatError, load_program, load_session, replay
 from .slicer import (
     EXHAUSTIVE,
     GREEDY,
@@ -77,13 +72,6 @@ def _emit_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _load_program(path: str) -> ast.Program:
-    file = Path(path)
-    if not file.is_file():
-        raise FileNotFoundError(f"program file not found: {path}")
-    return parse_program(file.read_text(encoding="utf-8"))
-
-
 def _contract_from_args(pre: str, post: str) -> Contract:
     return Contract(parse_predicate(pre), parse_predicate(post))
 
@@ -100,7 +88,7 @@ def _verdict_text(verdict: str) -> str:
 
 
 def cmd_check(args: argparse.Namespace) -> int:
-    program = _load_program(args.program)
+    program = load_program(args.program)
     contract = _contract_from_args(args.pre, args.post)
     dom = Domain.parse(args.domain)
     result = check(program, contract, dom, args.budget)
@@ -123,7 +111,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
-    program = _load_program(args.program)
+    program = load_program(args.program)
     contract = _contract_from_args(args.pre, args.post)
     dom = Domain.parse(args.domain)
     result = compute_slice(program, contract, dom, strategy=args.strategy, step_budget=args.budget)
@@ -231,7 +219,7 @@ def _print_report(report) -> None:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    program = _load_program(args.program)
+    program = load_program(args.program)
     inputs = parse_bindings(args.inputs)
     wanted = None
     if args.vars:

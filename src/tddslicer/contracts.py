@@ -13,16 +13,8 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .lang import ast
-from .predicates import (
-    Domain,
-    ImplicationResult,
-    Predicate,
-    State,
-    eval_predicate,
-    format_predicate,
-    free_vars,
-    implies,
-)
+from .lang.printer import format_predicate
+from .predicates import Domain, ImplicationResult, Predicate, State, eval_predicate, implies
 
 NEW = "new"
 REGRESSION = "regression"
@@ -37,14 +29,11 @@ class Contract:
     """Precondition/postcondition pair.
 
     The precondition may only read in-parameters; the postcondition may
-    read in- and out-parameters. allow_locals widens the postcondition
-    scope to locals, which only slice-level diagnostics use.
+    read in- and out-parameters.
     """
 
     pre: Predicate
     post: Predicate
-    label: str | None = None
-    allow_locals: bool = False
 
     def __str__(self) -> str:
         return f"{{{format_predicate(self.pre)}}}{{{format_predicate(self.post)}}}"
@@ -97,16 +86,7 @@ def is_instance(test: TestCase, contract: Contract) -> InstanceCheck:
 
 def union(c1: Contract, c2: Contract) -> Contract:
     """Syntactic OR of the preconditions and of the postconditions."""
-    if c1.label and c2.label:
-        label = f"{c1.label} | {c2.label}"
-    else:
-        label = c1.label or c2.label
-    return Contract(
-        pre=ast.Or(c1.pre, c2.pre),
-        post=ast.Or(c1.post, c2.post),
-        label=label,
-        allow_locals=c1.allow_locals or c2.allow_locals,
-    )
+    return Contract(pre=ast.Or(c1.pre, c2.pre), post=ast.Or(c1.post, c2.post))
 
 
 def union_all(contracts: list[Contract]) -> Contract:
@@ -150,7 +130,7 @@ def subsumed_by(
     overridable per variable via out_ranges.
     """
     pre_result = implies(c1.pre, c2.pre, dom)
-    extra = (free_vars(c1.post) | free_vars(c2.post)) - dom.vars
+    extra = (ast.free_vars(c1.post) | ast.free_vars(c2.post)) - dom.vars
     extension: dict[str, tuple[int, int]] = {}
     for name in sorted(extra):
         if out_ranges and name in out_ranges:
@@ -181,14 +161,11 @@ class Classification:
         return False
 
 
-def classify_test(test: TestCase, history: list[Contract], dom: Domain) -> Classification:
+def classify_test(test: TestCase, history: list[Contract]) -> Classification:
     """regression iff the test instantiates the union of the history,
-    otherwise new. An empty history always classifies new.
-
-    dom is accepted for interface symmetry with the other contract queries;
-    classification itself is a pointwise check and does not enumerate.
+    otherwise new. An empty history always classifies new. A pointwise
+    check: nothing is enumerated.
     """
-    del dom
     if not history:
         return Classification(NEW, None)
     matched = None
@@ -205,25 +182,17 @@ def classify_test(test: TestCase, history: list[Contract], dom: Domain) -> Class
     return Classification(NEW, None)
 
 
-def validate_scope(
-    contract: Contract,
-    in_params: frozenset[str],
-    out_params: frozenset[str],
-    locals_: frozenset[str] = frozenset(),
-) -> None:
+def validate_scope(contract: Contract, in_params: frozenset[str], out_params: frozenset[str]) -> None:
     """Enforce the contract scope rules against a program signature.
 
     Raises ValueError naming the out-of-scope variables.
     """
-    bad_pre = free_vars(contract.pre) - in_params
+    bad_pre = ast.free_vars(contract.pre) - in_params
     if bad_pre:
         raise ValueError(
             f"precondition may only read in-parameters; out of scope: {sorted(bad_pre)}"
         )
-    allowed_post = in_params | out_params
-    if contract.allow_locals:
-        allowed_post = allowed_post | locals_
-    bad_post = free_vars(contract.post) - allowed_post
+    bad_post = ast.free_vars(contract.post) - (in_params | out_params)
     if bad_post:
         raise ValueError(
             f"postcondition reads out-of-scope variables: {sorted(bad_post)}"

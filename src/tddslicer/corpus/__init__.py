@@ -12,11 +12,3 @@ def corpus_path(name: str) -> Path:
     if not path.is_file():
         raise FileNotFoundError(f"no corpus file named {name!r}")
     return path
-
-
-def div_session_path() -> Path:
-    return corpus_path("div.session")
-
-
-def max2_path() -> Path:
-    return corpus_path("max2.prog")

@@ -11,7 +11,7 @@ from .interp import (
     run,
 )
 from .parser import parse_bindings, parse_domain_spec, parse_program
-from .printer import format_expr, format_predicate, pretty_print
+from .printer import format_predicate, pretty_print
 
 __all__ = [
     "ALL",
@@ -20,7 +20,6 @@ __all__ = [
     "Trajectory",
     "TrajectoryEntry",
     "ast",
-    "format_expr",
     "format_predicate",
     "parse_bindings",
     "parse_domain_spec",

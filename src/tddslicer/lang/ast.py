@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-ARITH_OPS = ("+", "-", "*", "/", "%", "^")
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
@@ -193,18 +192,8 @@ class Program:
     def out_params(self) -> tuple[str, ...]:
         return tuple(p.name for p in self.params if p.mode == "out")
 
-    @property
-    def variables(self) -> frozenset[str]:
-        return frozenset(p.name for p in self.params) | self.locals
-
     def statements(self) -> tuple[Stmt, ...]:
         return tuple(walk_statements(self.body))
-
-    def statement_by_id(self, stmt_id: int) -> Stmt:
-        for stmt in walk_statements(self.body):
-            if stmt.stmt_id == stmt_id:
-                return stmt
-        raise KeyError(f"no statement with id {stmt_id}")
 
 
 def walk_statements(block: Block) -> Iterator[Stmt]:
@@ -250,19 +239,3 @@ def same_shape(a: Program | Block | Stmt, b: Program | Block | Stmt) -> bool:
     if isinstance(a, While):
         return a.cond == b.cond and same_shape(a.body, b.body)
     raise TypeError(f"not a program node: {a!r}")
-
-
-def lint(program: Program) -> list[str]:
-    """Non-fatal style findings: currently, assignments to in-parameters.
-
-    Contracts read in-params in postconditions assuming they are unmodified;
-    reassigning one is legal but almost always a mistake.
-    """
-    in_params = set(program.in_params)
-    findings = []
-    for stmt in walk_statements(program.body):
-        if isinstance(stmt, Assign) and stmt.target in in_params:
-            findings.append(
-                f"statement {stmt.stmt_id} assigns to in-parameter '{stmt.target}'"
-            )
-    return findings

@@ -29,7 +29,7 @@ from . import ast
 
 DEFAULT_STEP_BUDGET = 10000
 
-#: pass for `stmt_ids`/`vars` in project() to keep everything
+#: pass for `vars` in project() to keep everything
 ALL = None
 
 OK = "ok"
@@ -111,8 +111,8 @@ _CMP = {
 #
 # A compiled expression or predicate is a function of the state dict. A
 # variable missing from the state surfaces as the KeyError of the dict
-# lookup; the public entry points (compile_bool, eval_expr, run) turn it
-# into UnboundVariableError.
+# lookup; the public entry points (compile_bool, run) turn it into
+# UnboundVariableError.
 
 
 def _compile_expr(expr: ast.Expr) -> Callable[[dict[str, int]], int]:
@@ -214,19 +214,6 @@ def compile_bool(pred: ast.BoolExpr) -> Callable[[dict[str, int]], bool]:
             raise UnboundVariableError(missing.args[0]) from None
 
     return holds
-
-
-def eval_bool(pred: ast.BoolExpr, state: dict[str, int]) -> bool:
-    """One-off evaluation of a boolean expression or predicate."""
-    return compile_bool(pred)(state)
-
-
-def eval_expr(expr: ast.Expr, state: dict[str, int]) -> int:
-    """One-off evaluation of an arithmetic expression."""
-    try:
-        return _compile_expr(expr)(state)
-    except KeyError as missing:
-        raise UnboundVariableError(missing.args[0]) from None
 
 
 # --- statements and programs -------------------------------------------------
@@ -412,19 +399,8 @@ def run(
     )
 
 
-def project(
-    trajectory: Trajectory,
-    vars: set[str] | None = ALL,
-    stmt_ids: set[int] | None = ALL,
-) -> Trajectory:
-    """Keep the entries whose variable and statement id are selected.
-
-    Passing ALL (None) for either filter keeps that dimension unrestricted;
-    order is preserved, so the result is a subsequence of the input.
+def project(trajectory: Trajectory, vars: set[str] | None = ALL) -> Trajectory:
+    """Keep the entries whose variable is in vars; ALL (None) keeps every
+    entry. Order is preserved, so the result is a subsequence of the input.
     """
-    return tuple(
-        entry
-        for entry in trajectory
-        if (vars is ALL or entry.var in vars)
-        and (stmt_ids is ALL or entry.stmt_id in stmt_ids)
-    )
+    return tuple(entry for entry in trajectory if vars is ALL or entry.var in vars)

@@ -18,10 +18,6 @@ _ADD, _MUL, _UNARY, _POW, _ATOM = 1, 2, 3, 4, 5
 _ARITH_PREC = {"+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL, "%": _MUL, "^": _POW}
 
 
-def format_expr(expr: ast.Expr) -> str:
-    return _expr(expr)
-
-
 def _expr(expr: ast.Expr) -> str:
     if isinstance(expr, ast.IntLit):
         return str(expr.value)

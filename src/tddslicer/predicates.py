@@ -13,17 +13,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .errors import EvaluationFault, ParseError, UnboundVariableError
+from .errors import EvaluationFault
 from .lang import ast
-from .lang.interp import compile_bool, eval_bool
-from .lang.parser import parse_bindings, parse_domain_spec
-from .lang.parser import parse_predicate as _parse_predicate
-from .lang.printer import format_predicate
+from .lang.interp import compile_bool
+from .lang.parser import parse_domain_spec
 
 Predicate = ast.BoolExpr
 
 TRUE = ast.BoolLit(True)
-FALSE = ast.BoolLit(False)
 
 State = dict[str, int]
 
@@ -70,18 +67,6 @@ class Domain:
     def vars(self) -> frozenset[str]:
         return frozenset(name for name, _, _ in self.ranges)
 
-    def range_of(self, name: str) -> tuple[int, int]:
-        for var, lo, hi in self.ranges:
-            if var == name:
-                return (lo, hi)
-        raise KeyError(name)
-
-    def size(self) -> int:
-        points = 1
-        for _, lo, hi in self.ranges:
-            points *= hi - lo + 1
-        return points
-
     def points(self, only: frozenset[str] | None = None):
         """All assignments, lexicographic by name then ascending by value.
 
@@ -124,28 +109,13 @@ class Domain:
         return ", ".join(f"{name} in {lo}..{hi}" for name, lo, hi in self.ranges)
 
 
-def parse_predicate(text: str) -> Predicate:
-    """Parse predicate text; TRUE/FALSE parse, existential bounds must be
-    literal with lo <= hi."""
-    return _parse_predicate(text)
-
-
-def parse_state(text: str) -> State:
-    """Parse `x=2, y=2` into a state binding."""
-    return parse_bindings(text)
-
-
 def eval_predicate(pred: Predicate, state: State) -> bool:
     """Standard short-circuit semantics; existentials enumerate their range.
 
     Raises UnboundVariableError when state misses a free variable and
     EvaluationFault on arithmetic faults inside the evaluation.
     """
-    return eval_bool(pred, dict(state))
-
-
-def free_vars(pred: Predicate) -> frozenset[str]:
-    return ast.free_vars(pred)
+    return compile_bool(pred)(dict(state))
 
 
 @dataclass(frozen=True)
@@ -205,31 +175,20 @@ def _static_fault_free(pred: Predicate, nonneg_vars: frozenset[str] = frozenset(
     return pred_ok(pred, nonneg_vars)
 
 
-def implies(
-    p1: Predicate,
-    p2: Predicate,
-    dom: Domain,
-    *,
-    structural_shortcut: bool = True,
-) -> ImplicationResult:
+def implies(p1: Predicate, p2: Predicate, dom: Domain) -> ImplicationResult:
     """Bounded implication: p1 => p2 at every assignment within dom.
 
     On failure the witness is the first counterexample in enumeration
     order. When p1 is syntactically one of p2's OR-disjuncts and neither
     side can fault, the implication holds by construction and enumeration
-    is skipped (disable via structural_shortcut for a full sweep).
+    is skipped.
     """
-    needed = free_vars(p1) | free_vars(p2)
+    needed = ast.free_vars(p1) | ast.free_vars(p2)
     uncovered = needed - dom.vars
     if uncovered:
         raise ValueError(f"domain does not cover free variables: {sorted(uncovered)}")
 
-    if (
-        structural_shortcut
-        and _static_fault_free(p1)
-        and _static_fault_free(p2)
-        and p1 in ast.or_disjuncts(p2)
-    ):
+    if _static_fault_free(p1) and _static_fault_free(p2) and p1 in ast.or_disjuncts(p2):
         return ImplicationResult(True, None, 0, dom)
 
     floor = dom.floor_assignment(dom.vars - needed)
@@ -253,20 +212,12 @@ def is_tautology(pred: Predicate, dom: Domain) -> ImplicationResult:
 
 __all__ = [
     "Domain",
-    "FALSE",
     "ImplicationResult",
     "Predicate",
     "PredicateUndefinedError",
     "State",
     "TRUE",
-    "UnboundVariableError",
-    "EvaluationFault",
-    "ParseError",
     "eval_predicate",
-    "format_predicate",
-    "free_vars",
     "implies",
     "is_tautology",
-    "parse_predicate",
-    "parse_state",
 ]

@@ -25,9 +25,9 @@ from . import contracts as ct
 from .errors import ParseError
 from .lang import ast
 from .lang.interp import DEFAULT_STEP_BUDGET, OK, run
-from .lang.parser import parse_bindings, parse_domain_spec, parse_program
+from .lang.parser import parse_bindings, parse_domain_spec, parse_predicate, parse_program
 from .lang.printer import format_predicate
-from .predicates import Domain, is_tautology, parse_predicate
+from .predicates import Domain, is_tautology
 from .verifier import VACUOUS, VERIFIED, PointCheck, VerificationResult, check_all, check_point
 
 REFACTOR_NOTE = "refactor"
@@ -49,7 +49,6 @@ class Cycle:
     test: ct.TestCase
     contract: ct.Contract
     snapshot: ast.Program
-    snapshot_path: str | None = None
     note: str | None = None
 
     @property
@@ -64,15 +63,15 @@ class Session:
     final: ast.Program
     dom: Domain
     out_ranges: dict[str, tuple[int, int]] | None = None
-    acceptance_suite: tuple[ct.TestCase, ...] = ()
 
     def __post_init__(self):
         if not self.cycles:
             raise ValueError("a session needs at least one cycle")
-        if not self.acceptance_suite:
-            object.__setattr__(
-                self, "acceptance_suite", tuple(c.test for c in self.cycles)
-            )
+
+    @property
+    def acceptance_suite(self) -> tuple[ct.TestCase, ...]:
+        """The suite QLTY scores the final program against: every cycle's test."""
+        return tuple(c.test for c in self.cycles)
 
 
 # --- session file parsing ---------------------------------------------------
@@ -115,16 +114,13 @@ def _take(
     return section.pop(key)[0]
 
 
-def _load_program(path_text: str, base_dir: Path, where: str) -> tuple[ast.Program, str]:
-    path = Path(path_text)
-    if not path.is_absolute():
-        path = base_dir / path
-    if not path.is_file():
-        raise SessionFormatError(f"{where}: program file not found: {path}")
-    try:
-        return parse_program(path.read_text(encoding="utf-8")), str(path)
-    except ParseError as err:
-        raise SessionFormatError(f"{where}: {path}: {err}") from err
+def load_program(path: str | Path) -> ast.Program:
+    """Parse the program file at path. Raises FileNotFoundError when there
+    is no such file and ParseError when its text is not a program."""
+    file = Path(path)
+    if not file.is_file():
+        raise FileNotFoundError(f"program file not found: {path}")
+    return parse_program(file.read_text(encoding="utf-8"))
 
 
 def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "session") -> Session:
@@ -132,6 +128,16 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
     base_dir. Raises SessionFormatError on malformed input, missing files,
     non-contiguous cycle indices, or contract scope violations."""
     base = Path(base_dir)
+
+    def load(path_text: str, where: str) -> ast.Program:
+        path = base / path_text  # an absolute path_text replaces base
+        try:
+            return load_program(path)
+        except FileNotFoundError as err:
+            raise SessionFormatError(f"{where}: {err}") from err
+        except ParseError as err:
+            raise SessionFormatError(f"{where}: {path}: {err}") from err
+
     sections = _split_sections(text)
     if not sections or sections[0][0] != "session":
         raise SessionFormatError("file must start with a [session] section")
@@ -145,7 +151,7 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
         stray = sorted(session_keys)
         raise SessionFormatError(f"unknown [session] keys: {stray}", header_line)
 
-    final, _ = _load_program(final_path, base, "[session] final")
+    final = load(final_path, "[session] final")
     if domain_text is not None:
         try:
             dom = Domain.from_dict(parse_domain_spec(domain_text))
@@ -163,6 +169,9 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
             out_ranges = parse_domain_spec(outrange_text)
         except ParseError as err:
             raise SessionFormatError(f"bad outrange: {err}") from err
+        stray = sorted(set(out_ranges) - set(final.out_params))
+        if stray:
+            raise SessionFormatError(f"outrange names variables that are not out-parameters: {stray}")
 
     cycles: list[Cycle] = []
     for header, line_no, keys in sections[1:]:
@@ -182,7 +191,7 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
         kind = _take(keys, "test.kind", where, required=False)
         pre_text = _take(keys, "contract.pre", where)
         post_text = _take(keys, "contract.post", where)
-        snapshot_path = _take(keys, "snapshot", where)
+        snapshot_text = _take(keys, "snapshot", where)
         note = _take(keys, "note", where, required=False)
         if keys:
             raise SessionFormatError(f"unknown {where} keys: {sorted(keys)}", line_no)
@@ -195,7 +204,7 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
             post = parse_predicate(post_text)
         except ParseError as err:
             raise SessionFormatError(f"{where}: {err}") from err
-        snapshot, resolved = _load_program(snapshot_path, base, where)
+        snapshot = load(snapshot_text, where)
 
         if set(inputs) != set(final.in_params):
             raise SessionFormatError(
@@ -209,7 +218,7 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
             raise SessionFormatError(
                 f"{where}: snapshot signature differs from the final program"
             )
-        contract = ct.Contract(pre, post, label=f"cycle {index}")
+        contract = ct.Contract(pre, post)
         try:
             ct.validate_scope(
                 contract,
@@ -219,8 +228,7 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
         except ValueError as err:
             raise SessionFormatError(f"{where}: {err}") from err
         cycles.append(
-            Cycle(index, ct.TestCase(test_name, inputs, expected, kind), contract,
-                  snapshot, resolved, note)
+            Cycle(index, ct.TestCase(test_name, inputs, expected, kind), contract, snapshot, note)
         )
     if not cycles:
         raise SessionFormatError("session has no cycles")
@@ -467,7 +475,7 @@ def replay(session: Session, step_budget: int = DEFAULT_STEP_BUDGET) -> Report:
 
         classification = _guard(
             errors, "classification",
-            lambda: ct.classify_test(cycle.test, history, session.dom),
+            lambda: ct.classify_test(cycle.test, history),
         )
         kind = classification.kind if classification else ct.NEW
         matched = classification.matched_contract if classification else None

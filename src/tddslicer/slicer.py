@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 from .contracts import Contract
 from .lang import ast
-from .lang.interp import (
-    ALL,
-    DEFAULT_STEP_BUDGET,
-    RunResult,
-    Trajectory,
-    project,
-    run,
-)
+from .lang.interp import DEFAULT_STEP_BUDGET
 from .predicates import Domain
 from .verifier import VACUOUS, VerificationResult, check
 
@@ -134,87 +127,6 @@ def apply_deletion(
 
 
 @dataclass(frozen=True)
-class SliceRelation:
-    is_slice: bool
-    deleted: frozenset[DeletionUnit] | None
-
-    def __bool__(self) -> bool:
-        return self.is_slice
-
-
-def is_slice_of(
-    candidate: ast.Program, original: ast.Program, allow_renamed: bool = False
-) -> SliceRelation:
-    """Is candidate reachable from original by deleting units?
-
-    Matching ignores statement ids (a freshly parsed candidate has its own
-    numbering). Signatures must agree; allow_renamed relaxes only the
-    procedure name.
-    """
-    if not allow_renamed and candidate.name != original.name:
-        return SliceRelation(False, None)
-    if candidate.params != original.params or candidate.locals != original.locals:
-        return SliceRelation(False, None)
-    deleted = _match_block(original.body.stmts, candidate.body.stmts)
-    if deleted is None:
-        return SliceRelation(False, None)
-    return SliceRelation(True, frozenset(deleted))
-
-
-def _delete_all(stmts: tuple[ast.Stmt, ...]) -> set[DeletionUnit]:
-    return {DeletionUnit(STATEMENT, s.stmt_id) for s in stmts}
-
-
-def _match_block(
-    orig: tuple[ast.Stmt, ...], cand: tuple[ast.Stmt, ...]
-) -> set[DeletionUnit] | None:
-    def rec(i: int, j: int) -> set[DeletionUnit] | None:
-        if j == len(cand):
-            return _delete_all(orig[i:])
-        if i == len(orig):
-            return None
-        inner = _match_stmt(orig[i], cand[j])
-        if inner is not None:
-            rest = rec(i + 1, j + 1)
-            if rest is not None:
-                return inner | rest
-        rest = rec(i + 1, j)
-        if rest is not None:
-            return {DeletionUnit(STATEMENT, orig[i].stmt_id)} | rest
-        return None
-
-    return rec(0, 0)
-
-
-def _match_stmt(orig: ast.Stmt, cand: ast.Stmt) -> set[DeletionUnit] | None:
-    if type(orig) is not type(cand):
-        return None
-    if isinstance(orig, ast.Assign):
-        if orig.target == cand.target and orig.expr == cand.expr:
-            return set()
-        return None
-    if isinstance(orig, ast.Skip):
-        return set()
-    if isinstance(orig, ast.While):
-        if orig.cond != cand.cond:
-            return None
-        return _match_block(orig.body.stmts, cand.body.stmts)
-    if isinstance(orig, ast.If):
-        if orig.cond != cand.cond:
-            return None
-        then = _match_block(orig.then.stmts, cand.then.stmts)
-        if then is None:
-            return None
-        if orig.orelse.stmts and not cand.orelse.stmts:
-            return then | {DeletionUnit(ELSE_CLAUSE, orig.stmt_id)}
-        orelse = _match_block(orig.orelse.stmts, cand.orelse.stmts)
-        if orelse is None:
-            return None
-        return then | orelse
-    raise TypeError(f"not a statement: {orig!r}")
-
-
-@dataclass(frozen=True)
 class SliceResult:
     """A verified deletion-derived program.
 
@@ -238,7 +150,6 @@ def slice(
     dom: Domain,
     strategy: str = EXHAUSTIVE,
     step_budget: int = DEFAULT_STEP_BUDGET,
-    exhaustive_cap: int = EXHAUSTIVE_CAP,
 ) -> SliceResult:
     """Find a deletion-derived program still verifying {pre}{post} over dom.
 
@@ -255,7 +166,7 @@ def slice(
         raise OriginalNotVerifiedError(base)
     units = deletable_units(program)
     if strategy == EXHAUSTIVE:
-        return _slice_exhaustive(program, contract, dom, step_budget, units, base, exhaustive_cap)
+        return _slice_exhaustive(program, contract, dom, step_budget, units, base)
     if strategy == GREEDY:
         return _slice_greedy(program, contract, dom, step_budget, units, base)
     raise ValueError(f"unknown strategy {strategy!r}")
@@ -272,10 +183,9 @@ def _slice_exhaustive(
     step_budget: int,
     units: list[DeletionUnit],
     base: VerificationResult,
-    cap: int,
 ) -> SliceResult:
-    if len(units) > cap:
-        raise ExhaustiveCapError(len(units), cap)
+    if len(units) > EXHAUSTIVE_CAP:
+        raise ExhaustiveCapError(len(units), EXHAUSTIVE_CAP)
     verdict_cache: dict[ast.Program, VerificationResult] = {program: base}
     for size in range(len(units), -1, -1):
         candidates = []
@@ -333,49 +243,4 @@ def _slice_greedy(
         minimal=False,
         strategy=GREEDY,
         verification=verification,
-    )
-
-
-@dataclass(frozen=True)
-class ProjectionCheck:
-    """Diagnostic comparison of variable traces between original and slice.
-
-    Specification-based slices only promise final-state agreement inside
-    the precondition, so unequal projections are reported, not errors.
-    """
-
-    equal: bool
-    original_projection: Trajectory
-    sliced_projection: Trajectory
-    original_run: RunResult
-    sliced_run: RunResult
-
-
-def check_projection(
-    original: ast.Program,
-    sliced: ast.Program,
-    inputs: dict[str, int],
-    vars: set[str] | None = ALL,
-    step_budget: int = DEFAULT_STEP_BUDGET,
-) -> ProjectionCheck:
-    """Run both programs and compare their trajectories projected onto vars.
-
-    sliced must be a slice of original. The slice's own writes always land
-    on retained statements, so the comparison filters by variables only;
-    a write the original makes on a deleted statement shows up as an
-    inequality, which is exactly the diagnostic signal.
-    """
-    relation = is_slice_of(sliced, original)
-    if not relation.is_slice:
-        raise ValueError("sliced program is not a deletion-derived slice of the original")
-    original_run = run(original, inputs, step_budget)
-    sliced_run = run(sliced, inputs, step_budget)
-    original_projection = project(original_run.trajectory, vars)
-    sliced_projection = project(sliced_run.trajectory, vars)
-    return ProjectionCheck(
-        equal=original_projection == sliced_projection,
-        original_projection=original_projection,
-        sliced_projection=sliced_projection,
-        original_run=original_run,
-        sliced_run=sliced_run,
     )

@@ -85,9 +85,7 @@ def _validate(program: ast.Program, contract: Contract, dom: Domain) -> None:
             f"domain must bind exactly the in-parameters {sorted(in_params)}, "
             f"got {sorted(dom.vars)}"
         )
-    validate_scope(
-        contract, in_params, frozenset(program.out_params), program.locals
-    )
+    validate_scope(contract, in_params, frozenset(program.out_params))
 
 
 def check(
@@ -348,12 +346,7 @@ def check_point(
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> PointCheck:
     """Check one concrete input against a contract (the single-test view)."""
-    validate_scope(
-        contract,
-        frozenset(program.in_params),
-        frozenset(program.out_params),
-        program.locals,
-    )
+    validate_scope(contract, frozenset(program.in_params), frozenset(program.out_params))
     outcome = _judge(
         partial(eval_predicate, contract.pre),
         _executor(program, step_budget),

@@ -14,7 +14,7 @@ import random
 from tddslicer.contracts import Contract, TestCase
 from tddslicer.lang import parse_program
 from tddslicer.lang.ast import Program
-from tddslicer.predicates import parse_predicate
+from tddslicer.lang.parser import parse_predicate
 
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 

@@ -23,7 +23,6 @@ from tddslicer import (
     apply_deletion,
     format_predicate,
     is_instance,
-    is_slice_of,
     parse_predicate,
     parse_program,
     pretty_print,
@@ -38,6 +37,7 @@ from tddslicer.session import FAILED_AS_EXPECTED, NOT_APPLICABLE, load_session
 from tddslicer.slicer import GREEDY
 
 from bruteforce import bf_check
+from slices import is_slice_of
 from generators import random_contract, random_program, random_test
 
 

@@ -23,6 +23,7 @@ from tddslicer.corpus import corpus_path
 
 from bruteforce import bf_run, replay_trajectory
 from generators import random_program
+from slices import lint
 
 MINIMAL = "proc id(in x, out y){ y := x; }"
 
@@ -298,15 +299,10 @@ class TestProject:
         traj = run(div_oracle, {"x": 4, "y": 2}).trajectory
         assert project(traj, set()) == ()
 
-    def test_stmt_id_filter(self, div_oracle):
-        traj = run(div_oracle, {"x": 4, "y": 2}).trajectory
-        only_loop = project(traj, None, {4, 5})
-        assert {e.stmt_id for e in only_loop} == {4, 5}
-
 
 def test_lint_flags_in_param_assignment():
     program = parse_program("proc f(in x, out y){ x := 1; y := x; }")
-    findings = ast.lint(program)
+    findings = lint(program)
     assert len(findings) == 1
     assert "in-parameter 'x'" in findings[0]
-    assert ast.lint(parse_program(MINIMAL)) == []
+    assert lint(parse_program(MINIMAL)) == []

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from tddslicer import (
 )
 from tddslicer.lang import ast
 
+from bruteforce import bf_holds
 from generators import random_contract, random_predicate
 
 
@@ -145,15 +147,33 @@ class TestImplies:
         assert result.witness == {"a": -5, "z": -9}
 
     def test_structural_shortcut_matches_enumeration(self):
+        """Both directions between c1.post and the union's post agree with
+        a brute-force sweep of the 343 points. Most of the 60 forward
+        checks answer through the shortcut (no point checked; it needs
+        c1.post to be one disjunct of the union, not an Or); the converse
+        never may, and it fails often enough to catch a shortcut that
+        fires where it should not."""
         rng = random.Random(404)
+        dom = Domain.parse("a in -3..3, b in -3..3, o in -3..3")
+        grid = [dict(zip("abo", values)) for values in itertools.product(range(-3, 4), repeat=3)]
+        shortcuts = converse_failures = 0
         for _ in range(60):
             c1 = random_contract(rng)
             c2 = random_contract(rng)
             combined = union(c1, c2)
-            dom = Domain.parse("a in -3..3, b in -3..3, o in -3..3")
-            fast = implies(c1.post, combined.post, dom)
-            slow = implies(c1.post, combined.post, dom, structural_shortcut=False)
-            assert fast.holds and slow.holds
+            for p1, p2 in ((c1.post, combined.post), (combined.post, c1.post)):
+                result = implies(p1, p2, dom)
+                counterexamples = [
+                    point for point in grid if bf_holds(p1, point) and not bf_holds(p2, point)
+                ]
+                assert result.holds == (not counterexamples)
+                assert result.witness == (counterexamples[0] if counterexamples else None)
+                if p1 is c1.post:
+                    shortcuts += result.checked_points == 0
+                else:
+                    converse_failures += not result.holds
+        assert shortcuts >= 50
+        assert converse_failures >= 40
 
     def test_reflexive_and_transitive_on_corpus(self, dom_div):
         chain = [

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import shutil
 
 import pytest
 
@@ -98,7 +99,28 @@ class TestParseSession:
     def test_default_domain_when_omitted(self, minimal_dir):
         text = MINIMAL_SESSION.replace("domain = x in 0..4\n", "")
         session = parse_session(text, minimal_dir)
-        assert session.dom.range_of("x") == (-8, 8)
+        assert session.dom.ranges == (("x", -8, 8),)
+
+    def test_outrange_must_name_out_parameters(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_path("div.session").parent, corpus)
+        path = corpus / "div.session"
+        text = path.read_text().replace(
+            "outrange = q in 0..16, r in 0..16", "outrange = x in 0..3, qq in 0..16, r in 0..16"
+        )
+        path.write_text(text)
+        with pytest.raises(SessionFormatError, match=r"not out-parameters: \['qq', 'x'\]"):
+            parse_session(text, corpus)
+        assert main(["replay", str(path), "--format", "machine"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "['qq', 'x']" in captured.err
+
+    def test_outrange_may_cover_some_out_parameters(self, minimal_dir):
+        text = MINIMAL_SESSION.replace(
+            "domain = x in 0..4\n", "domain = x in 0..4\noutrange = y in 0..9\n"
+        )
+        assert parse_session(text, minimal_dir).out_ranges == {"y": (0, 9)}
 
     def test_bad_kind_rejected(self, minimal_dir):
         text = MINIMAL_SESSION + "test.kind = flaky\n"

@@ -11,9 +11,7 @@ from tddslicer import (
     Domain,
     apply_deletion,
     check,
-    check_projection,
     deletable_units,
-    is_slice_of,
     parse_predicate,
     parse_program,
     pretty_print,
@@ -32,6 +30,7 @@ from tddslicer.slicer import (
 )
 
 from generators import random_contract, random_program
+from slices import check_projection, is_slice_of
 
 dom5 = Domain.parse("a in -2..2, b in -2..2")
 
