@@ -67,6 +67,9 @@ class Session:
     def __post_init__(self):
         if not self.cycles:
             raise ValueError("a session needs at least one cycle")
+        stray = sorted(set(self.out_ranges or ()) - set(self.final.out_params))
+        if stray:
+            raise ValueError(f"outrange names variables that are not out-parameters: {stray}")
 
     @property
     def acceptance_suite(self) -> tuple[ct.TestCase, ...]:
@@ -169,9 +172,6 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
             out_ranges = parse_domain_spec(outrange_text)
         except ParseError as err:
             raise SessionFormatError(f"bad outrange: {err}") from err
-        stray = sorted(set(out_ranges) - set(final.out_params))
-        if stray:
-            raise SessionFormatError(f"outrange names variables that are not out-parameters: {stray}")
 
     cycles: list[Cycle] = []
     for header, line_no, keys in sections[1:]:
@@ -232,7 +232,10 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
         )
     if not cycles:
         raise SessionFormatError("session has no cycles")
-    return Session(name=name, cycles=tuple(cycles), final=final, dom=dom, out_ranges=out_ranges)
+    try:
+        return Session(name=name, cycles=tuple(cycles), final=final, dom=dom, out_ranges=out_ranges)
+    except ValueError as err:
+        raise SessionFormatError(str(err)) from err
 
 
 def load_session(path: str | Path) -> Session:

@@ -13,14 +13,13 @@ structurally identical to one with no else at all.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .contracts import Contract
 from .lang import ast
 from .lang.interp import DEFAULT_STEP_BUDGET
 from .predicates import Domain
-from .verifier import VACUOUS, VerificationResult, check
+from .verifier import VACUOUS, Judge, VerificationResult
 
 STATEMENT = "statement"
 ELSE_CLAUSE = "else_clause"
@@ -100,28 +99,42 @@ def apply_deletion(
     Deleting a unit nested inside an already-deleted unit is a no-op; the
     result may have an empty body, which is valid.
     """
-    valid = set(deletable_units(program))
-    bogus = set(deleted) - valid
+    bogus = set(deleted) - set(deletable_units(program))
     if bogus:
         raise ValueError(f"units not present in program: {sorted(map(str, bogus))}")
-    stmt_ids = {u.anchor for u in deleted if u.kind == STATEMENT}
-    else_anchors = {u.anchor for u in deleted if u.kind == ELSE_CLAUSE}
+    everything = {s.stmt_id for s in program.statements()}
+    return _build(program, everything - _removed_ids(program, deleted))
+
+
+def _removed_ids(program: ast.Program, deleted) -> set[int]:
+    """Ids of the statements whose subtrees deleting the units removes: a
+    deleted statement, or every statement of a deleted else clause."""
+    removed = set()
+    for stmt in program.statements():
+        if DeletionUnit(STATEMENT, stmt.stmt_id) in deleted:
+            removed.add(stmt.stmt_id)
+        if isinstance(stmt, ast.If) and DeletionUnit(ELSE_CLAUSE, stmt.stmt_id) in deleted:
+            removed.update(s.stmt_id for s in stmt.orelse.stmts)
+    return removed
+
+
+def _build(program: ast.Program, kept: frozenset[int] | set[int]) -> ast.Program:
+    """program with only the statements whose id is in kept and whose
+    enclosing statements are kept too; ids are unchanged."""
 
     def rebuild(block: ast.Block) -> ast.Block:
-        kept: list[ast.Stmt] = []
+        stmts: list[ast.Stmt] = []
         for stmt in block.stmts:
-            if stmt.stmt_id in stmt_ids:
+            if stmt.stmt_id not in kept:
                 continue
             if isinstance(stmt, ast.If):
-                orelse = (
-                    ast.Block() if stmt.stmt_id in else_anchors else rebuild(stmt.orelse)
-                )
-                kept.append(ast.If(stmt.stmt_id, stmt.cond, rebuild(stmt.then), orelse))
+                then, orelse = rebuild(stmt.then), rebuild(stmt.orelse)
+                stmts.append(ast.If(stmt.stmt_id, stmt.cond, then, orelse))
             elif isinstance(stmt, ast.While):
-                kept.append(ast.While(stmt.stmt_id, stmt.cond, rebuild(stmt.body)))
+                stmts.append(ast.While(stmt.stmt_id, stmt.cond, rebuild(stmt.body)))
             else:
-                kept.append(stmt)
-        return ast.Block(tuple(kept))
+                stmts.append(stmt)
+        return ast.Block(tuple(stmts))
 
     return ast.Program(program.name, program.params, program.locals, rebuild(program.body))
 
@@ -153,94 +166,134 @@ def slice(
 ) -> SliceResult:
     """Find a deletion-derived program still verifying {pre}{post} over dom.
 
-    exhaustive enumerates deletion sets by decreasing size (ties broken by
-    the lexicographically smallest retained stmt-id sequence) and returns
-    the first success, which has the minimum possible retained-unit count.
-    greedy makes a single reverse-pre-order pass, keeping each deletion
-    that still verifies; its result is sound but not necessarily minimal.
+    A candidate is determined by the statements it retains, a set that
+    holds the enclosing statement of each of its members. Its retained
+    units are those statements plus the else clause of each If with a
+    retained else statement. exhaustive tries each candidate once, by
+    increasing retained-unit count, ties broken by the smaller sequence
+    of retained statement ids in pre-order, and returns the first that
+    verifies: it has the fewest retained units possible. That is the
+    order of trying every deletion set by decreasing size with the same
+    tie-break, because a candidate first comes up at the largest
+    deletion set that yields it, the complement of its retained units.
+    greedy makes a single reverse-pre-order pass over the units, keeping
+    each deletion that still verifies; its result is sound but not
+    necessarily minimal.
+
+    The contract is validated and compiled once per call. Each candidate
+    is judged first on the inputs at which earlier candidates failed,
+    most recent first; one that passes them all is checked over the
+    whole domain, so the slice's verification is what check returns.
     """
-    base = check(program, contract, dom, step_budget)
+    judge = Judge(program, contract, dom, step_budget)
+    base = judge.check(program)
     if base.verdict == VACUOUS:
         raise VacuousContractError(base)
     if not base.verified:
         raise OriginalNotVerifiedError(base)
     units = deletable_units(program)
     if strategy == EXHAUSTIVE:
-        return _slice_exhaustive(program, contract, dom, step_budget, units, base)
+        return _slice_exhaustive(program, judge, units, base)
     if strategy == GREEDY:
-        return _slice_greedy(program, contract, dom, step_budget, units, base)
+        return _slice_greedy(program, judge, units, base)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _retained_key(program: ast.Program) -> tuple[int, ...]:
-    return tuple(s.stmt_id for s in program.statements())
+def _verifies(judge: Judge, candidate: ast.Program, killers: list) -> VerificationResult | None:
+    """The verification of candidate if it verifies, else None.
+
+    killers holds the inputs of earlier failures, most recent first: a
+    candidate failing one of them is rejected without a full scan, and
+    that input moves to the front. A candidate failing the full scan adds
+    its witness's inputs at the front.
+    """
+    failure = judge.first_failure(candidate, killers)
+    if failure is not None:
+        killers.remove(failure.witness.inputs)
+        killers.insert(0, failure.witness.inputs)
+        return None
+    result = judge.check(candidate)
+    if not result.verified:
+        killers.insert(0, result.witness.inputs)
+        return None
+    return result
+
+
+def _sliced(
+    program: ast.Program,
+    units: list[DeletionUnit],
+    minimal: bool,
+    strategy: str,
+    verification: VerificationResult,
+) -> SliceResult:
+    retained = frozenset(deletable_units(program))
+    return SliceResult(
+        retained=retained,
+        deleted=frozenset(units) - retained,
+        program=program,
+        minimal=minimal,
+        strategy=strategy,
+        verification=verification,
+    )
+
+
+def _retainable(block: ast.Block) -> list[tuple[int, tuple[int, ...]]]:
+    """Every set of block's statements a deletion can leave, as (retained
+    units, retained statement ids in pre-order)."""
+    sets = [(0, ())]
+    for stmt in block.stmts:
+        if isinstance(stmt, ast.If):
+            # the else clause is a retained unit when an else statement is
+            elses = [(n + bool(ids), ids) for n, ids in _retainable(stmt.orelse)]
+            kept = [
+                (1 + n + m, (stmt.stmt_id, *ids, *more))
+                for n, ids in _retainable(stmt.then)
+                for m, more in elses
+            ]
+        elif isinstance(stmt, ast.While):
+            kept = [(1 + n, (stmt.stmt_id, *ids)) for n, ids in _retainable(stmt.body)]
+        else:
+            kept = [(1, (stmt.stmt_id,))]
+        sets += [(n + m, ids + more) for n, ids in sets for m, more in kept]
+    return sets
 
 
 def _slice_exhaustive(
     program: ast.Program,
-    contract: Contract,
-    dom: Domain,
-    step_budget: int,
+    judge: Judge,
     units: list[DeletionUnit],
     base: VerificationResult,
 ) -> SliceResult:
     if len(units) > EXHAUSTIVE_CAP:
         raise ExhaustiveCapError(len(units), EXHAUSTIVE_CAP)
-    verdict_cache: dict[ast.Program, VerificationResult] = {program: base}
-    for size in range(len(units), -1, -1):
-        candidates = []
-        for subset in itertools.combinations(units, size):
-            deleted = frozenset(subset)
-            candidate = apply_deletion(program, deleted)
-            candidates.append((_retained_key(candidate), tuple(sorted(deleted)), deleted, candidate))
-        candidates.sort(key=lambda c: (c[0], c[1]))
-        for _, _, deleted, candidate in candidates:
-            result = verdict_cache.get(candidate)
-            if result is None:
-                result = check(candidate, contract, dom, step_budget)
-                verdict_cache[candidate] = result
-            if result.verified:
-                retained = frozenset(deletable_units(candidate))
-                return SliceResult(
-                    retained=retained,
-                    deleted=frozenset(units) - retained,
-                    program=candidate,
-                    minimal=True,
-                    strategy=EXHAUSTIVE,
-                    verification=result,
-                )
-    raise AssertionError("unreachable: the empty deletion always verifies")
+    killers: list = []
+    # the last candidate retains everything: the program itself, verified by base
+    for _, ids in sorted(_retainable(program.body))[:-1]:
+        candidate = _build(program, frozenset(ids))
+        result = _verifies(judge, candidate, killers)
+        if result is not None:
+            return _sliced(candidate, units, True, EXHAUSTIVE, result)
+    return _sliced(program, units, True, EXHAUSTIVE, base)
 
 
 def _slice_greedy(
     program: ast.Program,
-    contract: Contract,
-    dom: Domain,
-    step_budget: int,
+    judge: Judge,
     units: list[DeletionUnit],
     base: VerificationResult,
 ) -> SliceResult:
-    deleted: set[DeletionUnit] = set()
+    kept = {s.stmt_id for s in program.statements()}
     current = program
     present = set(units)
     verification = base
+    killers: list = []
     for unit in reversed(units):
         if unit not in present:
             continue  # nested inside something already deleted
-        trial = deleted | {unit}
-        candidate = apply_deletion(program, trial)
-        result = check(candidate, contract, dom, step_budget)
-        if result.verified:
-            deleted = trial
-            current = candidate
+        trial = kept - _removed_ids(program, {unit})
+        candidate = _build(program, trial)
+        result = _verifies(judge, candidate, killers)
+        if result is not None:
+            kept, current, verification = trial, candidate, result
             present = set(deletable_units(current))
-            verification = result
-    retained = frozenset(deletable_units(current))
-    return SliceResult(
-        retained=retained,
-        deleted=frozenset(units) - retained,
-        program=current,
-        minimal=False,
-        strategy=GREEDY,
-        verification=verification,
-    )
+    return _sliced(current, units, False, GREEDY, verification)

@@ -9,8 +9,10 @@ no domain point satisfies yields the distinct Vacuous verdict: a vacuous
 
 check_all() decides many (program, contract) pairs in one scan of the
 domain, evaluating what they share once per point; check() is its
-one-pair case, and check_point() judges a single input with the same
-per-point routine (_judge).
+one-pair case, which a Judge decides: the contract validated and compiled
+once, then any number of programs judged with it (the slicer's
+candidates). check_point() judges a single input with the same per-point
+routine (_judge).
 """
 
 from __future__ import annotations
@@ -166,6 +168,39 @@ def _executor(program: ast.Program, step_budget: int):
     return execute
 
 
+class Judge:
+    """A contract made ready to judge programs over dom: validated against
+    the signature of program and compiled once, so judging many programs
+    with that signature (the slicer's candidates) pays for it once.
+    """
+
+    def __init__(
+        self,
+        program: ast.Program,
+        contract: Contract,
+        dom: Domain,
+        step_budget: int = DEFAULT_STEP_BUDGET,
+    ):
+        _validate(program, contract, dom)
+        self.pre = compile_bool(contract.pre)
+        self.post = compile_bool(contract.post)
+        self.dom = dom
+        self.step_budget = step_budget
+
+    def first_failure(self, program: ast.Program, points) -> VerificationResult | None:
+        """The failure at the first of points that program fails, or None."""
+        execute = _executor(program, self.step_budget)
+        return _first_failure(self.pre, execute, self.post, points, 0, self.dom)[1]
+
+    def check(self, program: ast.Program) -> VerificationResult:
+        """What check(program, contract, dom, step_budget) returns."""
+        execute = _executor(program, self.step_budget)
+        checked, failure = _first_failure(
+            self.pre, execute, self.post, self.dom.points(), 0, self.dom
+        )
+        return failure or _passed(checked, self.dom)
+
+
 def check_all(
     pairs: list[tuple[ast.Program, Contract]],
     dom: Domain,
@@ -184,14 +219,9 @@ def check_all(
         # nothing to share: judge the whole domain in one pass
         ((program, contract),) = pairs
         try:
-            _validate(program, contract, dom)
-            pre, post = compile_bool(contract.pre), compile_bool(contract.post)
-            checked, failure = _first_failure(
-                pre, _executor(program, step_budget), post, dom.points(), 0, dom
-            )
+            return [Judge(program, contract, dom, step_budget).check(program)]
         except Exception as err:
             return [err]
-        return [failure or _passed(checked, dom)]
     results: list = [None] * len(pairs)
     programs: list[ast.Program] = []
     pres: list[ast.BoolExpr] = []

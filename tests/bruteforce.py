@@ -4,7 +4,7 @@ Nothing here shares execution logic with the package: expression
 evaluation, statement execution, and triple checking are written from
 scratch against the documented semantics (truncating division, zero
 initialization, lexicographic domain enumeration). The package's AST
-dataclasses are reused as plain data.
+dataclasses and its DeletionUnit are reused as plain data.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 
 from tddslicer.lang import ast
+from tddslicer.slicer import ELSE_CLAUSE, STATEMENT, DeletionUnit
 
 
 def bf_eval(node, env: dict[str, int]) -> int:
@@ -211,3 +212,110 @@ def replay_trajectory(program: ast.Program, inputs: dict[str, int], trajectory) 
     for stmt_id, var, value in trajectory:
         state[var] = value
     return state
+
+
+# --- slicing -----------------------------------------------------------------
+# Reference copies of the slicer's two searches as they were first written:
+# the exhaustive one tries every deletion set, largest first, and judges
+# each with bf_check. Listing units and deleting them is written here from
+# scratch.
+
+
+def bf_units(program: ast.Program) -> list:
+    """Statement units in pre-order, then else-clause units (nonempty
+    else only) in pre-order of their If."""
+    order = list(_bf_preorder(program.body))
+    units = [DeletionUnit(STATEMENT, s.stmt_id) for s in order]
+    units += [DeletionUnit(ELSE_CLAUSE, s.stmt_id) for s in order
+              if isinstance(s, ast.If) and s.orelse.stmts]
+    return units
+
+
+def bf_delete(program: ast.Program, deleted) -> ast.Program:
+    """program without the deleted statements (with their subtrees) and
+    without the statements of deleted else clauses; ids unchanged."""
+    gone = {(u.kind, u.anchor) for u in deleted}
+
+    def block(b):
+        kept = []
+        for stmt in b.stmts:
+            if (STATEMENT, stmt.stmt_id) in gone:
+                continue
+            if isinstance(stmt, ast.If):
+                orelse = ast.Block() if (ELSE_CLAUSE, stmt.stmt_id) in gone else block(stmt.orelse)
+                kept.append(ast.If(stmt.stmt_id, stmt.cond, block(stmt.then), orelse))
+            elif isinstance(stmt, ast.While):
+                kept.append(ast.While(stmt.stmt_id, stmt.cond, block(stmt.body)))
+            else:
+                kept.append(stmt)
+        return ast.Block(tuple(kept))
+
+    return ast.Program(program.name, program.params, program.locals, block(program.body))
+
+
+def _bf_slice_fields(candidate, units, minimal, strategy, satisfied):
+    retained = frozenset(bf_units(candidate))
+    return {
+        "retained": retained,
+        "deleted": frozenset(units) - retained,
+        "program": candidate,
+        "minimal": minimal,
+        "strategy": strategy,
+        "checked_points": satisfied,
+    }
+
+
+def bf_slice(program: ast.Program, pre, post, ranges: dict[str, tuple[int, int]],
+             budget: int, strategy: str) -> dict:
+    """The slice the given strategy picks, judged by bf_check.
+
+    exhaustive: every subset of the units by decreasing size, each level
+    sorted by (retained statement ids in pre-order, sorted deleted units),
+    first verified wins. greedy: one pass over the units in reverse,
+    keeping each deletion that verifies. The original must verify.
+    Returns the SliceResult fields, with the accepted verification's
+    checked_points (the domain points satisfying pre).
+    """
+    names = sorted(ranges)
+    spans = [range(ranges[n][0], ranges[n][1] + 1) for n in names]
+    satisfied = sum(bf_holds(pre, dict(zip(names, v))) for v in itertools.product(*spans))
+    verdicts: dict = {}
+
+    def verifies(candidate):
+        if candidate not in verdicts:
+            verdicts[candidate] = bf_check(candidate, pre, post, ranges, budget)[0] == "verified"
+        return verdicts[candidate]
+
+    assert verifies(program), "the original must verify"
+    units = bf_units(program)
+    if strategy == "greedy":
+        deleted, current = set(), program
+        for unit in reversed(units):
+            if unit not in bf_units(current):
+                continue
+            candidate = bf_delete(program, deleted | {unit})
+            if verifies(candidate):
+                deleted.add(unit)
+                current = candidate
+        return _bf_slice_fields(current, units, False, "greedy", satisfied)
+    for size in range(len(units), -1, -1):
+        level = []
+        for subset in itertools.combinations(units, size):
+            candidate = bf_delete(program, subset)
+            key = tuple(s.stmt_id for s in _bf_preorder(candidate.body))
+            level.append((key, tuple(sorted(subset)), candidate))
+        level.sort(key=lambda entry: entry[:2])
+        for _, _, candidate in level:
+            if verifies(candidate):
+                return _bf_slice_fields(candidate, units, True, "exhaustive", satisfied)
+    raise AssertionError("unreachable: the original verifies")
+
+
+def _bf_preorder(block: ast.Block):
+    for stmt in block.stmts:
+        yield stmt
+        if isinstance(stmt, ast.If):
+            yield from _bf_preorder(stmt.then)
+            yield from _bf_preorder(stmt.orelse)
+        elif isinstance(stmt, ast.While):
+            yield from _bf_preorder(stmt.body)

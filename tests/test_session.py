@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import shutil
 
@@ -121,6 +122,14 @@ class TestParseSession:
             "domain = x in 0..4\n", "domain = x in 0..4\noutrange = y in 0..9\n"
         )
         assert parse_session(text, minimal_dir).out_ranges == {"y": (0, 9)}
+
+    def test_session_object_rejects_stray_out_ranges(self, div_session):
+        with pytest.raises(ValueError, match=r"not out-parameters: \['qq'\]"):
+            dataclasses.replace(div_session, out_ranges={"qq": (0, 16)})
+        with pytest.raises(ValueError, match=r"not out-parameters: \['qq', 'x'\]"):
+            dataclasses.replace(div_session, out_ranges={"x": (0, 3), "qq": (0, 16), "r": (0, 16)})
+        narrowed = dataclasses.replace(div_session, out_ranges={"r": (0, 16)})
+        assert narrowed.out_ranges == {"r": (0, 16)}
 
     def test_bad_kind_rejected(self, minimal_dir):
         text = MINIMAL_SESSION + "test.kind = flaky\n"

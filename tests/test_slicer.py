@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -17,10 +18,15 @@ from tddslicer import (
     pretty_print,
 )
 from tddslicer import slice as compute_slice
+from tddslicer import verifier
+from tddslicer.cli import main
+from tddslicer.corpus import corpus_path
+from tddslicer.lang import ast
 from tddslicer.lang.ast import same_shape
 from tddslicer.lang.interp import TrajectoryEntry
 from tddslicer.slicer import (
     ELSE_CLAUSE,
+    EXHAUSTIVE,
     GREEDY,
     STATEMENT,
     DeletionUnit,
@@ -29,7 +35,8 @@ from tddslicer.slicer import (
     VacuousContractError,
 )
 
-from generators import random_contract, random_program
+from bruteforce import bf_check, bf_holds, bf_run, bf_slice, bf_units
+from generators import comparison, linear_expr, random_contract, random_program
 from slices import check_projection, is_slice_of
 
 dom5 = Domain.parse("a in -2..2, b in -2..2")
@@ -245,3 +252,242 @@ class TestCheckProjection:
 def test_present_units_after_deletion(max2):
     sliced = apply_deletion(max2, {else_clause(1)})
     assert deletable_units(sliced) == [stmt(1), stmt(2)]
+
+
+PADDED_DIV = """\
+proc div(in x, in y, out q, out r) {
+    var t;
+    var d;
+    t := x;
+    d := x * 3;
+    q := 0;
+    if (t >= y) {
+        t := t - y;
+        skip;
+        q := q + 1;
+    }
+    r := t;
+    d := d - y;
+}
+"""
+
+PADDED_MAX = """\
+proc max2(in a, in b, out max) {
+    var d;
+    if (a > b) {
+        d := a * 7;
+        d := d + 6;
+        max := a;
+    } else {
+        skip;
+        max := b;
+    }
+    d := a * 3;
+    d := d + 4;
+}
+"""
+
+DIV_SPEC = "0 <= r && r < y && x == y * q + r"
+
+#: (program, pre, post, domain) of each golden slice
+GOLDEN_CASES = {
+    "div_oracle": ("div_oracle.prog", "x >= 0 && y > 0", DIV_SPEC, "x in 0..16, y in 1..9"),
+    "max2": ("max2.prog", "a > b", "a > b && max == a", "a in -8..8, b in -8..8"),
+    "padded_div": (PADDED_DIV, "x < 2 * y", DIV_SPEC, "x in 0..8, y in 1..4"),
+    "padded_max": (
+        PADDED_MAX, "TRUE", "max >= a && max >= b && (max == a || max == b)",
+        "a in -4..4, b in -4..4",
+    ),
+}
+
+#: SHA-256 of `tddslicer slice ... --format machine` (exit 0 each), captured
+#: before the lazy candidate search replaced the eager one
+SLICE_GOLDENS = {
+    ("div_oracle", "exhaustive"): "699ea2b91d0cea11e819db43592fd5cfd508959bdecf267203039f896bfcee68",
+    ("div_oracle", "greedy"): "1c308f8dc5334a495f3bdf93b3871beed502231a9e22aca65fb75db99e9729f7",
+    ("max2", "exhaustive"): "3032b24bb92b0511195a5d6aedff37c3a9c1d82ff6aa678e7e3410ce0a54fa1e",
+    ("max2", "greedy"): "3fc4a07190b27adb42e397af8aa655602fcf713ecb3a2c9d5263b87d887e47e2",
+    ("padded_div", "exhaustive"): "67e0018aadf0659637d8ba78911f20ff5ca8805ad33d3d294b5b89a41730a7d6",
+    ("padded_div", "greedy"): "732adc63c6014f99bb6d202038e873c7e1dc03af40e84b54d230f8454fe0081b",
+    ("padded_max", "exhaustive"): "0e75a115d4d0dcf23e231824f6cf997651af804b005afeab89b54bec33f5054d",
+    ("padded_max", "greedy"): "0b1cc41e3d547df25a26a692316626728972ff97663bdf5bd6d1e04c06b7c635",
+}
+
+
+@pytest.mark.parametrize("case, strategy", sorted(SLICE_GOLDENS))
+def test_slice_machine_output_is_golden(case, strategy, capsys, tmp_path):
+    source, pre, post, dom = GOLDEN_CASES[case]
+    if source.endswith(".prog"):
+        path = corpus_path(source)
+    else:
+        path = tmp_path / f"{case}.prog"
+        path.write_text(source)
+    code = main([
+        "slice", str(path), "--pre", pre, "--post", post, "--domain", dom,
+        "--strategy", strategy, "--format", "machine",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SLICE_GOLDENS[case, strategy]
+
+
+def test_div_oracle_exhaustive_run_count(div_oracle, dom_div, monkeypatch):
+    """The exhaustive slice of div_oracle runs a program 368 times: once per
+    point of the original's check, and for each later candidate, once per
+    input at which an earlier candidate failed, up to the first it fails,
+    plus a scan from the first point for those that pass them all. Every
+    candidate scanned from the first point took 678 runs."""
+    calls = []
+    real_run = verifier.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args[0])
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "run", counting_run)
+    _, pre, post, _ = GOLDEN_CASES["div_oracle"]
+    contract = Contract(parse_predicate(pre), parse_predicate(post))
+    result = compute_slice(div_oracle, contract, dom_div)
+    assert result.deleted == frozenset({stmt(2)})
+    assert len(calls) == 368
+
+
+ORACLE_RANGES = {"a": (-2, 2), "b": (-2, 2)}
+
+
+def _observed_contract(rng, program, budget, pre=None, exact=False):
+    """A contract the program meets: pre (a random comparison or TRUE if
+    not given) and, as the postcondition, the outputs the program gives
+    where pre holds, each tied to its inputs if exact; None if no point
+    satisfies pre or the program does not end normally on one."""
+    if pre is None:
+        pre = parse_predicate(rng.choice(("TRUE", comparison(rng, ("a", "b")))))
+    outputs = set()
+    for a in range(-2, 3):
+        for b in range(-2, 3):
+            if not bf_holds(pre, {"a": a, "b": b}):
+                continue
+            status, _, _, _, final, _ = bf_run(program, {"a": a, "b": b}, budget)
+            if status != "ok":
+                return None
+            outputs.add(f"(a == {a} && b == {b} && o == {final['o']})" if exact else f"o == {final['o']}")
+    if not outputs:
+        return None
+    return Contract(pre, parse_predicate(" || ".join(sorted(outputs))))
+
+
+#: the kinds of oracle case, in turn: unrestricted, with a loop, with an
+#: if or loop inside an if or loop, with an expression that can fault, an
+#: if/else whose condition is the precondition (so the whole else block is
+#: dead), one if/else written three ways, and with a step budget of at most 6
+ORACLE_KINDS = ("any", "while", "nested", "faults", "dead else", "ties", "small budget")
+
+
+def _nested(program):
+    """Whether an if or a loop sits inside an if or a loop."""
+    compound = (ast.If, ast.While)
+    return any(
+        isinstance(inner, compound)
+        for outer in program.statements() if isinstance(outer, compound)
+        for block in ((outer.then, outer.orelse) if isinstance(outer, ast.If) else (outer.body,))
+        for inner in block.stmts
+    )
+
+
+def _if_else_program(rng):
+    """if (c) { o := ...; ... } else { o := ...; ... } over a and b."""
+
+    def block():
+        return " ".join(f"o := {linear_expr(rng, ('a', 'b', 'o'))};" for _ in range(rng.randint(1, 3)))
+
+    return parse_program(
+        f"proc f(in a, in b, out o) {{ if ({comparison(rng, ('a', 'b'))}) {{ {block()} }}"
+        f" else {{ {block()} }} }}"
+    )
+
+
+def _same_if_three_ways(rng):
+    """One if/else over a and b written as an if/else and as two ifs with
+    opposite conditions, in random order: equal-sized slices tie, and
+    whether the else clause counts as a unit decides between them."""
+    cond = comparison(rng, ("a", "b"))
+
+    def block():
+        return " ".join(f"o := {linear_expr(rng, ('a', 'b'))};" for _ in range(rng.randint(1, 2)))
+
+    then, orelse = block(), block()
+    parts = [f"if ({cond}) {{ {then} }} else {{ {orelse} }}", f"if ({cond}) {{ {then} }}",
+             f"if (!({cond})) {{ {orelse} }}"]
+    rng.shuffle(parts)
+    return parse_program(f"proc f(in a, in b, out o) {{ {' '.join(parts)} }}")
+
+
+def _oracle_program(rng, kind):
+    """A program of the given kind with at most 9 deletable units, or None."""
+    if kind == "dead else":
+        return _if_else_program(rng)
+    if kind == "ties":
+        program = _same_if_three_ways(rng)
+    else:
+        program = random_program(
+            rng, max_stmts=rng.randint(2, 8), allow_while=kind in ("any", "while", "nested"),
+            faults=kind == "faults" or (kind == "any" and rng.random() < 0.3),
+        )
+    if len(bf_units(program)) > 9:
+        return None
+    if kind == "while" and not any(isinstance(s, ast.While) for s in program.statements()):
+        return None
+    if kind == "faults" and not any(op in pretty_print(program) for op in "/%^"):
+        return None
+    if kind == "nested" and not _nested(program):
+        return None
+    return program
+
+
+def _oracle_case(rng, kind):
+    """(program, contract, budget) of the given kind, the original
+    verifying by bf_check."""
+    while True:
+        program = _oracle_program(rng, kind)
+        if program is None:
+            continue
+        budget = rng.choice((2, 3, 4, 6) if kind == "small budget" else (10, 50, 10_000))
+        if kind == "any" and rng.random() < 0.4:
+            contract = random_contract(rng)
+        else:
+            pre = program.body.stmts[0].cond if kind == "dead else" else None
+            exact = kind in ("dead else", "ties") or rng.random() < 0.5
+            contract = _observed_contract(rng, program, budget, pre, exact)
+        if contract is None:
+            continue
+        if bf_check(program, contract.pre, contract.post, ORACLE_RANGES, budget)[0] == "verified":
+            return program, contract, budget
+
+
+def test_both_strategies_match_the_reference_search():
+    """Every SliceResult field of both strategies equals the reference
+    copy of the eager searches in bruteforce.py, judged by bf_check."""
+    rng = random.Random(5150)
+    dom = Domain.from_dict(ORACLE_RANGES)
+    dead_else_dropped = 0
+    for index in range(160):
+        kind = ORACLE_KINDS[index % len(ORACLE_KINDS)]
+        program, contract, budget = _oracle_case(rng, kind)
+        for strategy in (EXHAUSTIVE, GREEDY):
+            result = compute_slice(program, contract, dom, strategy=strategy, step_budget=budget)
+            expected = bf_slice(program, contract.pre, contract.post, ORACLE_RANGES, budget, strategy)
+            assert result.retained == expected["retained"]
+            assert result.deleted == expected["deleted"]
+            assert result.program == expected["program"]  # ids included
+            assert result.minimal == expected["minimal"]
+            assert result.strategy == expected["strategy"]
+            assert result.verification.to_dict() == {
+                "verdict": "verified", "witness": None,
+                "checked_points": expected["checked_points"], "domain": str(dom),
+            }
+            if strategy == EXHAUSTIVE and kind == "dead else":
+                kept = result.program.body.stmts
+                dead_else_dropped += bool(kept) and isinstance(kept[0], ast.If) and not kept[0].orelse.stmts
+    # deleting every else statement and deleting the else clause give the
+    # same program: the reference must agree on which slice wins
+    assert dead_else_dropped >= 10
