@@ -10,7 +10,6 @@ silently treated as false.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import EvaluationFault
@@ -71,15 +70,34 @@ class Domain:
         """All assignments, lexicographic by name then ascending by value.
 
         With `only`, enumerate just those variables (they must exist).
+        Lazy: an odometer over the ranges, so memory does not depend on
+        their width. Each point is a new dict.
         """
-        names = [n for n, _, _ in self.ranges if only is None or n in only]
+        ranges = [r for r in self.ranges if only is None or r[0] in only]
         if only is not None:
-            missing = only - set(names)
+            missing = only - {name for name, _, _ in ranges}
             if missing:
                 raise KeyError(f"not in domain: {sorted(missing)}")
-        spans = [range(lo, hi + 1) for n, lo, hi in self.ranges if n in names]
-        for values in itertools.product(*spans):
-            yield dict(zip(names, values))
+        if not ranges:
+            yield {}
+            return
+        *outer, (last, low, high) = ranges
+        names = [name for name, _, _ in outer]
+        values = [lo for _, lo, _ in outer]
+        while True:
+            prefix = dict(zip(names, values))
+            for value in range(low, high + 1):
+                point = prefix.copy()
+                point[last] = value
+                yield point
+            # advance the outer values, the rightmost fastest
+            digit = len(values) - 1
+            while digit >= 0 and values[digit] == outer[digit][2]:
+                values[digit] = outer[digit][1]
+                digit -= 1
+            if digit < 0:
+                return
+            values[digit] += 1
 
     def floor_assignment(self, names: frozenset[str]) -> State:
         return {n: lo for n, lo, _ in self.ranges if n in names}

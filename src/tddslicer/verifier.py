@@ -7,19 +7,21 @@ budget is a failure (total-correctness reading), and a precondition that
 no domain point satisfies yields the distinct Vacuous verdict: a vacuous
 "Verified" would let the slicer delete everything.
 
-check_all() decides many (program, contract) pairs in one scan of the
-domain, evaluating what they share once per point; check() is its
-one-pair case, which a Judge decides: the contract validated and compiled
-once, then any number of programs judged with it (the slicer's
-candidates). check_point() judges a single input with the same per-point
-routine (_judge).
+One loop, _scan, judges every domain scan: point by point, each live
+(pre, run, post) triple is judged with _judge, and a triple leaves at its
+first failure. A Judge feeds it one triple: the contract validated and
+compiled once, then any number of programs judged with it (the slicer's
+candidates); check() is Judge(...).check. check_all() decides many
+(program, contract) pairs in one scan, remembering each shared
+precondition, program and (program, postcondition) for the latest point
+only, which suffices because the triples judged at a point read the same
+inputs and final states. check_point() judges a single input with _judge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice
 
 from .contracts import Contract, validate_scope
 from .errors import EvaluationFault
@@ -97,10 +99,7 @@ def check(
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> VerificationResult:
     """Decide {pre} program {post} over dom by exhaustive execution."""
-    (result,) = check_all([(program, contract)], dom, step_budget)
-    if isinstance(result, Exception):
-        raise result
-    return result
+    return Judge(program, contract, dom, step_budget).check(program)
 
 
 def _judge(pre, execute, post, inputs: State) -> tuple | None:
@@ -129,32 +128,43 @@ def _judge(pre, execute, post, inputs: State) -> tuple | None:
     return FAIL, final, "postcondition is false", result
 
 
-def _first_failure(pre, execute, post, points, checked: int, dom: Domain) -> tuple:
-    """Judge points in order up to the first one that fails: the one
-    judging loop behind check_all.
-
-    Returns (checked, failure): checked adds the points where the
-    precondition held to the count passed in, and failure is the
-    VerificationResult of the first failing point, or None.
-    """
+def _scan(triples: list[tuple], points, dom: Domain) -> list:
+    """The one judging loop: the verdict of each (pre, execute, post)
+    triple over points, or the exception it raised. Point by point, every
+    live triple is judged with _judge; a triple leaves at its first
+    failure or exception."""
+    verdicts: list = [None] * len(triples)
+    checked = [0] * len(triples)  # points where the precondition held
+    live = list(enumerate(triples))
     for inputs in points:
-        outcome = _judge(pre, execute, post, inputs)
-        if outcome is None:
-            continue
-        if outcome[0] == PASS:
-            checked += 1
-            continue
-        status, final, detail, ran = outcome
-        if ran is not None:
-            checked += 1
-        verdict = COUNTEREXAMPLE if status == FAIL else status
-        return checked, VerificationResult(verdict, Witness(inputs, final, detail), checked, dom)
-    return checked, None
-
-
-def _passed(checked: int, dom: Domain) -> VerificationResult:
-    """The verdict of a pair that no point failed."""
-    return VerificationResult(VERIFIED if checked else VACUOUS, None, checked, dom)
+        if not live:
+            break
+        failed = False
+        for index, (pre, execute, post) in live:
+            try:
+                outcome = _judge(pre, execute, post, inputs)
+            except Exception as err:
+                verdicts[index] = err
+                failed = True
+                continue
+            if outcome is None:
+                continue
+            if outcome[0] == PASS:
+                checked[index] += 1
+                continue
+            status, final, detail, ran = outcome
+            if ran is not None:
+                checked[index] += 1
+            verdict = COUNTEREXAMPLE if status == FAIL else status
+            witness = Witness(inputs, final, detail)
+            verdicts[index] = VerificationResult(verdict, witness, checked[index], dom)
+            failed = True
+        if failed:
+            live = [entry for entry in live if verdicts[entry[0]] is None]
+    for index, _ in live:
+        count = checked[index]
+        verdicts[index] = VerificationResult(VERIFIED if count else VACUOUS, None, count, dom)
+    return verdicts
 
 
 def _executor(program: ast.Program, step_budget: int):
@@ -189,16 +199,19 @@ class Judge:
 
     def first_failure(self, program: ast.Program, points) -> VerificationResult | None:
         """The failure at the first of points that program fails, or None."""
-        execute = _executor(program, self.step_budget)
-        return _first_failure(self.pre, execute, self.post, points, 0, self.dom)[1]
+        verdict = self._verdict(program, points)
+        return None if verdict.witness is None else verdict
 
     def check(self, program: ast.Program) -> VerificationResult:
         """What check(program, contract, dom, step_budget) returns."""
-        execute = _executor(program, self.step_budget)
-        checked, failure = _first_failure(
-            self.pre, execute, self.post, self.dom.points(), 0, self.dom
-        )
-        return failure or _passed(checked, self.dom)
+        return self._verdict(program, self.dom.points())
+
+    def _verdict(self, program: ast.Program, points) -> VerificationResult:
+        triple = (self.pre, _executor(program, self.step_budget), self.post)
+        (verdict,) = _scan([triple], points, self.dom)
+        if isinstance(verdict, Exception):
+            raise verdict
+        return verdict
 
 
 def check_all(
@@ -212,36 +225,43 @@ def check_all(
     exception it raises. Equal pairs are decided once; equal programs,
     preconditions and (program, postcondition) pairs are evaluated once
     per point and shared by the pairs that read them; a pair stops
-    costing anything at its first failure. Memory is bounded by one chunk
-    of points, whatever the size of dom.
+    costing anything at its first failure. Memory is bounded by one point
+    per shared item, whatever the size of dom.
     """
-    if len(pairs) == 1:
-        # nothing to share: judge the whole domain in one pass
-        ((program, contract),) = pairs
-        try:
-            return [Judge(program, contract, dom, step_budget).check(program)]
-        except Exception as err:
-            return [err]
-    results: list = [None] * len(pairs)
     programs: list[ast.Program] = []
     pres: list[ast.BoolExpr] = []
     posts: list[ast.BoolExpr] = []
     triples: dict[tuple[int, int, int], int] = {}  # (pre, program, post) slots -> triple
-    asked: list[tuple[int, int]] = []  # (pair, triple) for every valid pair
-    for index, (program, contract) in enumerate(pairs):
+    asked: list = []  # per pair: its triple, or the exception validating it raised
+    for program, contract in pairs:
         try:
             _validate(program, contract, dom)
         except Exception as err:
-            results[index] = err
+            asked.append(err)
             continue
         slots = (_slot(pres, contract.pre), _slot(programs, program), _slot(posts, contract.post))
-        asked.append((index, triples.setdefault(slots, len(triples))))
-    verdicts = _scan(
-        list(triples), programs, _compile_each(pres), _compile_each(posts), dom, step_budget
-    )
-    for index, triple in asked:
-        results[index] = verdicts[triple]
-    return results
+        asked.append(triples.setdefault(slots, len(triples)))
+
+    # every point's inputs and final states are shared by the triples
+    # judged at that point, so remembering the latest argument suffices
+    pre_tests = [
+        test if isinstance(test, Exception) else _latest(test) for test in _compile_each(pres)
+    ]
+    post_tests = _compile_each(posts)
+    executors = [_latest(_executor(program, step_budget)) for program in programs]
+    post_getters: dict[tuple[int, int], object] = {}
+    verdicts: dict[int, object] = {}  # triple -> its exception or verdict
+    judged: dict[int, tuple] = {}  # triple -> (pre, execute, post) for the scan
+    for triple, (pre, code, post) in enumerate(triples):
+        pre_test, post_test = pre_tests[pre], post_tests[post]
+        if isinstance(pre_test, Exception) or isinstance(post_test, Exception):
+            verdicts[triple] = pre_test if isinstance(pre_test, Exception) else post_test
+            continue
+        if (code, post) not in post_getters:
+            post_getters[code, post] = _latest(post_test)
+        judged[triple] = (pre_test, executors[code], post_getters[code, post])
+    verdicts.update(zip(judged, _scan(list(judged.values()), dom.points(), dom)))
+    return [verdicts[triple] if isinstance(triple, int) else triple for triple in asked]
 
 
 def _slot(known: list, item) -> int:
@@ -271,78 +291,22 @@ def _compile_each(preds: list[ast.BoolExpr]) -> list:
     return compiled
 
 
-#: points judged per pass over the live triples: each triple runs through
-#: a chunk in one inner loop, and shared work is remembered for one chunk
-_CHUNK = 64
-
-
-def _memoized(fn, caches: list):
-    """fn, evaluated at most once per argument object until the caches
-    are cleared (before every chunk of points): later calls get the first
-    call's value, or the exception it raised.
-
-    Entries are keyed by id(arg) and hold arg itself, so no other object
-    can take over that id while the entry lives."""
-    cache: dict[int, tuple] = {}
-    caches.append(cache)
+def _latest(fn):
+    """fn, remembering its latest argument and the value it gave: a call
+    with that very object gets the same value. The argument is held, so no
+    other object can take over its identity. A call that raises leaves
+    nothing behind; the exception ends the scan of every triple that meets
+    it, so each meets it once."""
+    seen = value = None
 
     def shared(arg):
-        hit = cache.get(id(arg))
-        if hit is None:
-            try:
-                hit = (arg, fn(arg), None)
-            except Exception as err:
-                hit = (arg, None, err)
-            cache[id(arg)] = hit
-        if hit[2] is not None:
-            raise hit[2]
-        return hit[1]
+        nonlocal seen, value
+        if arg is not seen:
+            value = fn(arg)
+            seen = arg
+        return value
 
     return shared
-
-
-def _scan(triples, programs, pre_tests, post_tests, dom: Domain, step_budget: int) -> list:
-    """The verdict (or exception) of each (pre, program, post) slot triple.
-
-    Every precondition, program and (program, postcondition) is memoized
-    for one chunk of points, so the triples reading it evaluate it once
-    per point."""
-    verdicts: list = [None] * len(triples)
-    caches: list[dict] = []
-    pre_getters = [
-        test if isinstance(test, Exception) else _memoized(test, caches) for test in pre_tests
-    ]
-    executors = [_memoized(_executor(program, step_budget), caches) for program in programs]
-    post_getters: dict[tuple[int, int], object] = {}
-    live: list[tuple] = []  # (triple, pre, execute, post)
-    for triple, (pre, code, post) in enumerate(triples):
-        pre_test, post_test = pre_getters[pre], post_tests[post]
-        if isinstance(pre_test, Exception) or isinstance(post_test, Exception):
-            verdicts[triple] = pre_test if isinstance(pre_test, Exception) else post_test
-            continue
-        if (code, post) not in post_getters:
-            post_getters[code, post] = _memoized(post_test, caches)
-        live.append((triple, pre_test, executors[code], post_getters[code, post]))
-
-    checked = [0] * len(triples)  # points where the precondition held
-    points = dom.points()
-    while live:
-        chunk = list(islice(points, _CHUNK))
-        if not chunk:
-            break
-        for cache in caches:
-            cache.clear()
-        for triple, pre, execute, post in live:
-            try:
-                checked[triple], verdicts[triple] = _first_failure(
-                    pre, execute, post, chunk, checked[triple], dom
-                )
-            except Exception as err:
-                verdicts[triple] = err
-        live = [entry for entry in live if verdicts[entry[0]] is None]
-    for entry in live:
-        verdicts[entry[0]] = _passed(checked[entry[0]], dom)
-    return verdicts
 
 
 @dataclass(frozen=True)

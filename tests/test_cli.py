@@ -287,6 +287,19 @@ class TestDeepExpressions:
         assert "verdict: verified" in out
 
 
+def test_range_wider_than_sys_maxsize_is_a_plain_counterexample(capsys, tmp_path):
+    path = tmp_path / "copy.prog"
+    path.write_text("proc f(in a, out o){ o := a; }")
+    code, out, err = run_cli(
+        capsys, "check", str(path), "--pre", "TRUE", "--post", "o == 1",
+        "--domain", "a in 1..9999999999999999999", "--format", "machine",
+    )
+    assert (code, err) == (1, "")
+    result = json.loads(out)
+    assert result["verdict"] == "counterexample"
+    assert result["witness"]["inputs"] == {"a": 2}
+
+
 def test_no_color_codes_when_not_a_tty(capsys, monkeypatch):
     monkeypatch.setenv("TDDSLICER_COLOR", "0")
     _, out, _ = run_cli(

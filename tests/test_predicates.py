@@ -30,6 +30,42 @@ from bruteforce import bf_holds
 from generators import random_contract, random_predicate
 
 
+class TestDomainPoints:
+    def test_same_points_and_order_as_product(self):
+        """points() and points(only=...) enumerate what itertools.product
+        gives over the sorted ranges, for 0 to 3 variables."""
+        rng = random.Random(5150)
+        for _ in range(200):
+            ranges = {}
+            for name in rng.sample("abcd", rng.randint(0, 3)):
+                lo = rng.randint(-3, 3)
+                ranges[name] = (lo, lo + rng.randint(0, 3))
+            dom = Domain.from_dict(ranges)
+            for only in (None, frozenset(n for n in ranges if rng.random() < 0.5)):
+                names = sorted(ranges if only is None else only)
+                spans = [range(ranges[n][0], ranges[n][1] + 1) for n in names]
+                expected = [dict(zip(names, values)) for values in itertools.product(*spans)]
+                got = list(dom.points(only))
+                assert got == expected
+                assert [list(point) for point in got] == [names] * len(expected)
+
+    def test_no_variables_give_one_empty_point(self):
+        assert list(Domain(()).points()) == [{}]
+        assert list(Domain.parse("a in 0..2").points(frozenset())) == [{}]
+
+    def test_only_must_name_domain_variables(self):
+        with pytest.raises(KeyError, match=r"not in domain: \['z'\]"):
+            next(Domain.parse("a in 0..2").points(frozenset({"a", "z"})))
+
+    def test_ranges_wider_than_sys_maxsize_enumerate_lazily(self):
+        dom = Domain.parse("a in -2..1, b in 1..99999999999999999999")
+        assert list(itertools.islice(dom.points(), 3)) == [
+            {"a": -2, "b": 1},
+            {"a": -2, "b": 2},
+            {"a": -2, "b": 3},
+        ]
+
+
 class TestParse:
     def test_comparison(self):
         pred = parse_predicate("a > b")

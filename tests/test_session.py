@@ -311,6 +311,8 @@ def test_bundled_corpus_loads_via_helper():
 # Replay's `--format machine` output, captured before replay decided all
 # cycle contracts in one shared scan; any change to it is a regression.
 DIV_REPLAY_SHA256 = "2ca978f1f437972464c1303ac6f0f91bc8de63b2d1515e9be3552b2cd6ac61d5"
+# Report of div.session over x in 0..38, y in 1..16, captured the same way.
+WIDE_DIV_REPLAY_SHA256 = "f7843370655aa4e5032b5cc0f24c61fe1a14073b1f0cd54626ac3f8d12b1dcef"
 BROKEN_REPLAY = """\
 {
   "command": "replay",
@@ -436,3 +438,27 @@ class TestReplayGoldens:
         report = replay(div_session)
         assert report.ok
         assert len(calls) == 223
+
+    def test_wider_div_session_report_and_run_count(self, monkeypatch):
+        """div.session over 39 x 16 = 624 points instead of 153: every
+        cycle contract holds on all of them, so each pair scans the whole
+        domain (ten of the 64-point chunks check_all once took, not
+        three). Report hash and run count were captured with the chunks."""
+        path = corpus_path("div.session")
+        text = path.read_text(encoding="utf-8")
+        narrow = "domain = x in 0..16, y in 1..9"
+        assert narrow in text
+        session = parse_session(text.replace(narrow, "domain = x in 0..38, y in 1..16"), path.parent)
+        calls = []
+        real_run = verifier.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args[0])
+            return real_run(*args, **kwargs)
+
+        monkeypatch.setattr(verifier, "run", counting_run)
+        report = replay(session)
+        assert report.ok
+        assert len(calls) == 754
+        digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+        assert digest == WIDE_DIV_REPLAY_SHA256

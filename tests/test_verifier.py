@@ -14,9 +14,11 @@ from tddslicer import (
     check,
     check_all,
     check_point,
+    format_predicate,
     parse_predicate,
     parse_program,
 )
+from tddslicer import verifier
 from tddslicer.verifier import (
     BUDGET_EXCEEDED,
     COUNTEREXAMPLE,
@@ -322,3 +324,70 @@ class TestCheckAll:
         assert [r.verdict for r in small_results] == [r.verdict for r in large_results]
         assert large_results[0].checked_points == 10_000
         assert large < small + 32_000
+
+
+class TestWideDomains:
+    COPY = "proc f(in a, out o){ o := a; }"
+
+    def test_range_wider_than_sys_maxsize(self):
+        program = parse_program(self.COPY)
+        dom = Domain.parse("a in 1..9999999999999999999")
+        result = check(program, _contract("TRUE", "o == 1"), dom)
+        assert result.verdict == COUNTEREXAMPLE
+        assert result.witness.inputs == {"a": 2}
+        assert result.checked_points == 2
+
+    def test_early_failure_costs_no_memory_for_the_rest_of_the_range(self):
+        program = parse_program(self.COPY)
+        dom = Domain.parse("a in 1..1000000")
+        tracemalloc.start()
+        try:
+            result = check(program, _contract("TRUE", "o < 2"), dom)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.witness.inputs == {"a": 2}
+        assert peak < 1_000_000
+
+
+class TestSharedWork:
+    """check_all evaluates each distinct precondition, program and
+    (program, postcondition) once per point that needs it."""
+
+    def test_evaluations_per_point(self, monkeypatch):
+        # final states repeat across points, since the program overwrites
+        # its in-parameter; shared work is remembered for the very objects
+        # of the latest point, not for equal ones, so every point still
+        # evaluates its postconditions
+        program = parse_program("proc f(in a, out o){ a := 0; o := 1; }")
+        twin = parse_program("proc f(in a, out o){ a := 0; o := 1; }")
+        dom = Domain.parse("a in 0..5")
+        pairs = [
+            (program, _contract("TRUE", "o == 1")),
+            (twin, _contract("a >= 0", "o == 1")),
+            (program, _contract("TRUE", "o > 0")),
+            (program, _contract("a < 3", "o == 1")),
+        ]
+        runs, evaluations = [], Counter()
+        real_run, real_compile = verifier.run, verifier.compile_bool
+
+        def counting_run(*args, **kwargs):
+            runs.append(args[0])
+            return real_run(*args, **kwargs)
+
+        def counting_compile(pred):
+            test = real_compile(pred)
+
+            def counted(state):
+                evaluations[format_predicate(pred)] += 1
+                return test(state)
+
+            return counted
+
+        monkeypatch.setattr(verifier, "run", counting_run)
+        monkeypatch.setattr(verifier, "compile_bool", counting_compile)
+        results = check_all(pairs, dom)
+        assert [r.verdict for r in results] == [VERIFIED] * 4
+        assert [r.checked_points for r in results] == [6, 6, 6, 3]
+        assert len(runs) == 6
+        assert evaluations == {"TRUE": 6, "a >= 0": 6, "a < 3": 6, "o == 1": 6, "o > 0": 6}
