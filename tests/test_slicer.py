@@ -491,3 +491,40 @@ def test_both_strategies_match_the_reference_search():
     # deleting every else statement and deleting the else clause give the
     # same program: the reference must agree on which slice wins
     assert dead_else_dropped >= 10
+
+
+#: o := a, then 15 increments: only the whole program meets o == a + 15,
+#: so the exhaustive search rejects every one of the 65,535 other
+#: candidates, the worst case the exhaustive cap allows
+ALL_FAIL = "proc f(in a, out o) { o := a; " + "o := o + 1; " * 15 + "}\n"
+
+#: (verifier runs, SHA-256 of `tddslicer slice ... --format machine`) of
+#: each strategy on ALL_FAIL, captured while every candidate was still
+#: built and compiled as a program of its own
+ALL_FAIL_PINS = {
+    EXHAUSTIVE: (65_562, "65fd2a7220cbf9593d17be0c4d7a0147b35a699a2a9168048d23f05ea5e964b4"),
+    GREEDY: (43, "aa6df15eb7dce3212b1097e20c5c57affec45c9f4f0ffa2ee25924ab5d5b4433"),
+}
+
+
+@pytest.mark.parametrize("strategy", sorted(ALL_FAIL_PINS))
+def test_all_fail_slice_runs_and_output_are_pinned(strategy, capsys, tmp_path, monkeypatch):
+    calls = []
+    real_run = verifier.run
+
+    def counting_run(*args, **kwargs):
+        calls.append(args[0])
+        return real_run(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "run", counting_run)
+    path = tmp_path / "f.prog"
+    path.write_text(ALL_FAIL)
+    code = main([
+        "slice", str(path), "--pre", "TRUE", "--post", "o == a + 15", "--domain", "a in 0..24",
+        "--strategy", strategy, "--format", "machine",
+    ])
+    out = capsys.readouterr().out
+    assert code == 0
+    runs, digest = ALL_FAIL_PINS[strategy]
+    assert len(calls) == runs
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
