@@ -18,7 +18,7 @@ from .contracts import Contract
 from .errors import ParseError
 from .lang import parse_bindings, pretty_print, project, run
 from .lang.interp import DEFAULT_STEP_BUDGET, OK
-from .lang.parser import parse_predicate
+from .lang.parser import TOO_DEEP, parse_predicate
 from .lang.printer import format_predicate
 from .predicates import Domain, PredicateUndefinedError, is_tautology
 from .session import SessionFormatError, load_program, load_session, replay
@@ -332,8 +332,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except RecursionError:
-        # parsing, compiling and evaluating recurse once per nesting level
-        print("error: expression nested too deeply", file=sys.stderr)
+        # compiling and evaluating recurse once per nesting level
+        print(f"error: {TOO_DEEP}", file=sys.stderr)
         return USAGE_ERROR
 
 

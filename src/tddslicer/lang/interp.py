@@ -3,9 +3,10 @@
 Programs and predicates are lowered once into nested Python closures
 (closure compilation, after Feeley & Lapalme, "Using Closures for Code
 Generation", 1987) and the closures then run once per input. A program is
-compiled on its first run and kept on the Program instance; a predicate is
-compiled by compile_bool, once per query by the callers that evaluate it
-at many points.
+compiled on its first run and kept on the Program instance; a run that
+keeps only some statements (a slice candidate) composes its body from the
+same compiled statements. A predicate is compiled by compile_bool, once
+per query by the callers that evaluate it at many points.
 
 A run produces the final state plus, when recorded, the trajectory: one
 (stmt_id, var, value) entry per executed assignment, in execution order.
@@ -242,22 +243,45 @@ class _Counters:
         self.log = log
 
 
-def _compile_block(block: ast.Block) -> tuple:
-    """A block compiles to the tuple of its compiled statements; the
-    enclosing statement loops over it, which saves a call per block."""
+class _Part(NamedTuple):
+    """One statement, compiled. A leaf (Assign, Skip) is its statement
+    function, with blocks None. An If or While is a function of its
+    composed blocks that makes the statement function, with blocks the
+    parts of its blocks (then and else, or the loop body)."""
+
+    stmt_id: int
+    code: Callable
+    blocks: tuple | None
+
+
+def _compile_block(block: ast.Block) -> tuple[_Part, ...]:
     return tuple(_compile_stmt(stmt) for stmt in block.stmts)
 
 
-def _compile_stmt(stmt: ast.Stmt):
+def _compile_stmt(stmt: ast.Stmt) -> _Part:
     if isinstance(stmt, ast.Assign):
-        return _compile_assign(stmt)
+        return _Part(stmt.stmt_id, _compile_assign(stmt), None)
     if isinstance(stmt, ast.If):
-        return _compile_if(stmt)
+        blocks = (_compile_block(stmt.then), _compile_block(stmt.orelse))
+        return _Part(stmt.stmt_id, _compile_if(stmt), blocks)
     if isinstance(stmt, ast.While):
-        return _compile_while(stmt)
+        return _Part(stmt.stmt_id, _compile_while(stmt), (_compile_block(stmt.body),))
     if isinstance(stmt, ast.Skip):
-        return _compile_skip(stmt)
+        return _Part(stmt.stmt_id, _compile_skip(stmt), None)
     raise TypeError(f"not a statement: {stmt!r}")
+
+
+def _compose(parts: tuple[_Part, ...], kept: frozenset[int]) -> tuple:
+    """The block of parts with only the statements whose id is in kept (a
+    statement whose enclosing statement is not kept is gone with it), as
+    the tuple of its statement functions; the enclosing statement loops
+    over it, which saves a call per block. Leaves are shared; each If and
+    While is made anew around its composed blocks."""
+    return tuple([
+        code if blocks is None else code(*[_compose(block, kept) for block in blocks])
+        for stmt_id, code, blocks in parts
+        if stmt_id in kept
+    ])
 
 
 def _compile_assign(stmt: ast.Assign):
@@ -291,47 +315,53 @@ def _compile_skip(stmt: ast.Skip):
 
 def _compile_if(stmt: ast.If):
     sid, cond = stmt.stmt_id, _compile_pred(stmt.cond)
-    then, orelse = _compile_block(stmt.then), _compile_block(stmt.orelse)
 
-    def if_(state, counters):
-        counters.left -= 1
-        if counters.left < 0:
-            raise _Stop(BUDGET_EXCEEDED, sid, _BUDGET_REASON)
-        try:
-            taken = cond(state)
-        except EvaluationFault as fault:
-            raise _Stop(FAULT, sid, fault.reason) from None
-        for inner in then if taken else orelse:
-            inner(state, counters)
-
-    return if_
-
-
-def _compile_while(stmt: ast.While):
-    sid, cond, body = stmt.stmt_id, _compile_pred(stmt.cond), _compile_block(stmt.body)
-
-    def while_(state, counters):
-        while True:
-            # the first test and each re-test of the condition is a step
+    def make(then: tuple, orelse: tuple):
+        def if_(state, counters):
             counters.left -= 1
             if counters.left < 0:
                 raise _Stop(BUDGET_EXCEEDED, sid, _BUDGET_REASON)
             try:
-                again = cond(state)
+                taken = cond(state)
             except EvaluationFault as fault:
                 raise _Stop(FAULT, sid, fault.reason) from None
-            if not again:
-                return
-            for inner in body:
+            for inner in then if taken else orelse:
                 inner(state, counters)
 
-    return while_
+        return if_
+
+    return make
+
+
+def _compile_while(stmt: ast.While):
+    sid, cond = stmt.stmt_id, _compile_pred(stmt.cond)
+
+    def make(body: tuple):
+        def while_(state, counters):
+            while True:
+                # the first test and each re-test of the condition is a step
+                counters.left -= 1
+                if counters.left < 0:
+                    raise _Stop(BUDGET_EXCEEDED, sid, _BUDGET_REASON)
+                try:
+                    again = cond(state)
+                except EvaluationFault as fault:
+                    raise _Stop(FAULT, sid, fault.reason) from None
+                if not again:
+                    return
+                for inner in body:
+                    inner(state, counters)
+
+        return while_
+
+    return make
 
 
 class _CompiledProgram(NamedTuple):
     in_params: frozenset[str]
     zeroed: dict[str, int]  # out-parameters and locals, all 0
-    body: tuple
+    parts: tuple[_Part, ...]  # the body's statements
+    body: tuple  # every statement kept
 
 
 def _compiled(program: ast.Program) -> _CompiledProgram:
@@ -340,13 +370,27 @@ def _compiled(program: ast.Program) -> _CompiledProgram:
     hashing see only the dataclass fields)."""
     code = program.__dict__.get("_compiled")
     if code is None:
+        parts = _compile_block(program.body)
+        everything = frozenset(stmt.stmt_id for stmt in program.statements())
         code = _CompiledProgram(
             frozenset(program.in_params),
             dict.fromkeys((*program.out_params, *program.locals), 0),
-            _compile_block(program.body),
+            parts,
+            _compose(parts, everything),
         )
         object.__setattr__(program, "_compiled", code)
     return code
+
+
+def _kept_body(program: ast.Program, parts: tuple[_Part, ...], kept: frozenset[int]) -> tuple:
+    """The body of program with only the statements in kept, composed on
+    first use and kept in one slot on the instance, so the runs of one
+    kept-set at many points compose it once."""
+    slot = program.__dict__.get("_kept")
+    if slot is None or (slot[0] is not kept and slot[0] != kept):
+        slot = (kept, _compose(parts, kept))
+        object.__setattr__(program, "_kept", slot)
+    return slot[1]
 
 
 def run(
@@ -355,6 +399,7 @@ def run(
     step_budget: int = DEFAULT_STEP_BUDGET,
     *,
     record: bool = True,
+    kept: frozenset[int] | None = None,
 ) -> RunResult:
     """Execute program with the given in-parameter binding.
 
@@ -363,6 +408,15 @@ def run(
     any budget at least as large. With record=False the trajectory is left
     empty (every other field is the same), which saves its cost for callers
     that only judge the final state.
+
+    kept, a frozenset of statement ids, runs the program as if every
+    statement whose id is not in it had been deleted, as the slicer's
+    deletions do: such a statement, with everything inside it, is skipped
+    and costs no step, an If with no kept else statement behaves as one
+    with no else, and ids are unchanged. The result equals that of running
+    the program so built. The original is compiled once whatever the
+    kept-sets; each kept-set composes a body from its compiled statements,
+    reused while the same kept-set comes back. None keeps everything.
     """
     code = _compiled(program)
     if inputs.keys() != code.in_params:
@@ -377,11 +431,12 @@ def run(
     if step_budget < 1:
         raise ValueError("step_budget must be positive")
 
+    body = code.body if kept is None else _kept_body(program, code.parts, kept)
     state = {**inputs, **code.zeroed}
     log = [] if record else None
     counters = _Counters(step_budget, log)
     try:
-        for stmt in code.body:
+        for stmt in body:
             stmt(state, counters)
     except _Stop as stop:
         status, stmt_id, reason = stop.status, stop.stmt_id, stop.reason

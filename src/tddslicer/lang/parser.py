@@ -310,15 +310,26 @@ class _Parser:
         )
 
 
+#: the message of the ParseError for text nested deeper than the parser
+#: can recurse (it recurses once per level of parentheses or blocks)
+TOO_DEEP = "expression nested too deeply"
+
+
 def parse_program(text: str) -> ast.Program:
     """Parse a procedure; assigns pre-order statement ids starting at 1."""
-    return _Parser(text).program()
+    try:
+        return _Parser(text).program()
+    except RecursionError:
+        raise ParseError(TOO_DEEP) from None
 
 
 def parse_predicate(text: str) -> ast.BoolExpr:
     """Parse a contract predicate (bool grammar + TRUE/FALSE/exists)."""
     parser = _Parser(text, predicate_mode=True)
-    pred = parser.bool_expr()
+    try:
+        pred = parser.bool_expr()
+    except RecursionError:
+        raise ParseError(TOO_DEEP) from None
     parser.expect_eof()
     return pred
 

@@ -14,6 +14,8 @@ structurally identical to one with no else at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
+from typing import Iterator, NamedTuple
 
 from .contracts import Contract
 from .lang import ast
@@ -176,14 +178,18 @@ def slice(
     order of trying every deletion set by decreasing size with the same
     tie-break, because a candidate first comes up at the largest
     deletion set that yields it, the complement of its retained units.
-    greedy makes a single reverse-pre-order pass over the units, keeping
-    each deletion that still verifies; its result is sound but not
-    necessarily minimal.
+    The candidates are generated in that order one at a time, so a search
+    that ends early never enumerates the rest. greedy makes a single
+    reverse-pre-order pass over the units, keeping each deletion that
+    still verifies; its result is sound but not necessarily minimal.
 
-    The contract is validated and compiled once per call. Each candidate
-    is judged first on the inputs at which earlier candidates failed,
-    most recent first; one that passes them all is checked over the
-    whole domain, so the slice's verification is what check returns.
+    The contract is validated and compiled once per call, and so is the
+    program: a candidate is judged as the set of statement ids it keeps
+    (run's kept), and only an accepted candidate is built as a Program.
+    Each candidate is judged first on the inputs at which earlier
+    candidates failed, most recent first; one that passes them all is
+    checked over the whole domain, so the slice's verification is what
+    check returns for the built slice.
     """
     judge = Judge(program, contract, dom, step_budget)
     base = judge.check(program)
@@ -199,20 +205,23 @@ def slice(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def _verifies(judge: Judge, candidate: ast.Program, killers: list) -> VerificationResult | None:
-    """The verification of candidate if it verifies, else None.
+def _verifies(
+    judge: Judge, program: ast.Program, kept: frozenset[int], killers: list
+) -> VerificationResult | None:
+    """The verification of program keeping the statements in kept if it
+    verifies, else None.
 
     killers holds the inputs of earlier failures, most recent first: a
     candidate failing one of them is rejected without a full scan, and
     that input moves to the front. A candidate failing the full scan adds
     its witness's inputs at the front.
     """
-    failure = judge.first_failure(candidate, killers)
+    failure = judge.first_failure(program, killers, kept)
     if failure is not None:
         killers.remove(failure.witness.inputs)
         killers.insert(0, failure.witness.inputs)
         return None
-    result = judge.check(candidate)
+    result = judge.check(program, kept)
     if not result.verified:
         killers.insert(0, result.witness.inputs)
         return None
@@ -237,25 +246,93 @@ def _sliced(
     )
 
 
-def _retainable(block: ast.Block) -> list[tuple[int, tuple[int, ...]]]:
-    """Every set of block's statements a deletion can leave, as (retained
-    units, retained statement ids in pre-order)."""
-    sets = [(0, ())]
+class _Plan(NamedTuple):
+    """A block as _choices walks it: per statement its id and the plans of
+    its blocks (then and else, the loop body, or none for a leaf); per
+    suffix of the statements, the most units the sets it can leave have;
+    and where the trailing run of leaves starts."""
+
+    ids: tuple[int, ...]
+    subs: tuple[tuple, ...]
+    most: tuple[int, ...]
+    leaves_from: int
+
+
+def _plan(block: ast.Block) -> _Plan:
+    subs = []
     for stmt in block.stmts:
         if isinstance(stmt, ast.If):
-            # the else clause is a retained unit when an else statement is
-            elses = [(n + bool(ids), ids) for n, ids in _retainable(stmt.orelse)]
-            kept = [
-                (1 + n + m, (stmt.stmt_id, *ids, *more))
-                for n, ids in _retainable(stmt.then)
-                for m, more in elses
-            ]
+            subs.append((_plan(stmt.then), _plan(stmt.orelse)))
         elif isinstance(stmt, ast.While):
-            kept = [(1 + n, (stmt.stmt_id, *ids)) for n, ids in _retainable(stmt.body)]
+            subs.append((_plan(stmt.body),))
         else:
-            kept = [(1, (stmt.stmt_id,))]
-        sets += [(n + m, ids + more) for n, ids in sets for m, more in kept]
-    return sets
+            subs.append(())
+    most = [0]
+    for inner in reversed(subs):
+        held = sum(sub.most[0] for sub in inner)
+        if len(inner) == 2 and inner[1].most[0]:
+            held += 1  # the else clause is a retained unit when an else statement is
+        most.append(most[-1] + 1 + held)
+    leaves_from = len(subs)
+    while leaves_from and not subs[leaves_from - 1]:
+        leaves_from -= 1
+    ids = tuple(stmt.stmt_id for stmt in block.stmts)
+    return _Plan(ids, tuple(subs), tuple(reversed(most)), leaves_from)
+
+
+def _choices(plan: _Plan, i: int, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every set of the statements from the i-th on that a deletion can
+    leave with lo to hi units, as (units, retained ids in pre-order).
+
+    Each statement, in pre-order, is tried retained before deleted. Two
+    sets with the same unit count are never a prefix of one another, so
+    the one holding the smallest id in which they differ is the smaller:
+    the sets of one unit count come in ascending order.
+    """
+    if lo > min(hi, plan.most[i]):
+        return
+    if i == len(plan.ids):
+        yield 0, ()
+        return
+    if lo == hi and i >= plan.leaves_from:
+        # only leaves left: combinations come in this very order
+        for ids in combinations(plan.ids[i:], lo):
+            yield lo, ids
+        return
+    if hi:
+        for m, inner in _inner(plan.subs[i], max(lo - 1 - plan.most[i + 1], 0), hi - 1):
+            head = (plan.ids[i], *inner)
+            for n, rest in _choices(plan, i + 1, max(lo - 1 - m, 0), hi - 1 - m):
+                yield 1 + m + n, head + rest
+    yield from _choices(plan, i + 1, lo, hi)
+
+
+def _inner(subs: tuple, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """What a retained statement can keep inside it with lo to hi units,
+    as (units, retained ids in pre-order), in _choices' order."""
+    if not subs:
+        if lo == 0:
+            yield 0, ()
+    elif len(subs) == 1:
+        yield from _choices(subs[0], 0, lo, hi)
+    else:
+        then, orelse = subs
+        for m, ids in _choices(then, 0, max(lo - 1 - orelse.most[0], 0), hi):
+            # the else clause is a retained unit when an else statement is;
+            # retaining none comes last
+            for n, more in _choices(orelse, 0, max(lo - m - 1, 1), hi - m - 1):
+                yield m + n + 1, ids + more
+            if m >= lo:
+                yield m, ids
+
+
+def _retainable(block: ast.Block) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every set of block's statements a deletion can leave, as (retained
+    units, retained statement ids in pre-order), in ascending order and
+    one at a time."""
+    plan = _plan(block)
+    for n in range(plan.most[0] + 1):
+        yield from _choices(plan, 0, n, n)
 
 
 def _slice_exhaustive(
@@ -267,13 +344,13 @@ def _slice_exhaustive(
     if len(units) > EXHAUSTIVE_CAP:
         raise ExhaustiveCapError(len(units), EXHAUSTIVE_CAP)
     killers: list = []
-    # the last candidate retains everything: the program itself, verified by base
-    for _, ids in sorted(_retainable(program.body))[:-1]:
-        candidate = _build(program, frozenset(ids))
-        result = _verifies(judge, candidate, killers)
+    for n, ids in _retainable(program.body):
+        kept = frozenset(ids)
+        # the last candidate retains everything: the program itself, verified by base
+        result = base if n == len(units) else _verifies(judge, program, kept, killers)
         if result is not None:
-            return _sliced(candidate, units, True, EXHAUSTIVE, result)
-    return _sliced(program, units, True, EXHAUSTIVE, base)
+            break
+    return _sliced(_build(program, kept), units, True, EXHAUSTIVE, result)
 
 
 def _slice_greedy(
@@ -282,7 +359,7 @@ def _slice_greedy(
     units: list[DeletionUnit],
     base: VerificationResult,
 ) -> SliceResult:
-    kept = {s.stmt_id for s in program.statements()}
+    kept = frozenset(s.stmt_id for s in program.statements())
     current = program
     present = set(units)
     verification = base
@@ -291,9 +368,8 @@ def _slice_greedy(
         if unit not in present:
             continue  # nested inside something already deleted
         trial = kept - _removed_ids(program, {unit})
-        candidate = _build(program, trial)
-        result = _verifies(judge, candidate, killers)
+        result = _verifies(judge, program, trial, killers)
         if result is not None:
-            kept, current, verification = trial, candidate, result
+            kept, current, verification = trial, _build(program, trial), result
             present = set(deletable_units(current))
     return _sliced(current, units, False, GREEDY, verification)

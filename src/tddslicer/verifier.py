@@ -11,11 +11,12 @@ One loop, _scan, judges every domain scan: point by point, each live
 (pre, run, post) triple is judged with _judge, and a triple leaves at its
 first failure. A Judge feeds it one triple: the contract validated and
 compiled once, then any number of programs judged with it (the slicer's
-candidates); check() is Judge(...).check. check_all() decides many
-(program, contract) pairs in one scan, remembering each shared
-precondition, program and (program, postcondition) for the latest point
-only, which suffices because the triples judged at a point read the same
-inputs and final states. check_point() judges a single input with _judge.
+candidates, each a kept-set of one program's statements); check() is
+Judge(...).check. check_all() decides many (program, contract) pairs in
+one scan, remembering each shared precondition, program and (program,
+postcondition) for the latest point only, which suffices because the
+triples judged at a point read the same inputs and final states.
+check_point() judges a single input with _judge.
 """
 
 from __future__ import annotations
@@ -167,13 +168,14 @@ def _scan(triples: list[tuple], points, dom: Domain) -> list:
     return verdicts
 
 
-def _executor(program: ast.Program, step_budget: int):
-    """The program as a function of its inputs, for _judge. A closure,
-    not functools.partial: a partial with keyword arguments merges them
-    into a new dict on every call, which a full scan pays per point."""
+def _executor(program: ast.Program, step_budget: int, kept: frozenset[int] | None = None):
+    """The program, keeping the statements in kept (all if None), as a
+    function of its inputs, for _judge. A closure, not functools.partial:
+    a partial with keyword arguments merges them into a new dict on every
+    call, which a full scan pays per point."""
 
     def execute(inputs: State) -> RunResult:
-        return run(program, inputs, step_budget, record=False)
+        return run(program, inputs, step_budget, record=False, kept=kept)
 
     return execute
 
@@ -181,7 +183,9 @@ def _executor(program: ast.Program, step_budget: int):
 class Judge:
     """A contract made ready to judge programs over dom: validated against
     the signature of program and compiled once, so judging many programs
-    with that signature (the slicer's candidates) pays for it once.
+    with that signature pays for it once. The slicer judges its candidates
+    as kept-sets of statement ids of one program (see run's kept), so that
+    program is compiled once too.
     """
 
     def __init__(
@@ -197,17 +201,24 @@ class Judge:
         self.dom = dom
         self.step_budget = step_budget
 
-    def first_failure(self, program: ast.Program, points) -> VerificationResult | None:
-        """The failure at the first of points that program fails, or None."""
-        verdict = self._verdict(program, points)
+    def first_failure(
+        self, program: ast.Program, points, kept: frozenset[int] | None = None
+    ) -> VerificationResult | None:
+        """The failure at the first of points that program, keeping the
+        statements in kept (all if None), fails, or None."""
+        verdict = self._verdict(program, points, kept)
         return None if verdict.witness is None else verdict
 
-    def check(self, program: ast.Program) -> VerificationResult:
-        """What check(program, contract, dom, step_budget) returns."""
-        return self._verdict(program, self.dom.points())
+    def check(
+        self, program: ast.Program, kept: frozenset[int] | None = None
+    ) -> VerificationResult:
+        """What check(program, contract, dom, step_budget) returns, for
+        program keeping the statements in kept (all if None): the same as
+        for the program with the other statements deleted."""
+        return self._verdict(program, self.dom.points(), kept)
 
-    def _verdict(self, program: ast.Program, points) -> VerificationResult:
-        triple = (self.pre, _executor(program, self.step_budget), self.post)
+    def _verdict(self, program: ast.Program, points, kept) -> VerificationResult:
+        triple = (self.pre, _executor(program, self.step_budget, kept), self.post)
         (verdict,) = _scan([triple], points, self.dom)
         if isinstance(verdict, Exception):
             raise verdict

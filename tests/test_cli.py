@@ -278,6 +278,27 @@ class TestDeepExpressions:
         assert (code, out) == (2, "")
         assert err == "error: expression nested too deeply\n"
 
+    def test_precondition_nested_too_deeply_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "check", MAX2, "--pre", "(" * 3000 + "a > b" + ")" * 3000,
+            "--post", "TRUE", "--domain", DOM,
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: expression nested too deeply\n"
+
+    def test_session_predicate_nested_too_deeply_names_its_cycle(self, capsys, tmp_path):
+        (tmp_path / "f.prog").write_text("proc f(in a, out o) { o := a; }")
+        deep = "(" * 3000 + "a > 0" + ")" * 3000
+        session = tmp_path / "deep.session"
+        session.write_text(
+            "[session]\nfinal = f.prog\ndomain = a in 0..3\n\n[cycle 1]\n"
+            "test.name = t\ntest.inputs = a=1\ntest.expect = o=1\n"
+            f"contract.pre = {deep}\ncontract.post = o == a\nsnapshot = f.prog\n"
+        )
+        code, out, err = run_cli(capsys, "replay", str(session))
+        assert (code, out) == (2, "")
+        assert err == "error: [cycle 1]: expression nested too deeply\n"
+
     def test_900_terms_still_run(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "check", _sum_program(tmp_path, 900),

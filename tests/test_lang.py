@@ -103,6 +103,22 @@ class TestParsing:
         program = parse_program("proc f(in x, out y){ y := -x ^ 2; }")
         assert run(program, {"x": 3}).final["y"] == -9
 
+    def test_predicate_nested_too_deeply_is_a_parse_error(self):
+        with pytest.raises(ParseError) as excinfo:
+            parse_predicate("(" * 3000 + "a > 0" + ")" * 3000)
+        assert str(excinfo.value) == "expression nested too deeply"
+
+    def test_program_nested_too_deeply_is_a_parse_error(self):
+        deep_expr = "(" * 3000 + "x" + ")" * 3000
+        deep_blocks = "if (x > 0) { " * 3000 + "skip; " + "} " * 3000
+        for body in (f"y := {deep_expr};", deep_blocks):
+            with pytest.raises(ParseError) as excinfo:
+                parse_program(f"proc f(in x, out y){{ {body} }}")
+            assert str(excinfo.value) == "expression nested too deeply"
+
+    def test_moderate_nesting_still_parses(self):
+        assert parse_predicate("(" * 50 + "a > 0" + ")" * 50) == parse_predicate("a > 0")
+
 
 class TestPrettyPrint:
     GOLDEN = (

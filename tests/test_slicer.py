@@ -18,12 +18,12 @@ from tddslicer import (
     pretty_print,
 )
 from tddslicer import slice as compute_slice
-from tddslicer import verifier
+from tddslicer import slicer, verifier
 from tddslicer.cli import main
 from tddslicer.corpus import corpus_path
-from tddslicer.lang import ast
+from tddslicer.lang import ast, interp
 from tddslicer.lang.ast import same_shape
-from tddslicer.lang.interp import TrajectoryEntry
+from tddslicer.lang.interp import BUDGET_EXCEEDED, FAULT, OK, TrajectoryEntry, run
 from tddslicer.slicer import (
     ELSE_CLAUSE,
     EXHAUSTIVE,
@@ -528,3 +528,116 @@ def test_all_fail_slice_runs_and_output_are_pinned(strategy, capsys, tmp_path, m
     runs, digest = ALL_FAIL_PINS[strategy]
     assert len(calls) == runs
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
+def _random_kept(rng, block, keep):
+    """Ids of a random set of block's statements that holds the enclosing
+    statement of each of its members."""
+    kept = set()
+    for stmt in block.stmts:
+        if rng.random() >= keep:
+            continue
+        kept.add(stmt.stmt_id)
+        if isinstance(stmt, ast.If):
+            kept |= _random_kept(rng, stmt.then, keep) | _random_kept(rng, stmt.orelse, keep)
+        elif isinstance(stmt, ast.While):
+            kept |= _random_kept(rng, stmt.body, keep)
+    return kept
+
+
+def test_kept_set_run_equals_run_of_the_built_program():
+    """run(p, kept=K) is run of p with every statement outside K deleted,
+    field by field, including the key order of the final state; kept-sets
+    of one program come and go in any order."""
+    rng = random.Random(4711)
+    statuses = {OK: 0, FAULT: 0, BUDGET_EXCEEDED: 0}
+    for _ in range(240):
+        program = random_program(rng, max_stmts=rng.randint(1, 10), allow_while=True, faults=True)
+        kept_sets = [frozenset(_random_kept(rng, program.body, rng.random())) for _ in range(3)]
+        for _ in range(6):
+            kept = rng.choice(kept_sets)
+            if rng.random() < 0.3:
+                kept = frozenset(sorted(kept))  # an equal set that is another object
+            built = slicer._build(program, kept)
+            inputs = {"a": rng.randint(-3, 3), "b": rng.randint(-3, 3)}
+            budget = rng.randint(1, 400)
+            for record in (True, False):
+                got = run(program, inputs, budget, record=record, kept=kept)
+                expected = run(built, inputs, budget, record=record)
+                assert got == expected, pretty_print(built)
+                assert list(got.final) == list(expected.final)
+                statuses[got.status] += 1
+    assert min(statuses.values()) >= 30, statuses
+
+
+def _eager_retainable(block):
+    """Every set of block's statements a deletion can leave, as (retained
+    units, retained statement ids in pre-order), all at once and unsorted:
+    the reference for the streamed enumeration."""
+    sets = [(0, ())]
+    for stmt in block.stmts:
+        if isinstance(stmt, ast.If):
+            # the else clause is a retained unit when an else statement is
+            elses = [(n + bool(ids), ids) for n, ids in _eager_retainable(stmt.orelse)]
+            kept = [
+                (1 + n + m, (stmt.stmt_id, *ids, *more))
+                for n, ids in _eager_retainable(stmt.then)
+                for m, more in elses
+            ]
+        elif isinstance(stmt, ast.While):
+            kept = [(1 + n, (stmt.stmt_id, *ids)) for n, ids in _eager_retainable(stmt.body)]
+        else:
+            kept = [(1, (stmt.stmt_id,))]
+        sets += [(n + m, ids + more) for n, ids in sets for m, more in kept]
+    return sets
+
+
+def test_streamed_candidates_come_in_sorted_order():
+    rng = random.Random(9)
+    programs = [parse_program(PADDED_DIV), parse_program(PADDED_MAX), parse_program(ALL_FAIL)]
+    programs += [
+        random_program(rng, max_stmts=rng.randint(4, 14), allow_while=True, faults=index % 2 == 0)
+        for index in range(200)
+    ]
+    assert sum(map(_nested, programs)) >= 30
+    for program in programs:
+        assert list(slicer._retainable(program.body)) == sorted(_eager_retainable(program.body))
+
+
+def test_all_fail_slice_compiles_each_statement_once_and_builds_once(monkeypatch):
+    compiled, built = [], []
+    real_compile, real_build = interp._compile_stmt, slicer._build
+
+    def counting_compile(stmt):
+        compiled.append(stmt.stmt_id)
+        return real_compile(stmt)
+
+    def counting_build(*args):
+        built.append(args)
+        return real_build(*args)
+
+    monkeypatch.setattr(interp, "_compile_stmt", counting_compile)
+    monkeypatch.setattr(slicer, "_build", counting_build)
+    program = parse_program(ALL_FAIL)
+    contract = Contract(parse_predicate("TRUE"), parse_predicate("o == a + 15"))
+    result = compute_slice(program, contract, Domain.parse("a in 0..24"))
+    assert result.program == program and result.deleted == frozenset()
+    assert compiled == list(range(1, 17))
+    assert len(built) == 1
+
+
+def test_slice_ending_at_its_first_candidate_enumerates_no_other(monkeypatch):
+    pulled = []
+    real_retainable = slicer._retainable
+
+    def counting_retainable(block):
+        for key in real_retainable(block):
+            pulled.append(key)
+            yield key
+
+    monkeypatch.setattr(slicer, "_retainable", counting_retainable)
+    program = parse_program(ALL_FAIL)
+    contract = Contract(parse_predicate("TRUE"), parse_predicate("TRUE"))
+    result = compute_slice(program, contract, Domain.parse("a in 0..24"))
+    assert result.program.body.stmts == ()
+    assert pulled == [(0, ())]
