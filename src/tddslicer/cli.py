@@ -10,6 +10,7 @@ not a terminal.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -256,7 +257,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
 # --- argument parsing ------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one in the process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="tddslicer",
         description="Verify contracts, slice programs, and replay TDD sessions "
@@ -312,9 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exit_:
         return USAGE_ERROR if exit_.code not in (0, None) else 0
     try:
@@ -332,7 +335,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except RecursionError:
-        # compiling and evaluating recurse once per nesting level
+        # evaluating recurses once per nesting level, from deeper in the
+        # stack than compiling, which raises ParseError itself
         print(f"error: {TOO_DEEP}", file=sys.stderr)
         return USAGE_ERROR
 

@@ -6,7 +6,10 @@ Generation", 1987) and the closures then run once per input. A program is
 compiled on its first run and kept on the Program instance; a run that
 keeps only some statements (a slice candidate) composes its body from the
 same compiled statements. A predicate is compiled by compile_bool, once
-per query by the callers that evaluate it at many points.
+per query by the callers that evaluate it at many points. runner, made once
+per (program, budget, kept-set), is the one per-run core: the verifier's
+scans call it per point for a plain tuple; run wraps it with the input
+checks and returns a RunResult.
 
 A run produces the final state plus, when recorded, the trajectory: one
 (stmt_id, var, value) entry per executed assignment, in execution order.
@@ -25,8 +28,9 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from ..errors import EvaluationFault, UnboundVariableError
+from ..errors import EvaluationFault, ParseError, UnboundVariableError
 from . import ast
+from .parser import TOO_DEEP
 
 DEFAULT_STEP_BUDGET = 10000
 
@@ -204,9 +208,13 @@ def compile_bool(pred: ast.BoolExpr) -> Callable[[dict[str, int]], bool]:
     Short-circuit semantics; bounded existentials enumerate their range in
     ascending order and leave the state as they found it. The function
     raises UnboundVariableError when the state misses a free variable and
-    EvaluationFault on arithmetic faults.
+    EvaluationFault on arithmetic faults. Compiling raises ParseError(TOO_DEEP)
+    for a predicate too deeply nested, as parsing does.
     """
-    test = _compile_pred(pred)
+    try:
+        test = _compile_pred(pred)
+    except RecursionError:
+        raise ParseError(TOO_DEEP) from None
 
     def holds(state: dict[str, int]) -> bool:
         try:
@@ -367,10 +375,14 @@ class _CompiledProgram(NamedTuple):
 def _compiled(program: ast.Program) -> _CompiledProgram:
     """The program's compiled form, built on first use and kept on the
     instance (Program is frozen, hence object.__setattr__; equality and
-    hashing see only the dataclass fields)."""
+    hashing see only the dataclass fields). ParseError(TOO_DEEP) for a
+    program too deeply nested to compile, as parsing does."""
     code = program.__dict__.get("_compiled")
     if code is None:
-        parts = _compile_block(program.body)
+        try:
+            parts = _compile_block(program.body)
+        except RecursionError:
+            raise ParseError(TOO_DEEP) from None
         everything = frozenset(stmt.stmt_id for stmt in program.statements())
         code = _CompiledProgram(
             frozenset(program.in_params),
@@ -382,15 +394,53 @@ def _compiled(program: ast.Program) -> _CompiledProgram:
     return code
 
 
-def _kept_body(program: ast.Program, parts: tuple[_Part, ...], kept: frozenset[int]) -> tuple:
-    """The body of program with only the statements in kept, composed on
-    first use and kept in one slot on the instance, so the runs of one
-    kept-set at many points compose it once."""
-    slot = program.__dict__.get("_kept")
-    if slot is None or (slot[0] is not kept and slot[0] != kept):
-        slot = (kept, _compose(parts, kept))
-        object.__setattr__(program, "_kept", slot)
-    return slot[1]
+def runner(
+    program: ast.Program,
+    step_budget: int,
+    *,
+    record: bool = False,
+    kept: frozenset[int] | None = None,
+) -> Callable[[dict[str, int]], tuple]:
+    """The per-run core: program, keeping the statements in kept (as for
+    run; composed once, here), as a function of its inputs that returns the
+    plain tuple of run's RunResult fields, (status, final, trajectory,
+    steps, fault_stmt_id, fault_reason). It does not check the inputs. A
+    budget below 1 or a program too deep to compile makes a function that
+    raises, when called, what run raises: a scan meets the error at its
+    first point that runs, and not at all if none does.
+    """
+    if step_budget < 1:
+        return _refuse(ValueError, "step_budget must be positive")
+    try:
+        code = _compiled(program)
+    except ParseError:
+        return _refuse(ParseError, TOO_DEEP)
+    body = code.body if kept is None else _compose(code.parts, kept)
+    zeroed = code.zeroed
+
+    def execute(inputs: dict[str, int]) -> tuple:
+        state = {**inputs, **zeroed}
+        counters = _Counters(step_budget, [] if record else None)
+        try:
+            for stmt in body:
+                stmt(state, counters)
+        except _Stop as stop:
+            status, stmt_id, reason = stop.status, stop.stmt_id, stop.reason
+        except KeyError as missing:
+            raise UnboundVariableError(missing.args[0]) from None
+        else:
+            status, stmt_id, reason = OK, None, None
+        trajectory = tuple(counters.log) if record else ()
+        return status, state, trajectory, step_budget - counters.left, stmt_id, reason
+
+    return execute
+
+
+def _refuse(error: type[Exception], message: str):
+    def refuse(inputs):
+        raise error(message)
+
+    return refuse
 
 
 def run(
@@ -415,8 +465,9 @@ def run(
     and costs no step, an If with no kept else statement behaves as one
     with no else, and ids are unchanged. The result equals that of running
     the program so built. The original is compiled once whatever the
-    kept-sets; each kept-set composes a body from its compiled statements,
-    reused while the same kept-set comes back. None keeps everything.
+    kept-sets; each kept-set composes a body from its compiled statements.
+    None keeps everything. Callers that run one program at many points use
+    runner instead, which checks nothing per run and builds no RunResult.
     """
     code = _compiled(program)
     if inputs.keys() != code.in_params:
@@ -428,30 +479,7 @@ def run(
         if extra:
             parts.append(f"unexpected {extra}")
         raise ValueError(f"inputs must bind exactly the in-parameters: {', '.join(parts)}")
-    if step_budget < 1:
-        raise ValueError("step_budget must be positive")
-
-    body = code.body if kept is None else _kept_body(program, code.parts, kept)
-    state = {**inputs, **code.zeroed}
-    log = [] if record else None
-    counters = _Counters(step_budget, log)
-    try:
-        for stmt in body:
-            stmt(state, counters)
-    except _Stop as stop:
-        status, stmt_id, reason = stop.status, stop.stmt_id, stop.reason
-    except KeyError as missing:
-        raise UnboundVariableError(missing.args[0]) from None
-    else:
-        status, stmt_id, reason = OK, None, None
-    return RunResult(
-        status=status,
-        final=state,
-        trajectory=tuple(log) if record else (),
-        steps=step_budget - counters.left,
-        fault_stmt_id=stmt_id,
-        fault_reason=reason,
-    )
+    return RunResult(*runner(program, step_budget, record=record, kept=kept)(inputs))
 
 
 def project(trajectory: Trajectory, vars: set[str] | None = ALL) -> Trajectory:

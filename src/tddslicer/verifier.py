@@ -9,14 +9,16 @@ no domain point satisfies yields the distinct Vacuous verdict: a vacuous
 
 One loop, _scan, judges every domain scan: point by point, each live
 (pre, run, post) triple is judged with _judge, and a triple leaves at its
-first failure. A Judge feeds it one triple: the contract validated and
-compiled once, then any number of programs judged with it (the slicer's
-candidates, each a kept-set of one program's statements); check() is
-Judge(...).check. check_all() decides many (program, contract) pairs in
-one scan, remembering each shared precondition, program and (program,
-postcondition) for the latest point only, which suffices because the
-triples judged at a point read the same inputs and final states.
-check_point() judges a single input with _judge.
+first failure. Its runs are lang.interp.runner's, made once per scan: a
+point costs no input check and no RunResult. A Judge feeds it one triple:
+the contract validated and compiled once, then any number of programs
+judged with it (the slicer's candidates, each a kept-set of one program's
+statements); check() is Judge(...).check. check_all() decides many
+(program, contract) pairs in one scan, remembering each shared
+precondition, program and (program, postcondition) for the latest point
+only, which suffices because the triples judged at a point read the same
+inputs and final states.
+check_point() judges a single input with _judge through the checked run.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from .lang.interp import (
     RunResult,
     compile_bool,
     run,
+    runner,
 )
 from .predicates import Domain, State, eval_predicate
 
@@ -106,27 +109,25 @@ def check(
 def _judge(pre, execute, post, inputs: State) -> tuple | None:
     """Judge one point: pre holds -> run -> post holds.
 
-    None when the precondition is false, else (status, final, detail,
-    run_result) with a PointCheck status; run_result is None exactly when
-    the program did not run (execute(inputs) runs it). A fault in a
-    predicate is a FAULT status; any other exception propagates.
+    None when the precondition is false, else (status, final, detail, ran)
+    with a PointCheck status; ran is false exactly when the program did not
+    run. execute(inputs) runs it and returns the plain tuple of runner. A
+    fault in a predicate is a FAULT status; any other exception propagates.
     """
     try:
         if not pre(inputs):
             return None
     except EvaluationFault as fault:
-        return FAULT, None, f"precondition fault: {fault.reason}", None
-    result = execute(inputs)
-    final = result.final
-    if result.status != OK:
-        detail = f"{result.fault_reason} at statement {result.fault_stmt_id}"
-        return result.status, final, detail, result
+        return FAULT, None, f"precondition fault: {fault.reason}", False
+    status, final, _, _, stmt_id, reason = execute(inputs)
+    if status != OK:
+        return status, final, f"{reason} at statement {stmt_id}", True
     try:
         if post(final):
-            return PASS, final, None, result
+            return PASS, final, None, True
     except EvaluationFault as fault:
-        return FAULT, final, f"postcondition fault: {fault.reason}", result
-    return FAIL, final, "postcondition is false", result
+        return FAULT, final, f"postcondition fault: {fault.reason}", True
+    return FAIL, final, "postcondition is false", True
 
 
 def _scan(triples: list[tuple], points, dom: Domain) -> list:
@@ -154,7 +155,7 @@ def _scan(triples: list[tuple], points, dom: Domain) -> list:
                 checked[index] += 1
                 continue
             status, final, detail, ran = outcome
-            if ran is not None:
+            if ran:
                 checked[index] += 1
             verdict = COUNTEREXAMPLE if status == FAIL else status
             witness = Witness(inputs, final, detail)
@@ -166,18 +167,6 @@ def _scan(triples: list[tuple], points, dom: Domain) -> list:
         count = checked[index]
         verdicts[index] = VerificationResult(VERIFIED if count else VACUOUS, None, count, dom)
     return verdicts
-
-
-def _executor(program: ast.Program, step_budget: int, kept: frozenset[int] | None = None):
-    """The program, keeping the statements in kept (all if None), as a
-    function of its inputs, for _judge. A closure, not functools.partial:
-    a partial with keyword arguments merges them into a new dict on every
-    call, which a full scan pays per point."""
-
-    def execute(inputs: State) -> RunResult:
-        return run(program, inputs, step_budget, record=False, kept=kept)
-
-    return execute
 
 
 class Judge:
@@ -218,7 +207,7 @@ class Judge:
         return self._verdict(program, self.dom.points(), kept)
 
     def _verdict(self, program: ast.Program, points, kept) -> VerificationResult:
-        triple = (self.pre, _executor(program, self.step_budget, kept), self.post)
+        triple = (self.pre, runner(program, self.step_budget, kept=kept), self.post)
         (verdict,) = _scan([triple], points, self.dom)
         if isinstance(verdict, Exception):
             raise verdict
@@ -259,7 +248,7 @@ def check_all(
         test if isinstance(test, Exception) else _latest(test) for test in _compile_each(pres)
     ]
     post_tests = _compile_each(posts)
-    executors = [_latest(_executor(program, step_budget)) for program in programs]
+    executors = [_latest(runner(program, step_budget)) for program in programs]
     post_getters: dict[tuple[int, int], object] = {}
     verdicts: dict[int, object] = {}  # triple -> its exception or verdict
     judged: dict[int, tuple] = {}  # triple -> (pre, execute, post) for the scan
@@ -352,9 +341,17 @@ def check_point(
 ) -> PointCheck:
     """Check one concrete input against a contract (the single-test view)."""
     validate_scope(contract, frozenset(program.in_params), frozenset(program.out_params))
+    ran: list[RunResult] = []
+
+    def execute(inputs: State) -> tuple:
+        result = run(program, inputs, step_budget, record=False)
+        ran.append(result)
+        return (result.status, result.final, (), result.steps,
+                result.fault_stmt_id, result.fault_reason)
+
     outcome = _judge(
         partial(eval_predicate, contract.pre),
-        _executor(program, step_budget),
+        execute,
         partial(eval_predicate, contract.post),
         inputs,
     )
@@ -362,5 +359,5 @@ def check_point(
         return PointCheck(
             PRE_VIOLATION, inputs, None, "inputs do not satisfy the precondition"
         )
-    status, final, detail, result = outcome
-    return PointCheck(status, inputs, final, detail, result)
+    status, final, detail, _ = outcome
+    return PointCheck(status, inputs, final, detail, ran[0] if ran else None)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from tddslicer import Contract, Domain, load_session, parse_predicate, parse_program
+from tddslicer import Contract, Domain, load_session, parse_predicate, parse_program, verifier
 from tddslicer.corpus import corpus_path
 
 
@@ -44,3 +44,29 @@ def max_contract_gt():
 @pytest.fixture(scope="session")
 def max_contract_le():
     return Contract(parse_predicate("a <= b"), parse_predicate("a <= b && max == b"))
+
+
+@pytest.fixture
+def verifier_runs(monkeypatch):
+    """The program of every run the verifier makes, in order: each call of
+    a function made by runner (the judging loop) and each run of
+    check_point."""
+    calls = []
+    real_runner, real_run = verifier.runner, verifier.run
+
+    def counting_runner(program, *args, **kwargs):
+        execute = real_runner(program, *args, **kwargs)
+
+        def counted(inputs):
+            calls.append(program)
+            return execute(inputs)
+
+        return counted
+
+    def counting_run(program, *args, **kwargs):
+        calls.append(program)
+        return real_run(program, *args, **kwargs)
+
+    monkeypatch.setattr(verifier, "runner", counting_runner)
+    monkeypatch.setattr(verifier, "run", counting_run)
+    return calls

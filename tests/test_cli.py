@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-
+from tddslicer import cli
 from tddslicer.cli import main
 from tddslicer.corpus import corpus_path
 
@@ -299,6 +299,30 @@ class TestDeepExpressions:
         assert (code, out) == (2, "")
         assert err == "error: [cycle 1]: expression nested too deeply\n"
 
+    def test_slice_reports_nesting_with_exit_two(self, capsys, tmp_path):
+        code, out, err = run_cli(
+            capsys, "slice", _sum_program(tmp_path, 5000),
+            "--pre", "TRUE", "--post", "TRUE", "--domain", "a in 0..1",
+        )
+        assert (code, out, err) == (2, "", "error: expression nested too deeply\n")
+
+    def test_replay_records_nesting_for_a_snapshot_too_deep_to_compile(self, capsys, tmp_path):
+        snapshot = _sum_program(tmp_path, 5000)
+        (tmp_path / "f.prog").write_text("proc f(in a, out o) { o := a; }")
+        session = tmp_path / "deep.session"
+        session.write_text(
+            "[session]\nfinal = f.prog\ndomain = a in 0..3\n\n[cycle 1]\n"
+            "test.name = t\ntest.inputs = a=1\ntest.expect = o=1\n"
+            f"contract.pre = TRUE\ncontract.post = o == a\nsnapshot = {snapshot}\n"
+        )
+        code, out, err = run_cli(capsys, "replay", str(session), "--format", "machine")
+        assert (code, err) == (1, "")
+        (cycle,) = json.loads(out)["cycles"]
+        assert cycle["errors"] == [
+            f"{check}: expression nested too deeply"
+            for check in ("green check", "contract point check", "snapshot contract")
+        ]
+
     def test_900_terms_still_run(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "check", _sum_program(tmp_path, 900),
@@ -333,3 +357,27 @@ def test_no_color_codes_when_not_a_tty(capsys, monkeypatch):
 def test_usage_error_exits_two(capsys):
     assert main(["unknown-command"]) == 2
     assert main([]) == 2
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    """main builds its argument parser once per process; each call gives
+    the exit code, stdout and stderr it gives on a parser of its own."""
+    div = ["--pre", "x >= 0 && y > 0", "--post", "0 <= r && r < y && x == y * q + r",
+           "--domain", "x in 0..16, y in 1..9"]
+    calls = [
+        ["check", DIV_ORACLE, *div, "--format", "machine"],
+        ["check", MAX2, "--pre", "a > b"],
+        ["slice", MAX2, "--pre", "a > b", "--post", "a > b && max == a", "--domain", DOM],
+        ["replay", DIV_SESSION, "--format", "machine"],
+        ["check", DIV_ORACLE, *div, "--format", "machine"],
+    ]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    cli._parser.cache_clear()
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    assert cli._parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0]
+    assert "the following arguments are required: --post, --domain" in shared[1][2]

@@ -116,6 +116,16 @@ class TestParsing:
                 parse_program(f"proc f(in x, out y){{ {body} }}")
             assert str(excinfo.value) == "expression nested too deeply"
 
+    def test_parsed_but_too_deep_to_compile_is_a_parse_error(self):
+        terms = " + ".join(["a"] * 5000)
+        program = parse_program(f"proc f(in a, out o) {{ o := {terms}; }}")
+        with pytest.raises(ParseError) as excinfo:
+            run(program, {"a": 1})
+        assert str(excinfo.value) == "expression nested too deeply"
+        with pytest.raises(ParseError) as excinfo:
+            eval_predicate(parse_predicate(f"{terms} > 0"), {"a": 1})
+        assert str(excinfo.value) == "expression nested too deeply"
+
     def test_moderate_nesting_still_parses(self):
         assert parse_predicate("(" * 50 + "a > 0" + ")" * 50) == parse_predicate("a > 0")
 

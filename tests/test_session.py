@@ -9,7 +9,6 @@ import shutil
 import pytest
 
 from tddslicer import Contract, TestCase, check_point, parse_predicate, qlty, replay
-from tddslicer import verifier
 from tddslicer.cli import main
 from tddslicer.contracts import REGRESSION
 from tddslicer.corpus import corpus_path
@@ -419,7 +418,7 @@ class TestReplayGoldens:
         assert code == 1
         assert out == BROKEN_REPLAY
 
-    def test_div_session_run_count(self, div_session, monkeypatch):
+    def test_div_session_run_count(self, div_session, verifier_runs):
         """Each distinct program runs once per point at which a pair using
         it still needs it: the 18 contract checks of div.session use 6
         distinct programs (snapshots 5 to 7 are equal, and so are snapshots
@@ -427,19 +426,11 @@ class TestReplayGoldens:
         program only where its precondition holds, up to its first failure.
         The 9 contract point checks add one run each. Checking the 18
         pairs one by one took 858 runs."""
-        calls = []
-        real_run = verifier.run
-
-        def counting_run(*args, **kwargs):
-            calls.append(args[0])
-            return real_run(*args, **kwargs)
-
-        monkeypatch.setattr(verifier, "run", counting_run)
         report = replay(div_session)
         assert report.ok
-        assert len(calls) == 223
+        assert len(verifier_runs) == 223
 
-    def test_wider_div_session_report_and_run_count(self, monkeypatch):
+    def test_wider_div_session_report_and_run_count(self, verifier_runs):
         """div.session over 39 x 16 = 624 points instead of 153: every
         cycle contract holds on all of them, so each pair scans the whole
         domain (ten of the 64-point chunks check_all once took, not
@@ -449,16 +440,8 @@ class TestReplayGoldens:
         narrow = "domain = x in 0..16, y in 1..9"
         assert narrow in text
         session = parse_session(text.replace(narrow, "domain = x in 0..38, y in 1..16"), path.parent)
-        calls = []
-        real_run = verifier.run
-
-        def counting_run(*args, **kwargs):
-            calls.append(args[0])
-            return real_run(*args, **kwargs)
-
-        monkeypatch.setattr(verifier, "run", counting_run)
         report = replay(session)
         assert report.ok
-        assert len(calls) == 754
+        assert len(verifier_runs) == 754
         digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
         assert digest == WIDE_DIV_REPLAY_SHA256

@@ -18,7 +18,7 @@ from tddslicer import (
     pretty_print,
 )
 from tddslicer import slice as compute_slice
-from tddslicer import slicer, verifier
+from tddslicer import slicer
 from tddslicer.cli import main
 from tddslicer.corpus import corpus_path
 from tddslicer.lang import ast, interp
@@ -331,25 +331,17 @@ def test_slice_machine_output_is_golden(case, strategy, capsys, tmp_path):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SLICE_GOLDENS[case, strategy]
 
 
-def test_div_oracle_exhaustive_run_count(div_oracle, dom_div, monkeypatch):
+def test_div_oracle_exhaustive_run_count(div_oracle, dom_div, verifier_runs):
     """The exhaustive slice of div_oracle runs a program 368 times: once per
     point of the original's check, and for each later candidate, once per
     input at which an earlier candidate failed, up to the first it fails,
     plus a scan from the first point for those that pass them all. Every
     candidate scanned from the first point took 678 runs."""
-    calls = []
-    real_run = verifier.run
-
-    def counting_run(*args, **kwargs):
-        calls.append(args[0])
-        return real_run(*args, **kwargs)
-
-    monkeypatch.setattr(verifier, "run", counting_run)
     _, pre, post, _ = GOLDEN_CASES["div_oracle"]
     contract = Contract(parse_predicate(pre), parse_predicate(post))
     result = compute_slice(div_oracle, contract, dom_div)
     assert result.deleted == frozenset({stmt(2)})
-    assert len(calls) == 368
+    assert len(verifier_runs) == 368
 
 
 ORACLE_RANGES = {"a": (-2, 2), "b": (-2, 2)}
@@ -508,15 +500,7 @@ ALL_FAIL_PINS = {
 
 
 @pytest.mark.parametrize("strategy", sorted(ALL_FAIL_PINS))
-def test_all_fail_slice_runs_and_output_are_pinned(strategy, capsys, tmp_path, monkeypatch):
-    calls = []
-    real_run = verifier.run
-
-    def counting_run(*args, **kwargs):
-        calls.append(args[0])
-        return real_run(*args, **kwargs)
-
-    monkeypatch.setattr(verifier, "run", counting_run)
+def test_all_fail_slice_runs_and_output_are_pinned(strategy, capsys, tmp_path, verifier_runs):
     path = tmp_path / "f.prog"
     path.write_text(ALL_FAIL)
     code = main([
@@ -526,7 +510,7 @@ def test_all_fail_slice_runs_and_output_are_pinned(strategy, capsys, tmp_path, m
     out = capsys.readouterr().out
     assert code == 0
     runs, digest = ALL_FAIL_PINS[strategy]
-    assert len(calls) == runs
+    assert len(verifier_runs) == runs
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 

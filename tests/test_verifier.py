@@ -11,14 +11,18 @@ import pytest
 from tddslicer import (
     Contract,
     Domain,
+    ParseError,
     check,
     check_all,
     check_point,
     format_predicate,
     parse_predicate,
     parse_program,
+    run,
 )
 from tddslicer import verifier
+from tddslicer.lang import interp
+from tddslicer.lang.interp import OK
 from tddslicer.verifier import (
     BUDGET_EXCEEDED,
     COUNTEREXAMPLE,
@@ -117,6 +121,75 @@ class TestCheckPoint:
     def test_fault_status(self):
         program = parse_program("proc f(in x, out y){ y := 1 / x; }")
         assert check_point(program, _contract("TRUE", "TRUE"), {"x": 0}).status == FAULT
+
+
+class TestRunResults:
+    """The judging loop reads runner's plain tuples and builds no RunResult;
+    check_point still returns the RunResult that run gives."""
+
+    def test_full_checks_build_no_run_result(self, div_oracle, dom_div, monkeypatch):
+        built = []
+        real = interp.RunResult
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(interp, "RunResult", counting)
+        div = "0 <= r && r < y && x == y * q + r"
+        assert check(div_oracle, _contract("x >= 0 && y > 0", div), dom_div).verdict == VERIFIED
+        assert check(div_oracle, _contract("TRUE", "q == 0"), dom_div).verdict == COUNTEREXAMPLE
+        assert built == []
+        run(div_oracle, {"x": 1, "y": 1})
+        assert len(built) == 1
+
+    def test_check_point_run_result_is_that_of_run(self):
+        rng = random.Random(8090)
+        statuses = Counter()
+        for _ in range(300):
+            program = random_program(rng, max_stmts=rng.randint(1, 8), allow_while=True, faults=True)
+            inputs = {"a": rng.randint(-3, 3), "b": rng.randint(-3, 3)}
+            budget = rng.randint(1, 20)
+            point = check_point(program, _contract("TRUE", "TRUE"), inputs, budget)
+            expected = run(program, inputs, budget, record=False)
+            got = point.run_result
+            assert got == expected
+            assert list(got.final) == list(expected.final)
+            assert point.final == expected.final
+            assert point.status == (PASS if expected.ok else expected.status)
+            statuses[expected.status] += 1
+        assert min(statuses[status] for status in (OK, FAULT, BUDGET_EXCEEDED)) >= 20, statuses
+
+    def test_check_point_checks_inputs_and_budget_as_run_does(self, div_oracle):
+        anything = _contract("TRUE", "TRUE")
+        cases = [({"x": 1}, 10), ({"x": 1, "y": 2, "z": 3}, 10), ({}, 10), ({"x": 1, "y": 2}, 0)]
+        for inputs, budget in cases:
+            with pytest.raises(ValueError) as from_run:
+                run(div_oracle, inputs, budget)
+            with pytest.raises(ValueError) as from_point:
+                check_point(div_oracle, anything, inputs, budget)
+            assert str(from_point.value) == str(from_run.value)
+
+
+class TestTooDeepToCompile:
+    """A program that parsed but is too deep to compile raises
+    ParseError(TOO_DEEP) when it would run."""
+
+    TERMS = " + ".join(["a"] * 5000)
+
+    def test_check_and_check_all(self):
+        deep = parse_program(f"proc f(in a, out o) {{ o := {self.TERMS}; }}")
+        dom = Domain.parse("a in 0..1")
+        contract = _contract("TRUE", "TRUE")
+        with pytest.raises(ParseError) as solo:
+            check(deep, contract, dom)
+        assert str(solo.value) == "expression nested too deeply"
+        (shared,) = check_all([(deep, contract)], dom)
+        assert isinstance(shared, ParseError) and str(shared) == str(solo.value)
+        # a program that never runs is never compiled
+        assert check(deep, _contract("FALSE", "TRUE"), dom).verdict == VACUOUS
+        (never,) = check_all([(deep, _contract("FALSE", "TRUE"))], dom)
+        assert never.verdict == VACUOUS
 
 
 class TestAgainstBruteForce:
@@ -354,7 +427,7 @@ class TestSharedWork:
     """check_all evaluates each distinct precondition, program and
     (program, postcondition) once per point that needs it."""
 
-    def test_evaluations_per_point(self, monkeypatch):
+    def test_evaluations_per_point(self, monkeypatch, verifier_runs):
         # final states repeat across points, since the program overwrites
         # its in-parameter; shared work is remembered for the very objects
         # of the latest point, not for equal ones, so every point still
@@ -368,12 +441,8 @@ class TestSharedWork:
             (program, _contract("TRUE", "o > 0")),
             (program, _contract("a < 3", "o == 1")),
         ]
-        runs, evaluations = [], Counter()
-        real_run, real_compile = verifier.run, verifier.compile_bool
-
-        def counting_run(*args, **kwargs):
-            runs.append(args[0])
-            return real_run(*args, **kwargs)
+        evaluations = Counter()
+        real_compile = verifier.compile_bool
 
         def counting_compile(pred):
             test = real_compile(pred)
@@ -384,10 +453,9 @@ class TestSharedWork:
 
             return counted
 
-        monkeypatch.setattr(verifier, "run", counting_run)
         monkeypatch.setattr(verifier, "compile_bool", counting_compile)
         results = check_all(pairs, dom)
         assert [r.verdict for r in results] == [VERIFIED] * 4
         assert [r.checked_points for r in results] == [6, 6, 6, 3]
-        assert len(runs) == 6
+        assert len(verifier_runs) == 6
         assert evaluations == {"TRUE": 6, "a >= 0": 6, "a < 3": 6, "o == 1": 6, "o > 0": 6}
