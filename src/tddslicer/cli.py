@@ -16,10 +16,10 @@ import os
 import sys
 
 from .contracts import Contract
-from .errors import ParseError
+from .errors import TOO_DEEP, ParseError
 from .lang import parse_bindings, pretty_print, project, run
 from .lang.interp import DEFAULT_STEP_BUDGET, OK
-from .lang.parser import TOO_DEEP, parse_predicate
+from .lang.parser import parse_predicate
 from .lang.printer import format_predicate
 from .predicates import Domain, PredicateUndefinedError, is_tautology
 from .session import SessionFormatError, load_program, load_session, replay

@@ -8,6 +8,12 @@ fault verdicts instead of crashes.
 from __future__ import annotations
 
 
+#: the message of the ParseError for text nested deeper than the parser can
+#: recurse (once per level of parentheses or blocks), and for a tree too deep
+#: to walk or compile
+TOO_DEEP = "expression nested too deeply"
+
+
 class ParseError(Exception):
     """Syntax or scope error with a 1-indexed source position."""
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Union
 
+from ..errors import TOO_DEEP, ParseError
+
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
@@ -103,17 +105,25 @@ BoolExpr = Union[Cmp, Not, And, Or, BoolLit, Exists]
 
 
 def free_vars(node: Expr | BoolExpr) -> frozenset[str]:
-    """Free (unbound) variables of an expression or predicate."""
+    """Free (unbound) variables of an expression or predicate. Queries call
+    it before compiling, so one too deep to walk is ParseError(TOO_DEEP)."""
+    try:
+        return _free_vars(node)
+    except RecursionError:
+        raise ParseError(TOO_DEEP) from None
+
+
+def _free_vars(node: Expr | BoolExpr) -> frozenset[str]:
     if isinstance(node, IntLit) or isinstance(node, BoolLit):
         return frozenset()
     if isinstance(node, Var):
         return frozenset((node.name,))
     if isinstance(node, (Neg, Not)):
-        return free_vars(node.operand)
+        return _free_vars(node.operand)
     if isinstance(node, (Arith, Cmp, And, Or)):
-        return free_vars(node.left) | free_vars(node.right)
+        return _free_vars(node.left) | _free_vars(node.right)
     if isinstance(node, Exists):
-        return free_vars(node.body) - {node.var}
+        return _free_vars(node.body) - {node.var}
     raise TypeError(f"not an expression node: {node!r}")
 
 

@@ -28,9 +28,8 @@ import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from ..errors import EvaluationFault, ParseError, UnboundVariableError
+from ..errors import TOO_DEEP, EvaluationFault, ParseError, UnboundVariableError
 from . import ast
-from .parser import TOO_DEEP
 
 DEFAULT_STEP_BUDGET = 10000
 
@@ -401,13 +400,18 @@ def runner(
     record: bool = False,
     kept: frozenset[int] | None = None,
 ) -> Callable[[dict[str, int]], tuple]:
-    """The per-run core: program, keeping the statements in kept (as for
-    run; composed once, here), as a function of its inputs that returns the
-    plain tuple of run's RunResult fields, (status, final, trajectory,
+    """The per-run core: program as a function of its inputs that returns
+    the plain tuple of run's RunResult fields, (status, final, trajectory,
     steps, fault_stmt_id, fault_reason). It does not check the inputs. A
     budget below 1 or a program too deep to compile makes a function that
     raises, when called, what run raises: a scan meets the error at its
     first point that runs, and not at all if none does.
+
+    kept, a frozenset of statement ids (None keeps all), runs the program
+    as if every statement outside it, with everything inside that one, had
+    been deleted (ids unchanged), as the slicer's deletions do: the result
+    equals that of running the program so built. The original is compiled
+    once; runner composes kept's body from its compiled statements.
     """
     if step_budget < 1:
         return _refuse(ValueError, "step_budget must be positive")
@@ -449,7 +453,6 @@ def run(
     step_budget: int = DEFAULT_STEP_BUDGET,
     *,
     record: bool = True,
-    kept: frozenset[int] | None = None,
 ) -> RunResult:
     """Execute program with the given in-parameter binding.
 
@@ -457,17 +460,9 @@ def run(
     start at 0. The result is deterministic and, on success, identical for
     any budget at least as large. With record=False the trajectory is left
     empty (every other field is the same), which saves its cost for callers
-    that only judge the final state.
-
-    kept, a frozenset of statement ids, runs the program as if every
-    statement whose id is not in it had been deleted, as the slicer's
-    deletions do: such a statement, with everything inside it, is skipped
-    and costs no step, an If with no kept else statement behaves as one
-    with no else, and ids are unchanged. The result equals that of running
-    the program so built. The original is compiled once whatever the
-    kept-sets; each kept-set composes a body from its compiled statements.
-    None keeps everything. Callers that run one program at many points use
-    runner instead, which checks nothing per run and builds no RunResult.
+    that only judge the final state. Callers that run one program at many
+    points use runner instead, which checks nothing per run and builds no
+    RunResult.
     """
     code = _compiled(program)
     if inputs.keys() != code.in_params:
@@ -479,7 +474,7 @@ def run(
         if extra:
             parts.append(f"unexpected {extra}")
         raise ValueError(f"inputs must bind exactly the in-parameters: {', '.join(parts)}")
-    return RunResult(*runner(program, step_budget, record=record, kept=kept)(inputs))
+    return RunResult(*runner(program, step_budget, record=record)(inputs))
 
 
 def project(trajectory: Trajectory, vars: set[str] | None = ALL) -> Trajectory:

@@ -69,9 +69,9 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token("ident", word, line, col))
             col += i - start
             continue
-        if c.isdigit():
+        if c.isdecimal():
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i].isdecimal():
                 i += 1
             tokens.append(Token("int", text[start:i], line, col))
             col += i - start

@@ -10,7 +10,7 @@ Statement ids are assigned in pre-order while parsing, starting at 1.
 
 from __future__ import annotations
 
-from ..errors import ParseError
+from ..errors import TOO_DEEP, ParseError
 from . import ast
 from .lexer import EOF, RESERVED, Token, tokenize
 
@@ -308,11 +308,6 @@ class _Parser:
             locals=frozenset(t.text for t in self.locals_found),
             body=body,
         )
-
-
-#: the message of the ParseError for text nested deeper than the parser
-#: can recurse (it recurses once per level of parentheses or blocks)
-TOO_DEEP = "expression nested too deeply"
 
 
 def parse_program(text: str) -> ast.Program:

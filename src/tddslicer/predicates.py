@@ -66,22 +66,16 @@ class Domain:
     def vars(self) -> frozenset[str]:
         return frozenset(name for name, _, _ in self.ranges)
 
-    def points(self, only: frozenset[str] | None = None):
+    def points(self):
         """All assignments, lexicographic by name then ascending by value.
 
-        With `only`, enumerate just those variables (they must exist).
         Lazy: an odometer over the ranges, so memory does not depend on
         their width. Each point is a new dict.
         """
-        ranges = [r for r in self.ranges if only is None or r[0] in only]
-        if only is not None:
-            missing = only - {name for name, _, _ in ranges}
-            if missing:
-                raise KeyError(f"not in domain: {sorted(missing)}")
-        if not ranges:
+        if not self.ranges:
             yield {}
             return
-        *outer, (last, low, high) = ranges
+        *outer, (last, low, high) = self.ranges
         names = [name for name, _, _ in outer]
         values = [lo for _, lo, _ in outer]
         while True:
@@ -98,9 +92,6 @@ class Domain:
             if digit < 0:
                 return
             values[digit] += 1
-
-    def floor_assignment(self, names: frozenset[str]) -> State:
-        return {n: lo for n, lo, _ in self.ranges if n in names}
 
     def extend(self, extra: dict[str, tuple[int, int]]) -> "Domain":
         merged = {name: (lo, hi) for name, lo, hi in self.ranges}
@@ -209,10 +200,11 @@ def implies(p1: Predicate, p2: Predicate, dom: Domain) -> ImplicationResult:
     if _static_fault_free(p1) and _static_fault_free(p2) and p1 in ast.or_disjuncts(p2):
         return ImplicationResult(True, None, 0, dom)
 
-    floor = dom.floor_assignment(dom.vars - needed)
+    floor = {name: lo for name, lo, _ in dom.ranges if name not in needed}
+    varying = Domain(tuple(r for r in dom.ranges if r[0] in needed))
     premise, conclusion = compile_bool(p1), compile_bool(p2)
     checked = 0
-    for point in dom.points(only=frozenset(needed)) if needed else [{}]:
+    for point in varying.points():
         checked += 1
         state = {**floor, **point}
         try:

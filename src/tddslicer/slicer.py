@@ -109,14 +109,15 @@ def apply_deletion(
 
 
 def _removed_ids(program: ast.Program, deleted) -> set[int]:
-    """Ids of the statements whose subtrees deleting the units removes: a
-    deleted statement, or every statement of a deleted else clause."""
+    """Ids of every statement deleting the units removes: a deleted
+    statement or the statements of a deleted else clause, each with every
+    statement nested inside it."""
     removed = set()
     for stmt in program.statements():
         if DeletionUnit(STATEMENT, stmt.stmt_id) in deleted:
-            removed.add(stmt.stmt_id)
+            removed.update(s.stmt_id for s in ast.walk_statements(ast.Block((stmt,))))
         if isinstance(stmt, ast.If) and DeletionUnit(ELSE_CLAUSE, stmt.stmt_id) in deleted:
-            removed.update(s.stmt_id for s in stmt.orelse.stmts)
+            removed.update(s.stmt_id for s in ast.walk_statements(stmt.orelse))
     return removed
 
 
@@ -185,65 +186,56 @@ def slice(
 
     The contract is validated and compiled once per call, and so is the
     program: a candidate is judged as the set of statement ids it keeps
-    (run's kept), and only an accepted candidate is built as a Program.
+    (runner's kept), and only the result is built as a Program.
     Each candidate is judged first on the inputs at which earlier
     candidates failed, most recent first; one that passes them all is
     checked over the whole domain, so the slice's verification is what
     check returns for the built slice.
     """
     judge = Judge(program, contract, dom, step_budget)
-    base = judge.check(program)
+    base = judge.check()
     if base.verdict == VACUOUS:
         raise VacuousContractError(base)
     if not base.verified:
         raise OriginalNotVerifiedError(base)
     units = deletable_units(program)
     if strategy == EXHAUSTIVE:
-        return _slice_exhaustive(program, judge, units, base)
-    if strategy == GREEDY:
-        return _slice_greedy(program, judge, units, base)
-    raise ValueError(f"unknown strategy {strategy!r}")
+        kept, verification = _slice_exhaustive(program, judge, units, base)
+    elif strategy == GREEDY:
+        kept, verification = _slice_greedy(program, judge, units, base)
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    built = _build(program, kept)
+    retained = frozenset(deletable_units(built))
+    return SliceResult(
+        retained=retained,
+        deleted=frozenset(units) - retained,
+        program=built,
+        minimal=strategy == EXHAUSTIVE,
+        strategy=strategy,
+        verification=verification,
+    )
 
 
-def _verifies(
-    judge: Judge, program: ast.Program, kept: frozenset[int], killers: list
-) -> VerificationResult | None:
-    """The verification of program keeping the statements in kept if it
-    verifies, else None.
+def _verifies(judge: Judge, kept: frozenset[int], killers: list) -> VerificationResult | None:
+    """The verification of the judged program keeping the statements in
+    kept if it verifies, else None.
 
     killers holds the inputs of earlier failures, most recent first: a
     candidate failing one of them is rejected without a full scan, and
     that input moves to the front. A candidate failing the full scan adds
     its witness's inputs at the front.
     """
-    failure = judge.first_failure(program, killers, kept)
+    failure = judge.first_failure(killers, kept)
     if failure is not None:
         killers.remove(failure.witness.inputs)
         killers.insert(0, failure.witness.inputs)
         return None
-    result = judge.check(program, kept)
+    result = judge.check(kept)
     if not result.verified:
         killers.insert(0, result.witness.inputs)
         return None
     return result
-
-
-def _sliced(
-    program: ast.Program,
-    units: list[DeletionUnit],
-    minimal: bool,
-    strategy: str,
-    verification: VerificationResult,
-) -> SliceResult:
-    retained = frozenset(deletable_units(program))
-    return SliceResult(
-        retained=retained,
-        deleted=frozenset(units) - retained,
-        program=program,
-        minimal=minimal,
-        strategy=strategy,
-        verification=verification,
-    )
 
 
 class _Plan(NamedTuple):
@@ -340,17 +332,18 @@ def _slice_exhaustive(
     judge: Judge,
     units: list[DeletionUnit],
     base: VerificationResult,
-) -> SliceResult:
+) -> tuple[frozenset[int], VerificationResult]:
+    """The kept-set of the first candidate that verifies, and its verification."""
     if len(units) > EXHAUSTIVE_CAP:
         raise ExhaustiveCapError(len(units), EXHAUSTIVE_CAP)
     killers: list = []
     for n, ids in _retainable(program.body):
         kept = frozenset(ids)
         # the last candidate retains everything: the program itself, verified by base
-        result = base if n == len(units) else _verifies(judge, program, kept, killers)
+        result = base if n == len(units) else _verifies(judge, kept, killers)
         if result is not None:
             break
-    return _sliced(_build(program, kept), units, True, EXHAUSTIVE, result)
+    return kept, result
 
 
 def _slice_greedy(
@@ -358,18 +351,20 @@ def _slice_greedy(
     judge: Judge,
     units: list[DeletionUnit],
     base: VerificationResult,
-) -> SliceResult:
+) -> tuple[frozenset[int], VerificationResult]:
+    """The kept-set left by every deletion that still verifies, one unit
+    at a time in reverse pre-order, and its verification. A deletion
+    removes whole subtrees, so kept holds the enclosing statement of each
+    of its members, and a unit none of whose statements is kept is gone
+    already and skipped."""
     kept = frozenset(s.stmt_id for s in program.statements())
-    current = program
-    present = set(units)
     verification = base
     killers: list = []
     for unit in reversed(units):
-        if unit not in present:
-            continue  # nested inside something already deleted
-        trial = kept - _removed_ids(program, {unit})
-        result = _verifies(judge, program, trial, killers)
+        removed = _removed_ids(program, {unit})
+        if kept.isdisjoint(removed):
+            continue
+        result = _verifies(judge, kept - removed, killers)
         if result is not None:
-            kept, current, verification = trial, _build(program, trial), result
-            present = set(deletable_units(current))
-    return _sliced(current, units, False, GREEDY, verification)
+            kept, verification = kept - removed, result
+    return kept, verification

@@ -11,13 +11,13 @@ One loop, _scan, judges every domain scan: point by point, each live
 (pre, run, post) triple is judged with _judge, and a triple leaves at its
 first failure. Its runs are lang.interp.runner's, made once per scan: a
 point costs no input check and no RunResult. A Judge feeds it one triple:
-the contract validated and compiled once, then any number of programs
-judged with it (the slicer's candidates, each a kept-set of one program's
-statements); check() is Judge(...).check. check_all() decides many
-(program, contract) pairs in one scan, remembering each shared
-precondition, program and (program, postcondition) for the latest point
-only, which suffices because the triples judged at a point read the same
-inputs and final states.
+a program and its contract, validated and compiled once, then judged with
+any number of kept-sets of its statements (the slicer's candidates);
+check() is Judge(...).check(). check_all() decides many (program,
+contract) pairs in one scan, remembering each shared precondition,
+program and (program, postcondition) for the latest point only, which
+suffices because the triples judged at a point read the same inputs and
+final states.
 check_point() judges a single input with _judge through the checked run.
 """
 
@@ -103,7 +103,7 @@ def check(
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> VerificationResult:
     """Decide {pre} program {post} over dom by exhaustive execution."""
-    return Judge(program, contract, dom, step_budget).check(program)
+    return Judge(program, contract, dom, step_budget).check()
 
 
 def _judge(pre, execute, post, inputs: State) -> tuple | None:
@@ -170,11 +170,10 @@ def _scan(triples: list[tuple], points, dom: Domain) -> list:
 
 
 class Judge:
-    """A contract made ready to judge programs over dom: validated against
-    the signature of program and compiled once, so judging many programs
-    with that signature pays for it once. The slicer judges its candidates
-    as kept-sets of statement ids of one program (see run's kept), so that
-    program is compiled once too.
+    """program and contract made ready to judge over dom: validated and
+    compiled once, so judging the program with many kept-sets of its
+    statement ids (runner's kept), as the slicer judges its candidates,
+    pays for both once.
     """
 
     def __init__(
@@ -185,29 +184,26 @@ class Judge:
         step_budget: int = DEFAULT_STEP_BUDGET,
     ):
         _validate(program, contract, dom)
+        self.program = program
         self.pre = compile_bool(contract.pre)
         self.post = compile_bool(contract.post)
         self.dom = dom
         self.step_budget = step_budget
 
-    def first_failure(
-        self, program: ast.Program, points, kept: frozenset[int] | None = None
-    ) -> VerificationResult | None:
-        """The failure at the first of points that program, keeping the
+    def first_failure(self, points, kept: frozenset[int] | None = None) -> VerificationResult | None:
+        """The failure at the first of points that the program, keeping the
         statements in kept (all if None), fails, or None."""
-        verdict = self._verdict(program, points, kept)
+        verdict = self._verdict(points, kept)
         return None if verdict.witness is None else verdict
 
-    def check(
-        self, program: ast.Program, kept: frozenset[int] | None = None
-    ) -> VerificationResult:
-        """What check(program, contract, dom, step_budget) returns, for
+    def check(self, kept: frozenset[int] | None = None) -> VerificationResult:
+        """What check(program, contract, dom, step_budget) returns, for the
         program keeping the statements in kept (all if None): the same as
         for the program with the other statements deleted."""
-        return self._verdict(program, self.dom.points(), kept)
+        return self._verdict(self.dom.points(), kept)
 
-    def _verdict(self, program: ast.Program, points, kept) -> VerificationResult:
-        triple = (self.pre, runner(program, self.step_budget, kept=kept), self.post)
+    def _verdict(self, points, kept) -> VerificationResult:
+        triple = (self.pre, runner(self.program, self.step_budget, kept=kept), self.post)
         (verdict,) = _scan([triple], points, self.dom)
         if isinstance(verdict, Exception):
             raise verdict

@@ -286,6 +286,13 @@ class TestDeepExpressions:
         assert (code, out) == (2, "")
         assert err == "error: expression nested too deeply\n"
 
+    def test_postcondition_too_deep_to_walk_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "check", MAX2, "--pre", "TRUE",
+            "--post", " + ".join(["a"] * 5000) + " > max", "--domain", DOM,
+        )
+        assert (code, out, err) == (2, "", "error: expression nested too deeply\n")
+
     def test_session_predicate_nested_too_deeply_names_its_cycle(self, capsys, tmp_path):
         (tmp_path / "f.prog").write_text("proc f(in a, out o) { o := a; }")
         deep = "(" * 3000 + "a > 0" + ")" * 3000

@@ -17,7 +17,7 @@ from tddslicer import (
     project,
     run,
 )
-from tddslicer.lang import ast
+from tddslicer.lang import ast, parse_bindings, parse_domain_spec
 from tddslicer.lang.interp import BUDGET_EXCEEDED, FAULT, OK, TrajectoryEntry
 from tddslicer.corpus import corpus_path
 
@@ -125,6 +125,21 @@ class TestParsing:
         with pytest.raises(ParseError) as excinfo:
             eval_predicate(parse_predicate(f"{terms} > 0"), {"a": 1})
         assert str(excinfo.value) == "expression nested too deeply"
+
+    @pytest.mark.parametrize("parse, text, col", [
+        (parse_program, "proc f(in x, out y){ y := 2²; }", 28),
+        (parse_predicate, "x == ²", 6),
+        (parse_bindings, "x=1²", 4),
+        (parse_domain_spec, "x in 0..9²", 10),
+    ])
+    def test_only_decimal_digits_make_an_integer(self, parse, text, col):
+        """A character that is a digit but not a decimal one (a superscript)
+        is an unexpected character, not a raw ValueError from int()."""
+        with pytest.raises(ParseError) as excinfo:
+            parse(text)
+        assert (excinfo.value.message, excinfo.value.line, excinfo.value.col) == (
+            "unexpected character '²'", 1, col,
+        )
 
     def test_moderate_nesting_still_parses(self):
         assert parse_predicate("(" * 50 + "a > 0" + ")" * 50) == parse_predicate("a > 0")

@@ -25,6 +25,7 @@ from tddslicer import (
     Contract,
 )
 from tddslicer.lang import ast
+from tddslicer.predicates import TRUE
 
 from bruteforce import bf_holds
 from generators import random_contract, random_predicate
@@ -32,30 +33,29 @@ from generators import random_contract, random_predicate
 
 class TestDomainPoints:
     def test_same_points_and_order_as_product(self):
-        """points() and points(only=...) enumerate what itertools.product
-        gives over the sorted ranges, for 0 to 3 variables."""
+        """points() of a domain and of a sub-domain of some of its ranges
+        enumerate what itertools.product gives over the sorted ranges, for
+        0 to 3 variables."""
         rng = random.Random(5150)
         for _ in range(200):
             ranges = {}
             for name in rng.sample("abcd", rng.randint(0, 3)):
                 lo = rng.randint(-3, 3)
                 ranges[name] = (lo, lo + rng.randint(0, 3))
-            dom = Domain.from_dict(ranges)
-            for only in (None, frozenset(n for n in ranges if rng.random() < 0.5)):
-                names = sorted(ranges if only is None else only)
-                spans = [range(ranges[n][0], ranges[n][1] + 1) for n in names]
+            some = {name: span for name, span in ranges.items() if rng.random() < 0.5}
+            for sub in (ranges, some):
+                names = sorted(sub)
+                spans = [range(sub[n][0], sub[n][1] + 1) for n in names]
                 expected = [dict(zip(names, values)) for values in itertools.product(*spans)]
-                got = list(dom.points(only))
+                got = list(Domain.from_dict(sub).points())
                 assert got == expected
                 assert [list(point) for point in got] == [names] * len(expected)
 
     def test_no_variables_give_one_empty_point(self):
         assert list(Domain(()).points()) == [{}]
-        assert list(Domain.parse("a in 0..2").points(frozenset())) == [{}]
-
-    def test_only_must_name_domain_variables(self):
-        with pytest.raises(KeyError, match=r"not in domain: \['z'\]"):
-            next(Domain.parse("a in 0..2").points(frozenset({"a", "z"})))
+        # a query whose sides read no variable evaluates them at one point
+        result = is_tautology(parse_predicate("1 > 0"), Domain.parse("a in 0..2"))
+        assert (result.holds, result.witness, result.checked_points) == (True, None, 1)
 
     def test_ranges_wider_than_sys_maxsize_enumerate_lazily(self):
         dom = Domain.parse("a in -2..1, b in 1..99999999999999999999")
@@ -177,10 +177,21 @@ class TestImplies:
             implies(parse_predicate("1 / a == 1"), parse_predicate("TRUE"), dom)
         assert excinfo.value.assignment == {"a": 0}
 
+    def test_predicate_too_deep_to_walk_is_a_parse_error(self):
+        deep = parse_predicate(" + ".join(["a"] * 5000) + " > 0")
+        dom = Domain.parse("a in 0..1")
+        for p1, p2 in ((TRUE, deep), (deep, TRUE)):
+            with pytest.raises(ParseError) as excinfo:
+                implies(p1, p2, dom)
+            assert str(excinfo.value) == "expression nested too deeply"
+
     def test_irrelevant_variables_fixed_at_floor(self):
         dom = Domain.parse("a in -5..5, z in -9..9")
         result = implies(parse_predicate("TRUE"), parse_predicate("a > 0"), dom)
         assert result.witness == {"a": -5, "z": -9}
+        assert list(result.witness) == ["z", "a"]  # the fixed variables first
+        # only the variables the sides read are enumerated
+        assert implies(parse_predicate("a > 0"), parse_predicate("a > -1"), dom).checked_points == 11
 
     def test_structural_shortcut_matches_enumeration(self):
         """Both directions between c1.post and the union's post agree with

@@ -79,6 +79,11 @@ class TestParseSession:
         with pytest.raises(SessionFormatError, match="key = value"):
             parse_session(text, minimal_dir)
 
+    def test_superscript_digit_is_a_format_error(self, minimal_dir):
+        text = MINIMAL_SESSION.replace("test.inputs = x=1", "test.inputs = x=1²")
+        with pytest.raises(SessionFormatError, match="unexpected character '²'"):
+            parse_session(text, minimal_dir)
+
     def test_unknown_key_rejected(self, minimal_dir):
         text = MINIMAL_SESSION + "mystery = 1\n"
         with pytest.raises(SessionFormatError, match="unknown"):

@@ -18,12 +18,20 @@ from tddslicer import (
     pretty_print,
 )
 from tddslicer import slice as compute_slice
-from tddslicer import slicer
+from tddslicer import slicer, verifier
 from tddslicer.cli import main
 from tddslicer.corpus import corpus_path
 from tddslicer.lang import ast, interp
 from tddslicer.lang.ast import same_shape
-from tddslicer.lang.interp import BUDGET_EXCEEDED, FAULT, OK, TrajectoryEntry, run
+from tddslicer.lang.interp import (
+    BUDGET_EXCEEDED,
+    FAULT,
+    OK,
+    RunResult,
+    TrajectoryEntry,
+    run,
+    runner,
+)
 from tddslicer.slicer import (
     ELSE_CLAUSE,
     EXHAUSTIVE,
@@ -530,9 +538,10 @@ def _random_kept(rng, block, keep):
 
 
 def test_kept_set_run_equals_run_of_the_built_program():
-    """run(p, kept=K) is run of p with every statement outside K deleted,
-    field by field, including the key order of the final state; kept-sets
-    of one program come and go in any order."""
+    """runner(p, budget, kept=K), the scans' per-run core, gives run of p
+    with every statement outside K deleted, field by field, including the
+    key order of the final state; kept-sets of one program come and go in
+    any order."""
     rng = random.Random(4711)
     statuses = {OK: 0, FAULT: 0, BUDGET_EXCEEDED: 0}
     for _ in range(240):
@@ -546,7 +555,7 @@ def test_kept_set_run_equals_run_of_the_built_program():
             inputs = {"a": rng.randint(-3, 3), "b": rng.randint(-3, 3)}
             budget = rng.randint(1, 400)
             for record in (True, False):
-                got = run(program, inputs, budget, record=record, kept=kept)
+                got = RunResult(*runner(program, budget, record=record, kept=kept)(inputs))
                 expected = run(built, inputs, budget, record=record)
                 assert got == expected, pretty_print(built)
                 assert list(got.final) == list(expected.final)
@@ -608,6 +617,52 @@ def test_all_fail_slice_compiles_each_statement_once_and_builds_once(monkeypatch
     assert result.program == program and result.deleted == frozenset()
     assert compiled == list(range(1, 17))
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("case", ["padded_div", "padded_max"])
+@pytest.mark.parametrize("strategy", [EXHAUSTIVE, GREEDY])
+def test_slice_builds_only_its_result(case, strategy, monkeypatch):
+    """Both strategies judge kept-sets and build the slice they return
+    once; greedy accepts several deletions on each of these."""
+    built = []
+    real_build = slicer._build
+
+    def counting_build(*args):
+        built.append(args)
+        return real_build(*args)
+
+    monkeypatch.setattr(slicer, "_build", counting_build)
+    source, pre, post, dom = GOLDEN_CASES[case]
+    contract = Contract(parse_predicate(pre), parse_predicate(post))
+    result = compute_slice(parse_program(source), contract, Domain.parse(dom), strategy=strategy)
+    assert len(result.deleted) >= 3
+    assert len(built) == 1
+
+
+def test_greedy_judges_closed_kept_sets_and_skips_what_is_gone(monkeypatch):
+    """Every kept-set greedy judges holds the enclosing statement of each of
+    its members, so it is a program a deletion can leave; a unit whose
+    statements went with an earlier deletion (a statement nested in a
+    deleted else clause, say) is skipped, not judged as the same program."""
+    judged = []
+    real_first_failure = verifier.Judge.first_failure
+
+    def recording(self, points, kept=None):
+        judged.append(kept)
+        return real_first_failure(self, points, kept)
+
+    monkeypatch.setattr(verifier.Judge, "first_failure", recording)
+    rng = random.Random(2718)
+    dom = Domain.from_dict(ORACLE_RANGES)
+    skipped = 0
+    for _ in range(60):
+        program, contract, budget = _oracle_case(rng, "nested")
+        judged.clear()
+        compute_slice(program, contract, dom, strategy=GREEDY, step_budget=budget)
+        for kept in judged:
+            assert {s.stmt_id for s in slicer._build(program, kept).statements()} == kept
+        skipped += len(judged) < len(deletable_units(program))
+    assert skipped >= 10
 
 
 def test_slice_ending_at_its_first_candidate_enumerates_no_other(monkeypatch):

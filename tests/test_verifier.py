@@ -191,6 +191,20 @@ class TestTooDeepToCompile:
         (never,) = check_all([(deep, _contract("FALSE", "TRUE"))], dom)
         assert never.verdict == VACUOUS
 
+    def test_predicate_too_deep_to_walk(self):
+        """validating a contract walks its predicates before compiling
+        them: a deep one is ParseError(TOO_DEEP) there too, for check and
+        for its pair's entry in check_all."""
+        program = parse_program("proc f(in a, out o) { o := a; }")
+        dom = Domain.parse("a in 0..1")
+        for contract in (_contract("TRUE", f"{self.TERMS} > o"), _contract(f"{self.TERMS} > 0", "TRUE")):
+            with pytest.raises(ParseError) as solo:
+                check(program, contract, dom)
+            assert str(solo.value) == "expression nested too deeply"
+            shared, fine = check_all([(program, contract), (program, _contract("TRUE", "o == a"))], dom)
+            assert isinstance(shared, ParseError) and str(shared) == str(solo.value)
+            assert fine.verdict == VERIFIED
+
 
 class TestAgainstBruteForce:
     def test_loop_free_agreement(self):
