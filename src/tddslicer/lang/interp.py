@@ -6,10 +6,14 @@ Generation", 1987) and the closures then run once per input. A program is
 compiled on its first run and kept on the Program instance; a run that
 keeps only some statements (a slice candidate) composes its body from the
 same compiled statements. A predicate is compiled by compile_bool, once
-per query by the callers that evaluate it at many points. runner, made once
-per (program, budget, kept-set), is the one per-run core: the verifier's
-scans call it per point for a plain tuple; run wraps it with the input
-checks and returns a RunResult.
+per query by the callers that evaluate it at many points. Compiled with a
+row variable, a predicate judges in one call a row of points that differ
+only in that variable, with the work per point done by map, compress and
+filter over the row (column at a time, after Boncz et al., "MonetDB/X100",
+CIDR 2005) and no generated source. runner, made once per (program,
+budget, kept-set), is the one per-run core: the verifier's scans call it
+per point for a plain tuple; run wraps it with the input checks and
+returns a RunResult.
 
 A run produces the final state plus, when recorded, the trajectory: one
 (stmt_id, var, value) entry per executed assignment, in execution order.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from itertools import compress, filterfalse, repeat
 from typing import Callable, NamedTuple
 
 from ..errors import TOO_DEEP, EvaluationFault, ParseError, UnboundVariableError
@@ -117,19 +122,72 @@ _CMP = {
 # variable missing from the state surfaces as the KeyError of the dict
 # lookup; the public entry points (compile_bool, run) turn it into
 # UnboundVariableError.
+#
+# Compiled with a row variable, a node that reads it becomes a _Rows
+# instead: a function of (env, values), where values are distinct values
+# of the row variable (never none) and env binds the other variables. An
+# expression gives its values aligned to values; a predicate gives the
+# values at which it holds, in no set order, so the right side of && sees
+# only the left side's survivors and the body of exists only the values
+# still open. The work per value runs in map, compress and filter. A node
+# that does not read the row variable (an exists that binds it included)
+# stays a closure of the state and runs once per row. Each test for a
+# _Rows starts with `row is not None`, which keeps compiling without a row
+# about as cheap as it was before rows.
 
 
-def _compile_expr(expr: ast.Expr) -> Callable[[dict[str, int]], int]:
+class _Rows:
+    """A node compiled with a row variable that reads it: fn(env, values)."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn: Callable):
+        self.fn = fn
+
+
+def _aligned(node: ast.Expr, code) -> Callable:
+    """An expression, node compiled to code, as a function of (env, values)
+    giving its values aligned to values; a closure of the state gives its
+    one value, repeated (a literal, one shared endless repeat)."""
+    if isinstance(code, _Rows):
+        return code.fn
+    if isinstance(node, ast.IntLit):
+        forever = repeat(node.value)
+        return lambda env, values: forever
+    return lambda env, values: repeat(code(env))
+
+
+def _selecting(code) -> Callable:
+    """A predicate as a function of (env, values) giving the values at
+    which it holds; a closure of the state keeps all of them or none."""
+    if isinstance(code, _Rows):
+        return code.fn
+    return lambda env, values: values if code(env) else []
+
+
+_ROW_VAR = _Rows(lambda env, values: values)
+
+
+def _compile_expr(expr: ast.Expr, row: str | None = None) -> Callable:
     if isinstance(expr, ast.Var):
+        if row is not None and expr.name == row:
+            return _ROW_VAR
         return operator.itemgetter(expr.name)
     if isinstance(expr, ast.IntLit):
         value = expr.value
         return lambda state: value
     if isinstance(expr, ast.Neg):
-        operand = _compile_expr(expr.operand)
+        operand = _compile_expr(expr.operand, row)
+        if row is not None and isinstance(operand, _Rows):
+            values_of = operand.fn
+            return _Rows(lambda env, values: map(operator.neg, values_of(env, values)))
         return lambda state: -operand(state)
     if isinstance(expr, ast.Arith):
-        return _binary(_ARITH[expr.op], expr, _compile_expr(expr.left), _compile_expr(expr.right))
+        fn = _ARITH[expr.op]
+        left, right = _compile_expr(expr.left, row), _compile_expr(expr.right, row)
+        if row is not None and (isinstance(left, _Rows) or isinstance(right, _Rows)):
+            return _Rows(_row_binary(fn, expr, left, right))
+        return _binary(fn, expr, left, right)
     raise TypeError(f"not an arithmetic expression: {expr!r}")
 
 
@@ -156,31 +214,87 @@ def _binary(fn, node, left, right):
     return lambda state: fn(left(state), right(state))
 
 
-def _compile_pred(pred: ast.BoolExpr) -> Callable[[dict[str, int]], bool]:
+def _row_binary(fn, node, left, right) -> Callable:
+    """_binary over a row: fn of node's operands, value by value, as a
+    function of (env, values); the row variable itself is values."""
+    if left is _ROW_VAR:
+        rhs = _aligned(node.right, right)
+        return lambda env, values: map(fn, values, rhs(env, values))
+    lhs = _aligned(node.left, left)
+    if right is _ROW_VAR:
+        return lambda env, values: map(fn, lhs(env, values), values)
+    rhs = _aligned(node.right, right)
+    return lambda env, values: map(fn, lhs(env, values), rhs(env, values))
+
+
+def _compile_pred(pred: ast.BoolExpr, row: str | None = None) -> Callable:
     if isinstance(pred, ast.Cmp):
-        return _binary(_CMP[pred.op], pred, _compile_expr(pred.left), _compile_expr(pred.right))
+        op = _CMP[pred.op]
+        left, right = _compile_expr(pred.left, row), _compile_expr(pred.right, row)
+        if row is not None and (isinstance(left, _Rows) or isinstance(right, _Rows)):
+            verdicts = _row_binary(op, pred, left, right)
+            return _Rows(lambda env, values: list(compress(values, verdicts(env, values))))
+        return _binary(op, pred, left, right)
     if isinstance(pred, ast.And):
-        left, right = _compile_pred(pred.left), _compile_pred(pred.right)
+        left, right = _compile_pred(pred.left, row), _compile_pred(pred.right, row)
+        if row is not None and (isinstance(left, _Rows) or isinstance(right, _Rows)):
+            return _row_and(_selecting(left), _selecting(right))
         return lambda state: left(state) and right(state)
     if isinstance(pred, ast.Or):
-        left, right = _compile_pred(pred.left), _compile_pred(pred.right)
+        left, right = _compile_pred(pred.left, row), _compile_pred(pred.right, row)
+        if row is not None and (isinstance(left, _Rows) or isinstance(right, _Rows)):
+            return _row_or(_selecting(left), _selecting(right))
         return lambda state: left(state) or right(state)
     if isinstance(pred, ast.Not):
-        operand = _compile_pred(pred.operand)
+        operand = _compile_pred(pred.operand, row)
+        if row is not None and isinstance(operand, _Rows):
+            return _row_not(operand.fn)
         return lambda state: not operand(state)
     if isinstance(pred, ast.BoolLit):
         value = pred.value
         return lambda state: value
     if isinstance(pred, ast.Exists):
-        return _compile_exists(pred)
+        body = _compile_pred(pred.body, None if pred.var == row else row)
+        if isinstance(body, _Rows):
+            return _row_exists(pred, body.fn)
+        return _compile_exists(pred, body)
     raise TypeError(f"not a boolean expression: {pred!r}")
 
 
-def _compile_exists(pred: ast.Exists) -> Callable[[dict[str, int]], bool]:
+def _row_and(left, right) -> _Rows:
+    def and_(env, values):
+        held = left(env, values)
+        return right(env, held) if held else held
+
+    return _Rows(and_)
+
+
+def _row_or(left, right) -> _Rows:
+    def or_(env, values):
+        held = left(env, values)
+        if not held:
+            return right(env, values)
+        if len(held) == len(values):
+            return held
+        hit = set(held)
+        return [*held, *right(env, list(filterfalse(hit.__contains__, values)))]
+
+    return _Rows(or_)
+
+
+def _row_not(operand) -> _Rows:
+    def not_(env, values):
+        hit = set(operand(env, values))
+        return list(filterfalse(hit.__contains__, values))
+
+    return _Rows(not_)
+
+
+def _compile_exists(pred: ast.Exists, body: Callable) -> Callable[[dict[str, int]], bool]:
     """Enumerate the range in ascending order, with the bound variable
     shadowing any same-named variable in state; the state is restored
     afterwards, whatever happens."""
-    var, values, body = pred.var, range(pred.lo, pred.hi + 1), _compile_pred(pred.body)
+    var, values = pred.var, range(pred.lo, pred.hi + 1)
 
     def exists(state):
         shadowed = var in state
@@ -200,7 +314,36 @@ def _compile_exists(pred: ast.Exists) -> Callable[[dict[str, int]], bool]:
     return exists
 
 
-def compile_bool(pred: ast.BoolExpr) -> Callable[[dict[str, int]], bool]:
+def _row_exists(pred: ast.Exists, body: Callable) -> _Rows:
+    """_compile_exists over a row: each bound value, in ascending order, is
+    tried on the row values for which none before it held."""
+    var, bound = pred.var, range(pred.lo, pred.hi + 1)
+
+    def exists(env, values):
+        shadowed = var in env
+        saved = env.get(var)
+        found, open_ = [], values
+        try:
+            for value in bound:
+                env[var] = value
+                hit = body(env, open_)
+                if hit:
+                    found += hit
+                    if len(found) == len(values):
+                        break
+                    done = set(hit)
+                    open_ = list(filterfalse(done.__contains__, open_))
+        finally:
+            if shadowed:
+                env[var] = saved
+            else:
+                del env[var]
+        return found
+
+    return _Rows(exists)
+
+
+def compile_bool(pred: ast.BoolExpr, row: str | None = None) -> Callable:
     """Lower a boolean expression or predicate once into a function of the
     state, for callers that evaluate it at many points.
 
@@ -209,11 +352,22 @@ def compile_bool(pred: ast.BoolExpr) -> Callable[[dict[str, int]], bool]:
     raises UnboundVariableError when the state misses a free variable and
     EvaluationFault on arithmetic faults. Compiling raises ParseError(TOO_DEEP)
     for a predicate too deeply nested, as parsing does.
+
+    With row, a variable name, the function judges a row of points that
+    differ only in that variable: it takes (env, values), env binding the
+    other free variables and values distinct values of row, and returns
+    the values at which pred holds, in no set order. It leaves env as it
+    found it. It evaluates the parts that do not read row once per call,
+    and it raises what it meets, unmapped, also at a value where judging
+    the points one by one in order would have stopped earlier; a caller
+    that needs the first fault judges the row again, point by point.
     """
     try:
-        test = _compile_pred(pred)
+        test = _compile_pred(pred, row)
     except RecursionError:
         raise ParseError(TOO_DEEP) from None
+    if row is not None:
+        return _selecting(test)
 
     def holds(state: dict[str, int]) -> bool:
         try:

@@ -1,12 +1,15 @@
 """Tokenizer shared by programs, predicates, domains, and bindings.
 
 Max-munch over a fixed punctuation table; `//` comments run to end of line.
-Reserved words are rejected as identifiers by the parser, not here, so the
-same token stream serves every grammar.
+Identifiers are ASCII letters, digits and `_`, not starting with a digit,
+and integer literals ASCII digits; any other character outside comments
+and whitespace is a ParseError. Reserved words are rejected as identifiers
+by the parser, not here, so the same token stream serves every grammar.
 """
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 
 from ..errors import ParseError
@@ -33,12 +36,17 @@ class Token:
     col: int
 
 
+_DIGITS = frozenset(string.digits)
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_REST = _IDENT_START | _DIGITS
+
+
 def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c == "_"
+    return c in _IDENT_START
 
 
 def _is_ident_rest(c: str) -> bool:
-    return c.isalnum() or c == "_"
+    return c in _IDENT_REST
 
 
 def tokenize(text: str) -> list[Token]:
@@ -69,9 +77,9 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token("ident", word, line, col))
             col += i - start
             continue
-        if c.isdecimal():
+        if c in _DIGITS:
             start = i
-            while i < n and text[i].isdecimal():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             tokens.append(Token("int", text[start:i], line, col))
             col += i - start

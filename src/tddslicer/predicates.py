@@ -6,13 +6,19 @@ lexicographic by variable name with values ascending, so witnesses are
 reproducible. Arithmetic faults during enumeration mean the predicate is
 undefined at that point and are raised as PredicateUndefinedError, never
 silently treated as false.
+
+implies judges its points a row at a time, with the predicates compiled
+for the fastest-varying variable (compile_bool's row); a row that raises
+anything is judged again point by point, so every answer, witness, count
+and fault is that of judging one point after another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import filterfalse
 
-from .errors import EvaluationFault
+from .errors import TOO_DEEP, EvaluationFault, ParseError
 from .lang import ast
 from .lang.interp import compile_bool
 from .lang.parser import parse_domain_spec
@@ -190,29 +196,92 @@ def implies(p1: Predicate, p2: Predicate, dom: Domain) -> ImplicationResult:
     On failure the witness is the first counterexample in enumeration
     order. When p1 is syntactically one of p2's OR-disjuncts and neither
     side can fault, the implication holds by construction and enumeration
-    is skipped.
+    is skipped. A predicate too deeply nested to walk, compare or evaluate
+    raises ParseError(TOO_DEEP).
+
+    The points are judged a row at a time: a row is the points that differ
+    only in the fastest-varying variable with more than one value (at most
+    1,024 of its values; a wider range makes more rows), and a variable
+    after it, with one value, is a constant. p1 runs over the row, p2 over
+    the values where p1 holds, and the first value p2 drops is the witness.
+    A row in which anything raises is judged again point by point, so the
+    witness, checked_points and the first fault are those of judging every
+    point in order.
     """
     needed = ast.free_vars(p1) | ast.free_vars(p2)
     uncovered = needed - dom.vars
     if uncovered:
         raise ValueError(f"domain does not cover free variables: {sorted(uncovered)}")
+    try:
+        return _enumerate(p1, p2, dom, needed)
+    except RecursionError:
+        # the checks and evaluation below recurse once per nesting level,
+        # as free_vars does, but from deeper frames
+        raise ParseError(TOO_DEEP) from None
 
-    if _static_fault_free(p1) and _static_fault_free(p2) and p1 in ast.or_disjuncts(p2):
+
+#: the most values in one row, so memory does not depend on a range's width
+_ROW_WIDTH = 1024
+
+
+def _enumerate(
+    p1: Predicate, p2: Predicate, dom: Domain, needed: frozenset[str]
+) -> ImplicationResult:
+    if p1 in ast.or_disjuncts(p2) and _static_fault_free(p1) and _static_fault_free(p2):
         return ImplicationResult(True, None, 0, dom)
 
     floor = {name: lo for name, lo, _ in dom.ranges if name not in needed}
-    varying = Domain(tuple(r for r in dom.ranges if r[0] in needed))
-    premise, conclusion = compile_bool(p1), compile_bool(p2)
+    varying = [entry for entry in dom.ranges if entry[0] in needed]
+    wide = [index for index, (_, lo, hi) in enumerate(varying) if lo < hi]
+    if not wide:
+        point = {**floor, **{name: lo for name, lo, _ in varying}}
+        found = _first_counterexample(p1, p2, [point])
+        return ImplicationResult(found is None, None if found is None else point, 1, dom)
+
+    split = wide[-1]
+    row, low, high = varying[split]
+    constants = {name: lo for name, lo, _ in varying[split + 1:]}
+    premise_rows, conclusion_rows = compile_bool(p1, row), compile_bool(p2, row)
     checked = 0
-    for point in varying.points():
-        checked += 1
-        state = {**floor, **point}
+    env = {**floor, **constants}
+    for prefix in Domain(tuple(varying[:split])).points():
+        env.update(prefix)
+        for start in range(low, high + 1, _ROW_WIDTH):
+            values = range(start, min(start + _ROW_WIDTH, high + 1))
+            try:
+                held = premise_rows(env, values)
+                kept = conclusion_rows(env, held) if held else held
+            except Exception:
+                # unlike the points judged in order, the row does not stop
+                # at its first counterexample: judge it again that way, which
+                # raises what the points raise, as PredicateUndefinedError
+                states = ({**floor, **prefix, row: value, **constants} for value in values)
+                found = _first_counterexample(p1, p2, states)
+            else:
+                found = None
+                if len(kept) < len(held):
+                    # values ascend, so the first p2 drops is the least
+                    kept = set(kept)
+                    value = min(filterfalse(kept.__contains__, held))
+                    found = value - start, {**floor, **prefix, row: value, **constants}
+            if found is not None:
+                index, state = found
+                return ImplicationResult(False, state, checked + index + 1, dom)
+            checked += len(values)
+    return ImplicationResult(True, None, checked, dom)
+
+
+def _first_counterexample(p1: Predicate, p2: Predicate, states) -> tuple[int, State] | None:
+    """(index, state) of the first of states where p1 holds and p2 does
+    not, judged one by one; PredicateUndefinedError at the first fault."""
+    premise, conclusion = compile_bool(p1), compile_bool(p2)
+    for index, state in enumerate(states):
         try:
             if premise(state) and not conclusion(state):
-                return ImplicationResult(False, state, checked, dom)
+                return index, state
         except EvaluationFault as fault:
             raise PredicateUndefinedError(state, fault.reason) from None
-    return ImplicationResult(True, None, checked, dom)
+    return None
 
 
 def is_tautology(pred: Predicate, dom: Domain) -> ImplicationResult:

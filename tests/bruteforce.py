@@ -319,3 +319,75 @@ def _bf_preorder(block: ast.Block):
             yield from _bf_preorder(stmt.orelse)
         elif isinstance(stmt, ast.While):
             yield from _bf_preorder(stmt.body)
+
+
+# --- bounded implication ------------------------------------------------------
+
+
+def _bf_children(node) -> tuple:
+    if isinstance(node, (ast.Neg, ast.Not)):
+        return (node.operand,)
+    if isinstance(node, (ast.Arith, ast.Cmp, ast.And, ast.Or)):
+        return (node.left, node.right)
+    if isinstance(node, ast.Exists):
+        return (node.body,)
+    return ()
+
+
+def _bf_free(node) -> set[str]:
+    if isinstance(node, ast.Var):
+        return {node.name}
+    free = set().union(*(_bf_free(child) for child in _bf_children(node)))
+    return free - {node.var} if isinstance(node, ast.Exists) else free
+
+
+def _bf_cannot_fault(node, nonneg: frozenset[str] = frozenset()) -> bool:
+    """No / or %, and every ^ raises to a literal >= 0 or to a variable
+    bound by an enclosing exists whose range starts at 0 or above."""
+    if isinstance(node, ast.Arith) and node.op in ("/", "%"):
+        return False
+    if isinstance(node, ast.Arith) and node.op == "^":
+        exponent = node.right
+        if not ((isinstance(exponent, ast.IntLit) and exponent.value >= 0)
+                or (isinstance(exponent, ast.Var) and exponent.name in nonneg)):
+            return False
+    if isinstance(node, ast.Exists):
+        nonneg = nonneg | {node.var} if node.lo >= 0 else nonneg - {node.var}
+    return all(_bf_cannot_fault(child, nonneg) for child in _bf_children(node))
+
+
+def _bf_disjuncts(pred) -> list:
+    if isinstance(pred, ast.Or):
+        return _bf_disjuncts(pred.left) + _bf_disjuncts(pred.right)
+    return [pred]
+
+
+def bf_implies(p1, p2, ranges: dict[str, tuple[int, int]]):
+    """Decide p1 => p2 over ranges as implies documents it, point by point.
+
+    The variables neither side reads stay at their range floor; the others
+    are enumerated lexicographically by name, values ascending. A point
+    lists the fixed variables first, then the enumerated ones, each group
+    in name order. Returns ("fault", point, reason) for the first point at
+    which p1, or p2 where p1 holds, faults; else (holds, witness,
+    checked_points), the witness being the first point at which p1 holds
+    and p2 does not and checked_points the points judged up to it. When p1
+    is one of p2's OR-disjuncts and neither can fault, the answer is
+    (True, None, 0) without enumeration.
+    """
+    if p1 in _bf_disjuncts(p2) and _bf_cannot_fault(p1) and _bf_cannot_fault(p2):
+        return True, None, 0
+    needed = _bf_free(p1) | _bf_free(p2)
+    fixed = {name: ranges[name][0] for name in sorted(ranges) if name not in needed}
+    names = sorted(needed)
+    spans = [range(ranges[n][0], ranges[n][1] + 1) for n in names]
+    checked = 0
+    for values in itertools.product(*spans):
+        checked += 1
+        point = {**fixed, **dict(zip(names, values))}
+        try:
+            if bf_holds(p1, dict(point)) and not bf_holds(p2, dict(point)):
+                return False, point, checked
+        except ZeroDivisionError as err:
+            return "fault", point, _FAULT_REASONS[str(err)]
+    return True, None, checked

@@ -3,8 +3,9 @@
 Everything takes an explicit random.Random so the suites are reproducible;
 the acceptance criteria fix their seeds. Generated arithmetic sticks to
 + - * (and the occasional literal power), so predicates can never fault,
-except in programs asked for with faults=True: those also use / % ^ with
-zero or negative operands, and loops that need not terminate.
+except in programs and predicates asked for with faults=True: those also
+use / % ^ with zero or negative operands, and those programs have loops
+that need not terminate.
 """
 
 from __future__ import annotations
@@ -59,29 +60,34 @@ def comparison(rng: random.Random, vars: tuple[str, ...], small: tuple[str, ...]
     return f"{linear_expr(rng, vars)} {rng.choice(CMP_OPS)} {linear_expr(rng, vars)}"
 
 
-def predicate_text(rng: random.Random, vars: tuple[str, ...], depth: int = 2) -> str:
+def predicate_text(rng: random.Random, vars: tuple[str, ...], depth: int = 2,
+                   small: tuple[str, ...] = ()) -> str:
     roll = rng.random()
     if depth == 0 or roll < 0.45:
-        return comparison(rng, vars)
+        return comparison(rng, vars, small)
     if roll < 0.5:
         return rng.choice(("TRUE", "FALSE"))
     if roll < 0.6:
-        return f"!({predicate_text(rng, vars, depth - 1)})"
+        return f"!({predicate_text(rng, vars, depth - 1, small)})"
     if roll < 0.7 and vars:
         bound = "n"
         lo = rng.randint(0, 1)
         hi = lo + rng.randint(0, 2)
-        inner_vars = tuple(set(vars) | {bound})
-        return f"(exists {bound} in {lo}..{hi} : {comparison(rng, inner_vars)})"
+        inner_vars = tuple(sorted(set(vars) | {bound}))
+        return f"(exists {bound} in {lo}..{hi} : {comparison(rng, inner_vars, small)})"
     op = rng.choice(("&&", "||"))
     return (
-        f"({predicate_text(rng, vars, depth - 1)}) {op} "
-        f"({predicate_text(rng, vars, depth - 1)})"
+        f"({predicate_text(rng, vars, depth - 1, small)}) {op} "
+        f"({predicate_text(rng, vars, depth - 1, small)})"
     )
 
 
-def random_predicate(rng: random.Random, vars: tuple[str, ...], depth: int = 2):
-    return parse_predicate(predicate_text(rng, vars, depth))
+def random_predicate(rng: random.Random, vars: tuple[str, ...], depth: int = 2,
+                     faults: bool = False):
+    """A random predicate over vars. With faults=True its comparisons may
+    fault (see faulting_expr), every one of vars counting as small: keep
+    their ranges small."""
+    return parse_predicate(predicate_text(rng, vars, depth, vars if faults else ()))
 
 
 def random_contract(

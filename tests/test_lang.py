@@ -141,6 +141,23 @@ class TestParsing:
             "unexpected character '²'", 1, col,
         )
 
+    @pytest.mark.parametrize("parse, text, char, col", [
+        (parse_program, "proc f(in x\u00b2, out y){ y := 1; }", "\u00b2", 12),
+        (parse_program, "proc f(in x, out y){ y := x + \u0663; }", "\u0663", 31),
+        (parse_predicate, "x\u00b2 > 0", "\u00b2", 2),
+        (parse_predicate, "\u00e9 > 0", "\u00e9", 1),
+        (parse_bindings, "x=\u0663", "\u0663", 3),
+    ])
+    def test_identifiers_and_integers_are_ascii(self, parse, text, char, col):
+        """Only ASCII letters, digits and _ make identifiers and integers: a
+        superscript two after a letter, an Arabic-Indic three and an accented
+        letter are unexpected characters, not a name or the integer 3."""
+        with pytest.raises(ParseError) as excinfo:
+            parse(text)
+        assert (excinfo.value.message, excinfo.value.line, excinfo.value.col) == (
+            f"unexpected character {char!r}", 1, col,
+        )
+
     def test_moderate_nesting_still_parses(self):
         assert parse_predicate("(" * 50 + "a > 0" + ")" * 50) == parse_predicate("a > 0")
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import random
 
@@ -25,9 +26,9 @@ from tddslicer import (
     Contract,
 )
 from tddslicer.lang import ast
-from tddslicer.predicates import TRUE
+from tddslicer.predicates import TRUE, ImplicationResult
 
-from bruteforce import bf_holds
+from bruteforce import bf_holds, bf_implies
 from generators import random_contract, random_predicate
 
 
@@ -184,6 +185,89 @@ class TestImplies:
             with pytest.raises(ParseError) as excinfo:
                 implies(p1, p2, dom)
             assert str(excinfo.value) == "expression nested too deeply"
+
+    def test_near_the_stack_limit_a_result_or_too_deep(self):
+        """Sums of 900 to 1,000 terms, called from several stack depths, so
+        that the stack runs out in each recursive step in turn: free_vars,
+        the fault check, comparing disjuncts, compiling and evaluating.
+        Each call gives a result or ParseError(TOO_DEEP), never a raw
+        RecursionError."""
+
+        def at_depth(depth, call):
+            return call() if depth == 0 else at_depth(depth - 1, call)
+
+        dom = Domain.parse("a in 0..1")
+        outcomes = set()
+        for n in range(900, 1001):
+            deep = parse_predicate(" + ".join(["a"] * n) + " > 0")
+            for depth in (0, 40, 80):
+                for call in (lambda: is_tautology(deep, dom),
+                             lambda: implies(deep, ast.Or(deep, TRUE), dom)):
+                    try:
+                        result = at_depth(depth, call)
+                    except ParseError as err:
+                        assert str(err) == "expression nested too deeply"
+                        outcomes.add("too deep")
+                    else:
+                        assert isinstance(result, ImplicationResult)
+                        outcomes.add("result")
+        assert outcomes == {"result", "too deep"}
+
+    def test_rows_agree_with_point_by_point_oracle(self):
+        """implies judges a row of points at a time; bf_implies judges one
+        point after another. They agree in every field (verdict, witness
+        with its key order, checked_points, the first fault's assignment
+        and reason) on 480 seeded cases: 1 to 3 variables with innermost
+        widths 1 and 2, exists binding the row variable, faulting
+        predicates and a variable neither side reads."""
+        rng = random.Random(2718)
+        seen = collections.Counter()
+        for _ in range(480):
+            read = rng.sample(("a", "b", "n"), rng.randint(1, 2))
+            names = sorted(read + (["z"] if rng.random() < 0.25 else []))
+            ranges = {}
+            for name in names:
+                lo = rng.randint(-3, 1)
+                width = rng.choice((1, 2)) if name == names[-1] else rng.randint(1, 4)
+                ranges[name] = (lo, lo + width - 1)
+            faults = rng.random() < 0.5
+            p1 = TRUE if rng.random() < 0.2 else random_predicate(rng, tuple(read), faults=faults)
+            p2 = random_predicate(rng, tuple(read), faults=faults)
+            expected = bf_implies(p1, p2, ranges)
+            try:
+                result = implies(p1, p2, Domain.from_dict(ranges))
+            except PredicateUndefinedError as err:
+                got = ("fault", err.assignment, err.reason)
+            else:
+                got = (result.holds, result.witness, result.checked_points)
+            assert got == expected, (format_predicate(p1), format_predicate(p2), ranges)
+            point = got[1] or {}
+            assert list(point) == list(expected[1] or {})
+            seen["fault" if got[0] == "fault" else "holds" if got[0] else "counterexample"] += 1
+            wide = [name for name in sorted(free_vars(p1) | free_vars(p2))
+                    if ranges[name][0] < ranges[name][1]]
+            row = wide[-1] if wide else None
+            seen["row " + str(row)] += 1
+            seen["exists binds the row"] += row == "n" and "exists n" in (
+                format_predicate(p1) + format_predicate(p2))
+        assert min(seen["fault"], seen["holds"], seen["counterexample"]) >= 30, seen
+        assert min(seen["row a"], seen["row b"], seen["row n"], seen["row None"]) >= 40, seen
+        assert seen["exists binds the row"] >= 20, seen
+
+    def test_rows_wider_than_one_piece(self):
+        """A range wider than one row is judged in pieces, in order: the
+        witness and the first fault, past the first piece, are those of
+        judging each point in turn."""
+        dom = Domain.parse("a in 0..3000, b in 1..1")
+        result = is_tautology(parse_predicate("a + b != 2001"), dom)
+        assert (result.holds, result.witness, result.checked_points) == (
+            False, {"a": 2000, "b": 1}, 2001)
+        assert list(result.witness) == ["a", "b"]
+        with pytest.raises(PredicateUndefinedError) as excinfo:
+            is_tautology(parse_predicate("a == 2500 || 10 / (a - 1500) > -20"), dom)
+        assert (excinfo.value.assignment, excinfo.value.reason) == (
+            {"a": 1500, "b": 1}, "division by zero")
+        assert is_tautology(parse_predicate("a >= b - 1"), dom).checked_points == 3001
 
     def test_irrelevant_variables_fixed_at_floor(self):
         dom = Domain.parse("a in -5..5, z in -9..9")
