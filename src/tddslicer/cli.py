@@ -2,9 +2,9 @@
 
 Exit status: 0 when every check passed, 1 when a check failed
 (counterexample, failing green/regression check), 2 on usage, parse, or
-file errors. `--format machine` emits stable JSON with format_version 1;
-human output uses a little color unless TDDSLICER_COLOR=0 or stdout is
-not a terminal.
+file errors, 3 on an internal error (one line on stderr, no traceback).
+`--format machine` emits stable JSON with format_version 1; human output
+uses a little color unless TDDSLICER_COLOR=0 or stdout is not a terminal.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ FORMAT_VERSION = 1
 OK_STATUS = 0
 CHECK_FAILED = 1
 USAGE_ERROR = 2
+INTERNAL_ERROR = 3
 
 
 def _color_enabled() -> bool:
@@ -339,6 +340,10 @@ def main(argv: list[str] | None = None) -> int:
         # stack than compiling, which raises ParseError itself
         print(f"error: {TOO_DEEP}", file=sys.stderr)
         return USAGE_ERROR
+    except Exception as err:
+        message = " ".join(str(err).splitlines())
+        print(f"internal error: {type(err).__name__}: {message}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

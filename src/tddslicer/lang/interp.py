@@ -15,6 +15,17 @@ budget, kept-set), is the one per-run core: the verifier's scans call it
 per point for a plain tuple; run wraps it with the input checks and
 returns a RunResult.
 
+A function made by runner has two tiers with one semantics (adaptive
+recompilation, after Hoelzle & Ungar, "A Third-Generation SELF
+Implementation", OOPSLA 1994). It starts on the closures. Its unrecorded
+runs add their steps to a count of its own, and once the count reaches
+SOURCE_AFTER_STEPS it emits the program, with its kept-set and budget, as
+Python source, compiles it, and runs that for every later call: the saving
+per run grows with the steps a run takes, so only scans long enough to
+repay the compile pay for it. Source that Python refuses (nested too
+deeply for its parser or compiler) leaves the function on the closures
+for good. Recorded runs never switch, and predicates stay closures.
+
 A run produces the final state plus, when recorded, the trajectory: one
 (stmt_id, var, value) entry per executed assignment, in execution order.
 Every statement execution event costs one step against the budget; a
@@ -28,6 +39,7 @@ in the result, not exceptions.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from itertools import compress, filterfalse, repeat
@@ -37,6 +49,9 @@ from ..errors import TOO_DEEP, EvaluationFault, ParseError, UnboundVariableError
 from . import ast
 
 DEFAULT_STEP_BUDGET = 10000
+
+#: steps after which a function made by runner runs compiled Python source
+SOURCE_AFTER_STEPS = 1000
 
 #: pass for `vars` in project() to keep everything
 ALL = None
@@ -547,6 +562,146 @@ def _compiled(program: ast.Program) -> _CompiledProgram:
     return code
 
 
+# --- the source tier ----------------------------------------------------------
+#
+# A program, with a kept-set and a budget, emitted as the Python source of
+# one function of the inputs and compiled by Python: the statements inline,
+# the program variables locals named v_<name>, each step counted in the
+# local left. It returns what the closures return for an unrecorded run.
+
+
+def _faulting(fn: Callable) -> Callable:
+    """fn, an arithmetic operator that can fault, taking the id of the
+    statement it is in and raising the fault as that statement's _Stop."""
+
+    def apply(a: int, b: int, stmt_id: int) -> int:
+        try:
+            return fn(a, b)
+        except EvaluationFault as fault:
+            raise _Stop(FAULT, stmt_id, fault.reason) from None
+
+    return apply
+
+
+_SOURCE_GLOBALS = {
+    "__builtins__": {},
+    "_Stop": _Stop,
+    "BUDGET_EXCEEDED": BUDGET_EXCEEDED,
+    "_BUDGET_REASON": _BUDGET_REASON,
+    "_div": _faulting(trunc_div),
+    "_mod": _faulting(trunc_mod),
+    "_pow": _faulting(_power),
+}
+_HELPERS = {"/": "_div", "%": "_mod", "^": "_pow"}
+
+
+class _Emitter:
+    """The source of one program's statements, kept-set and variables:
+    lines of (indent, text). A name that is not a declared ASCII
+    identifier is a ValueError, so no generated name can clash."""
+
+    def __init__(self, names: tuple[str, ...], kept: frozenset[int] | None):
+        for name in names:
+            if not (name.isascii() and name.isidentifier()):
+                raise ValueError(f"not an identifier: {name!r}")
+        self.names = frozenset(names)
+        self.kept = kept
+        self.lines: list[tuple[int, str]] = []
+
+    def var(self, name: str) -> str:
+        if name not in self.names:
+            raise ValueError(f"undeclared variable {name!r}")
+        return "v_" + name
+
+    def expr(self, expr: ast.Expr, sid: int) -> str:
+        if isinstance(expr, ast.Var):
+            return self.var(expr.name)
+        if isinstance(expr, ast.IntLit):
+            return f"({expr.value!r})" if expr.value < 0 else repr(expr.value)
+        if isinstance(expr, ast.Neg):
+            return f"(-{self.expr(expr.operand, sid)})"
+        left, right = self.expr(expr.left, sid), self.expr(expr.right, sid)
+        if expr.op in _HELPERS:
+            return f"{_HELPERS[expr.op]}({left}, {right}, {sid})"
+        return f"({left} {expr.op} {right})"
+
+    def pred(self, pred: ast.BoolExpr, sid: int) -> str:
+        if isinstance(pred, ast.Cmp):
+            return f"({self.expr(pred.left, sid)} {pred.op} {self.expr(pred.right, sid)})"
+        if isinstance(pred, ast.Not):
+            return f"(not {self.pred(pred.operand, sid)})"
+        if isinstance(pred, (ast.And, ast.Or)):
+            word = "and" if isinstance(pred, ast.And) else "or"
+            return f"({self.pred(pred.left, sid)} {word} {self.pred(pred.right, sid)})"
+        # TRUE, FALSE and exists occur in predicates only: a hand-built
+        # program holding one stays on the closures
+        raise ValueError(f"no source for {type(pred).__name__}")
+
+    def block(self, block: ast.Block, depth: int) -> bool:
+        """Emit block's kept statements; whether there was any."""
+        start = len(self.lines)
+        for stmt in block.stmts:
+            if self.kept is None or stmt.stmt_id in self.kept:
+                self.stmt(stmt, depth)
+        return len(self.lines) > start
+
+    def stmt(self, stmt: ast.Stmt, depth: int) -> None:
+        sid, emit = stmt.stmt_id, self.lines.append
+        if isinstance(stmt, ast.While):
+            emit((depth, "while True:"))
+            depth += 1
+        emit((depth, "left -= 1"))
+        emit((depth, f"if left < 0: raise _Stop(BUDGET_EXCEEDED, {sid}, _BUDGET_REASON)"))
+        if isinstance(stmt, ast.Assign):
+            emit((depth, f"{self.var(stmt.target)} = {self.expr(stmt.expr, sid)}"))
+        elif isinstance(stmt, ast.If):
+            emit((depth, f"if {self.pred(stmt.cond, sid)}:"))
+            if not self.block(stmt.then, depth + 1):
+                emit((depth + 1, "pass"))
+            orelse = len(self.lines)
+            if self.block(stmt.orelse, depth + 1):
+                self.lines.insert(orelse, (depth, "else:"))
+        elif isinstance(stmt, ast.While):
+            emit((depth, f"if not {self.pred(stmt.cond, sid)}: break"))
+            self.block(stmt.body, depth)
+
+
+def _source(program: ast.Program, step_budget: int, kept: frozenset[int] | None) -> str:
+    """The source of `run(inputs)`, which returns what runner's function
+    returns for program, step_budget and kept on an unrecorded run."""
+    in_params, zeroed = program.in_params, tuple(_compiled(program).zeroed)
+    emitter = _Emitter((*in_params, *zeroed), kept)
+    emitter.block(program.body, 2)
+    final = ", ".join(f"{name!r}: v_{name}" for name in (*in_params, *zeroed))
+    lines = [
+        (0, "def run(inputs):"),
+        *[(1, f"v_{name} = inputs[{name!r}]") for name in in_params],
+        *[(1, f"v_{name} = 0") for name in zeroed],
+        (1, f"left = {step_budget!r}"),
+        (1, f"status, stmt_id, reason = {OK!r}, None, None"),
+        (1, "try:"),
+        *(emitter.lines or [(2, "pass")]),
+        (1, "except _Stop as stop:"),
+        (2, "status, stmt_id, reason = stop.status, stop.stmt_id, stop.reason"),
+        (1, f"return status, {{**inputs, {final}}}, (), {step_budget!r} - left, stmt_id, reason"),
+    ]
+    return "\n".join("    " * depth + text for depth, text in lines) + "\n"
+
+
+def _source_tier(program: ast.Program, step_budget: int, kept: frozenset[int] | None):
+    """_source compiled, or None when it cannot be: Python refuses source
+    nested too deeply (about 200 parentheses, 20 loops, 100 indents) with
+    SyntaxError, RecursionError or MemoryError; a hand-built program with
+    a name that is not a declared identifier or a predicate-only node, or
+    an integer too long to print, is ValueError."""
+    try:
+        namespace = dict(_SOURCE_GLOBALS)
+        exec(compile(_source(program, step_budget, kept), f"<{program.name}>", "exec"), namespace)
+    except (SyntaxError, RecursionError, MemoryError, ValueError):
+        return None
+    return namespace["run"]
+
+
 def runner(
     program: ast.Program,
     step_budget: int,
@@ -566,6 +721,14 @@ def runner(
     been deleted (ids unchanged), as the slicer's deletions do: the result
     equals that of running the program so built. The original is compiled
     once; runner composes kept's body from its compiled statements.
+
+    The function runs in two tiers with one result. It starts on the
+    closures. Unless record is set, it counts the steps of its runs, and
+    once they reach SOURCE_AFTER_STEPS it emits and compiles Python source
+    for its kept-set and budget (_source_tier) and runs that from then on:
+    only a function that runs long enough pays the compile. When Python
+    refuses the source (a program nested too deeply for its parser or
+    compiler), the function stays on the closures and never tries again.
     """
     if step_budget < 1:
         return _refuse(ValueError, "step_budget must be positive")
@@ -575,8 +738,23 @@ def runner(
         return _refuse(ParseError, TOO_DEEP)
     body = code.body if kept is None else _compose(code.parts, kept)
     zeroed = code.zeroed
+    after = math.inf if record else SOURCE_AFTER_STEPS
+    spent, source = 0, None  # steps run on the closures; the compiled source
 
     def execute(inputs: dict[str, int]) -> tuple:
+        nonlocal after, spent, source
+        if spent >= after:
+            if source is None:
+                source = _source_tier(program, step_budget, kept)
+            if source is None:
+                after = math.inf  # Python refused the source: the closures for good
+            else:
+                try:
+                    return source(inputs)
+                except KeyError:
+                    # inputs miss an in-parameter, which the source reads before
+                    # its first step: the closures fail where the program reads it
+                    pass
         state = {**inputs, **zeroed}
         counters = _Counters(step_budget, [] if record else None)
         try:
@@ -589,7 +767,9 @@ def runner(
         else:
             status, stmt_id, reason = OK, None, None
         trajectory = tuple(counters.log) if record else ()
-        return status, state, trajectory, step_budget - counters.left, stmt_id, reason
+        steps = step_budget - counters.left
+        spent += steps
+        return status, state, trajectory, steps, stmt_id, reason
 
     return execute
 

@@ -388,3 +388,14 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0]
     assert "the following arguments are required: --post, --domain" in shared[1][2]
+
+
+def test_internal_error_exits_three_with_one_line_and_no_traceback(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("lost\ntrack")
+
+    monkeypatch.setattr(cli, "check", broken)
+    code, out, err = run_cli(
+        capsys, "check", MAX2, "--pre", "a > b", "--post", "a > b && max == a", "--domain", DOM,
+    )
+    assert (code, out, err) == (3, "", "internal error: RuntimeError: lost track\n")

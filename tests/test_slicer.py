@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import random
 
@@ -542,6 +543,19 @@ def test_kept_set_run_equals_run_of_the_built_program():
     with every statement outside K deleted, field by field, including the
     key order of the final state; kept-sets of one program come and go in
     any order."""
+    _kept_set_runs_agree()
+
+
+def test_kept_set_source_run_equals_run_of_the_built_program(source_tier):
+    """The same on the source tier: a kept-set's source leaves out what
+    the deletions delete."""
+    _kept_set_runs_agree()
+    assert len(source_tier) == 240 * 6 and all(source_tier)
+
+
+def _kept_set_runs_agree():
+    """runner with kept-sets, recorded and not, against the recorded run
+    of the built program, which never leaves the closures."""
     rng = random.Random(4711)
     statuses = {OK: 0, FAULT: 0, BUDGET_EXCEEDED: 0}
     for _ in range(240):
@@ -554,9 +568,10 @@ def test_kept_set_run_equals_run_of_the_built_program():
             built = slicer._build(program, kept)
             inputs = {"a": rng.randint(-3, 3), "b": rng.randint(-3, 3)}
             budget = rng.randint(1, 400)
+            recorded = run(built, inputs, budget)
             for record in (True, False):
                 got = RunResult(*runner(program, budget, record=record, kept=kept)(inputs))
-                expected = run(built, inputs, budget, record=record)
+                expected = recorded if record else dataclasses.replace(recorded, trajectory=())
                 assert got == expected, pretty_print(built)
                 assert list(got.final) == list(expected.final)
                 statuses[got.status] += 1

@@ -306,6 +306,14 @@ class TestCheckAll:
         return pairs
 
     def test_shared_scan_matches_solo_check_and_bruteforce(self):
+        self._agree_with_solo_and_bruteforce()
+
+    def test_shared_scan_on_source_matches_solo_check_and_bruteforce(self, source_tier):
+        verdicts = self._agree_with_solo_and_bruteforce()
+        assert min(verdicts[FAULT], verdicts[BUDGET_EXCEEDED]) >= 30, verdicts
+        assert source_tier and all(source_tier)
+
+    def _agree_with_solo_and_bruteforce(self) -> Counter:
         rng = random.Random(3031)
         # 25 points fit in one chunk of the scan; 169 points take three
         domains = [self.RANGES, {"a": (-6, 6), "b": (-6, 6)}]
@@ -340,6 +348,7 @@ class TestCheckAll:
         # every verdict shows up often enough to mean something
         for verdict in (VERIFIED, COUNTEREXAMPLE, VACUOUS, FAULT, BUDGET_EXCEEDED):
             assert verdicts[verdict] >= 20, verdicts
+        return verdicts
 
     def test_shared_fault_gives_every_reader_the_same_witness(self):
         program = parse_program("proc f(in a, in b, out o){ o := a; }")
@@ -389,7 +398,7 @@ class TestCheckAll:
         assert expected.verdict == VERIFIED
         assert check_all([(first, contract), (second, contract)], dom) == [expected] * 2
 
-    def test_scan_memory_does_not_grow_with_the_domain(self, div_oracle):
+    def test_scan_memory_does_not_grow_with_the_domain(self, div_oracle, monkeypatch):
         contracts = [
             _contract("x >= 0 && y > 0", "0 <= r && r < y && x == y * q + r"),
             _contract("exists k in 0..4 : x == y * k", "r == 0"),
@@ -406,11 +415,16 @@ class TestCheckAll:
             finally:
                 tracemalloc.stop()
 
-        small, small_results = peak("x in 0..9, y in 1..10")
-        large, large_results = peak("x in 0..99, y in 1..100")
-        assert [r.verdict for r in small_results] == [r.verdict for r in large_results]
-        assert large_results[0].checked_points == 10_000
-        assert large < small + 32_000
+        # each tier on its own: a scan compiles its source once, after
+        # SOURCE_AFTER_STEPS steps, which the large domain reaches and the
+        # small one does not
+        for source_after_steps in (10**9, 0):
+            monkeypatch.setattr(interp, "SOURCE_AFTER_STEPS", source_after_steps)
+            small, small_results = peak("x in 0..9, y in 1..10")
+            large, large_results = peak("x in 0..99, y in 1..100")
+            assert [r.verdict for r in small_results] == [r.verdict for r in large_results]
+            assert large_results[0].checked_points == 10_000
+            assert large < small + 32_000
 
 
 class TestWideDomains:
@@ -473,3 +487,62 @@ class TestSharedWork:
         assert [r.checked_points for r in results] == [6, 6, 6, 3]
         assert len(verifier_runs) == 6
         assert evaluations == {"TRUE": 6, "a >= 0": 6, "a < 3": 6, "o == 1": 6, "o > 0": 6}
+
+
+DIV_SPEC = "0 <= r && r < y && x == y * q + r"
+
+
+class TestSourceTier:
+    """A scan's runs move to compiled source once they have taken
+    SOURCE_AFTER_STEPS steps, with every verdict, witness and count as on
+    the closures."""
+
+    CASES = {
+        # (program, pre, post, domain, budget, verdict); each scan fails
+        # well after its 1,000th step
+        "counterexample": (None, "x >= 0 && y >= 1", "q < 40", "x in 0..60, y in 1..10",
+                           10000, COUNTEREXAMPLE),
+        "fault": ("proc f(in x, in y, out q) { var t; t := x; while (t >= y) { t := t - y;"
+                  " q := q + 1; } q := q / (x - 30); }",
+                  "TRUE", "TRUE", "x in 0..60, y in 1..10", 10000, FAULT),
+        "budget": (None, "x >= 0 && y >= 1", DIV_SPEC, "x in 0..200, y in 1..50",
+                   60, BUDGET_EXCEEDED),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_a_scan_that_switches_midway_judges_as_on_closures(
+        self, case, div_oracle, monkeypatch, tier_switches
+    ):
+        text, pre, post, spec, budget, verdict = self.CASES[case]
+        program = div_oracle if text is None else parse_program(text)
+        contract, dom = _contract(pre, post), Domain.parse(spec)
+        tiered = check(program, contract, dom, budget)
+        assert tier_switches == [True]
+        monkeypatch.setattr(interp, "SOURCE_AFTER_STEPS", 10**9)
+        closures = check(program, contract, dom, budget)
+        assert tier_switches == [True]
+        assert tiered.verdict == verdict
+        assert tiered == closures
+        assert list(tiered.witness.final) == list(closures.witness.final)
+        assert tiered.checked_points > 100
+
+    @pytest.mark.parametrize("body, post", [
+        # parses and closure-compiles; Python refuses 249 nested parentheses
+        ("o := " + " + ".join(["a"] * 250) + ";", "o == 250 * a"),
+        # Python refuses more than 20 statically nested blocks
+        ("while (o < a) { " * 25 + "o := o + 1; " + "} " * 25, "o == a || a < 0"),
+    ])
+    def test_source_python_refuses_stays_on_closures(self, body, post, monkeypatch, tier_switches):
+        program = parse_program(f"proc f(in a, out o) {{ {body} }}")
+        contract, dom = _contract("TRUE", post), Domain.parse("a in -3..3")
+
+        def judged():
+            runs = [run(program, {"a": a}, record=False) for a in range(-3, 4)]
+            return runs, check(program, contract, dom)
+
+        monkeypatch.setattr(interp, "SOURCE_AFTER_STEPS", 0)
+        source = judged()
+        assert tier_switches and not any(tier_switches)
+        monkeypatch.setattr(interp, "SOURCE_AFTER_STEPS", 10**9)
+        assert source == judged()
+        assert source[1].verdict == VERIFIED
