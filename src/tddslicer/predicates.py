@@ -7,15 +7,19 @@ reproducible. Arithmetic faults during enumeration mean the predicate is
 undefined at that point and are raised as PredicateUndefinedError, never
 silently treated as false.
 
-implies judges its points a row at a time, with the predicates compiled
-for the fastest-varying variable (compile_bool's row); a row that raises
-anything is judged again point by point, so every answer, witness, count
-and fault is that of judging one point after another.
+Domain.rows() is the one odometer: it enumerates a domain a row at a
+time, a row being the points that differ only in the fastest-varying
+variable, and points() flattens it. implies judges its points a row at a
+time, with the predicates compiled for the row variable (compile_bool's
+row); a row that raises anything is judged again point by point, so
+every answer, witness, count and fault is that of judging one point after
+another.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import filterfalse
 
 from .errors import TOO_DEEP, EvaluationFault, ParseError
@@ -72,32 +76,68 @@ class Domain:
     def vars(self) -> frozenset[str]:
         return frozenset(name for name, _, _ in self.ranges)
 
-    def points(self):
-        """All assignments, lexicographic by name then ascending by value.
+    #: the most values in one row, so memory does not depend on a range's width
+    ROW_WIDTH = 1024
 
-        Lazy: an odometer over the ranges, so memory does not depend on
-        their width. Each point is a new dict.
+    @cached_property
+    def row(self) -> str | None:
+        """The row variable: the last variable with more than one value,
+        else the last variable; None without variables."""
+        wide = [name for name, lo, hi in self.ranges if lo < hi]
+        if wide:
+            return wide[-1]
+        return self.ranges[-1][0] if self.ranges else None
+
+    def rows(self):
+        """All assignments as rows, in points() order: (prefix, values)
+        for the points that differ only in the row variable (see row),
+        which takes the values of the range values, at most ROW_WIDTH of
+        them (a wider range makes more rows). The variables after the row
+        variable have one value each, constants of every row.
+
+        prefix is a new dict binding every variable in name order, the
+        row variable to the first of values: the row's first point.
+        Without variables the one row is the point {} and values is
+        range(1). Lazy: an odometer over the ranges, so memory does not
+        depend on their width.
         """
-        if not self.ranges:
-            yield {}
+        row = self.row
+        if row is None:
+            yield {}, range(1)
             return
-        *outer, (last, low, high) = self.ranges
-        names = [name for name, _, _ in outer]
-        values = [lo for _, lo, _ in outer]
+        names = [name for name, _, _ in self.ranges]
+        split = names.index(row)
+        outer = self.ranges[:split]
+        _, low, high = self.ranges[split]
+        span = range(low, high + 1)
+        width = self.ROW_WIDTH
+        # the rows of one prefix; made anew for each prefix when there are
+        # too many to hold
+        chunks = (span,) if high - low < width else None
+        digits = [lo for _, lo, _ in self.ranges]
         while True:
-            prefix = dict(zip(names, values))
-            for value in range(low, high + 1):
-                point = prefix.copy()
-                point[last] = value
-                yield point
+            for values in chunks or (span[i:i + width] for i in range(0, high + 1 - low, width)):
+                digits[split] = values.start
+                yield dict(zip(names, digits)), values
             # advance the outer values, the rightmost fastest
-            digit = len(values) - 1
-            while digit >= 0 and values[digit] == outer[digit][2]:
-                values[digit] = outer[digit][1]
+            digit = split - 1
+            while digit >= 0 and digits[digit] == outer[digit][2]:
+                digits[digit] = outer[digit][1]
                 digit -= 1
             if digit < 0:
                 return
-            values[digit] += 1
+            digits[digit] += 1
+
+    def points(self):
+        """All assignments, lexicographic by name then ascending by value:
+        the points of rows(), each a new dict."""
+        row = self.row
+        for prefix, values in self.rows():
+            for value in values:
+                point = prefix.copy()
+                if row is not None:
+                    point[row] = value
+                yield point
 
     def extend(self, extra: dict[str, tuple[int, int]]) -> "Domain":
         merged = {name: (lo, hi) for name, lo, hi in self.ranges}
@@ -199,10 +239,9 @@ def implies(p1: Predicate, p2: Predicate, dom: Domain) -> ImplicationResult:
     is skipped. A predicate too deeply nested to walk, compare or evaluate
     raises ParseError(TOO_DEEP).
 
-    The points are judged a row at a time: a row is the points that differ
-    only in the fastest-varying variable with more than one value (at most
-    1,024 of its values; a wider range makes more rows), and a variable
-    after it, with one value, is a constant. p1 runs over the row, p2 over
+    The points are judged a row at a time, the rows of Domain.rows() over
+    the variables either side reads (the others stay at their range
+    floor). p1 runs over the row, p2 over
     the values where p1 holds, and the first value p2 drops is the witness.
     A row in which anything raises is judged again point by point, so the
     witness, checked_points and the first fault are those of judging every
@@ -220,10 +259,6 @@ def implies(p1: Predicate, p2: Predicate, dom: Domain) -> ImplicationResult:
         raise ParseError(TOO_DEEP) from None
 
 
-#: the most values in one row, so memory does not depend on a range's width
-_ROW_WIDTH = 1024
-
-
 def _enumerate(
     p1: Predicate, p2: Predicate, dom: Domain, needed: frozenset[str]
 ) -> ImplicationResult:
@@ -231,43 +266,35 @@ def _enumerate(
         return ImplicationResult(True, None, 0, dom)
 
     floor = {name: lo for name, lo, _ in dom.ranges if name not in needed}
-    varying = [entry for entry in dom.ranges if entry[0] in needed]
-    wide = [index for index, (_, lo, hi) in enumerate(varying) if lo < hi]
-    if not wide:
-        point = {**floor, **{name: lo for name, lo, _ in varying}}
-        found = _first_counterexample(p1, p2, [point])
-        return ImplicationResult(found is None, None if found is None else point, 1, dom)
+    varying = Domain(tuple(entry for entry in dom.ranges if entry[0] in needed))
+    row = varying.row
+    if row is None:
+        found = _first_counterexample(p1, p2, [floor])
+        return ImplicationResult(found is None, None if found is None else floor, 1, dom)
 
-    split = wide[-1]
-    row, low, high = varying[split]
-    constants = {name: lo for name, lo, _ in varying[split + 1:]}
     premise_rows, conclusion_rows = compile_bool(p1, row), compile_bool(p2, row)
     checked = 0
-    env = {**floor, **constants}
-    for prefix in Domain(tuple(varying[:split])).points():
-        env.update(prefix)
-        for start in range(low, high + 1, _ROW_WIDTH):
-            values = range(start, min(start + _ROW_WIDTH, high + 1))
-            try:
-                held = premise_rows(env, values)
-                kept = conclusion_rows(env, held) if held else held
-            except Exception:
-                # unlike the points judged in order, the row does not stop
-                # at its first counterexample: judge it again that way, which
-                # raises what the points raise, as PredicateUndefinedError
-                states = ({**floor, **prefix, row: value, **constants} for value in values)
-                found = _first_counterexample(p1, p2, states)
-            else:
-                found = None
-                if len(kept) < len(held):
-                    # values ascend, so the first p2 drops is the least
-                    kept = set(kept)
-                    value = min(filterfalse(kept.__contains__, held))
-                    found = value - start, {**floor, **prefix, row: value, **constants}
-            if found is not None:
-                index, state = found
-                return ImplicationResult(False, state, checked + index + 1, dom)
-            checked += len(values)
+    for prefix, values in varying.rows():
+        env = {**floor, **prefix}
+        try:
+            held = premise_rows(env, values)
+            kept = conclusion_rows(env, held) if held else held
+        except Exception:
+            # unlike the points judged in order, the row does not stop
+            # at its first counterexample: judge it again that way, which
+            # raises what the points raise, as PredicateUndefinedError
+            found = _first_counterexample(p1, p2, ({**env, row: value} for value in values))
+        else:
+            found = None
+            if len(kept) < len(held):
+                # values ascend, so the first p2 drops is the least
+                kept = set(kept)
+                value = min(filterfalse(kept.__contains__, held))
+                found = value - values.start, {**env, row: value}
+        if found is not None:
+            index, state = found
+            return ImplicationResult(False, state, checked + index + 1, dom)
+        checked += len(values)
     return ImplicationResult(True, None, checked, dom)
 
 

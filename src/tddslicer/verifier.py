@@ -7,14 +7,20 @@ budget is a failure (total-correctness reading), and a precondition that
 no domain point satisfies yields the distinct Vacuous verdict: a vacuous
 "Verified" would let the slicer delete everything.
 
-One loop, _scan, judges every domain scan: point by point, each live
-(pre, run, post) triple is judged with _judge, and a triple leaves at its
-first failure. Its runs are lang.interp.runner's, made once per scan: a
-point costs no input check and no RunResult. A Judge feeds it one triple:
-a program and its contract, validated and compiled once, then judged with
-any number of kept-sets of its statements (the slicer's candidates);
-check() is Judge(...).check(). check_all() decides many (program,
-contract) pairs in one scan, remembering each shared precondition,
+One loop, _scan, judges every domain scan, a row of Domain.rows() at a
+time: each distinct precondition of the live (pre, run, post) triples is
+judged once per row with its row form (compile_bool's row), and only at
+the values where it held is the point built, the program run and the
+postcondition judged (_settle); a row whose precondition raises is judged
+point by point with _judge, so every witness, count and run is that of
+judging the points one by one. A triple leaves at its first failure. Its
+runs are lang.interp.runner's, made once per scan: a point costs no input
+check and no RunResult. A Judge feeds it one triple: a program and its
+contract, validated and compiled once, then judged with any number of
+kept-sets of its statements (the slicer's candidates); check() is
+Judge(...).check(), and Judge.first_failure() judges given points whose
+precondition is known to hold, as rows of one value. check_all() decides
+many (program, contract) pairs in one scan, remembering each shared
 program and (program, postcondition) for the latest point only, which
 suffices because the triples judged at a point read the same inputs and
 final states.
@@ -25,9 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import repeat
 
 from .contracts import Contract, validate_scope
-from .errors import EvaluationFault
+from .errors import EvaluationFault, ParseError
 from .lang import ast
 from .lang.interp import (
     BUDGET_EXCEEDED,
@@ -110,15 +117,25 @@ def _judge(pre, execute, post, inputs: State) -> tuple | None:
     """Judge one point: pre holds -> run -> post holds.
 
     None when the precondition is false, else (status, final, detail, ran)
-    with a PointCheck status; ran is false exactly when the program did not
-    run. execute(inputs) runs it and returns the plain tuple of runner. A
-    fault in a predicate is a FAULT status; any other exception propagates.
+    with a PointCheck status, as _settle gives it; ran is false exactly
+    when the program did not run, after a fault in the precondition (a
+    FAULT status). Any other exception propagates.
     """
     try:
         if not pre(inputs):
             return None
     except EvaluationFault as fault:
         return FAULT, None, f"precondition fault: {fault.reason}", False
+    return _settle(execute, post, inputs)
+
+
+def _settle(execute, post, inputs: State) -> tuple:
+    """Judge one point whose precondition holds: run -> post holds.
+
+    (status, final, detail, True) with a PointCheck status. execute(inputs)
+    runs the program and returns the plain tuple of runner. A fault in the
+    postcondition is a FAULT status; any other exception propagates.
+    """
     status, final, _, _, stmt_id, reason = execute(inputs)
     if status != OK:
         return status, final, f"{reason} at statement {stmt_id}", True
@@ -130,39 +147,127 @@ def _judge(pre, execute, post, inputs: State) -> tuple | None:
     return FAIL, final, "postcondition is false", True
 
 
-def _scan(triples: list[tuple], points, dom: Domain) -> list:
+def _pre_tests(pred: ast.BoolExpr, row: str | None) -> tuple:
+    """pred compiled to judge rows of row's values and single points:
+    (row_test, test). row_test is None, so that rows are judged point by
+    point, when there is no row variable or pred is nested too deeply for
+    the row form, which takes a frame more than test at some nodes."""
+    test = compile_bool(pred)
+    if row is None:
+        return None, test
+    try:
+        return compile_bool(pred, row), test
+    except ParseError:
+        return None, test
+
+
+#: pres for points whose precondition is known to hold
+_HOLDS = ((lambda prefix, values: values, None),)
+
+#: the values of a row that is the one point its prefix
+_ONE = range(1)
+
+
+def _held(row_test, prefix: State, values: range):
+    """The values of a row at which a precondition holds, in no set
+    order, or None when the row is to be judged point by point: there is
+    no row test, or it raised."""
+    if row_test is None:
+        return None
+    try:
+        return row_test(prefix, values)
+    except Exception:
+        return None
+
+
+def _visit(held: dict, values: range):
+    """The values of a row to visit, ascending, when more than one
+    precondition was judged on it (held, as _held gives them): all of them
+    if one is to be judged point by point, else those where one holds.
+    Turns each list in held into values, when it holds at all of them, or
+    a set."""
+    for pre, hits in held.items():
+        if hits is not None:
+            held[pre] = values if len(hits) == len(values) else set(hits)
+    tested = held.values()
+    if None in tested or values in tested:
+        return values
+    return sorted(set().union(*tested))
+
+
+def _scan(pres, triples: list[tuple], rows, row: str | None, dom: Domain) -> list:
     """The one judging loop: the verdict of each (pre, execute, post)
-    triple over points, or the exception it raised. Point by point, every
-    live triple is judged with _judge; a triple leaves at its first
-    failure or exception."""
+    triple over rows, or the exception it raised.
+
+    pre indexes pres, one (row_test, test) pair per distinct precondition
+    (see _pre_tests). rows are (prefix, values) as Domain.rows() gives
+    them, and row is the variable values binds (None: a row is the one
+    point prefix). Each precondition a live triple reads is judged once
+    per row with its row_test; at each value where one held, in ascending
+    order, the point is built and the live triples that read it run and
+    judge their postcondition there (_settle). A precondition whose
+    row_test raised is judged on that row point by point with its test
+    (_judge), so the first failure, every witness, count and run is that
+    of judging the points one by one. A triple leaves at its first
+    failure or exception.
+    """
     verdicts: list = [None] * len(triples)
     checked = [0] * len(triples)  # points where the precondition held
     live = list(enumerate(triples))
-    for inputs in points:
+    for prefix, values in rows:
         if not live:
             break
-        failed = False
-        for index, (pre, execute, post) in live:
-            try:
-                outcome = _judge(pre, execute, post, inputs)
-            except Exception as err:
-                verdicts[index] = err
+        held = {}
+        for _, (pre, _, _) in live:
+            if pre not in held:
+                held[pre] = _held(pres[pre][0], prefix, values)
+        # from here on, a precondition is None (judged point by point),
+        # values (it holds at every value visited) or the set where it holds
+        if len(held) == 1:
+            hits = held[pre]
+            if hits is None or hits is values:
+                visit = values
+            else:
+                visit = values if len(hits) == len(values) else sorted(hits)
+                held[pre] = values
+        else:
+            visit = _visit(held, values)
+        for value in visit:
+            if row is None:
+                point = prefix
+            else:
+                point = prefix.copy()
+                point[row] = value
+            failed = False
+            for index, (pre, execute, post) in live:
+                hits = held[pre]
+                try:
+                    if hits is None:
+                        outcome = _judge(pres[pre][1], execute, post, point)
+                        if outcome is None:
+                            continue
+                    elif hits is values or value in hits:
+                        outcome = _settle(execute, post, point)
+                    else:
+                        continue
+                except Exception as err:
+                    verdicts[index] = err
+                    failed = True
+                    continue
+                if outcome[0] == PASS:
+                    checked[index] += 1
+                    continue
+                status, final, detail, ran = outcome
+                if ran:
+                    checked[index] += 1
+                verdict = COUNTEREXAMPLE if status == FAIL else status
+                witness = Witness(point, final, detail)
+                verdicts[index] = VerificationResult(verdict, witness, checked[index], dom)
                 failed = True
-                continue
-            if outcome is None:
-                continue
-            if outcome[0] == PASS:
-                checked[index] += 1
-                continue
-            status, final, detail, ran = outcome
-            if ran:
-                checked[index] += 1
-            verdict = COUNTEREXAMPLE if status == FAIL else status
-            witness = Witness(inputs, final, detail)
-            verdicts[index] = VerificationResult(verdict, witness, checked[index], dom)
-            failed = True
-        if failed:
-            live = [entry for entry in live if verdicts[entry[0]] is None]
+            if failed:
+                live = [entry for entry in live if verdicts[entry[0]] is None]
+                if not live:
+                    break
     for index, _ in live:
         count = checked[index]
         verdicts[index] = VerificationResult(VERIFIED if count else VACUOUS, None, count, dom)
@@ -185,26 +290,32 @@ class Judge:
     ):
         _validate(program, contract, dom)
         self.program = program
-        self.pre = compile_bool(contract.pre)
+        self.pres = (_pre_tests(contract.pre, dom.row),)
         self.post = compile_bool(contract.post)
         self.dom = dom
         self.step_budget = step_budget
 
     def first_failure(self, points, kept: frozenset[int] | None = None) -> VerificationResult | None:
         """The failure at the first of points that the program, keeping the
-        statements in kept (all if None), fails, or None."""
-        verdict = self._verdict(points, kept)
+        statements in kept (all if None), fails, or None.
+
+        Each of points must satisfy the precondition, which is not judged
+        again: the slicer gives the witnesses of earlier runs, each a point
+        where check() found that it holds.
+        """
+        rows = zip(points, repeat(_ONE))
+        verdict = self._verdict(_HOLDS, rows, None, kept)
         return None if verdict.witness is None else verdict
 
     def check(self, kept: frozenset[int] | None = None) -> VerificationResult:
         """What check(program, contract, dom, step_budget) returns, for the
         program keeping the statements in kept (all if None): the same as
         for the program with the other statements deleted."""
-        return self._verdict(self.dom.points(), kept)
+        return self._verdict(self.pres, self.dom.rows(), self.dom.row, kept)
 
-    def _verdict(self, points, kept) -> VerificationResult:
-        triple = (self.pre, runner(self.program, self.step_budget, kept=kept), self.post)
-        (verdict,) = _scan([triple], points, self.dom)
+    def _verdict(self, pres, rows, row, kept) -> VerificationResult:
+        triple = (0, runner(self.program, self.step_budget, kept=kept), self.post)
+        (verdict,) = _scan(pres, [triple], rows, row, self.dom)
         if isinstance(verdict, Exception):
             raise verdict
         return verdict
@@ -218,11 +329,12 @@ def check_all(
     """Decide every (program, contract) pair over dom in one scan of dom.
 
     Result i is what check(*pairs[i], dom, step_budget) returns, or the
-    exception it raises. Equal pairs are decided once; equal programs,
-    preconditions and (program, postcondition) pairs are evaluated once
-    per point and shared by the pairs that read them; a pair stops
-    costing anything at its first failure. Memory is bounded by one point
-    per shared item, whatever the size of dom.
+    exception it raises. Equal pairs are decided once; equal preconditions
+    are judged once per row, and equal programs and (program,
+    postcondition) pairs once per point, shared by the pairs that read
+    them; a pair stops costing anything at its first failure. Memory is
+    bounded by one row per shared precondition and one point per other
+    shared item, whatever the size of dom.
     """
     programs: list[ast.Program] = []
     pres: list[ast.BoolExpr] = []
@@ -238,12 +350,10 @@ def check_all(
         slots = (_slot(pres, contract.pre), _slot(programs, program), _slot(posts, contract.post))
         asked.append(triples.setdefault(slots, len(triples)))
 
+    pre_tests = _compile_each(partial(_pre_tests, row=dom.row), pres)
+    post_tests = _compile_each(compile_bool, posts)
     # every point's inputs and final states are shared by the triples
     # judged at that point, so remembering the latest argument suffices
-    pre_tests = [
-        test if isinstance(test, Exception) else _latest(test) for test in _compile_each(pres)
-    ]
-    post_tests = _compile_each(posts)
     executors = [_latest(runner(program, step_budget)) for program in programs]
     post_getters: dict[tuple[int, int], object] = {}
     verdicts: dict[int, object] = {}  # triple -> its exception or verdict
@@ -255,8 +365,9 @@ def check_all(
             continue
         if (code, post) not in post_getters:
             post_getters[code, post] = _latest(post_test)
-        judged[triple] = (pre_test, executors[code], post_getters[code, post])
-    verdicts.update(zip(judged, _scan(list(judged.values()), dom.points(), dom)))
+        judged[triple] = (pre, executors[code], post_getters[code, post])
+    scanned = _scan(pre_tests, list(judged.values()), dom.rows(), dom.row, dom)
+    verdicts.update(zip(judged, scanned))
     return [verdicts[triple] if isinstance(triple, int) else triple for triple in asked]
 
 
@@ -276,12 +387,12 @@ def _slot(known: list, item) -> int:
     return len(known) - 1
 
 
-def _compile_each(preds: list[ast.BoolExpr]) -> list:
-    """compile_bool of each predicate, or the exception it raised."""
+def _compile_each(compile, preds: list[ast.BoolExpr]) -> list:
+    """compile of each predicate, or the exception it raised."""
     compiled = []
     for pred in preds:
         try:
-            compiled.append(compile_bool(pred))
+            compiled.append(compile(pred))
         except Exception as err:
             compiled.append(err)
     return compiled

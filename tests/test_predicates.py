@@ -52,6 +52,38 @@ class TestDomainPoints:
                 assert got == expected
                 assert [list(point) for point in got] == [names] * len(expected)
 
+    def test_rows_are_the_points_a_row_at_a_time(self):
+        """rows() gives the points of points(), in order, as (prefix, values):
+        prefix binds every variable in name order, the row variable (the
+        last with more than one value, else the last) to values[0], and
+        values is a range of at most ROW_WIDTH values of it."""
+        rng = random.Random(6174)
+        for _ in range(200):
+            ranges = {}
+            for name in rng.sample("abcd", rng.randint(1, 3)):
+                lo = rng.randint(-3, 3)
+                ranges[name] = (lo, lo + rng.choice((0, 0, 1, 3)))
+            dom = Domain.from_dict(ranges)
+            names = sorted(ranges)
+            wide = [name for name in names if ranges[name][0] < ranges[name][1]]
+            assert dom.row == (wide or names)[-1]
+            flat = []
+            for prefix, values in dom.rows():
+                assert list(prefix) == names
+                assert prefix[dom.row] == values.start
+                flat += [{**prefix, dom.row: value} for value in values]
+            assert flat == list(dom.points())
+        dom = Domain.parse("a in 0..1, b in 0..2999, c in 5..5")
+        assert dom.row == "b"
+        assert [(prefix, values) for prefix, values in dom.rows()][:4] == [
+            ({"a": 0, "b": 0, "c": 5}, range(0, 1024)),
+            ({"a": 0, "b": 1024, "c": 5}, range(1024, 2048)),
+            ({"a": 0, "b": 2048, "c": 5}, range(2048, 3000)),
+            ({"a": 1, "b": 0, "c": 5}, range(0, 1024)),
+        ]
+        assert len(list(dom.rows())) == 6
+        assert list(Domain(()).rows()) == [({}, range(1))] and Domain(()).row is None
+
     def test_no_variables_give_one_empty_point(self):
         assert list(Domain(()).points()) == [{}]
         # a query whose sides read no variable evaluates them at one point

@@ -680,6 +680,30 @@ def test_greedy_judges_closed_kept_sets_and_skips_what_is_gone(monkeypatch):
     assert skipped >= 10
 
 
+def test_killer_inputs_satisfy_the_precondition(monkeypatch):
+    """Judge.first_failure does not judge the precondition of the points
+    it is given: every point the slicer gives it satisfies it."""
+    given = []
+    real_first_failure = verifier.Judge.first_failure
+
+    def recording(self, points, kept=None):
+        given.extend(points)
+        return real_first_failure(self, points, kept)
+
+    monkeypatch.setattr(verifier.Judge, "first_failure", recording)
+    rng = random.Random(1618)
+    dom = Domain.from_dict(ORACLE_RANGES)
+    restricted = 0  # killers given under a precondition other than TRUE
+    for index in range(40):
+        program, contract, budget = _oracle_case(rng, ORACLE_KINDS[index % len(ORACLE_KINDS)])
+        for strategy in (EXHAUSTIVE, GREEDY):
+            given.clear()
+            compute_slice(program, contract, dom, strategy=strategy, step_budget=budget)
+            assert all(bf_holds(contract.pre, dict(point)) for point in given)
+            restricted += len(given) * (contract.pre != ast.BoolLit(True))
+    assert restricted > 50
+
+
 def test_slice_ending_at_its_first_candidate_enumerates_no_other(monkeypatch):
     pulled = []
     real_retainable = slicer._retainable

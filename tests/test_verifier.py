@@ -21,6 +21,7 @@ from tddslicer import (
     run,
 )
 from tddslicer import verifier
+from tddslicer.errors import TOO_DEEP
 from tddslicer.lang import interp
 from tddslicer.lang.interp import OK
 from tddslicer.verifier import (
@@ -34,7 +35,7 @@ from tddslicer.verifier import (
 )
 
 from bruteforce import bf_check, bf_holds
-from generators import CMP_OPS, predicate_text, random_contract, random_program
+from generators import CMP_OPS, predicate_text, random_contract, random_predicate, random_program
 
 ONE_SIDED_MAX = "proc max2(in a, in b, out max) { if (a > b) { max := a; } }"
 
@@ -427,6 +428,116 @@ class TestCheckAll:
             assert large < small + 32_000
 
 
+class TestRowScan:
+    """Preconditions are judged a row at a time (Domain.rows()), with every
+    verdict, witness, key order and checked_points of judging the points
+    one by one, as bf_check and _bf_checked_points do."""
+
+    DOMAINS = [
+        {"a": (-2, 2), "b": (-2, 2)},
+        # the last range has one value: a is the row variable, b a constant
+        {"a": (-3, 3), "b": (1, 1)},
+        {"a": (0, 0), "b": (-3, 3)},
+    ]
+
+    def _agrees(self, program, contract, ranges, budget, result):
+        """result, check's or check_all's, is that of the points one by one."""
+        verdict, witness = bf_check(program, contract.pre, contract.post, ranges, budget)
+        assert result.verdict == verdict
+        assert (result.witness and result.witness.inputs) == witness
+        assert result.checked_points == _bf_checked_points(contract.pre, Domain.from_dict(ranges), witness)
+        if witness is not None:
+            # name order, as Domain.points gives the inputs, and the final
+            # state of a run on such a point
+            names = sorted(ranges)
+            assert list(result.witness.inputs) == names
+            if result.witness.final is not None:
+                point = {name: witness[name] for name in names}
+                assert list(result.witness.final) == list(run(program, point, budget).final)
+        return verdict
+
+    def test_random_programs_and_faulting_contracts(self):
+        rng = random.Random(8086)
+        verdicts = Counter()
+        for case in range(300):
+            ranges = self.DOMAINS[case % len(self.DOMAINS)]
+            dom = Domain.from_dict(ranges)
+            program = random_program(rng, 4, True, faults=True)
+            contracts = [
+                Contract(random_predicate(rng, ("a", "b"), faults=True),
+                         random_predicate(rng, ("a", "b", "o"), faults=True))
+                for _ in range(3)
+            ]
+            budget = rng.choice((3, 25, 10000))
+            shared = check_all([(program, contract) for contract in contracts], dom, budget)
+            for contract, result in zip(contracts, shared):
+                solo = check(program, contract, dom, budget)
+                assert result == solo
+                verdicts[self._agrees(program, contract, ranges, budget, solo)] += 1
+        for verdict in (VERIFIED, COUNTEREXAMPLE, VACUOUS, FAULT, BUDGET_EXCEEDED):
+            assert verdicts[verdict] >= 20, verdicts
+
+    COPY = "proc f(in a, out o){ o := a; }"
+
+    @pytest.mark.parametrize("pre, post, spec, witness, checked", [
+        # wider than a row of 1,024 values: the first failure is in the second row
+        ("a % 7 != 3", "o < 1500", "a in 0..3000", 1500, 1287),
+        # the precondition faults at a == 5, later in the row than the
+        # counterexample at a == 3
+        ("10 / (a - 5) > -100", "o < 3", "a in 0..9", 3, 4),
+        ("10 / (a - 5) > -100", "o < 7", "a in 0..9", 5, 5),
+    ])
+    def test_row_edges(self, pre, post, spec, witness, checked):
+        program, contract = parse_program(self.COPY), _contract(pre, post)
+        dom = Domain.parse(spec)
+        ((_, lo, hi),) = dom.ranges
+        result = check(program, contract, dom)
+        assert result.witness.inputs == {"a": witness}
+        assert result.checked_points == checked
+        self._agrees(program, contract, {"a": (lo, hi)}, 10000, result)
+        twin = (program, _contract(pre, "TRUE"))
+        assert check_all([twin, (program, contract)], dom)[1] == result
+
+    def test_exists_binding_the_row_variable(self, max2):
+        contract = _contract("exists b in 0..3 : a > b", "max >= a")
+        ranges = {"a": (-3, 3), "b": (-3, 3)}
+        result = check(max2, contract, Domain.from_dict(ranges))
+        assert (result.verdict, result.checked_points) == (VERIFIED, 21)
+        self._agrees(max2, contract, ranges, 10000, result)
+
+    @pytest.mark.parametrize("pre, post, verdict, detail", [
+        ("TRUE", "o == 1", VERIFIED, None),
+        ("TRUE", "o == 2", COUNTEREXAMPLE, "postcondition is false"),
+        ("FALSE", "TRUE", VACUOUS, None),
+        ("1 / 0 > 0", "TRUE", FAULT, "precondition fault: division by zero"),
+    ])
+    def test_no_in_parameters_is_one_empty_point(self, pre, post, verdict, detail):
+        program = parse_program("proc f(out o){ o := 1; }")
+        result = check(program, _contract(pre, post), Domain(()))
+        assert result.verdict == verdict
+        assert result.checked_points == (verdict in (VERIFIED, COUNTEREXAMPLE))
+        assert (result.witness and result.witness.detail) == detail
+        if result.witness is not None:
+            assert result.witness.inputs == {}
+        assert check_all([(program, _contract(pre, post))], Domain(())) == [result]
+
+    def test_precondition_too_deep_for_its_row_form_is_judged_point_by_point(
+        self, max2, dom_ab8, monkeypatch
+    ):
+        contract = _contract("a > b", "max == a")
+        expected = check(max2, contract, dom_ab8)
+        real_compile = verifier.compile_bool
+
+        def no_rows(pred, row=None):
+            if row is not None:
+                raise ParseError(TOO_DEEP)
+            return real_compile(pred)
+
+        monkeypatch.setattr(verifier, "compile_bool", no_rows)
+        assert check(max2, contract, dom_ab8) == expected
+        assert check_all([(max2, contract)], dom_ab8) == [expected]
+
+
 class TestWideDomains:
     COPY = "proc f(in a, out o){ o := a; }"
 
@@ -452,8 +563,9 @@ class TestWideDomains:
 
 
 class TestSharedWork:
-    """check_all evaluates each distinct precondition, program and
-    (program, postcondition) once per point that needs it."""
+    """check_all judges each distinct precondition once per row, and each
+    distinct program and (program, postcondition) once per point that
+    needs it."""
 
     def test_evaluations_per_point(self, monkeypatch, verifier_runs):
         # final states repeat across points, since the program overwrites
@@ -462,22 +574,23 @@ class TestSharedWork:
         # evaluates its postconditions
         program = parse_program("proc f(in a, out o){ a := 0; o := 1; }")
         twin = parse_program("proc f(in a, out o){ a := 0; o := 1; }")
-        dom = Domain.parse("a in 0..5")
+        dom = Domain.parse("a in 0..5")  # one row
         pairs = [
             (program, _contract("TRUE", "o == 1")),
             (twin, _contract("a >= 0", "o == 1")),
             (program, _contract("TRUE", "o > 0")),
             (program, _contract("a < 3", "o == 1")),
         ]
-        evaluations = Counter()
+        rows, points = Counter(), Counter()
         real_compile = verifier.compile_bool
 
-        def counting_compile(pred):
-            test = real_compile(pred)
+        def counting_compile(pred, row=None):
+            test = real_compile(pred, row)
+            calls = points if row is None else rows
 
-            def counted(state):
-                evaluations[format_predicate(pred)] += 1
-                return test(state)
+            def counted(*args):
+                calls[format_predicate(pred)] += 1
+                return test(*args)
 
             return counted
 
@@ -486,7 +599,8 @@ class TestSharedWork:
         assert [r.verdict for r in results] == [VERIFIED] * 4
         assert [r.checked_points for r in results] == [6, 6, 6, 3]
         assert len(verifier_runs) == 6
-        assert evaluations == {"TRUE": 6, "a >= 0": 6, "a < 3": 6, "o == 1": 6, "o > 0": 6}
+        assert rows == {"TRUE": 1, "a >= 0": 1, "a < 3": 1}
+        assert points == {"o == 1": 6, "o > 0": 6}
 
 
 DIV_SPEC = "0 <= r && r < y && x == y * q + r"
