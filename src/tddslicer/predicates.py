@@ -78,6 +78,10 @@ class Domain:
 
     #: the most values in one row, so memory does not depend on a range's width
     ROW_WIDTH = 1024
+    #: the most values in the first row; each later row may hold twice as
+    #: many as the one before, up to ROW_WIDTH, so a scan that stops early
+    #: judges few values past its stop
+    FIRST_ROW_WIDTH = 16
 
     @cached_property
     def row(self) -> str | None:
@@ -91,9 +95,11 @@ class Domain:
     def rows(self):
         """All assignments as rows, in points() order: (prefix, values)
         for the points that differ only in the row variable (see row),
-        which takes the values of the range values, at most ROW_WIDTH of
-        them (a wider range makes more rows). The variables after the row
-        variable have one value each, constants of every row.
+        which takes the values of the range values: at most
+        FIRST_ROW_WIDTH of them in the first row, and in each later row
+        at most twice as many as in the one before, up to ROW_WIDTH (a
+        wide range makes more rows). The variables after the row variable
+        have one value each, constants of every row.
 
         prefix is a new dict binding every variable in name order, the
         row variable to the first of values: the row's first point.
@@ -109,16 +115,17 @@ class Domain:
         split = names.index(row)
         outer = self.ranges[:split]
         _, low, high = self.ranges[split]
-        span = range(low, high + 1)
-        width = self.ROW_WIDTH
-        # the rows of one prefix; made anew for each prefix when there are
-        # too many to hold
-        chunks = (span,) if high - low < width else None
         digits = [lo for _, lo, _ in self.ranges]
+        width, widest = self.FIRST_ROW_WIDTH, self.ROW_WIDTH
         while True:
-            for values in chunks or (span[i:i + width] for i in range(0, high + 1 - low, width)):
-                digits[split] = values.start
-                yield dict(zip(names, digits)), values
+            start = low
+            while start <= high:
+                stop = min(start + width, high + 1)
+                digits[split] = start
+                yield dict(zip(names, digits)), range(start, stop)
+                start = stop
+                if width < widest:
+                    width *= 2
             # advance the outer values, the rightmost fastest
             digit = split - 1
             while digit >= 0 and digits[digit] == outer[digit][2]:

@@ -73,15 +73,17 @@ class TestDomainPoints:
                 assert prefix[dom.row] == values.start
                 flat += [{**prefix, dom.row: value} for value in values]
             assert flat == list(dom.points())
+        # rows start at 16 values and double up to 1,024
         dom = Domain.parse("a in 0..1, b in 0..2999, c in 5..5")
         assert dom.row == "b"
-        assert [(prefix, values) for prefix, values in dom.rows()][:4] == [
-            ({"a": 0, "b": 0, "c": 5}, range(0, 1024)),
-            ({"a": 0, "b": 1024, "c": 5}, range(1024, 2048)),
-            ({"a": 0, "b": 2048, "c": 5}, range(2048, 3000)),
-            ({"a": 1, "b": 0, "c": 5}, range(0, 1024)),
+        rows = list(dom.rows())
+        assert [values for _, values in rows] == [
+            range(0, 16), range(16, 48), range(48, 112), range(112, 240), range(240, 496),
+            range(496, 1008), range(1008, 2032), range(2032, 3000),
+            range(0, 1024), range(1024, 2048), range(2048, 3000),
         ]
-        assert len(list(dom.rows())) == 6
+        assert [prefix["a"] for prefix, _ in rows] == [0] * 8 + [1] * 3
+        assert rows[9][0] == {"a": 1, "b": 1024, "c": 5}
         assert list(Domain(()).rows()) == [({}, range(1))] and Domain(()).row is None
 
     def test_no_variables_give_one_empty_point(self):

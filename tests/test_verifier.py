@@ -480,7 +480,7 @@ class TestRowScan:
     COPY = "proc f(in a, out o){ o := a; }"
 
     @pytest.mark.parametrize("pre, post, spec, witness, checked", [
-        # wider than a row of 1,024 values: the first failure is in the second row
+        # the first failure is in the seventh row, 1,024 values wide
         ("a % 7 != 3", "o < 1500", "a in 0..3000", 1500, 1287),
         # the precondition faults at a == 5, later in the row than the
         # counterexample at a == 3
@@ -497,6 +497,18 @@ class TestRowScan:
         self._agrees(program, contract, {"a": (lo, hi)}, 10000, result)
         twin = (program, _contract(pre, "TRUE"))
         assert check_all([twin, (program, contract)], dom)[1] == result
+
+    def test_first_failure_in_the_second_full_width_row(self):
+        # b's rows for a == 1 are 1,024 values wide: the failure at b == 1500
+        # is in the second
+        program = parse_program("proc f(in a, in b, out o){ o := 10000 * a + b; }")
+        contract = _contract("b % 7 != 3", "o < 11500")
+        ranges = {"a": (0, 1), "b": (0, 3000)}
+        dom = Domain.from_dict(ranges)
+        assert [len(values) for prefix, values in dom.rows() if prefix["a"] == 1] == [1024, 1024, 953]
+        result = check(program, contract, dom)
+        assert result.witness.inputs == {"a": 1, "b": 1500}
+        self._agrees(program, contract, ranges, 10000, result)
 
     def test_exists_binding_the_row_variable(self, max2):
         contract = _contract("exists b in 0..3 : a > b", "max >= a")
@@ -548,6 +560,29 @@ class TestWideDomains:
         assert result.verdict == COUNTEREXAMPLE
         assert result.witness.inputs == {"a": 2}
         assert result.checked_points == 2
+
+    def test_early_failure_judges_one_short_row_of_preconditions(self, monkeypatch):
+        # rows start short, so a scan that stops early judges the
+        # precondition at few values past its stop
+        judged = []
+        real_compile = verifier.compile_bool
+
+        def recording(pred, row=None):
+            test = real_compile(pred, row)
+            if row is None:
+                return test
+
+            def row_test(env, values):
+                judged.append(values)
+                return test(env, values)
+
+            return row_test
+
+        monkeypatch.setattr(verifier, "compile_bool", recording)
+        program = parse_program(self.COPY)
+        result = check(program, _contract("a > 0", "o < 2"), Domain.parse("a in 1..1000000"))
+        assert result.witness.inputs == {"a": 2}
+        assert judged == [range(1, 17)]
 
     def test_early_failure_costs_no_memory_for_the_rest_of_the_range(self):
         program = parse_program(self.COPY)
