@@ -22,9 +22,14 @@ runs add their steps to a count of its own, and once the count reaches
 SOURCE_AFTER_STEPS it emits the program, with its kept-set and budget, as
 Python source, compiles it, and runs that for every later call: the saving
 per run grows with the steps a run takes, so only scans long enough to
-repay the compile pay for it. Source that Python refuses (nested too
+repay the compile pay for it. Given a postcondition, the source also
+judges it after a run that ends ok and returns PASSED where it holds, so
+a passing point builds no final state (operator fusion, after Neumann,
+"Efficiently Compiling Efficient Query Plans for Modern Hardware", VLDB
+2011); the closures ignore it, and a post the source cannot hold is left
+out of it. Source that Python refuses for the program itself (nested too
 deeply for its parser or compiler) leaves the function on the closures
-for good. Recorded runs never switch, and predicates stay closures.
+for good. Recorded runs never switch, and other predicates stay closures.
 
 A run produces the final state plus, when recorded, the trajectory: one
 (stmt_id, var, value) entry per executed assignment, in execution order.
@@ -59,6 +64,10 @@ ALL = None
 OK = "ok"
 FAULT = "fault"
 BUDGET_EXCEEDED = "budget_exceeded"
+
+#: what a function made by runner with a post returns, on the source tier,
+#: for a run that ends ok in a state where post holds
+PASSED = "passed"
 
 _BUDGET_REASON = "step budget exceeded"
 
@@ -567,7 +576,8 @@ def _compiled(program: ast.Program) -> _CompiledProgram:
 # A program, with a kept-set and a budget, emitted as the Python source of
 # one function of the inputs and compiled by Python: the statements inline,
 # the program variables locals named v_<name>, each step counted in the
-# local left. It returns what the closures return for an unrecorded run.
+# local left. It returns what the closures return for an unrecorded run,
+# or PASSED where a fused postcondition holds.
 
 
 def _faulting(fn: Callable) -> Callable:
@@ -587,6 +597,7 @@ _SOURCE_GLOBALS = {
     "__builtins__": {},
     "_Stop": _Stop,
     "BUDGET_EXCEEDED": BUDGET_EXCEEDED,
+    "PASSED": PASSED,
     "_BUDGET_REASON": _BUDGET_REASON,
     "_div": _faulting(trunc_div),
     "_mod": _faulting(trunc_mod),
@@ -633,8 +644,11 @@ class _Emitter:
         if isinstance(pred, (ast.And, ast.Or)):
             word = "and" if isinstance(pred, ast.And) else "or"
             return f"({self.pred(pred.left, sid)} {word} {self.pred(pred.right, sid)})"
-        # TRUE, FALSE and exists occur in predicates only: a hand-built
-        # program holding one stays on the closures
+        if isinstance(pred, ast.BoolLit):
+            return repr(pred.value)
+        # a bounded exists would need a loop in an expression: a post
+        # holding one is not fused, a hand-built program holding one
+        # stays on the closures
         raise ValueError(f"no source for {type(pred).__name__}")
 
     def block(self, block: ast.Block, depth: int) -> bool:
@@ -666,9 +680,19 @@ class _Emitter:
             self.block(stmt.body, depth)
 
 
-def _source(program: ast.Program, step_budget: int, kept: frozenset[int] | None) -> str:
+def _source(
+    program: ast.Program,
+    step_budget: int,
+    kept: frozenset[int] | None,
+    post: ast.BoolExpr | None = None,
+) -> str:
     """The source of `run(inputs)`, which returns what runner's function
-    returns for program, step_budget and kept on an unrecorded run."""
+    returns for program, step_budget and kept on an unrecorded run. With
+    post, a run that ends ok judges post on its variables and returns
+    PASSED where it holds; a post that is false or faults (a _Stop, caught)
+    gives the run's tuple, for the caller to judge again. ValueError for a
+    post that reads a name outside the program's variables or holds an
+    exists."""
     in_params, zeroed = program.in_params, tuple(_compiled(program).zeroed)
     emitter = _Emitter((*in_params, *zeroed), kept)
     emitter.block(program.body, 2)
@@ -683,23 +707,43 @@ def _source(program: ast.Program, step_budget: int, kept: frozenset[int] | None)
         *(emitter.lines or [(2, "pass")]),
         (1, "except _Stop as stop:"),
         (2, "status, stmt_id, reason = stop.status, stop.stmt_id, stop.reason"),
-        (1, f"return status, {{**inputs, {final}}}, (), {step_budget!r} - left, stmt_id, reason"),
     ]
+    if post is not None:
+        lines += [
+            (1, "else:"),
+            (2, "try:"),
+            (3, f"if {emitter.pred(post, None)}: return PASSED"),
+            (2, "except _Stop:"),
+            (3, "pass"),
+        ]
+    lines.append(
+        (1, f"return status, {{**inputs, {final}}}, (), {step_budget!r} - left, stmt_id, reason")
+    )
     return "\n".join("    " * depth + text for depth, text in lines) + "\n"
 
 
-def _source_tier(program: ast.Program, step_budget: int, kept: frozenset[int] | None):
-    """_source compiled, or None when it cannot be: Python refuses source
+def _source_tier(
+    program: ast.Program,
+    step_budget: int,
+    kept: frozenset[int] | None,
+    post: ast.BoolExpr | None = None,
+):
+    """_source compiled, with post fused if it can be and else without it,
+    or None when the program's own source cannot be: Python refuses source
     nested too deeply (about 200 parentheses, 20 loops, 100 indents) with
     SyntaxError, RecursionError or MemoryError; a hand-built program with
-    a name that is not a declared identifier or a predicate-only node, or
-    an integer too long to print, is ValueError."""
-    try:
-        namespace = dict(_SOURCE_GLOBALS)
-        exec(compile(_source(program, step_budget, kept), f"<{program.name}>", "exec"), namespace)
-    except (SyntaxError, RecursionError, MemoryError, ValueError):
-        return None
-    return namespace["run"]
+    a name that is not a declared identifier or a predicate-only node, a
+    post _source cannot express, or an integer too long to print, is
+    ValueError."""
+    for fused in (post, None) if post is not None else (None,):
+        try:
+            namespace = dict(_SOURCE_GLOBALS)
+            source = _source(program, step_budget, kept, fused)
+            exec(compile(source, f"<{program.name}>", "exec"), namespace)
+        except (SyntaxError, RecursionError, MemoryError, ValueError):
+            continue
+        return namespace["run"]
+    return None
 
 
 def runner(
@@ -708,7 +752,8 @@ def runner(
     *,
     record: bool = False,
     kept: frozenset[int] | None = None,
-) -> Callable[[dict[str, int]], tuple]:
+    post: ast.BoolExpr | None = None,
+) -> Callable[[dict[str, int]], tuple | str]:
     """The per-run core: program as a function of its inputs that returns
     the plain tuple of run's RunResult fields, (status, final, trajectory,
     steps, fault_stmt_id, fault_reason). It does not check the inputs. A
@@ -729,6 +774,15 @@ def runner(
     only a function that runs long enough pays the compile. When Python
     refuses the source (a program nested too deeply for its parser or
     compiler), the function stays on the closures and never tries again.
+
+    post, a predicate over the final state, is fused into the source: on
+    that tier a run that ends ok in a state where post holds returns
+    PASSED instead of the tuple, and so builds no final state. Every other
+    run (post false or faulting, and every run on the closures, which
+    ignore post) returns the tuple, on which the caller judges post itself.
+    A post the source cannot hold (an exists, a name outside the program's
+    variables, or source Python refuses only with post) is left out of
+    it: the program still switches.
     """
     if step_budget < 1:
         return _refuse(ValueError, "step_budget must be positive")
@@ -745,7 +799,7 @@ def runner(
         nonlocal after, spent, source
         if spent >= after:
             if source is None:
-                source = _source_tier(program, step_budget, kept)
+                source = _source_tier(program, step_budget, kept, post)
             if source is None:
                 after = math.inf  # Python refused the source: the closures for good
             else:

@@ -17,13 +17,17 @@ judging the points one by one. A triple leaves at its first failure. Its
 runs are lang.interp.runner's, made once per scan: a point costs no input
 check and no RunResult. A Judge feeds it one triple: a program and its
 contract, validated and compiled once, then judged with any number of
-kept-sets of its statements (the slicer's candidates); check() is
+kept-sets of its statements (the slicer's candidates). Its runner gets
+the contract's postcondition, which a scan long enough to run compiled
+source judges inside that source, so a point that passes there builds no
+final state and _settle only words the outcome; check() is
 Judge(...).check(), and Judge.first_failure() judges given points whose
 precondition is known to hold, as rows of one value. check_all() decides
 many (program, contract) pairs in one scan, remembering each shared
 program and (program, postcondition) for the latest point only, which
 suffices because the triples judged at a point read the same inputs and
-final states.
+final states; a program's runs serve every postcondition paired with it,
+so none is fused.
 check_point() judges a single input with _judge through the checked run.
 """
 
@@ -41,6 +45,7 @@ from .lang.interp import (
     DEFAULT_STEP_BUDGET,
     FAULT,
     OK,
+    PASSED,
     RunResult,
     compile_bool,
     run,
@@ -129,14 +134,23 @@ def _judge(pre, execute, post, inputs: State) -> tuple | None:
     return _settle(execute, post, inputs)
 
 
+#: the outcome of every point that passes where the run judged post itself
+_PASSED = (PASS, None, None, True)
+
+
 def _settle(execute, post, inputs: State) -> tuple:
     """Judge one point whose precondition holds: run -> post holds.
 
     (status, final, detail, True) with a PointCheck status. execute(inputs)
-    runs the program and returns the plain tuple of runner. A fault in the
-    postcondition is a FAULT status; any other exception propagates.
+    runs the program and returns the plain tuple of runner, or PASSED when
+    it was made with this post, fused, and post held: then the outcome is
+    one shared PASS with no final state. A fault in the postcondition is a
+    FAULT status; any other exception propagates.
     """
-    status, final, _, _, stmt_id, reason = execute(inputs)
+    ran = execute(inputs)
+    if ran is PASSED:
+        return _PASSED
+    status, final, _, _, stmt_id, reason = ran
     if status != OK:
         return status, final, f"{reason} at statement {stmt_id}", True
     try:
@@ -291,6 +305,7 @@ class Judge:
         _validate(program, contract, dom)
         self.program = program
         self.pres = (_pre_tests(contract.pre, dom.row),)
+        self.contract = contract
         self.post = compile_bool(contract.post)
         self.dom = dom
         self.step_budget = step_budget
@@ -314,7 +329,8 @@ class Judge:
         return self._verdict(self.pres, self.dom.rows(), self.dom.row, kept)
 
     def _verdict(self, pres, rows, row, kept) -> VerificationResult:
-        triple = (0, runner(self.program, self.step_budget, kept=kept), self.post)
+        execute = runner(self.program, self.step_budget, kept=kept, post=self.contract.post)
+        triple = (0, execute, self.post)
         (verdict,) = _scan(pres, [triple], rows, row, self.dom)
         if isinstance(verdict, Exception):
             raise verdict

@@ -695,3 +695,49 @@ class TestSourceTier:
         monkeypatch.setattr(interp, "SOURCE_AFTER_STEPS", 10**9)
         assert source == judged()
         assert source[1].verdict == VERIFIED
+
+    @pytest.mark.parametrize("post", [
+        # no source for an exists
+        "exists n in 0..5 : o + n == 2",
+        # the program compiles; Python refuses the post's 249 nested parentheses
+        " + ".join(["a"] * 250) + " == 250 * o && a < 3",
+    ])
+    def test_unfusable_post_still_switches(self, post, monkeypatch, tier_switches):
+        program = parse_program("proc f(in a, out o) { var w; w := a; o := w; }")
+        contract, dom = _contract("TRUE", post), Domain.parse("a in -3..3")
+        monkeypatch.setattr(interp, "SOURCE_AFTER_STEPS", 0)
+        tiered = check(program, contract, dom)
+        assert tier_switches == [True]
+        monkeypatch.setattr(interp, "SOURCE_AFTER_STEPS", 10**9)
+        closures = check(program, contract, dom)
+        assert tier_switches == [True]
+        assert tiered.verdict == COUNTEREXAMPLE
+        assert tiered.witness.inputs == {"a": 3}
+        assert tiered == closures
+        assert list(tiered.witness.final) == list(closures.witness.final) == ["a", "o", "w"]
+        assert tiered.checked_points == closures.checked_points == 7
+
+    def test_a_passing_point_builds_no_final_state(self, div_oracle, monkeypatch):
+        """check fuses its postcondition into the source: every point that
+        passes gives PASSED, and a failing one the run's tuple."""
+        ran = []
+        real = verifier.runner
+
+        def spying(*args, **kwargs):
+            execute = real(*args, **kwargs)
+
+            def spied(inputs):
+                ran.append(execute(inputs))
+                return ran[-1]
+
+            return spied
+
+        monkeypatch.setattr(verifier, "runner", spying)
+        monkeypatch.setattr(interp, "SOURCE_AFTER_STEPS", 0)
+        dom = Domain.parse("x in 0..10, y in 1..5")
+        assert check(div_oracle, _contract("x >= 0 && y >= 1", DIV_SPEC), dom).verdict == VERIFIED
+        assert ran == [interp.PASSED] * 55
+        ran.clear()
+        verdict = check(div_oracle, _contract("x >= 0 && y >= 1", "q < 3"), dom)
+        assert verdict.witness.inputs == {"x": 3, "y": 1}
+        assert ran[:-1] == [interp.PASSED] * 15 and ran[-1][0] == OK
