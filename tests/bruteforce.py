@@ -1,16 +1,18 @@
 """Independent brute-force re-implementations used as test oracles.
 
-Nothing here shares execution logic with the package: expression
-evaluation, statement execution, and triple checking are written from
-scratch against the documented semantics (truncating division, zero
-initialization, lexicographic domain enumeration). The package's AST
-dataclasses and its DeletionUnit are reused as plain data.
+Nothing here shares execution logic with the package: tokenizing,
+expression evaluation, statement execution, and triple checking are
+written from scratch against the documented semantics (truncating
+division, zero initialization, lexicographic domain enumeration). The
+package's AST dataclasses, its DeletionUnit and its ParseError are reused
+as plain data.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from tddslicer.errors import ParseError
 from tddslicer.lang import ast
 from tddslicer.slicer import ELSE_CLAUSE, STATEMENT, DeletionUnit
 
@@ -391,3 +393,53 @@ def bf_implies(p1, p2, ranges: dict[str, tuple[int, int]]):
         except ZeroDivisionError as err:
             return "fault", point, _FAULT_REASONS[str(err)]
     return True, None, checked
+
+
+_BF_LETTERS = "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
+_BF_DIGITS = "0123456789"
+_BF_PUNCT_PAIRS = (":=", "==", "!=", "<=", ">=", "&&", "||", "..")
+_BF_PUNCT_SINGLES = "{}(),;:=<>+-*/%^!"
+
+
+def bf_tokenize(text: str):
+    """(tokens, end) for text: tokens as (kind, text, line, col), with kind
+    "ident", "int" or the punctuation itself, and end the (line, col) of the
+    end of input.
+
+    One character at a time: a newline starts the next line at column 1,
+    any other str.isspace() character is one column, and `//` skips to the
+    end of its line without moving the column. Then an ASCII letter or `_`
+    starts an identifier of ASCII letters, digits and `_`, an ASCII digit an
+    integer of ASCII digits, and otherwise a two-character punctuation wins
+    over a one-character one. Any other character raises ParseError.
+    """
+    tokens = []
+    line, col, i = 1, 1, 0
+    while i < len(text):
+        c = text[i]
+        if c == "\n":
+            line, col, i = line + 1, 1, i + 1
+            continue
+        if c.isspace():
+            col, i = col + 1, i + 1
+            continue
+        if text[i:i + 2] == "//":
+            while i < len(text) and text[i] != "\n":
+                i += 1
+            continue
+        if c in _BF_LETTERS or c in _BF_DIGITS:
+            digits = c in _BF_DIGITS
+            alphabet = _BF_DIGITS if digits else _BF_LETTERS + _BF_DIGITS
+            j = i + 1
+            while j < len(text) and text[j] in alphabet:
+                j += 1
+            kind, word = "int" if digits else "ident", text[i:j]
+        elif text[i:i + 2] in _BF_PUNCT_PAIRS:
+            kind = word = text[i:i + 2]
+        elif c in _BF_PUNCT_SINGLES:
+            kind = word = c
+        else:
+            raise ParseError(f"unexpected character {c!r}", line, col)
+        tokens.append((kind, word, line, col))
+        col, i = col + len(word), i + len(word)
+    return tokens, (line, col)

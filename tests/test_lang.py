@@ -20,9 +20,10 @@ from tddslicer import (
 )
 from tddslicer.lang import ast, parse_bindings, parse_domain_spec
 from tddslicer.lang.interp import BUDGET_EXCEEDED, FAULT, OK, PASSED, TrajectoryEntry, runner
+from tddslicer.lang.lexer import EOF, tokenize
 from tddslicer.corpus import corpus_path
 
-from bruteforce import bf_holds, bf_run, replay_trajectory
+from bruteforce import bf_holds, bf_run, bf_tokenize, replay_trajectory
 from generators import random_predicate, random_program
 from slices import lint
 
@@ -161,6 +162,140 @@ class TestParsing:
 
     def test_moderate_nesting_still_parses(self):
         assert parse_predicate("(" * 50 + "a > 0" + ")" * 50) == parse_predicate("a > 0")
+
+
+#: the text of every bundled corpus file, programs and the session
+CORPUS_TEXT = "".join(
+    path.read_text()
+    for path in sorted(corpus_path("div.session").parent.iterdir())
+    if path.suffix in (".prog", ".session")
+)
+
+
+class TestLexer:
+    #: characters the corpus lacks: punctuation that starts a longer one,
+    #: whitespace other than a space (U+00A0 and U+2028 are str.isspace()),
+    #: and non-ASCII characters that \w, \d or re.IGNORECASE would accept
+    EXTRA = "/.:=<>!&|\n\r\t\x0b\x1c\u00a0\u2028\u00b2\u0663\u212a"
+
+    @staticmethod
+    def random_text(rng, alphabet) -> str:
+        pieces = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                start = rng.randrange(len(CORPUS_TEXT))
+                pieces.append(CORPUS_TEXT[start:start + rng.randint(0, 40)])
+            else:
+                pieces.append("".join(rng.choices(alphabet, k=rng.randint(1, 6))))
+        return "".join(pieces)
+
+    def test_tokenize_matches_bf_tokenize(self):
+        """Every token's kind, text, line and column, the end of input's
+        position, or the first bad character's ParseError, as the
+        character-by-character oracle gives them."""
+        alphabet = sorted(set(CORPUS_TEXT + self.EXTRA))
+        rng = random.Random(1414)
+        texts = [corpus_path(name).read_text() for name in ("div_oracle.prog", "max2.prog")]
+        texts += ["x // c", "a//b\n//c", ":==", "...", "&&&", "|||", "!==", "<=>", "x\r\ny",
+                  "7x_9 x7", "a\u00a0\u2028\x1cb", "\u212a", ""]
+        texts += [self.random_text(rng, alphabet) for _ in range(3000)]
+        outcomes = {"tokens": 0, "error": 0}
+        for text in texts:
+            try:
+                want = bf_tokenize(text)
+            except ParseError as err:
+                with pytest.raises(ParseError) as excinfo:
+                    tokenize(text)
+                got = excinfo.value
+                assert (got.message, got.line, got.col) == (err.message, err.line, err.col), text
+                outcomes["error"] += 1
+                continue
+            *body, end = tokenize(text)
+            got = [(t.kind, t.text, t.line, t.col) for t in body], (end.line, end.col)
+            assert got == want and end.kind == EOF, text
+            outcomes["tokens"] += 1
+        assert min(outcomes.values()) > 500, outcomes
+
+
+class TestParseErrors:
+    """The message, line and column of each kind of syntax error."""
+
+    @pytest.mark.parametrize("parse, text, message, line, col", [
+        # a trailing comma, and end of input after a trailing comment
+        (parse_program, "proc f(in a, out o,) { o := a; }", "expected 'in' or 'out', found ')'", 1, 20),
+        (parse_program, "proc f(in a, out o) { var t,; o := a; }", "expected local name, found ';'", 1, 29),
+        (parse_domain_spec, "x in 0..3,", "expected variable name, found 'end of input'", 1, 11),
+        (parse_domain_spec, "x in 0..3, ", "expected variable name, found 'end of input'", 1, 12),
+        (parse_bindings, "x=1,", "expected variable name, found 'end of input'", 1, 5),
+        (parse_bindings, "x=1,// c", "expected variable name, found 'end of input'", 1, 5),
+        (parse_program, "proc f(in a, out o) { o := a; // hi",
+         "expected statement, found 'end of input'", 1, 31),
+        (parse_predicate, "a >\n  // c", "expected expression, found 'end of input'", 2, 3),
+        (parse_predicate, "a >\n  // c\n", "expected expression, found 'end of input'", 3, 1),
+        # a duplicate range or binding, and an empty range
+        (parse_domain_spec, "x in 0..3, x in 1..2", "duplicate range for 'x'", 1, 12),
+        (parse_domain_spec, "x in 0..3, x in 5..1", "duplicate range for 'x'", 1, 12),
+        (parse_bindings, "x=1, y=2, x=3", "duplicate binding for 'x'", 1, 11),
+        (parse_domain_spec, "x in 0..3, y in 3..-4", "empty range 3..-4 for 'y'", 1, 12),
+        (parse_predicate, "a > 0 && exists k in 3..0 : k > a",
+         "existential range 3..0 is empty (lo > hi)", 1, 10),
+        # a reserved word used as a name
+        (parse_program, "proc f(in while, out y){ y := 1; }",
+         "reserved word 'while' used as parameter name", 1, 11),
+        (parse_program, "proc if(in a, out y){ y := 1; }", "reserved word 'if' used as procedure name", 1, 6),
+        (parse_program, "proc f(in a, out y){ var skip; y := 1; }",
+         "reserved word 'skip' used as local name", 1, 26),
+        (parse_predicate, "exists out in 0..1 : a > 0", "reserved word 'out' used as bound variable", 1, 8),
+        (parse_domain_spec, "in in 0..3", "reserved word 'in' used as variable name", 1, 1),
+        (parse_bindings, "TRUE=1", "reserved word 'TRUE' used as variable name", 1, 1),
+        # expected 'in' or 'out', and other tokens in the wrong place
+        (parse_program, "proc f(a, out o) { o := a; }", "expected 'in' or 'out', found 'a'", 1, 8),
+        (parse_program, "func f(in a, out o) { o := a; }", "expected 'proc', found 'func'", 1, 1),
+        (parse_domain_spec, "x = 3", "expected 'in', found '='", 1, 3),
+        (parse_domain_spec, "x in 0..3 y in 1..2", "unexpected trailing input 'y'", 1, 11),
+        (parse_bindings, ",x=1", "expected variable name, found ','", 1, 1),
+        (parse_bindings, "x=-y", "expected integer literal, found 'y'", 1, 4),
+        (parse_predicate, "a > 0 )", "unexpected trailing input ')'", 1, 7),
+        (parse_predicate, "a + 1", "expected comparison operator, found 'end of input'", 1, 6),
+        (parse_program, "proc f(in a, out o) { o := a; } }", "unexpected trailing input '}'", 1, 33),
+        # each place that can find the end of input
+        (parse_program, "", "expected 'proc', found 'end of input'", 1, 1),
+        (parse_program, "proc", "expected procedure name, found 'end of input'", 1, 5),
+        (parse_program, "proc f", "expected '(', found 'end of input'", 1, 7),
+        (parse_program, "proc f(", "expected 'in' or 'out', found 'end of input'", 1, 8),
+        (parse_program, "proc f(in", "expected parameter name, found 'end of input'", 1, 10),
+        (parse_program, "proc f(in a, out o", "expected ')', found 'end of input'", 1, 19),
+        (parse_program, "proc f(in a, out o)", "expected '{', found 'end of input'", 1, 20),
+        (parse_program, "proc f(in a, out o) {", "expected statement, found 'end of input'", 1, 22),
+        (parse_program, "proc f(in a, out o) { var", "expected local name, found 'end of input'", 1, 26),
+        (parse_program, "proc f(in a, out o) {\n  o :=", "expected expression, found 'end of input'", 2, 7),
+        (parse_program, "proc f(in a, out o) { o := a", "expected ';', found 'end of input'", 1, 29),
+        (parse_program, "proc f(in a, out o) { if (a > 0", "expected ')', found 'end of input'", 1, 32),
+        (parse_predicate, "", "expected expression, found 'end of input'", 1, 1),
+        (parse_predicate, "a", "expected comparison operator, found 'end of input'", 1, 2),
+        (parse_predicate, "exists k", "expected 'in', found 'end of input'", 1, 9),
+        (parse_predicate, "exists k in 0..1", "expected ':', found 'end of input'", 1, 17),
+        (parse_predicate, "exists k in -", "expected integer literal, found 'end of input'", 1, 14),
+        (parse_domain_spec, "x in", "expected integer literal, found 'end of input'", 1, 5),
+        (parse_domain_spec, "x in 0", "expected '..', found 'end of input'", 1, 7),
+        (parse_bindings, "x", "expected '=', found 'end of input'", 1, 2),
+        (parse_bindings, "x=", "expected integer literal, found 'end of input'", 1, 3),
+    ])
+    def test_error(self, parse, text, message, line, col):
+        with pytest.raises(ParseError) as excinfo:
+            parse(text)
+        assert (excinfo.value.message, excinfo.value.line, excinfo.value.col) == (message, line, col)
+
+    @pytest.mark.parametrize("parse, text, value", [
+        (parse_domain_spec, "", {}),
+        (parse_domain_spec, "  // none\n", {}),
+        (parse_domain_spec, "x in -3..-3, y in 0..2", {"x": (-3, -3), "y": (0, 2)}),
+        (parse_bindings, "", {}),
+        (parse_bindings, "b=-2, a=7 // c", {"b": -2, "a": 7}),
+    ])
+    def test_comma_lists(self, parse, text, value):
+        result = parse(text)
+        assert result == value and list(result) == list(value)
 
 
 class TestPrettyPrint:
