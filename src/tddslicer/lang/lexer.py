@@ -1,16 +1,20 @@
 """Tokenizer shared by programs, predicates, domains, and bindings.
 
-Max-munch over a fixed punctuation table; `//` comments run to end of line.
-Identifiers are ASCII letters, digits and `_`, not starting with a digit,
-and integer literals ASCII digits; any other character outside comments
-and whitespace is a ParseError. Reserved words are rejected as identifiers
-by the parser, not here, so the same token stream serves every grammar.
+One compiled pattern scans the text. Its named groups are tried in order at
+each position: a newline; a run of other whitespace (`[^\\S\\n]`, the
+`str.isspace()` characters other than a newline, one column each); a `//`
+comment to the end of the line, which leaves the column where it began; an
+identifier of ASCII letters, digits and `_`, not starting with a digit; an
+integer literal of ASCII digits; a punctuation token, longest first (max
+munch); and finally any one other character, which is a ParseError.
+Reserved words are rejected as identifiers by the parser, not here, so the
+same token stream serves every grammar.
 """
 
 from __future__ import annotations
 
-import string
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from ..errors import ParseError
 
@@ -27,70 +31,38 @@ RESERVED = frozenset(
 
 EOF = "<eof>"
 
+# ASCII classes only: \w, \d and re.IGNORECASE also accept `²`, `٣` and
+# the Kelvin sign
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<space>[^\S\n]+)|(?P<comment>//[^\n]*)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>[0-9]+)"
+    f"|(?P<punct>{'|'.join(map(re.escape, sorted(PUNCT, key=len, reverse=True)))})"
+    r"|(?P<bad>.)"
+)
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     kind: str  # "ident" | "int" | a punctuation string | EOF
-    text: str
+    text: str  # "end of input" for EOF
     line: int
     col: int
 
 
-_DIGITS = frozenset(string.digits)
-_IDENT_START = frozenset(string.ascii_letters + "_")
-_IDENT_REST = _IDENT_START | _DIGITS
-
-
-def _is_ident_start(c: str) -> bool:
-    return c in _IDENT_START
-
-
-def _is_ident_rest(c: str) -> bool:
-    return c in _IDENT_REST
-
-
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            i += 1
+    line, line_start = 1, 0
+    match = None
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "newline":
             line += 1
-            col = 1
-            continue
-        if c.isspace():
-            i += 1
-            col += 1
-            continue
-        if text.startswith("//", i):
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if _is_ident_start(c):
-            start = i
-            while i < n and _is_ident_rest(text[i]):
-                i += 1
-            word = text[start:i]
-            tokens.append(Token("ident", word, line, col))
-            col += i - start
-            continue
-        if c in _DIGITS:
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            tokens.append(Token("int", text[start:i], line, col))
-            col += i - start
-            continue
-        for punct in PUNCT:
-            if text.startswith(punct, i):
-                tokens.append(Token(punct, punct, line, col))
-                i += len(punct)
-                col += len(punct)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(Token(EOF, "", line, col))
+            line_start = match.end()
+        elif kind != "space" and kind != "comment":
+            word = match.group()
+            col = match.start() - line_start + 1
+            if kind == "bad":
+                raise ParseError(f"unexpected character {word!r}", line, col)
+            tokens.append(Token(word if kind == "punct" else kind, word, line, col))
+    end = match.start() if match and match.lastgroup == "comment" else len(text)
+    tokens.append(Token(EOF, "end of input", line, end - line_start + 1))
     return tokens

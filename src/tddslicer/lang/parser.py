@@ -38,22 +38,17 @@ class _Parser:
         tok = self.peek()
         return tok.kind == kind and (text is None or tok.text == text)
 
-    def at_keyword(self, word: str) -> bool:
-        return self.at("ident", word)
-
     def expect(self, kind: str, what: str | None = None) -> Token:
         tok = self.peek()
         if tok.kind != kind:
             expected = what or f"'{kind}'"
-            found = tok.text if tok.kind != EOF else "end of input"
-            raise ParseError(f"expected {expected}, found {found!r}", tok.line, tok.col)
+            raise ParseError(f"expected {expected}, found {tok.text!r}", tok.line, tok.col)
         return self.advance()
 
     def expect_keyword(self, word: str) -> Token:
         tok = self.peek()
-        if not self.at_keyword(word):
-            found = tok.text if tok.kind != EOF else "end of input"
-            raise ParseError(f"expected '{word}', found {found!r}", tok.line, tok.col)
+        if not self.at("ident", word):
+            raise ParseError(f"expected '{word}', found {tok.text!r}", tok.line, tok.col)
         return self.advance()
 
     def expect_eof(self):
@@ -67,13 +62,33 @@ class _Parser:
             raise ParseError(f"reserved word {tok.text!r} used as {what}", tok.line, tok.col)
         return tok
 
+    def literal(self) -> int:
+        tok = self.expect("int", "integer literal")
+        try:
+            return int(tok.text)
+        except ValueError:  # longer than sys.get_int_max_str_digits()
+            raise ParseError("integer literal too long", tok.line, tok.col) from None
+
     def signed_int(self) -> int:
-        sign = 1
         if self.at("-"):
             self.advance()
-            sign = -1
-        tok = self.expect("int", "integer literal")
-        return sign * int(tok.text)
+            return -self.literal()
+        return self.literal()
+
+    def bounds(self) -> tuple[int, int]:
+        """`in lo..hi`, not checked for lo <= hi."""
+        self.expect_keyword("in")
+        lo = self.signed_int()
+        self.expect("..")
+        return lo, self.signed_int()
+
+    def comma_list(self, item) -> list:
+        """One item(), then one more after each comma."""
+        items = [item()]
+        while self.at(","):
+            self.advance()
+            items.append(item())
+        return items
 
     # -- arithmetic expressions ---------------------------------------------
 
@@ -97,7 +112,7 @@ class _Parser:
             # a directly negated literal is a negative literal, unless a
             # power follows: ^ binds tighter than unary minus
             if self.at("int") and self.tokens[self.pos + 1].kind != "^":
-                return ast.IntLit(-int(self.advance().text))
+                return ast.IntLit(-self.literal())
             return ast.Neg(self.unary())
         return self.power()
 
@@ -111,8 +126,7 @@ class _Parser:
     def atom(self) -> ast.Expr:
         tok = self.peek()
         if tok.kind == "int":
-            self.advance()
-            return ast.IntLit(int(tok.text))
+            return ast.IntLit(self.literal())
         if tok.kind == "ident" and tok.text not in RESERVED:
             self.advance()
             self.var_refs.append((tok.text, tok.line, tok.col))
@@ -122,8 +136,7 @@ class _Parser:
             expr = self.arith_expr()
             self.expect(")")
             return expr
-        found = tok.text if tok.kind != EOF else "end of input"
-        raise ParseError(f"expected expression, found {found!r}", tok.line, tok.col)
+        raise ParseError(f"expected expression, found {tok.text!r}", tok.line, tok.col)
 
     # -- boolean expressions / predicates ------------------------------------
 
@@ -156,7 +169,7 @@ class _Parser:
             if self.at("ident", "FALSE"):
                 self.advance()
                 return ast.BoolLit(False)
-            if self.at_keyword("exists"):
+            if self.at("ident", "exists"):
                 return self.existential()
         if tok.kind == "(":
             # Could be a parenthesized boolean or the start of an arithmetic
@@ -177,18 +190,14 @@ class _Parser:
         left = self.arith_expr()
         tok = self.peek()
         if tok.kind not in ast.CMP_OPS:
-            found = tok.text if tok.kind != EOF else "end of input"
-            raise ParseError(f"expected comparison operator, found {found!r}", tok.line, tok.col)
+            raise ParseError(f"expected comparison operator, found {tok.text!r}", tok.line, tok.col)
         self.advance()
         return ast.Cmp(tok.kind, left, self.arith_expr())
 
     def existential(self) -> ast.Exists:
         start = self.expect_keyword("exists")
         var = self.ident("bound variable")
-        self.expect_keyword("in")
-        lo = self.signed_int()
-        self.expect("..")
-        hi = self.signed_int()
+        lo, hi = self.bounds()
         if lo > hi:
             raise ParseError(
                 f"existential range {lo}..{hi} is empty (lo > hi)", start.line, start.col
@@ -203,10 +212,7 @@ class _Parser:
         self.expect_keyword("proc")
         name = self.ident("procedure name")
         self.expect("(")
-        params = [self.param()]
-        while self.at(","):
-            self.advance()
-            params.append(self.param())
+        params = self.comma_list(self.param)
         self.expect(")")
         self.locals_found: list[Token] = []
         body = self.block()
@@ -215,11 +221,9 @@ class _Parser:
 
     def param(self) -> ast.Param:
         tok = self.peek()
-        if self.at_keyword("in") or self.at_keyword("out"):
-            mode = self.advance().text
-        else:
-            found = tok.text if tok.kind != EOF else "end of input"
-            raise ParseError(f"expected 'in' or 'out', found {found!r}", tok.line, tok.col)
+        if not (self.at("ident", "in") or self.at("ident", "out")):
+            raise ParseError(f"expected 'in' or 'out', found {tok.text!r}", tok.line, tok.col)
+        mode = self.advance().text
         name = self.ident("parameter name")
         return ast.Param(name.text, mode)
 
@@ -227,7 +231,7 @@ class _Parser:
         self.expect("{")
         stmts: list[ast.Stmt] = []
         while not self.at("}"):
-            if self.at_keyword("var"):
+            if self.at("ident", "var"):
                 self.vardecl()
             else:
                 stmts.append(self.statement())
@@ -236,20 +240,17 @@ class _Parser:
 
     def vardecl(self):
         self.expect_keyword("var")
-        self.locals_found.append(self.ident("local name"))
-        while self.at(","):
-            self.advance()
-            self.locals_found.append(self.ident("local name"))
+        self.locals_found += self.comma_list(lambda: self.ident("local name"))
         self.expect(";")
 
     def statement(self) -> ast.Stmt:
         tok = self.peek()
-        if self.at_keyword("skip"):
+        if self.at("ident", "skip"):
             stmt_id = self.take_stmt_id()
             self.advance()
             self.expect(";")
             return ast.Skip(stmt_id)
-        if self.at_keyword("if"):
+        if self.at("ident", "if"):
             stmt_id = self.take_stmt_id()
             self.advance()
             self.expect("(")
@@ -257,11 +258,11 @@ class _Parser:
             self.expect(")")
             then = self.block()
             orelse = ast.Block()
-            if self.at_keyword("else"):
+            if self.at("ident", "else"):
                 self.advance()
                 orelse = self.block()
             return ast.If(stmt_id, cond, then, orelse)
-        if self.at_keyword("while"):
+        if self.at("ident", "while"):
             stmt_id = self.take_stmt_id()
             self.advance()
             self.expect("(")
@@ -277,8 +278,7 @@ class _Parser:
             expr = self.arith_expr()
             self.expect(";")
             return ast.Assign(stmt_id, target.text, expr)
-        found = tok.text if tok.kind != EOF else "end of input"
-        raise ParseError(f"expected statement, found {found!r}", tok.line, tok.col)
+        raise ParseError(f"expected statement, found {tok.text!r}", tok.line, tok.col)
 
     def take_stmt_id(self) -> int:
         stmt_id = self.next_stmt_id
@@ -329,44 +329,41 @@ def parse_predicate(text: str) -> ast.BoolExpr:
     return pred
 
 
+def _named_values(text: str, what: str, value) -> dict:
+    """Parse `name <value>, ...` up to the end of input into
+    {name: value(parser, name_token)}; empty text gives an empty dict."""
+    parser = _Parser(text)
+    found: dict = {}
+
+    def entry():
+        name = parser.ident("variable name")
+        if name.text in found:
+            raise ParseError(f"duplicate {what} for {name.text!r}", name.line, name.col)
+        found[name.text] = value(parser, name)
+
+    if parser.peek().kind != EOF:
+        parser.comma_list(entry)
+    parser.expect_eof()
+    return found
+
+
+def _range(parser: _Parser, name: Token) -> tuple[int, int]:
+    lo, hi = parser.bounds()
+    if lo > hi:
+        raise ParseError(f"empty range {lo}..{hi} for {name.text!r}", name.line, name.col)
+    return lo, hi
+
+
+def _binding(parser: _Parser, name: Token) -> int:
+    parser.expect("=")
+    return parser.signed_int()
+
+
 def parse_domain_spec(text: str) -> dict[str, tuple[int, int]]:
     """Parse `x in 0..16, y in 1..9` into {name: (lo, hi)}."""
-    parser = _Parser(text)
-    ranges: dict[str, tuple[int, int]] = {}
-    if parser.peek().kind == EOF:
-        return ranges
-    while True:
-        name = parser.ident("variable name")
-        if name.text in ranges:
-            raise ParseError(f"duplicate range for {name.text!r}", name.line, name.col)
-        parser.expect_keyword("in")
-        lo = parser.signed_int()
-        parser.expect("..")
-        hi = parser.signed_int()
-        if lo > hi:
-            raise ParseError(f"empty range {lo}..{hi} for {name.text!r}", name.line, name.col)
-        ranges[name.text] = (lo, hi)
-        if not parser.at(","):
-            break
-        parser.advance()
-    parser.expect_eof()
-    return ranges
+    return _named_values(text, "range", _range)
 
 
 def parse_bindings(text: str) -> dict[str, int]:
     """Parse `x=2, y=2` into {name: value}. Empty text is an empty binding."""
-    parser = _Parser(text)
-    bindings: dict[str, int] = {}
-    if parser.peek().kind == EOF:
-        return bindings
-    while True:
-        name = parser.ident("variable name")
-        if name.text in bindings:
-            raise ParseError(f"duplicate binding for {name.text!r}", name.line, name.col)
-        parser.expect("=")
-        bindings[name.text] = parser.signed_int()
-        if not parser.at(","):
-            break
-        parser.advance()
-    parser.expect_eof()
-    return bindings
+    return _named_values(text, "binding", _binding)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import sys
+
+import pytest
 
 from tddslicer import cli
 from tddslicer.cli import main
@@ -350,6 +353,23 @@ def test_range_wider_than_sys_maxsize_is_a_plain_counterexample(capsys, tmp_path
     result = json.loads(out)
     assert result["verdict"] == "counterexample"
     assert result["witness"]["inputs"] == {"a": 2}
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="int() takes strings of any length",
+)
+def test_integer_literal_too_long_exits_two(capsys, tmp_path):
+    digits = "9" * (sys.get_int_max_str_digits() + 1)
+    path = tmp_path / "long.prog"
+    path.write_text(f"proc f(in a, out o) {{ o := a + {digits}; }}")
+    for argv, where in [
+        (("trace", str(path), "--inputs", "a=1"), "1:32"),
+        (("check", str(path), "--pre", "TRUE", "--post", "o > a", "--domain", "a in 0..1"), "1:32"),
+        (("check", MAX2, "--pre", "TRUE", "--post", "TRUE", "--domain", f"a in 0..{digits}"), "1:9"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: integer literal too long at {where}\n")
 
 
 def test_no_color_codes_when_not_a_tty(capsys, monkeypatch):

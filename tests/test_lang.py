@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import random
+import sys
 
 import pytest
 
 from tddslicer import (
+    Domain,
     ParseError,
     UnboundVariableError,
     eval_predicate,
@@ -28,6 +30,9 @@ from generators import random_predicate, random_program
 from slices import lint
 
 MINIMAL = "proc id(in x, out y){ y := x; }"
+
+#: the most digits int() converts from a string; 0 where there is no limit
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 class TestParsing:
@@ -296,6 +301,25 @@ class TestParseErrors:
     def test_comma_lists(self, parse, text, value):
         result = parse(text)
         assert result == value and list(result) == list(value)
+
+    @pytest.mark.skipif(not INT_DIGITS, reason="int() takes strings of any length")
+    @pytest.mark.parametrize("parse, template, col", [
+        (parse_program, "proc f(in a, out o) {{ o := a + {}; }}", 32),
+        (parse_program, "proc f(in a, out o) {{ o := -{}; }}", 29),
+        (parse_predicate, "a > -{} || a < 0", 6),
+        (parse_predicate, "(a + {}) > 0", 6),
+        (Domain.parse, "a in 0..{}", 9),
+        (parse_bindings, "a=-{}", 4),
+    ])
+    def test_integer_literal_too_long(self, parse, template, col):
+        """A literal int() refuses to convert is a ParseError at the literal,
+        not the ValueError int() raises; one digit fewer still parses."""
+        with pytest.raises(ParseError) as excinfo:
+            parse(template.format("9" * (INT_DIGITS + 1)))
+        assert (excinfo.value.message, excinfo.value.line, excinfo.value.col) == (
+            "integer literal too long", 1, col,
+        )
+        parse(template.format("9" * INT_DIGITS))
 
 
 class TestPrettyPrint:
