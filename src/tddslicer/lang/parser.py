@@ -56,7 +56,7 @@ class _Parser:
         if tok.kind != EOF:
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
 
-    def ident(self, what: str = "identifier") -> Token:
+    def ident(self, what: str) -> Token:
         tok = self.expect("ident", what)
         if tok.text in RESERVED:
             raise ParseError(f"reserved word {tok.text!r} used as {what}", tok.line, tok.col)
