@@ -20,13 +20,14 @@ from tddslicer import (
     parse_program,
     run,
 )
-from tddslicer import verifier
+from tddslicer import slicer, verifier
 from tddslicer.errors import TOO_DEEP
 from tddslicer.lang import interp
 from tddslicer.lang.interp import OK
 from tddslicer.verifier import (
     BUDGET_EXCEEDED,
     COUNTEREXAMPLE,
+    FAIL,
     FAULT,
     PASS,
     PRE_VIOLATION,
@@ -741,3 +742,64 @@ class TestSourceTier:
         verdict = check(div_oracle, _contract("x >= 0 && y >= 1", "q < 3"), dom)
         assert verdict.witness.inputs == {"x": 3, "y": 1}
         assert ran[:-1] == [interp.PASSED] * 15 and ran[-1][0] == OK
+
+
+class TestFirstFailure:
+    """Judge.first_failure(points, kept) gives the first of points at which
+    check_point fails the program built from kept, with its inputs, final
+    state (key order too) and detail, or None when there is none."""
+
+    RANGES = {"a": (-3, 3), "b": (-3, 3)}
+
+    @staticmethod
+    def _holds(pre, point) -> bool:
+        try:
+            return bf_holds(pre, dict(point))
+        except ZeroDivisionError:
+            return False
+
+    def test_agrees_with_check_point_on_the_built_program(self, tier_switches):
+        rng = random.Random(1729)
+        dom = Domain.from_dict(self.RANGES)
+        points = list(dom.points())
+        seen = Counter()
+        for case in range(300):
+            program = random_program(rng, 6, True, faults=True)
+            contract = Contract(random_predicate(rng, ("a", "b"), faults=True),
+                                random_predicate(rng, ("a", "b", "o"), faults=True))
+            budget = rng.choice((3, 25, 10000))
+            ids = [stmt.stmt_id for stmt in program.statements()]
+            kept = None if case % 5 == 0 else frozenset(i for i in ids if rng.random() < 0.7)
+            built = program if kept is None else slicer._build(program, kept)
+            holding = [point for point in points if self._holds(contract.pre, point)]
+            judged = {id(point): check_point(built, contract, point, budget) for point in holding}
+            if case % 4:
+                killers = rng.sample(holding, min(len(holding), rng.randint(1, 6)))
+            else:
+                # passing points first, until their runs take over 1,000
+                # steps: the runner switches to compiled source partway
+                passing = [point for point in holding if judged[id(point)].passed]
+                killers, steps = [], 0
+                while passing and steps <= 1200 and len(killers) < 3000:
+                    killers.append(rng.choice(passing))
+                    steps += judged[id(killers[-1])].run_result.steps
+                seen["long"] += steps > 1200
+                killers += rng.sample(holding, len(holding))
+            switched = len(tier_switches)
+            got = verifier.Judge(program, contract, dom, budget).first_failure(killers, kept)
+            expected = next((judged[id(point)] for point in killers
+                             if not judged[id(point)].passed), None)
+            if expected is None:
+                assert got is None
+                seen["none"] += 1
+                continue
+            got = got.witness
+            assert got.inputs is expected.inputs
+            assert got.final == expected.final
+            assert list(got.final or ()) == list(expected.final or ())
+            assert got.detail == expected.detail
+            seen[expected.status] += 1
+            seen["after a switch"] += len(tier_switches) > switched
+        assert seen["long"] >= 30 and seen["after a switch"] >= 15, seen
+        for status in ("none", FAIL, FAULT, BUDGET_EXCEEDED):
+            assert seen[status] >= 10, seen
