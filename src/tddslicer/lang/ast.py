@@ -221,8 +221,16 @@ def same_shape(a: Program | Block | Stmt, b: Program | Block | Stmt) -> bool:
     """Structural equality ignoring statement ids.
 
     Sliced programs keep their original (gappy) ids, so comparing a slice
-    against freshly parsed text needs id-blind equality.
+    against freshly parsed text needs id-blind equality. Programs too deep
+    to compare are ParseError(TOO_DEEP).
     """
+    try:
+        return _same_shape(a, b)
+    except RecursionError:
+        raise ParseError(TOO_DEEP) from None
+
+
+def _same_shape(a: Program | Block | Stmt, b: Program | Block | Stmt) -> bool:
     if type(a) is not type(b):
         return False
     if isinstance(a, Program):
@@ -230,11 +238,11 @@ def same_shape(a: Program | Block | Stmt, b: Program | Block | Stmt) -> bool:
             a.name == b.name
             and a.params == b.params
             and a.locals == b.locals
-            and same_shape(a.body, b.body)
+            and _same_shape(a.body, b.body)
         )
     if isinstance(a, Block):
         return len(a.stmts) == len(b.stmts) and all(
-            same_shape(x, y) for x, y in zip(a.stmts, b.stmts)
+            _same_shape(x, y) for x, y in zip(a.stmts, b.stmts)
         )
     if isinstance(a, Assign):
         return a.target == b.target and a.expr == b.expr
@@ -243,9 +251,9 @@ def same_shape(a: Program | Block | Stmt, b: Program | Block | Stmt) -> bool:
     if isinstance(a, If):
         return (
             a.cond == b.cond
-            and same_shape(a.then, b.then)
-            and same_shape(a.orelse, b.orelse)
+            and _same_shape(a.then, b.then)
+            and _same_shape(a.orelse, b.orelse)
         )
     if isinstance(a, While):
-        return a.cond == b.cond and same_shape(a.body, b.body)
+        return a.cond == b.cond and _same_shape(a.body, b.body)
     raise TypeError(f"not a program node: {a!r}")

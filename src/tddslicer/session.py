@@ -176,7 +176,7 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
     cycles: list[Cycle] = []
     for header, line_no, keys in sections[1:]:
         parts = header.split()
-        if len(parts) != 2 or parts[0] != "cycle" or not parts[1].isdigit():
+        if len(parts) != 2 or parts[0] != "cycle" or not (parts[1].isascii() and parts[1].isdigit()):
             raise SessionFormatError(f"unexpected section [{header}]", line_no)
         index = int(parts[1])
         if index != len(cycles) + 1:
@@ -322,7 +322,7 @@ class Report:
     union_contract: ct.Contract
     union_pre_tautology: bool | None
     qlty: float
-    final_matches_last_snapshot: bool
+    final_matches_last_snapshot: bool | None
     session_errors: list[str] = field(default_factory=list)
 
     def failures(self) -> list[str]:
@@ -353,7 +353,7 @@ class Report:
 
     def warnings(self) -> list[str]:
         found: list[str] = []
-        if not self.final_matches_last_snapshot:
+        if self.final_matches_last_snapshot is False:
             found.append("final program differs from the last snapshot")
         for record in self.cycles:
             where = f"cycle {record.index}"
@@ -575,6 +575,10 @@ def replay(session: Session, step_budget: int = DEFAULT_STEP_BUDGET) -> Report:
         session_errors, "qlty",
         lambda: qlty(session.final, session.acceptance_suite, step_budget),
     )
+    matches = _guard(
+        session_errors, "final program comparison",
+        lambda: ast.same_shape(session.final, session.cycles[-1].snapshot),
+    )
     return Report(
         session_name=session.name,
         domain=session.dom,
@@ -582,6 +586,6 @@ def replay(session: Session, step_budget: int = DEFAULT_STEP_BUDGET) -> Report:
         union_contract=union_so_far,
         union_pre_tautology=tautology,
         qlty=score if score is not None else 0.0,
-        final_matches_last_snapshot=ast.same_shape(session.final, session.cycles[-1].snapshot),
+        final_matches_last_snapshot=matches,
         session_errors=session_errors,
     )

@@ -228,8 +228,8 @@ def _verifies(judge: Judge, kept: frozenset[int], killers: list) -> Verification
     """
     failure = judge.first_failure(killers, kept)
     if failure is not None:
-        killers.remove(failure.witness.inputs)
-        killers.insert(0, failure.witness.inputs)
+        killers.remove(failure.inputs)
+        killers.insert(0, failure.inputs)
         return None
     result = judge.check(kept)
     if not result.verified:

@@ -21,8 +21,8 @@ kept-sets of its statements (the slicer's candidates). Its runner gets
 the contract's postcondition, which a scan long enough to run compiled
 source judges inside that source, so a point that passes there builds no
 final state and _settle only words the outcome; check() is
-Judge(...).check(), and Judge.first_failure() judges given points whose
-precondition is known to hold, as rows of one value. check_all() decides
+Judge(...).check(), and Judge.first_failure() settles given points whose
+precondition is known to hold one by one, in order. check_all() decides
 many (program, contract) pairs in one scan, remembering each shared
 program and (program, postcondition) for the latest point only, which
 suffices because the triples judged at a point read the same inputs and
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import repeat
 
 from .contracts import Contract, validate_scope
 from .errors import EvaluationFault, ParseError
@@ -175,13 +174,6 @@ def _pre_tests(pred: ast.BoolExpr, row: str | None) -> tuple:
         return None, test
 
 
-#: pres for points whose precondition is known to hold
-_HOLDS = ((lambda prefix, values: values, None),)
-
-#: the values of a row that is the one point its prefix
-_ONE = range(1)
-
-
 def _held(row_test, prefix: State, values: range):
     """The values of a row at which a precondition holds, in no set
     order, or None when the row is to be judged point by point: there is
@@ -209,26 +201,25 @@ def _visit(held: dict, values: range):
     return sorted(set().union(*tested))
 
 
-def _scan(pres, triples: list[tuple], rows, row: str | None, dom: Domain) -> list:
+def _scan(pres, triples: list[tuple], dom: Domain) -> list:
     """The one judging loop: the verdict of each (pre, execute, post)
-    triple over rows, or the exception it raised.
+    triple over dom, or the exception it raised.
 
     pre indexes pres, one (row_test, test) pair per distinct precondition
-    (see _pre_tests). rows are (prefix, values) as Domain.rows() gives
-    them, and row is the variable values binds (None: a row is the one
-    point prefix). Each precondition a live triple reads is judged once
-    per row with its row_test; at each value where one held, in ascending
-    order, the point is built and the live triples that read it run and
-    judge their postcondition there (_settle). A precondition whose
-    row_test raised is judged on that row point by point with its test
-    (_judge), so the first failure, every witness, count and run is that
-    of judging the points one by one. A triple leaves at its first
+    (see _pre_tests). Each precondition a live triple reads is judged once
+    per row of dom.rows() with its row_test; at each value where one held,
+    in ascending order, the point is built and the live triples that read
+    it run and judge their postcondition there (_settle). A precondition
+    whose row_test raised is judged on that row point by point with its
+    test (_judge), so the first failure, every witness, count and run is
+    that of judging the points one by one. A triple leaves at its first
     failure or exception.
     """
+    row = dom.row
     verdicts: list = [None] * len(triples)
     checked = [0] * len(triples)  # points where the precondition held
     live = list(enumerate(triples))
-    for prefix, values in rows:
+    for prefix, values in dom.rows():
         if not live:
             break
         held = {}
@@ -310,28 +301,27 @@ class Judge:
         self.dom = dom
         self.step_budget = step_budget
 
-    def first_failure(self, points, kept: frozenset[int] | None = None) -> VerificationResult | None:
-        """The failure at the first of points that the program, keeping the
+    def first_failure(self, points, kept: frozenset[int] | None = None) -> Witness | None:
+        """The witness at the first of points that the program, keeping the
         statements in kept (all if None), fails, or None.
 
         Each of points must satisfy the precondition, which is not judged
         again: the slicer gives the witnesses of earlier runs, each a point
         where check() found that it holds.
         """
-        rows = zip(points, repeat(_ONE))
-        verdict = self._verdict(_HOLDS, rows, None, kept)
-        return None if verdict.witness is None else verdict
+        execute = runner(self.program, self.step_budget, kept=kept, post=self.contract.post)
+        for point in points:
+            status, final, detail, _ = _settle(execute, self.post, point)
+            if status != PASS:
+                return Witness(point, final, detail)
+        return None
 
     def check(self, kept: frozenset[int] | None = None) -> VerificationResult:
         """What check(program, contract, dom, step_budget) returns, for the
         program keeping the statements in kept (all if None): the same as
         for the program with the other statements deleted."""
-        return self._verdict(self.pres, self.dom.rows(), self.dom.row, kept)
-
-    def _verdict(self, pres, rows, row, kept) -> VerificationResult:
         execute = runner(self.program, self.step_budget, kept=kept, post=self.contract.post)
-        triple = (0, execute, self.post)
-        (verdict,) = _scan(pres, [triple], rows, row, self.dom)
+        (verdict,) = _scan(self.pres, [(0, execute, self.post)], self.dom)
         if isinstance(verdict, Exception):
             raise verdict
         return verdict
@@ -382,7 +372,7 @@ def check_all(
         if (code, post) not in post_getters:
             post_getters[code, post] = _latest(post_test)
         judged[triple] = (pre, executors[code], post_getters[code, post])
-    scanned = _scan(pre_tests, list(judged.values()), dom.rows(), dom.row, dom)
+    scanned = _scan(pre_tests, list(judged.values()), dom)
     verdicts.update(zip(judged, scanned))
     return [verdicts[triple] if isinstance(triple, int) else triple for triple in asked]
 

@@ -333,6 +333,21 @@ class TestDeepExpressions:
             for check in ("green check", "contract point check", "snapshot contract")
         ]
 
+    def test_replay_records_a_final_program_too_deep_to_compare(self, capsys, tmp_path):
+        deep = _sum_program(tmp_path, 5000)
+        session = tmp_path / "deep.session"
+        session.write_text(
+            f"[session]\nfinal = {deep}\ndomain = a in 0..3\n\n[cycle 1]\n"
+            "test.name = t\ntest.inputs = a=1\ntest.expect = o=5000\n"
+            f"contract.pre = TRUE\ncontract.post = o == 5000 * a\nsnapshot = {deep}\n"
+        )
+        code, out, err = run_cli(capsys, "replay", str(session), "--format", "machine")
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["final_matches_last_snapshot"] is None
+        assert "final program comparison: expression nested too deeply" in report["failures"]
+        assert "final program differs from the last snapshot" not in report["warnings"]
+
     def test_900_terms_still_run(self, capsys, tmp_path):
         code, out, _ = run_cli(
             capsys, "check", _sum_program(tmp_path, 900),

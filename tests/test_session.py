@@ -121,6 +121,24 @@ class TestParseSession:
         assert captured.out == ""
         assert "['qq', 'x']" in captured.err
 
+    @pytest.mark.parametrize("index, digit, line", [
+        # a superscript two passes str.isdigit, and int() refuses it
+        ("2", "²", 21),
+        # an Arabic-Indic one passes both, and int() reads it as 1
+        ("1", "١", 11),
+    ])
+    def test_cycle_index_must_be_ascii_digits(self, tmp_path, capsys, index, digit, line):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_path("div.session").parent, corpus)
+        path = corpus / "div.session"
+        path.write_text(path.read_text().replace(f"[cycle {index}]", f"[cycle {digit}]"))
+        message = f"unexpected section [cycle {digit}] (line {line})"
+        with pytest.raises(SessionFormatError) as raised:
+            load_session(path)
+        assert str(raised.value) == message
+        assert main(["replay", str(path), "--format", "machine"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_outrange_may_cover_some_out_parameters(self, minimal_dir):
         text = MINIMAL_SESSION.replace(
             "domain = x in 0..4\n", "domain = x in 0..4\noutrange = y in 0..9\n"

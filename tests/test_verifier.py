@@ -793,7 +793,6 @@ class TestFirstFailure:
                 assert got is None
                 seen["none"] += 1
                 continue
-            got = got.witness
             assert got.inputs is expected.inputs
             assert got.final == expected.final
             assert list(got.final or ()) == list(expected.final or ())
