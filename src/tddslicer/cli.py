@@ -210,7 +210,8 @@ def _print_report(report) -> None:
     print(f"union pre:  {format_predicate(report.union_contract.pre)}")
     print(f"union post: {format_predicate(report.union_contract.post)}")
     print(f"union pre tautology over domain: {report.union_pre_tautology}")
-    print(f"QLTY: {report.qlty:.1f}")
+    qlty = "None" if report.qlty is None else f"{report.qlty:.1f}"
+    print(f"QLTY: {qlty}")
     for warning in report.warnings():
         print(_warn(f"warning: {warning}"))
     failures = report.failures()

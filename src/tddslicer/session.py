@@ -321,7 +321,7 @@ class Report:
     cycles: list[CycleRecord]
     union_contract: ct.Contract
     union_pre_tautology: bool | None
-    qlty: float
+    qlty: float | None
     final_matches_last_snapshot: bool | None
     session_errors: list[str] = field(default_factory=list)
 
@@ -585,7 +585,7 @@ def replay(session: Session, step_budget: int = DEFAULT_STEP_BUDGET) -> Report:
         cycles=records,
         union_contract=union_so_far,
         union_pre_tautology=tautology,
-        qlty=score if score is not None else 0.0,
+        qlty=score,
         final_matches_last_snapshot=matches,
         session_errors=session_errors,
     )

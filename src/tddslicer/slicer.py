@@ -2,9 +2,18 @@
 
 A slice of S under {P}{Q} is a deletion-derived sub-program that still
 verifies against the same contract over the same Domain. Slicing is
-semantic-by-oracle: delete, then re-verify; no dataflow analysis. Deletion
-preserves the original statement ids so trajectories and reports align
-across versions.
+semantic-by-oracle: delete, then re-verify. Deletion preserves the
+original statement ids so trajectories and reports align across versions.
+
+The search only tries deleting what the postcondition can depend on: S*,
+the flow-insensitive relevance closure of the program (Weiser's dependence
+closure). It starts from the variables of Q and adds every assignment to
+a relevant variable with the variables it reads, and every if or while
+enclosing a relevant statement with the variables of its condition, until
+nothing changes. A statement outside S* assigns only variables that
+nothing in S* reads, so deleting it leaves every relevant value as it was
+and only removes steps and faults: if a candidate verifies, so does every
+candidate between it and its part inside S*, with the same result.
 
 Deleting a statement removes its whole subtree; deleting an else clause
 keeps the If and its then-block. An If whose else block ends up empty is
@@ -26,7 +35,8 @@ from .verifier import VACUOUS, Judge, VerificationResult
 STATEMENT = "statement"
 ELSE_CLAUSE = "else_clause"
 
-#: exhaustive search is refused above this many deletable units (2^16 subsets)
+#: exhaustive search is refused above this many deletable units inside S*
+#: (2^16 candidates)
 EXHAUSTIVE_CAP = 16
 
 EXHAUSTIVE = "exhaustive"
@@ -64,7 +74,8 @@ class ExhaustiveCapError(SliceError):
         self.units = units
         self.cap = cap
         super().__init__(
-            f"{units} deletable units exceed the exhaustive cap of {cap}; "
+            f"{units} deletable units the postcondition can depend on exceed "
+            f"the exhaustive cap of {cap}; "
             "use the greedy strategy"
         )
 
@@ -184,6 +195,16 @@ def slice(
     reverse-pre-order pass over the units, keeping each deletion that
     still verifies; its result is sound but not necessarily minimal.
 
+    Both strategies prune by S*, the statements the postcondition can
+    depend on, computed once per call. exhaustive tries only candidates
+    inside S*, in the same order, and counts only the units inside S*
+    against EXHAUSTIVE_CAP: if a candidate verifies, its part inside S*
+    verifies with no more units and comes no later, so the first that
+    verifies lies inside S*. greedy accepts without judging a deletion
+    whose kept statements all lie outside S*: its kept-set always
+    verifies, and so does that set without statements nothing relevant
+    reads, with the same result.
+
     The contract is validated and compiled once per call, and so is the
     program: a candidate is judged as the set of statement ids it keeps
     (runner's kept), and only the result is built as a Program.
@@ -199,10 +220,11 @@ def slice(
     if not base.verified:
         raise OriginalNotVerifiedError(base)
     units = deletable_units(program)
+    relevant = _relevant(program, contract.post)
     if strategy == EXHAUSTIVE:
-        kept, verification = _slice_exhaustive(program, judge, units, base)
+        kept, verification = _slice_exhaustive(program, judge, units, base, relevant)
     elif strategy == GREEDY:
-        kept, verification = _slice_greedy(program, judge, units, base)
+        kept, verification = _slice_greedy(program, judge, units, base, relevant)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
     built = _build(program, kept)
@@ -215,6 +237,60 @@ def slice(
         strategy=strategy,
         verification=verification,
     )
+
+
+def _relevant(program: ast.Program, post: ast.BoolExpr) -> frozenset[int]:
+    """S*: the ids of the statements post can depend on, flow-insensitively.
+
+    The closure of post's free variables under "an assignment to a relevant
+    variable is relevant, and so are the variables it reads" and "an if or
+    while enclosing a relevant statement is relevant, and so are the
+    variables of its condition". It holds the enclosing statement of each
+    of its members. Walked with stacks of its own, so no depth of program
+    fails here.
+    """
+    enclosing: dict[int, int | None] = {}
+    reads: dict[int, set[str]] = {}
+    assigns: dict[str, list[int]] = {}
+    stack: list[tuple[ast.Stmt, int | None]] = [(stmt, None) for stmt in program.body.stmts]
+    while stack:
+        stmt, outer = stack.pop()
+        enclosing[stmt.stmt_id] = outer
+        if isinstance(stmt, ast.Assign):
+            reads[stmt.stmt_id] = _names(stmt.expr)
+            assigns.setdefault(stmt.target, []).append(stmt.stmt_id)
+        elif isinstance(stmt, (ast.If, ast.While)):
+            reads[stmt.stmt_id] = _names(stmt.cond)
+            blocks = (stmt.then, stmt.orelse) if isinstance(stmt, ast.If) else (stmt.body,)
+            stack.extend((inner, stmt.stmt_id) for block in blocks for inner in block.stmts)
+    seen = set(ast.free_vars(post))
+    pending = list(seen)
+    relevant: set[int] = set()
+    while pending:
+        for sid in assigns.get(pending.pop(), ()):
+            while sid is not None and sid not in relevant:
+                relevant.add(sid)
+                fresh = reads[sid] - seen
+                seen |= fresh
+                pending.extend(fresh)
+                sid = enclosing[sid]
+    return frozenset(relevant)
+
+
+def _names(node: ast.Expr | ast.BoolExpr) -> set[str]:
+    """The variables a program expression or condition reads. Unlike
+    ast.free_vars it does not recurse, so it takes any depth the parser
+    takes."""
+    names, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, ast.Var):
+            names.add(node.name)
+        elif isinstance(node, (ast.Neg, ast.Not)):
+            stack.append(node.operand)
+        elif isinstance(node, (ast.Arith, ast.Cmp, ast.And, ast.Or)):
+            stack += (node.left, node.right)
+    return names
 
 
 def _verifies(judge: Judge, kept: frozenset[int], killers: list) -> VerificationResult | None:
@@ -239,10 +315,11 @@ def _verifies(judge: Judge, kept: frozenset[int], killers: list) -> Verification
 
 
 class _Plan(NamedTuple):
-    """A block as _choices walks it: per statement its id and the plans of
-    its blocks (then and else, the loop body, or none for a leaf); per
-    suffix of the statements, the most units the sets it can leave have;
-    and where the trailing run of leaves starts."""
+    """A block as _choices walks it, keeping only the statements in S*: per
+    statement its id and the plans of its blocks (then and else, the loop
+    body, or none for a leaf); per suffix of the statements, the most
+    units the sets it can leave have; and where the trailing run of leaves
+    starts."""
 
     ids: tuple[int, ...]
     subs: tuple[tuple, ...]
@@ -250,13 +327,14 @@ class _Plan(NamedTuple):
     leaves_from: int
 
 
-def _plan(block: ast.Block) -> _Plan:
+def _plan(block: ast.Block, relevant: frozenset[int]) -> _Plan:
+    stmts = [stmt for stmt in block.stmts if stmt.stmt_id in relevant]
     subs = []
-    for stmt in block.stmts:
+    for stmt in stmts:
         if isinstance(stmt, ast.If):
-            subs.append((_plan(stmt.then), _plan(stmt.orelse)))
+            subs.append((_plan(stmt.then, relevant), _plan(stmt.orelse, relevant)))
         elif isinstance(stmt, ast.While):
-            subs.append((_plan(stmt.body),))
+            subs.append((_plan(stmt.body, relevant),))
         else:
             subs.append(())
     most = [0]
@@ -268,7 +346,7 @@ def _plan(block: ast.Block) -> _Plan:
     leaves_from = len(subs)
     while leaves_from and not subs[leaves_from - 1]:
         leaves_from -= 1
-    ids = tuple(stmt.stmt_id for stmt in block.stmts)
+    ids = tuple(stmt.stmt_id for stmt in stmts)
     return _Plan(ids, tuple(subs), tuple(reversed(most)), leaves_from)
 
 
@@ -318,11 +396,14 @@ def _inner(subs: tuple, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]
                 yield m, ids
 
 
-def _retainable(block: ast.Block) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Every set of block's statements a deletion can leave, as (retained
-    units, retained statement ids in pre-order), in ascending order and
-    one at a time."""
-    plan = _plan(block)
+def _retainable(
+    block: ast.Block, relevant: frozenset[int]
+) -> Iterator[tuple[int, tuple[int, ...]]]:
+    """Every set of the statements of block in relevant that a deletion can
+    leave, as (retained units, retained statement ids in pre-order), in
+    ascending order and one at a time. relevant must hold the enclosing
+    statement of each of its members."""
+    plan = _plan(block, relevant)
     for n in range(plan.most[0] + 1):
         yield from _choices(plan, 0, n, n)
 
@@ -332,14 +413,17 @@ def _slice_exhaustive(
     judge: Judge,
     units: list[DeletionUnit],
     base: VerificationResult,
+    relevant: frozenset[int],
 ) -> tuple[frozenset[int], VerificationResult]:
-    """The kept-set of the first candidate that verifies, and its verification."""
-    if len(units) > EXHAUSTIVE_CAP:
-        raise ExhaustiveCapError(len(units), EXHAUSTIVE_CAP)
+    """The kept-set of the first candidate inside relevant that verifies,
+    and its verification."""
+    most = _plan(program.body, relevant).most[0]
+    if most > EXHAUSTIVE_CAP:
+        raise ExhaustiveCapError(most, EXHAUSTIVE_CAP)
     killers: list = []
-    for n, ids in _retainable(program.body):
+    for n, ids in _retainable(program.body, relevant):
         kept = frozenset(ids)
-        # the last candidate retains everything: the program itself, verified by base
+        # a candidate retaining every unit is the program itself, verified by base
         result = base if n == len(units) else _verifies(judge, kept, killers)
         if result is not None:
             break
@@ -351,18 +435,21 @@ def _slice_greedy(
     judge: Judge,
     units: list[DeletionUnit],
     base: VerificationResult,
+    relevant: frozenset[int],
 ) -> tuple[frozenset[int], VerificationResult]:
     """The kept-set left by every deletion that still verifies, one unit
     at a time in reverse pre-order, and its verification. A deletion
     removes whole subtrees, so kept holds the enclosing statement of each
     of its members, and a unit none of whose statements is kept is gone
-    already and skipped."""
+    already and skipped. A deletion of kept statements none of which is in
+    relevant verifies, with the same result, so it is accepted unjudged."""
     kept = frozenset(s.stmt_id for s in program.statements())
     verification = base
     killers: list = []
     for unit in reversed(units):
-        removed = _removed_ids(program, {unit})
-        if kept.isdisjoint(removed):
+        removed = kept & _removed_ids(program, {unit})
+        if relevant.isdisjoint(removed):
+            kept -= removed
             continue
         result = _verifies(judge, kept - removed, killers)
         if result is not None:

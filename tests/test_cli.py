@@ -121,12 +121,13 @@ class TestSlice:
         assert "does not verify" in err
 
     def test_cap_refusal_suggests_greedy(self, capsys, tmp_path):
+        """17 units, each an assignment to o, which the postcondition reads."""
         body = " ".join(f"o := {i};" for i in range(17))
         wide = tmp_path / "wide.prog"
         wide.write_text(f"proc f(in a, in b, out o) {{ {body} }}")
         code, _, err = run_cli(
             capsys, "slice", str(wide),
-            "--pre", "TRUE", "--post", "TRUE", "--domain", DOM,
+            "--pre", "TRUE", "--post", "o == 16", "--domain", DOM,
         )
         assert code == 2
         assert "greedy" in err
@@ -347,6 +348,26 @@ class TestDeepExpressions:
         assert report["final_matches_last_snapshot"] is None
         assert "final program comparison: expression nested too deeply" in report["failures"]
         assert "final program differs from the last snapshot" not in report["warnings"]
+
+    def test_replay_reports_a_qlty_it_could_not_compute_as_null(self, capsys, tmp_path):
+        """The final program is too deep to run, so no assertion is scored:
+        QLTY is null in machine output and None in text, not 0.0."""
+        deep = _sum_program(tmp_path, 5000)
+        session = tmp_path / "deep.session"
+        session.write_text(
+            f"[session]\nfinal = {deep}\ndomain = a in 0..3\n\n[cycle 1]\n"
+            "test.name = t\ntest.inputs = a=1\ntest.expect = o=5000\n"
+            f"contract.pre = TRUE\ncontract.post = o == 5000 * a\nsnapshot = {deep}\n"
+        )
+        code, out, err = run_cli(capsys, "replay", str(session), "--format", "machine")
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["qlty"] is None
+        assert "qlty: expression nested too deeply" in report["failures"]
+        code, out, err = run_cli(capsys, "replay", str(session))
+        assert (code, err) == (1, "")
+        assert "\nQLTY: None\n" in out
+        assert "failure: qlty: expression nested too deeply" in out
 
     def test_900_terms_still_run(self, capsys, tmp_path):
         code, out, _ = run_cli(

@@ -202,14 +202,28 @@ class TestSlice:
             compute_slice(max2, empty, dom_ab8)
 
     def test_exhaustive_cap(self):
+        """17 units, every one an assignment to o, which the postcondition
+        reads: all 17 count against the cap of 16."""
         body = " ".join(f"o := {i};" for i in range(17))
         program = parse_program(f"proc f(in a, in b, out o) {{ {body} }}")
-        contract = Contract(parse_predicate("TRUE"), parse_predicate("TRUE"))
-        with pytest.raises(ExhaustiveCapError, match="greedy"):
+        contract = Contract(parse_predicate("TRUE"), parse_predicate("o == 16"))
+        with pytest.raises(ExhaustiveCapError, match="^17 deletable units .* use the greedy strategy$"):
             compute_slice(program, contract, dom5)
         greedy = compute_slice(program, contract, dom5, strategy=GREEDY)
         assert greedy.verification.verified
-        assert greedy.program.body.stmts == ()
+        assert greedy.retained == frozenset({stmt(17)})
+
+    def test_exhaustive_cap_counts_only_units_the_postcondition_can_depend_on(self):
+        """The same 17 units under post TRUE: none is relevant, so the
+        exhaustive search runs and returns the empty slice."""
+        body = " ".join(f"o := {i};" for i in range(17))
+        program = parse_program(f"proc f(in a, in b, out o) {{ {body} }}")
+        contract = Contract(parse_predicate("TRUE"), parse_predicate("TRUE"))
+        result = compute_slice(program, contract, dom5)
+        assert result.program.body.stmts == ()
+        assert result.retained == frozenset()
+        assert result.minimal is True
+        assert result.verification.verified
 
     def test_nothing_deletable_still_succeeds(self):
         program = parse_program("proc f(in a, in b, out o) { o := a + b; }")
@@ -609,7 +623,8 @@ def test_streamed_candidates_come_in_sorted_order():
     ]
     assert sum(map(_nested, programs)) >= 30
     for program in programs:
-        assert list(slicer._retainable(program.body)) == sorted(_eager_retainable(program.body))
+        everything = frozenset(s.stmt_id for s in program.statements())
+        assert list(slicer._retainable(program.body, everything)) == sorted(_eager_retainable(program.body))
 
 
 def test_all_fail_slice_compiles_each_statement_once_and_builds_once(monkeypatch):
@@ -708,8 +723,8 @@ def test_slice_ending_at_its_first_candidate_enumerates_no_other(monkeypatch):
     pulled = []
     real_retainable = slicer._retainable
 
-    def counting_retainable(block):
-        for key in real_retainable(block):
+    def counting_retainable(block, relevant):
+        for key in real_retainable(block, relevant):
             pulled.append(key)
             yield key
 
@@ -719,3 +734,108 @@ def test_slice_ending_at_its_first_candidate_enumerates_no_other(monkeypatch):
     result = compute_slice(program, contract, Domain.parse("a in 0..24"))
     assert result.program.body.stmts == ()
     assert pulled == [(0, ())]
+
+
+def _ids(program):
+    return frozenset(s.stmt_id for s in program.statements())
+
+
+def test_relevance_closure_of_the_padded_programs():
+    """The padding touches only d, which no postcondition reads; an if is
+    relevant with its condition when a relevant statement is inside it."""
+    div = parse_program(PADDED_DIV)
+    assert slicer._relevant(div, parse_predicate(DIV_SPEC)) == frozenset({1, 3, 4, 5, 7, 8})
+    assert slicer._relevant(div, parse_predicate("q >= 0")) == frozenset({1, 3, 4, 5, 7})
+    assert slicer._relevant(div, parse_predicate("exists d in 0..1 : d == x")) == frozenset()
+    max_ = parse_program(PADDED_MAX)
+    assert slicer._relevant(max_, parse_predicate("max == a")) == frozenset({1, 4, 6})
+    assert slicer._relevant(max_, parse_predicate("d == 0")) == frozenset({1, 2, 3, 7, 8})
+
+
+def test_the_part_inside_the_relevance_closure_of_a_verifying_kept_set_verifies():
+    """Why the pruning is exact, judged by bf_check: whenever a kept-set
+    verifies, so does its part inside S*."""
+    rng = random.Random(6174)
+    verified = pruned = 0
+    for index in range(140):
+        program, contract, budget = _oracle_case(rng, ORACLE_KINDS[index % len(ORACLE_KINDS)])
+        relevant = slicer._relevant(program, contract.post)
+        for _ in range(4):
+            kept = frozenset(_random_kept(rng, program.body, rng.random()))
+            judged = bf_check(slicer._build(program, kept), contract.pre, contract.post,
+                              ORACLE_RANGES, budget)
+            if judged[0] != "verified":
+                continue
+            verified += 1
+            pruned += not kept <= relevant
+            inside = slicer._build(program, kept & relevant)
+            assert bf_check(inside, contract.pre, contract.post, ORACLE_RANGES, budget) == judged
+    assert verified >= 100 and pruned >= 50, (verified, pruned)
+
+
+def test_exhaustive_answers_lie_inside_the_relevance_closure():
+    rng = random.Random(8128)
+    dom = Domain.from_dict(ORACLE_RANGES)
+    pruned = 0
+    for index in range(140):
+        program, contract, budget = _oracle_case(rng, ORACLE_KINDS[index % len(ORACLE_KINDS)])
+        relevant = slicer._relevant(program, contract.post)
+        result = compute_slice(program, contract, dom, step_budget=budget)
+        assert _ids(result.program) <= relevant
+        pruned += relevant != _ids(program)
+    assert pruned >= 40
+
+
+def test_greedy_judges_only_deletions_that_reach_the_relevance_closure(monkeypatch):
+    """Every kept-set greedy judges lacks a statement of S* that its kept-set
+    holds: the kept-set it judged and accepted last, less what it deleted
+    since without judging, all of it outside S*."""
+    judged = []
+    real_first_failure, real_check = verifier.Judge.first_failure, verifier.Judge.check
+
+    def recording_first_failure(self, points, kept=None):
+        judged.append((kept, None))
+        return real_first_failure(self, points, kept)
+
+    def recording_check(self, kept=None):
+        result = real_check(self, kept)
+        judged.append((kept, result.verified))
+        return result
+
+    monkeypatch.setattr(verifier.Judge, "first_failure", recording_first_failure)
+    monkeypatch.setattr(verifier.Judge, "check", recording_check)
+    rng = random.Random(1729)
+    dom = Domain.from_dict(ORACLE_RANGES)
+    unjudged = 0
+    for index in range(140):
+        program, contract, budget = _oracle_case(rng, ORACLE_KINDS[index % len(ORACLE_KINDS)])
+        relevant = slicer._relevant(program, contract.post)
+        judged.clear()
+        result = compute_slice(program, contract, dom, strategy=GREEDY, step_budget=budget)
+        current = _ids(program)
+        for kept, verified in judged:
+            if kept is None:  # the original's check
+                continue
+            if verified is None:
+                assert not relevant.isdisjoint(current - kept)
+            elif verified:
+                current = kept
+        unjudged += current != _ids(result.program)
+    assert unjudged >= 30
+
+
+def test_pruned_candidates_are_the_sorted_candidates_inside_the_relevance_closure():
+    rng = random.Random(9)
+    programs = [parse_program(PADDED_DIV), parse_program(PADDED_MAX), parse_program(ALL_FAIL)]
+    programs += [
+        random_program(rng, max_stmts=rng.randint(4, 14), allow_while=True, faults=index % 2 == 0)
+        for index in range(200)
+    ]
+    pruned = 0
+    for program in programs:
+        for post in ("o == 0", "w == 0" if "w" in program.locals else "d == 0", "TRUE"):
+            relevant = slicer._relevant(program, parse_predicate(post))
+            inside = [key for key in sorted(_eager_retainable(program.body)) if set(key[1]) <= relevant]
+            assert list(slicer._retainable(program.body, relevant)) == inside
+            pruned += relevant not in (frozenset(), _ids(program))
+    assert pruned >= 100
