@@ -11,7 +11,7 @@ row variable, a predicate judges in one call a row of points that differ
 only in that variable, with the work per point done by map, compress and
 filter over the row (column at a time, after Boncz et al., "MonetDB/X100",
 CIDR 2005) and no generated source. runner, made once per (program,
-budget, kept-set), is the one per-run core: the verifier's scans call it
+budget, kept-set), is the one per-run core: the verifier's row scans call it
 per point for a plain tuple; run wraps it with the input checks and
 returns a RunResult.
 
@@ -22,14 +22,16 @@ runs add their steps to a count of its own, and once the count reaches
 SOURCE_AFTER_STEPS it emits the program, with its kept-set and budget, as
 Python source, compiles it, and runs that for every later call: the saving
 per run grows with the steps a run takes, so only scans long enough to
-repay the compile pay for it. Given a postcondition, the source also
-judges it after a run that ends ok and returns PASSED where it holds, so
-a passing point builds no final state (operator fusion, after Neumann,
-"Efficiently Compiling Efficient Query Plans for Modern Hardware", VLDB
-2011); the closures ignore it, and a post the source cannot hold is left
-out of it. Source that Python refuses for the program itself (nested too
+repay the compile pay for it. Source that Python refuses (nested too
 deeply for its parser or compiler) leaves the function on the closures
-for good. Recorded runs never switch, and other predicates stay closures.
+for good. Recorded runs never switch.
+
+loop_nest emits a whole scan as one Python function (operator fusion,
+after Neumann, "Efficiently Compiling Efficient Query Plans for Modern
+Hardware", VLDB 2011): a for loop per domain variable, the precondition,
+the program's statements and the postcondition inline. It gives the first
+point that does not pass and the count before it; the verifier words
+that point's outcome on the closures.
 
 A run produces the final state plus, when recorded, the trajectory: one
 (stmt_id, var, value) entry per executed assignment, in execution order.
@@ -64,10 +66,6 @@ ALL = None
 OK = "ok"
 FAULT = "fault"
 BUDGET_EXCEEDED = "budget_exceeded"
-
-#: what a function made by runner with a post returns, on the source tier,
-#: for a run that ends ok in a state where post holds
-PASSED = "passed"
 
 _BUDGET_REASON = "step budget exceeded"
 
@@ -576,8 +574,8 @@ def _compiled(program: ast.Program) -> _CompiledProgram:
 # A program, with a kept-set and a budget, emitted as the Python source of
 # one function of the inputs and compiled by Python: the statements inline,
 # the program variables locals named v_<name>, each step counted in the
-# local left. It returns what the closures return for an unrecorded run,
-# or PASSED where a fused postcondition holds.
+# local left. It returns what the closures return for an unrecorded run.
+# loop_nest emits a scan the same way.
 
 
 def _faulting(fn: Callable) -> Callable:
@@ -597,7 +595,9 @@ _SOURCE_GLOBALS = {
     "__builtins__": {},
     "_Stop": _Stop,
     "BUDGET_EXCEEDED": BUDGET_EXCEEDED,
-    "PASSED": PASSED,
+    "Exception": Exception,
+    "any": any,
+    "range": range,
     "_BUDGET_REASON": _BUDGET_REASON,
     "_div": _faulting(trunc_div),
     "_mod": _faulting(trunc_mod),
@@ -612,16 +612,15 @@ class _Emitter:
     identifier is a ValueError, so no generated name can clash."""
 
     def __init__(self, names: tuple[str, ...], kept: frozenset[int] | None):
-        for name in names:
-            if not (name.isascii() and name.isidentifier()):
-                raise ValueError(f"not an identifier: {name!r}")
         self.names = frozenset(names)
         self.kept = kept
         self.lines: list[tuple[int, str]] = []
+        for name in names:
+            self.var(name)
 
     def var(self, name: str) -> str:
-        if name not in self.names:
-            raise ValueError(f"undeclared variable {name!r}")
+        if name not in self.names or not (name.isascii() and name.isidentifier()):
+            raise ValueError(f"not a declared identifier: {name!r}")
         return "v_" + name
 
     def expr(self, expr: ast.Expr, sid: int) -> str:
@@ -646,10 +645,11 @@ class _Emitter:
             return f"({self.pred(pred.left, sid)} {word} {self.pred(pred.right, sid)})"
         if isinstance(pred, ast.BoolLit):
             return repr(pred.value)
-        # a bounded exists would need a loop in an expression: a post
-        # holding one is not fused, a hand-built program holding one
-        # stays on the closures
-        raise ValueError(f"no source for {type(pred).__name__}")
+        # an exists: the bound variable is the generator's own
+        outer, self.names = self.names, self.names | {pred.var}
+        body, bound = self.pred(pred.body, sid), self.var(pred.var)
+        self.names = outer
+        return f"any({body} for {bound} in range({pred.lo!r}, {pred.hi + 1!r}))"
 
     def block(self, block: ast.Block, depth: int) -> bool:
         """Emit block's kept statements; whether there was any."""
@@ -680,24 +680,14 @@ class _Emitter:
             self.block(stmt.body, depth)
 
 
-def _source(
-    program: ast.Program,
-    step_budget: int,
-    kept: frozenset[int] | None,
-    post: ast.BoolExpr | None = None,
-) -> str:
+def _source(program: ast.Program, step_budget: int, kept: frozenset[int] | None) -> list:
     """The source of `run(inputs)`, which returns what runner's function
-    returns for program, step_budget and kept on an unrecorded run. With
-    post, a run that ends ok judges post on its variables and returns
-    PASSED where it holds; a post that is false or faults (a _Stop, caught)
-    gives the run's tuple, for the caller to judge again. ValueError for a
-    post that reads a name outside the program's variables or holds an
-    exists."""
+    returns for program, step_budget and kept on an unrecorded run."""
     in_params, zeroed = program.in_params, tuple(_compiled(program).zeroed)
     emitter = _Emitter((*in_params, *zeroed), kept)
     emitter.block(program.body, 2)
     final = ", ".join(f"{name!r}: v_{name}" for name in (*in_params, *zeroed))
-    lines = [
+    return [
         (0, "def run(inputs):"),
         *[(1, f"v_{name} = inputs[{name!r}]") for name in in_params],
         *[(1, f"v_{name} = 0") for name in zeroed],
@@ -707,43 +697,74 @@ def _source(
         *(emitter.lines or [(2, "pass")]),
         (1, "except _Stop as stop:"),
         (2, "status, stmt_id, reason = stop.status, stop.stmt_id, stop.reason"),
+        (1, f"return status, {{**inputs, {final}}}, (), {step_budget!r} - left, stmt_id, reason"),
     ]
-    if post is not None:
-        lines += [
-            (1, "else:"),
-            (2, "try:"),
-            (3, f"if {emitter.pred(post, None)}: return PASSED"),
-            (2, "except _Stop:"),
-            (3, "pass"),
-        ]
-    lines.append(
-        (1, f"return status, {{**inputs, {final}}}, (), {step_budget!r} - left, stmt_id, reason")
-    )
-    return "\n".join("    " * depth + text for depth, text in lines) + "\n"
 
 
-def _source_tier(
+def _load(name: str, function: str, emit: Callable[[], list]) -> Callable | None:
+    """The function called function that the source lines emit() define,
+    compiled, or None when Python refuses them: source nested too
+    deeply (about 200 parentheses, 20 loops, 100 indents) is SyntaxError,
+    RecursionError or MemoryError; a hand-built program with a name that
+    is not a declared identifier, or an integer too long to print, is
+    ValueError."""
+    try:
+        source = "\n".join("    " * depth + text for depth, text in emit()) + "\n"
+        namespace = dict(_SOURCE_GLOBALS)
+        exec(compile(source, f"<{name}>", "exec"), namespace)
+    except (SyntaxError, RecursionError, MemoryError, ValueError):
+        return None
+    return namespace[function]
+
+
+def _source_tier(program: ast.Program, step_budget: int, kept: frozenset[int] | None):
+    """_source compiled, or None when Python refuses it (see _load)."""
+    return _load(program.name, "run", lambda: _source(program, step_budget, kept))
+
+
+def loop_nest(
     program: ast.Program,
     step_budget: int,
     kept: frozenset[int] | None,
-    post: ast.BoolExpr | None = None,
-):
-    """_source compiled, with post fused if it can be and else without it,
-    or None when the program's own source cannot be: Python refuses source
-    nested too deeply (about 200 parentheses, 20 loops, 100 indents) with
-    SyntaxError, RecursionError or MemoryError; a hand-built program with
-    a name that is not a declared identifier or a predicate-only node, a
-    post _source cannot express, or an integer too long to print, is
-    ValueError."""
-    for fused in (post, None) if post is not None else (None,):
-        try:
-            namespace = dict(_SOURCE_GLOBALS)
-            source = _source(program, step_budget, kept, fused)
-            exec(compile(source, f"<{program.name}>", "exec"), namespace)
-        except (SyntaxError, RecursionError, MemoryError, ValueError):
-            continue
-        return namespace["run"]
-    return None
+    ranges: tuple[tuple[str, int, int], ...],
+    pre: ast.BoolExpr,
+    post: ast.BoolExpr,
+) -> Callable[[], tuple] | None:
+    """`scan()`, compiled, or None when Python refuses its source (see
+    _load). scan judges pre holds -> run -> post holds at each point of
+    ranges, the in-parameters' (name, lo, hi) in name order, one for loop
+    each, with the kept statements inline as in _source; step_budget must
+    be positive. It returns (None, count) or, at the first point where pre
+    raises, the run ends other than ok, or post is false or raises,
+    (inputs, count); count is the points before it where pre held."""
+
+    def source() -> list:
+        zeroed = (*program.out_params, *program.locals)
+        emitter = _Emitter((*program.in_params, *zeroed), kept)
+        inner = len(ranges) + 2  # the depth of one point's statements
+        emitter.block(program.body, inner)
+        point = ", ".join(f"{name!r}: i_{name}" for name, _, _ in ranges)
+        return [
+            (0, "def scan():"),
+            (1, "count = 0"),
+            *[(depth, f"for i_{name} in range({lo!r}, {hi + 1!r}):")
+              for depth, (name, lo, hi) in enumerate(ranges, 1)],
+            (inner - 1, "try:"),
+            *[(inner, f"v_{name} = i_{name}") for name, _, _ in ranges],
+            (inner, f"if not {emitter.pred(pre, None)}: continue"),
+            *[(inner, f"v_{name} = 0") for name in zeroed],
+            (inner, f"left = {step_budget!r}"),
+            *emitter.lines,
+            (inner, f"if {emitter.pred(post, None)}:"),
+            (inner + 1, "count += 1"),
+            (inner + 1, "continue"),
+            (inner - 1, "except Exception:"),
+            (inner, "pass"),
+            (inner - 1, f"return {{{point}}}, count"),
+            (1, "return None, count"),
+        ]
+
+    return _load(program.name, "scan", source)
 
 
 def runner(
@@ -752,8 +773,7 @@ def runner(
     *,
     record: bool = False,
     kept: frozenset[int] | None = None,
-    post: ast.BoolExpr | None = None,
-) -> Callable[[dict[str, int]], tuple | str]:
+) -> Callable[[dict[str, int]], tuple]:
     """The per-run core: program as a function of its inputs that returns
     the plain tuple of run's RunResult fields, (status, final, trajectory,
     steps, fault_stmt_id, fault_reason). It does not check the inputs. A
@@ -774,15 +794,6 @@ def runner(
     only a function that runs long enough pays the compile. When Python
     refuses the source (a program nested too deeply for its parser or
     compiler), the function stays on the closures and never tries again.
-
-    post, a predicate over the final state, is fused into the source: on
-    that tier a run that ends ok in a state where post holds returns
-    PASSED instead of the tuple, and so builds no final state. Every other
-    run (post false or faulting, and every run on the closures, which
-    ignore post) returns the tuple, on which the caller judges post itself.
-    A post the source cannot hold (an exists, a name outside the program's
-    variables, or source Python refuses only with post) is left out of
-    it: the program still switches.
     """
     if step_budget < 1:
         return _refuse(ValueError, "step_budget must be positive")
@@ -799,7 +810,7 @@ def runner(
         nonlocal after, spent, source
         if spent >= after:
             if source is None:
-                source = _source_tier(program, step_budget, kept, post)
+                source = _source_tier(program, step_budget, kept)
             if source is None:
                 after = math.inf  # Python refused the source: the closures for good
             else:

@@ -112,24 +112,35 @@ def apply_deletion(
     Deleting a unit nested inside an already-deleted unit is a no-op; the
     result may have an empty body, which is valid.
     """
-    bogus = set(deleted) - set(deletable_units(program))
+    removals = _removals(program)
+    bogus = set(deleted) - removals.keys()
     if bogus:
         raise ValueError(f"units not present in program: {sorted(map(str, bogus))}")
     everything = {s.stmt_id for s in program.statements()}
-    return _build(program, everything - _removed_ids(program, deleted))
+    return _build(program, everything.difference(*(removals[unit] for unit in deleted)))
 
 
-def _removed_ids(program: ast.Program, deleted) -> set[int]:
-    """Ids of every statement deleting the units removes: a deleted
-    statement or the statements of a deleted else clause, each with every
-    statement nested inside it."""
-    removed = set()
-    for stmt in program.statements():
-        if DeletionUnit(STATEMENT, stmt.stmt_id) in deleted:
-            removed.update(s.stmt_id for s in ast.walk_statements(ast.Block((stmt,))))
-        if isinstance(stmt, ast.If) and DeletionUnit(ELSE_CLAUSE, stmt.stmt_id) in deleted:
-            removed.update(s.stmt_id for s in ast.walk_statements(stmt.orelse))
-    return removed
+def _removals(program: ast.Program) -> dict[DeletionUnit, tuple[int, ...]]:
+    """For each deletion unit of program, the ids of every statement
+    deleting it removes: the statement or the statements of the else
+    clause, each with every statement nested inside it. One walk, each
+    statement after those nested inside it."""
+    removals: dict[DeletionUnit, tuple[int, ...]] = {}
+
+    def inside(block: ast.Block) -> tuple[int, ...]:
+        return tuple(i for s in block.stmts for i in removals[DeletionUnit(STATEMENT, s.stmt_id)])
+
+    for stmt in reversed(program.statements()):
+        nested = ()
+        if isinstance(stmt, ast.If):
+            orelse = inside(stmt.orelse)
+            if orelse:
+                removals[DeletionUnit(ELSE_CLAUSE, stmt.stmt_id)] = orelse
+            nested = inside(stmt.then) + orelse
+        elif isinstance(stmt, ast.While):
+            nested = inside(stmt.body)
+        removals[DeletionUnit(STATEMENT, stmt.stmt_id)] = (stmt.stmt_id, *nested)
+    return removals
 
 
 def _build(program: ast.Program, kept: frozenset[int] | set[int]) -> ast.Program:
@@ -446,8 +457,9 @@ def _slice_greedy(
     kept = frozenset(s.stmt_id for s in program.statements())
     verification = base
     killers: list = []
+    removals = _removals(program)
     for unit in reversed(units):
-        removed = kept & _removed_ids(program, {unit})
+        removed = kept.intersection(removals[unit])
         if relevant.isdisjoint(removed):
             kept -= removed
             continue

@@ -7,8 +7,12 @@ budget is a failure (total-correctness reading), and a precondition that
 no domain point satisfies yields the distinct Vacuous verdict: a vacuous
 "Verified" would let the slicer delete everything.
 
-One loop, _scan, judges every domain scan, a row of Domain.rows() at a
-time: each distinct precondition of the live (pre, run, post) triples is
+Judge.check scans a domain of NEST_FROM_POINTS points or more with one
+compiled loop nest (lang.interp.loop_nest), pre, run and post inline, and
+judges the first point that does not pass again with _judge on the
+closures, so every witness, detail and exception comes from one place.
+_scan judges every other domain scan, a row of Domain.rows() at a time:
+each distinct precondition of the live (pre, run, post) triples is
 judged once per row with its row form (compile_bool's row), and only at
 the values where it held is the point built, the program run and the
 postcondition judged (_settle); a row whose precondition raises is judged
@@ -17,22 +21,19 @@ judging the points one by one. A triple leaves at its first failure. Its
 runs are lang.interp.runner's, made once per scan: a point costs no input
 check and no RunResult. A Judge feeds it one triple: a program and its
 contract, validated and compiled once, then judged with any number of
-kept-sets of its statements (the slicer's candidates). Its runner gets
-the contract's postcondition, which a scan long enough to run compiled
-source judges inside that source, so a point that passes there builds no
-final state and _settle only words the outcome; check() is
+kept-sets of its statements (the slicer's candidates); check() is
 Judge(...).check(), and Judge.first_failure() settles given points whose
 precondition is known to hold one by one, in order. check_all() decides
 many (program, contract) pairs in one scan, remembering each shared
 program and (program, postcondition) for the latest point only, which
 suffices because the triples judged at a point read the same inputs and
-final states; a program's runs serve every postcondition paired with it,
-so none is fused.
+final states.
 check_point() judges a single input with _judge through the checked run.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -44,9 +45,9 @@ from .lang.interp import (
     DEFAULT_STEP_BUDGET,
     FAULT,
     OK,
-    PASSED,
     RunResult,
     compile_bool,
+    loop_nest,
     run,
     runner,
 )
@@ -60,6 +61,10 @@ VACUOUS = "vacuous"
 PASS = "pass"
 FAIL = "fail"
 PRE_VIOLATION = "pre_violation"
+
+#: domain points from which Judge.check compiles its scan as one loop nest:
+#: fewer do not repay the compile
+NEST_FROM_POINTS = 120
 
 
 @dataclass(frozen=True)
@@ -133,23 +138,14 @@ def _judge(pre, execute, post, inputs: State) -> tuple | None:
     return _settle(execute, post, inputs)
 
 
-#: the outcome of every point that passes where the run judged post itself
-_PASSED = (PASS, None, None, True)
-
-
 def _settle(execute, post, inputs: State) -> tuple:
     """Judge one point whose precondition holds: run -> post holds.
 
     (status, final, detail, True) with a PointCheck status. execute(inputs)
-    runs the program and returns the plain tuple of runner, or PASSED when
-    it was made with this post, fused, and post held: then the outcome is
-    one shared PASS with no final state. A fault in the postcondition is a
-    FAULT status; any other exception propagates.
+    runs the program and returns the plain tuple of runner. A fault in the
+    postcondition is a FAULT status; any other exception propagates.
     """
-    ran = execute(inputs)
-    if ran is PASSED:
-        return _PASSED
-    status, final, _, _, stmt_id, reason = ran
+    status, final, _, _, stmt_id, reason = execute(inputs)
     if status != OK:
         return status, final, f"{reason} at statement {stmt_id}", True
     try:
@@ -259,16 +255,10 @@ def _scan(pres, triples: list[tuple], dom: Domain) -> list:
                     verdicts[index] = err
                     failed = True
                     continue
-                if outcome[0] == PASS:
-                    checked[index] += 1
-                    continue
-                status, final, detail, ran = outcome
-                if ran:
-                    checked[index] += 1
-                verdict = COUNTEREXAMPLE if status == FAIL else status
-                witness = Witness(point, final, detail)
-                verdicts[index] = VerificationResult(verdict, witness, checked[index], dom)
-                failed = True
+                checked[index] += outcome[3]
+                if outcome[0] != PASS:
+                    verdicts[index] = _failed(outcome, point, checked[index], dom)
+                    failed = True
             if failed:
                 live = [entry for entry in live if verdicts[entry[0]] is None]
                 if not live:
@@ -277,6 +267,13 @@ def _scan(pres, triples: list[tuple], dom: Domain) -> list:
         count = checked[index]
         verdicts[index] = VerificationResult(VERIFIED if count else VACUOUS, None, count, dom)
     return verdicts
+
+
+def _failed(outcome: tuple, point: State, checked: int, dom: Domain) -> VerificationResult:
+    """The verdict of a scan whose first failure is outcome, _judge's, at point."""
+    status, final, detail, _ = outcome
+    verdict = COUNTEREXAMPLE if status == FAIL else status
+    return VerificationResult(verdict, Witness(point, final, detail), checked, dom)
 
 
 class Judge:
@@ -299,6 +296,7 @@ class Judge:
         self.contract = contract
         self.post = compile_bool(contract.post)
         self.dom = dom
+        self.points = math.prod(hi - lo + 1 for _, lo, hi in dom.ranges)
         self.step_budget = step_budget
 
     def first_failure(self, points, kept: frozenset[int] | None = None) -> Witness | None:
@@ -309,7 +307,7 @@ class Judge:
         again: the slicer gives the witnesses of earlier runs, each a point
         where check() found that it holds.
         """
-        execute = runner(self.program, self.step_budget, kept=kept, post=self.contract.post)
+        execute = runner(self.program, self.step_budget, kept=kept)
         for point in points:
             status, final, detail, _ = _settle(execute, self.post, point)
             if status != PASS:
@@ -319,8 +317,23 @@ class Judge:
     def check(self, kept: frozenset[int] | None = None) -> VerificationResult:
         """What check(program, contract, dom, step_budget) returns, for the
         program keeping the statements in kept (all if None): the same as
-        for the program with the other statements deleted."""
-        execute = runner(self.program, self.step_budget, kept=kept, post=self.contract.post)
+        for the program with the other statements deleted. A domain of
+        NEST_FROM_POINTS points or more is scanned by a loop nest, unless
+        Python refuses it, and its first failure judged again by _judge."""
+        execute = runner(self.program, self.step_budget, kept=kept)
+        scan = None
+        if self.points >= NEST_FROM_POINTS and self.step_budget >= 1:
+            pre, post = self.contract.pre, self.contract.post
+            scan = loop_nest(self.program, self.step_budget, kept, self.dom.ranges, pre, post)
+        if scan is not None:
+            point, count = scan()
+            if point is None:
+                return VerificationResult(VERIFIED if count else VACUOUS, None, count, self.dom)
+            outcome = _judge(self.pres[0][1], execute, self.post, point)
+            # the closures agree unless Python's stack or memory runs out on
+            # one side only: then the row scan decides
+            if outcome is not None and outcome[0] != PASS:
+                return _failed(outcome, point, count + outcome[3], self.dom)
         (verdict,) = _scan(self.pres, [(0, execute, self.post)], self.dom)
         if isinstance(verdict, Exception):
             raise verdict

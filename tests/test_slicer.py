@@ -354,12 +354,14 @@ def test_slice_machine_output_is_golden(case, strategy, capsys, tmp_path):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SLICE_GOLDENS[case, strategy]
 
 
-def test_div_oracle_exhaustive_run_count(div_oracle, dom_div, verifier_runs):
+def test_div_oracle_exhaustive_run_count(div_oracle, dom_div, verifier_runs, monkeypatch):
     """The exhaustive slice of div_oracle runs a program 368 times: once per
     point of the original's check, and for each later candidate, once per
     input at which an earlier candidate failed, up to the first it fails,
     plus a scan from the first point for those that pass them all. Every
-    candidate scanned from the first point took 678 runs."""
+    candidate scanned from the first point took 678 runs. The gate raised
+    keeps the 153-point scans off the loop nest, which makes no runs."""
+    monkeypatch.setattr(verifier, "NEST_FROM_POINTS", 10**18)
     _, pre, post, _ = GOLDEN_CASES["div_oracle"]
     contract = Contract(parse_predicate(pre), parse_predicate(post))
     result = compute_slice(div_oracle, contract, dom_div)
@@ -839,3 +841,26 @@ def test_pruned_candidates_are_the_sorted_candidates_inside_the_relevance_closur
             assert list(slicer._retainable(program.body, relevant)) == inside
             pruned += relevant not in (frozenset(), _ids(program))
     assert pruned >= 100
+
+
+def test_greedy_lists_what_each_unit_deletes_in_one_walk(monkeypatch, verifier_runs):
+    """Greedy takes the statements each unit deletes from one walk of the
+    program, not a walk per unit: 1,000 dead statements cost a few walks,
+    and only the one relevant deletion is judged."""
+    program = parse_program("proc f(in a, out o) { var d; o := a;" + " d := d + 1;" * 1000 + " }")
+    visited = 0
+    real_walk = ast.walk_statements
+
+    def counting(block):
+        nonlocal visited
+        for stmt in real_walk(block):
+            visited += 1
+            yield stmt
+
+    monkeypatch.setattr(ast, "walk_statements", counting)
+    contract = Contract(parse_predicate("TRUE"), parse_predicate("o == a"))
+    result = compute_slice(program, contract, Domain.parse("a in 0..3"), strategy=GREEDY)
+    assert result.retained == {stmt(1)}
+    # the original's four points, then deleting o := a fails at a == 1
+    assert len(verifier_runs) == 4 + 2
+    assert visited < 10 * 1001

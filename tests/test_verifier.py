@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 import tracemalloc
 from collections import Counter
@@ -21,6 +22,8 @@ from tddslicer import (
     run,
 )
 from tddslicer import slicer, verifier
+from tddslicer.cli import main
+from tddslicer.corpus import corpus_path
 from tddslicer.errors import TOO_DEEP
 from tddslicer.lang import interp
 from tddslicer.lang.interp import OK
@@ -429,6 +432,23 @@ class TestCheckAll:
             assert large < small + 32_000
 
 
+def _agrees(program, contract, ranges, budget, result):
+    """result, check's or check_all's, is that of the points one by one."""
+    verdict, witness = bf_check(program, contract.pre, contract.post, ranges, budget)
+    assert result.verdict == verdict
+    assert (result.witness and result.witness.inputs) == witness
+    assert result.checked_points == _bf_checked_points(contract.pre, Domain.from_dict(ranges), witness)
+    if witness is not None:
+        # name order, as Domain.points gives the inputs, and the final
+        # state of a run on such a point
+        names = sorted(ranges)
+        assert list(result.witness.inputs) == names
+        if result.witness.final is not None:
+            point = {name: witness[name] for name in names}
+            assert list(result.witness.final) == list(run(program, point, budget).final)
+    return verdict
+
+
 class TestRowScan:
     """Preconditions are judged a row at a time (Domain.rows()), with every
     verdict, witness, key order and checked_points of judging the points
@@ -440,22 +460,6 @@ class TestRowScan:
         {"a": (-3, 3), "b": (1, 1)},
         {"a": (0, 0), "b": (-3, 3)},
     ]
-
-    def _agrees(self, program, contract, ranges, budget, result):
-        """result, check's or check_all's, is that of the points one by one."""
-        verdict, witness = bf_check(program, contract.pre, contract.post, ranges, budget)
-        assert result.verdict == verdict
-        assert (result.witness and result.witness.inputs) == witness
-        assert result.checked_points == _bf_checked_points(contract.pre, Domain.from_dict(ranges), witness)
-        if witness is not None:
-            # name order, as Domain.points gives the inputs, and the final
-            # state of a run on such a point
-            names = sorted(ranges)
-            assert list(result.witness.inputs) == names
-            if result.witness.final is not None:
-                point = {name: witness[name] for name in names}
-                assert list(result.witness.final) == list(run(program, point, budget).final)
-        return verdict
 
     def test_random_programs_and_faulting_contracts(self):
         rng = random.Random(8086)
@@ -474,7 +478,7 @@ class TestRowScan:
             for contract, result in zip(contracts, shared):
                 solo = check(program, contract, dom, budget)
                 assert result == solo
-                verdicts[self._agrees(program, contract, ranges, budget, solo)] += 1
+                verdicts[_agrees(program, contract, ranges, budget, solo)] += 1
         for verdict in (VERIFIED, COUNTEREXAMPLE, VACUOUS, FAULT, BUDGET_EXCEEDED):
             assert verdicts[verdict] >= 20, verdicts
 
@@ -495,7 +499,7 @@ class TestRowScan:
         result = check(program, contract, dom)
         assert result.witness.inputs == {"a": witness}
         assert result.checked_points == checked
-        self._agrees(program, contract, {"a": (lo, hi)}, 10000, result)
+        _agrees(program, contract, {"a": (lo, hi)}, 10000, result)
         twin = (program, _contract(pre, "TRUE"))
         assert check_all([twin, (program, contract)], dom)[1] == result
 
@@ -509,14 +513,16 @@ class TestRowScan:
         assert [len(values) for prefix, values in dom.rows() if prefix["a"] == 1] == [1024, 1024, 953]
         result = check(program, contract, dom)
         assert result.witness.inputs == {"a": 1, "b": 1500}
-        self._agrees(program, contract, ranges, 10000, result)
+        _agrees(program, contract, ranges, 10000, result)
+        # check takes the loop nest over this domain; check_all the rows
+        assert check_all([(program, contract)], dom) == [result]
 
     def test_exists_binding_the_row_variable(self, max2):
         contract = _contract("exists b in 0..3 : a > b", "max >= a")
         ranges = {"a": (-3, 3), "b": (-3, 3)}
         result = check(max2, contract, Domain.from_dict(ranges))
         assert (result.verdict, result.checked_points) == (VERIFIED, 21)
-        self._agrees(max2, contract, ranges, 10000, result)
+        _agrees(max2, contract, ranges, 10000, result)
 
     @pytest.mark.parametrize("pre, post, verdict, detail", [
         ("TRUE", "o == 1", VERIFIED, None),
@@ -564,7 +570,9 @@ class TestWideDomains:
 
     def test_early_failure_judges_one_short_row_of_preconditions(self, monkeypatch):
         # rows start short, so a scan that stops early judges the
-        # precondition at few values past its stop
+        # precondition at few values past its stop; the gate raised keeps
+        # this wide domain out of the loop nest, which judges no rows
+        monkeypatch.setattr(verifier, "NEST_FROM_POINTS", 10**18)
         judged = []
         real_compile = verifier.compile_bool
 
@@ -645,7 +653,8 @@ DIV_SPEC = "0 <= r && r < y && x == y * q + r"
 class TestSourceTier:
     """A scan's runs move to compiled source once they have taken
     SOURCE_AFTER_STEPS steps, with every verdict, witness and count as on
-    the closures."""
+    the closures. Domains as large as the loop nest's take the nest
+    instead, so the tests of the runs' switch raise its gate."""
 
     CASES = {
         # (program, pre, post, domain, budget, verdict); each scan fails
@@ -663,6 +672,7 @@ class TestSourceTier:
     def test_a_scan_that_switches_midway_judges_as_on_closures(
         self, case, div_oracle, monkeypatch, tier_switches
     ):
+        monkeypatch.setattr(verifier, "NEST_FROM_POINTS", 10**18)
         text, pre, post, spec, budget, verdict = self.CASES[case]
         program = div_oracle if text is None else parse_program(text)
         contract, dom = _contract(pre, post), Domain.parse(spec)
@@ -698,9 +708,9 @@ class TestSourceTier:
         assert source[1].verdict == VERIFIED
 
     @pytest.mark.parametrize("post", [
-        # no source for an exists
+        # posts are judged on the closures, so neither an exists nor 249
+        # nested parentheses keep the program from switching
         "exists n in 0..5 : o + n == 2",
-        # the program compiles; Python refuses the post's 249 nested parentheses
         " + ".join(["a"] * 250) + " == 250 * o && a < 3",
     ])
     def test_unfusable_post_still_switches(self, post, monkeypatch, tier_switches):
@@ -719,8 +729,9 @@ class TestSourceTier:
         assert tiered.checked_points == closures.checked_points == 7
 
     def test_a_passing_point_builds_no_final_state(self, div_oracle, monkeypatch):
-        """check fuses its postcondition into the source: every point that
-        passes gives PASSED, and a failing one the run's tuple."""
+        """check judges its postcondition inside the loop nest: no point
+        that passes runs the closures, and the failing one runs them once,
+        for its final state."""
         ran = []
         real = verifier.runner
 
@@ -734,14 +745,170 @@ class TestSourceTier:
             return spied
 
         monkeypatch.setattr(verifier, "runner", spying)
-        monkeypatch.setattr(interp, "SOURCE_AFTER_STEPS", 0)
+        monkeypatch.setattr(verifier, "NEST_FROM_POINTS", 0)
         dom = Domain.parse("x in 0..10, y in 1..5")
         assert check(div_oracle, _contract("x >= 0 && y >= 1", DIV_SPEC), dom).verdict == VERIFIED
-        assert ran == [interp.PASSED] * 55
-        ran.clear()
+        assert ran == []
         verdict = check(div_oracle, _contract("x >= 0 && y >= 1", "q < 3"), dom)
         assert verdict.witness.inputs == {"x": 3, "y": 1}
-        assert ran[:-1] == [interp.PASSED] * 15 and ran[-1][0] == OK
+        assert verdict.checked_points == 16
+        assert len(ran) == 1 and ran[0][0] == OK
+
+
+#: a division whose last statement faults at x == 30
+FAULT_AT_30 = ("proc f(in x, in y, out q) { var t; t := x; while (t >= y) { t := t - y;"
+               " q := q + 1; } q := q / (x - 30); }")
+
+#: check commands over domains above NEST_FROM_POINTS (exit 1 each), as
+#: (program, further arguments)
+NEST_COMMANDS = {
+    "exists": ("div_oracle.prog", "--pre", "exists k in 0..16 : x == y * k",
+               "--post", "r == 0 && q <= 12", "--domain", "x in 0..60, y in 1..12"),
+    "budget": ("div_oracle.prog", "--pre", "TRUE", "--post", DIV_SPEC,
+               "--domain", "x in 0..60, y in 1..10", "--budget", "40"),
+    "fault": (FAULT_AT_30, "--pre", "TRUE", "--post", "TRUE", "--domain", "x in 0..60, y in 1..10"),
+}
+
+#: SHA-256 of the stdout of each NEST_COMMANDS case in each format, as the
+#: row scan gave it before the loop nest
+NEST_GOLDENS = {
+    ("exists", "human"): "7d826e69e04a7629c575d6c1498dd2b7d365b24f2284b530705a7233c6d62b92",
+    ("exists", "machine"): "ef8474753ca2768ac0a6e6bf2d7a2cd8100775ba4bc8e9080a6fdc1e614ab89a",
+    ("budget", "human"): "a6fc0a5c3f4ba6e9117dd59a8fe4c74f35d9c4ac8c53fe3fe1118ec143347ed9",
+    ("budget", "machine"): "163819b555ee8f8c70df44c49847f560d38c526e56e239aef715a482642e8ee7",
+    ("fault", "human"): "3b3615b7478542aee2080e6bed8deacb0952c0faa84c5bcf8057e051dfddfc93",
+    ("fault", "machine"): "9387ee3184b193d3fb95409eed258c92fc6669b8155fc4009cbe8906a8dc15c7",
+}
+
+
+class TestLoopNest:
+    """Judge.check over a domain of NEST_FROM_POINTS points or more runs one
+    compiled loop nest, with every verdict, witness (key order too) and
+    checked_points of the row scan, which smaller domains keep."""
+
+    @pytest.fixture
+    def nests(self, monkeypatch):
+        """Each loop nest Judge.check asked for: whether Python compiled it."""
+        made = []
+        real = verifier.loop_nest
+
+        def spy(*args):
+            scan = real(*args)
+            made.append(scan is not None)
+            return scan
+
+        monkeypatch.setattr(verifier, "loop_nest", spy)
+        return made
+
+    @staticmethod
+    def _both_ways(monkeypatch, program, contract, dom, budget=10000, kept=None):
+        """Judge.check through the nest, which decides without the row
+        scan, and through the row scan, which must agree; the nest's
+        result."""
+        monkeypatch.setattr(verifier, "NEST_FROM_POINTS", 0)
+        with monkeypatch.context() as patch:
+            patch.setattr(verifier, "_scan", None)
+            nested = verifier.Judge(program, contract, dom, budget).check(kept)
+        monkeypatch.setattr(verifier, "NEST_FROM_POINTS", 10**18)
+        scanned = verifier.Judge(program, contract, dom, budget).check(kept)
+        assert nested == scanned
+        if nested.witness is not None:
+            assert list(nested.witness.inputs) == list(scanned.witness.inputs)
+            assert list(nested.witness.final or ()) == list(scanned.witness.final or ())
+        return nested
+
+    def test_random_programs_kept_sets_and_budgets(self, monkeypatch, nests):
+        rng = random.Random(4711)
+        ranges = {"a": (-2, 2), "b": (-2, 2)}
+        dom = Domain.from_dict(ranges)
+        verdicts = Counter()
+        for case in range(300):
+            program = random_program(rng, 5, True, faults=True)
+            contract = Contract(random_predicate(rng, ("a", "b"), faults=True),
+                                random_predicate(rng, ("a", "b", "o"), faults=True))
+            budget = case % 6 + 1 if case % 3 == 0 else rng.choice((25, 10000))
+            ids = [stmt.stmt_id for stmt in program.statements()]
+            kept = None if case % 4 == 0 else frozenset(i for i in ids if rng.random() < 0.7)
+            result = self._both_ways(monkeypatch, program, contract, dom, budget, kept)
+            built = program if kept is None else slicer._build(program, kept)
+            verdicts[_agrees(built, contract, ranges, budget, result)] += 1
+        assert nests == [True] * 300
+        for verdict in (VERIFIED, COUNTEREXAMPLE, VACUOUS, FAULT, BUDGET_EXCEEDED):
+            assert verdicts[verdict] >= 20, verdicts
+
+    @pytest.mark.parametrize("pre, post, verdict, checked", [
+        ("exists k in 0..16 : x == y * k", "r == 0 && q <= 12", COUNTEREXAMPLE, 48),
+        # binds y, an in-parameter, in the exists only
+        ("exists y in 2..3 : x == 2 * y", "r < y && y > 0", VERIFIED, 24),
+        ("x > 3 && !(exists k in 1..3 : x == k * y + 1)", "q >= 0", VERIFIED, 651),
+        # binds x, an in-parameter the post reads outside the exists too
+        ("TRUE", "(exists x in 0..20 : x == q) && x >= 0", COUNTEREXAMPLE, 253),
+    ])
+    def test_exists(self, pre, post, verdict, checked, div_oracle, monkeypatch, nests):
+        ranges = {"x": (0, 60), "y": (1, 12)}
+        contract = _contract(pre, post)
+        result = self._both_ways(monkeypatch, div_oracle, contract, Domain.from_dict(ranges))
+        assert (result.verdict, result.checked_points) == (verdict, checked)
+        assert nests == [True]
+        _agrees(div_oracle, contract, ranges, 10000, result)
+
+    COPY = "proc f(in a, out o){ o := a; }"
+
+    @pytest.mark.parametrize("program, pre, post, budget, verdict, detail, checked", [
+        (COPY, "10 / (a - 5) > -100", "TRUE", 10000, FAULT,
+         "precondition fault: division by zero", 5),
+        (COPY, "TRUE", "o / (a - 5) > -100", 10000, FAULT,
+         "postcondition fault: division by zero", 6),
+        ("proc f(in a, out o){ o := 10 / (a - 5); }", "TRUE", "TRUE", 10000, FAULT,
+         "division by zero at statement 1", 6),
+        ("proc f(in a, out o){ while (o < a) { o := o + 1; } }", "TRUE", "o == a", 10, BUDGET_EXCEEDED,
+         "step budget exceeded at statement 1", 6),
+        (COPY, "a > 100", "TRUE", 10000, VACUOUS, None, 0),
+        (COPY, "FALSE", "FALSE", 1, VACUOUS, None, 0),
+    ])
+    def test_failures_after_passing_points(
+        self, program, pre, post, budget, verdict, detail, checked, monkeypatch, nests
+    ):
+        program, contract = parse_program(program), _contract(pre, post)
+        result = self._both_ways(monkeypatch, program, contract, Domain.parse("a in 0..9"), budget)
+        assert (result.verdict, result.checked_points) == (verdict, checked)
+        assert (result.witness and result.witness.detail) == detail
+        assert nests == [True]
+        _agrees(program, contract, {"a": (0, 9)}, budget, result)
+
+    @pytest.mark.parametrize("body, post", [
+        # Python refuses 249 nested parentheses and 25 nested loops
+        ("o := " + " + ".join(["a"] * 250) + ";", "o == 250 * a"),
+        ("while (o < a) { " * 25 + "o := o + 1; " + "} " * 25, "o == a || a < 0"),
+    ])
+    def test_source_python_refuses_falls_back_to_the_row_scan(self, body, post, monkeypatch, nests):
+        program = parse_program(f"proc f(in a, out o) {{ {body} }}")
+        contract, dom = _contract("TRUE", post), Domain.parse("a in -100..100")
+        assert verifier.NEST_FROM_POINTS <= 201
+        nested = check(program, contract, dom)
+        assert nests == [False]
+        monkeypatch.setattr(verifier, "NEST_FROM_POINTS", 10**18)
+        assert check(program, contract, dom) == nested
+        assert (nested.verdict, nested.checked_points) == (VERIFIED, 201)
+
+    def test_only_domains_at_the_gate_or_above_compile_a_nest(self, max2, nests):
+        contract = _contract("a > b", "max == a")
+        below = verifier.NEST_FROM_POINTS - 1
+        check(max2, contract, Domain.from_dict({"a": (1, below), "b": (0, 0)}))
+        assert nests == []
+        check(max2, contract, Domain.from_dict({"a": (1, below + 1), "b": (0, 0)}))
+        assert nests == [True]
+
+    @pytest.mark.parametrize("case, form", sorted(NEST_GOLDENS))
+    def test_cli_output_is_the_row_scans(self, case, form, capsys, tmp_path):
+        source, *args = NEST_COMMANDS[case]
+        path = tmp_path / "f.prog"
+        path.write_text(source)
+        program = corpus_path(source) if source.endswith(".prog") else path
+        assert main(["check", str(program), *args, "--format", form]) == 1
+        out, err = capsys.readouterr()
+        assert err == ""
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NEST_GOLDENS[case, form]
 
 
 class TestFirstFailure:
