@@ -14,6 +14,7 @@ import functools
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 from .contracts import Contract
 from .errors import TOO_DEEP, ParseError
@@ -70,8 +71,20 @@ def _fmt_state(state: dict[str, int] | None) -> str:
     return ", ".join(f"{name}={value}" for name, value in sorted(state.items()))
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+def _show(output: dict | Iterable[str]) -> None:
+    """Print a command's whole output at once: a payload as one JSON
+    document, or lines made as they are drawn. A value longer than
+    CPython's int-to-string limit (sys.get_int_max_str_digits()) fails
+    the rendering, so nothing is printed and the error is
+    ValueError("value too large to print")."""
+    try:
+        if isinstance(output, dict):
+            text = json.dumps(output, indent=2, sort_keys=True)
+        else:
+            text = "\n".join(output)
+    except ValueError:
+        raise ValueError("value too large to print") from None
+    print(text)
 
 
 def _contract_from_args(pre: str, post: str) -> Contract:
@@ -97,19 +110,23 @@ def cmd_check(args: argparse.Namespace) -> int:
     if args.format == "machine":
         payload = {"format_version": FORMAT_VERSION, "command": "check"}
         payload.update(result.to_dict())
-        _emit_json(payload)
+        _show(payload)
     else:
-        print(f"verdict: {_verdict_text(result.verdict)}")
-        print(f"checked points: {result.checked_points}")
-        print(f"domain: {result.domain}")
-        if result.witness is not None:
-            print(f"witness inputs: {_fmt_state(result.witness.inputs)}")
-            print(f"witness final:  {_fmt_state(result.witness.final)}")
-            if result.witness.detail:
-                print(f"detail: {result.witness.detail}")
-        if result.verdict == VACUOUS:
-            print(_warn("warning: no domain point satisfies the precondition"))
+        _show(_check_lines(result))
     return OK_STATUS if result.verdict in (VERIFIED, VACUOUS) else CHECK_FAILED
+
+
+def _check_lines(result) -> Iterator[str]:
+    yield f"verdict: {_verdict_text(result.verdict)}"
+    yield f"checked points: {result.checked_points}"
+    yield f"domain: {result.domain}"
+    if result.witness is not None:
+        yield f"witness inputs: {_fmt_state(result.witness.inputs)}"
+        yield f"witness final:  {_fmt_state(result.witness.final)}"
+        if result.witness.detail:
+            yield f"detail: {result.witness.detail}"
+    if result.verdict == VACUOUS:
+        yield _warn("warning: no domain point satisfies the precondition")
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
@@ -120,7 +137,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
     retained = sorted(result.retained)
     deleted = sorted(result.deleted)
     if args.format == "machine":
-        _emit_json(
+        _show(
             {
                 "format_version": FORMAT_VERSION,
                 "command": "slice",
@@ -153,7 +170,7 @@ def cmd_union(args: argparse.Namespace) -> int:
         dom = Domain.parse(args.domain)
         tautology = is_tautology(combined.pre, dom)
     if args.format == "machine":
-        _emit_json(
+        _show(
             {
                 "format_version": FORMAT_VERSION,
                 "command": "union",
@@ -177,7 +194,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     session = load_session(args.session)
     report = replay(session, args.budget)
     if args.format == "machine":
-        print(report.to_json())
+        _show(report.to_dict())
     else:
         _print_report(report)
     return OK_STATUS if report.ok else CHECK_FAILED
@@ -230,7 +247,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     result = run(program, inputs, args.budget)
     trajectory = project(result.trajectory, wanted)
     if args.format == "machine":
-        _emit_json(
+        _show(
             {
                 "format_version": FORMAT_VERSION,
                 "command": "trace",
@@ -246,14 +263,18 @@ def cmd_trace(args: argparse.Namespace) -> int:
             }
         )
     else:
-        for entry in trajectory:
-            print(f"stmt {entry.stmt_id}: {entry.var} := {entry.value}")
-        print(f"final: {_fmt_state(result.final)}")
-        print(f"steps: {result.steps}")
-        if result.status != OK:
-            print(_bad(f"{result.status}: {result.fault_reason} "
-                       f"at statement {result.fault_stmt_id} (trajectory is partial)"))
+        _show(_trace_lines(result, trajectory))
     return OK_STATUS if result.status == OK else CHECK_FAILED
+
+
+def _trace_lines(result, trajectory) -> Iterator[str]:
+    for entry in trajectory:
+        yield f"stmt {entry.stmt_id}: {entry.var} := {entry.value}"
+    yield f"final: {_fmt_state(result.final)}"
+    yield f"steps: {result.steps}"
+    if result.status != OK:
+        yield _bad(f"{result.status}: {result.fault_reason} "
+                   f"at statement {result.fault_stmt_id} (trajectory is partial)")
 
 
 # --- argument parsing ------------------------------------------------------

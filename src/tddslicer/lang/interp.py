@@ -6,14 +6,10 @@ Generation", 1987) and the closures then run once per input. A program is
 compiled on its first run and kept on the Program instance; a run that
 keeps only some statements (a slice candidate) composes its body from the
 same compiled statements. A predicate is compiled by compile_bool, once
-per query by the callers that evaluate it at many points. Compiled with a
-row variable, a predicate judges in one call a row of points that differ
-only in that variable, with the work per point done by map, compress and
-filter over the row (column at a time, after Boncz et al., "MonetDB/X100",
-CIDR 2005) and no generated source. runner, made once per (program,
-budget, kept-set), is the one per-run core: the verifier's row scans call it
-per point for a plain tuple; run wraps it with the input checks and
-returns a RunResult.
+per query by the callers that evaluate it at many points. runner, made
+once per (program, budget, kept-set), is the one per-run core: the
+verifier's scans call it per point for a plain tuple; run wraps it with
+the input checks and returns a RunResult.
 
 A function made by runner has two tiers with one semantics (adaptive
 recompilation, after Hoelzle & Ungar, "A Third-Generation SELF
@@ -31,7 +27,11 @@ after Neumann, "Efficiently Compiling Efficient Query Plans for Modern
 Hardware", VLDB 2011): a for loop per domain variable, the precondition,
 the program's statements and the postcondition inline. It gives the first
 point that does not pass and the count before it; the verifier words
-that point's outcome on the closures.
+that point's outcome on the closures. where emits the precondition half
+of a scan the same way: a generator of the points where one of several
+predicates holds or raises, for check_all and implies. Both compile only
+for NEST_FROM_POINTS points or more, the one gate: fewer do not repay the
+compile, and their callers judge those on the closures.
 
 A run produces the final state plus, when recorded, the trajectory: one
 (stmt_id, var, value) entry per executed assignment, in execution order.
@@ -49,8 +49,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import compress, filterfalse, repeat
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from ..errors import TOO_DEEP, EvaluationFault, ParseError, UnboundVariableError
 from . import ast
@@ -59,6 +58,10 @@ DEFAULT_STEP_BUDGET = 10000
 
 #: steps after which a function made by runner runs compiled Python source
 SOURCE_AFTER_STEPS = 1000
+
+#: domain points from which loop_nest and where compile a scan: fewer do
+#: not repay the compile
+NEST_FROM_POINTS = 120
 
 #: pass for `vars` in project() to keep everything
 ALL = None
@@ -144,72 +147,20 @@ _CMP = {
 # variable missing from the state surfaces as the KeyError of the dict
 # lookup; the public entry points (compile_bool, run) turn it into
 # UnboundVariableError.
-#
-# Compiled with a row variable, a node that reads it becomes a _Rows
-# instead: a function of (env, values), where values are distinct values
-# of the row variable (never none) and env binds the other variables. An
-# expression gives its values aligned to values; a predicate gives the
-# values at which it holds, in no set order, so the right side of && sees
-# only the left side's survivors and the body of exists only the values
-# still open. The work per value runs in map, compress and filter. A node
-# that does not read the row variable (an exists that binds it included)
-# stays a closure of the state and runs once per row. Each test for a
-# _Rows starts with `row is not None`, which keeps compiling without a row
-# about as cheap as it was before rows.
 
 
-class _Rows:
-    """A node compiled with a row variable that reads it: fn(env, values)."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-
-def _aligned(node: ast.Expr, code) -> Callable:
-    """An expression, node compiled to code, as a function of (env, values)
-    giving its values aligned to values; a closure of the state gives its
-    one value, repeated (a literal, one shared endless repeat)."""
-    if isinstance(code, _Rows):
-        return code.fn
-    if isinstance(node, ast.IntLit):
-        forever = repeat(node.value)
-        return lambda env, values: forever
-    return lambda env, values: repeat(code(env))
-
-
-def _selecting(code) -> Callable:
-    """A predicate as a function of (env, values) giving the values at
-    which it holds; a closure of the state keeps all of them or none."""
-    if isinstance(code, _Rows):
-        return code.fn
-    return lambda env, values: values if code(env) else []
-
-
-_ROW_VAR = _Rows(lambda env, values: values)
-
-
-def _compile_expr(expr: ast.Expr, row: str | None = None) -> Callable:
+def _compile_expr(expr: ast.Expr) -> Callable:
     if isinstance(expr, ast.Var):
-        if row is not None and expr.name == row:
-            return _ROW_VAR
         return operator.itemgetter(expr.name)
     if isinstance(expr, ast.IntLit):
         value = expr.value
         return lambda state: value
     if isinstance(expr, ast.Neg):
-        operand = _compile_expr(expr.operand, row)
-        if row is not None and isinstance(operand, _Rows):
-            values_of = operand.fn
-            return _Rows(lambda env, values: map(operator.neg, values_of(env, values)))
+        operand = _compile_expr(expr.operand)
         return lambda state: -operand(state)
     if isinstance(expr, ast.Arith):
-        fn = _ARITH[expr.op]
-        left, right = _compile_expr(expr.left, row), _compile_expr(expr.right, row)
-        if row is not None and (isinstance(left, _Rows) or isinstance(right, _Rows)):
-            return _Rows(_row_binary(fn, expr, left, right))
-        return _binary(fn, expr, left, right)
+        left, right = _compile_expr(expr.left), _compile_expr(expr.right)
+        return _binary(_ARITH[expr.op], expr, left, right)
     raise TypeError(f"not an arithmetic expression: {expr!r}")
 
 
@@ -236,80 +187,25 @@ def _binary(fn, node, left, right):
     return lambda state: fn(left(state), right(state))
 
 
-def _row_binary(fn, node, left, right) -> Callable:
-    """_binary over a row: fn of node's operands, value by value, as a
-    function of (env, values); the row variable itself is values."""
-    if left is _ROW_VAR:
-        rhs = _aligned(node.right, right)
-        return lambda env, values: map(fn, values, rhs(env, values))
-    lhs = _aligned(node.left, left)
-    if right is _ROW_VAR:
-        return lambda env, values: map(fn, lhs(env, values), values)
-    rhs = _aligned(node.right, right)
-    return lambda env, values: map(fn, lhs(env, values), rhs(env, values))
-
-
-def _compile_pred(pred: ast.BoolExpr, row: str | None = None) -> Callable:
+def _compile_pred(pred: ast.BoolExpr) -> Callable:
     if isinstance(pred, ast.Cmp):
-        op = _CMP[pred.op]
-        left, right = _compile_expr(pred.left, row), _compile_expr(pred.right, row)
-        if row is not None and (isinstance(left, _Rows) or isinstance(right, _Rows)):
-            verdicts = _row_binary(op, pred, left, right)
-            return _Rows(lambda env, values: list(compress(values, verdicts(env, values))))
-        return _binary(op, pred, left, right)
+        left, right = _compile_expr(pred.left), _compile_expr(pred.right)
+        return _binary(_CMP[pred.op], pred, left, right)
     if isinstance(pred, ast.And):
-        left, right = _compile_pred(pred.left, row), _compile_pred(pred.right, row)
-        if row is not None and (isinstance(left, _Rows) or isinstance(right, _Rows)):
-            return _row_and(_selecting(left), _selecting(right))
+        left, right = _compile_pred(pred.left), _compile_pred(pred.right)
         return lambda state: left(state) and right(state)
     if isinstance(pred, ast.Or):
-        left, right = _compile_pred(pred.left, row), _compile_pred(pred.right, row)
-        if row is not None and (isinstance(left, _Rows) or isinstance(right, _Rows)):
-            return _row_or(_selecting(left), _selecting(right))
+        left, right = _compile_pred(pred.left), _compile_pred(pred.right)
         return lambda state: left(state) or right(state)
     if isinstance(pred, ast.Not):
-        operand = _compile_pred(pred.operand, row)
-        if row is not None and isinstance(operand, _Rows):
-            return _row_not(operand.fn)
+        operand = _compile_pred(pred.operand)
         return lambda state: not operand(state)
     if isinstance(pred, ast.BoolLit):
         value = pred.value
         return lambda state: value
     if isinstance(pred, ast.Exists):
-        body = _compile_pred(pred.body, None if pred.var == row else row)
-        if isinstance(body, _Rows):
-            return _row_exists(pred, body.fn)
-        return _compile_exists(pred, body)
+        return _compile_exists(pred, _compile_pred(pred.body))
     raise TypeError(f"not a boolean expression: {pred!r}")
-
-
-def _row_and(left, right) -> _Rows:
-    def and_(env, values):
-        held = left(env, values)
-        return right(env, held) if held else held
-
-    return _Rows(and_)
-
-
-def _row_or(left, right) -> _Rows:
-    def or_(env, values):
-        held = left(env, values)
-        if not held:
-            return right(env, values)
-        if len(held) == len(values):
-            return held
-        hit = set(held)
-        return [*held, *right(env, list(filterfalse(hit.__contains__, values)))]
-
-    return _Rows(or_)
-
-
-def _row_not(operand) -> _Rows:
-    def not_(env, values):
-        hit = set(operand(env, values))
-        return list(filterfalse(hit.__contains__, values))
-
-    return _Rows(not_)
 
 
 def _compile_exists(pred: ast.Exists, body: Callable) -> Callable[[dict[str, int]], bool]:
@@ -336,36 +232,7 @@ def _compile_exists(pred: ast.Exists, body: Callable) -> Callable[[dict[str, int
     return exists
 
 
-def _row_exists(pred: ast.Exists, body: Callable) -> _Rows:
-    """_compile_exists over a row: each bound value, in ascending order, is
-    tried on the row values for which none before it held."""
-    var, bound = pred.var, range(pred.lo, pred.hi + 1)
-
-    def exists(env, values):
-        shadowed = var in env
-        saved = env.get(var)
-        found, open_ = [], values
-        try:
-            for value in bound:
-                env[var] = value
-                hit = body(env, open_)
-                if hit:
-                    found += hit
-                    if len(found) == len(values):
-                        break
-                    done = set(hit)
-                    open_ = list(filterfalse(done.__contains__, open_))
-        finally:
-            if shadowed:
-                env[var] = saved
-            else:
-                del env[var]
-        return found
-
-    return _Rows(exists)
-
-
-def compile_bool(pred: ast.BoolExpr, row: str | None = None) -> Callable:
+def compile_bool(pred: ast.BoolExpr) -> Callable[[dict[str, int]], bool]:
     """Lower a boolean expression or predicate once into a function of the
     state, for callers that evaluate it at many points.
 
@@ -374,22 +241,11 @@ def compile_bool(pred: ast.BoolExpr, row: str | None = None) -> Callable:
     raises UnboundVariableError when the state misses a free variable and
     EvaluationFault on arithmetic faults. Compiling raises ParseError(TOO_DEEP)
     for a predicate too deeply nested, as parsing does.
-
-    With row, a variable name, the function judges a row of points that
-    differ only in that variable: it takes (env, values), env binding the
-    other free variables and values distinct values of row, and returns
-    the values at which pred holds, in no set order. It leaves env as it
-    found it. It evaluates the parts that do not read row once per call,
-    and it raises what it meets, unmapped, also at a value where judging
-    the points one by one in order would have stopped earlier; a caller
-    that needs the first fault judges the row again, point by point.
     """
     try:
-        test = _compile_pred(pred, row)
+        test = _compile_pred(pred)
     except RecursionError:
         raise ParseError(TOO_DEEP) from None
-    if row is not None:
-        return _selecting(test)
 
     def holds(state: dict[str, int]) -> bool:
         try:
@@ -730,13 +586,16 @@ def loop_nest(
     pre: ast.BoolExpr,
     post: ast.BoolExpr,
 ) -> Callable[[], tuple] | None:
-    """`scan()`, compiled, or None when Python refuses its source (see
-    _load). scan judges pre holds -> run -> post holds at each point of
-    ranges, the in-parameters' (name, lo, hi) in name order, one for loop
-    each, with the kept statements inline as in _source; step_budget must
-    be positive. It returns (None, count) or, at the first point where pre
-    raises, the run ends other than ok, or post is false or raises,
-    (inputs, count); count is the points before it where pre held."""
+    """`scan()`, compiled, or None for fewer than NEST_FROM_POINTS points,
+    a step_budget below 1 or source Python refuses (see _load). scan
+    judges pre holds -> run -> post holds at each point of ranges, the
+    in-parameters' (name, lo, hi) in name order, one for loop each, with
+    the kept statements inline as in _source. It returns (None, count) or,
+    at the first point where pre raises, the run ends other than ok, or
+    post is false or raises, (inputs, count); count is the points before
+    it where pre held."""
+    if math.prod(hi - lo + 1 for _, lo, hi in ranges) < NEST_FROM_POINTS or step_budget < 1:
+        return None
 
     def source() -> list:
         zeroed = (*program.out_params, *program.locals)
@@ -765,6 +624,43 @@ def loop_nest(
         ]
 
     return _load(program.name, "scan", source)
+
+
+def where(
+    ranges: tuple[tuple[str, int, int], ...], preds: tuple[ast.BoolExpr, ...]
+) -> Callable[[], Iterator[tuple[dict[str, int], tuple]]] | None:
+    """`visits()`, compiled, or None for fewer than NEST_FROM_POINTS points
+    or source Python refuses (see _load). visits judges each of preds at
+    each point of ranges, (name, lo, hi) in name order, one for loop each,
+    and yields (point, held) in that order wherever one of them holds or
+    raises: point is a new dict binding the names in order, held a tuple
+    with True, False or, where it raised, None for each of preds."""
+    if math.prod(hi - lo + 1 for _, lo, hi in ranges) < NEST_FROM_POINTS:
+        return None
+
+    def source() -> list:
+        emitter = _Emitter(tuple(name for name, _, _ in ranges), None)
+        inner = len(ranges) + 1  # the depth of one point's judging
+        point = ", ".join(f"{name!r}: v_{name}" for name, _, _ in ranges)
+        lines = [(0, "def visits():")]
+        lines += [(depth, f"for v_{name} in range({lo!r}, {hi + 1!r}):")
+                  for depth, (name, lo, hi) in enumerate(ranges, 1)]
+        for n, pred in enumerate(preds):
+            lines += [
+                (inner, "try:"),
+                (inner + 1, f"h_{n} = {emitter.pred(pred, None)}"),
+                (inner, "except Exception:"),
+                (inner + 1, f"h_{n} = None"),
+            ]
+        held = "".join(f"h_{n}, " for n in range(len(preds)))
+        return [
+            *lines,
+            (inner, f"held = ({held})"),
+            (inner, f"if held != {(False,) * len(preds)!r}:"),
+            (inner + 1, f"yield {{{point}}}, held"),
+        ]
+
+    return _load("where", "visits", source)
 
 
 def runner(

@@ -7,24 +7,22 @@ reproducible. Arithmetic faults during enumeration mean the predicate is
 undefined at that point and are raised as PredicateUndefinedError, never
 silently treated as false.
 
-Domain.rows() is the one odometer: it enumerates a domain a row at a
-time, a row being the points that differ only in the fastest-varying
-variable, and points() flattens it. implies judges its points a row at a
-time, with the predicates compiled for the row variable (compile_bool's
-row); a row that raises anything is judged again point by point, so
-every answer, witness, count and fault is that of judging one point after
-another.
+Domain.points() is the one odometer. implies over NEST_FROM_POINTS
+points or more scans them with one compiled filter (lang.interp.where)
+for the first point where p1 && !p2 holds or raises, and judges that
+point again on the closures; smaller domains, and predicates Python
+refuses to compile, are judged one point after another. Every answer,
+witness, count and fault is that of judging the points in order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import filterfalse
 
 from .errors import TOO_DEEP, EvaluationFault, ParseError
 from .lang import ast
-from .lang.interp import compile_bool
+from .lang.interp import compile_bool, where
 from .lang.parser import parse_domain_spec
 
 Predicate = ast.BoolExpr
@@ -76,75 +74,23 @@ class Domain:
     def vars(self) -> frozenset[str]:
         return frozenset(name for name, _, _ in self.ranges)
 
-    #: the most values in one row, so memory does not depend on a range's width
-    ROW_WIDTH = 1024
-    #: the most values in the first row; each later row may hold twice as
-    #: many as the one before, up to ROW_WIDTH, so a scan that stops early
-    #: judges few values past its stop
-    FIRST_ROW_WIDTH = 16
-
-    @cached_property
-    def row(self) -> str | None:
-        """The row variable: the last variable with more than one value,
-        else the last variable; None without variables."""
-        wide = [name for name, lo, hi in self.ranges if lo < hi]
-        if wide:
-            return wide[-1]
-        return self.ranges[-1][0] if self.ranges else None
-
-    def rows(self):
-        """All assignments as rows, in points() order: (prefix, values)
-        for the points that differ only in the row variable (see row),
-        which takes the values of the range values: at most
-        FIRST_ROW_WIDTH of them in the first row, and in each later row
-        at most twice as many as in the one before, up to ROW_WIDTH (a
-        wide range makes more rows). The variables after the row variable
-        have one value each, constants of every row.
-
-        prefix is a new dict binding every variable in name order, the
-        row variable to the first of values: the row's first point.
-        Without variables the one row is the point {} and values is
-        range(1). Lazy: an odometer over the ranges, so memory does not
-        depend on their width.
-        """
-        row = self.row
-        if row is None:
-            yield {}, range(1)
-            return
+    def points(self):
+        """All assignments, lexicographic by name then ascending by value,
+        each a new dict binding the names in order; without variables the
+        one point {}. Lazy: an odometer over the ranges, so memory does not
+        depend on their width."""
         names = [name for name, _, _ in self.ranges]
-        split = names.index(row)
-        outer = self.ranges[:split]
-        _, low, high = self.ranges[split]
         digits = [lo for _, lo, _ in self.ranges]
-        width, widest = self.FIRST_ROW_WIDTH, self.ROW_WIDTH
         while True:
-            start = low
-            while start <= high:
-                stop = min(start + width, high + 1)
-                digits[split] = start
-                yield dict(zip(names, digits)), range(start, stop)
-                start = stop
-                if width < widest:
-                    width *= 2
-            # advance the outer values, the rightmost fastest
-            digit = split - 1
-            while digit >= 0 and digits[digit] == outer[digit][2]:
-                digits[digit] = outer[digit][1]
+            yield dict(zip(names, digits))
+            # advance the values, the rightmost fastest
+            digit = len(digits) - 1
+            while digit >= 0 and digits[digit] == self.ranges[digit][2]:
+                digits[digit] = self.ranges[digit][1]
                 digit -= 1
             if digit < 0:
                 return
             digits[digit] += 1
-
-    def points(self):
-        """All assignments, lexicographic by name then ascending by value:
-        the points of rows(), each a new dict."""
-        row = self.row
-        for prefix, values in self.rows():
-            for value in values:
-                point = prefix.copy()
-                if row is not None:
-                    point[row] = value
-                yield point
 
     def extend(self, extra: dict[str, tuple[int, int]]) -> "Domain":
         merged = {name: (lo, hi) for name, lo, hi in self.ranges}
@@ -246,13 +192,11 @@ def implies(p1: Predicate, p2: Predicate, dom: Domain) -> ImplicationResult:
     is skipped. A predicate too deeply nested to walk, compare or evaluate
     raises ParseError(TOO_DEEP).
 
-    The points are judged a row at a time, the rows of Domain.rows() over
-    the variables either side reads (the others stay at their range
-    floor). p1 runs over the row, p2 over
-    the values where p1 holds, and the first value p2 drops is the witness.
-    A row in which anything raises is judged again point by point, so the
-    witness, checked_points and the first fault are those of judging every
-    point in order.
+    Only the variables either side reads vary (the others stay at their
+    range floor). Over NEST_FROM_POINTS points or more, where finds the
+    first point at which p1 && !p2 holds or raises, and the closures judge
+    it again, so the witness, checked_points and the first fault are those
+    of judging every point in order, which smaller domains do.
     """
     needed = ast.free_vars(p1) | ast.free_vars(p2)
     uncovered = needed - dom.vars
@@ -274,35 +218,28 @@ def _enumerate(
 
     floor = {name: lo for name, lo, _ in dom.ranges if name not in needed}
     varying = Domain(tuple(entry for entry in dom.ranges if entry[0] in needed))
-    row = varying.row
-    if row is None:
-        found = _first_counterexample(p1, p2, [floor])
-        return ImplicationResult(found is None, None if found is None else floor, 1, dom)
-
-    premise_rows, conclusion_rows = compile_bool(p1, row), compile_bool(p2, row)
-    checked = 0
-    for prefix, values in varying.rows():
-        env = {**floor, **prefix}
-        try:
-            held = premise_rows(env, values)
-            kept = conclusion_rows(env, held) if held else held
-        except Exception:
-            # unlike the points judged in order, the row does not stop
-            # at its first counterexample: judge it again that way, which
-            # raises what the points raise, as PredicateUndefinedError
-            found = _first_counterexample(p1, p2, ({**env, row: value} for value in values))
-        else:
-            found = None
-            if len(kept) < len(held):
-                # values ascend, so the first p2 drops is the least
-                kept = set(kept)
-                value = min(filterfalse(kept.__contains__, held))
-                found = value - values.start, {**env, row: value}
-        if found is not None:
-            index, state = found
-            return ImplicationResult(False, state, checked + index + 1, dom)
-        checked += len(values)
-    return ImplicationResult(True, None, checked, dom)
+    size = math.prod(hi - lo + 1 for _, lo, hi in varying.ranges)
+    visits = where(varying.ranges, (ast.And(p1, ast.Not(p2)),))
+    if visits is not None:
+        # the first point where p1 && !p2 holds or raises, judged again on
+        # the closures: a counterexample there, or PredicateUndefinedError
+        first = next(visits(), None)
+        if first is None:
+            return ImplicationResult(True, None, size, dom)
+        state = {**floor, **first[0]}
+        if _first_counterexample(p1, p2, [state]) is not None:
+            index = 0  # the place of state in varying.points()
+            for name, lo, hi in varying.ranges:
+                index = index * (hi - lo + 1) + state[name] - lo
+            return ImplicationResult(False, state, index + 1, dom)
+        # the closures disagree only when Python's stack or memory runs
+        # out on one side: then the points one by one decide
+    states = ({**floor, **point} for point in varying.points())
+    found = _first_counterexample(p1, p2, states)
+    if found is None:
+        return ImplicationResult(True, None, size, dom)
+    index, state = found
+    return ImplicationResult(False, state, index + 1, dom)
 
 
 def _first_counterexample(p1: Predicate, p2: Predicate, states) -> tuple[int, State] | None:

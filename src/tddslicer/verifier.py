@@ -8,37 +8,30 @@ no domain point satisfies yields the distinct Vacuous verdict: a vacuous
 "Verified" would let the slicer delete everything.
 
 Judge.check scans a domain of NEST_FROM_POINTS points or more with one
-compiled loop nest (lang.interp.loop_nest), pre, run and post inline, and
-judges the first point that does not pass again with _judge on the
-closures, so every witness, detail and exception comes from one place.
-_scan judges every other domain scan, a row of Domain.rows() at a time:
-each distinct precondition of the live (pre, run, post) triples is
-judged once per row with its row form (compile_bool's row), and only at
-the values where it held is the point built, the program run and the
-postcondition judged (_settle); a row whose precondition raises is judged
-point by point with _judge, so every witness, count and run is that of
-judging the points one by one. A triple leaves at its first failure. Its
-runs are lang.interp.runner's, made once per scan: a point costs no input
-check and no RunResult. A Judge feeds it one triple: a program and its
-contract, validated and compiled once, then judged with any number of
-kept-sets of its statements (the slicer's candidates); check() is
-Judge(...).check(), and Judge.first_failure() settles given points whose
-precondition is known to hold one by one, in order. check_all() decides
-many (program, contract) pairs in one scan, remembering each shared
-program and (program, postcondition) for the latest point only, which
-suffices because the triples judged at a point read the same inputs and
-final states.
-check_point() judges a single input with _judge through the checked run.
+compiled loop nest (lang.interp.loop_nest) and judges the first point
+that does not pass again with _judge on the closures, so every witness,
+detail and exception comes from one place. _scan judges every other
+scan from its visits, the points where some precondition holds or
+raises: check_all's come from one compiled filter (lang.interp.where) at
+or above the gate, and the others from the closures (_closure_visits).
+Its runs are lang.interp.runner's, made once per scan. A Judge validates
+and compiles a program and its contract once for any number of kept-sets
+of its statements (the slicer's candidates); Judge.first_failure()
+settles given points whose precondition is known to hold. check_all()
+decides many (program, contract) pairs in one scan, remembering each
+shared program and (program, postcondition) for the latest point only,
+which suffices because the triples judged at a point read the same
+inputs and final states. check_point() judges a single input with _judge
+through the checked run.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
 
 from .contracts import Contract, validate_scope
-from .errors import EvaluationFault, ParseError
+from .errors import EvaluationFault
 from .lang import ast
 from .lang.interp import (
     BUDGET_EXCEEDED,
@@ -50,6 +43,7 @@ from .lang.interp import (
     loop_nest,
     run,
     runner,
+    where,
 )
 from .predicates import Domain, State, eval_predicate
 
@@ -61,11 +55,6 @@ VACUOUS = "vacuous"
 PASS = "pass"
 FAIL = "fail"
 PRE_VIOLATION = "pre_violation"
-
-#: domain points from which Judge.check compiles its scan as one loop nest:
-#: fewer do not repay the compile
-NEST_FROM_POINTS = 120
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -156,113 +145,60 @@ def _settle(execute, post, inputs: State) -> tuple:
     return FAIL, final, "postcondition is false", True
 
 
-def _pre_tests(pred: ast.BoolExpr, row: str | None) -> tuple:
-    """pred compiled to judge rows of row's values and single points:
-    (row_test, test). row_test is None, so that rows are judged point by
-    point, when there is no row variable or pred is nested too deeply for
-    the row form, which takes a frame more than test at some nodes."""
-    test = compile_bool(pred)
-    if row is None:
-        return None, test
-    try:
-        return compile_bool(pred, row), test
-    except ParseError:
-        return None, test
+def _closure_visits(tests: list, dom: Domain):
+    """where's visits, on the closures: (point, held) for each point of
+    dom, in order, where one of tests holds or raises; held has True,
+    False or, where it raised, None for each test."""
+    for point in dom.points():
+        held = []
+        for test in tests:
+            try:
+                held.append(bool(test(point)))
+            except Exception:
+                held.append(None)
+        if True in held or None in held:
+            yield point, held
 
 
-def _held(row_test, prefix: State, values: range):
-    """The values of a row at which a precondition holds, in no set
-    order, or None when the row is to be judged point by point: there is
-    no row test, or it raised."""
-    if row_test is None:
-        return None
-    try:
-        return row_test(prefix, values)
-    except Exception:
-        return None
-
-
-def _visit(held: dict, values: range):
-    """The values of a row to visit, ascending, when more than one
-    precondition was judged on it (held, as _held gives them): all of them
-    if one is to be judged point by point, else those where one holds.
-    Turns each list in held into values, when it holds at all of them, or
-    a set."""
-    for pre, hits in held.items():
-        if hits is not None:
-            held[pre] = values if len(hits) == len(values) else set(hits)
-    tested = held.values()
-    if None in tested or values in tested:
-        return values
-    return sorted(set().union(*tested))
-
-
-def _scan(pres, triples: list[tuple], dom: Domain) -> list:
-    """The one judging loop: the verdict of each (pre, execute, post)
+def _scan(triples: list[tuple], visits, dom: Domain) -> list:
+    """The one judging loop: the verdict of each (pre, test, execute, post)
     triple over dom, or the exception it raised.
 
-    pre indexes pres, one (row_test, test) pair per distinct precondition
-    (see _pre_tests). Each precondition a live triple reads is judged once
-    per row of dom.rows() with its row_test; at each value where one held,
-    in ascending order, the point is built and the live triples that read
-    it run and judge their postcondition there (_settle). A precondition
-    whose row_test raised is judged on that row point by point with its
-    test (_judge), so the first failure, every witness, count and run is
-    that of judging the points one by one. A triple leaves at its first
+    visits gives (point, held) in enumeration order at every point where
+    some precondition holds or raises, as where does: pre indexes held. A
+    triple whose precondition holds there runs and judges its
+    postcondition (_settle); one whose precondition raised is judged again
+    with its closure test (_judge), so every witness, count and exception
+    is that of judging the points one by one. A triple leaves at its first
     failure or exception.
     """
-    row = dom.row
     verdicts: list = [None] * len(triples)
     checked = [0] * len(triples)  # points where the precondition held
     live = list(enumerate(triples))
-    for prefix, values in dom.rows():
-        if not live:
-            break
-        held = {}
-        for _, (pre, _, _) in live:
-            if pre not in held:
-                held[pre] = _held(pres[pre][0], prefix, values)
-        # from here on, a precondition is None (judged point by point),
-        # values (it holds at every value visited) or the set where it holds
-        if len(held) == 1:
-            hits = held[pre]
-            if hits is None or hits is values:
-                visit = values
-            else:
-                visit = values if len(hits) == len(values) else sorted(hits)
-                held[pre] = values
-        else:
-            visit = _visit(held, values)
-        for value in visit:
-            if row is None:
-                point = prefix
-            else:
-                point = prefix.copy()
-                point[row] = value
-            failed = False
-            for index, (pre, execute, post) in live:
-                hits = held[pre]
-                try:
-                    if hits is None:
-                        outcome = _judge(pres[pre][1], execute, post, point)
-                        if outcome is None:
-                            continue
-                    elif hits is values or value in hits:
-                        outcome = _settle(execute, post, point)
-                    else:
+    for point, held in visits:
+        failed = False
+        for index, (pre, test, execute, post) in live:
+            try:
+                if held[pre] is None:
+                    outcome = _judge(test, execute, post, point)
+                    if outcome is None:
                         continue
-                except Exception as err:
-                    verdicts[index] = err
-                    failed = True
+                elif held[pre]:
+                    outcome = _settle(execute, post, point)
+                else:
                     continue
-                checked[index] += outcome[3]
-                if outcome[0] != PASS:
-                    verdicts[index] = _failed(outcome, point, checked[index], dom)
-                    failed = True
-            if failed:
-                live = [entry for entry in live if verdicts[entry[0]] is None]
-                if not live:
-                    break
+            except Exception as err:
+                verdicts[index] = err
+                failed = True
+                continue
+            checked[index] += outcome[3]
+            if outcome[0] != PASS:
+                verdicts[index] = _failed(outcome, point, checked[index], dom)
+                failed = True
+        if failed:
+            live = [entry for entry in live if verdicts[entry[0]] is None]
+            if not live:
+                break
     for index, _ in live:
         count = checked[index]
         verdicts[index] = VerificationResult(VERIFIED if count else VACUOUS, None, count, dom)
@@ -292,11 +228,10 @@ class Judge:
     ):
         _validate(program, contract, dom)
         self.program = program
-        self.pres = (_pre_tests(contract.pre, dom.row),)
         self.contract = contract
+        self.pre = compile_bool(contract.pre)
         self.post = compile_bool(contract.post)
         self.dom = dom
-        self.points = math.prod(hi - lo + 1 for _, lo, hi in dom.ranges)
         self.step_budget = step_budget
 
     def first_failure(self, points, kept: frozenset[int] | None = None) -> Witness | None:
@@ -319,22 +254,22 @@ class Judge:
         program keeping the statements in kept (all if None): the same as
         for the program with the other statements deleted. A domain of
         NEST_FROM_POINTS points or more is scanned by a loop nest, unless
-        Python refuses it, and its first failure judged again by _judge."""
+        Python refuses it, and its first failure judged again by _judge;
+        other scans run on the closures."""
         execute = runner(self.program, self.step_budget, kept=kept)
-        scan = None
-        if self.points >= NEST_FROM_POINTS and self.step_budget >= 1:
-            pre, post = self.contract.pre, self.contract.post
-            scan = loop_nest(self.program, self.step_budget, kept, self.dom.ranges, pre, post)
+        pre, post = self.contract.pre, self.contract.post
+        scan = loop_nest(self.program, self.step_budget, kept, self.dom.ranges, pre, post)
         if scan is not None:
             point, count = scan()
             if point is None:
                 return VerificationResult(VERIFIED if count else VACUOUS, None, count, self.dom)
-            outcome = _judge(self.pres[0][1], execute, self.post, point)
+            outcome = _judge(self.pre, execute, self.post, point)
             # the closures agree unless Python's stack or memory runs out on
-            # one side only: then the row scan decides
+            # one side only: then the closures decide
             if outcome is not None and outcome[0] != PASS:
                 return _failed(outcome, point, count + outcome[3], self.dom)
-        (verdict,) = _scan(self.pres, [(0, execute, self.post)], self.dom)
+        triple = (0, self.pre, execute, self.post)
+        (verdict,) = _scan([triple], _closure_visits([self.pre], self.dom), self.dom)
         if isinstance(verdict, Exception):
             raise verdict
         return verdict
@@ -348,12 +283,11 @@ def check_all(
     """Decide every (program, contract) pair over dom in one scan of dom.
 
     Result i is what check(*pairs[i], dom, step_budget) returns, or the
-    exception it raises. Equal pairs are decided once; equal preconditions
-    are judged once per row, and equal programs and (program,
-    postcondition) pairs once per point, shared by the pairs that read
-    them; a pair stops costing anything at its first failure. Memory is
-    bounded by one row per shared precondition and one point per other
-    shared item, whatever the size of dom.
+    exception it raises. Equal pairs are decided once; equal
+    preconditions, programs and (program, postcondition) pairs are judged
+    once per point, shared by the pairs that read them; a pair stops
+    costing its run and postcondition at its first failure. Memory is
+    bounded by one point per shared item, whatever the size of dom.
     """
     programs: list[ast.Program] = []
     pres: list[ast.BoolExpr] = []
@@ -369,14 +303,15 @@ def check_all(
         slots = (_slot(pres, contract.pre), _slot(programs, program), _slot(posts, contract.post))
         asked.append(triples.setdefault(slots, len(triples)))
 
-    pre_tests = _compile_each(partial(_pre_tests, row=dom.row), pres)
+    pre_tests = _compile_each(compile_bool, pres)
     post_tests = _compile_each(compile_bool, posts)
     # every point's inputs and final states are shared by the triples
     # judged at that point, so remembering the latest argument suffices
     executors = [_latest(runner(program, step_budget)) for program in programs]
     post_getters: dict[tuple[int, int], object] = {}
     verdicts: dict[int, object] = {}  # triple -> its exception or verdict
-    judged: dict[int, tuple] = {}  # triple -> (pre, execute, post) for the scan
+    judged: dict[int, tuple] = {}  # triple -> (pre, test, execute, post) for the scan
+    scanned: dict[int, int] = {}  # pre slot of a judged triple -> its place in held
     for triple, (pre, code, post) in enumerate(triples):
         pre_test, post_test = pre_tests[pre], post_tests[post]
         if isinstance(pre_test, Exception) or isinstance(post_test, Exception):
@@ -384,9 +319,15 @@ def check_all(
             continue
         if (code, post) not in post_getters:
             post_getters[code, post] = _latest(post_test)
-        judged[triple] = (pre, executors[code], post_getters[code, post])
-    scanned = _scan(pre_tests, list(judged.values()), dom)
-    verdicts.update(zip(judged, scanned))
+        place = scanned.setdefault(pre, len(scanned))
+        judged[triple] = (place, pre_test, executors[code], post_getters[code, post])
+    if judged:
+        visits = where(dom.ranges, tuple(pres[pre] for pre in scanned))
+        if visits is None:
+            visits = _closure_visits([pre_tests[pre] for pre in scanned], dom)
+        else:
+            visits = visits()
+        verdicts.update(zip(judged, _scan(list(judged.values()), visits, dom)))
     return [verdicts[triple] if isinstance(triple, int) else triple for triple in asked]
 
 

@@ -408,6 +408,34 @@ def test_integer_literal_too_long_exits_two(capsys, tmp_path):
         assert (code, out, err) == (2, "", f"error: integer literal too long at {where}\n")
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="str() takes ints of any length",
+)
+def test_value_too_large_to_print_exits_two_and_prints_nothing(capsys, tmp_path):
+    """A run-time value longer than CPython's int-to-string limit is one
+    error line, exit 2, with nothing on stdout, not even the lines before
+    the value."""
+    path = tmp_path / "big.prog"
+    path.write_text("proc f(in a, out o) { o := 1; o := 10 ^ 5000; }")
+    session = tmp_path / "big.session"
+    session.write_text("\n".join([
+        "[session]", "final = big.prog", "domain = a in 0..3", "[cycle 1]", "test.name = t",
+        "test.inputs = a=1", "test.expect = o=1", "contract.pre = TRUE",
+        "contract.post = o == 1", "snapshot = big.prog",
+    ]))
+    for argv, forms in [
+        (("check", str(path), "--pre", "TRUE", "--post", "o == 1", "--domain", "a in 0..1"),
+         ("human", "machine")),
+        (("trace", str(path), "--inputs", "a=1"), ("human", "machine")),
+        # the machine report holds the contract's witness, final state and all
+        (("replay", str(session)), ("machine",)),
+    ]:
+        for form in forms:
+            result = run_cli(capsys, *argv, "--format", form)
+            assert result == (2, "", "error: value too large to print\n")
+
+
 def test_no_color_codes_when_not_a_tty(capsys, monkeypatch):
     monkeypatch.setenv("TDDSLICER_COLOR", "0")
     _, out, _ = run_cli(

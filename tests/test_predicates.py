@@ -52,39 +52,28 @@ class TestDomainPoints:
                 assert got == expected
                 assert [list(point) for point in got] == [names] * len(expected)
 
-    def test_rows_are_the_points_a_row_at_a_time(self):
-        """rows() gives the points of points(), in order, as (prefix, values):
-        prefix binds every variable in name order, the row variable (the
-        last with more than one value, else the last) to values[0], and
-        values is a range of at most ROW_WIDTH values of it."""
+    def test_points_are_an_odometer_in_name_order(self):
+        """points() advances the last name fastest, each range ascending
+        and a one-value range held fixed, and gives a new dict binding every
+        name in order at each point."""
         rng = random.Random(6174)
         for _ in range(200):
             ranges = {}
             for name in rng.sample("abcd", rng.randint(1, 3)):
                 lo = rng.randint(-3, 3)
                 ranges[name] = (lo, lo + rng.choice((0, 0, 1, 3)))
-            dom = Domain.from_dict(ranges)
             names = sorted(ranges)
-            wide = [name for name in names if ranges[name][0] < ranges[name][1]]
-            assert dom.row == (wide or names)[-1]
-            flat = []
-            for prefix, values in dom.rows():
-                assert list(prefix) == names
-                assert prefix[dom.row] == values.start
-                flat += [{**prefix, dom.row: value} for value in values]
-            assert flat == list(dom.points())
-        # rows start at 16 values and double up to 1,024
-        dom = Domain.parse("a in 0..1, b in 0..2999, c in 5..5")
-        assert dom.row == "b"
-        rows = list(dom.rows())
-        assert [values for _, values in rows] == [
-            range(0, 16), range(16, 48), range(48, 112), range(112, 240), range(240, 496),
-            range(496, 1008), range(1008, 2032), range(2032, 3000),
-            range(0, 1024), range(1024, 2048), range(2048, 3000),
-        ]
-        assert [prefix["a"] for prefix, _ in rows] == [0] * 8 + [1] * 3
-        assert rows[9][0] == {"a": 1, "b": 1024, "c": 5}
-        assert list(Domain(()).rows()) == [({}, range(1))] and Domain(()).row is None
+            spans = [range(ranges[n][0], ranges[n][1] + 1) for n in names]
+            points = list(Domain.from_dict(ranges).points())
+            assert points == [dict(zip(names, values)) for values in itertools.product(*spans)]
+            assert all(list(point) == names for point in points)
+            assert len({id(point) for point in points}) == len(points)
+        dom = Domain.parse("c in 5..5, b in 0..2999, a in 0..1")
+        points = list(dom.points())
+        assert len(points) == 6000
+        assert points[2999:3001] == [{"a": 0, "b": 2999, "c": 5}, {"a": 1, "b": 0, "c": 5}]
+        assert points[3000 + 1024] == {"a": 1, "b": 1024, "c": 5}
+        assert list(Domain(()).points()) == [{}]
 
     def test_no_variables_give_one_empty_point(self):
         assert list(Domain(()).points()) == [{}]
@@ -248,12 +237,12 @@ class TestImplies:
         assert outcomes == {"result", "too deep"}
 
     def test_rows_agree_with_point_by_point_oracle(self):
-        """implies judges a row of points at a time; bf_implies judges one
-        point after another. They agree in every field (verdict, witness
-        with its key order, checked_points, the first fault's assignment
-        and reason) on 480 seeded cases: 1 to 3 variables with innermost
-        widths 1 and 2, exists binding the row variable, faulting
-        predicates and a variable neither side reads."""
+        """implies and bf_implies, which judges one point after another,
+        agree in every field (verdict, witness with its key order,
+        checked_points, the first fault's assignment and reason) on 480
+        seeded cases: 1 to 3 variables with innermost widths 1 and 2,
+        exists binding the last variable that varies, faulting predicates
+        and a variable neither side reads."""
         rng = random.Random(2718)
         seen = collections.Counter()
         for _ in range(480):
@@ -289,9 +278,9 @@ class TestImplies:
         assert seen["exists binds the row"] >= 20, seen
 
     def test_rows_wider_than_one_piece(self):
-        """A range wider than one row is judged in pieces, in order: the
-        witness and the first fault, past the first piece, are those of
-        judging each point in turn."""
+        """Over a wide range, judged by where's compiled filter, the witness
+        and the first fault far into the range are those of judging each
+        point in turn."""
         dom = Domain.parse("a in 0..3000, b in 1..1")
         result = is_tautology(parse_predicate("a + b != 2001"), dom)
         assert (result.holds, result.witness, result.checked_points) == (

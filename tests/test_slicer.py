@@ -361,7 +361,7 @@ def test_div_oracle_exhaustive_run_count(div_oracle, dom_div, verifier_runs, mon
     plus a scan from the first point for those that pass them all. Every
     candidate scanned from the first point took 678 runs. The gate raised
     keeps the 153-point scans off the loop nest, which makes no runs."""
-    monkeypatch.setattr(verifier, "NEST_FROM_POINTS", 10**18)
+    monkeypatch.setattr(interp, "NEST_FROM_POINTS", 10**18)
     _, pre, post, _ = GOLDEN_CASES["div_oracle"]
     contract = Contract(parse_predicate(pre), parse_predicate(post))
     result = compute_slice(div_oracle, contract, dom_div)

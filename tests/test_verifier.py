@@ -13,10 +13,12 @@ from tddslicer import (
     Contract,
     Domain,
     ParseError,
+    PredicateUndefinedError,
     check,
     check_all,
     check_point,
     format_predicate,
+    implies,
     parse_predicate,
     parse_program,
     run,
@@ -24,9 +26,9 @@ from tddslicer import (
 from tddslicer import slicer, verifier
 from tddslicer.cli import main
 from tddslicer.corpus import corpus_path
-from tddslicer.errors import TOO_DEEP
 from tddslicer.lang import interp
 from tddslicer.lang.interp import OK
+from tddslicer.predicates import TRUE
 from tddslicer.verifier import (
     BUDGET_EXCEEDED,
     COUNTEREXAMPLE,
@@ -38,7 +40,7 @@ from tddslicer.verifier import (
     VERIFIED,
 )
 
-from bruteforce import bf_check, bf_holds
+from bruteforce import bf_check, bf_holds, bf_implies
 from generators import CMP_OPS, predicate_text, random_contract, random_predicate, random_program
 
 ONE_SIDED_MAX = "proc max2(in a, in b, out max) { if (a > b) { max := a; } }"
@@ -420,16 +422,35 @@ class TestCheckAll:
             finally:
                 tracemalloc.stop()
 
-        # each tier on its own: a scan compiles its source once, after
-        # SOURCE_AFTER_STEPS steps, which the large domain reaches and the
-        # small one does not
-        for source_after_steps in (10**9, 0):
-            monkeypatch.setattr(interp, "SOURCE_AFTER_STEPS", source_after_steps)
-            small, small_results = peak("x in 0..9, y in 1..10")
-            large, large_results = peak("x in 0..99, y in 1..100")
-            assert [r.verdict for r in small_results] == [r.verdict for r in large_results]
-            assert large_results[0].checked_points == 10_000
-            assert large < small + 32_000
+        # each side of the gate on its own (the closures, then where's
+        # compiled filter), and each tier on its own: a scan compiles its
+        # source once, after SOURCE_AFTER_STEPS steps, which the large
+        # domain reaches and the small one does not
+        for gate in (10**18, 0):
+            monkeypatch.setattr(interp, "NEST_FROM_POINTS", gate)
+            for source_after_steps in (10**9, 0):
+                monkeypatch.setattr(interp, "SOURCE_AFTER_STEPS", source_after_steps)
+                small, small_results = peak("x in 0..9, y in 1..10")
+                large, large_results = peak("x in 0..99, y in 1..100")
+                assert [r.verdict for r in small_results] == [r.verdict for r in large_results]
+                assert large_results[0].checked_points == 10_000
+                assert large < small + 32_000
+
+
+def _compiled_sources(monkeypatch, function):
+    """Each source of function (loop_nest's "scan", where's "visits") that
+    interp compiles from here on: whether Python took it."""
+    made = []
+    real = interp._load
+
+    def spy(name, emitted, emit):
+        code = real(name, emitted, emit)
+        if emitted == function:
+            made.append(code is not None)
+        return code
+
+    monkeypatch.setattr(interp, "_load", spy)
+    return made
 
 
 def _agrees(program, contract, ranges, budget, result):
@@ -450,13 +471,14 @@ def _agrees(program, contract, ranges, budget, result):
 
 
 class TestRowScan:
-    """Preconditions are judged a row at a time (Domain.rows()), with every
-    verdict, witness, key order and checked_points of judging the points
-    one by one, as bf_check and _bf_checked_points do."""
+    """Scans below the gate judge the preconditions on the closures, and
+    those at or above it with a compiled filter, with every verdict,
+    witness, key order and checked_points of judging the points one by
+    one, as bf_check and _bf_checked_points do."""
 
     DOMAINS = [
         {"a": (-2, 2), "b": (-2, 2)},
-        # the last range has one value: a is the row variable, b a constant
+        # the last range has one value
         {"a": (-3, 3), "b": (1, 1)},
         {"a": (0, 0), "b": (-3, 3)},
     ]
@@ -485,9 +507,9 @@ class TestRowScan:
     COPY = "proc f(in a, out o){ o := a; }"
 
     @pytest.mark.parametrize("pre, post, spec, witness, checked", [
-        # the first failure is in the seventh row, 1,024 values wide
+        # the first failure is deep in a wide range
         ("a % 7 != 3", "o < 1500", "a in 0..3000", 1500, 1287),
-        # the precondition faults at a == 5, later in the row than the
+        # the precondition faults at a == 5, later in the scan than the
         # counterexample at a == 3
         ("10 / (a - 5) > -100", "o < 3", "a in 0..9", 3, 4),
         ("10 / (a - 5) > -100", "o < 7", "a in 0..9", 5, 5),
@@ -504,17 +526,15 @@ class TestRowScan:
         assert check_all([twin, (program, contract)], dom)[1] == result
 
     def test_first_failure_in_the_second_full_width_row(self):
-        # b's rows for a == 1 are 1,024 values wide: the failure at b == 1500
-        # is in the second
+        # the failure at a == 1, b == 1500 is deep in a wide domain
         program = parse_program("proc f(in a, in b, out o){ o := 10000 * a + b; }")
         contract = _contract("b % 7 != 3", "o < 11500")
         ranges = {"a": (0, 1), "b": (0, 3000)}
         dom = Domain.from_dict(ranges)
-        assert [len(values) for prefix, values in dom.rows() if prefix["a"] == 1] == [1024, 1024, 953]
         result = check(program, contract, dom)
         assert result.witness.inputs == {"a": 1, "b": 1500}
         _agrees(program, contract, ranges, 10000, result)
-        # check takes the loop nest over this domain; check_all the rows
+        # check takes the loop nest over this domain; check_all where
         assert check_all([(program, contract)], dom) == [result]
 
     def test_exists_binding_the_row_variable(self, max2):
@@ -540,19 +560,15 @@ class TestRowScan:
             assert result.witness.inputs == {}
         assert check_all([(program, _contract(pre, post))], Domain(())) == [result]
 
-    def test_precondition_too_deep_for_its_row_form_is_judged_point_by_point(
+    def test_precondition_python_refuses_is_judged_on_the_closures(
         self, max2, dom_ab8, monkeypatch
     ):
         contract = _contract("a > b", "max == a")
         expected = check(max2, contract, dom_ab8)
-        real_compile = verifier.compile_bool
-
-        def no_rows(pred, row=None):
-            if row is not None:
-                raise ParseError(TOO_DEEP)
-            return real_compile(pred)
-
-        monkeypatch.setattr(verifier, "compile_bool", no_rows)
+        assert check_all([(max2, contract)], dom_ab8) == [expected]
+        # 289 points, above the gate: Python refusing both the loop nest and
+        # where's filter leaves the scans to the closures
+        monkeypatch.setattr(interp, "_load", lambda name, function, emit: None)
         assert check(max2, contract, dom_ab8) == expected
         assert check_all([(max2, contract)], dom_ab8) == [expected]
 
@@ -568,30 +584,27 @@ class TestWideDomains:
         assert result.witness.inputs == {"a": 2}
         assert result.checked_points == 2
 
-    def test_early_failure_judges_one_short_row_of_preconditions(self, monkeypatch):
-        # rows start short, so a scan that stops early judges the
-        # precondition at few values past its stop; the gate raised keeps
-        # this wide domain out of the loop nest, which judges no rows
-        monkeypatch.setattr(verifier, "NEST_FROM_POINTS", 10**18)
+    def test_early_failure_judges_the_precondition_up_to_the_witness(self, monkeypatch):
+        # a scan that stops early judges the precondition at no point past
+        # its stop; the gate raised keeps this wide domain on the closures
+        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 10**18)
         judged = []
         real_compile = verifier.compile_bool
 
-        def recording(pred, row=None):
-            test = real_compile(pred, row)
-            if row is None:
-                return test
+        def recording(pred):
+            test = real_compile(pred)
 
-            def row_test(env, values):
-                judged.append(values)
-                return test(env, values)
+            def recorded(state):
+                judged.append((format_predicate(pred), dict(state)))
+                return test(state)
 
-            return row_test
+            return recorded
 
         monkeypatch.setattr(verifier, "compile_bool", recording)
         program = parse_program(self.COPY)
         result = check(program, _contract("a > 0", "o < 2"), Domain.parse("a in 1..1000000"))
         assert result.witness.inputs == {"a": 2}
-        assert judged == [range(1, 17)]
+        assert [state for pred, state in judged if pred == "a > 0"] == [{"a": 1}, {"a": 2}]
 
     def test_early_failure_costs_no_memory_for_the_rest_of_the_range(self):
         program = parse_program(self.COPY)
@@ -607,7 +620,7 @@ class TestWideDomains:
 
 
 class TestSharedWork:
-    """check_all judges each distinct precondition once per row, and each
+    """check_all judges each distinct precondition once per point, and each
     distinct program and (program, postcondition) once per point that
     needs it."""
 
@@ -618,23 +631,22 @@ class TestSharedWork:
         # evaluates its postconditions
         program = parse_program("proc f(in a, out o){ a := 0; o := 1; }")
         twin = parse_program("proc f(in a, out o){ a := 0; o := 1; }")
-        dom = Domain.parse("a in 0..5")  # one row
+        dom = Domain.parse("a in 0..5")
         pairs = [
             (program, _contract("TRUE", "o == 1")),
             (twin, _contract("a >= 0", "o == 1")),
             (program, _contract("TRUE", "o > 0")),
             (program, _contract("a < 3", "o == 1")),
         ]
-        rows, points = Counter(), Counter()
+        points = Counter()
         real_compile = verifier.compile_bool
 
-        def counting_compile(pred, row=None):
-            test = real_compile(pred, row)
-            calls = points if row is None else rows
+        def counting_compile(pred):
+            test = real_compile(pred)
 
-            def counted(*args):
-                calls[format_predicate(pred)] += 1
-                return test(*args)
+            def counted(state):
+                points[format_predicate(pred)] += 1
+                return test(state)
 
             return counted
 
@@ -643,8 +655,7 @@ class TestSharedWork:
         assert [r.verdict for r in results] == [VERIFIED] * 4
         assert [r.checked_points for r in results] == [6, 6, 6, 3]
         assert len(verifier_runs) == 6
-        assert rows == {"TRUE": 1, "a >= 0": 1, "a < 3": 1}
-        assert points == {"o == 1": 6, "o > 0": 6}
+        assert points == {"TRUE": 6, "a >= 0": 6, "a < 3": 6, "o == 1": 6, "o > 0": 6}
 
 
 DIV_SPEC = "0 <= r && r < y && x == y * q + r"
@@ -672,7 +683,7 @@ class TestSourceTier:
     def test_a_scan_that_switches_midway_judges_as_on_closures(
         self, case, div_oracle, monkeypatch, tier_switches
     ):
-        monkeypatch.setattr(verifier, "NEST_FROM_POINTS", 10**18)
+        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 10**18)
         text, pre, post, spec, budget, verdict = self.CASES[case]
         program = div_oracle if text is None else parse_program(text)
         contract, dom = _contract(pre, post), Domain.parse(spec)
@@ -745,7 +756,7 @@ class TestSourceTier:
             return spied
 
         monkeypatch.setattr(verifier, "runner", spying)
-        monkeypatch.setattr(verifier, "NEST_FROM_POINTS", 0)
+        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 0)
         dom = Domain.parse("x in 0..10, y in 1..5")
         assert check(div_oracle, _contract("x >= 0 && y >= 1", DIV_SPEC), dom).verdict == VERIFIED
         assert ran == []
@@ -784,32 +795,23 @@ NEST_GOLDENS = {
 class TestLoopNest:
     """Judge.check over a domain of NEST_FROM_POINTS points or more runs one
     compiled loop nest, with every verdict, witness (key order too) and
-    checked_points of the row scan, which smaller domains keep."""
+    checked_points of the closure scan, which smaller domains keep."""
 
     @pytest.fixture
     def nests(self, monkeypatch):
-        """Each loop nest Judge.check asked for: whether Python compiled it."""
-        made = []
-        real = verifier.loop_nest
-
-        def spy(*args):
-            scan = real(*args)
-            made.append(scan is not None)
-            return scan
-
-        monkeypatch.setattr(verifier, "loop_nest", spy)
-        return made
+        """Each loop nest Judge.check compiled: whether Python took it."""
+        return _compiled_sources(monkeypatch, "scan")
 
     @staticmethod
     def _both_ways(monkeypatch, program, contract, dom, budget=10000, kept=None):
-        """Judge.check through the nest, which decides without the row
-        scan, and through the row scan, which must agree; the nest's
-        result."""
-        monkeypatch.setattr(verifier, "NEST_FROM_POINTS", 0)
+        """Judge.check through the nest, which decides without the
+        closure scan, and through the closure scan, which must agree; the
+        nest's result."""
+        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 0)
         with monkeypatch.context() as patch:
             patch.setattr(verifier, "_scan", None)
             nested = verifier.Judge(program, contract, dom, budget).check(kept)
-        monkeypatch.setattr(verifier, "NEST_FROM_POINTS", 10**18)
+        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 10**18)
         scanned = verifier.Judge(program, contract, dom, budget).check(kept)
         assert nested == scanned
         if nested.witness is not None:
@@ -884,16 +886,16 @@ class TestLoopNest:
     def test_source_python_refuses_falls_back_to_the_row_scan(self, body, post, monkeypatch, nests):
         program = parse_program(f"proc f(in a, out o) {{ {body} }}")
         contract, dom = _contract("TRUE", post), Domain.parse("a in -100..100")
-        assert verifier.NEST_FROM_POINTS <= 201
+        assert interp.NEST_FROM_POINTS <= 201
         nested = check(program, contract, dom)
         assert nests == [False]
-        monkeypatch.setattr(verifier, "NEST_FROM_POINTS", 10**18)
+        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 10**18)
         assert check(program, contract, dom) == nested
         assert (nested.verdict, nested.checked_points) == (VERIFIED, 201)
 
     def test_only_domains_at_the_gate_or_above_compile_a_nest(self, max2, nests):
         contract = _contract("a > b", "max == a")
-        below = verifier.NEST_FROM_POINTS - 1
+        below = interp.NEST_FROM_POINTS - 1
         check(max2, contract, Domain.from_dict({"a": (1, below), "b": (0, 0)}))
         assert nests == []
         check(max2, contract, Domain.from_dict({"a": (1, below + 1), "b": (0, 0)}))
@@ -909,6 +911,178 @@ class TestLoopNest:
         out, err = capsys.readouterr()
         assert err == ""
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == NEST_GOLDENS[case, form]
+
+
+#: a sum of 250 terms: parses and closure-compiles, but Python refuses its
+#: 249 nested parentheses
+DEEP_SUM = " + ".join(["a"] * 250)
+
+
+class TestWhere:
+    """implies and check_all over NEST_FROM_POINTS points or more judge
+    their preconditions (p1 && !p2 for implies) with where's compiled
+    filter, with every answer, witness (key order too), checked_points and
+    fault of the closures, which smaller domains keep; both agree with
+    bf_implies and bf_check. The gate is patched to force the filter on
+    (0) and off (raised)."""
+
+    @pytest.fixture
+    def filters(self, monkeypatch):
+        """Each filter where compiled: whether Python took it."""
+        return _compiled_sources(monkeypatch, "visits")
+
+    @staticmethod
+    def _implies(p1, p2, dom):
+        """implies' answer as bf_implies gives it."""
+        try:
+            result = implies(p1, p2, dom)
+        except PredicateUndefinedError as err:
+            return "fault", err.assignment, err.reason
+        return result.holds, result.witness, result.checked_points
+
+    def _implies_both_ways(self, monkeypatch, p1, p2, ranges, refused=False):
+        """implies through the filter, which decides without enumerating
+        points unless Python refuses it, and through the points one by
+        one; both must be bf_implies'. The filter's answer."""
+        dom = Domain.from_dict(ranges)
+        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 0)
+        with monkeypatch.context() as patch:
+            if not refused:
+                patch.setattr(Domain, "points", None)
+            filtered = self._implies(p1, p2, dom)
+        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 10**18)
+        plain = self._implies(p1, p2, dom)
+        expected = bf_implies(p1, p2, ranges)
+        assert filtered == plain == expected, (format_predicate(p1), format_predicate(p2), ranges)
+        assert list(filtered[1] or ()) == list(plain[1] or ()) == list(expected[1] or ())
+        return filtered
+
+    @staticmethod
+    def _check_all_both_ways(monkeypatch, pairs, ranges, budget=10000, refused=False):
+        """check_all through the filter, which decides without the closure
+        visits unless Python refuses it, and through the closures; both
+        must agree with bf_check. The filter's results."""
+        dom = Domain.from_dict(ranges)
+        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 0)
+        with monkeypatch.context() as patch:
+            if not refused:
+                patch.setattr(verifier, "_closure_visits", None)
+            filtered = check_all(pairs, dom, budget)
+        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 10**18)
+        plain = check_all(pairs, dom, budget)
+        assert filtered == plain
+        for (program, contract), result, other in zip(pairs, filtered, plain):
+            _agrees(program, contract, ranges, budget, result)
+            assert list(result.witness and result.witness.final or ()) == list(
+                other.witness and other.witness.final or ())
+        return filtered
+
+    def test_implies_on_random_faulting_predicates(self, monkeypatch, filters):
+        rng = random.Random(1618)
+        seen = Counter()
+        for _ in range(300):
+            read = rng.sample(("a", "b", "n"), rng.randint(1, 3))
+            names = sorted(read + (["z"] if rng.random() < 0.25 else []))
+            ranges = {}
+            for name in names:
+                lo = rng.randint(-3, 1)
+                ranges[name] = (lo, lo + rng.randint(0, 3))
+            p1 = TRUE if rng.random() < 0.2 else random_predicate(rng, tuple(read), faults=True)
+            p2 = random_predicate(rng, tuple(read), faults=True)
+            got = self._implies_both_ways(monkeypatch, p1, p2, ranges)
+            seen["fault" if got[0] == "fault" else "holds" if got[0] else "counterexample"] += 1
+            seen["exists binds a domain variable"] += "n" in read and "exists n" in (
+                format_predicate(p1) + format_predicate(p2))
+        assert min(seen["fault"], seen["holds"], seen["counterexample"]) >= 40, seen
+        assert seen["exists binds a domain variable"] >= 30, seen
+        assert filters and all(filters)
+
+    @pytest.mark.parametrize("p1, p2, ranges, expected", [
+        # exists binding n, a domain variable that varies outside it
+        ("n > 0 && (exists n in 0..2 : a + n == b)", "b >= a",
+         {"a": (-3, 3), "b": (-3, 3), "n": (0, 5)}, (True, None, 294)),
+        ("n > 3", "exists n in 0..2 : a + n == b", {"a": (-3, 3), "b": (-3, 3), "n": (0, 5)},
+         (False, {"a": -3, "b": 0, "n": 4}, 23)),
+        # p1 faults at a == 5, after the counterexample at a == 3 ...
+        ("10 / (a - 5) > -100", "a < 3", {"a": (0, 9)}, (False, {"a": 3}, 4)),
+        # ... and before the first one at a == 7
+        ("10 / (a - 5) > -100", "a < 7", {"a": (0, 9)}, ("fault", {"a": 5}, "division by zero")),
+        # the fault's assignment lists the variable neither side reads first
+        ("TRUE", "a / (b - 1) > -10", {"a": (-3, 3), "b": (0, 2), "z": (1, 4)},
+         ("fault", {"z": 1, "a": -3, "b": 1}, "division by zero")),
+        ("a > 2", "a > 2 || b / (b - 1) >= 0", {"a": (-3, 3), "b": (0, 2), "z": (1, 4)},
+         (True, None, 21)),
+    ])
+    def test_implies_cases(self, p1, p2, ranges, expected, monkeypatch, filters):
+        p1, p2 = parse_predicate(p1), parse_predicate(p2)
+        got = self._implies_both_ways(monkeypatch, p1, p2, ranges)
+        assert got == expected
+        assert list(got[1] or ()) == list(expected[1] or ())
+        assert filters == [True]
+
+    def test_check_all_on_random_programs_and_faulting_contracts(self, monkeypatch, filters):
+        rng = random.Random(2048)
+        ranges = {"a": (-2, 2), "b": (-2, 2)}
+        verdicts = Counter()
+        for case in range(150):
+            program = random_program(rng, 4, True, faults=True)
+            contracts = [
+                Contract(random_predicate(rng, ("a", "b"), faults=True),
+                         random_predicate(rng, ("a", "b", "o"), faults=True))
+                for _ in range(3)
+            ]
+            budget = rng.choice((3, 25, 10000))
+            pairs = [(program, contract) for contract in contracts]
+            for result in self._check_all_both_ways(monkeypatch, pairs, ranges, budget):
+                verdicts[result.verdict] += 1
+        for verdict in (VERIFIED, COUNTEREXAMPLE, VACUOUS, FAULT, BUDGET_EXCEEDED):
+            assert verdicts[verdict] >= 20, verdicts
+        assert filters == [True] * 150
+
+    COPY = "proc f(in a, out o){ o := a; }"
+
+    def test_check_all_cases(self, max2, monkeypatch, filters):
+        copy = parse_program(self.COPY)
+        # the precondition faults at a == 5, after the counterexample at
+        # a == 3 that ends the first pair's scan, in the same scan
+        faulting = self._check_all_both_ways(monkeypatch, [
+            (copy, _contract("10 / (a - 5) > -100", "o < 3")),
+            (copy, _contract("10 / (a - 5) > -100", "TRUE")),
+            (copy, _contract("a > 100", "TRUE")),
+        ], {"a": (0, 9)})
+        assert [(r.verdict, r.checked_points) for r in faulting] == [
+            (COUNTEREXAMPLE, 4), (FAULT, 5), (VACUOUS, 0)]
+        assert faulting[1].witness.detail == "precondition fault: division by zero"
+        # exists binding b, an in-parameter
+        (bound,) = self._check_all_both_ways(
+            monkeypatch, [(max2, _contract("exists b in 0..3 : a > b", "max >= a"))],
+            {"a": (-3, 3), "b": (-3, 3)})
+        assert (bound.verdict, bound.checked_points) == (VERIFIED, 21)
+        assert filters == [True, True]
+
+    def test_source_python_refuses_falls_back_to_the_closures(self, max2, monkeypatch, filters):
+        deep = parse_predicate(f"{DEEP_SUM} == 250 * a")
+        ranges = {"a": (-3, 3), "b": (-3, 3)}
+        assert self._implies_both_ways(monkeypatch, TRUE, deep, ranges, refused=True) == (
+            True, None, 7)
+        counterexample = parse_predicate(f"{DEEP_SUM} < 250 * b")
+        assert self._implies_both_ways(
+            monkeypatch, parse_predicate("a < 0"), counterexample, ranges, refused=True,
+        ) == (False, {"a": -3, "b": -3}, 1)
+        (result,) = self._check_all_both_ways(
+            monkeypatch, [(max2, Contract(parse_predicate(f"{DEEP_SUM} > 250 * b"),
+                                          parse_predicate("max == a")))],
+            ranges, refused=True)
+        assert (result.verdict, result.checked_points) == (VERIFIED, 21)
+        assert filters == [False] * 3
+
+    def test_only_domains_at_the_gate_or_above_compile_a_filter(self, filters):
+        p1, p2 = parse_predicate("a > b"), parse_predicate("a >= b")
+        below = interp.NEST_FROM_POINTS - 1
+        implies(p1, p2, Domain.from_dict({"a": (1, below), "b": (0, 0)}))
+        assert filters == []
+        implies(p1, p2, Domain.from_dict({"a": (1, below + 1), "b": (0, 0)}))
+        assert filters == [True]
 
 
 class TestFirstFailure:
