@@ -5,6 +5,15 @@ A contract is "simplified" design-by-contract: no invariants, no rescue
 clauses. Union is the purely syntactic OR-composition {P or P'}{Q or Q'};
 it weakens both sides, which is what makes earlier tests keep passing as
 cycles accumulate.
+
+Every query reads a contract through its prepared values
+(predicates.Prepared, made on first use and kept by the Contract): the
+scope check its predicates' free variables, instance checks and test
+classification their closures, subsumption all four facts. A union's
+values compose its parts', so a replay that extends its running union
+once per cycle never walks or compiles the union again, and
+classify_test judges the union of the history from the contracts' own
+closures without building it.
 """
 
 from __future__ import annotations
@@ -12,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .lang import ast
 from .lang.printer import format_predicate
-from .predicates import Domain, ImplicationResult, Predicate, State, eval_predicate, implies
+from .predicates import Domain, ImplicationResult, Predicate, Prepared, State, implication
 
 NEW = "new"
 REGRESSION = "regression"
@@ -34,6 +42,25 @@ class Contract:
 
     pre: Predicate
     post: Predicate
+
+    @classmethod
+    def of(cls, pre: Prepared, post: Prepared) -> "Contract":
+        """The contract {pre.pred}{post.pred}, keeping pre and post as its
+        prepared values."""
+        contract = cls(pre.pred, post.pred)
+        object.__setattr__(contract, "_prepared", (pre, post))
+        return contract
+
+    @property
+    def prepared(self) -> tuple[Prepared, Prepared]:
+        """The pre and post as Prepared values, made on first use and kept
+        on the instance (Contract is frozen, hence object.__setattr__;
+        equality and hashing see only the dataclass fields)."""
+        prepared = self.__dict__.get("_prepared")
+        if prepared is None:
+            prepared = (Prepared(self.pre), Prepared(self.post))
+            object.__setattr__(self, "_prepared", prepared)
+        return prepared
 
     def __str__(self) -> str:
         return f"{{{format_predicate(self.pre)}}}{{{format_predicate(self.post)}}}"
@@ -70,13 +97,14 @@ class InstanceCheck:
 def is_instance(test: TestCase, contract: Contract) -> InstanceCheck:
     """A test instantiates a contract when its inputs satisfy the pre and
     its inputs plus expected outputs satisfy the post."""
-    pre_holds = eval_predicate(contract.pre, test.inputs)
+    pre, post = contract.prepared
+    pre_holds = pre.test(test.inputs)
     if not pre_holds:
         return InstanceCheck(
             False, False, None, f"inputs {test.inputs} do not satisfy the precondition"
         )
     combined = {**test.inputs, **test.expected}
-    post_holds = eval_predicate(contract.post, combined)
+    post_holds = post.test(combined)
     if not post_holds:
         return InstanceCheck(
             False, True, False, f"expected outputs {test.expected} violate the postcondition"
@@ -85,8 +113,10 @@ def is_instance(test: TestCase, contract: Contract) -> InstanceCheck:
 
 
 def union(c1: Contract, c2: Contract) -> Contract:
-    """Syntactic OR of the preconditions and of the postconditions."""
-    return Contract(pre=ast.Or(c1.pre, c2.pre), post=ast.Or(c1.post, c2.post))
+    """Syntactic OR of the preconditions and of the postconditions, whose
+    prepared values compose c1's and c2's."""
+    (pre1, post1), (pre2, post2) = c1.prepared, c2.prepared
+    return Contract.of(Prepared.either(pre1, pre2), Prepared.either(post1, post2))
 
 
 def union_all(contracts: list[Contract]) -> Contract:
@@ -129,8 +159,9 @@ def subsumed_by(
     out-parameters; they default to the widest range appearing in dom,
     overridable per variable via out_ranges.
     """
-    pre_result = implies(c1.pre, c2.pre, dom)
-    extra = (ast.free_vars(c1.post) | ast.free_vars(c2.post)) - dom.vars
+    (pre1, post1), (pre2, post2) = c1.prepared, c2.prepared
+    pre_result = implication(pre1, pre2, dom)
+    extra = (post1.free | post2.free) - dom.vars
     extension: dict[str, tuple[int, int]] = {}
     for name in sorted(extra):
         if out_ranges and name in out_ranges:
@@ -140,7 +171,7 @@ def subsumed_by(
     post_dom = dom.extend(extension) if extension else dom
     if not pre_result.holds:
         return SubsumptionCheck(False, pre_result, None, dom, post_dom)
-    post_result = implies(c1.post, c2.post, post_dom)
+    post_result = implication(post1, post2, post_dom)
     return SubsumptionCheck(post_result.holds, pre_result, post_result, dom, post_dom)
 
 
@@ -168,16 +199,17 @@ def classify_test(test: TestCase, history: list[Contract]) -> Classification:
     """
     if not history:
         return Classification(NEW, None)
-    matched = None
     for index, contract in enumerate(history):
         if is_instance(test, contract).holds:
-            matched = index
-            break
-    if matched is not None:
-        return Classification(REGRESSION, matched)
+            return Classification(REGRESSION, index)
     # The union can hold without any single contract holding (pre of one
     # disjunct, post of another); it still counts as covered territory.
-    if is_instance(test, union_all(history)).holds:
+    # Every pre was judged above without raising, so the union's pre holds
+    # iff one of them does; its post is judged in order, as the Or would be.
+    combined = {**test.inputs, **test.expected}
+    if any(c.prepared[0].test(test.inputs) for c in history) and any(
+        c.prepared[1].test(combined) for c in history
+    ):
         return Classification(REGRESSION, None)
     return Classification(NEW, None)
 
@@ -187,12 +219,13 @@ def validate_scope(contract: Contract, in_params: frozenset[str], out_params: fr
 
     Raises ValueError naming the out-of-scope variables.
     """
-    bad_pre = ast.free_vars(contract.pre) - in_params
+    pre, post = contract.prepared
+    bad_pre = pre.free - in_params
     if bad_pre:
         raise ValueError(
             f"precondition may only read in-parameters; out of scope: {sorted(bad_pre)}"
         )
-    bad_post = ast.free_vars(contract.post) - (in_params | out_params)
+    bad_post = post.free - (in_params | out_params)
     if bad_post:
         raise ValueError(
             f"postcondition reads out-of-scope variables: {sorted(bad_post)}"

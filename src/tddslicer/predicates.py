@@ -13,12 +13,22 @@ for the first point where p1 && !p2 holds or raises, and judges that
 point again on the closures; smaller domains, and predicates Python
 refuses to compile, are judged one point after another. Every answer,
 witness, count and fault is that of judging the points in order.
+
+A Prepared value holds what queries derive from one predicate: its free
+variables, its OR-disjuncts, its static fault-freedom and its compiled
+closure, each derived on first use and kept. A Contract keeps the
+Prepared values of its pre and post, and union composes its parts'
+values instead of walking the growing Or again. implies and is_tautology
+prepare their arguments and take the one entry, implication, which the
+contract algebra calls with the values its contracts keep.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import TOO_DEEP, EvaluationFault, ParseError
 from .lang import ast
@@ -183,6 +193,99 @@ def _static_fault_free(pred: Predicate, nonneg_vars: frozenset[str] = frozenset(
     return pred_ok(pred, nonneg_vars)
 
 
+class Prepared:
+    """A predicate with the facts its queries read, each derived on first
+    use and then kept:
+
+    - free: its free variables;
+    - disjuncts: its OR-disjuncts, flattened in order;
+    - fault_free: whether it provably cannot fault (_static_fault_free);
+    - test: its closure, as compile_bool gives it.
+
+    either(a, b) is the prepared Or(a.pred, b.pred). Its facts are
+    composed from its parts' instead of walking the Or again: set union,
+    concatenation, and, and a closure that judges the parts' closures in
+    order, as a(s) or b(s) would (_AnyOf). So extending a running union
+    walks and compiles none of it, and a union of any length needs no
+    stack to derive a fact or to judge its closure. A fact is derived
+    where a query first asks for it, so a predicate too deeply nested to
+    walk or compile fails there, as deriving the fact afresh does.
+    Whatever has been derived never changes; a Contract keeps its pre's
+    and post's.
+    """
+
+    __slots__ = ("pred", "_parts", "_facts")
+
+    def __init__(self, pred: Predicate, parts: tuple["Prepared", "Prepared"] | None = None):
+        self.pred = pred
+        self._parts = parts
+        self._facts: dict[str, object] = {}
+
+    @classmethod
+    def either(cls, first: "Prepared", second: "Prepared") -> "Prepared":
+        return cls(ast.Or(first.pred, second.pred), (first, second))
+
+    @property
+    def free(self) -> frozenset[str]:
+        return self._fact("free", ast.free_vars, operator.or_)
+
+    @property
+    def disjuncts(self) -> tuple[Predicate, ...]:
+        return self._fact("disjuncts", ast.or_disjuncts, operator.add)
+
+    @property
+    def fault_free(self) -> bool:
+        return self._fact("fault_free", _static_fault_free, operator.and_)
+
+    @property
+    def test(self) -> Callable[[State], bool]:
+        return self._fact("test", compile_bool, _AnyOf)
+
+    def _fact(self, name: str, derive: Callable, compose: Callable):
+        """The fact called name: derive(pred), or for an either its parts'
+        facts composed. Parts that lack it get it first, deepest first, in
+        a loop rather than by recursion, so a long union needs no stack."""
+        if name in self._facts:
+            return self._facts[name]
+        pending = [self]
+        while name not in self._facts:
+            node = pending[-1]
+            lacking = [part for part in node._parts or () if name not in part._facts]
+            if lacking:
+                pending += lacking
+                continue
+            pending.pop()
+            if name in node._facts:  # a part shared by two eithers
+                continue
+            if node._parts is None:
+                node._facts[name] = derive(node.pred)
+            else:
+                first, second = node._parts
+                node._facts[name] = compose(first._facts[name], second._facts[name])
+        return self._facts[name]
+
+
+class _AnyOf:
+    """The closure of an either: its parts' closures judged in order, the
+    first that holds ending it, as first(state) or second(state) would, but
+    in a loop over the closures of every predicate in the union, so a long
+    union needs one frame, not one per part."""
+
+    __slots__ = ("tests",)
+
+    def __init__(self, first: Callable, second: Callable):
+        self.tests = tuple(
+            test for part in (first, second)
+            for test in (part.tests if isinstance(part, _AnyOf) else (part,))
+        )
+
+    def __call__(self, state: State) -> bool:
+        for test in self.tests:
+            if test(state):
+                return True
+        return False
+
+
 def implies(p1: Predicate, p2: Predicate, dom: Domain) -> ImplicationResult:
     """Bounded implication: p1 => p2 at every assignment within dom.
 
@@ -198,7 +301,13 @@ def implies(p1: Predicate, p2: Predicate, dom: Domain) -> ImplicationResult:
     it again, so the witness, checked_points and the first fault are those
     of judging every point in order, which smaller domains do.
     """
-    needed = ast.free_vars(p1) | ast.free_vars(p2)
+    return implication(Prepared(p1), Prepared(p2), dom)
+
+
+def implication(p1: Prepared, p2: Prepared, dom: Domain) -> ImplicationResult:
+    """implies(p1.pred, p2.pred, dom), reading the facts p1 and p2 keep
+    instead of deriving them again."""
+    needed = p1.free | p2.free
     uncovered = needed - dom.vars
     if uncovered:
         raise ValueError(f"domain does not cover free variables: {sorted(uncovered)}")
@@ -211,15 +320,15 @@ def implies(p1: Predicate, p2: Predicate, dom: Domain) -> ImplicationResult:
 
 
 def _enumerate(
-    p1: Predicate, p2: Predicate, dom: Domain, needed: frozenset[str]
+    p1: Prepared, p2: Prepared, dom: Domain, needed: frozenset[str]
 ) -> ImplicationResult:
-    if p1 in ast.or_disjuncts(p2) and _static_fault_free(p1) and _static_fault_free(p2):
+    if p1.pred in p2.disjuncts and p1.fault_free and p2.fault_free:
         return ImplicationResult(True, None, 0, dom)
 
     floor = {name: lo for name, lo, _ in dom.ranges if name not in needed}
     varying = Domain(tuple(entry for entry in dom.ranges if entry[0] in needed))
     size = math.prod(hi - lo + 1 for _, lo, hi in varying.ranges)
-    visits = where(varying.ranges, (ast.And(p1, ast.Not(p2)),))
+    visits = where(varying.ranges, (ast.And(p1.pred, ast.Not(p2.pred)),))
     if visits is not None:
         # the first point where p1 && !p2 holds or raises, judged again on
         # the closures: a counterexample there, or PredicateUndefinedError
@@ -242,10 +351,10 @@ def _enumerate(
     return ImplicationResult(False, state, index + 1, dom)
 
 
-def _first_counterexample(p1: Predicate, p2: Predicate, states) -> tuple[int, State] | None:
+def _first_counterexample(p1: Prepared, p2: Prepared, states) -> tuple[int, State] | None:
     """(index, state) of the first of states where p1 holds and p2 does
     not, judged one by one; PredicateUndefinedError at the first fault."""
-    premise, conclusion = compile_bool(p1), compile_bool(p2)
+    premise, conclusion = p1.test, p2.test
     for index, state in enumerate(states):
         try:
             if premise(state) and not conclusion(state):
@@ -265,9 +374,11 @@ __all__ = [
     "ImplicationResult",
     "Predicate",
     "PredicateUndefinedError",
+    "Prepared",
     "State",
     "TRUE",
     "eval_predicate",
+    "implication",
     "implies",
     "is_tautology",
 ]

@@ -27,7 +27,7 @@ from .lang import ast
 from .lang.interp import DEFAULT_STEP_BUDGET, OK, run
 from .lang.parser import parse_bindings, parse_domain_spec, parse_predicate, parse_program
 from .lang.printer import format_predicate
-from .predicates import Domain, is_tautology
+from .predicates import TRUE, Domain, Prepared, implication
 from .verifier import VACUOUS, VERIFIED, PointCheck, VerificationResult, check_all, check_point
 
 REFACTOR_NOTE = "refactor"
@@ -129,8 +129,18 @@ def load_program(path: str | Path) -> ast.Program:
 def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "session") -> Session:
     """Parse a .session file body; referenced .prog files load relative to
     base_dir. Raises SessionFormatError on malformed input, missing files,
-    non-contiguous cycle indices, or contract scope violations."""
+    non-contiguous cycle indices, or contract scope violations.
+
+    Each distinct snapshot path is parsed once and its Program shared by
+    the cycles that name it. The final program is parsed on its own, so
+    comparing it with the last snapshot compares two parses even when both
+    name one file. Each distinct predicate text is parsed once and its
+    Prepared value shared by the contracts that name it, so replay derives
+    its facts once.
+    """
     base = Path(base_dir)
+    snapshots: dict[Path, ast.Program] = {}
+    predicates: dict[str, Prepared] = {}
 
     def load(path_text: str, where: str) -> ast.Program:
         path = base / path_text  # an absolute path_text replaces base
@@ -140,6 +150,17 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
             raise SessionFormatError(f"{where}: {err}") from err
         except ParseError as err:
             raise SessionFormatError(f"{where}: {path}: {err}") from err
+
+    def load_snapshot(path_text: str, where: str) -> ast.Program:
+        path = base / path_text
+        if path not in snapshots:
+            snapshots[path] = load(path_text, where)
+        return snapshots[path]
+
+    def prepared(text: str) -> Prepared:
+        if text not in predicates:
+            predicates[text] = Prepared(parse_predicate(text))
+        return predicates[text]
 
     sections = _split_sections(text)
     if not sections or sections[0][0] != "session":
@@ -200,11 +221,11 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
         try:
             inputs = parse_bindings(inputs_text)
             expected = parse_bindings(expect_text)
-            pre = parse_predicate(pre_text)
-            post = parse_predicate(post_text)
+            pre = prepared(pre_text)
+            post = prepared(post_text)
         except ParseError as err:
             raise SessionFormatError(f"{where}: {err}") from err
-        snapshot = load(snapshot_text, where)
+        snapshot = load_snapshot(snapshot_text, where)
 
         if set(inputs) != set(final.in_params):
             raise SessionFormatError(
@@ -218,7 +239,7 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
             raise SessionFormatError(
                 f"{where}: snapshot signature differs from the final program"
             )
-        contract = ct.Contract(pre, post)
+        contract = ct.Contract.of(pre, post)
         try:
             ct.validate_scope(
                 contract,
@@ -414,13 +435,23 @@ def run_test(
             f"run {result.status}: {result.fault_reason} at statement {result.fault_stmt_id}",
         )
     mismatches = [
-        f"{var}={result.final[var]} (expected {want})"
+        _mismatch(var, result.final[var], want)
         for var, want in sorted(test.expected.items())
         if result.final[var] != want
     ]
     if mismatches:
         return TestOutcome(test.name, False, ", ".join(mismatches))
     return TestOutcome(test.name, True, "")
+
+
+def _mismatch(var: str, got: int, want: int) -> str:
+    """A failed assertion's detail: the value got, or for a value longer
+    than CPython's int-to-string limit (sys.get_int_max_str_digits()) only
+    the variable's name."""
+    try:
+        return f"{var}={got} (expected {want})"
+    except ValueError:
+        return f"{var} is too large to print (expected {want})"
 
 
 def qlty(program: ast.Program, suite: list[ct.TestCase] | tuple[ct.TestCase, ...],
@@ -569,7 +600,7 @@ def replay(session: Session, step_budget: int = DEFAULT_STEP_BUDGET) -> Report:
     session_errors: list[str] = []
     tautology = _guard(
         session_errors, "union precondition tautology",
-        lambda: is_tautology(union_so_far.pre, session.dom).holds,
+        lambda: implication(Prepared(TRUE), union_so_far.prepared[0], session.dom).holds,
     )
     score = _guard(
         session_errors, "qlty",

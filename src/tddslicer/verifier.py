@@ -14,21 +14,24 @@ detail and exception comes from one place. _scan judges every other
 scan from its visits, the points where some precondition holds or
 raises: check_all's come from one compiled filter (lang.interp.where) at
 or above the gate, and the others from the closures (_closure_visits).
-Its runs are lang.interp.runner's, made once per scan. A Judge validates
-and compiles a program and its contract once for any number of kept-sets
-of its statements (the slicer's candidates); Judge.first_failure()
-settles given points whose precondition is known to hold. check_all()
-decides many (program, contract) pairs in one scan, remembering each
-shared program and (program, postcondition) for the latest point only,
-which suffices because the triples judged at a point read the same
-inputs and final states. check_point() judges a single input with _judge
-through the checked run.
+Its runs are lang.interp.runner's, made once per scan. Contracts are
+validated and judged through their prepared values (predicates.Prepared):
+the scope check reads their free variables and every scan their
+closures, so a contract checked many times is walked and compiled once.
+A Judge validates and compiles a program and its contract once for any
+number of kept-sets of its statements (the slicer's candidates);
+Judge.first_failure() settles given points whose precondition is known
+to hold. check_all() decides many (program, contract) pairs in one scan,
+remembering each shared program and (program, postcondition) for the
+latest point only, which suffices because the triples judged at a point
+read the same inputs and final states. check_point() judges a single
+input with _judge through the checked run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from operator import attrgetter
 
 from .contracts import Contract, validate_scope
 from .errors import EvaluationFault
@@ -39,13 +42,12 @@ from .lang.interp import (
     FAULT,
     OK,
     RunResult,
-    compile_bool,
     loop_nest,
     run,
     runner,
     where,
 )
-from .predicates import Domain, State, eval_predicate
+from .predicates import Domain, Prepared, State
 
 VERIFIED = "verified"
 COUNTEREXAMPLE = "counterexample"
@@ -229,8 +231,8 @@ class Judge:
         _validate(program, contract, dom)
         self.program = program
         self.contract = contract
-        self.pre = compile_bool(contract.pre)
-        self.post = compile_bool(contract.post)
+        pre, post = contract.prepared
+        self.pre, self.post = pre.test, post.test
         self.dom = dom
         self.step_budget = step_budget
 
@@ -290,8 +292,8 @@ def check_all(
     bounded by one point per shared item, whatever the size of dom.
     """
     programs: list[ast.Program] = []
-    pres: list[ast.BoolExpr] = []
-    posts: list[ast.BoolExpr] = []
+    pres: list[Prepared] = []
+    posts: list[Prepared] = []
     triples: dict[tuple[int, int, int], int] = {}  # (pre, program, post) slots -> triple
     asked: list = []  # per pair: its triple, or the exception validating it raised
     for program, contract in pairs:
@@ -300,11 +302,10 @@ def check_all(
         except Exception as err:
             asked.append(err)
             continue
-        slots = (_slot(pres, contract.pre), _slot(programs, program), _slot(posts, contract.post))
+        pre, post = contract.prepared
+        slots = (_slot(pres, pre, _PRED), _slot(programs, program), _slot(posts, post, _PRED))
         asked.append(triples.setdefault(slots, len(triples)))
 
-    pre_tests = _compile_each(compile_bool, pres)
-    post_tests = _compile_each(compile_bool, posts)
     # every point's inputs and final states are shared by the triples
     # judged at that point, so remembering the latest argument suffices
     executors = [_latest(runner(program, step_budget)) for program in programs]
@@ -313,49 +314,44 @@ def check_all(
     judged: dict[int, tuple] = {}  # triple -> (pre, test, execute, post) for the scan
     scanned: dict[int, int] = {}  # pre slot of a judged triple -> its place in held
     for triple, (pre, code, post) in enumerate(triples):
-        pre_test, post_test = pre_tests[pre], post_tests[post]
-        if isinstance(pre_test, Exception) or isinstance(post_test, Exception):
-            verdicts[triple] = pre_test if isinstance(pre_test, Exception) else post_test
+        try:
+            pre_test, post_test = pres[pre].test, posts[post].test
+        except Exception as err:
+            verdicts[triple] = err
             continue
         if (code, post) not in post_getters:
             post_getters[code, post] = _latest(post_test)
         place = scanned.setdefault(pre, len(scanned))
         judged[triple] = (place, pre_test, executors[code], post_getters[code, post])
     if judged:
-        visits = where(dom.ranges, tuple(pres[pre] for pre in scanned))
+        visits = where(dom.ranges, tuple(pres[pre].pred for pre in scanned))
         if visits is None:
-            visits = _closure_visits([pre_tests[pre] for pre in scanned], dom)
+            visits = _closure_visits([pres[pre].test for pre in scanned], dom)
         else:
             visits = visits()
         verdicts.update(zip(judged, _scan(list(judged.values()), visits, dom)))
     return [verdicts[triple] if isinstance(triple, int) else triple for triple in asked]
 
 
-def _slot(known: list, item) -> int:
-    """Index of the first entry of known equal to item, appending it if new.
+#: what check_all compares to share a Prepared: its predicate
+_PRED = attrgetter("pred")
+
+
+def _slot(known: list, item, key=lambda entry: entry) -> int:
+    """Index of the first entry of known whose key equals item's,
+    appending item if there is none.
 
     Sharing only saves work, so items too deeply nested to compare are
     kept apart.
     """
     for slot, other in enumerate(known):
         try:
-            if other == item:
+            if key(other) == key(item):
                 return slot
         except RecursionError:
             pass
     known.append(item)
     return len(known) - 1
-
-
-def _compile_each(compile, preds: list[ast.BoolExpr]) -> list:
-    """compile of each predicate, or the exception it raised."""
-    compiled = []
-    for pred in preds:
-        try:
-            compiled.append(compile(pred))
-        except Exception as err:
-            compiled.append(err)
-    return compiled
 
 
 def _latest(fn):
@@ -408,6 +404,7 @@ def check_point(
 ) -> PointCheck:
     """Check one concrete input against a contract (the single-test view)."""
     validate_scope(contract, frozenset(program.in_params), frozenset(program.out_params))
+    pre, post = contract.prepared
     ran: list[RunResult] = []
 
     def execute(inputs: State) -> tuple:
@@ -416,12 +413,9 @@ def check_point(
         return (result.status, result.final, (), result.steps,
                 result.fault_stmt_id, result.fault_reason)
 
-    outcome = _judge(
-        partial(eval_predicate, contract.pre),
-        execute,
-        partial(eval_predicate, contract.post),
-        inputs,
-    )
+    # the post's closure is read only if the point gets that far, so a
+    # postcondition too deep to compile fails only a point it judges
+    outcome = _judge(pre.test, execute, lambda final: post.test(final), inputs)
     if outcome is None:
         return PointCheck(
             PRE_VIOLATION, inputs, None, "inputs do not satisfy the precondition"

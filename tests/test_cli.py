@@ -436,6 +436,30 @@ def test_value_too_large_to_print_exits_two_and_prints_nothing(capsys, tmp_path)
             assert result == (2, "", "error: value too large to print\n")
 
 
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="str() takes ints of any length",
+)
+def test_replay_counts_an_output_too_large_to_print_as_a_failed_test(capsys, tmp_path):
+    """A test whose output is longer than the int-to-string limit fails,
+    with a detail that names the variable and not its value, instead of
+    erroring; the human replay reports it as one failure (exit 1)."""
+    (tmp_path / "big.prog").write_text("proc f(in a, out o) { o := 10 ^ 5000; }")
+    session = tmp_path / "big.session"
+    session.write_text("\n".join([
+        "[session]", "final = big.prog", "domain = a in 0..3", "[cycle 1]", "test.name = t",
+        "test.inputs = a=1", "test.expect = o=5", "contract.pre = TRUE",
+        "contract.post = TRUE", "snapshot = big.prog",
+    ]))
+    code, out, err = run_cli(capsys, "replay", str(session))
+    assert (code, err) == (1, "")
+    detail = "o is too large to print (expected 5)"
+    assert f"\n  green:  FAIL ({detail})\n" in out
+    assert f"\nfailure: cycle 1: green check failed: {detail}\n" in out
+    assert "error" not in out
+    assert "result: FAILED (1 failures, 0 warnings)" in out
+
+
 def test_no_color_codes_when_not_a_tty(capsys, monkeypatch):
     monkeypatch.setenv("TDDSLICER_COLOR", "0")
     _, out, _ = run_cli(

@@ -19,9 +19,17 @@ from tddslicer import (
     union,
     union_all,
 )
-from tddslicer.contracts import NEW, REGRESSION, validate_scope
+from tddslicer.contracts import NEW, REGRESSION, Classification, validate_scope
 
-from generators import random_contract, random_test
+from generators import random_contract, random_predicate, random_test
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as err:
+        return type(err), str(err)
 
 
 def _max_test(a, b, expected_max, name="t"):
@@ -186,3 +194,36 @@ class TestAlgebraicProperties:
             combined = union(c1, c2)
             assert subsumed_by(c1, combined, dom).holds
             assert subsumed_by(c2, combined, dom).holds
+
+    def test_classification_is_that_of_the_union(self):
+        """classify_test judges the union of the history from each
+        contract's own closures: the same kind, index or exception as
+        judging each contract and then the union built by union_all,
+        faulting predicates included."""
+        rng = random.Random(103)
+        kinds = set()
+        for round_ in range(400):
+            faults = round_ % 2 == 1
+            history = [
+                Contract(
+                    random_predicate(rng, ("a", "b"), faults=faults),
+                    random_predicate(rng, ("a", "b", "o"), faults=faults),
+                )
+                for _ in range(rng.randint(1, 4))
+            ]
+            test = random_test(rng, span=2)
+
+            def reference():
+                for index, contract in enumerate(history):
+                    if is_instance(test, contract).holds:
+                        return Classification(REGRESSION, index)
+                if is_instance(test, union_all(history)).holds:
+                    return Classification(REGRESSION, None)
+                return Classification(NEW, None)
+
+            got = _outcome(classify_test, test, history)
+            assert got == _outcome(reference)
+            kinds.add(got if isinstance(got, tuple) else (got.kind, got.matched_contract is None))
+        # each way out was taken: a match, the union alone, new, a fault
+        assert {(REGRESSION, False), (REGRESSION, True), (NEW, True)} <= kinds
+        assert any(isinstance(kind[0], type) for kind in kinds)

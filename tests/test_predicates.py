@@ -23,10 +23,17 @@ from tddslicer import (
     is_tautology,
     parse_predicate,
     union,
+    union_all,
     Contract,
+    check,
+    check_all,
+    parse_program,
+    subsumed_by,
 )
+from tddslicer.contracts import validate_scope
 from tddslicer.lang import ast
-from tddslicer.predicates import TRUE, ImplicationResult
+from tddslicer.lang.interp import compile_bool
+from tddslicer.predicates import TRUE, ImplicationResult, Prepared, _static_fault_free, implication
 
 from bruteforce import bf_holds, bf_implies
 from generators import random_contract, random_predicate
@@ -419,3 +426,109 @@ def test_predicate_print_parse_round_trip(p):
 def test_contract_str_uses_predicate_syntax():
     contract = Contract(parse_predicate("a > b"), parse_predicate("a > b && max == a"))
     assert str(contract) == "{a > b}{a > b && max == a}"
+
+
+def _outcome(fn, *args):
+    """fn's value, or the type and message of the exception it raised."""
+    try:
+        return fn(*args)
+    except Exception as err:
+        return type(err), str(err)
+
+
+class TestPrepared:
+    """A Prepared value's facts equal a fresh derivation from its
+    predicate, for generated predicates (faulting ones included) and for
+    unions of them, whichever facts were derived before the union was
+    built."""
+
+    FACTS = ("free", "disjuncts", "fault_free", "test")
+    POINTS = [{"a": a, "b": b} for a in range(-2, 3) for b in range(-2, 3)]
+    DOM = Domain.parse("a in -2..2, b in -2..2")
+
+    def _assert_fresh(self, prepared):
+        pred = prepared.pred
+        assert prepared.free == free_vars(pred)
+        assert prepared.disjuncts == ast.or_disjuncts(pred)
+        assert prepared.fault_free == _static_fault_free(pred)
+        fresh = compile_bool(pred)
+        for point in self.POINTS:
+            assert _outcome(prepared.test, dict(point)) == _outcome(fresh, dict(point))
+
+    def _contract(self, rng, faults):
+        return Contract(
+            random_predicate(rng, ("a", "b"), faults=faults),
+            random_predicate(rng, ("a", "b"), faults=faults),
+        )
+
+    def test_generated_predicates_and_their_unions(self):
+        rng = random.Random(1919)
+        for round_ in range(80):
+            faults = round_ % 2 == 1
+            parts = [self._contract(rng, faults) for _ in range(rng.randint(1, 5))]
+            for contract in parts:
+                for prepared in contract.prepared:
+                    for fact in self.FACTS:
+                        if rng.random() < 0.3:
+                            getattr(prepared, fact)
+            shape = rng.choice(("left", "right", "twice"))
+            if shape == "left":
+                combined = union_all(parts)
+            elif shape == "right":
+                combined = parts[-1]
+                for contract in reversed(parts[:-1]):
+                    combined = union(contract, combined)
+            else:  # one contract twice: a part shared by both sides
+                combined = union(parts[0], parts[0])
+            plain = Contract(combined.pre, combined.post)
+            for contract in (*parts, combined):
+                for prepared, pred in zip(contract.prepared, (contract.pre, contract.post)):
+                    assert prepared.pred is pred
+                    self._assert_fresh(prepared)
+            # the algebra over composed values answers as over fresh ones
+            for contract in parts:
+                composed = _outcome(subsumed_by, contract, combined, self.DOM)
+                fresh = _outcome(subsumed_by, Contract(contract.pre, contract.post), plain, self.DOM)
+                assert composed == fresh
+            assert _outcome(implication, Prepared(TRUE), combined.prepared[0], self.DOM) == (
+                _outcome(is_tautology, combined.pre, self.DOM)
+            )
+
+    def test_a_long_union_needs_no_stack(self):
+        """Facts of a union of 3,000 contracts whose parts derived none are
+        derived in a loop, and its closure judges the parts' closures in a
+        loop: not one frame per part, so checks over it get answers."""
+        contracts = [Contract(parse_predicate(f"a == {n}"), TRUE) for n in range(3000)]
+        combined = union_all(contracts)
+        pre = combined.prepared[0]
+        assert pre.free == {"a"}
+        assert pre.disjuncts == tuple(c.pre for c in contracts)
+        assert pre.fault_free
+        assert (pre.test({"a": 2999}), pre.test({"a": 3000})) == (True, False)
+        program = parse_program("proc f(in a, out o) { o := a; }")
+        result = check(program, combined, Domain.parse("a in 2990..3009"))
+        assert (result.verdict, result.checked_points) == ("verified", 10)
+
+    def test_too_deep_fails_where_the_fact_is_first_needed(self):
+        """Parsing, Contract(...) and union derive nothing; the first query
+        that walks or compiles the deep predicate is ParseError(TOO_DEEP)."""
+        deep = parse_predicate(" + ".join(["a"] * 5000) + " > 0")
+        contract = Contract(deep, TRUE)
+        combined = union(contract, Contract(TRUE, TRUE))
+        program = parse_program("proc f(in a, out o) { o := a; }")
+        dom = Domain.parse("a in 0..1")
+        calls = [
+            lambda: validate_scope(contract, frozenset({"a"}), frozenset({"o"})),
+            lambda: subsumed_by(contract, combined, dom),
+            lambda: subsumed_by(Contract(TRUE, TRUE), combined, dom),
+            lambda: implies(deep, TRUE, dom),
+            lambda: is_tautology(combined.pre, dom),
+            lambda: check(program, contract, dom),
+            lambda: check(program, combined, dom),
+        ]
+        for call in calls:
+            with pytest.raises(ParseError) as excinfo:
+                call()
+            assert str(excinfo.value) == "expression nested too deeply"
+        (shared,) = check_all([(program, combined)], dom)
+        assert isinstance(shared, ParseError)

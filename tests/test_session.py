@@ -2,17 +2,20 @@
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import hashlib
+import json
 import shutil
 
 import pytest
 
 from tddslicer import Contract, TestCase, check_point, parse_predicate, qlty, replay
+from tddslicer import session as session_module
 from tddslicer.cli import main
 from tddslicer.contracts import REGRESSION
 from tddslicer.corpus import corpus_path
-from tddslicer.lang import parse_program
+from tddslicer.lang import ast, interp, parse_program
 from tddslicer.session import (
     FAILED_AS_EXPECTED,
     NOT_APPLICABLE,
@@ -23,6 +26,8 @@ from tddslicer.session import (
     parse_session,
     run_test,
 )
+
+from long_session import write_long_session
 
 MINIMAL_PROG = "proc inc(in x, out y) {\n    y := x + 1;\n}\n"
 
@@ -468,3 +473,67 @@ class TestReplayGoldens:
         assert len(verifier_runs) == 754
         digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
         assert digest == WIDE_DIV_REPLAY_SHA256
+
+
+class TestLongSession:
+    """A generated session of many cycles over one program file
+    (tests/long_session.py): what replay derives from its predicates grows
+    with the number of cycles, not with its square."""
+
+    def test_each_snapshot_path_is_parsed_once(self, monkeypatch, tmp_path):
+        """40 cycles naming one snapshot file parse it once (and the final
+        program, the same file, once more on its own); the report equals
+        that of the session with a copy of the file per cycle, each parsed
+        apart."""
+        shared = write_long_session(tmp_path / "shared", 40)
+        apart = tmp_path / "apart"
+        shutil.copytree(shared.parent, apart)
+        text = shared.read_text(encoding="utf-8")
+        for index in range(1, 41):
+            shutil.copy(apart / "div.prog", apart / f"div{index}.prog")
+            text = text.replace("snapshot = div.prog", f"snapshot = div{index}.prog", 1)
+        (apart / "long.session").write_text(text, encoding="utf-8")
+        parsed = []
+        real = session_module.parse_program
+
+        def counting(source):
+            parsed.append(source)
+            return real(source)
+
+        monkeypatch.setattr(session_module, "parse_program", counting)
+        reports = []
+        for path, parses in ((shared, 2), (apart / "long.session", 41)):
+            parsed.clear()
+            loaded = load_session(path)
+            assert len(parsed) == parses
+            reports.append(replay(loaded).to_json())
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["ok"]
+
+    def test_predicate_walks_and_compiles_grow_linearly(self, monkeypatch, tmp_path):
+        """Nodes walked for free variables and compiled into closures by
+        replays of 10, 20 and 40 cycles: the 20 cycles after the 20th cost
+        about twice the 10 after the 10th, as linear growth does. Walking
+        the running union afresh every cycle cost about 3.6 times."""
+        counts = collections.Counter()
+        real_walk, real_compile = ast._free_vars, interp._compile_pred
+
+        def walk(node):
+            counts["walks"] += 1
+            return real_walk(node)
+
+        def compile_pred(pred):
+            counts["compiles"] += 1
+            return real_compile(pred)
+
+        monkeypatch.setattr(ast, "_free_vars", walk)
+        monkeypatch.setattr(interp, "_compile_pred", compile_pred)
+        seen = {}
+        for cycles in (10, 20, 40):
+            loaded = load_session(write_long_session(tmp_path / str(cycles), cycles))
+            counts.clear()
+            assert replay(loaded).ok
+            seen[cycles] = dict(counts)
+        for kind in ("walks", "compiles"):
+            first, second = (seen[20][kind] - seen[10][kind], seen[40][kind] - seen[20][kind])
+            assert second <= 2.2 * first, (kind, seen)

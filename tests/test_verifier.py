@@ -23,7 +23,7 @@ from tddslicer import (
     parse_program,
     run,
 )
-from tddslicer import slicer, verifier
+from tddslicer import predicates, slicer, verifier
 from tddslicer.cli import main
 from tddslicer.corpus import corpus_path
 from tddslicer.lang import interp
@@ -589,7 +589,7 @@ class TestWideDomains:
         # its stop; the gate raised keeps this wide domain on the closures
         monkeypatch.setattr(interp, "NEST_FROM_POINTS", 10**18)
         judged = []
-        real_compile = verifier.compile_bool
+        real_compile = predicates.compile_bool
 
         def recording(pred):
             test = real_compile(pred)
@@ -600,7 +600,7 @@ class TestWideDomains:
 
             return recorded
 
-        monkeypatch.setattr(verifier, "compile_bool", recording)
+        monkeypatch.setattr(predicates, "compile_bool", recording)
         program = parse_program(self.COPY)
         result = check(program, _contract("a > 0", "o < 2"), Domain.parse("a in 1..1000000"))
         assert result.witness.inputs == {"a": 2}
@@ -639,7 +639,7 @@ class TestSharedWork:
             (program, _contract("a < 3", "o == 1")),
         ]
         points = Counter()
-        real_compile = verifier.compile_bool
+        real_compile = predicates.compile_bool
 
         def counting_compile(pred):
             test = real_compile(pred)
@@ -650,7 +650,7 @@ class TestSharedWork:
 
             return counted
 
-        monkeypatch.setattr(verifier, "compile_bool", counting_compile)
+        monkeypatch.setattr(predicates, "compile_bool", counting_compile)
         results = check_all(pairs, dom)
         assert [r.verdict for r in results] == [VERIFIED] * 4
         assert [r.checked_points for r in results] == [6, 6, 6, 3]
