@@ -9,18 +9,7 @@ same compiled statements. A predicate is compiled by compile_bool, once
 per contract: its Prepared value (predicates) keeps the closure. runner,
 made once per (program, budget, kept-set), is the one per-run core: the
 verifier's scans call it per point for a plain tuple; run wraps it with
-the input checks and returns a RunResult.
-
-A function made by runner has two tiers with one semantics (adaptive
-recompilation, after Hoelzle & Ungar, "A Third-Generation SELF
-Implementation", OOPSLA 1994). It starts on the closures. Its unrecorded
-runs add their steps to a count of its own, and once the count reaches
-SOURCE_AFTER_STEPS it emits the program, with its kept-set and budget, as
-Python source, compiles it, and runs that for every later call: the saving
-per run grows with the steps a run takes, so only scans long enough to
-repay the compile pay for it. Source that Python refuses (nested too
-deeply for its parser or compiler) leaves the function on the closures
-for good. Recorded runs never switch.
+the input checks and returns a RunResult. Every run runs on the closures.
 
 loop_nest emits a whole scan as one Python function (operator fusion,
 after Neumann, "Efficiently Compiling Efficient Query Plans for Modern
@@ -55,9 +44,6 @@ from ..errors import TOO_DEEP, EvaluationFault, ParseError, UnboundVariableError
 from . import ast
 
 DEFAULT_STEP_BUDGET = 10000
-
-#: steps after which a function made by runner runs compiled Python source
-SOURCE_AFTER_STEPS = 1000
 
 #: domain points from which loop_nest and where compile a scan: fewer do
 #: not repay the compile
@@ -425,13 +411,11 @@ def _compiled(program: ast.Program) -> _CompiledProgram:
     return code
 
 
-# --- the source tier ----------------------------------------------------------
+# --- compiled scans ---------------------------------------------------------
 #
-# A program, with a kept-set and a budget, emitted as the Python source of
-# one function of the inputs and compiled by Python: the statements inline,
-# the program variables locals named v_<name>, each step counted in the
-# local left. It returns what the closures return for an unrecorded run.
-# loop_nest emits a scan the same way.
+# A whole scan emitted as the Python source of one function and compiled by
+# Python: the statements inline, the program variables locals named
+# v_<name>, each step counted in the local left.
 
 
 def _faulting(fn: Callable) -> Callable:
@@ -536,27 +520,6 @@ class _Emitter:
             self.block(stmt.body, depth)
 
 
-def _source(program: ast.Program, step_budget: int, kept: frozenset[int] | None) -> list:
-    """The source of `run(inputs)`, which returns what runner's function
-    returns for program, step_budget and kept on an unrecorded run."""
-    in_params, zeroed = program.in_params, tuple(_compiled(program).zeroed)
-    emitter = _Emitter((*in_params, *zeroed), kept)
-    emitter.block(program.body, 2)
-    final = ", ".join(f"{name!r}: v_{name}" for name in (*in_params, *zeroed))
-    return [
-        (0, "def run(inputs):"),
-        *[(1, f"v_{name} = inputs[{name!r}]") for name in in_params],
-        *[(1, f"v_{name} = 0") for name in zeroed],
-        (1, f"left = {step_budget!r}"),
-        (1, f"status, stmt_id, reason = {OK!r}, None, None"),
-        (1, "try:"),
-        *(emitter.lines or [(2, "pass")]),
-        (1, "except _Stop as stop:"),
-        (2, "status, stmt_id, reason = stop.status, stop.stmt_id, stop.reason"),
-        (1, f"return status, {{**inputs, {final}}}, (), {step_budget!r} - left, stmt_id, reason"),
-    ]
-
-
 def _load(name: str, function: str, emit: Callable[[], list]) -> Callable | None:
     """The function called function that the source lines emit() define,
     compiled, or None when Python refuses them: source nested too
@@ -573,11 +536,6 @@ def _load(name: str, function: str, emit: Callable[[], list]) -> Callable | None
     return namespace[function]
 
 
-def _source_tier(program: ast.Program, step_budget: int, kept: frozenset[int] | None):
-    """_source compiled, or None when Python refuses it (see _load)."""
-    return _load(program.name, "run", lambda: _source(program, step_budget, kept))
-
-
 def loop_nest(
     program: ast.Program,
     step_budget: int,
@@ -590,10 +548,10 @@ def loop_nest(
     a step_budget below 1 or source Python refuses (see _load). scan
     judges pre holds -> run -> post holds at each point of ranges, the
     in-parameters' (name, lo, hi) in name order, one for loop each, with
-    the kept statements inline as in _source. It returns (None, count) or,
-    at the first point where pre raises, the run ends other than ok, or
-    post is false or raises, (inputs, count); count is the points before
-    it where pre held."""
+    the kept statements inline. It returns (None, count) or, at the first
+    point where pre raises, the run ends other than ok, or post is false
+    or raises, (inputs, count); count is the points before it where pre
+    held."""
     if math.prod(hi - lo + 1 for _, lo, hi in ranges) < NEST_FROM_POINTS or step_budget < 1:
         return None
 
@@ -682,14 +640,6 @@ def runner(
     been deleted (ids unchanged), as the slicer's deletions do: the result
     equals that of running the program so built. The original is compiled
     once; runner composes kept's body from its compiled statements.
-
-    The function runs in two tiers with one result. It starts on the
-    closures. Unless record is set, it counts the steps of its runs, and
-    once they reach SOURCE_AFTER_STEPS it emits and compiles Python source
-    for its kept-set and budget (_source_tier) and runs that from then on:
-    only a function that runs long enough pays the compile. When Python
-    refuses the source (a program nested too deeply for its parser or
-    compiler), the function stays on the closures and never tries again.
     """
     if step_budget < 1:
         return _refuse(ValueError, "step_budget must be positive")
@@ -699,23 +649,8 @@ def runner(
         return _refuse(ParseError, TOO_DEEP)
     body = code.body if kept is None else _compose(code.parts, kept)
     zeroed = code.zeroed
-    after = math.inf if record else SOURCE_AFTER_STEPS
-    spent, source = 0, None  # steps run on the closures; the compiled source
 
     def execute(inputs: dict[str, int]) -> tuple:
-        nonlocal after, spent, source
-        if spent >= after:
-            if source is None:
-                source = _source_tier(program, step_budget, kept)
-            if source is None:
-                after = math.inf  # Python refused the source: the closures for good
-            else:
-                try:
-                    return source(inputs)
-                except KeyError:
-                    # inputs miss an in-parameter, which the source reads before
-                    # its first step: the closures fail where the program reads it
-                    pass
         state = {**inputs, **zeroed}
         counters = _Counters(step_budget, [] if record else None)
         try:
@@ -728,9 +663,7 @@ def runner(
         else:
             status, stmt_id, reason = OK, None, None
         trajectory = tuple(counters.log) if record else ()
-        steps = step_budget - counters.left
-        spent += steps
-        return status, state, trajectory, steps, stmt_id, reason
+        return status, state, trajectory, step_budget - counters.left, stmt_id, reason
 
     return execute
 

@@ -4,7 +4,6 @@ import pytest
 
 from tddslicer import Contract, Domain, load_session, parse_predicate, parse_program, verifier
 from tddslicer.corpus import corpus_path
-from tddslicer.lang import interp
 
 
 @pytest.fixture(scope="session")
@@ -72,27 +71,3 @@ def verifier_runs(monkeypatch):
     monkeypatch.setattr(verifier, "run", counting_run)
     return calls
 
-
-@pytest.fixture
-def tier_switches(monkeypatch):
-    """One entry per function made by runner that switched to the source
-    tier, in order: whether Python compiled its source (False when it
-    stayed on the closures)."""
-    switches = []
-    real = interp._source_tier
-
-    def spy(*args):
-        code = real(*args)
-        switches.append(code is not None)
-        return code
-
-    monkeypatch.setattr(interp, "_source_tier", spy)
-    return switches
-
-
-@pytest.fixture
-def source_tier(monkeypatch, tier_switches):
-    """Unrecorded runs run compiled source from the first call of each
-    function runner makes; gives tier_switches."""
-    monkeypatch.setattr(interp, "SOURCE_AFTER_STEPS", 0)
-    return tier_switches

@@ -470,39 +470,6 @@ class TestRunAgainstOracle:
             statuses[result.status] += 1
         assert min(statuses.values()) >= 30, statuses
 
-    def test_source_tier_matches_bf_run(self, source_tier):
-        """Unrecorded runs on compiled source give bf_run's every field but
-        the trajectory, with the final state's keys in bf_run's order."""
-        statuses = {OK: 0, FAULT: 0, BUDGET_EXCEEDED: 0}
-        for program, inputs, budget in _oracle_cases(20261017):
-            result = run(program, inputs, budget, record=False)
-            expected = bf_run(program, inputs, budget)
-            got = (result.status, result.steps, result.fault_stmt_id, result.fault_reason,
-                   result.final, result.trajectory)
-            assert got == (*expected[:5], ()), pretty_print(program)
-            assert list(result.final) == list(expected[4])
-            statuses[result.status] += 1
-        assert min(statuses.values()) >= 30, statuses
-        assert len(source_tier) == 300 and all(source_tier)
-
-    def test_hand_built_literal_conditions_switch(self, source_tier):
-        """TRUE and FALSE, which the parser gives only in predicates, have
-        source too."""
-        params = (ast.Param("x", "in"), ast.Param("y", "out"))
-        unless = ast.If(1, ast.BoolLit(False), ast.Block((ast.Assign(2, "y", ast.IntLit(1)),)),
-                        ast.Block())
-        forever = ast.While(3, ast.BoolLit(True), ast.Block())
-        program = ast.Program("f", params, frozenset(), ast.Block((unless, forever)))
-        expected = (BUDGET_EXCEEDED, {"x": 1, "y": 0}, (), 11, 3, "step budget exceeded")
-        assert runner(program, 10)({"x": 1}) == expected
-        assert source_tier == [True]
-        assert runner(program, 10, record=True)({"x": 1}) == expected
-
-    def test_recorded_runs_never_switch(self, source_tier):
-        for program, inputs, budget in _oracle_cases(11, count=20):
-            run(program, inputs, budget)
-        assert source_tier == []
-
     def test_unrecorded_run_differs_only_in_trajectory(self):
         for program, inputs, budget in _oracle_cases(11, count=100):
             recorded = run(program, inputs, budget)
@@ -527,16 +494,9 @@ class TestUnboundVariable:
         with pytest.raises(UnboundVariableError):
             run(program, {"x": 1}, record=False)
 
-    def test_on_the_source_tier_as_on_the_closures(self, source_tier):
-        """A program reading an undeclared variable stays on the closures;
-        inputs missing an in-parameter are run by the closures, which fail
-        where the program reads it, or not at all."""
-        reads_z = ast.Assign(1, "y", ast.Arith("+", ast.Var("x"), ast.Var("z")))
-        program = ast.Program("f", self.PARAMS, frozenset(), ast.Block((reads_z,)))
-        with pytest.raises(UnboundVariableError) as excinfo:
-            runner(program, 10)({"x": 1})
-        assert excinfo.value.name == "z"
-        assert source_tier == [False]
+    def test_runner_reads_an_input_only_where_the_program_does(self):
+        """runner checks no inputs: one missing an in-parameter fails where
+        the program reads it, or not at all."""
         two_ins = parse_program("proc f(in a, in b, out o){ o := 1; o := a + b; }")
         execute = runner(two_ins, 10)
         assert execute({"a": 1, "b": 2}) == (OK, {"a": 1, "b": 2, "o": 3}, (), 2, None, None)
@@ -544,7 +504,6 @@ class TestUnboundVariable:
             execute({"a": 1})
         assert excinfo.value.name == "b"
         assert runner(two_ins, 1)({}) == (BUDGET_EXCEEDED, {"o": 1}, (), 2, 2, "step budget exceeded")
-        assert source_tier == [False, True, True]
 
     def test_predicate_on_a_state_missing_one_of_its_variables(self):
         state = {"a": 1}

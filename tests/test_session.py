@@ -439,6 +439,22 @@ class TestReplayGoldens:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIV_REPLAY_SHA256
 
+    def test_div_session_compiles_only_its_where_filter(self, capsys, monkeypatch):
+        """Every run of a replay runs on the closures: the one function it
+        emits and compiles is check_all's precondition filter."""
+        loaded = []
+        real = interp._load
+
+        def spy(name, function, emit):
+            loaded.append((name, function))
+            return real(name, function, emit)
+
+        monkeypatch.setattr(interp, "_load", spy)
+        code, out = self._replay_output(capsys, corpus_path("div.session"))
+        assert code == 0
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIV_REPLAY_SHA256
+        assert loaded == [("where", "visits")]
+
     def test_broken_session_machine_output(self, capsys, minimal_dir):
         path = minimal_dir / "broken.session"
         path.write_text(TestReplayNegative.BROKEN)
@@ -461,8 +477,8 @@ class TestReplayGoldens:
     def test_wider_div_session_report_and_run_count(self, verifier_runs):
         """div.session over 39 x 16 = 624 points instead of 153: every
         cycle contract holds on all of them, so each pair scans the whole
-        domain (ten of the 64-point chunks check_all once took, not
-        three). Report hash and run count were captured with the chunks."""
+        domain. Report hash and run count were captured when check_all
+        still scanned in chunks, and have not changed since."""
         path = corpus_path("div.session")
         text = path.read_text(encoding="utf-8")
         narrow = "domain = x in 0..16, y in 1..9"

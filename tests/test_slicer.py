@@ -555,23 +555,10 @@ def _random_kept(rng, block, keep):
 
 
 def test_kept_set_run_equals_run_of_the_built_program():
-    """runner(p, budget, kept=K), the scans' per-run core, gives run of p
-    with every statement outside K deleted, field by field, including the
-    key order of the final state; kept-sets of one program come and go in
-    any order."""
-    _kept_set_runs_agree()
-
-
-def test_kept_set_source_run_equals_run_of_the_built_program(source_tier):
-    """The same on the source tier: a kept-set's source leaves out what
-    the deletions delete."""
-    _kept_set_runs_agree()
-    assert len(source_tier) == 240 * 6 and all(source_tier)
-
-
-def _kept_set_runs_agree():
-    """runner with kept-sets, recorded and not, against the recorded run
-    of the built program, which never leaves the closures."""
+    """runner(p, budget, kept=K), the scans' per-run core, recorded and
+    not, gives run of p with every statement outside K deleted, field by
+    field, including the key order of the final state; kept-sets of one
+    program come and go in any order."""
     rng = random.Random(4711)
     statuses = {OK: 0, FAULT: 0, BUDGET_EXCEEDED: 0}
     for _ in range(240):

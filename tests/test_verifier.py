@@ -14,6 +14,7 @@ from tddslicer import (
     Domain,
     ParseError,
     PredicateUndefinedError,
+    UnboundVariableError,
     check,
     check_all,
     check_point,
@@ -26,7 +27,7 @@ from tddslicer import (
 from tddslicer import predicates, slicer, verifier
 from tddslicer.cli import main
 from tddslicer.corpus import corpus_path
-from tddslicer.lang import interp
+from tddslicer.lang import ast, interp
 from tddslicer.lang.interp import OK
 from tddslicer.predicates import TRUE
 from tddslicer.verifier import (
@@ -313,16 +314,8 @@ class TestCheckAll:
         return pairs
 
     def test_shared_scan_matches_solo_check_and_bruteforce(self):
-        self._agree_with_solo_and_bruteforce()
-
-    def test_shared_scan_on_source_matches_solo_check_and_bruteforce(self, source_tier):
-        verdicts = self._agree_with_solo_and_bruteforce()
-        assert min(verdicts[FAULT], verdicts[BUDGET_EXCEEDED]) >= 30, verdicts
-        assert source_tier and all(source_tier)
-
-    def _agree_with_solo_and_bruteforce(self) -> Counter:
         rng = random.Random(3031)
-        # 25 points fit in one chunk of the scan; 169 points take three
+        # 25 points are judged on the closures, 169 with where's compiled filter
         domains = [self.RANGES, {"a": (-6, 6), "b": (-6, 6)}]
         verdicts = Counter()
         invalid_batches = 0
@@ -355,7 +348,7 @@ class TestCheckAll:
         # every verdict shows up often enough to mean something
         for verdict in (VERIFIED, COUNTEREXAMPLE, VACUOUS, FAULT, BUDGET_EXCEEDED):
             assert verdicts[verdict] >= 20, verdicts
-        return verdicts
+        assert min(verdicts[FAULT], verdicts[BUDGET_EXCEEDED]) >= 30, verdicts
 
     def test_shared_fault_gives_every_reader_the_same_witness(self):
         program = parse_program("proc f(in a, in b, out o){ o := a; }")
@@ -422,19 +415,15 @@ class TestCheckAll:
             finally:
                 tracemalloc.stop()
 
-        # each side of the gate on its own (the closures, then where's
-        # compiled filter), and each tier on its own: a scan compiles its
-        # source once, after SOURCE_AFTER_STEPS steps, which the large
-        # domain reaches and the small one does not
+        # each side of the gate on its own: the closures, then where's
+        # compiled filter
         for gate in (10**18, 0):
             monkeypatch.setattr(interp, "NEST_FROM_POINTS", gate)
-            for source_after_steps in (10**9, 0):
-                monkeypatch.setattr(interp, "SOURCE_AFTER_STEPS", source_after_steps)
-                small, small_results = peak("x in 0..9, y in 1..10")
-                large, large_results = peak("x in 0..99, y in 1..100")
-                assert [r.verdict for r in small_results] == [r.verdict for r in large_results]
-                assert large_results[0].checked_points == 10_000
-                assert large < small + 32_000
+            small, small_results = peak("x in 0..9, y in 1..10")
+            large, large_results = peak("x in 0..99, y in 1..100")
+            assert [r.verdict for r in small_results] == [r.verdict for r in large_results]
+            assert large_results[0].checked_points == 10_000
+            assert large < small + 32_000
 
 
 def _compiled_sources(monkeypatch, function):
@@ -661,111 +650,6 @@ class TestSharedWork:
 DIV_SPEC = "0 <= r && r < y && x == y * q + r"
 
 
-class TestSourceTier:
-    """A scan's runs move to compiled source once they have taken
-    SOURCE_AFTER_STEPS steps, with every verdict, witness and count as on
-    the closures. Domains as large as the loop nest's take the nest
-    instead, so the tests of the runs' switch raise its gate."""
-
-    CASES = {
-        # (program, pre, post, domain, budget, verdict); each scan fails
-        # well after its 1,000th step
-        "counterexample": (None, "x >= 0 && y >= 1", "q < 40", "x in 0..60, y in 1..10",
-                           10000, COUNTEREXAMPLE),
-        "fault": ("proc f(in x, in y, out q) { var t; t := x; while (t >= y) { t := t - y;"
-                  " q := q + 1; } q := q / (x - 30); }",
-                  "TRUE", "TRUE", "x in 0..60, y in 1..10", 10000, FAULT),
-        "budget": (None, "x >= 0 && y >= 1", DIV_SPEC, "x in 0..200, y in 1..50",
-                   60, BUDGET_EXCEEDED),
-    }
-
-    @pytest.mark.parametrize("case", CASES)
-    def test_a_scan_that_switches_midway_judges_as_on_closures(
-        self, case, div_oracle, monkeypatch, tier_switches
-    ):
-        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 10**18)
-        text, pre, post, spec, budget, verdict = self.CASES[case]
-        program = div_oracle if text is None else parse_program(text)
-        contract, dom = _contract(pre, post), Domain.parse(spec)
-        tiered = check(program, contract, dom, budget)
-        assert tier_switches == [True]
-        monkeypatch.setattr(interp, "SOURCE_AFTER_STEPS", 10**9)
-        closures = check(program, contract, dom, budget)
-        assert tier_switches == [True]
-        assert tiered.verdict == verdict
-        assert tiered == closures
-        assert list(tiered.witness.final) == list(closures.witness.final)
-        assert tiered.checked_points > 100
-
-    @pytest.mark.parametrize("body, post", [
-        # parses and closure-compiles; Python refuses 249 nested parentheses
-        ("o := " + " + ".join(["a"] * 250) + ";", "o == 250 * a"),
-        # Python refuses more than 20 statically nested blocks
-        ("while (o < a) { " * 25 + "o := o + 1; " + "} " * 25, "o == a || a < 0"),
-    ])
-    def test_source_python_refuses_stays_on_closures(self, body, post, monkeypatch, tier_switches):
-        program = parse_program(f"proc f(in a, out o) {{ {body} }}")
-        contract, dom = _contract("TRUE", post), Domain.parse("a in -3..3")
-
-        def judged():
-            runs = [run(program, {"a": a}, record=False) for a in range(-3, 4)]
-            return runs, check(program, contract, dom)
-
-        monkeypatch.setattr(interp, "SOURCE_AFTER_STEPS", 0)
-        source = judged()
-        assert tier_switches and not any(tier_switches)
-        monkeypatch.setattr(interp, "SOURCE_AFTER_STEPS", 10**9)
-        assert source == judged()
-        assert source[1].verdict == VERIFIED
-
-    @pytest.mark.parametrize("post", [
-        # posts are judged on the closures, so neither an exists nor 249
-        # nested parentheses keep the program from switching
-        "exists n in 0..5 : o + n == 2",
-        " + ".join(["a"] * 250) + " == 250 * o && a < 3",
-    ])
-    def test_unfusable_post_still_switches(self, post, monkeypatch, tier_switches):
-        program = parse_program("proc f(in a, out o) { var w; w := a; o := w; }")
-        contract, dom = _contract("TRUE", post), Domain.parse("a in -3..3")
-        monkeypatch.setattr(interp, "SOURCE_AFTER_STEPS", 0)
-        tiered = check(program, contract, dom)
-        assert tier_switches == [True]
-        monkeypatch.setattr(interp, "SOURCE_AFTER_STEPS", 10**9)
-        closures = check(program, contract, dom)
-        assert tier_switches == [True]
-        assert tiered.verdict == COUNTEREXAMPLE
-        assert tiered.witness.inputs == {"a": 3}
-        assert tiered == closures
-        assert list(tiered.witness.final) == list(closures.witness.final) == ["a", "o", "w"]
-        assert tiered.checked_points == closures.checked_points == 7
-
-    def test_a_passing_point_builds_no_final_state(self, div_oracle, monkeypatch):
-        """check judges its postcondition inside the loop nest: no point
-        that passes runs the closures, and the failing one runs them once,
-        for its final state."""
-        ran = []
-        real = verifier.runner
-
-        def spying(*args, **kwargs):
-            execute = real(*args, **kwargs)
-
-            def spied(inputs):
-                ran.append(execute(inputs))
-                return ran[-1]
-
-            return spied
-
-        monkeypatch.setattr(verifier, "runner", spying)
-        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 0)
-        dom = Domain.parse("x in 0..10, y in 1..5")
-        assert check(div_oracle, _contract("x >= 0 && y >= 1", DIV_SPEC), dom).verdict == VERIFIED
-        assert ran == []
-        verdict = check(div_oracle, _contract("x >= 0 && y >= 1", "q < 3"), dom)
-        assert verdict.witness.inputs == {"x": 3, "y": 1}
-        assert verdict.checked_points == 16
-        assert len(ran) == 1 and ran[0][0] == OK
-
-
 #: a division whose last statement faults at x == 30
 FAULT_AT_30 = ("proc f(in x, in y, out q) { var t; t := x; while (t >= y) { t := t - y;"
                " q := q + 1; } q := q / (x - 30); }")
@@ -780,8 +664,8 @@ NEST_COMMANDS = {
     "fault": (FAULT_AT_30, "--pre", "TRUE", "--post", "TRUE", "--domain", "x in 0..60, y in 1..10"),
 }
 
-#: SHA-256 of the stdout of each NEST_COMMANDS case in each format, as the
-#: row scan gave it before the loop nest
+#: SHA-256 of the stdout of each NEST_COMMANDS case in each format, as
+#: check printed it before the loop nest, judging the points one by one
 NEST_GOLDENS = {
     ("exists", "human"): "7d826e69e04a7629c575d6c1498dd2b7d365b24f2284b530705a7233c6d62b92",
     ("exists", "machine"): "ef8474753ca2768ac0a6e6bf2d7a2cd8100775ba4bc8e9080a6fdc1e614ab89a",
@@ -900,6 +784,69 @@ class TestLoopNest:
         assert nests == []
         check(max2, contract, Domain.from_dict({"a": (1, below + 1), "b": (0, 0)}))
         assert nests == [True]
+
+    def test_a_passing_point_builds_no_final_state(self, div_oracle, monkeypatch):
+        """check judges its postcondition inside the loop nest: no point
+        that passes runs the closures, and the failing one runs them once,
+        for its final state."""
+        ran = []
+        real = verifier.runner
+
+        def spying(*args, **kwargs):
+            execute = real(*args, **kwargs)
+
+            def spied(inputs):
+                ran.append(execute(inputs))
+                return ran[-1]
+
+            return spied
+
+        monkeypatch.setattr(verifier, "runner", spying)
+        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 0)
+        dom = Domain.parse("x in 0..10, y in 1..5")
+        assert check(div_oracle, _contract("x >= 0 && y >= 1", DIV_SPEC), dom).verdict == VERIFIED
+        assert ran == []
+        verdict = check(div_oracle, _contract("x >= 0 && y >= 1", "q < 3"), dom)
+        assert verdict.witness.inputs == {"x": 3, "y": 1}
+        assert verdict.checked_points == 16
+        assert len(ran) == 1 and ran[0][0] == OK
+
+    PARAMS = (ast.Param("x", "in"), ast.Param("y", "out"))
+
+    def test_hand_built_literal_conditions(self, monkeypatch, nests):
+        """TRUE and FALSE, which the parser gives only in predicates, are
+        emitted as if and while conditions too."""
+        sets_y = ast.Block((ast.Assign(2, "y", ast.Var("x")),))
+        taken = ast.If(1, ast.BoolLit(True), sets_y, ast.Block())
+        never = ast.While(3, ast.BoolLit(False), ast.Block())
+        exits = ast.Program("f", self.PARAMS, frozenset(), ast.Block((taken, never)))
+        unless = ast.If(1, ast.BoolLit(False), sets_y, ast.Block())
+        forever = ast.While(3, ast.BoolLit(True), ast.Block())
+        spins = ast.Program("f", self.PARAMS, frozenset(), ast.Block((unless, forever)))
+        ranges = {"x": (-3, 3)}
+        contract, dom = _contract("TRUE", "y == x"), Domain.from_dict(ranges)
+        verified = self._both_ways(monkeypatch, exits, contract, dom, budget=10)
+        assert (verified.verdict, verified.checked_points) == (VERIFIED, 7)
+        _agrees(exits, contract, ranges, 10, verified)
+        spun = self._both_ways(monkeypatch, spins, contract, dom, budget=10)
+        assert spun.verdict == BUDGET_EXCEEDED
+        assert spun.witness.final == {"x": -3, "y": 0}
+        assert spun.witness.detail == "step budget exceeded at statement 3"
+        _agrees(spins, contract, ranges, 10, spun)
+        assert nests == [True, True]
+
+    def test_hand_built_program_reading_an_undeclared_variable(self, monkeypatch, nests):
+        """Python is not asked to compile a nest that reads a name the
+        program does not declare; check raises on the closures."""
+        reads_z = ast.Assign(1, "y", ast.Arith("+", ast.Var("x"), ast.Var("z")))
+        program = ast.Program("f", self.PARAMS, frozenset(), ast.Block((reads_z,)))
+        contract, dom = _contract("TRUE", "TRUE"), Domain.parse("x in -3..3")
+        for gate in (0, 10**18):
+            monkeypatch.setattr(interp, "NEST_FROM_POINTS", gate)
+            with pytest.raises(UnboundVariableError) as excinfo:
+                check(program, contract, dom)
+            assert excinfo.value.name == "z"
+        assert nests == [False]
 
     @pytest.mark.parametrize("case, form", sorted(NEST_GOLDENS))
     def test_cli_output_is_the_row_scans(self, case, form, capsys, tmp_path):
@@ -1099,7 +1046,7 @@ class TestFirstFailure:
         except ZeroDivisionError:
             return False
 
-    def test_agrees_with_check_point_on_the_built_program(self, tier_switches):
+    def test_agrees_with_check_point_on_the_built_program(self):
         rng = random.Random(1729)
         dom = Domain.from_dict(self.RANGES)
         points = list(dom.points())
@@ -1114,19 +1061,7 @@ class TestFirstFailure:
             built = program if kept is None else slicer._build(program, kept)
             holding = [point for point in points if self._holds(contract.pre, point)]
             judged = {id(point): check_point(built, contract, point, budget) for point in holding}
-            if case % 4:
-                killers = rng.sample(holding, min(len(holding), rng.randint(1, 6)))
-            else:
-                # passing points first, until their runs take over 1,000
-                # steps: the runner switches to compiled source partway
-                passing = [point for point in holding if judged[id(point)].passed]
-                killers, steps = [], 0
-                while passing and steps <= 1200 and len(killers) < 3000:
-                    killers.append(rng.choice(passing))
-                    steps += judged[id(killers[-1])].run_result.steps
-                seen["long"] += steps > 1200
-                killers += rng.sample(holding, len(holding))
-            switched = len(tier_switches)
+            killers = rng.sample(holding, min(len(holding), rng.randint(1, 6)))
             got = verifier.Judge(program, contract, dom, budget).first_failure(killers, kept)
             expected = next((judged[id(point)] for point in killers
                              if not judged[id(point)].passed), None)
@@ -1139,7 +1074,5 @@ class TestFirstFailure:
             assert list(got.final or ()) == list(expected.final or ())
             assert got.detail == expected.detail
             seen[expected.status] += 1
-            seen["after a switch"] += len(tier_switches) > switched
-        assert seen["long"] >= 30 and seen["after a switch"] >= 15, seen
         for status in ("none", FAIL, FAULT, BUDGET_EXCEEDED):
             assert seen[status] >= 10, seen
