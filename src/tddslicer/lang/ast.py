@@ -127,6 +127,15 @@ def _free_vars(node: Expr | BoolExpr) -> frozenset[str]:
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def sure_nonneg(exponent: Expr, nonneg: frozenset[str]) -> bool:
+    """Whether exponent, the right operand of a ^, cannot be negative: a
+    literal >= 0, or a variable in nonneg, the exists variables in scope
+    whose range floor is >= 0. A ^ with such an exponent cannot fault."""
+    if isinstance(exponent, IntLit):
+        return exponent.value >= 0
+    return isinstance(exponent, Var) and exponent.name in nonneg
+
+
 def or_disjuncts(pred: BoolExpr) -> tuple[BoolExpr, ...]:
     """Flatten nested Or nodes into the ordered tuple of disjuncts."""
     if isinstance(pred, Or):

@@ -13,8 +13,10 @@ the input checks and returns a RunResult. Every run runs on the closures.
 
 loop_nest emits a whole scan as one Python function (operator fusion,
 after Neumann, "Efficiently Compiling Efficient Query Plans for Modern
-Hardware", VLDB 2011): a for loop per domain variable, the precondition,
-the program's statements and the postcondition inline. It gives the first
+Hardware", VLDB 2011): a for loop per domain variable, each conjunct of
+the precondition in the outermost loop that binds what it reads, the
+program's statements with one budget charge per block, and the
+postcondition, all inline. It gives the first
 point that does not pass and the count before it; the verifier words
 that point's outcome on the closures. where emits the precondition half
 of a scan the same way: a generator of the points where one of several
@@ -197,7 +199,7 @@ def _compile_pred(pred: ast.BoolExpr) -> Callable:
 def _compile_exists(pred: ast.Exists, body: Callable) -> Callable[[dict[str, int]], bool]:
     """Enumerate the range in ascending order, with the bound variable
     shadowing any same-named variable in state; the state is restored
-    afterwards, whatever happens."""
+    afterwards, whatever happens, an empty range included."""
     var, values = pred.var, range(pred.lo, pred.hi + 1)
 
     def exists(state):
@@ -213,7 +215,7 @@ def _compile_exists(pred: ast.Exists, body: Callable) -> Callable[[dict[str, int
             if shadowed:
                 state[var] = saved
             else:
-                del state[var]
+                state.pop(var, None)
 
     return exists
 
@@ -415,125 +417,176 @@ def _compiled(program: ast.Program) -> _CompiledProgram:
 #
 # A whole scan emitted as the Python source of one function and compiled by
 # Python: the statements inline, the program variables locals named
-# v_<name>, each step counted in the local left.
-
-
-def _faulting(fn: Callable) -> Callable:
-    """fn, an arithmetic operator that can fault, taking the id of the
-    statement it is in and raising the fault as that statement's _Stop."""
-
-    def apply(a: int, b: int, stmt_id: int) -> int:
-        try:
-            return fn(a, b)
-        except EvaluationFault as fault:
-            raise _Stop(FAULT, stmt_id, fault.reason) from None
-
-    return apply
+# v_<name>. Each block charges the local left, on entry, with every step
+# that its own level takes, so one subtraction and one test pay for the
+# block. A scan stops at any exception, whatever raised it, and gives the
+# point: its caller judges that point again on the closures, which word
+# the fault or the budget.
 
 
 _SOURCE_GLOBALS = {
     "__builtins__": {},
-    "_Stop": _Stop,
-    "BUDGET_EXCEEDED": BUDGET_EXCEEDED,
     "Exception": Exception,
     "any": any,
     "range": range,
-    "_BUDGET_REASON": _BUDGET_REASON,
-    "_div": _faulting(trunc_div),
-    "_mod": _faulting(trunc_mod),
-    "_pow": _faulting(_power),
+    "_div": trunc_div,
+    "_mod": trunc_mod,
+    "_pow": _power,
 }
 _HELPERS = {"/": "_div", "%": "_mod", "^": "_pow"}
 
 
+def _python(prefix: str, name: str) -> str:
+    """prefix + name, the Python name of a variable; a name that is not
+    an ASCII identifier is a ValueError, so no generated name can clash."""
+    if not (name.isascii() and name.isidentifier()):
+        raise ValueError(f"not a declared identifier: {name!r}")
+    return prefix + name
+
+
 class _Emitter:
     """The source of one program's statements, kept-set and variables:
-    lines of (indent, text). A name that is not a declared ASCII
-    identifier is a ValueError, so no generated name can clash."""
+    lines of (indent, text). A declared variable is prefix + its name; a
+    name that is not declared is a ValueError. An exists variable is
+    e_<name> in its body, and a ^ whose exponent cannot be negative
+    (ast.sure_nonneg) is Python's **."""
 
-    def __init__(self, names: tuple[str, ...], kept: frozenset[int] | None):
-        self.names = frozenset(names)
+    def __init__(self, names: tuple[str, ...], kept: frozenset[int] | None, prefix: str = "v_"):
+        self.names = {name: _python(prefix, name) for name in names}
+        self.nonneg: frozenset[str] = frozenset()  # exists variables in scope, floor >= 0
         self.kept = kept
         self.lines: list[tuple[int, str]] = []
-        for name in names:
-            self.var(name)
 
     def var(self, name: str) -> str:
-        if name not in self.names or not (name.isascii() and name.isidentifier()):
+        if name not in self.names:
             raise ValueError(f"not a declared identifier: {name!r}")
-        return "v_" + name
+        return self.names[name]
 
-    def expr(self, expr: ast.Expr, sid: int) -> str:
+    def expr(self, expr: ast.Expr) -> str:
         if isinstance(expr, ast.Var):
             return self.var(expr.name)
         if isinstance(expr, ast.IntLit):
             return f"({expr.value!r})" if expr.value < 0 else repr(expr.value)
         if isinstance(expr, ast.Neg):
-            return f"(-{self.expr(expr.operand, sid)})"
-        left, right = self.expr(expr.left, sid), self.expr(expr.right, sid)
+            return f"(-{self.expr(expr.operand)})"
+        left, right = self.expr(expr.left), self.expr(expr.right)
+        if expr.op == "^" and ast.sure_nonneg(expr.right, self.nonneg):
+            return f"({left} ** {right})"
         if expr.op in _HELPERS:
-            return f"{_HELPERS[expr.op]}({left}, {right}, {sid})"
+            return f"{_HELPERS[expr.op]}({left}, {right})"
         return f"({left} {expr.op} {right})"
 
-    def pred(self, pred: ast.BoolExpr, sid: int) -> str:
+    def pred(self, pred: ast.BoolExpr) -> str:
         if isinstance(pred, ast.Cmp):
-            return f"({self.expr(pred.left, sid)} {pred.op} {self.expr(pred.right, sid)})"
+            return f"({self.expr(pred.left)} {pred.op} {self.expr(pred.right)})"
         if isinstance(pred, ast.Not):
-            return f"(not {self.pred(pred.operand, sid)})"
+            return f"(not {self.pred(pred.operand)})"
         if isinstance(pred, (ast.And, ast.Or)):
             word = "and" if isinstance(pred, ast.And) else "or"
-            return f"({self.pred(pred.left, sid)} {word} {self.pred(pred.right, sid)})"
+            return f"({self.pred(pred.left)} {word} {self.pred(pred.right)})"
         if isinstance(pred, ast.BoolLit):
             return repr(pred.value)
-        # an exists: the bound variable is the generator's own
-        outer, self.names = self.names, self.names | {pred.var}
-        body, bound = self.pred(pred.body, sid), self.var(pred.var)
-        self.names = outer
+        bound, body = self.exists(pred)
         return f"any({body} for {bound} in range({pred.lo!r}, {pred.hi + 1!r}))"
 
-    def block(self, block: ast.Block, depth: int) -> bool:
-        """Emit block's kept statements; whether there was any."""
-        start = len(self.lines)
-        for stmt in block.stmts:
-            if self.kept is None or stmt.stmt_id in self.kept:
-                self.stmt(stmt, depth)
-        return len(self.lines) > start
+    def exists(self, pred: ast.Exists) -> tuple[str, str]:
+        """The Python name of pred's bound variable and the source of its
+        body, in which that name is the variable's."""
+        names, nonneg = self.names, self.nonneg
+        self.names = {**names, pred.var: _python("e_", pred.var)}
+        self.nonneg = nonneg | {pred.var} if pred.lo >= 0 else nonneg - {pred.var}
+        bound, body = self.names[pred.var], self.pred(pred.body)
+        self.names, self.nonneg = names, nonneg
+        return bound, body
+
+    def conjuncts(self, preds: list, depth: int, reject: str) -> list:
+        """The lines that judge preds in order and run reject at the first
+        that is false; an exists is a for loop of its own, whose else
+        rejects."""
+        lines = []
+        for pred in preds:
+            if isinstance(pred, ast.Exists):
+                bound, body = self.exists(pred)
+                lines += [
+                    (depth, f"for {bound} in range({pred.lo!r}, {pred.hi + 1!r}):"),
+                    (depth + 1, f"if {body}: break"),
+                    (depth, "else:"),
+                    (depth + 1, reject),
+                ]
+            else:
+                lines.append((depth, f"if not {self.pred(pred)}: {reject}"))
+        return lines
+
+    def block(self, block: ast.Block, depth: int, after: int = 0, budget: int | None = None) -> bool:
+        """Emit block's kept statements; whether there was any. They come
+        after the charge: one step per statement (a leaf, an if's test, a
+        while's first test) plus after (a loop body's next test). A run's
+        first block starts left at budget less its charge instead."""
+        stmts = [stmt for stmt in block.stmts if self.kept is None or stmt.stmt_id in self.kept]
+        steps = len(stmts) + after
+        if budget is not None:
+            self.lines.append((depth, f"left = {budget - steps!r}"))
+            if budget < steps:
+                self.lines.append((depth, "raise Exception"))
+        elif steps:
+            self.lines += [(depth, f"left -= {steps!r}"), (depth, "if left < 0: raise Exception")]
+        for stmt in stmts:
+            self.stmt(stmt, depth)
+        return bool(stmts)
 
     def stmt(self, stmt: ast.Stmt, depth: int) -> None:
-        sid, emit = stmt.stmt_id, self.lines.append
-        if isinstance(stmt, ast.While):
-            emit((depth, "while True:"))
-            depth += 1
-        emit((depth, "left -= 1"))
-        emit((depth, f"if left < 0: raise _Stop(BUDGET_EXCEEDED, {sid}, _BUDGET_REASON)"))
+        """Emit stmt, whose step its block has charged: a skip is no line."""
+        emit = self.lines.append
         if isinstance(stmt, ast.Assign):
-            emit((depth, f"{self.var(stmt.target)} = {self.expr(stmt.expr, sid)}"))
+            emit((depth, f"{self.var(stmt.target)} = {self.expr(stmt.expr)}"))
         elif isinstance(stmt, ast.If):
-            emit((depth, f"if {self.pred(stmt.cond, sid)}:"))
+            emit((depth, f"if {self.pred(stmt.cond)}:"))
             if not self.block(stmt.then, depth + 1):
                 emit((depth + 1, "pass"))
             orelse = len(self.lines)
             if self.block(stmt.orelse, depth + 1):
                 self.lines.insert(orelse, (depth, "else:"))
         elif isinstance(stmt, ast.While):
-            emit((depth, f"if not {self.pred(stmt.cond, sid)}: break"))
-            self.block(stmt.body, depth)
+            emit((depth, f"while {self.pred(stmt.cond)}:"))
+            self.block(stmt.body, depth + 1, after=1)
 
 
 def _load(name: str, function: str, emit: Callable[[], list]) -> Callable | None:
     """The function called function that the source lines emit() define,
     compiled, or None when Python refuses them: source nested too
     deeply (about 200 parentheses, 20 loops, 100 indents) is SyntaxError,
-    RecursionError or MemoryError; a hand-built program with a name that
-    is not a declared identifier, or an integer too long to print, is
-    ValueError."""
+    RecursionError or MemoryError, and a predicate too deep to walk
+    ParseError; a hand-built program with a name that is not a declared
+    identifier, or an integer too long to print, is ValueError."""
     try:
         source = "\n".join("    " * depth + text for depth, text in emit()) + "\n"
         namespace = dict(_SOURCE_GLOBALS)
         exec(compile(source, f"<{name}>", "exec"), namespace)
-    except (SyntaxError, RecursionError, MemoryError, ValueError):
+    except (SyntaxError, RecursionError, MemoryError, ValueError, ParseError):
         return None
     return namespace[function]
+
+
+def _conjuncts(pred: ast.BoolExpr) -> list:
+    """The operands of pred's && chain, in order."""
+    conjuncts, todo = [], [pred]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.And):
+            todo += (node.right, node.left)
+        else:
+            conjuncts.append(node)
+    return conjuncts
+
+
+def _point(ranges: tuple[tuple[str, int, int], ...], level: int) -> str:
+    """The source of the dict of the current point of the first level
+    loops of ranges and the first of the loops inside them: the loop
+    variable i_<name> of each outer loop, lo of each inner one."""
+    return "{" + ", ".join(
+        f"{name!r}: " + (f"i_{name}" if depth <= level else repr(lo))
+        for depth, (name, lo, _) in enumerate(ranges, 1)
+    ) + "}"
 
 
 def loop_nest(
@@ -548,36 +601,56 @@ def loop_nest(
     a step_budget below 1 or source Python refuses (see _load). scan
     judges pre holds -> run -> post holds at each point of ranges, the
     in-parameters' (name, lo, hi) in name order, one for loop each, with
-    the kept statements inline. It returns (None, count) or, at the first
+    the kept statements inline. Each conjunct of pre's && chain is judged
+    in the loop of the deepest variable that it, or a conjunct before it,
+    reads (before every loop if none), so that each is judged once per
+    value of the variables it may read and in order; an exists conjunct
+    is a for loop of its own. scan returns (None, count) or, at the first
     point where pre raises, the run ends other than ok, or post is false
     or raises, (inputs, count); count is the points before it where pre
-    held."""
+    held. A conjunct that raises in an outer loop gives the first point
+    of the loops inside it, where pre raises too."""
     if math.prod(hi - lo + 1 for _, lo, hi in ranges) < NEST_FROM_POINTS or step_budget < 1:
         return None
 
     def source() -> list:
         zeroed = (*program.out_params, *program.locals)
         emitter = _Emitter((*program.in_params, *zeroed), kept)
-        inner = len(ranges) + 2  # the depth of one point's statements
-        emitter.block(program.body, inner)
-        point = ", ".join(f"{name!r}: i_{name}" for name, _, _ in ranges)
+        inner = len(ranges) + 1  # the depth of one point's judging
+        emitter.block(program.body, inner + 1, budget=step_budget)
+        # the precondition reads the loop variables, i_<name>
+        judge = _Emitter(tuple(name for name, _, _ in ranges), None, "i_")
+        levels = {name: level for level, (name, _, _) in enumerate(ranges, 1)}
+        at: list[list] = [[] for _ in range(inner)]  # conjuncts per loop, 0 before them
+        level = 0
+        for conjunct in _conjuncts(pre):
+            level = max([level, *(levels.get(name, 0) for name in ast.free_vars(conjunct))])
+            at[level].append(conjunct)
+        lines = [(0, "def scan():"), (1, "count = 0")]
+        for level in range(inner):
+            if level:
+                name, lo, hi = ranges[level - 1]
+                lines.append((level, f"for i_{name} in range({lo!r}, {hi + 1!r}):"))
+            if at[level] and level < inner - 1:
+                lines += [
+                    (level + 1, "try:"),
+                    *judge.conjuncts(at[level], level + 2, "continue" if level else "return None, count"),
+                    (level + 1, "except Exception:"),
+                    (level + 2, f"return {_point(ranges, level)}, count"),
+                ]
         return [
-            (0, "def scan():"),
-            (1, "count = 0"),
-            *[(depth, f"for i_{name} in range({lo!r}, {hi + 1!r}):")
-              for depth, (name, lo, hi) in enumerate(ranges, 1)],
-            (inner - 1, "try:"),
-            *[(inner, f"v_{name} = i_{name}") for name, _, _ in ranges],
-            (inner, f"if not {emitter.pred(pre, None)}: continue"),
-            *[(inner, f"v_{name} = 0") for name in zeroed],
-            (inner, f"left = {step_budget!r}"),
+            *lines,
+            (inner, "try:"),
+            *judge.conjuncts(at[-1], inner + 1, "continue"),
+            *[(inner + 1, f"v_{name} = i_{name}") for name, _, _ in ranges],
+            *[(inner + 1, f"v_{name} = 0") for name in zeroed],
             *emitter.lines,
-            (inner, f"if {emitter.pred(post, None)}:"),
-            (inner + 1, "count += 1"),
-            (inner + 1, "continue"),
-            (inner - 1, "except Exception:"),
-            (inner, "pass"),
-            (inner - 1, f"return {{{point}}}, count"),
+            (inner + 1, f"if {emitter.pred(post)}:"),
+            (inner + 2, "count += 1"),
+            (inner + 2, "continue"),
+            (inner, "except Exception:"),
+            (inner + 1, "pass"),
+            (inner, f"return {_point(ranges, len(ranges))}, count"),
             (1, "return None, count"),
         ]
 
@@ -606,7 +679,7 @@ def where(
         for n, pred in enumerate(preds):
             lines += [
                 (inner, "try:"),
-                (inner + 1, f"h_{n} = {emitter.pred(pred, None)}"),
+                (inner + 1, f"h_{n} = {emitter.pred(pred)}"),
                 (inner, "except Exception:"),
                 (inner + 1, f"h_{n} = None"),
             ]

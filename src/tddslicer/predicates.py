@@ -154,9 +154,9 @@ class ImplicationResult:
         return self.holds
 
 
-def _static_fault_free(pred: Predicate, nonneg_vars: frozenset[str] = frozenset()) -> bool:
-    """Conservative: no / or %, and ^ only with provably non-negative
-    exponents (literal >= 0 or a bound variable whose range floor is >= 0)."""
+def _static_fault_free(pred: Predicate) -> bool:
+    """Conservative: no / or %, and ^ only with an exponent that cannot be
+    negative (ast.sure_nonneg)."""
 
     def expr_ok(expr: ast.Expr, safe: frozenset[str]) -> bool:
         if isinstance(expr, (ast.IntLit, ast.Var)):
@@ -166,13 +166,8 @@ def _static_fault_free(pred: Predicate, nonneg_vars: frozenset[str] = frozenset(
         if isinstance(expr, ast.Arith):
             if expr.op in ("/", "%"):
                 return False
-            if expr.op == "^":
-                exponent = expr.right
-                nonneg = (
-                    isinstance(exponent, ast.IntLit) and exponent.value >= 0
-                ) or (isinstance(exponent, ast.Var) and exponent.name in safe)
-                if not nonneg:
-                    return False
+            if expr.op == "^" and not ast.sure_nonneg(expr.right, safe):
+                return False
             return expr_ok(expr.left, safe) and expr_ok(expr.right, safe)
         return False
 
@@ -190,7 +185,7 @@ def _static_fault_free(pred: Predicate, nonneg_vars: frozenset[str] = frozenset(
             return pred_ok(node.body, inner)
         return False
 
-    return pred_ok(pred, nonneg_vars)
+    return pred_ok(pred, frozenset())
 
 
 class Prepared:

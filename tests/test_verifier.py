@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import hashlib
+import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -24,6 +29,7 @@ from tddslicer import (
     parse_program,
     run,
 )
+import tddslicer
 from tddslicer import predicates, slicer, verifier
 from tddslicer.cli import main
 from tddslicer.corpus import corpus_path
@@ -459,7 +465,7 @@ def _agrees(program, contract, ranges, budget, result):
     return verdict
 
 
-class TestRowScan:
+class TestDomainScan:
     """Scans below the gate judge the preconditions on the closures, and
     those at or above it with a compiled filter, with every verdict,
     witness, key order and checked_points of judging the points one by
@@ -503,7 +509,7 @@ class TestRowScan:
         ("10 / (a - 5) > -100", "o < 3", "a in 0..9", 3, 4),
         ("10 / (a - 5) > -100", "o < 7", "a in 0..9", 5, 5),
     ])
-    def test_row_edges(self, pre, post, spec, witness, checked):
+    def test_scan_edges(self, pre, post, spec, witness, checked):
         program, contract = parse_program(self.COPY), _contract(pre, post)
         dom = Domain.parse(spec)
         ((_, lo, hi),) = dom.ranges
@@ -514,7 +520,7 @@ class TestRowScan:
         twin = (program, _contract(pre, "TRUE"))
         assert check_all([twin, (program, contract)], dom)[1] == result
 
-    def test_first_failure_in_the_second_full_width_row(self):
+    def test_first_failure_deep_in_a_wide_domain(self):
         # the failure at a == 1, b == 1500 is deep in a wide domain
         program = parse_program("proc f(in a, in b, out o){ o := 10000 * a + b; }")
         contract = _contract("b % 7 != 3", "o < 11500")
@@ -526,7 +532,7 @@ class TestRowScan:
         # check takes the loop nest over this domain; check_all where
         assert check_all([(program, contract)], dom) == [result]
 
-    def test_exists_binding_the_row_variable(self, max2):
+    def test_exists_binding_the_last_variable(self, max2):
         contract = _contract("exists b in 0..3 : a > b", "max >= a")
         ranges = {"a": (-3, 3), "b": (-3, 3)}
         result = check(max2, contract, Domain.from_dict(ranges))
@@ -662,10 +668,19 @@ NEST_COMMANDS = {
     "budget": ("div_oracle.prog", "--pre", "TRUE", "--post", DIV_SPEC,
                "--domain", "x in 0..60, y in 1..10", "--budget", "40"),
     "fault": (FAULT_AT_30, "--pre", "TRUE", "--post", "TRUE", "--domain", "x in 0..60, y in 1..10"),
+    # a precondition whose conjuncts read x, then y: the first is judged
+    # once per x
+    "hoisted": ("div_oracle.prog", "--pre", "(x == 0 || (exists n in 1..4 : x == 2 ^ n)) && y == 2",
+                "--post", "r == 0 && q < 8", "--domain", "x in 0..60, y in 1..10"),
+    # a precondition conjunct that reads x only and raises at x == 30
+    "outer-fault": ("div_oracle.prog", "--pre", "10 / (x - 30) > -100 && y > 0", "--post", DIV_SPEC,
+                    "--domain", "x in 0..60, y in 1..10"),
 }
 
 #: SHA-256 of the stdout of each NEST_COMMANDS case in each format, as
-#: check printed it before the loop nest, judging the points one by one
+#: check printed it judging the points one by one: exists, budget and fault
+#: before the loop nest, hoisted and outer-fault before it judged a
+#: conjunct in an outer loop
 NEST_GOLDENS = {
     ("exists", "human"): "7d826e69e04a7629c575d6c1498dd2b7d365b24f2284b530705a7233c6d62b92",
     ("exists", "machine"): "ef8474753ca2768ac0a6e6bf2d7a2cd8100775ba4bc8e9080a6fdc1e614ab89a",
@@ -673,6 +688,10 @@ NEST_GOLDENS = {
     ("budget", "machine"): "163819b555ee8f8c70df44c49847f560d38c526e56e239aef715a482642e8ee7",
     ("fault", "human"): "3b3615b7478542aee2080e6bed8deacb0952c0faa84c5bcf8057e051dfddfc93",
     ("fault", "machine"): "9387ee3184b193d3fb95409eed258c92fc6669b8155fc4009cbe8906a8dc15c7",
+    ("hoisted", "human"): "eb6fcf1203e256098d6f83c3a80b53a86c79f74da73b049a8be7ac561a4c56e8",
+    ("hoisted", "machine"): "cb44506f6f5b1d35d43cd50eb8d2e009551ce40c9a6a9d591d7d5041f001260c",
+    ("outer-fault", "human"): "2486068a266c61d8583abec5125e2bb4f7b6913d46a75686a49fc41134f4819a",
+    ("outer-fault", "machine"): "3a103d466dc66ced90fc66852e9924a451903c902d70469ac754ac88c4aaa182",
 }
 
 
@@ -762,12 +781,114 @@ class TestLoopNest:
         assert nests == [True]
         _agrees(program, contract, {"a": (0, 9)}, budget, result)
 
+    XY = "proc f(in x, in y, out o){ o := x + y; }"
+
+    @pytest.mark.parametrize("program, pre, post, ranges, verdict, witness, checked", [
+        # the first conjunct reads x only and raises at x == 30, before any
+        # y: the nest gives the first point there, {x: 30, y: 1}
+        (XY, "10 / (x - 30) > -100 && y > 0", "o >= 0", {"x": (0, 60), "y": (1, 10)},
+         FAULT, {"x": 30, "y": 1}, 300),
+        # the second conjunct reads x only, but may raise where the first,
+        # which reads y, is false: it is judged per y, after the first
+        (XY, "y > 5 && 10 / (x - 3) < 0", "o >= 0", {"x": (0, 6), "y": (0, 9)},
+         FAULT, {"x": 3, "y": 6}, 12),
+        # an exists conjunct in the innermost loop that binds y, an
+        # in-parameter the program reads
+        ("proc f(in x, in y, out o){ o := y; }", "y > 0 && (exists y in 2..3 : x == 2 * y)",
+         "o >= 5", {"x": (0, 10), "y": (5, 15)}, VERIFIED, None, 22),
+        # an exists conjunct in the outer loop, then one in the inner
+        (XY, "(exists k in 0..2 : x == 3 * k) && (exists k in 1..3 : y == k * k)", "o < 12",
+         {"x": (0, 8), "y": (0, 9)}, COUNTEREXAMPLE, {"x": 3, "y": 9}, 6),
+        # a negative range floor keeps ^'s check: 2 ^ -1 raises
+        (XY, "x > 3 && (exists n in -1..2 : x == 2 ^ n)", "o >= 0", {"x": (0, 9), "y": (0, 3)},
+         FAULT, {"x": 4, "y": 0}, 0),
+        (XY, "(exists n in 0..3 : x == 2 ^ n) && y < x", "o < 12", {"x": (0, 9), "y": (0, 9)},
+         COUNTEREXAMPLE, {"x": 8, "y": 4}, 12),
+        # conjuncts that read no variable are judged before every loop
+        (XY, "TRUE && 1 / 0 > 0 && x > 0", "TRUE", {"x": (0, 3), "y": (0, 3)},
+         FAULT, {"x": 0, "y": 0}, 0),
+        (XY, "FALSE && x > 0", "FALSE", {"x": (0, 3), "y": (0, 3)}, VACUOUS, None, 0),
+    ])
+    def test_conjuncts_in_outer_loops(
+        self, program, pre, post, ranges, verdict, witness, checked, monkeypatch, nests
+    ):
+        program, contract = parse_program(program), _contract(pre, post)
+        result = self._both_ways(monkeypatch, program, contract, Domain.from_dict(ranges))
+        assert (result.verdict, result.checked_points) == (verdict, checked)
+        assert (result.witness and result.witness.inputs) == witness
+        assert nests == [True]
+        _agrees(program, contract, ranges, 10000, result)
+
+    def test_empty_exists_range(self, monkeypatch, nests):
+        # the parser refuses an empty range; a hand-built one holds nowhere
+        empty = ast.Exists("k", 3, 1, parse_predicate("x == k"))
+        program, ranges = parse_program(self.XY), {"x": (0, 3), "y": (0, 3)}
+        for pre, post, verdict in [
+            (ast.And(parse_predicate("x >= 0"), empty), TRUE, VACUOUS),
+            (TRUE, ast.Or(empty, parse_predicate("o > 5")), COUNTEREXAMPLE),
+        ]:
+            contract = Contract(pre, post)
+            result = self._both_ways(monkeypatch, program, contract, Domain.from_dict(ranges))
+            assert result.verdict == verdict
+            _agrees(program, contract, ranges, 10000, result)
+        assert nests == [True, True]
+
+    def test_exponents_that_cannot_be_negative_are_powers(self, monkeypatch):
+        sources = []
+        real = interp._load
+
+        def spy(name, function, emit):
+            lines = emit()
+            sources.append("\n".join(text for _, text in lines))
+            return real(name, function, lambda: lines)
+
+        monkeypatch.setattr(interp, "_load", spy)
+        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 0)
+        program = parse_program("proc f(in x, out o){ o := x ^ 2; o := 2 ^ x; }")
+        dom = Domain.parse("x in 0..3")
+        check(program, _contract("exists n in 0..2 : x == 2 ^ n", "o >= 0"), dom)
+        check(program, _contract("exists n in -1..2 : x == 2 ^ n", "o >= 0"), dom)
+        first, second = sources
+        assert "(2 ** e_n)" in first and "(v_x ** 2)" in first and "_pow(2, v_x)" in first
+        assert "_pow(2, e_n)" in second
+
+    #: an if whose then block holds a while: 3 steps outside the if, 2 more
+    #: in its then block and 2 per turn of the loop
+    NESTED = ("proc f(in a, out o){ o := a; if (a > 0) { o := 0; while (o < a) { o := o + 1; } }"
+              " o := o + 1; }")
+
+    @pytest.mark.parametrize("budget", range(1, 12))
+    def test_budgets_on_block_boundaries(self, budget, monkeypatch, nests):
+        program, contract = parse_program(self.NESTED), _contract("TRUE", "o == a + 1 || a <= 0")
+        ranges = {"a": (-2, 3)}
+        result = self._both_ways(monkeypatch, program, contract, Domain.from_dict(ranges), budget)
+        assert nests == [True]
+        _agrees(program, contract, ranges, budget, result)
+
+    def test_a_bignum_chain_ends_at_its_block_charge(self, tmp_path):
+        """Three b := b ^ b under budget 2: the run's first block charges
+        its four steps before any statement runs, so the nest never
+        computes 9 ^ 9 ^ 9; the closures stop at statement 3 after 9 ^ 9."""
+        path = tmp_path / "f.prog"
+        path.write_text("proc f(in a, out b) { b := 9; b := b ^ b; b := b ^ b; b := b ^ b; }")
+        args = ["--pre", "TRUE", "--post", "b > 0", "--domain", "a in 0..199", "--budget", "2"]
+        src = Path(tddslicer.__file__).parents[1]
+        done = subprocess.run(
+            [sys.executable, "-m", "tddslicer.cli", "check", str(path), *args, "--format", "machine"],
+            env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (1, "")
+        report = json.loads(done.stdout)
+        assert (report["verdict"], report["checked_points"]) == (BUDGET_EXCEEDED, 1)
+        assert report["witness"]["inputs"] == {"a": 0}
+        assert report["witness"]["detail"] == "step budget exceeded at statement 3"
+
     @pytest.mark.parametrize("body, post", [
         # Python refuses 249 nested parentheses and 25 nested loops
         ("o := " + " + ".join(["a"] * 250) + ";", "o == 250 * a"),
         ("while (o < a) { " * 25 + "o := o + 1; " + "} " * 25, "o == a || a < 0"),
     ])
-    def test_source_python_refuses_falls_back_to_the_row_scan(self, body, post, monkeypatch, nests):
+    def test_source_python_refuses_falls_back_to_the_closure_scan(self, body, post, monkeypatch, nests):
         program = parse_program(f"proc f(in a, out o) {{ {body} }}")
         contract, dom = _contract("TRUE", post), Domain.parse("a in -100..100")
         assert interp.NEST_FROM_POINTS <= 201
@@ -849,7 +970,7 @@ class TestLoopNest:
         assert nests == [False]
 
     @pytest.mark.parametrize("case, form", sorted(NEST_GOLDENS))
-    def test_cli_output_is_the_row_scans(self, case, form, capsys, tmp_path):
+    def test_cli_output_is_the_closure_scans(self, case, form, capsys, tmp_path):
         source, *args = NEST_COMMANDS[case]
         path = tmp_path / "f.prog"
         path.write_text(source)
