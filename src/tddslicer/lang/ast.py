@@ -11,7 +11,7 @@ program parser rejects them, the shared evaluator handles both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from typing import Iterator, Union
 
 from ..errors import TOO_DEEP, ParseError
@@ -230,39 +230,24 @@ def same_shape(a: Program | Block | Stmt, b: Program | Block | Stmt) -> bool:
     """Structural equality ignoring statement ids.
 
     Sliced programs keep their original (gappy) ids, so comparing a slice
-    against freshly parsed text needs id-blind equality. Programs too deep
-    to compare are ParseError(TOO_DEEP).
+    against freshly parsed text needs id-blind equality. The nodes are
+    compared field by field with a stack of their own, not by recursion,
+    so a program of any depth compares.
     """
-    try:
-        return _same_shape(a, b)
-    except RecursionError:
-        raise ParseError(TOO_DEEP) from None
-
-
-def _same_shape(a: Program | Block | Stmt, b: Program | Block | Stmt) -> bool:
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Program):
-        return (
-            a.name == b.name
-            and a.params == b.params
-            and a.locals == b.locals
-            and _same_shape(a.body, b.body)
-        )
-    if isinstance(a, Block):
-        return len(a.stmts) == len(b.stmts) and all(
-            _same_shape(x, y) for x, y in zip(a.stmts, b.stmts)
-        )
-    if isinstance(a, Assign):
-        return a.target == b.target and a.expr == b.expr
-    if isinstance(a, Skip):
-        return True
-    if isinstance(a, If):
-        return (
-            a.cond == b.cond
-            and _same_shape(a.then, b.then)
-            and _same_shape(a.orelse, b.orelse)
-        )
-    if isinstance(a, While):
-        return a.cond == b.cond and _same_shape(a.body, b.body)
-    raise TypeError(f"not a program node: {a!r}")
+    pending = [(a, b)]
+    while pending:
+        x, y = pending.pop()
+        if x is y:
+            continue
+        if type(x) is not type(y):
+            return False
+        if isinstance(x, tuple):  # a block's statements, a program's params
+            if len(x) != len(y):
+                return False
+            pending += zip(x, y)
+        elif is_dataclass(x):  # its fields only: a Program keeps its compiled code too
+            pending += ((getattr(x, name), getattr(y, name))
+                        for name in x.__dataclass_fields__ if name != "stmt_id")
+        elif x != y:
+            return False
+    return True

@@ -20,9 +20,10 @@ postcondition, all inline. It gives the first
 point that does not pass and the count before it; the verifier words
 that point's outcome on the closures. where emits the precondition half
 of a scan the same way: a generator of the points where one of several
-predicates holds or raises, for check_all and implies. Both compile only
-for NEST_FROM_POINTS points or more, the one gate: fewer do not repay the
-compile, and their callers judge those on the closures.
+predicates holds or raises, read only through predicates.visits, which
+gives check_all, implies and Judge.check's fallback their points. Both
+compile only for NEST_FROM_POINTS points or more, the one gate: fewer do
+not repay the compile, and their callers judge those on the closures.
 
 A run produces the final state plus, when recorded, the trajectory: one
 (stmt_id, var, value) entry per executed assignment, in execution order.

@@ -7,12 +7,14 @@ reproducible. Arithmetic faults during enumeration mean the predicate is
 undefined at that point and are raised as PredicateUndefinedError, never
 silently treated as false.
 
-Domain.points() is the one odometer. implies over NEST_FROM_POINTS
-points or more scans them with one compiled filter (lang.interp.where)
-for the first point where p1 && !p2 holds or raises, and judges that
-point again on the closures; smaller domains, and predicates Python
-refuses to compile, are judged one point after another. Every answer,
-witness, count and fault is that of judging the points in order.
+Domain.points is the one odometer, and visits its one reader: visits
+gives the points where some predicate holds or raises, from one compiled
+filter (lang.interp.where) over NEST_FROM_POINTS points or more, and from
+the closures below the gate or where Python refuses the source. implies
+and the verifier's scans take their points from visits only. implies
+judges each point where p1 && !p2 holds or raises again on the closures,
+so every answer, witness, count and fault is that of judging the points
+in order.
 
 A Prepared value holds what queries derive from one predicate: its free
 variables, its OR-disjuncts, its static fault-freedom and its compiled
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 from .errors import TOO_DEEP, EvaluationFault, ParseError
 from .lang import ast
@@ -291,10 +293,9 @@ def implies(p1: Predicate, p2: Predicate, dom: Domain) -> ImplicationResult:
     raises ParseError(TOO_DEEP).
 
     Only the variables either side reads vary (the others stay at their
-    range floor). Over NEST_FROM_POINTS points or more, where finds the
-    first point at which p1 && !p2 holds or raises, and the closures judge
-    it again, so the witness, checked_points and the first fault are those
-    of judging every point in order, which smaller domains do.
+    range floor). The closures judge again each point where visits finds
+    that p1 && !p2 holds or raises, so the witness, checked_points and
+    the first fault are those of judging every point in order.
     """
     return implication(Prepared(p1), Prepared(p2), dom)
 
@@ -307,56 +308,68 @@ def implication(p1: Prepared, p2: Prepared, dom: Domain) -> ImplicationResult:
     if uncovered:
         raise ValueError(f"domain does not cover free variables: {sorted(uncovered)}")
     try:
-        return _enumerate(p1, p2, dom, needed)
+        if p1.pred in p2.disjuncts and p1.fault_free and p2.fault_free:
+            return ImplicationResult(True, None, 0, dom)
+        floor = {name: lo for name, lo, _ in dom.ranges if name not in needed}
+        varying = Domain(tuple(entry for entry in dom.ranges if entry[0] in needed))
+
+        # p1 && !p2 on the closures, both compiled at the first point judged
+        # on them: a union's closure judges its parts in a loop, and no And
+        # is compiled
+        premise = conclusion = None
+
+        def refute(state: State) -> bool:
+            nonlocal premise, conclusion
+            if premise is None:
+                premise, conclusion = p1.test, p2.test
+            return premise(state) and not conclusion(state)
+
+        for point, _ in visits(varying, ((ast.And(p1.pred, ast.Not(p2.pred)), refute),)):
+            state = {**floor, **point}
+            try:
+                if not refute(state):
+                    # the filter and the closures disagree only when
+                    # Python's stack or memory runs out on one side
+                    continue
+            except EvaluationFault as fault:
+                raise PredicateUndefinedError(state, fault.reason) from None
+            index = 0  # the place of point in varying's enumeration order
+            for name, lo, hi in varying.ranges:
+                index = index * (hi - lo + 1) + point[name] - lo
+            return ImplicationResult(False, state, index + 1, dom)
+        size = math.prod(hi - lo + 1 for _, lo, hi in varying.ranges)
+        return ImplicationResult(True, None, size, dom)
     except RecursionError:
-        # the checks and evaluation below recurse once per nesting level,
+        # the checks and evaluation above recurse once per nesting level,
         # as free_vars does, but from deeper frames
         raise ParseError(TOO_DEEP) from None
 
 
-def _enumerate(
-    p1: Prepared, p2: Prepared, dom: Domain, needed: frozenset[str]
-) -> ImplicationResult:
-    if p1.pred in p2.disjuncts and p1.fault_free and p2.fault_free:
-        return ImplicationResult(True, None, 0, dom)
+def visits(dom: Domain, pairs: Sequence[tuple[Predicate, Callable[[State], bool]]]) -> Iterator:
+    """(point, held) in enumeration order at every point of dom where one
+    of pairs' predicates holds or raises: point is a new dict binding the
+    names in order, held has True, False or, where it raised, None for
+    each predicate. pairs are (predicate, closure) of one predicate each.
 
-    floor = {name: lo for name, lo, _ in dom.ranges if name not in needed}
-    varying = Domain(tuple(entry for entry in dom.ranges if entry[0] in needed))
-    size = math.prod(hi - lo + 1 for _, lo, hi in varying.ranges)
-    visits = where(varying.ranges, (ast.And(p1.pred, ast.Not(p2.pred)),))
-    if visits is not None:
-        # the first point where p1 && !p2 holds or raises, judged again on
-        # the closures: a counterexample there, or PredicateUndefinedError
-        first = next(visits(), None)
-        if first is None:
-            return ImplicationResult(True, None, size, dom)
-        state = {**floor, **first[0]}
-        if _first_counterexample(p1, p2, [state]) is not None:
-            index = 0  # the place of state in varying.points()
-            for name, lo, hi in varying.ranges:
-                index = index * (hi - lo + 1) + state[name] - lo
-            return ImplicationResult(False, state, index + 1, dom)
-        # the closures disagree only when Python's stack or memory runs
-        # out on one side: then the points one by one decide
-    states = ({**floor, **point} for point in varying.points())
-    found = _first_counterexample(p1, p2, states)
-    if found is None:
-        return ImplicationResult(True, None, size, dom)
-    index, state = found
-    return ImplicationResult(False, state, index + 1, dom)
+    At NEST_FROM_POINTS points or more, where's compiled filter judges the
+    predicates; below the gate, or where Python refuses its source, their
+    closures do, point by point: the one loop over a domain's points."""
+    compiled = where(dom.ranges, tuple(pred for pred, _ in pairs))
+    if compiled is not None:
+        return compiled()
 
+    def closure_visits():
+        for point in dom.points():
+            held = []
+            for _, test in pairs:
+                try:
+                    held.append(bool(test(point)))
+                except Exception:
+                    held.append(None)
+            if True in held or None in held:
+                yield point, held
 
-def _first_counterexample(p1: Prepared, p2: Prepared, states) -> tuple[int, State] | None:
-    """(index, state) of the first of states where p1 holds and p2 does
-    not, judged one by one; PredicateUndefinedError at the first fault."""
-    premise, conclusion = p1.test, p2.test
-    for index, state in enumerate(states):
-        try:
-            if premise(state) and not conclusion(state):
-                return index, state
-        except EvaluationFault as fault:
-            raise PredicateUndefinedError(state, fault.reason) from None
-    return None
+    return closure_visits()
 
 
 def is_tautology(pred: Predicate, dom: Domain) -> ImplicationResult:
@@ -376,4 +389,5 @@ __all__ = [
     "implication",
     "implies",
     "is_tautology",
+    "visits",
 ]

@@ -131,31 +131,25 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
     base_dir. Raises SessionFormatError on malformed input, missing files,
     non-contiguous cycle indices, or contract scope violations.
 
-    Each distinct snapshot path is parsed once and its Program shared by
-    the cycles that name it. The final program is parsed on its own, so
-    comparing it with the last snapshot compares two parses even when both
-    name one file. Each distinct predicate text is parsed once and its
-    Prepared value shared by the contracts that name it, so replay derives
-    its facts once.
+    Each distinct program path, the final's included, is parsed once and
+    its Program shared by the cycles that name it. Each distinct predicate
+    text is parsed once and its Prepared value shared by the contracts
+    that name it, so replay derives its facts once.
     """
     base = Path(base_dir)
-    snapshots: dict[Path, ast.Program] = {}
+    programs: dict[Path, ast.Program] = {}
     predicates: dict[str, Prepared] = {}
 
     def load(path_text: str, where: str) -> ast.Program:
         path = base / path_text  # an absolute path_text replaces base
-        try:
-            return load_program(path)
-        except FileNotFoundError as err:
-            raise SessionFormatError(f"{where}: {err}") from err
-        except ParseError as err:
-            raise SessionFormatError(f"{where}: {path}: {err}") from err
-
-    def load_snapshot(path_text: str, where: str) -> ast.Program:
-        path = base / path_text
-        if path not in snapshots:
-            snapshots[path] = load(path_text, where)
-        return snapshots[path]
+        if path not in programs:
+            try:
+                programs[path] = load_program(path)
+            except FileNotFoundError as err:
+                raise SessionFormatError(f"{where}: {err}") from err
+            except ParseError as err:
+                raise SessionFormatError(f"{where}: {path}: {err}") from err
+        return programs[path]
 
     def prepared(text: str) -> Prepared:
         if text not in predicates:
@@ -225,7 +219,7 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
             post = prepared(post_text)
         except ParseError as err:
             raise SessionFormatError(f"{where}: {err}") from err
-        snapshot = load_snapshot(snapshot_text, where)
+        snapshot = load(snapshot_text, where)
 
         if set(inputs) != set(final.in_params):
             raise SessionFormatError(

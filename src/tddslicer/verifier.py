@@ -12,12 +12,12 @@ compiled loop nest (lang.interp.loop_nest) and judges the first point
 that does not pass again with _judge on the closures, so every witness,
 detail and exception comes from one place. _scan judges every other
 scan from its visits, the points where some precondition holds or
-raises: check_all's come from one compiled filter (lang.interp.where) at
-or above the gate, and the others from the closures (_closure_visits).
-Its runs are lang.interp.runner's, made once per scan. Contracts are
-validated and judged through their prepared values (predicates.Prepared):
-the scope check reads their free variables and every scan their
-closures, so a contract checked many times is walked and compiled once.
+raises, as predicates.visits gives them: one compiled filter at or above
+the gate, the closures below it. Its runs are lang.interp.runner's, made
+once per scan. Contracts are validated and judged through their prepared
+values (predicates.Prepared): the scope check reads their free variables
+and every scan their closures, so a contract checked many times is
+walked and compiled once.
 A Judge validates and compiles a program and its contract once for any
 number of kept-sets of its statements (the slicer's candidates);
 Judge.first_failure() settles given points whose precondition is known
@@ -45,9 +45,8 @@ from .lang.interp import (
     loop_nest,
     run,
     runner,
-    where,
 )
-from .predicates import Domain, Prepared, State
+from .predicates import Domain, Prepared, State, visits
 
 VERIFIED = "verified"
 COUNTEREXAMPLE = "counterexample"
@@ -147,37 +146,22 @@ def _settle(execute, post, inputs: State) -> tuple:
     return FAIL, final, "postcondition is false", True
 
 
-def _closure_visits(tests: list, dom: Domain):
-    """where's visits, on the closures: (point, held) for each point of
-    dom, in order, where one of tests holds or raises; held has True,
-    False or, where it raised, None for each test."""
-    for point in dom.points():
-        held = []
-        for test in tests:
-            try:
-                held.append(bool(test(point)))
-            except Exception:
-                held.append(None)
-        if True in held or None in held:
-            yield point, held
-
-
-def _scan(triples: list[tuple], visits, dom: Domain) -> list:
+def _scan(triples: list[tuple], visited, dom: Domain) -> list:
     """The one judging loop: the verdict of each (pre, test, execute, post)
     triple over dom, or the exception it raised.
 
-    visits gives (point, held) in enumeration order at every point where
-    some precondition holds or raises, as where does: pre indexes held. A
-    triple whose precondition holds there runs and judges its
-    postcondition (_settle); one whose precondition raised is judged again
-    with its closure test (_judge), so every witness, count and exception
-    is that of judging the points one by one. A triple leaves at its first
-    failure or exception.
+    visited is what visits gives for the triples' preconditions: (point,
+    held) in enumeration order at every point where some precondition
+    holds or raises; pre indexes held. A triple whose precondition holds
+    there runs and judges its postcondition (_settle); one whose
+    precondition raised is judged again with its closure test (_judge), so
+    every witness, count and exception is that of judging the points one
+    by one. A triple leaves at its first failure or exception.
     """
     verdicts: list = [None] * len(triples)
     checked = [0] * len(triples)  # points where the precondition held
     live = list(enumerate(triples))
-    for point, held in visits:
+    for point, held in visited:
         failed = False
         for index, (pre, test, execute, post) in live:
             try:
@@ -257,7 +241,7 @@ class Judge:
         for the program with the other statements deleted. A domain of
         NEST_FROM_POINTS points or more is scanned by a loop nest, unless
         Python refuses it, and its first failure judged again by _judge;
-        other scans run on the closures."""
+        other scans judge the visits of the precondition (visits)."""
         execute = runner(self.program, self.step_budget, kept=kept)
         pre, post = self.contract.pre, self.contract.post
         scan = loop_nest(self.program, self.step_budget, kept, self.dom.ranges, pre, post)
@@ -267,11 +251,11 @@ class Judge:
                 return VerificationResult(VERIFIED if count else VACUOUS, None, count, self.dom)
             outcome = _judge(self.pre, execute, self.post, point)
             # the closures agree unless Python's stack or memory runs out on
-            # one side only: then the closures decide
+            # one side only: then the scan of the visits decides
             if outcome is not None and outcome[0] != PASS:
                 return _failed(outcome, point, count + outcome[3], self.dom)
         triple = (0, self.pre, execute, self.post)
-        (verdict,) = _scan([triple], _closure_visits([self.pre], self.dom), self.dom)
+        (verdict,) = _scan([triple], visits(self.dom, ((pre, self.pre),)), self.dom)
         if isinstance(verdict, Exception):
             raise verdict
         return verdict
@@ -324,12 +308,8 @@ def check_all(
         place = scanned.setdefault(pre, len(scanned))
         judged[triple] = (place, pre_test, executors[code], post_getters[code, post])
     if judged:
-        visits = where(dom.ranges, tuple(pres[pre].pred for pre in scanned))
-        if visits is None:
-            visits = _closure_visits([pres[pre].test for pre in scanned], dom)
-        else:
-            visits = visits()
-        verdicts.update(zip(judged, _scan(list(judged.values()), visits, dom)))
+        visited = visits(dom, [(pres[pre].pred, pres[pre].test) for pre in scanned])
+        verdicts.update(zip(judged, _scan(list(judged.values()), visited, dom)))
     return [verdicts[triple] if isinstance(triple, int) else triple for triple in asked]
 
 

@@ -132,6 +132,17 @@ class TestParsing:
             eval_predicate(parse_predicate(f"{terms} > 0"), {"a": 1})
         assert str(excinfo.value) == "expression nested too deeply"
 
+    def test_programs_of_any_depth_compare_by_shape(self):
+        """same_shape keeps its own stack: two parses of a 5,000-term sum
+        compare equal, and unequal when the last term differs. A program
+        that has run, and keeps its compiled code, compares by its fields."""
+        text = "proc f(in a, out o) { skip; o := " + " + ".join(["a"] * 5000) + "; }"
+        assert ast.same_shape(parse_program(text), parse_program(text))
+        assert not ast.same_shape(parse_program(text), parse_program(text.replace("a;", "1;")))
+        ran = parse_program(MINIMAL)
+        run(ran, {"x": 1})
+        assert ast.same_shape(ran, parse_program(MINIMAL))
+
     @pytest.mark.parametrize("parse, text, col", [
         (parse_program, "proc f(in x, out y){ y := 2²; }", 28),
         (parse_predicate, "x == ²", 6),

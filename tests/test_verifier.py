@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -446,6 +447,40 @@ def _compiled_sources(monkeypatch, function):
 
     monkeypatch.setattr(interp, "_load", spy)
     return made
+
+
+def _led_by_a_passed_visit(monkeypatch):
+    """Make each filter where compiles yield first a point at which every
+    one of its predicates is false, as if each had raised there, then its
+    own visits: a visit that the closures judge again and pass over. The
+    points so yielded."""
+    led = []
+    real = predicates.where
+
+    def false_everywhere(preds, point):
+        try:
+            return not any(bf_holds(pred, dict(point)) for pred in preds)
+        except ZeroDivisionError:
+            return False
+
+    def leading(ranges, preds):
+        compiled = real(ranges, preds)
+        names = [name for name, _, _ in ranges]
+        points = (dict(zip(names, values))
+                  for values in itertools.product(*(range(lo, hi + 1) for _, lo, hi in ranges)))
+        spurious = next((point for point in points if false_everywhere(preds, point)), None)
+        if compiled is None or spurious is None:
+            return compiled
+
+        def visits():
+            led.append(spurious)
+            yield spurious, (None,) * len(preds)
+            yield from compiled()
+
+        return visits
+
+    monkeypatch.setattr(predicates, "where", leading)
+    return led
 
 
 def _agrees(program, contract, ranges, budget, result):
@@ -898,6 +933,37 @@ class TestLoopNest:
         assert check(program, contract, dom) == nested
         assert (nested.verdict, nested.checked_points) == (VERIFIED, 201)
 
+    def test_a_nest_point_the_closures_pass_falls_back_to_visits(self, monkeypatch):
+        """Where the closures pass the point a loop nest stopped at,
+        Judge.check judges the visits of the precondition, from where's
+        filter at or above the gate, and agrees with bf_check."""
+        filters = _compiled_sources(monkeypatch, "visits")
+        stops = []
+        monkeypatch.setattr(verifier, "loop_nest", lambda *args: lambda: (stops[-1], 0))
+        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 0)
+        rng = random.Random(5813)
+        ranges = {"a": (-2, 2), "b": (-2, 2)}
+        dom = Domain.from_dict(ranges)
+        verdicts = Counter()
+        for case in range(150):
+            program = random_program(rng, 5, True, faults=True)
+            contract = Contract(random_predicate(rng, ("a", "b"), faults=True),
+                                random_predicate(rng, ("a", "b", "o"), faults=True))
+            budget = rng.choice((3, 25, 10000))
+            ids = [stmt.stmt_id for stmt in program.statements()]
+            kept = None if case % 4 == 0 else frozenset(i for i in ids if rng.random() < 0.7)
+            built = program if kept is None else slicer._build(program, kept)
+            passing = [point for point in dom.points()
+                       if check_point(built, contract, point, budget).status in (PASS, PRE_VIOLATION)]
+            if not passing:
+                continue
+            stops.append(rng.choice(passing))
+            result = verifier.Judge(program, contract, dom, budget).check(kept)
+            verdicts[_agrees(built, contract, ranges, budget, result)] += 1
+        assert filters == [True] * len(stops)
+        for verdict in (VERIFIED, COUNTEREXAMPLE, VACUOUS, FAULT, BUDGET_EXCEEDED):
+            assert verdicts[verdict] >= 5, verdicts
+
     def test_only_domains_at_the_gate_or_above_compile_a_nest(self, max2, nests):
         contract = _contract("a > b", "max == a")
         below = interp.NEST_FROM_POINTS - 1
@@ -1027,14 +1093,14 @@ class TestWhere:
 
     @staticmethod
     def _check_all_both_ways(monkeypatch, pairs, ranges, budget=10000, refused=False):
-        """check_all through the filter, which decides without the closure
-        visits unless Python refuses it, and through the closures; both
+        """check_all through the filter, which decides without enumerating
+        points unless Python refuses it, and through the closures; both
         must agree with bf_check. The filter's results."""
         dom = Domain.from_dict(ranges)
         monkeypatch.setattr(interp, "NEST_FROM_POINTS", 0)
         with monkeypatch.context() as patch:
             if not refused:
-                patch.setattr(verifier, "_closure_visits", None)
+                patch.setattr(Domain, "points", None)
             filtered = check_all(pairs, dom, budget)
         monkeypatch.setattr(interp, "NEST_FROM_POINTS", 10**18)
         plain = check_all(pairs, dom, budget)
@@ -1127,6 +1193,46 @@ class TestWhere:
             {"a": (-3, 3), "b": (-3, 3)})
         assert (bound.verdict, bound.checked_points) == (VERIFIED, 21)
         assert filters == [True, True]
+
+    def test_a_visit_the_closures_pass_over_changes_nothing(self, monkeypatch, filters):
+        """A visit at which the closures find p1 && !p2 false is passed
+        over: implies keeps bf_implies' answer, witness key order and
+        checked_points, and check_all, whose filter visits a point where
+        no precondition holds, bf_check's answers."""
+        led = _led_by_a_passed_visit(monkeypatch)
+        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 0)
+        rng = random.Random(1123)
+        seen = Counter()
+        for _ in range(200):
+            read = rng.sample(("a", "b"), rng.randint(1, 2))
+            ranges = {name: (lo, lo + rng.randint(1, 3)) for name in sorted(read)
+                      for lo in [rng.randint(-3, 1)]}
+            p1 = TRUE if rng.random() < 0.2 else random_predicate(rng, tuple(read), faults=True)
+            p2 = random_predicate(rng, tuple(read), faults=True)
+            before = len(led)
+            got = self._implies(p1, p2, Domain.from_dict(ranges))
+            expected = bf_implies(p1, p2, ranges)
+            assert got == expected, (format_predicate(p1), format_predicate(p2), ranges)
+            assert list(got[1] or ()) == list(expected[1] or ())
+            if len(led) > before:
+                seen["fault" if got[0] == "fault" else "holds" if got[0] else "counterexample"] += 1
+        assert min(seen["fault"], seen["holds"], seen["counterexample"]) >= 15, seen
+        ranges = {"a": (-2, 2), "b": (-2, 2)}
+        dom = Domain.from_dict(ranges)
+        before = len(led)
+        for _ in range(60):
+            program = random_program(rng, 4, True, faults=True)
+            contracts = [
+                Contract(random_predicate(rng, ("a", "b"), faults=True),
+                         random_predicate(rng, ("a", "b", "o"), faults=True))
+                for _ in range(3)
+            ]
+            budget = rng.choice((3, 25, 10000))
+            results = check_all([(program, contract) for contract in contracts], dom, budget)
+            for contract, result in zip(contracts, results):
+                _agrees(program, contract, ranges, budget, result)
+        assert len(led) - before >= 15
+        assert filters and all(filters)
 
     def test_source_python_refuses_falls_back_to_the_closures(self, max2, monkeypatch, filters):
         deep = parse_predicate(f"{DEEP_SUM} == 250 * a")
