@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .contracts import Contract
 from .lang import ast
@@ -123,23 +123,17 @@ def apply_deletion(
 def _removals(program: ast.Program) -> dict[DeletionUnit, tuple[int, ...]]:
     """For each deletion unit of program, the ids of every statement
     deleting it removes: the statement or the statements of the else
-    clause, each with every statement nested inside it. One walk, each
-    statement after those nested inside it."""
+    clause, each with every statement nested inside it. Each is one run
+    of the pre-order list of every statement."""
+    table = _preorder(program.body, {s.stmt_id for s in program.statements()})
+    ids = [sid for sid, _, _ in table]
     removals: dict[DeletionUnit, tuple[int, ...]] = {}
-
-    def inside(block: ast.Block) -> tuple[int, ...]:
-        return tuple(i for s in block.stmts for i in removals[DeletionUnit(STATEMENT, s.stmt_id)])
-
-    for stmt in reversed(program.statements()):
-        nested = ()
-        if isinstance(stmt, ast.If):
-            orelse = inside(stmt.orelse)
-            if orelse:
-                removals[DeletionUnit(ELSE_CLAUSE, stmt.stmt_id)] = orelse
-            nested = inside(stmt.then) + orelse
-        elif isinstance(stmt, ast.While):
-            nested = inside(stmt.body)
-        removals[DeletionUnit(STATEMENT, stmt.stmt_id)] = (stmt.stmt_id, *nested)
+    starts: dict[int, int] = {}
+    for index, (sid, end, owner) in enumerate(table):
+        removals[DeletionUnit(STATEMENT, sid)] = tuple(ids[index:end])
+        if owner >= 0 and starts.setdefault(owner, index) == index:
+            # the else block runs from its first statement to the If's end
+            removals[DeletionUnit(ELSE_CLAUSE, ids[owner])] = tuple(ids[index:table[owner][1]])
     return removals
 
 
@@ -233,7 +227,7 @@ def slice(
     units = deletable_units(program)
     relevant = _relevant(program, contract.post)
     if strategy == EXHAUSTIVE:
-        kept, verification = _slice_exhaustive(program, judge, units, base, relevant)
+        kept, verification = _slice_exhaustive(program, judge, base, relevant)
     elif strategy == GREEDY:
         kept, verification = _slice_greedy(program, judge, units, base, relevant)
     else:
@@ -325,86 +319,28 @@ def _verifies(judge: Judge, kept: frozenset[int], killers: list) -> Verification
     return result
 
 
-class _Plan(NamedTuple):
-    """A block as _choices walks it, keeping only the statements in S*: per
-    statement its id and the plans of its blocks (then and else, the loop
-    body, or none for a leaf); per suffix of the statements, the most
-    units the sets it can leave have; and where the trailing run of leaves
-    starts."""
-
-    ids: tuple[int, ...]
-    subs: tuple[tuple, ...]
-    most: tuple[int, ...]
-    leaves_from: int
-
-
-def _plan(block: ast.Block, relevant: frozenset[int]) -> _Plan:
-    stmts = [stmt for stmt in block.stmts if stmt.stmt_id in relevant]
-    subs = []
-    for stmt in stmts:
-        if isinstance(stmt, ast.If):
-            subs.append((_plan(stmt.then, relevant), _plan(stmt.orelse, relevant)))
-        elif isinstance(stmt, ast.While):
-            subs.append((_plan(stmt.body, relevant),))
-        else:
-            subs.append(())
-    most = [0]
-    for inner in reversed(subs):
-        held = sum(sub.most[0] for sub in inner)
-        if len(inner) == 2 and inner[1].most[0]:
-            held += 1  # the else clause is a retained unit when an else statement is
-        most.append(most[-1] + 1 + held)
-    leaves_from = len(subs)
-    while leaves_from and not subs[leaves_from - 1]:
-        leaves_from -= 1
-    ids = tuple(stmt.stmt_id for stmt in stmts)
-    return _Plan(ids, tuple(subs), tuple(reversed(most)), leaves_from)
-
-
-def _choices(plan: _Plan, i: int, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Every set of the statements from the i-th on that a deletion can
-    leave with lo to hi units, as (units, retained ids in pre-order).
-
-    Each statement, in pre-order, is tried retained before deleted. Two
-    sets with the same unit count are never a prefix of one another, so
-    the one holding the smallest id in which they differ is the smaller:
-    the sets of one unit count come in ascending order.
-    """
-    if lo > min(hi, plan.most[i]):
-        return
-    if i == len(plan.ids):
-        yield 0, ()
-        return
-    if lo == hi and i >= plan.leaves_from:
-        # only leaves left: combinations come in this very order
-        for ids in combinations(plan.ids[i:], lo):
-            yield lo, ids
-        return
-    if hi:
-        for m, inner in _inner(plan.subs[i], max(lo - 1 - plan.most[i + 1], 0), hi - 1):
-            head = (plan.ids[i], *inner)
-            for n, rest in _choices(plan, i + 1, max(lo - 1 - m, 0), hi - 1 - m):
-                yield 1 + m + n, head + rest
-    yield from _choices(plan, i + 1, lo, hi)
-
-
-def _inner(subs: tuple, lo: int, hi: int) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """What a retained statement can keep inside it with lo to hi units,
-    as (units, retained ids in pre-order), in _choices' order."""
-    if not subs:
-        if lo == 0:
-            yield 0, ()
-    elif len(subs) == 1:
-        yield from _choices(subs[0], 0, lo, hi)
-    else:
-        then, orelse = subs
-        for m, ids in _choices(then, 0, max(lo - 1 - orelse.most[0], 0), hi):
-            # the else clause is a retained unit when an else statement is;
-            # retaining none comes last
-            for n, more in _choices(orelse, 0, max(lo - m - 1, 1), hi - m - 1):
-                yield m + n + 1, ids + more
-            if m >= lo:
-                yield m, ids
+def _preorder(block: ast.Block, keep: frozenset[int] | set[int]) -> list[tuple[int, int, int]]:
+    """The statements of block in keep, in pre-order, as (id, index past
+    its subtree, index of the If whose else block holds it directly or -1).
+    keep must hold the enclosing statement of each of its members, so each
+    subtree and each else block is one run of the list. Walked with a
+    stack of its own, so no depth of program fails here."""
+    rows: list[list[int]] = []
+    stack: list = [(stmt, -1) for stmt in reversed(block.stmts)]
+    while stack:
+        stmt, owner = stack.pop()
+        if stmt is None:  # every statement nested in row owner is listed
+            rows[owner][1] = len(rows)
+        elif stmt.stmt_id in keep:
+            index = len(rows)
+            rows.append([stmt.stmt_id, 0, owner])
+            stack.append((None, index))
+            if isinstance(stmt, ast.If):
+                stack += [(inner, index) for inner in reversed(stmt.orelse.stmts)]
+                stack += [(inner, -1) for inner in reversed(stmt.then.stmts)]
+            elif isinstance(stmt, ast.While):
+                stack += [(inner, -1) for inner in reversed(stmt.body.stmts)]
+    return [tuple(row) for row in rows]
 
 
 def _retainable(
@@ -413,29 +349,63 @@ def _retainable(
     """Every set of the statements of block in relevant that a deletion can
     leave, as (retained units, retained statement ids in pre-order), in
     ascending order and one at a time. relevant must hold the enclosing
-    statement of each of its members."""
-    plan = _plan(block, relevant)
-    for n in range(plan.most[0] + 1):
-        yield from _choices(plan, 0, n, n)
+    statement of each of its members.
+
+    For each unit count, one walk of the pre-order list tries each
+    statement retained before deleted; deleting one skips its subtree.
+    Two sets with the same unit count are never a prefix of one another,
+    so the one holding the smallest id in which they differ is the
+    smaller: the sets of one unit count come in ascending order.
+    """
+    table = _preorder(block, relevant)
+    ids = [sid for sid, _, _ in table]
+    # the first retained statement of an else block retains the else
+    # clause too: opens[i] is where the block holding the i-th one starts
+    starts: dict[int, int] = {}
+    opens = [starts.setdefault(owner, index) for index, (_, _, owner) in enumerate(table)]
+    # most[i] bounds the units the statements from the i-th on can add
+    most = [len(table) - i + len({owner for _, _, owner in table[i:]} - {-1})
+            for i in range(len(table) + 1)]
+    leaves_from = len(table)
+    while leaves_from and table[leaves_from - 1][1:] == (leaves_from, -1):
+        leaves_from -= 1
+    for n in range(most[0] + 1):
+        stack = [(0, 0, -1, ())]
+        while stack:
+            i, units, last, kept = stack.pop()
+            if units == n:
+                yield n, kept
+            elif i >= leaves_from:
+                # only plain leaves left: combinations come in this very order
+                for more in combinations(ids[i:], n - units):
+                    yield n, kept + more
+            else:
+                _, end, owner = table[i]
+                if units + most[end] >= n:
+                    stack.append((end, units, last, kept))
+                held = units + 1 + (owner >= 0 and last < opens[i])
+                if held <= n <= held + most[i + 1]:
+                    stack.append((i + 1, held, i, kept + (ids[i],)))
 
 
 def _slice_exhaustive(
     program: ast.Program,
     judge: Judge,
-    units: list[DeletionUnit],
     base: VerificationResult,
     relevant: frozenset[int],
 ) -> tuple[frozenset[int], VerificationResult]:
     """The kept-set of the first candidate inside relevant that verifies,
     and its verification."""
-    most = _plan(program.body, relevant).most[0]
+    table = _preorder(program.body, relevant)
+    most = len(table) + len({owner for _, _, owner in table} - {-1})
     if most > EXHAUSTIVE_CAP:
         raise ExhaustiveCapError(most, EXHAUSTIVE_CAP)
     killers: list = []
     for n, ids in _retainable(program.body, relevant):
         kept = frozenset(ids)
-        # a candidate retaining every unit is the program itself, verified by base
-        result = base if n == len(units) else _verifies(judge, kept, killers)
+        # a candidate retaining every unit inside relevant verifies as the
+        # program does, with the same result
+        result = base if n == most else _verifies(judge, kept, killers)
         if result is not None:
             break
     return kept, result

@@ -44,7 +44,7 @@ from tddslicer.slicer import (
     VacuousContractError,
 )
 
-from bruteforce import bf_check, bf_holds, bf_run, bf_slice, bf_units
+from bruteforce import bf_check, bf_delete, bf_holds, bf_run, bf_slice, bf_units
 from generators import comparison, linear_expr, random_contract, random_program
 from slices import check_projection, is_slice_of
 
@@ -93,6 +93,27 @@ class TestApplyDeletion:
     def test_ids_keep_gaps(self, div_oracle):
         sliced = apply_deletion(div_oracle, {stmt(2)})
         assert [s.stmt_id for s in sliced.statements()] == [1, 3, 4, 5, 6]
+
+    def test_matches_an_independent_deletion(self):
+        """apply_deletion against bf_delete, ids included: each unit alone,
+        then random sets of units, on programs where else blocks hold ifs
+        and loops."""
+        rng = random.Random(2357)
+        compound = (ast.If, ast.While)
+        nested_elses = 0
+        for index in range(200):
+            program = random_program(rng, max_stmts=rng.randint(4, 14), allow_while=True,
+                                     faults=index % 2 == 0)
+            units = deletable_units(program)
+            chosen = [{unit} for unit in units]
+            chosen += [{unit for unit in units if rng.random() < p} for p in (0.2, 0.5, 0.8)]
+            for deleted in chosen:
+                assert apply_deletion(program, deleted) == bf_delete(program, deleted), deleted
+            nested_elses += sum(
+                any(isinstance(inner, compound) for inner in s.orelse.stmts)
+                for s in program.statements() if isinstance(s, ast.If)
+            )
+        assert nested_elses >= 15, nested_elses
 
     def test_unknown_unit_rejected(self, max2):
         with pytest.raises(ValueError, match="not present"):
@@ -212,6 +233,17 @@ class TestSlice:
         greedy = compute_slice(program, contract, dom5, strategy=GREEDY)
         assert greedy.verification.verified
         assert greedy.retained == frozenset({stmt(17)})
+
+    def test_exhaustive_cap_counts_else_clauses(self):
+        """Four if/else assigning o and one increment: 13 statements and
+        4 else clauses, all 17 units relevant."""
+        body = " ".join(f"if (a > {i}) {{ o := {i}; }} else {{ o := b; }}" for i in range(4))
+        program = parse_program(f"proc f(in a, in b, out o) {{ {body} o := o + 1; }}")
+        assert len(program.statements()) == 13 and len(deletable_units(program)) == 17
+        contract = Contract(parse_predicate("TRUE"), parse_predicate("o <= 4"))
+        with pytest.raises(ExhaustiveCapError, match="^17 deletable units "):
+            compute_slice(program, contract, dom5)
+        assert compute_slice(program, contract, dom5, strategy=GREEDY).verification.verified
 
     def test_exhaustive_cap_counts_only_units_the_postcondition_can_depend_on(self):
         """The same 17 units under post TRUE: none is relevant, so the
@@ -524,6 +556,28 @@ ALL_FAIL_PINS = {
 }
 
 
+#: five sequential one-statement if/else, 3,125 candidates when all 20
+#: units are kept in play; d is dead, so under a postcondition on o eight
+#: units are relevant (the program of CI's five-if/else slice)
+FIVE_IF_ELSE = (
+    "proc f(in a, in b, out o) { var d;"
+    " if (a > b) { d := a; } else { d := b; }"
+    " if (a > 0) { o := a; } else { o := 0 - a; }"
+    " if (d > 0) { d := d - 1; } else { d := 0; }"
+    " if (b > 0) { o := o + b; } else { o := o - b; }"
+    " if (o > 3) { d := o; } else { skip; } }\n"
+)
+
+#: an else block holding an if/else and a while, then more statements
+ELSE_NESTED = (
+    "proc g(in a, in b, out o) { var w;"
+    " if (a > b) { o := a; } else {"
+    " if (b > 0) { o := b; } else { w := b; }"
+    " while (w < 2) { w := w + 1; o := o + w; } o := o + 1; }"
+    " w := o; }\n"
+)
+
+
 @pytest.mark.parametrize("strategy", sorted(ALL_FAIL_PINS))
 def test_all_fail_slice_runs_and_output_are_pinned(strategy, capsys, tmp_path, verifier_runs):
     path = tmp_path / "f.prog"
@@ -605,7 +659,8 @@ def _eager_retainable(block):
 
 def test_streamed_candidates_come_in_sorted_order():
     rng = random.Random(9)
-    programs = [parse_program(PADDED_DIV), parse_program(PADDED_MAX), parse_program(ALL_FAIL)]
+    shapes = (PADDED_DIV, PADDED_MAX, ALL_FAIL, FIVE_IF_ELSE, ELSE_NESTED)
+    programs = [parse_program(source) for source in shapes]
     programs += [
         random_program(rng, max_stmts=rng.randint(4, 14), allow_while=True, faults=index % 2 == 0)
         for index in range(200)
@@ -815,7 +870,8 @@ def test_greedy_judges_only_deletions_that_reach_the_relevance_closure(monkeypat
 
 def test_pruned_candidates_are_the_sorted_candidates_inside_the_relevance_closure():
     rng = random.Random(9)
-    programs = [parse_program(PADDED_DIV), parse_program(PADDED_MAX), parse_program(ALL_FAIL)]
+    shapes = (PADDED_DIV, PADDED_MAX, ALL_FAIL, FIVE_IF_ELSE, ELSE_NESTED)
+    programs = [parse_program(source) for source in shapes]
     programs += [
         random_program(rng, max_stmts=rng.randint(4, 14), allow_while=True, faults=index % 2 == 0)
         for index in range(200)
