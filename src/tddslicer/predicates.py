@@ -17,8 +17,8 @@ so every answer, witness, count and fault is that of judging the points
 in order.
 
 A Prepared value holds what queries derive from one predicate: its free
-variables, its OR-disjuncts, its static fault-freedom and its compiled
-closure, each derived on first use and kept. A Contract keeps the
+variables, its OR-disjuncts, whether it can fault over a domain and its
+compiled closure, each derived on first use and kept. A Contract keeps the
 Prepared values of its pre and post, and union composes its parts'
 values instead of walking the growing Or again. implies and is_tautology
 prepare their arguments and take the one entry, implication, which the
@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from .errors import TOO_DEEP, EvaluationFault, ParseError
 from .lang import ast
@@ -156,38 +156,66 @@ class ImplicationResult:
         return self.holds
 
 
-def _static_fault_free(pred: Predicate) -> bool:
-    """Conservative: no / or %, and ^ only with an exponent that cannot be
-    negative (ast.sure_nonneg)."""
+#: a product whose operands' magnitudes have more bits than this between
+#: them is not computed: its interval is unknown, so the walk's cost does
+#: not grow with the numbers it bounds
+_SPAN_BITS = 4096
 
-    def expr_ok(expr: ast.Expr, safe: frozenset[str]) -> bool:
-        if isinstance(expr, (ast.IntLit, ast.Var)):
-            return True
-        if isinstance(expr, ast.Neg):
-            return expr_ok(expr.operand, safe)
-        if isinstance(expr, ast.Arith):
-            if expr.op in ("/", "%"):
-                return False
-            if expr.op == "^" and not ast.sure_nonneg(expr.right, safe):
-                return False
-            return expr_ok(expr.left, safe) and expr_ok(expr.right, safe)
-        return False
+_ZERO = ast.IntLit(0)
 
-    def pred_ok(node: Predicate, safe: frozenset[str]) -> bool:
-        if isinstance(node, ast.BoolLit):
-            return True
-        if isinstance(node, ast.Cmp):
-            return expr_ok(node.left, safe) and expr_ok(node.right, safe)
-        if isinstance(node, ast.Not):
-            return pred_ok(node.operand, safe)
-        if isinstance(node, (ast.And, ast.Or)):
-            return pred_ok(node.left, safe) and pred_ok(node.right, safe)
-        if isinstance(node, ast.Exists):
-            inner = safe | {node.var} if node.lo >= 0 else safe - {node.var}
-            return pred_ok(node.body, inner)
-        return False
 
-    return pred_ok(pred, frozenset())
+def _fault_free(pred: Predicate, ranges: tuple[tuple[str, int, int], ...]) -> bool:
+    """Whether pred cannot fault at any point of ranges (a Domain's), by
+    interval arithmetic (Moore, Interval Analysis, 1966). A variable's
+    interval is its range, or inside an exists body the bound variable's
+    bounds; + - * and negation are exact, and every other value (a
+    quotient, remainder or power, a product past _SPAN_BITS) is unknown.
+    A / or % is safe when its divisor's interval excludes 0, a ^ when its
+    exponent's floor is >= 0; unknown is unsafe. Nothing is evaluated, and
+    the walk keeps its own stack."""
+    todo: list = [(pred, {name: (lo, hi) for name, lo, hi in ranges})]
+    spans: list = []  # the intervals of operands walked, None where unknown
+    while todo:
+        node, env = todo.pop()
+        if isinstance(node, str):  # an operator whose operands are on spans
+            right, left = spans.pop(), spans.pop()
+            if node in ("/", "%"):
+                if right is None or right[0] <= 0 <= right[1]:
+                    return False
+                spans.append(None)
+            elif node == "^":
+                if right is None or right[0] < 0:
+                    return False
+                spans.append(None)
+            elif node in ast.CMP_OPS:
+                continue
+            elif left is None or right is None:
+                spans.append(None)
+            elif node == "+":
+                spans.append((left[0] + right[0], left[1] + right[1]))
+            elif node == "-":
+                spans.append((left[0] - right[1], left[1] - right[0]))
+            elif (max(-left[0], left[1]).bit_length()
+                  + max(-right[0], right[1]).bit_length() > _SPAN_BITS):
+                spans.append(None)
+            else:
+                corners = [x * y for x in left for y in right]
+                spans.append((min(corners), max(corners)))
+        elif isinstance(node, ast.IntLit):
+            spans.append((node.value, node.value))
+        elif isinstance(node, ast.Var):
+            spans.append(env.get(node.name))
+        elif isinstance(node, ast.Neg):  # as 0 - operand
+            todo += [("-", env), (node.operand, env), (_ZERO, env)]
+        elif isinstance(node, (ast.Arith, ast.Cmp)):
+            todo += [(node.op, env), (node.right, env), (node.left, env)]
+        elif isinstance(node, (ast.And, ast.Or)):
+            todo += [(node.right, env), (node.left, env)]
+        elif isinstance(node, ast.Not):
+            todo.append((node.operand, env))
+        elif isinstance(node, ast.Exists):
+            todo.append((node.body, {**env, node.var: (node.lo, node.hi)}))
+    return True
 
 
 class Prepared:
@@ -196,7 +224,8 @@ class Prepared:
 
     - free: its free variables;
     - disjuncts: its OR-disjuncts, flattened in order;
-    - fault_free: whether it provably cannot fault (_static_fault_free);
+    - fault_free(dom): whether it cannot fault at any point of dom
+      (_fault_free), one fact per dom.ranges;
     - test: its closure, as compile_bool gives it.
 
     either(a, b) is the prepared Or(a.pred, b.pred). Its facts are
@@ -216,7 +245,7 @@ class Prepared:
     def __init__(self, pred: Predicate, parts: tuple["Prepared", "Prepared"] | None = None):
         self.pred = pred
         self._parts = parts
-        self._facts: dict[str, object] = {}
+        self._facts: dict[Hashable, object] = {}
 
     @classmethod
     def either(cls, first: "Prepared", second: "Prepared") -> "Prepared":
@@ -230,16 +259,16 @@ class Prepared:
     def disjuncts(self) -> tuple[Predicate, ...]:
         return self._fact("disjuncts", ast.or_disjuncts, operator.add)
 
-    @property
-    def fault_free(self) -> bool:
-        return self._fact("fault_free", _static_fault_free, operator.and_)
+    def fault_free(self, dom: Domain) -> bool:
+        ranges = dom.ranges
+        return self._fact(("fault_free", ranges), lambda pred: _fault_free(pred, ranges), operator.and_)
 
     @property
     def test(self) -> Callable[[State], bool]:
         return self._fact("test", compile_bool, _AnyOf)
 
-    def _fact(self, name: str, derive: Callable, compose: Callable):
-        """The fact called name: derive(pred), or for an either its parts'
+    def _fact(self, name: Hashable, derive: Callable, compose: Callable):
+        """The fact keyed by name: derive(pred), or for an either its parts'
         facts composed. Parts that lack it get it first, deepest first, in
         a loop rather than by recursion, so a long union needs no stack."""
         if name in self._facts:
@@ -287,10 +316,11 @@ def implies(p1: Predicate, p2: Predicate, dom: Domain) -> ImplicationResult:
     """Bounded implication: p1 => p2 at every assignment within dom.
 
     On failure the witness is the first counterexample in enumeration
-    order. When p1 is syntactically one of p2's OR-disjuncts and neither
-    side can fault, the implication holds by construction and enumeration
-    is skipped. A predicate too deeply nested to walk, compare or evaluate
-    raises ParseError(TOO_DEEP).
+    order. When every OR-disjunct of p1 is syntactically one of p2's and
+    neither side can fault at any point of dom (Prepared.fault_free), the
+    implication holds by construction: nothing is enumerated and
+    checked_points is 0. A predicate too deeply nested to walk, compare or
+    evaluate raises ParseError(TOO_DEEP).
 
     Only the variables either side reads vary (the others stay at their
     range floor). The closures judge again each point where visits finds
@@ -308,7 +338,12 @@ def implication(p1: Prepared, p2: Prepared, dom: Domain) -> ImplicationResult:
     if uncovered:
         raise ValueError(f"domain does not cover free variables: {sorted(uncovered)}")
     try:
-        if p1.pred in p2.disjuncts and p1.fault_free and p2.fault_free:
+        if len(p1.disjuncts) == 1:
+            included = p1.pred in p2.disjuncts
+        else:
+            known = set(p2.disjuncts)
+            included = all(disjunct in known for disjunct in p1.disjuncts)
+        if included and p1.fault_free(dom) and p2.fault_free(dom):
             return ImplicationResult(True, None, 0, dom)
         floor = {name: lo for name, lo, _ in dom.ranges if name not in needed}
         varying = Domain(tuple(entry for entry in dom.ranges if entry[0] in needed))

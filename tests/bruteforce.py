@@ -343,19 +343,53 @@ def _bf_free(node) -> set[str]:
     return free - {node.var} if isinstance(node, ast.Exists) else free
 
 
-def _bf_cannot_fault(node, nonneg: frozenset[str] = frozenset()) -> bool:
-    """No / or %, and every ^ raises to a literal >= 0 or to a variable
-    bound by an enclosing exists whose range starts at 0 or above."""
-    if isinstance(node, ast.Arith) and node.op in ("/", "%"):
-        return False
-    if isinstance(node, ast.Arith) and node.op == "^":
-        exponent = node.right
-        if not ((isinstance(exponent, ast.IntLit) and exponent.value >= 0)
-                or (isinstance(exponent, ast.Var) and exponent.name in nonneg)):
+#: a product of operands whose magnitudes have more bits than this between
+#: them has an unknown interval
+_BF_SPAN_BITS = 4096
+
+
+def _bf_interval(expr, bounds: dict[str, tuple[int, int]]):
+    """(lo, hi) bounding expr's values when its variables range over
+    bounds, or None where unknown: exact for literals, variables, negation,
+    + - and *; unknown for / % ^ and a product past _BF_SPAN_BITS."""
+    if isinstance(expr, ast.IntLit):
+        return expr.value, expr.value
+    if isinstance(expr, ast.Var):
+        return bounds.get(expr.name)
+    if isinstance(expr, ast.Neg):
+        inner = _bf_interval(expr.operand, bounds)
+        return inner and (-inner[1], -inner[0])
+    if expr.op in ("/", "%", "^"):
+        return None
+    left, right = _bf_interval(expr.left, bounds), _bf_interval(expr.right, bounds)
+    if left is None or right is None:
+        return None
+    if expr.op == "+":
+        return left[0] + right[0], left[1] + right[1]
+    if expr.op == "-":
+        return left[0] - right[1], left[1] - right[0]
+    bits = max(abs(v) for v in left).bit_length() + max(abs(v) for v in right).bit_length()
+    if bits > _BF_SPAN_BITS:
+        return None
+    products = [x * y for x, y in itertools.product(left, right)]
+    return min(products), max(products)
+
+
+def _bf_cannot_fault(node, bounds: dict[str, tuple[int, int]]) -> bool:
+    """No / or % whose divisor's interval may hold 0 and no ^ whose
+    exponent's interval may go below 0, each exists variable bounded by its
+    own range inside its body; an unknown interval may do either."""
+    if isinstance(node, ast.Arith) and node.op in ("/", "%", "^"):
+        bound = _bf_interval(node.right, bounds)
+        if bound is None:
+            return False
+        if node.op == "^" and bound[0] < 0:
+            return False
+        if node.op != "^" and bound[0] <= 0 <= bound[1]:
             return False
     if isinstance(node, ast.Exists):
-        nonneg = nonneg | {node.var} if node.lo >= 0 else nonneg - {node.var}
-    return all(_bf_cannot_fault(child, nonneg) for child in _bf_children(node))
+        bounds = {**bounds, node.var: (node.lo, node.hi)}
+    return all(_bf_cannot_fault(child, bounds) for child in _bf_children(node))
 
 
 def _bf_disjuncts(pred) -> list:
@@ -373,11 +407,13 @@ def bf_implies(p1, p2, ranges: dict[str, tuple[int, int]]):
     in name order. Returns ("fault", point, reason) for the first point at
     which p1, or p2 where p1 holds, faults; else (holds, witness,
     checked_points), the witness being the first point at which p1 holds
-    and p2 does not and checked_points the points judged up to it. When p1
-    is one of p2's OR-disjuncts and neither can fault, the answer is
-    (True, None, 0) without enumeration.
+    and p2 does not and checked_points the points judged up to it. When
+    each of p1's OR-disjuncts is one of p2's and neither side can fault
+    over ranges (_bf_cannot_fault), the answer is (True, None, 0) without
+    enumeration.
     """
-    if p1 in _bf_disjuncts(p2) and _bf_cannot_fault(p1) and _bf_cannot_fault(p2):
+    if (all(d in _bf_disjuncts(p2) for d in _bf_disjuncts(p1))
+            and _bf_cannot_fault(p1, ranges) and _bf_cannot_fault(p2, ranges)):
         return True, None, 0
     needed = _bf_free(p1) | _bf_free(p2)
     fixed = {name: ranges[name][0] for name in sorted(ranges) if name not in needed}

@@ -11,6 +11,7 @@ import shutil
 import pytest
 
 from tddslicer import Contract, TestCase, check_point, parse_predicate, qlty, replay
+from tddslicer import contracts
 from tddslicer import session as session_module
 from tddslicer.cli import main
 from tddslicer.contracts import REGRESSION
@@ -27,7 +28,7 @@ from tddslicer.session import (
     run_test,
 )
 
-from long_session import write_long_session
+from long_session import POSTS, write_long_session
 
 MINIMAL_PROG = "proc inc(in x, out y) {\n    y := x + 1;\n}\n"
 
@@ -340,6 +341,16 @@ def test_bundled_corpus_loads_via_helper():
 DIV_REPLAY_SHA256 = "2ca978f1f437972464c1303ac6f0f91bc8de63b2d1515e9be3552b2cd6ac61d5"
 # Report of div.session over x in 0..38, y in 1..16, captured the same way.
 WIDE_DIV_REPLAY_SHA256 = "f7843370655aa4e5032b5cc0f24c61fe1a14073b1f0cd54626ac3f8d12b1dcef"
+
+FAULT_PRONE_POST = "r == x % y && x == y * q + r"
+
+# SHA-256 of the fault-prone long session's to_json() at 10 and 40 cycles,
+# recorded when every chain check still enumerated its post domain
+FAULT_PRONE_REPLAY_SHA256 = {
+    10: "d4c817659433ca0dbdd0fd2ac51f8aed20a102d22f4ce226dd13f336ffda15fc",
+    40: "136ab34ce494f868b37fce476de1346eb51cff2f2155b0537270cdba563cfe75",
+}
+
 BROKEN_REPLAY = """\
 {
   "command": "replay",
@@ -552,3 +563,39 @@ class TestLongSession:
         for kind in ("walks", "compiles"):
             first, second = (seen[20][kind] - seen[10][kind], seen[40][kind] - seen[20][kind])
             assert second <= 2.2 * first, (kind, seen)
+
+    def test_fault_prone_chain_checks_compile_no_filter(self, monkeypatch, tmp_path):
+        """The long session with cycle 1's post changed to one that divides
+        by y, y in 1..9: an interval excludes 0 from the divisor, so each
+        chain check finds the cycle contract's pre and post among the
+        union's disjuncts and judges no point. The only functions a replay
+        compiles are check_all's filter and the union pre's tautology
+        check; the report is the one every chain check enumerated for."""
+        loaded, chain = [], []
+        real_load, real_subsumed = interp._load, contracts.subsumed_by
+
+        def load(name, function, emit):
+            loaded.append((name, function, bool(chain)))
+            return real_load(name, function, emit)
+
+        def subsumed_by(*args):
+            chain.append(args)
+            try:
+                return real_subsumed(*args)
+            finally:
+                chain.pop()
+
+        monkeypatch.setattr(interp, "_load", load)
+        monkeypatch.setattr(contracts, "subsumed_by", subsumed_by)
+        for cycles in (10, 40):
+            path = write_long_session(tmp_path / str(cycles), cycles)
+            text = path.read_text(encoding="utf-8")
+            post = f"contract.post = {POSTS[1]}"
+            assert text.index(post) < text.index("[cycle 2]")
+            path.write_text(text.replace(post, f"contract.post = {FAULT_PRONE_POST}", 1), encoding="utf-8")
+            loaded.clear()
+            report = replay(load_session(path))
+            assert report.ok
+            assert loaded == [("where", "visits", False)] * 2
+            digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+            assert digest == FAULT_PRONE_REPLAY_SHA256[cycles]
