@@ -50,7 +50,20 @@ class PredicateUndefinedError(Exception):
     def __init__(self, assignment: State, reason: str):
         self.assignment = assignment
         self.reason = reason
-        super().__init__(f"predicate undefined at {assignment}: {reason}")
+        super().__init__(f"predicate undefined at {_state_text(assignment)}: {reason}")
+
+
+def _state_text(state: State) -> str:
+    """state as a dict prints, except that a value longer than CPython's
+    int-to-string limit (sys.get_int_max_str_digits()) is only said to be
+    too large to print, as session._mismatch says it."""
+    items = []
+    for name, value in state.items():
+        try:
+            items.append(f"{name!r}: {value!r}")
+        except ValueError:
+            items.append(f"{name!r}: too large to print")
+    return "{" + ", ".join(items) + "}"
 
 
 @dataclass(frozen=True)

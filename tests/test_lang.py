@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import tddslicer
 from tddslicer import (
     Domain,
     ParseError,
@@ -21,7 +26,7 @@ from tddslicer import (
 )
 from tddslicer.lang import ast, parse_bindings, parse_domain_spec
 from tddslicer.lang.interp import BUDGET_EXCEEDED, FAULT, OK, TrajectoryEntry, runner
-from tddslicer.lang.lexer import EOF, tokenize
+from tddslicer.lang.lexer import EOF, scan, tokenize
 from tddslicer.corpus import corpus_path
 
 from bruteforce import bf_run, bf_tokenize, replay_trajectory
@@ -179,6 +184,90 @@ class TestParsing:
         assert parse_predicate("(" * 50 + "a > 0" + ")" * 50) == parse_predicate("a > 0")
 
 
+def _in_program(body: str) -> str:
+    return f"proc f(in x, out y){{ {body} }}"
+
+
+#: each nesting form: whether it is a predicate or a program, its text at
+#: depth n, and the deepest n that parses at module level in a fresh
+#: CPython 3.11 process at the default recursion limit
+DEPTH_FORMS = {
+    "predicate parentheses": ("predicate", lambda n: "(" * n + "a > 0" + ")" * n, 328),
+    "arithmetic parentheses": ("program", lambda n: _in_program(f"y := {'(' * n}x{')' * n};"), 329),
+    "! chain": ("predicate", lambda n: "!" * n + "a > 0", 986),
+    "unary - chain": ("program", lambda n: _in_program(f"y := {'-' * n}x;"), 989),
+    "^ chain": ("program", lambda n: _in_program("y := " + " ^ ".join(["x"] * (n + 1)) + ";"), 989),
+    "nested if": ("program", lambda n: _in_program("if (x > 0) { " * n + "skip; " + "} " * n), 986),
+}
+
+#: parses each (kind, text) read as JSON from stdin at module level, where
+#: the limits were measured, and prints "ok" or the ParseError for each
+_DEPTH_PROBE = """
+import json, sys
+from tddslicer import ParseError, parse_predicate, parse_program
+outcomes = []
+for kind, text in json.load(sys.stdin):
+    try:
+        (parse_predicate if kind == "predicate" else parse_program)(text)
+        outcomes.append("ok")
+    except ParseError as err:
+        outcomes.append(str(err))
+print(json.dumps(outcomes))
+"""
+
+
+def _fresh_env() -> dict:
+    """The environment of a fresh process that imports this package."""
+    return {**os.environ, "PYTHONPATH": str(Path(tddslicer.__file__).parents[1])}
+
+
+class TestDepthLimits:
+    def test_deepest_nesting_that_parses(self):
+        """Each form parses at its pinned depth and is ParseError(TOO_DEEP)
+        one level deeper. Other interpreters may count frames a little
+        differently: there the pin is checked to within 10 levels."""
+        slack = 0 if sys.implementation.name == "cpython" and sys.version_info[:2] == (3, 11) else 10
+        cases = []
+        for kind, make, limit in DEPTH_FORMS.values():
+            cases += [(kind, make(limit - slack)), (kind, make(limit + 1 + slack))]
+        probe = subprocess.run([sys.executable, "-c", _DEPTH_PROBE], input=json.dumps(cases),
+                               capture_output=True, text=True, env=_fresh_env(), timeout=120)
+        assert probe.returncode == 0, probe.stderr
+        assert json.loads(probe.stdout) == ["ok", "expression nested too deeply"] * len(DEPTH_FORMS)
+
+    def test_cli_at_each_limit_ends_without_a_traceback(self, tmp_path):
+        """check, slice and trace (trace only on programs) on each form at
+        its limit exit 0, 1 or 2 with at most one line on stderr and never
+        a traceback. The CLI parses from deeper in the stack than the probe,
+        so a form at its limit may be too deep there; a 600-deep ^ chain
+        gets a verdict."""
+        max2 = str(corpus_path("max2.prog"))
+        outcomes = {}
+        for name, (kind, make, limit) in DEPTH_FORMS.items():
+            for depth in (limit, 600) if name == "^ chain" else (limit,):
+                if kind == "program":
+                    path = tmp_path / "deep.prog"
+                    path.write_text(make(depth))
+                    contract = ["--pre", "TRUE", "--post", "TRUE", "--domain", "x in 0..1"]
+                    commands = [["check", str(path), *contract], ["slice", str(path), *contract],
+                                ["trace", str(path), "--inputs", "x=1"]]
+                else:
+                    dom = ["--domain", "a in 0..1, b in 0..1"]
+                    commands = [["check", max2, "--pre", make(depth), "--post", "TRUE", *dom],
+                                ["slice", max2, "--pre", "TRUE", "--post", make(depth), *dom]]
+                for command in commands:
+                    done = subprocess.run(
+                        [sys.executable, "-m", "tddslicer.cli", *command, "--format", "machine"],
+                        capture_output=True, text=True, env=_fresh_env(), timeout=120,
+                    )
+                    assert done.returncode in (0, 1, 2), (name, command[0], done.stderr)
+                    assert "Traceback" not in done.stderr and done.stderr.count("\n") <= 1
+                    outcomes[name, depth, command[0]] = done.returncode, done.stderr.strip()
+        assert outcomes["^ chain", 600, "check"] == (0, "")
+        deepest_if = DEPTH_FORMS["nested if"][2]
+        assert outcomes["nested if", deepest_if, "check"] == (2, "error: expression nested too deeply")
+
+
 #: the text of every bundled corpus file, programs and the session
 CORPUS_TEXT = "".join(
     path.read_text()
@@ -207,7 +296,9 @@ class TestLexer:
     def test_tokenize_matches_bf_tokenize(self):
         """Every token's kind, text, line and column, the end of input's
         position, or the first bad character's ParseError, as the
-        character-by-character oracle gives them."""
+        character-by-character oracle gives them; and scan's kinds and
+        texts, or its ParseError, as the positional walk gives them, so
+        that the walk finds the position of every token scan makes."""
         alphabet = sorted(set(CORPUS_TEXT + self.EXTRA))
         rng = random.Random(1414)
         texts = [corpus_path(name).read_text() for name in ("div_oracle.prog", "max2.prog")]
@@ -223,11 +314,17 @@ class TestLexer:
                     tokenize(text)
                 got = excinfo.value
                 assert (got.message, got.line, got.col) == (err.message, err.line, err.col), text
+                with pytest.raises(ParseError) as excinfo:
+                    scan(text)
+                got = excinfo.value
+                assert (got.message, got.line, got.col) == (err.message, err.line, err.col), text
                 outcomes["error"] += 1
                 continue
-            *body, end = tokenize(text)
+            tokens = tokenize(text)
+            *body, end = tokens
             got = [(t.kind, t.text, t.line, t.col) for t in body], (end.line, end.col)
             assert got == want and end.kind == EOF, text
+            assert scan(text) == ([t.kind for t in tokens], [t.text for t in tokens]), text
             outcomes["tokens"] += 1
         assert min(outcomes.values()) > 500, outcomes
 

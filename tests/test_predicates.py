@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import itertools
 import random
+import sys
 import time
 
 import pytest
@@ -208,6 +209,25 @@ class TestImplies:
         with pytest.raises(PredicateUndefinedError) as excinfo:
             implies(parse_predicate("1 / a == 1"), parse_predicate("TRUE"), dom)
         assert excinfo.value.assignment == {"a": 0}
+        assert str(excinfo.value) == "predicate undefined at {'a': 0}: division by zero"
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() prints integers of any length")
+    def test_fault_at_a_value_too_large_to_print(self):
+        """A fault at a point holding an integer past the int-to-string
+        limit is still the documented error: that value is said to be too
+        large to print, the others print as usual."""
+        big = 10 ** 5000
+        quotient = ast.Arith("/", ast.IntLit(1), ast.Arith("-", ast.Var("a"), ast.IntLit(big)))
+        pred = ast.And(ast.Cmp(">", quotient, ast.IntLit(0)), parse_predicate("b >= 0"))
+        dom = Domain.from_dict({"a": (big, big + 1), "b": (-1, -1)})
+        with pytest.raises(PredicateUndefinedError) as excinfo:
+            implies(pred, TRUE, dom)
+        err = excinfo.value
+        assert (err.assignment, err.reason) == ({"a": big, "b": -1}, "division by zero")
+        assert str(err) == (
+            "predicate undefined at {'a': too large to print, 'b': -1}: division by zero"
+        )
 
     def test_predicate_too_deep_to_walk_is_a_parse_error(self):
         deep = parse_predicate(" + ".join(["a"] * 5000) + " > 0")
