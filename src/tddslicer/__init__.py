@@ -10,52 +10,28 @@ that keep a triple true; `session` replays whole TDD sessions; `cli`
 exposes everything as the `tddslicer` command.
 """
 
-from .contracts import (
-    Classification,
-    Contract,
-    InstanceCheck,
-    SubsumptionCheck,
-    TestCase,
-    classify_test,
-    is_instance,
-    subsumed_by,
-    union,
-    union_all,
-)
-from .errors import EvaluationFault, ParseError, UnboundVariableError
-from .lang import (
-    ALL,
-    DEFAULT_STEP_BUDGET,
-    RunResult,
-    format_predicate,
-    parse_program,
-    pretty_print,
-    project,
-    run,
-)
-from .lang.ast import free_vars
-from .lang.parser import parse_predicate
-from .predicates import (
-    Domain,
-    ImplicationResult,
-    Predicate,
-    PredicateUndefinedError,
-    eval_predicate,
-    implies,
-    is_tautology,
-)
-from .session import Report, Session, load_session, parse_session, qlty, replay
-from .slicer import (
-    DeletionUnit,
-    ExhaustiveCapError,
-    OriginalNotVerifiedError,
-    SliceResult,
-    VacuousContractError,
-    apply_deletion,
-    deletable_units,
-    slice,
-)
-from .verifier import PointCheck, VerificationResult, Witness, check, check_all, check_point
+import importlib
+
+#: the public names, by the module (relative to this package) that
+#: defines them. Each is imported on first use (PEP 562), so that importing
+#: one module of the package, such as the command line's, imports no other
+_EXPORTS = {
+    ".contracts": ("Classification", "Contract", "InstanceCheck", "SubsumptionCheck",
+                   "TestCase", "classify_test", "is_instance", "subsumed_by", "union"),
+    ".errors": ("EvaluationFault", "ExhaustiveCapError", "OriginalNotVerifiedError",
+                "ParseError", "UnboundVariableError", "VacuousContractError"),
+    ".lang": ("ALL", "DEFAULT_STEP_BUDGET", "RunResult", "format_predicate", "parse_program",
+              "pretty_print", "project", "run"),
+    ".lang.ast": ("free_vars",),
+    ".lang.parser": ("parse_predicate",),
+    ".predicates": ("Domain", "ImplicationResult", "Predicate", "PredicateUndefinedError",
+                    "eval_predicate", "implies", "is_tautology"),
+    ".session": ("Report", "Session", "load_session", "parse_session", "qlty", "replay"),
+    ".slicer": ("DeletionUnit", "SliceResult", "apply_deletion", "deletable_units", "slice"),
+    ".verifier": ("PointCheck", "VerificationResult", "Witness", "check", "check_all",
+                  "check_point"),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -109,5 +85,18 @@ __all__ = [
     "slice",
     "subsumed_by",
     "union",
-    "union_all",
 ]
+
+
+def __getattr__(name: str):
+    try:
+        source = _SOURCE[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(source, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -5,33 +5,38 @@ Exit status: 0 when every check passed, 1 when a check failed
 file errors, 3 on an internal error (one line on stderr, no traceback).
 `--format machine` emits stable JSON with format_version 1; human output
 uses a little color unless TDDSLICER_COLOR=0 or stdout is not a terminal.
+
+The slice and replay commands' functions are imported when a command
+first asks for them, through this module's attributes (PEP 562), so that
+check, union and trace never load the slicer or the session modules.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
 
 from .contracts import Contract
-from .errors import TOO_DEEP, ParseError
-from .lang import parse_bindings, pretty_print, project, run
+from .errors import (
+    EXHAUSTIVE,
+    GREEDY,
+    TOO_DEEP,
+    ExhaustiveCapError,
+    OriginalNotVerifiedError,
+    ParseError,
+    SessionFormatError,
+    VacuousContractError,
+)
+from .lang import load_program, parse_bindings, pretty_print, project, run
 from .lang.interp import DEFAULT_STEP_BUDGET, OK
 from .lang.parser import parse_predicate
 from .lang.printer import format_predicate
 from .predicates import Domain, PredicateUndefinedError, is_tautology
-from .session import SessionFormatError, load_program, load_session, replay
-from .slicer import (
-    EXHAUSTIVE,
-    GREEDY,
-    ExhaustiveCapError,
-    OriginalNotVerifiedError,
-    VacuousContractError,
-    slice as compute_slice,
-)
 from .verifier import VACUOUS, VERIFIED, check
 from . import contracts as ct
 
@@ -41,6 +46,29 @@ OK_STATUS = 0
 CHECK_FAILED = 1
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+
+#: the attributes imported on first use: (module, name there)
+_LAZY = {
+    "compute_slice": (".slicer", "slice"),
+    "load_session": (".session", "load_session"),
+    "replay": (".session", "replay"),
+}
+
+
+def __getattr__(name: str):
+    try:
+        source, attr = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(source, __package__), attr)
+    globals()[name] = value
+    return value
+
+
+def _lazy(name: str):
+    """This module's attribute name, imported on first use: what a command
+    calls, so that whatever replaces the attribute is what runs."""
+    return getattr(sys.modules[__name__], name)
 
 
 def _color_enabled() -> bool:
@@ -133,7 +161,8 @@ def cmd_slice(args: argparse.Namespace) -> int:
     program = load_program(args.program)
     contract = _contract_from_args(args.pre, args.post)
     dom = Domain.parse(args.domain)
-    result = compute_slice(program, contract, dom, strategy=args.strategy, step_budget=args.budget)
+    result = _lazy("compute_slice")(program, contract, dom, strategy=args.strategy,
+                                    step_budget=args.budget)
     retained = sorted(result.retained)
     deleted = sorted(result.deleted)
     if args.format == "machine":
@@ -191,8 +220,8 @@ def cmd_union(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    session = load_session(args.session)
-    report = replay(session, args.budget)
+    session = _lazy("load_session")(args.session)
+    report = _lazy("replay")(session, args.budget)
     if args.format == "machine":
         _show(report.to_dict())
     else:

@@ -18,9 +18,8 @@ closures without building it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import reduce
 
+from .lang.ast import Record
 from .lang.printer import format_predicate
 from .predicates import Domain, ImplicationResult, Predicate, Prepared, State, implication
 
@@ -32,14 +31,14 @@ TRIANGULATION = "triangulation"
 _REGRESSION_LIKE = (REGRESSION, TRIANGULATION)
 
 
-@dataclass(frozen=True)
-class Contract:
+class Contract(Record):
     """Precondition/postcondition pair.
 
     The precondition may only read in-parameters; the postcondition may
     read in- and out-parameters.
     """
 
+    __slots__ = ("pre", "post", "_prepared")
     pre: Predicate
     post: Predicate
 
@@ -54,20 +53,21 @@ class Contract:
     @property
     def prepared(self) -> tuple[Prepared, Prepared]:
         """The pre and post as Prepared values, made on first use and kept
-        on the instance (Contract is frozen, hence object.__setattr__;
-        equality and hashing see only the dataclass fields)."""
-        prepared = self.__dict__.get("_prepared")
-        if prepared is None:
-            prepared = (Prepared(self.pre), Prepared(self.post))
-            object.__setattr__(self, "_prepared", prepared)
+        in the _prepared slot (Contract is frozen, hence object.__setattr__;
+        equality, hashing and repr see only pre and post)."""
+        try:
+            return self._prepared
+        except AttributeError:
+            pass
+        prepared = (Prepared(self.pre), Prepared(self.post))
+        object.__setattr__(self, "_prepared", prepared)
         return prepared
 
     def __str__(self) -> str:
         return f"{{{format_predicate(self.pre)}}}{{{format_predicate(self.post)}}}"
 
 
-@dataclass(frozen=True)
-class TestCase:
+class TestCase(Record, defaults={"declared_kind": None}):
     """Named input binding plus expected output binding.
 
     declared_kind is advisory ("new", "regression", "triangulation"); replay
@@ -77,14 +77,15 @@ class TestCase:
 
     __test__ = False  # not a pytest class
 
+    __slots__ = ("name", "inputs", "expected", "declared_kind")
     name: str
     inputs: State
     expected: State
-    declared_kind: str | None = None
+    declared_kind: str | None
 
 
-@dataclass(frozen=True)
-class InstanceCheck:
+class InstanceCheck(Record):
+    __slots__ = ("holds", "pre_holds", "post_holds", "explanation")
     holds: bool
     pre_holds: bool
     post_holds: bool | None
@@ -119,15 +120,8 @@ def union(c1: Contract, c2: Contract) -> Contract:
     return Contract.of(Prepared.either(pre1, pre2), Prepared.either(post1, post2))
 
 
-def union_all(contracts: list[Contract]) -> Contract:
-    """Left fold of union over a nonempty contract list."""
-    if not contracts:
-        raise ValueError("union_all needs at least one contract")
-    return reduce(union, contracts)
-
-
-@dataclass(frozen=True)
-class SubsumptionCheck:
+class SubsumptionCheck(Record):
+    __slots__ = ("holds", "pre_implication", "post_implication", "domain", "post_domain")
     holds: bool
     pre_implication: ImplicationResult
     post_implication: ImplicationResult | None
@@ -175,8 +169,8 @@ def subsumed_by(
     return SubsumptionCheck(post_result.holds, pre_result, post_result, dom, post_dom)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(Record):
+    __slots__ = ("kind", "matched_contract")
     kind: str  # NEW | REGRESSION
     matched_contract: int | None  # index into history of the first matching contract
 
@@ -245,6 +239,5 @@ __all__ = [
     "is_instance",
     "subsumed_by",
     "union",
-    "union_all",
     "validate_scope",
 ]

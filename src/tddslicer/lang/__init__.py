@@ -10,7 +10,7 @@ from .interp import (
     project,
     run,
 )
-from .parser import parse_bindings, parse_domain_spec, parse_program
+from .parser import load_program, parse_bindings, parse_domain_spec, parse_program
 from .printer import format_predicate, pretty_print
 
 __all__ = [
@@ -21,6 +21,7 @@ __all__ = [
     "TrajectoryEntry",
     "ast",
     "format_predicate",
+    "load_program",
     "parse_bindings",
     "parse_domain_spec",
     "parse_program",

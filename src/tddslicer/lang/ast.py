@@ -1,6 +1,7 @@
-"""AST for the mini while-language and its contract predicates.
+"""AST for the mini while-language and its contract predicates, and
+Record, the base of every value record in the package.
 
-All nodes are frozen dataclasses: values are immutable after construction
+All nodes are frozen records: values are immutable after construction
 and safe to share between threads. Statements carry a pre-order id assigned
 by the parser (1-based, contiguous); deletion-based slicing preserves the
 ids of surviving statements, so ids in a sliced program may have gaps.
@@ -11,97 +12,293 @@ program parser rejects them, the shared evaluator handles both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, is_dataclass
-from typing import Iterator, Union
+from collections.abc import Iterator
+from operator import attrgetter
 
 from ..errors import TOO_DEEP, ParseError
 
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 
 
+# --- records ----------------------------------------------------------------
+
+
+class Record:
+    """A class of plain values: its fields are the names of its __slots__
+    that do not start with "_" (one that does is a slot outside them, such
+    as a value derived and kept on first use). _values is the tuple of the
+    fields' values: a frozen record keeps the tuple it was built from, a
+    mutable one reads its fields when asked. Defining a subclass gives it:
+
+    - __init__, a closure over its fields, taking them by position or by
+      keyword; a field missing from the call takes its default or a new
+      value from its factory. It then calls __post_init__ if the class has
+      one;
+    - __eq__: equal to a record of the same class with equal values;
+    - __hash__: the hash of _values, or None for a mutable record;
+    - __repr__: Name(field=value, ...), each value as repr gives it;
+    - with order=True, <, <=, > and >= on _values, within the class.
+
+    Class keywords: frozen (default True) makes assigning or deleting an
+    attribute raise AttributeError (construction, __post_init__ and a
+    derived slot use object.__setattr__); defaults and factories map
+    trailing fields to a default value or to a callable that makes one per
+    instance.
+    """
+
+    __slots__ = ("_values",)
+
+    #: the class's fields, in order
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, frozen=True, order=False, defaults=None, factories=None, **kwargs):
+        super().__init_subclass__(**kwargs)
+        fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls._fields = fields
+        cls.__init__ = _init(cls, fields, frozen, defaults or {}, factories or {})
+        if frozen:
+            cls.__setattr__ = _frozen_setattr
+            cls.__delattr__ = _frozen_delattr
+        else:
+            cls._values = property(_field_tuple(fields))
+            cls.__hash__ = None
+        if order:
+            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = _ORDER
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(map(_ITEM, self._fields, self._values))})"
+
+
+_ITEM = "{}={!r}".format
+
+
+def _field_tuple(fields: tuple[str, ...]):
+    """A function from a record to the tuple of its fields' values."""
+    if len(fields) > 1:
+        return attrgetter(*fields)
+    get = attrgetter(*fields)
+    return lambda record: (get(record),)
+
+
+def _comparison(compare):
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            return compare(self._values, other._values)
+        return NotImplemented
+
+    method.__name__ = compare.__name__
+    return method
+
+
+_ORDER = tuple(map(_comparison, (tuple.__lt__, tuple.__le__, tuple.__gt__, tuple.__ge__)))
+
+
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _init(cls: type, fields: tuple[str, ...], frozen: bool, defaults: dict, factories: dict):
+    # the slots' own setters, which a frozen __setattr__ does not stop
+    setters = tuple(getattr(cls, name).__set__ for name in fields)
+    set_values = Record._values.__set__ if frozen else None
+    count = len(fields)
+    post_init = getattr(cls, "__post_init__", None)
+
+    def bind(args: tuple, kwargs: dict) -> tuple:
+        if len(args) > count:
+            raise TypeError(f"{cls.__name__}() takes {count} arguments but {len(args)} were given")
+        values = list(args)
+        for name in fields[len(args):]:
+            if name in kwargs:
+                values.append(kwargs.pop(name))
+            elif name in defaults:
+                values.append(defaults[name])
+            elif name in factories:
+                values.append(factories[name]())
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        for name in kwargs:
+            problem = "multiple values for" if name in fields else "an unexpected keyword"
+            raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
+        return tuple(values)
+
+    if frozen and post_init is None and count <= len(_UNROLLED):
+        return _UNROLLED[count - 1](setters, set_values, bind)
+    values_now = _field_tuple(fields)
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != count:
+            args = bind(args, kwargs)
+        for set_field, value in zip(setters, args):
+            set_field(self, value)
+        if post_init is not None:
+            post_init(self)  # which may set a field again
+            args = values_now(self)
+        if set_values is not None:
+            set_values(self, args)
+
+    return __init__
+
+
+# the loop of _init's __init__ unrolled, for frozen records of one to four
+# fields (every AST node): a construction takes about a third less time
+
+
+def _init1(setters, set_values, bind):
+    (set0,) = setters
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != 1:
+            args = bind(args, kwargs)
+        set0(self, args[0])
+        set_values(self, args)
+
+    return __init__
+
+
+def _init2(setters, set_values, bind):
+    set0, set1 = setters
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != 2:
+            args = bind(args, kwargs)
+        value0, value1 = args
+        set0(self, value0)
+        set1(self, value1)
+        set_values(self, args)
+
+    return __init__
+
+
+def _init3(setters, set_values, bind):
+    set0, set1, set2 = setters
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != 3:
+            args = bind(args, kwargs)
+        value0, value1, value2 = args
+        set0(self, value0)
+        set1(self, value1)
+        set2(self, value2)
+        set_values(self, args)
+
+    return __init__
+
+
+def _init4(setters, set_values, bind):
+    set0, set1, set2, set3 = setters
+
+    def __init__(self, *args, **kwargs):
+        if kwargs or len(args) != 4:
+            args = bind(args, kwargs)
+        value0, value1, value2, value3 = args
+        set0(self, value0)
+        set1(self, value1)
+        set2(self, value2)
+        set3(self, value3)
+        set_values(self, args)
+
+    return __init__
+
+
+_UNROLLED = (_init1, _init2, _init3, _init4)
+
+
 # --- expressions ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntLit:
+class IntLit(Record):
+    __slots__ = ("value",)
     value: int
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Record):
+    __slots__ = ("name",)
     name: str
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(Record):
+    __slots__ = ("operand",)
     operand: "Expr"
 
 
-@dataclass(frozen=True)
-class Arith:
+class Arith(Record):
     """Binary integer operator: + - * / % ^.
 
     / truncates toward zero and % satisfies a == (a/b)*b + a%b.
     ^ requires a non-negative right operand at evaluation time.
     """
 
+    __slots__ = ("op", "left", "right")
     op: str
     left: "Expr"
     right: "Expr"
 
 
-Expr = Union[IntLit, Var, Neg, Arith]
+Expr = IntLit | Var | Neg | Arith
 
 
 # --- boolean expressions / predicates ------------------------------------
 
 
-@dataclass(frozen=True)
-class Cmp:
+class Cmp(Record):
+    __slots__ = ("op", "left", "right")
     op: str
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
+    __slots__ = ("operand",)
     operand: "BoolExpr"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
+    __slots__ = ("left", "right")
     left: "BoolExpr"
     right: "BoolExpr"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
+    __slots__ = ("left", "right")
     left: "BoolExpr"
     right: "BoolExpr"
 
 
-@dataclass(frozen=True)
-class BoolLit:
+class BoolLit(Record):
     """TRUE / FALSE. Predicate-only."""
 
+    __slots__ = ("value",)
     value: bool
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(Record):
     """Bounded existential `exists v in lo..hi : body`. Predicate-only.
 
     Bounds are inclusive literals with lo <= hi; the bound variable shadows
     any program variable of the same name inside body.
     """
 
+    __slots__ = ("var", "lo", "hi", "body")
     var: str
     lo: int
     hi: int
     body: "BoolExpr"
 
 
-BoolExpr = Union[Cmp, Not, And, Or, BoolLit, Exists]
+BoolExpr = Cmp | Not | And | Or | BoolLit | Exists
 
 
 def free_vars(node: Expr | BoolExpr) -> frozenset[str]:
@@ -146,49 +343,48 @@ def or_disjuncts(pred: BoolExpr) -> tuple[BoolExpr, ...]:
 # --- statements and programs ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class Assign:
+class Assign(Record):
+    __slots__ = ("stmt_id", "target", "expr")
     stmt_id: int
     target: str
     expr: Expr
 
 
-@dataclass(frozen=True)
-class Skip:
+class Skip(Record):
+    __slots__ = ("stmt_id",)
     stmt_id: int
 
 
-@dataclass(frozen=True)
-class If:
+class If(Record):
+    __slots__ = ("stmt_id", "cond", "then", "orelse")
     stmt_id: int
     cond: BoolExpr
     then: "Block"
     orelse: "Block"
 
 
-@dataclass(frozen=True)
-class While:
+class While(Record):
+    __slots__ = ("stmt_id", "cond", "body")
     stmt_id: int
     cond: BoolExpr
     body: "Block"
 
 
-Stmt = Union[Assign, Skip, If, While]
+Stmt = Assign | Skip | If | While
 
 
-@dataclass(frozen=True)
-class Block:
-    stmts: tuple[Stmt, ...] = ()
+class Block(Record, defaults={"stmts": ()}):
+    __slots__ = ("stmts",)
+    stmts: tuple[Stmt, ...]
 
 
-@dataclass(frozen=True)
-class Param:
+class Param(Record):
+    __slots__ = ("name", "mode")
     name: str
     mode: str  # "in" | "out"
 
 
-@dataclass(frozen=True)
-class Program:
+class Program(Record):
     """A procedure: named params (in/out), zero-initialized locals, a body.
 
     Invariants (enforced by the parser):
@@ -196,8 +392,11 @@ class Program:
     - every variable referenced in the body is a param or a local
     - at least one out-parameter exists
     - statement ids are 1-based, contiguous, pre-order
+
+    _compiled keeps its compiled form (lang.interp), made on first run.
     """
 
+    __slots__ = ("name", "params", "locals", "body", "_compiled")
     name: str
     params: tuple[Param, ...]
     locals: frozenset[str]
@@ -245,9 +444,9 @@ def same_shape(a: Program | Block | Stmt, b: Program | Block | Stmt) -> bool:
             if len(x) != len(y):
                 return False
             pending += zip(x, y)
-        elif is_dataclass(x):  # its fields only: a Program keeps its compiled code too
+        elif isinstance(x, Record):  # its fields only: a Program keeps its compiled code too
             pending += ((getattr(x, name), getattr(y, name))
-                        for name in x.__dataclass_fields__ if name != "stmt_id")
+                        for name in x._fields if name != "stmt_id")
         elif x != y:
             return False
     return True

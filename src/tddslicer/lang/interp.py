@@ -40,11 +40,12 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple
+from collections import namedtuple
+from collections.abc import Callable, Iterator
 
 from ..errors import TOO_DEEP, EvaluationFault, ParseError, UnboundVariableError
 from . import ast
+from .ast import Record
 
 DEFAULT_STEP_BUDGET = 10000
 
@@ -62,27 +63,26 @@ BUDGET_EXCEEDED = "budget_exceeded"
 _BUDGET_REASON = "step budget exceeded"
 
 
-class TrajectoryEntry(NamedTuple):
-    stmt_id: int
-    var: str
-    value: int
+#: one assignment of a run: stmt_id (int), var (str) and the value (int)
+#: it assigned
+TrajectoryEntry = namedtuple("TrajectoryEntry", ("stmt_id", "var", "value"))
 
 
 Trajectory = tuple[TrajectoryEntry, ...]
 
 
-@dataclass(frozen=True)
-class RunResult:
+class RunResult(Record, defaults={"fault_stmt_id": None, "fault_reason": None}):
     """Outcome of one run: final state and trajectory are partial when the
     status is not "ok" (they cover everything executed up to the fault or
     budget exhaustion). The trajectory is empty for an unrecorded run."""
 
+    __slots__ = ("status", "final", "trajectory", "steps", "fault_stmt_id", "fault_reason")
     status: str
     final: dict[str, int]
     trajectory: Trajectory
     steps: int
-    fault_stmt_id: int | None = None
-    fault_reason: str | None = None
+    fault_stmt_id: int | None
+    fault_reason: str | None
 
     @property
     def ok(self) -> bool:
@@ -271,15 +271,11 @@ class _Counters:
         self.log = log
 
 
-class _Part(NamedTuple):
-    """One statement, compiled. A leaf (Assign, Skip) is its statement
-    function, with blocks None. An If or While is a function of its
-    composed blocks that makes the statement function, with blocks the
-    parts of its blocks (then and else, or the loop body)."""
-
-    stmt_id: int
-    code: Callable
-    blocks: tuple | None
+#: one statement, compiled: a leaf (Assign, Skip) is its statement
+#: function, with blocks None; an If or While is a function of its composed
+#: blocks that makes the statement function, with blocks the parts of its
+#: blocks (then and else, or the loop body)
+_Part = namedtuple("_Part", ("stmt_id", "code", "blocks"))
 
 
 def _compile_block(block: ast.Block) -> tuple[_Part, ...]:
@@ -385,32 +381,34 @@ def _compile_while(stmt: ast.While):
     return make
 
 
-class _CompiledProgram(NamedTuple):
-    in_params: frozenset[str]
-    zeroed: dict[str, int]  # out-parameters and locals, all 0
-    parts: tuple[_Part, ...]  # the body's statements
-    body: tuple  # every statement kept
+#: a program compiled: its in-parameters (a frozenset), zeroed (its
+#: out-parameters and locals, all 0), parts (its body's statements) and
+#: body (every statement kept)
+_CompiledProgram = namedtuple("_CompiledProgram", ("in_params", "zeroed", "parts", "body"))
 
 
 def _compiled(program: ast.Program) -> _CompiledProgram:
     """The program's compiled form, built on first use and kept on the
-    instance (Program is frozen, hence object.__setattr__; equality and
-    hashing see only the dataclass fields). ParseError(TOO_DEEP) for a
-    program too deeply nested to compile, as parsing does."""
-    code = program.__dict__.get("_compiled")
-    if code is None:
-        try:
-            parts = _compile_block(program.body)
-        except RecursionError:
-            raise ParseError(TOO_DEEP) from None
-        everything = frozenset(stmt.stmt_id for stmt in program.statements())
-        code = _CompiledProgram(
-            frozenset(program.in_params),
-            dict.fromkeys((*program.out_params, *program.locals), 0),
-            parts,
-            _compose(parts, everything),
-        )
-        object.__setattr__(program, "_compiled", code)
+    instance, in its _compiled slot (Program is frozen, hence
+    object.__setattr__; equality, hashing and repr see only its fields).
+    ParseError(TOO_DEEP) for a program too deeply nested to compile, as
+    parsing does."""
+    try:
+        return program._compiled
+    except AttributeError:
+        pass
+    try:
+        parts = _compile_block(program.body)
+    except RecursionError:
+        raise ParseError(TOO_DEEP) from None
+    everything = frozenset(stmt.stmt_id for stmt in program.statements())
+    code = _CompiledProgram(
+        frozenset(program.in_params),
+        dict.fromkeys((*program.out_params, *program.locals), 0),
+        parts,
+        _compose(parts, everything),
+    )
+    object.__setattr__(program, "_compiled", code)
     return code
 
 

@@ -13,16 +13,17 @@ makes the character a ParseError. The lists end with EOF, whose text is
 not here, so the same tokens serve every grammar.
 
 A successful scan computes no position. Only an error asks for one:
-`position` walks the text once with `tokenize`, which gives every token its
-line and column (a newline starts the next line, any other whitespace
-character is one column, a comment leaves the column where it began), and
-picks one token's.
+`position` runs the same pattern again with `finditer` up to the token it
+is asked about and counts lines and columns from the token's offset: a
+newline starts the next line and any other character is one column, so a
+comment leaves the column where it began. The end of input sits at the
+end of the text, or where a comment that ends the text begins.
 """
 
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from itertools import islice
 
 from ..errors import ParseError
 
@@ -58,13 +59,6 @@ _KINDS = {
     **{p: p for p in PUNCT},
 }
 
-# the positional walk's pattern, compiled (and cached by `re`) on the first
-# walk: only an error needs one
-_TOKEN = (
-    r"(?P<newline>\n)|(?P<space>[^\S\n]+)|(?P<comment>//[^\n]*)"
-    rf"|(?P<ident>{_IDENT})|(?P<int>{_INT})|(?P<punct>{_PUNCT})|(?P<bad>.)"
-)
-
 
 def scan(text: str) -> tuple[list[str], list[str]]:
     """The kinds and the texts of text's tokens, EOF last; a character no
@@ -74,40 +68,18 @@ def scan(text: str) -> tuple[list[str], list[str]]:
     kinds = [kind(word) or kind(word[0]) for word in texts]
     kinds[-1], texts[-1] = EOF, "end of input"
     if None in kinds:
-        tokenize(text)  # raises the first bad character's ParseError
+        index = kinds.index(None)
+        raise ParseError(f"unexpected character {texts[index]!r}", *position(text, index))
     return kinds, texts
-
-
-class Token(NamedTuple):
-    kind: str  # "ident" | "int" | a punctuation string | EOF
-    text: str  # "end of input" for EOF
-    line: int
-    col: int
-
-
-def tokenize(text: str) -> list[Token]:
-    """Every token of text with its line and column, EOF last: the walk
-    behind `position`, token for token the tokens of `scan`."""
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    match = None
-    for match in re.finditer(_TOKEN, text):
-        kind = match.lastgroup
-        if kind == "newline":
-            line += 1
-            line_start = match.end()
-        elif kind != "space" and kind != "comment":
-            word = match.group()
-            col = match.start() - line_start + 1
-            if kind == "bad":
-                raise ParseError(f"unexpected character {word!r}", line, col)
-            tokens.append(Token(word if kind == "punct" else kind, word, line, col))
-    end = match.start() if match and match.lastgroup == "comment" else len(text)
-    tokens.append(Token(EOF, "end of input", line, end - line_start + 1))
-    return tokens
 
 
 def position(text: str, index: int) -> tuple[int, int]:
     """The line and column of token `index` of text (EOF included)."""
-    token = tokenize(text)[index]
-    return token.line, token.col
+    match = next(islice(_SCAN.finditer(text + _SENTINEL), index, None))
+    at = match.start(1)
+    if at > len(text):  # EOF, past the sentinel's newline
+        # the prefix before it holds whitespace and comments only, so a
+        # `//` after its last newline begins a comment that ends the text
+        comment = text.find("//", max(match.start(), text.rfind("\n") + 1))
+        at = comment if comment >= 0 else len(text)
+    return text.count("\n", 0, at) + 1, at - text.rfind("\n", 0, at)

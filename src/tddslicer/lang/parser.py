@@ -23,6 +23,8 @@ Statement ids are assigned in pre-order while parsing, starting at 1.
 
 from __future__ import annotations
 
+import os
+
 from ..errors import TOO_DEEP, ParseError
 from . import ast
 from .lexer import EOF, RESERVED, position, scan
@@ -359,6 +361,15 @@ def _parse(text: str, production, predicate_mode: bool = False):
 def parse_program(text: str) -> ast.Program:
     """Parse a procedure; assigns pre-order statement ids starting at 1."""
     return _parse(text, _Parser.program)
+
+
+def load_program(path: str | os.PathLike[str]) -> ast.Program:
+    """Parse the program file at path. Raises FileNotFoundError when there
+    is no such file and ParseError when its text is not a program."""
+    if not os.path.isfile(path):
+        raise FileNotFoundError(f"program file not found: {path}")
+    with open(path, encoding="utf-8") as file:
+        return parse_program(file.read())
 
 
 def _predicate(parser: _Parser) -> ast.BoolExpr:

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Callable, Hashable, Iterator, Sequence
+from collections.abc import Callable, Hashable, Iterator, Sequence
 
 from .errors import TOO_DEEP, EvaluationFault, ParseError
 from .lang import ast
+from .lang.ast import Record
 from .lang.interp import compile_bool, where
 from .lang.parser import parse_domain_spec
 
@@ -66,8 +66,7 @@ def _state_text(state: State) -> str:
     return "{" + ", ".join(items) + "}"
 
 
-@dataclass(frozen=True)
-class Domain:
+class Domain(Record):
     """Inclusive integer ranges, one per variable.
 
     For verification the domain must cover exactly the in-parameters of the
@@ -75,6 +74,7 @@ class Domain:
     ranges.
     """
 
+    __slots__ = ("ranges",)
     ranges: tuple[tuple[str, int, int], ...]
 
     def __post_init__(self):
@@ -151,8 +151,7 @@ def eval_predicate(pred: Predicate, state: State) -> bool:
     return compile_bool(pred)(dict(state))
 
 
-@dataclass(frozen=True)
-class ImplicationResult:
+class ImplicationResult(Record):
     """Outcome of a bounded implication: holds, or a counterexample.
 
     checked_points counts the evaluated assignments (variables irrelevant
@@ -160,6 +159,7 @@ class ImplicationResult:
     verdict and keeps the witness equal to full-grid enumeration's first).
     """
 
+    __slots__ = ("holds", "witness", "checked_points", "domain")
     holds: bool
     witness: State | None
     checked_points: int

@@ -18,12 +18,12 @@ aborts halfway.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import contracts as ct
-from .errors import ParseError
+from .errors import ParseError, SessionFormatError
 from .lang import ast
+from .lang.ast import Record
 from .lang.interp import DEFAULT_STEP_BUDGET, OK, run
 from .lang.parser import parse_bindings, parse_domain_spec, parse_predicate, parse_program
 from .lang.printer import format_predicate
@@ -36,33 +36,26 @@ REFACTOR_NOTE = "refactor"
 DEFAULT_RANGE = (-8, 8)
 
 
-class SessionFormatError(Exception):
-    def __init__(self, message: str, line: int = 0):
-        where = f" (line {line})" if line else ""
-        super().__init__(f"{message}{where}")
-        self.line = line
-
-
-@dataclass(frozen=True)
-class Cycle:
+class Cycle(Record, defaults={"note": None}):
+    __slots__ = ("index", "test", "contract", "snapshot", "note")
     index: int
     test: ct.TestCase
     contract: ct.Contract
     snapshot: ast.Program
-    note: str | None = None
+    note: str | None
 
     @property
     def is_refactor(self) -> bool:
         return self.note is not None and REFACTOR_NOTE in self.note
 
 
-@dataclass(frozen=True)
-class Session:
+class Session(Record, defaults={"out_ranges": None}):
+    __slots__ = ("name", "cycles", "final", "dom", "out_ranges")
     name: str
     cycles: tuple[Cycle, ...]
     final: ast.Program
     dom: Domain
-    out_ranges: dict[str, tuple[int, int]] | None = None
+    out_ranges: dict[str, tuple[int, int]] | None
 
     def __post_init__(self):
         if not self.cycles:
@@ -117,15 +110,6 @@ def _take(
     return section.pop(key)[0]
 
 
-def load_program(path: str | Path) -> ast.Program:
-    """Parse the program file at path. Raises FileNotFoundError when there
-    is no such file and ParseError when its text is not a program."""
-    file = Path(path)
-    if not file.is_file():
-        raise FileNotFoundError(f"program file not found: {path}")
-    return parse_program(file.read_text(encoding="utf-8"))
-
-
 def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "session") -> Session:
     """Parse a .session file body; referenced .prog files load relative to
     base_dir. Raises SessionFormatError on malformed input, missing files,
@@ -143,10 +127,10 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
     def load(path_text: str, where: str) -> ast.Program:
         path = base / path_text  # an absolute path_text replaces base
         if path not in programs:
+            if not path.is_file():
+                raise SessionFormatError(f"{where}: program file not found: {path}")
             try:
-                programs[path] = load_program(path)
-            except FileNotFoundError as err:
-                raise SessionFormatError(f"{where}: {err}") from err
+                programs[path] = parse_program(path.read_text(encoding="utf-8"))
             except ParseError as err:
                 raise SessionFormatError(f"{where}: {path}: {err}") from err
         return programs[path]
@@ -265,8 +249,8 @@ def load_session(path: str | Path) -> Session:
 # --- replay -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TestOutcome:
+class TestOutcome(Record):
+    __slots__ = ("test", "passed", "detail")
     test: str
     passed: bool
     detail: str
@@ -282,17 +266,20 @@ PASSED_UNEXPECTEDLY = "passed_unexpectedly"
 FAILED_UNEXPECTEDLY = "failed_unexpectedly"
 
 
-@dataclass(frozen=True)
-class RedCheck:
+class RedCheck(Record, defaults={"detail": ""}):
+    __slots__ = ("status", "detail")
     status: str
-    detail: str = ""
+    detail: str
 
     def to_dict(self) -> dict:
         return {"status": self.status, "detail": self.detail}
 
 
-@dataclass
-class CycleRecord:
+class CycleRecord(Record, frozen=False, factories={"errors": list}):
+    __slots__ = ("index", "test_name", "classification", "matched_contract", "declared_kind",
+                 "kind_mismatch", "red", "green", "regressions", "contract_point",
+                 "snapshot_contract", "oracle_contract", "implication_witnessed", "chain_holds",
+                 "errors")
     index: int
     test_name: str
     classification: str
@@ -307,7 +294,7 @@ class CycleRecord:
     oracle_contract: VerificationResult | None
     implication_witnessed: bool
     chain_holds: bool | None
-    errors: list[str] = field(default_factory=list)
+    errors: list[str]
 
     def to_dict(self) -> dict:
         return {
@@ -329,8 +316,9 @@ class CycleRecord:
         }
 
 
-@dataclass
-class Report:
+class Report(Record, frozen=False, factories={"session_errors": list}):
+    __slots__ = ("session_name", "domain", "cycles", "union_contract", "union_pre_tautology",
+                 "qlty", "final_matches_last_snapshot", "session_errors")
     session_name: str
     domain: Domain
     cycles: list[CycleRecord]
@@ -338,7 +326,7 @@ class Report:
     union_pre_tautology: bool | None
     qlty: float | None
     final_matches_last_snapshot: bool | None
-    session_errors: list[str] = field(default_factory=list)
+    session_errors: list[str]
 
     def failures(self) -> list[str]:
         """Everything that makes the replay a failed check (exit code 1)."""

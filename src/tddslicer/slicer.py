@@ -22,12 +22,19 @@ structurally identical to one with no else at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
+from collections.abc import Iterator
 
 from .contracts import Contract
+from .errors import (
+    EXHAUSTIVE,
+    GREEDY,
+    ExhaustiveCapError,
+    OriginalNotVerifiedError,
+    VacuousContractError,
+)
 from .lang import ast
+from .lang.ast import Record
 from .lang.interp import DEFAULT_STEP_BUDGET
 from .predicates import Domain
 from .verifier import VACUOUS, Judge, VerificationResult
@@ -39,52 +46,12 @@ ELSE_CLAUSE = "else_clause"
 #: (2^16 candidates)
 EXHAUSTIVE_CAP = 16
 
-EXHAUSTIVE = "exhaustive"
-GREEDY = "greedy"
 
-
-class SliceError(Exception):
-    pass
-
-
-class OriginalNotVerifiedError(SliceError):
-    """The full program does not satisfy the contract, so no deletion can."""
-
-    def __init__(self, verification: VerificationResult):
-        self.verification = verification
-        super().__init__(
-            f"program does not verify against the contract ({verification.verdict}); "
-            "nothing to slice"
-        )
-
-
-class VacuousContractError(SliceError):
-    """No domain point satisfies the precondition; every deletion would
-    'verify', so slicing is refused."""
-
-    def __init__(self, verification: VerificationResult):
-        self.verification = verification
-        super().__init__(
-            "precondition is unsatisfiable within the domain; slicing refused"
-        )
-
-
-class ExhaustiveCapError(SliceError):
-    def __init__(self, units: int, cap: int):
-        self.units = units
-        self.cap = cap
-        super().__init__(
-            f"{units} deletable units the postcondition can depend on exceed "
-            f"the exhaustive cap of {cap}; "
-            "use the greedy strategy"
-        )
-
-
-@dataclass(frozen=True, order=True)
-class DeletionUnit:
+class DeletionUnit(Record, order=True):
     """Something deletion can remove: a statement (with its subtree) or the
     else clause of an If."""
 
+    __slots__ = ("kind", "anchor")
     kind: str
     anchor: int
 
@@ -158,8 +125,7 @@ def _build(program: ast.Program, kept: frozenset[int] | set[int]) -> ast.Program
     return ast.Program(program.name, program.params, program.locals, rebuild(program.body))
 
 
-@dataclass(frozen=True)
-class SliceResult:
+class SliceResult(Record):
     """A verified deletion-derived program.
 
     retained holds the units still present; program always equals
@@ -168,6 +134,7 @@ class SliceResult:
     the exhaustive strategy.
     """
 
+    __slots__ = ("retained", "deleted", "program", "minimal", "strategy", "verification")
     retained: frozenset[DeletionUnit]
     deleted: frozenset[DeletionUnit]
     program: ast.Program

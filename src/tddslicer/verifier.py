@@ -30,12 +30,12 @@ input with _judge through the checked run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import attrgetter
 
 from .contracts import Contract, validate_scope
 from .errors import EvaluationFault
 from .lang import ast
+from .lang.ast import Record
 from .lang.interp import (
     BUDGET_EXCEEDED,
     DEFAULT_STEP_BUDGET,
@@ -57,17 +57,17 @@ PASS = "pass"
 FAIL = "fail"
 PRE_VIOLATION = "pre_violation"
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record, defaults={"final": None, "detail": None}):
     """The first failing domain point in enumeration order."""
 
+    __slots__ = ("inputs", "final", "detail")
     inputs: State
-    final: State | None = None
-    detail: str | None = None
+    final: State | None
+    detail: str | None
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(Record):
+    __slots__ = ("verdict", "witness", "checked_points", "domain")
     verdict: str
     witness: Witness | None
     checked_points: int  # domain assignments that satisfied the precondition
@@ -352,16 +352,16 @@ def _latest(fn):
     return shared
 
 
-@dataclass(frozen=True)
-class PointCheck:
+class PointCheck(Record, defaults={"detail": None, "run_result": None}):
     """Single-point verdict: pass, fail, pre_violation (reported distinctly
     from failure), fault, or budget_exceeded."""
 
+    __slots__ = ("status", "inputs", "final", "detail", "run_result")
     status: str
     inputs: State
     final: State | None
-    detail: str | None = None
-    run_result: RunResult | None = None
+    detail: str | None
+    run_result: RunResult | None
 
     @property
     def passed(self) -> bool:

@@ -4,7 +4,7 @@ Nothing here shares execution logic with the package: tokenizing,
 expression evaluation, statement execution, and triple checking are
 written from scratch against the documented semantics (truncating
 division, zero initialization, lexicographic domain enumeration). The
-package's AST dataclasses, its DeletionUnit and its ParseError are reused
+package's AST records, its DeletionUnit and its ParseError are reused
 as plain data.
 """
 

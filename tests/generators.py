@@ -5,14 +5,15 @@ the acceptance criteria fix their seeds. Generated arithmetic sticks to
 + - * (and the occasional literal power), so predicates can never fault,
 except in programs and predicates asked for with faults=True: those also
 use / % ^ with zero or negative operands, and those programs have loops
-that need not terminate.
+that need not terminate. union_all folds a list of contracts into their union.
 """
 
 from __future__ import annotations
 
 import random
+from functools import reduce
 
-from tddslicer.contracts import Contract, TestCase
+from tddslicer.contracts import Contract, TestCase, union
 from tddslicer.lang import parse_program
 from tddslicer.lang.ast import Program
 from tddslicer.lang.parser import parse_predicate
@@ -99,6 +100,13 @@ def random_contract(
         pre=random_predicate(rng, in_vars),
         post=random_predicate(rng, in_vars + out_vars),
     )
+
+
+def union_all(contracts: list[Contract]) -> Contract:
+    """Left fold of union over a nonempty contract list."""
+    if not contracts:
+        raise ValueError("union_all needs at least one contract")
+    return reduce(union, contracts)
 
 
 def random_test(

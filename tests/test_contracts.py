@@ -17,11 +17,10 @@ from tddslicer import (
     parse_predicate,
     subsumed_by,
     union,
-    union_all,
 )
 from tddslicer.contracts import NEW, REGRESSION, Classification, validate_scope
 
-from generators import random_contract, random_predicate, random_test
+from generators import random_contract, random_predicate, random_test, union_all
 
 
 def _outcome(fn, *args):

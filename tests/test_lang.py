@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import random
@@ -16,6 +15,7 @@ import tddslicer
 from tddslicer import (
     Domain,
     ParseError,
+    RunResult,
     UnboundVariableError,
     eval_predicate,
     parse_predicate,
@@ -26,7 +26,7 @@ from tddslicer import (
 )
 from tddslicer.lang import ast, parse_bindings, parse_domain_spec
 from tddslicer.lang.interp import BUDGET_EXCEEDED, FAULT, OK, TrajectoryEntry, runner
-from tddslicer.lang.lexer import EOF, scan, tokenize
+from tddslicer.lang.lexer import EOF, position, scan
 from tddslicer.corpus import corpus_path
 
 from bruteforce import bf_run, bf_tokenize, replay_trajectory
@@ -294,11 +294,10 @@ class TestLexer:
         return "".join(pieces)
 
     def test_tokenize_matches_bf_tokenize(self):
-        """Every token's kind, text, line and column, the end of input's
-        position, or the first bad character's ParseError, as the
-        character-by-character oracle gives them; and scan's kinds and
-        texts, or its ParseError, as the positional walk gives them, so
-        that the walk finds the position of every token scan makes."""
+        """scan's kinds and texts with position's line and column for
+        every token, the end of input's position, or scan's ParseError for
+        the first bad character, as the character-by-character oracle gives
+        them."""
         alphabet = sorted(set(CORPUS_TEXT + self.EXTRA))
         rng = random.Random(1414)
         texts = [corpus_path(name).read_text() for name in ("div_oracle.prog", "max2.prog")]
@@ -311,20 +310,15 @@ class TestLexer:
                 want = bf_tokenize(text)
             except ParseError as err:
                 with pytest.raises(ParseError) as excinfo:
-                    tokenize(text)
-                got = excinfo.value
-                assert (got.message, got.line, got.col) == (err.message, err.line, err.col), text
-                with pytest.raises(ParseError) as excinfo:
                     scan(text)
                 got = excinfo.value
                 assert (got.message, got.line, got.col) == (err.message, err.line, err.col), text
                 outcomes["error"] += 1
                 continue
-            tokens = tokenize(text)
-            *body, end = tokens
-            got = [(t.kind, t.text, t.line, t.col) for t in body], (end.line, end.col)
-            assert got == want and end.kind == EOF, text
-            assert scan(text) == ([t.kind for t in tokens], [t.text for t in tokens]), text
+            kinds, texts = scan(text)
+            places = [position(text, index) for index in range(len(kinds))]
+            got = list(zip(kinds, texts, *zip(*places)))[:-1], places[-1]
+            assert got == want and kinds[-1] == EOF, text
             outcomes["tokens"] += 1
         assert min(outcomes.values()) > 500, outcomes
 
@@ -583,7 +577,8 @@ class TestRunAgainstOracle:
             recorded = run(program, inputs, budget)
             unrecorded = run(program, inputs, budget, record=False)
             assert unrecorded.trajectory == ()
-            assert unrecorded == dataclasses.replace(recorded, trajectory=())
+            assert unrecorded == RunResult(recorded.status, recorded.final, (), recorded.steps,
+                                           recorded.fault_stmt_id, recorded.fault_reason)
 
 
 class TestUnboundVariable:

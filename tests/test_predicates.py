@@ -25,7 +25,6 @@ from tddslicer import (
     is_tautology,
     parse_predicate,
     union,
-    union_all,
     Contract,
     check,
     check_all,
@@ -38,7 +37,7 @@ from tddslicer.lang.interp import compile_bool
 from tddslicer.predicates import TRUE, ImplicationResult, Prepared, implication
 
 from bruteforce import bf_holds, bf_implies
-from generators import CMP_OPS, comparison, random_contract, random_predicate
+from generators import CMP_OPS, comparison, random_contract, random_predicate, union_all
 
 
 class TestDomainPoints:
