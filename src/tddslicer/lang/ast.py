@@ -35,7 +35,7 @@ class Record:
       value from its factory. It then calls __post_init__ if the class has
       one;
     - __eq__: equal to a record of the same class with equal values;
-    - __hash__: the hash of _values, or None for a mutable record;
+    - __hash__: the hash of _values (see _deep_hash), or None if mutable;
     - __repr__: Name(field=value, ...), each value as repr gives it;
     - with order=True, <, <=, > and >= on _values, within the class.
 
@@ -71,13 +71,41 @@ class Record:
         return NotImplemented
 
     def __hash__(self):
-        return hash(self._values)
+        try:
+            return hash(self._values)
+        except RecursionError:
+            return _deep_hash(self)
 
     def __repr__(self):
         return f"{type(self).__qualname__}({', '.join(map(_ITEM, self._fields, self._values))})"
 
 
 _ITEM = "{}={!r}".format
+
+
+class _Hashed(int):
+    """An int whose hash is itself, so a tuple hashes it as its record."""
+    __hash__ = int.__int__
+
+
+def _deep_hash(record: Record) -> int:
+    """hash(record._values) for a tree too deep to hash by recursion: the
+    frozen records below it (fields, items of tuple fields), deepest first
+    with a stack of its own, each standing in as the _Hashed of its hash."""
+    hashes: dict[int, _Hashed] = {}  # by id
+    pending = [record]
+    while pending:
+        node = pending[-1]
+        lacking = [item for value in node._values for item in (value if type(value) is tuple else (value,))
+                   if type(item).__hash__ is Record.__hash__ and id(item) not in hashes]
+        if lacking:
+            pending += lacking
+            continue
+        pending.pop()
+        stand_in = [tuple(hashes.get(id(item), item) for item in value) if type(value) is tuple
+                    else hashes.get(id(value), value) for value in node._values]
+        hashes[id(node)] = _Hashed(hash(tuple(stand_in)))
+    return int(hashes[id(record)])
 
 
 def _field_tuple(fields: tuple[str, ...]):
@@ -265,16 +293,22 @@ class Not(Record):
     operand: "BoolExpr"
 
 
+# And, Or: one `&&`/`||` chain of two or more operands, judged in order. The
+# first is never of the node's own kind, a later one only as in `a || (b || c)`.
 class And(Record):
-    __slots__ = ("left", "right")
-    left: "BoolExpr"
-    right: "BoolExpr"
+    __slots__ = ("operands",)
+    operands: tuple["BoolExpr", ...]
 
 
 class Or(Record):
-    __slots__ = ("left", "right")
-    left: "BoolExpr"
-    right: "BoolExpr"
+    __slots__ = ("operands",)
+    operands: tuple["BoolExpr", ...]
+
+
+# a chain's binary view, nested to the left, which perfbench/oracle.py walks
+And.left = Or.left = property(lambda node: node.operands[0] if len(node.operands) == 2
+                              else type(node)(node.operands[:-1]))
+And.right = Or.right = property(lambda node: node.operands[-1])
 
 
 class BoolLit(Record):
@@ -317,8 +351,10 @@ def _free_vars(node: Expr | BoolExpr) -> frozenset[str]:
         return frozenset((node.name,))
     if isinstance(node, (Neg, Not)):
         return _free_vars(node.operand)
-    if isinstance(node, (Arith, Cmp, And, Or)):
+    if isinstance(node, (Arith, Cmp)):
         return _free_vars(node.left) | _free_vars(node.right)
+    if isinstance(node, (And, Or)):
+        return frozenset().union(*map(_free_vars, node.operands))
     if isinstance(node, Exists):
         return _free_vars(node.body) - {node.var}
     raise TypeError(f"not an expression node: {node!r}")
@@ -333,11 +369,17 @@ def sure_nonneg(exponent: Expr, nonneg: frozenset[str]) -> bool:
     return isinstance(exponent, Var) and exponent.name in nonneg
 
 
-def or_disjuncts(pred: BoolExpr) -> tuple[BoolExpr, ...]:
-    """Flatten nested Or nodes into the ordered tuple of disjuncts."""
-    if isinstance(pred, Or):
-        return or_disjuncts(pred.left) + or_disjuncts(pred.right)
-    return (pred,)
+def flatten(pred: BoolExpr, kind: type[And] | type[Or]) -> tuple[BoolExpr, ...]:
+    """The operands of pred's chain of kind (And or Or) in order, with
+    parenthesized chains of kind flattened too; (pred,) if pred is not one."""
+    flat, todo = [], [pred]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, kind):
+            todo += reversed(node.operands)
+        else:
+            flat.append(node)
+    return tuple(flat)
 
 
 # --- statements and programs ----------------------------------------------

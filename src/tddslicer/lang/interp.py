@@ -180,12 +180,8 @@ def _compile_pred(pred: ast.BoolExpr) -> Callable:
     if isinstance(pred, ast.Cmp):
         left, right = _compile_expr(pred.left), _compile_expr(pred.right)
         return _binary(_CMP[pred.op], pred, left, right)
-    if isinstance(pred, ast.And):
-        left, right = _compile_pred(pred.left), _compile_pred(pred.right)
-        return lambda state: left(state) and right(state)
-    if isinstance(pred, ast.Or):
-        left, right = _compile_pred(pred.left), _compile_pred(pred.right)
-        return lambda state: left(state) or right(state)
+    if isinstance(pred, (ast.And, ast.Or)):
+        return join_pairwise(list(map(_compile_pred, pred.operands)), type(pred))
     if isinstance(pred, ast.Not):
         operand = _compile_pred(pred.operand)
         return lambda state: not operand(state)
@@ -195,6 +191,21 @@ def _compile_pred(pred: ast.BoolExpr) -> Callable:
     if isinstance(pred, ast.Exists):
         return _compile_exists(pred, _compile_pred(pred.body))
     raise TypeError(f"not a boolean expression: {pred!r}")
+
+
+#: the closure of two closures joined by && or ||
+_JOIN = {ast.And: lambda left, right: lambda state: left(state) and right(state),
+         ast.Or: lambda left, right: lambda state: left(state) or right(state)}
+
+
+def join_pairwise(tests: list[Callable], kind: type[ast.And] | type[ast.Or]) -> Callable:
+    """The closure of a kind (And or Or) node of tests, its operands' closures,
+    joined neighbours first: n - 1 joins, as a binary chain, log2(n) deep."""
+    join = _JOIN[kind]
+    while len(tests) > 1:
+        pairs = [join(tests[i], tests[i + 1]) for i in range(0, len(tests) - 1, 2)]
+        tests = pairs + tests[len(pairs) * 2:]
+    return tests[0]
 
 
 def _compile_exists(pred: ast.Exists, body: Callable) -> Callable[[dict[str, int]], bool]:
@@ -481,8 +492,8 @@ class _Emitter:
         if isinstance(pred, ast.Not):
             return f"(not {self.pred(pred.operand)})"
         if isinstance(pred, (ast.And, ast.Or)):
-            word = "and" if isinstance(pred, ast.And) else "or"
-            return f"({self.pred(pred.left)} {word} {self.pred(pred.right)})"
+            word = " and " if isinstance(pred, ast.And) else " or "
+            return f"({word.join(map(self.pred, pred.operands))})"
         if isinstance(pred, ast.BoolLit):
             return repr(pred.value)
         bound, body = self.exists(pred)
@@ -566,18 +577,6 @@ def _load(name: str, function: str, emit: Callable[[], list]) -> Callable | None
     return namespace[function]
 
 
-def _conjuncts(pred: ast.BoolExpr) -> list:
-    """The operands of pred's && chain, in order."""
-    conjuncts, todo = [], [pred]
-    while todo:
-        node = todo.pop()
-        if isinstance(node, ast.And):
-            todo += (node.right, node.left)
-        else:
-            conjuncts.append(node)
-    return conjuncts
-
-
 def _point(ranges: tuple[tuple[str, int, int], ...], level: int) -> str:
     """The source of the dict of the current point of the first level
     loops of ranges and the first of the loops inside them: the loop
@@ -622,7 +621,7 @@ def loop_nest(
         levels = {name: level for level, (name, _, _) in enumerate(ranges, 1)}
         at: list[list] = [[] for _ in range(inner)]  # conjuncts per loop, 0 before them
         level = 0
-        for conjunct in _conjuncts(pre):
+        for conjunct in ast.flatten(pre, ast.And):
             level = max([level, *(levels.get(name, 0) for name in ast.free_vars(conjunct))])
             at[level].append(conjunct)
         lines = [(0, "def scan():"), (1, "count = 0")]

@@ -162,20 +162,26 @@ class _Parser:
     # -- boolean expressions / predicates ------------------------------------
 
     def bool_expr(self) -> ast.BoolExpr:
-        left = self.bool_and()
+        first = self.bool_and()
         kinds = self.kinds
+        if kinds[self.pos] != "||":
+            return first
+        operands = list(first.operands) if isinstance(first, ast.Or) else [first]
         while kinds[self.pos] == "||":
             self.pos += 1
-            left = ast.Or(left, self.bool_and())
-        return left
+            operands.append(self.bool_and())
+        return ast.Or(tuple(operands))
 
     def bool_and(self) -> ast.BoolExpr:
-        left = self.bool_unary()
+        first = self.bool_unary()
         kinds = self.kinds
+        if kinds[self.pos] != "&&":
+            return first
+        operands = list(first.operands) if isinstance(first, ast.And) else [first]
         while kinds[self.pos] == "&&":
             self.pos += 1
-            left = ast.And(left, self.bool_unary())
-        return left
+            operands.append(self.bool_unary())
+        return ast.And(tuple(operands))
 
     def bool_unary(self) -> ast.BoolExpr:
         """`!` bool_unary, TRUE, FALSE, an existential, a parenthesized

@@ -1,9 +1,9 @@
 """Canonical text rendering for programs and predicates.
 
 parse(pretty_print(p)) is structurally equal to p: parenthesization is
-minimal except that it always preserves the AST shape (right-nested chains
-of a left-associative operator keep their parens) and that `&&` groups under
-`||` stay parenthesized for readability.
+minimal except that it always preserves the AST shape and that `&&` groups
+under `||` stay parenthesized for readability; an operand that is a chain
+itself is parenthesized.
 """
 
 from __future__ import annotations
@@ -62,10 +62,6 @@ def _expr_prec(expr: ast.Expr) -> int:
 
 
 def format_predicate(pred: ast.BoolExpr) -> str:
-    return _pred(pred)
-
-
-def _pred(pred: ast.BoolExpr) -> str:
     if isinstance(pred, ast.BoolLit):
         return "TRUE" if pred.value else "FALSE"
     if isinstance(pred, ast.Cmp):
@@ -73,28 +69,22 @@ def _pred(pred: ast.BoolExpr) -> str:
     if isinstance(pred, ast.Not):
         inner = pred.operand
         if isinstance(inner, ast.BoolLit):
-            return f"!{_pred(inner)}"
-        return f"!({_pred(inner)})"
-    if isinstance(pred, ast.Or):
-        return f"{_child(pred.left, 'or', right=False)} || {_child(pred.right, 'or', right=True)}"
-    if isinstance(pred, ast.And):
-        return f"{_child(pred.left, 'and', right=False)} && {_child(pred.right, 'and', right=True)}"
+            return f"!{format_predicate(inner)}"
+        return f"!({format_predicate(inner)})"
+    if isinstance(pred, (ast.And, ast.Or)):
+        op = " && " if isinstance(pred, ast.And) else " || "
+        return op.join(map(_operand, pred.operands))
     if isinstance(pred, ast.Exists):
-        return f"exists {pred.var} in {pred.lo}..{pred.hi} : {_pred(pred.body)}"
+        return f"exists {pred.var} in {pred.lo}..{pred.hi} : {format_predicate(pred.body)}"
     raise TypeError(f"not a predicate node: {pred!r}")
 
 
-def _child(child: ast.BoolExpr, parent: str, right: bool) -> str:
-    """Render a child of && or ||, parenthesizing where the reparse would
-    otherwise change shape (plus the readability parens on && under ||)."""
-    text = _pred(child)
-    if isinstance(child, ast.Exists):
-        return f"({text})"  # quantifier scope is maximal; delimit it
-    if parent == "or":
-        wrap = isinstance(child, ast.And) or (right and isinstance(child, ast.Or))
-    else:
-        wrap = isinstance(child, ast.Or) or (right and isinstance(child, ast.And))
-    return f"({text})" if wrap else text
+def _operand(operand: ast.BoolExpr) -> str:
+    """An operand of && or ||, in parentheses if a chain or an exists."""
+    text = format_predicate(operand)
+    if isinstance(operand, (ast.And, ast.Or, ast.Exists)):
+        return f"({text})"
+    return text
 
 
 def pretty_print(program: ast.Program) -> str:
@@ -121,14 +111,14 @@ def _stmt_lines(block: ast.Block, depth: int) -> list[str]:
         elif isinstance(stmt, ast.Skip):
             lines.append(f"{pad}skip;")
         elif isinstance(stmt, ast.If):
-            lines.append(f"{pad}if ({_pred(stmt.cond)}) {{")
+            lines.append(f"{pad}if ({format_predicate(stmt.cond)}) {{")
             lines.extend(_stmt_lines(stmt.then, depth + 1))
             if stmt.orelse.stmts:
                 lines.append(f"{pad}}} else {{")
                 lines.extend(_stmt_lines(stmt.orelse, depth + 1))
             lines.append(f"{pad}}}")
         elif isinstance(stmt, ast.While):
-            lines.append(f"{pad}while ({_pred(stmt.cond)}) {{")
+            lines.append(f"{pad}while ({format_predicate(stmt.cond)}) {{")
             lines.extend(_stmt_lines(stmt.body, depth + 1))
             lines.append(f"{pad}}}")
         else:

@@ -28,13 +28,12 @@ contract algebra calls with the values its contracts keep.
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Callable, Hashable, Iterator, Sequence
 
 from .errors import TOO_DEEP, EvaluationFault, ParseError
 from .lang import ast
 from .lang.ast import Record
-from .lang.interp import compile_bool, where
+from .lang.interp import compile_bool, join_pairwise, where
 from .lang.parser import parse_domain_spec
 
 Predicate = ast.BoolExpr
@@ -223,7 +222,7 @@ def _fault_free(pred: Predicate, ranges: tuple[tuple[str, int, int], ...]) -> bo
         elif isinstance(node, (ast.Arith, ast.Cmp)):
             todo += [(node.op, env), (node.right, env), (node.left, env)]
         elif isinstance(node, (ast.And, ast.Or)):
-            todo += [(node.right, env), (node.left, env)]
+            todo += [(operand, env) for operand in reversed(node.operands)]
         elif isinstance(node, ast.Not):
             todo.append((node.operand, env))
         elif isinstance(node, ast.Exists):
@@ -236,93 +235,59 @@ class Prepared:
     use and then kept:
 
     - free: its free variables;
-    - disjuncts: its OR-disjuncts, flattened in order;
+    - disjuncts: the set of its OR-disjuncts (ast.flatten);
     - fault_free(dom): whether it cannot fault at any point of dom
       (_fault_free), one fact per dom.ranges;
     - test: its closure, as compile_bool gives it.
 
-    either(a, b) is the prepared Or(a.pred, b.pred). Its facts are
-    composed from its parts' instead of walking the Or again: set union,
-    concatenation, and, and a closure that judges the parts' closures in
-    order, as a(s) or b(s) would (_AnyOf). So extending a running union
-    walks and compiles none of it, and a union of any length needs no
-    stack to derive a fact or to judge its closure. A fact is derived
-    where a query first asks for it, so a predicate too deeply nested to
-    walk or compile fails there, as deriving the fact afresh does.
-    Whatever has been derived never changes; a Contract keeps its pre's
-    and post's.
+    either(a, b) is the prepared union a.pred || b.pred, whose parts are
+    the values it joins, flat: each fact is composed over them in one pass
+    (set union, set union, all, interp.join_pairwise). A fact is derived
+    where a query first asks for it, so a predicate too deep to walk or
+    compile fails there. What has been derived never changes.
     """
 
     __slots__ = ("pred", "_parts", "_facts")
 
-    def __init__(self, pred: Predicate, parts: tuple["Prepared", "Prepared"] | None = None):
+    def __init__(self, pred: Predicate, parts: tuple["Prepared", ...] | None = None):
         self.pred = pred
         self._parts = parts
         self._facts: dict[Hashable, object] = {}
 
     @classmethod
     def either(cls, first: "Prepared", second: "Prepared") -> "Prepared":
-        return cls(ast.Or(first.pred, second.pred), (first, second))
+        """first's disjuncts, then second.pred as one operand. It copies
+        first's tuples: folding n predicates copies O(n^2) entries."""
+        head = first.pred.operands if isinstance(first.pred, ast.Or) else (first.pred,)
+        return cls(ast.Or(head + (second.pred,)), (first._parts or (first,)) + (second._parts or (second,)))
 
     @property
     def free(self) -> frozenset[str]:
-        return self._fact("free", ast.free_vars, operator.or_)
+        return self._fact("free", ast.free_vars, frozenset().union)
 
     @property
-    def disjuncts(self) -> tuple[Predicate, ...]:
-        return self._fact("disjuncts", ast.or_disjuncts, operator.add)
+    def disjuncts(self) -> frozenset[Predicate]:
+        return self._fact("disjuncts", lambda pred: frozenset(ast.flatten(pred, ast.Or)), frozenset().union)
 
     def fault_free(self, dom: Domain) -> bool:
         ranges = dom.ranges
-        return self._fact(("fault_free", ranges), lambda pred: _fault_free(pred, ranges), operator.and_)
+        return self._fact(("fault_free", ranges), lambda pred: _fault_free(pred, ranges),
+                          lambda *safe: all(safe))
 
     @property
     def test(self) -> Callable[[State], bool]:
-        return self._fact("test", compile_bool, _AnyOf)
+        return self._fact("test", compile_bool, lambda *tests: join_pairwise(list(tests), ast.Or))
 
     def _fact(self, name: Hashable, derive: Callable, compose: Callable):
-        """The fact keyed by name: derive(pred), or for an either its parts'
-        facts composed. Parts that lack it get it first, deepest first, in
-        a loop rather than by recursion, so a long union needs no stack."""
-        if name in self._facts:
-            return self._facts[name]
-        pending = [self]
-        while name not in self._facts:
-            node = pending[-1]
-            lacking = [part for part in node._parts or () if name not in part._facts]
-            if lacking:
-                pending += lacking
-                continue
-            pending.pop()
-            if name in node._facts:  # a part shared by two eithers
-                continue
-            if node._parts is None:
-                node._facts[name] = derive(node.pred)
+        """The fact keyed by name: derive(pred), or compose(its parts' facts)."""
+        facts = self._facts
+        if name not in facts:
+            if self._parts is None:
+                facts[name] = derive(self.pred)
             else:
-                first, second = node._parts
-                node._facts[name] = compose(first._facts[name], second._facts[name])
-        return self._facts[name]
-
-
-class _AnyOf:
-    """The closure of an either: its parts' closures judged in order, the
-    first that holds ending it, as first(state) or second(state) would, but
-    in a loop over the closures of every predicate in the union, so a long
-    union needs one frame, not one per part."""
-
-    __slots__ = ("tests",)
-
-    def __init__(self, first: Callable, second: Callable):
-        self.tests = tuple(
-            test for part in (first, second)
-            for test in (part.tests if isinstance(part, _AnyOf) else (part,))
-        )
-
-    def __call__(self, state: State) -> bool:
-        for test in self.tests:
-            if test(state):
-                return True
-        return False
+                facts[name] = compose(*[part._facts[name] if name in part._facts
+                                        else part._fact(name, derive, compose) for part in self._parts])
+        return facts[name]
 
 
 def implies(p1: Predicate, p2: Predicate, dom: Domain) -> ImplicationResult:
@@ -351,19 +316,13 @@ def implication(p1: Prepared, p2: Prepared, dom: Domain) -> ImplicationResult:
     if uncovered:
         raise ValueError(f"domain does not cover free variables: {sorted(uncovered)}")
     try:
-        if len(p1.disjuncts) == 1:
-            included = p1.pred in p2.disjuncts
-        else:
-            known = set(p2.disjuncts)
-            included = all(disjunct in known for disjunct in p1.disjuncts)
-        if included and p1.fault_free(dom) and p2.fault_free(dom):
+        if p1.disjuncts <= p2.disjuncts and p1.fault_free(dom) and p2.fault_free(dom):
             return ImplicationResult(True, None, 0, dom)
         floor = {name: lo for name, lo, _ in dom.ranges if name not in needed}
         varying = Domain(tuple(entry for entry in dom.ranges if entry[0] in needed))
 
-        # p1 && !p2 on the closures, both compiled at the first point judged
-        # on them: a union's closure judges its parts in a loop, and no And
-        # is compiled
+        # p1 && !p2 on the closures, compiled at the first point judged on
+        # them; no And is compiled
         premise = conclusion = None
 
         def refute(state: State) -> bool:
@@ -372,7 +331,7 @@ def implication(p1: Prepared, p2: Prepared, dom: Domain) -> ImplicationResult:
                 premise, conclusion = p1.test, p2.test
             return premise(state) and not conclusion(state)
 
-        for point, _ in visits(varying, ((ast.And(p1.pred, ast.Not(p2.pred)), refute),)):
+        for point, _ in visits(varying, ((ast.And((p1.pred, ast.Not(p2.pred))), refute),)):
             state = {**floor, **point}
             try:
                 if not refute(state):

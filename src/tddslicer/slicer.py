@@ -260,8 +260,10 @@ def _names(node: ast.Expr | ast.BoolExpr) -> set[str]:
             names.add(node.name)
         elif isinstance(node, (ast.Neg, ast.Not)):
             stack.append(node.operand)
-        elif isinstance(node, (ast.Arith, ast.Cmp, ast.And, ast.Or)):
+        elif isinstance(node, (ast.Arith, ast.Cmp)):
             stack += (node.left, node.right)
+        elif isinstance(node, (ast.And, ast.Or)):
+            stack += node.operands
     return names
 
 

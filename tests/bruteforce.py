@@ -61,10 +61,10 @@ def bf_holds(pred, env: dict[str, int]) -> bool:
         }[pred.op]
     if isinstance(pred, ast.Not):
         return not bf_holds(pred.operand, env)
-    if isinstance(pred, ast.And):
-        return bf_holds(pred.left, env) and bf_holds(pred.right, env)
+    if isinstance(pred, ast.And):  # two or more operands, left to right
+        return all(bf_holds(operand, env) for operand in pred.operands)
     if isinstance(pred, ast.Or):
-        return bf_holds(pred.left, env) or bf_holds(pred.right, env)
+        return any(bf_holds(operand, env) for operand in pred.operands)
     if isinstance(pred, ast.Exists):
         for value in range(pred.lo, pred.hi + 1):
             inner = dict(env)
@@ -329,8 +329,10 @@ def _bf_preorder(block: ast.Block):
 def _bf_children(node) -> tuple:
     if isinstance(node, (ast.Neg, ast.Not)):
         return (node.operand,)
-    if isinstance(node, (ast.Arith, ast.Cmp, ast.And, ast.Or)):
+    if isinstance(node, (ast.Arith, ast.Cmp)):
         return (node.left, node.right)
+    if isinstance(node, (ast.And, ast.Or)):
+        return node.operands
     if isinstance(node, ast.Exists):
         return (node.body,)
     return ()
@@ -393,8 +395,9 @@ def _bf_cannot_fault(node, bounds: dict[str, tuple[int, int]]) -> bool:
 
 
 def _bf_disjuncts(pred) -> list:
+    """The leaves of pred's Or nodes, an Or operand of an Or included."""
     if isinstance(pred, ast.Or):
-        return _bf_disjuncts(pred.left) + _bf_disjuncts(pred.right)
+        return [leaf for operand in pred.operands for leaf in _bf_disjuncts(operand)]
     return [pred]
 
 

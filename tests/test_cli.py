@@ -378,6 +378,33 @@ class TestDeepExpressions:
         assert "verdict: verified" in out
 
 
+class TestLongChains:
+    """A `||` or `&&` chain of 2,000 terms is one node: check judges it on
+    the closures (100 points) and in the loop nest (1,000 points), and
+    union prints it and decides its tautology."""
+
+    OR = " || ".join(f"a == {n}" for n in range(2000))
+    AND = " && ".join(f"a != {n}" for n in range(2000, 4000))
+
+    @pytest.mark.parametrize("domain", ["a in 0..9, b in 0..9", "a in 0..99, b in 0..9"])
+    def test_check(self, capsys, domain):
+        for pre, post in ((self.OR, "max >= a"), (self.AND, self.AND)):
+            code, out, err = run_cli(capsys, "check", MAX2, "--pre", pre, "--post", post,
+                                     "--domain", domain, "--format", "machine")
+            assert (code, err) == (0, "")
+            assert json.loads(out)["verdict"] == "verified"
+
+    def test_union(self, capsys):
+        code, out, err = run_cli(capsys, "union", "--pre", self.OR, "--post", "o == a",
+                                 "--pre", self.AND, "--post", self.AND,
+                                 "--domain", "a in 0..99, b in 0..9", "--format", "machine")
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["pre"] == f"{self.OR} || ({self.AND})"
+        assert report["post"] == f"o == a || ({self.AND})"
+        assert report["pre_tautology"] is True
+
+
 def test_range_wider_than_sys_maxsize_is_a_plain_counterexample(capsys, tmp_path):
     path = tmp_path / "copy.prog"
     path.write_text("proc f(in a, out o){ o := a; }")

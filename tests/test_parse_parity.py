@@ -5,6 +5,10 @@ message, line and column. The SHA-256 of that map was recorded before the
 front end moved to a kinds/texts scan with lazily computed positions and an
 index-based parser; the front end must reproduce it exactly. The texts stay
 far below the nesting depth limits, which may differ between front ends.
+
+The digest was recorded when And and Or were binary nodes, `Or(left=…,
+right=…)`, nested to the left along a chain. binary_repr renders each
+n-ary node as that left-deep chain, so one digest covers both layouts.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ import re
 
 from tddslicer import ParseError, parse_predicate, parse_program, pretty_print
 from tddslicer.corpus import corpus_path
-from tddslicer.lang import parse_bindings, parse_domain_spec
+from tddslicer.lang import ast, parse_bindings, parse_domain_spec
 
 from generators import predicate_text, random_program
 
@@ -160,6 +164,28 @@ def parity_corpus() -> list[tuple[str, str]]:
     return texts
 
 
+def binary_repr(value) -> str:
+    """repr(value), except that an And or Or of operands o1, ..., on reads
+    as the binary node Or(left=…, right=…) nested to the left:
+    Or(left=Or(left=o1, right=o2), right=o3) for three."""
+    if isinstance(value, (ast.And, ast.Or)):
+        name = type(value).__name__
+        first, *rest = value.operands
+        text = binary_repr(first)
+        for operand in rest:
+            text = f"{name}(left={text}, right={binary_repr(operand)})"
+        return text
+    if isinstance(value, ast.Record):
+        fields = (f"{name}={binary_repr(item)}" for name, item in zip(value._fields, value._values))
+        return f"{type(value).__name__}({', '.join(fields)})"
+    if isinstance(value, tuple):
+        items = [binary_repr(item) for item in value]
+        return f"({items[0]},)" if len(items) == 1 else f"({', '.join(items)})"
+    if isinstance(value, list):
+        return f"[{', '.join(map(binary_repr, value))}]"
+    return repr(value)
+
+
 def outcome(kind: str, text: str) -> str:
     try:
         node = PARSERS[kind](text)
@@ -167,7 +193,7 @@ def outcome(kind: str, text: str) -> str:
         return f"error {err.message!r} {err.line} {err.col}"
     if kind == "program":  # the locals' set prints in hash order
         node = (node.name, node.params, sorted(node.locals), node.body)
-    return repr(node)
+    return binary_repr(node)
 
 
 def parity_lines() -> list[str]:

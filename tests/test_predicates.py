@@ -129,7 +129,7 @@ class TestParse:
     def test_and_binds_tighter_than_or(self):
         pred = parse_predicate("a > 0 && b > 0 || a < 0")
         assert isinstance(pred, ast.Or)
-        assert isinstance(pred.left, ast.And)
+        assert isinstance(pred.operands[0], ast.And)
 
     def test_parenthesized_boolean_operand(self):
         pred = parse_predicate("(a + b) * 2 == 4 && (a < b || a == b)")
@@ -218,7 +218,7 @@ class TestImplies:
         large to print, the others print as usual."""
         big = 10 ** 5000
         quotient = ast.Arith("/", ast.IntLit(1), ast.Arith("-", ast.Var("a"), ast.IntLit(big)))
-        pred = ast.And(ast.Cmp(">", quotient, ast.IntLit(0)), parse_predicate("b >= 0"))
+        pred = ast.And((ast.Cmp(">", quotient, ast.IntLit(0)), parse_predicate("b >= 0")))
         dom = Domain.from_dict({"a": (big, big + 1), "b": (-1, -1)})
         with pytest.raises(PredicateUndefinedError) as excinfo:
             implies(pred, TRUE, dom)
@@ -252,7 +252,7 @@ class TestImplies:
             deep = parse_predicate(" + ".join(["a"] * n) + " > 0")
             for depth in (0, 40, 80):
                 for call in (lambda: is_tautology(deep, dom),
-                             lambda: implies(deep, ast.Or(deep, TRUE), dom)):
+                             lambda: implies(deep, ast.Or((deep, TRUE)), dom)):
                     try:
                         result = at_depth(depth, call)
                     except ParseError as err:
@@ -509,7 +509,7 @@ class TestDisjunctRule:
         ]
         start = time.perf_counter()
         for pred, ranges in cases:
-            result = implies(pred, ast.Or(TRUE, pred), Domain.from_dict(ranges))
+            result = implies(pred, ast.Or((TRUE, pred)), Domain.from_dict(ranges))
             assert (result.holds, result.checked_points) == (True, 0)
         product = a
         for _ in range(900):
@@ -522,10 +522,10 @@ class TestDisjunctRule:
     def test_a_shadowing_exists_is_judged_by_its_own_bounds(self):
         dom = Domain.parse("a in -2..2, b in 1..3")
         safe = parse_predicate("exists a in 1..2 : b / a > 0")
-        assert implies(safe, ast.Or(safe, TRUE), dom).checked_points == 0
+        assert implies(safe, ast.Or((safe, TRUE)), dom).checked_points == 0
         # the bound b holds 0 where b's own range does not
         unsafe = parse_predicate("exists b in -1..1 : a % b == 0 || b > 0")
-        result = implies(unsafe, ast.Or(TRUE, unsafe), dom)
+        result = implies(unsafe, ast.Or((TRUE, unsafe)), dom)
         assert (result.holds, result.checked_points) == (True, 5)
 
 
@@ -568,6 +568,15 @@ def _exprs():
     )
 
 
+def _chain(kind, operands):
+    """The kind node the parser builds for operands joined by its operator:
+    a first operand of kind lends its operands, a later one stays nested,
+    as `a || (b || c)` parses."""
+    first, *rest = operands
+    head = first.operands if isinstance(first, kind) else (first,)
+    return kind((*head, *rest))
+
+
 def _predicates():
     comparisons = st.builds(
         ast.Cmp, st.sampled_from(("==", "!=", "<", "<=", ">", ">=")), _exprs(), _exprs()
@@ -575,8 +584,8 @@ def _predicates():
     return st.recursive(
         comparisons,
         lambda sub: st.one_of(
-            st.builds(ast.And, sub, sub),
-            st.builds(ast.Or, sub, sub),
+            st.builds(_chain, st.just(ast.And), st.lists(sub, min_size=2, max_size=3)),
+            st.builds(_chain, st.just(ast.Or), st.lists(sub, min_size=2, max_size=3)),
             st.builds(ast.Not, sub),
         ),
         max_leaves=8,
@@ -591,8 +600,8 @@ _states = st.fixed_dictionaries(
 @settings(max_examples=200, deadline=None)
 @given(p=_predicates(), q=_predicates(), s=_states)
 def test_boolean_connectives_decompose(p, q, s):
-    assert eval_predicate(ast.And(p, q), s) == (eval_predicate(p, s) and eval_predicate(q, s))
-    assert eval_predicate(ast.Or(p, q), s) == (eval_predicate(p, s) or eval_predicate(q, s))
+    assert eval_predicate(_chain(ast.And, [p, q]), s) == (eval_predicate(p, s) and eval_predicate(q, s))
+    assert eval_predicate(_chain(ast.Or, [p, q]), s) == (eval_predicate(p, s) or eval_predicate(q, s))
     assert eval_predicate(ast.Not(p), s) == (not eval_predicate(p, s))
 
 
@@ -628,7 +637,7 @@ class TestPrepared:
     def _assert_fresh(self, prepared):
         pred = prepared.pred
         assert prepared.free == free_vars(pred)
-        assert prepared.disjuncts == ast.or_disjuncts(pred)
+        assert prepared.disjuncts == set(ast.flatten(pred, ast.Or))
         assert prepared.fault_free(self.DOM) == Prepared(pred).fault_free(self.DOM)
         fresh = compile_bool(pred)
         for point in self.POINTS:
@@ -684,12 +693,39 @@ class TestPrepared:
         pre = combined.prepared[0]
         dom = Domain.parse("a in 2990..3009")
         assert pre.free == {"a"}
-        assert pre.disjuncts == tuple(c.pre for c in contracts)
+        assert pre.disjuncts == {c.pre for c in contracts}
         assert pre.fault_free(dom)
         assert (pre.test({"a": 2999}), pre.test({"a": 3000})) == (True, False)
         program = parse_program("proc f(in a, out o) { o := a; }")
         result = check(program, combined, dom)
         assert (result.verdict, result.checked_points) == ("verified", 10)
+
+    def test_every_public_function_answers_on_a_long_union(self):
+        """Two equal but distinct unions of 3,000 contracts, each post an
+        Or itself: printing and reparsing, free_vars, compile_bool,
+        is_tautology, implies, hash, == and repr all answer."""
+
+        def build():
+            return union_all([Contract(parse_predicate(f"a == {n}"), parse_predicate(f"o == {n} || o < 0"))
+                              for n in range(3000)])
+
+        first, second = build(), build()
+        assert first.pre is not second.pre and first.post is not second.post
+        pre_text = " || ".join(f"a == {n}" for n in range(3000))
+        post_text = " || ".join(["o == 0 || o < 0", *(f"(o == {n} || o < 0)" for n in range(1, 3000))])
+        assert (format_predicate(first.pre), format_predicate(first.post)) == (pre_text, post_text)
+        assert (parse_predicate(pre_text), parse_predicate(post_text)) == (first.pre, first.post)
+        assert (free_vars(first.pre), free_vars(first.post)) == ({"a"}, {"o"})
+        test = compile_bool(first.pre)
+        assert (test({"a": 2999}), test({"a": 3000})) == (True, False)
+        dom = Domain.parse("a in 2990..3009")
+        result = is_tautology(first.pre, dom)
+        assert (result.holds, result.witness, result.checked_points) == (False, {"a": 3000}, 11)
+        assert implies(first.pre, second.pre, dom).checked_points == 0
+        assert not implies(TRUE, second.pre, dom)
+        assert hash(first.pre) == hash(second.pre) and hash(first) == hash(second)
+        assert first.pre == second.pre and first == second
+        assert repr(first) == repr(second)
 
     def test_too_deep_fails_where_the_fact_is_first_needed(self):
         """Parsing, Contract(...) and union derive nothing; the first query

@@ -10,6 +10,7 @@ import importlib
 
 import pytest
 
+from tddslicer import parse_predicate
 from tddslicer.contracts import Classification, Contract, InstanceCheck, SubsumptionCheck, TestCase
 from tddslicer.lang import ast, parse_program, run
 from tddslicer.lang.interp import RunResult, TrajectoryEntry
@@ -46,8 +47,8 @@ def samples() -> dict:
         "Arith": ast.Arith("^", x, one),
         "Cmp": less,
         "Not": ast.Not(less),
-        "And": ast.And(less, ast.BoolLit(False)),
-        "Or": ast.Or(ast.BoolLit(False), less),
+        "And": ast.And((less, ast.BoolLit(False))),
+        "Or": ast.Or((ast.BoolLit(False), less, ast.Not(less))),
         "BoolLit": ast.BoolLit(True),
         "Exists": ast.Exists("k", 0, 3, ast.Cmp("==", x, ast.Var("k"))),
         "Assign": ast.Assign(1, "o", ast.Neg(one)),
@@ -109,8 +110,8 @@ REPRS = {
     "Arith": "Arith(op='^', left=Var(name='x'), right=IntLit(value=1))",
     "Cmp": LESS,
     "Not": f"Not(operand={LESS})",
-    "And": f"And(left={LESS}, right=BoolLit(value=False))",
-    "Or": f"Or(left=BoolLit(value=False), right={LESS})",
+    "And": f"And(operands=({LESS}, BoolLit(value=False)))",
+    "Or": f"Or(operands=(BoolLit(value=False), {LESS}, Not(operand={LESS})))",
     "BoolLit": "BoolLit(value=True)",
     "Exists": "Exists(var='k', lo=0, hi=3, body=Cmp(op='==', left=Var(name='x'), right=Var(name='k')))",
     "Assign": "Assign(stmt_id=1, target='o', expr=Neg(operand=IntLit(value=1)))",
@@ -216,9 +217,23 @@ def test_defaults_and_factories():
         ast.Var(nam="x")
 
 
+def test_a_tree_too_deep_to_hash_by_recursion_hashes_the_same():
+    """_deep_hash gives a 400-term sum the hash recursion gives it from a
+    shallow stack, and hash gives it from a stack too deep to recurse;
+    two 5,000-term sums hash alike."""
+
+    def at_depth(depth, call):
+        return call() if depth == 0 else at_depth(depth - 1, call)
+
+    pred = parse_predicate(" + ".join(["a"] * 400) + " > 0 || b < 1")
+    assert ast._deep_hash(pred) == hash(pred) == at_depth(600, lambda: hash(pred))
+    long = " + ".join(["a"] * 5000) + " > 0"
+    assert hash(parse_predicate(long)) == hash(parse_predicate(long))
+
+
 def test_records_of_different_classes_are_unequal():
     a, b = ast.Var("a"), ast.Var("b")
-    pairs = [(ast.And(a, b), ast.Or(a, b)), (ast.Neg(a), ast.Not(a)), (ast.IntLit(1), ast.BoolLit(1)),
+    pairs = [(ast.And((a, b)), ast.Or((a, b))), (ast.Neg(a), ast.Not(a)), (ast.IntLit(1), ast.BoolLit(1)),
              (ast.Skip(1), ast.IntLit(1)), (ast.Var("a"), ("a",)),
              (Outcome("t", True, ""), RedCheck("t", ""))]
     for left, right in pairs:

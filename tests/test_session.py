@@ -540,6 +540,20 @@ class TestLongSession:
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["ok"]
 
+    def test_600_cycles_replay_through_the_cli(self, capsys, tmp_path):
+        """The CLI replays 600 cycles, more than a union of binary Or nodes
+        could print (one level per cycle), and prints the full report: the
+        union's pre is one Or of the cycles' pres and every chain held."""
+        path = write_long_session(tmp_path, 600)
+        code = main(["replay", str(path), "--format", "machine"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["ok"] and report["failures"] == [] and len(report["cycles"]) == 600
+        assert all(cycle["chain_holds"] for cycle in report["cycles"])
+        pres = tuple(cycle.contract.pre for cycle in load_session(path).cycles)
+        assert parse_predicate(report["union_contract"]["pre"]) == ast.Or(pres)
+
     def test_predicate_walks_and_compiles_grow_linearly(self, monkeypatch, tmp_path):
         """Nodes walked for free variables and compiled into closures by
         replays of 10, 20 and 40 cycles: the 20 cycles after the 20th cost

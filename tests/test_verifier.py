@@ -859,8 +859,8 @@ class TestLoopNest:
         empty = ast.Exists("k", 3, 1, parse_predicate("x == k"))
         program, ranges = parse_program(self.XY), {"x": (0, 3), "y": (0, 3)}
         for pre, post, verdict in [
-            (ast.And(parse_predicate("x >= 0"), empty), TRUE, VACUOUS),
-            (TRUE, ast.Or(empty, parse_predicate("o > 5")), COUNTEREXAMPLE),
+            (ast.And((parse_predicate("x >= 0"), empty)), TRUE, VACUOUS),
+            (TRUE, ast.Or((empty, parse_predicate("o > 5"))), COUNTEREXAMPLE),
         ]:
             contract = Contract(pre, post)
             result = self._both_ways(monkeypatch, program, contract, Domain.from_dict(ranges))
