@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
-import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -35,7 +34,7 @@ from .errors import (
 from .lang import load_program, parse_bindings, pretty_print, project, run
 from .lang.interp import DEFAULT_STEP_BUDGET, OK
 from .lang.parser import parse_predicate
-from .lang.printer import format_predicate
+from .lang.printer import format_predicate, render_json
 from .predicates import Domain, PredicateUndefinedError, is_tautology
 from .verifier import VACUOUS, VERIFIED, check
 from . import contracts as ct
@@ -101,13 +100,13 @@ def _fmt_state(state: dict[str, int] | None) -> str:
 
 def _show(output: dict | Iterable[str]) -> None:
     """Print a command's whole output at once: a payload as one JSON
-    document, or lines made as they are drawn. A value longer than
-    CPython's int-to-string limit (sys.get_int_max_str_digits()) fails
-    the rendering, so nothing is printed and the error is
-    ValueError("value too large to print")."""
+    document (render_json), or lines made as they are drawn. A value
+    longer than CPython's int-to-string limit
+    (sys.get_int_max_str_digits()) fails the rendering, so nothing is
+    printed and the error is ValueError("value too large to print")."""
     try:
         if isinstance(output, dict):
-            text = json.dumps(output, indent=2, sort_keys=True)
+            text = render_json(output)
         else:
             text = "\n".join(output)
     except ValueError:

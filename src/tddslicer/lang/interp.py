@@ -21,9 +21,13 @@ point that does not pass and the count before it; the verifier words
 that point's outcome on the closures. where emits the precondition half
 of a scan the same way: a generator of the points where one of several
 predicates holds or raises, read only through predicates.visits, which
-gives check_all, implies and Judge.check's fallback their points. Both
-compile only for NEST_FROM_POINTS points or more, the one gate: fewer do
-not repay the compile, and their callers judge those on the closures.
+gives check_all, implies and Judge.check's fallback their points. Each
+top-level conjunct of each of its predicates is judged in the outermost
+loop that binds what it, or a conjunct before it, reads, by the one
+placement loop_nest uses (_Emitter.placed), and a loop where every
+predicate is already false skips the loops inside it. Both compile only
+for NEST_FROM_POINTS points or more, the one gate: fewer do not repay
+the compile, and their callers judge those on the closures.
 
 A run produces the final state plus, when recorded, the trajectory: one
 (stmt_id, var, value) entry per executed assignment, in execution order.
@@ -444,6 +448,8 @@ _SOURCE_GLOBALS = {
     "_pow": _power,
 }
 _HELPERS = {"/": "_div", "%": "_mod", "^": "_pow"}
+#: how tightly Python binds the operators the source writes as they are
+_BINDS = {"+": 1, "-": 1, "*": 2}
 
 
 def _python(prefix: str, name: str) -> str:
@@ -459,36 +465,52 @@ class _Emitter:
     lines of (indent, text). A declared variable is prefix + its name; a
     name that is not declared is a ValueError. An exists variable is
     e_<name> in its body, and a ^ whose exponent cannot be negative
-    (ast.sure_nonneg) is Python's **."""
+    (ast.sure_nonneg) is Python's **. read holds the Python names of the
+    variables written, and risky whether a /, % or ^ has been written,
+    since placed last reset them."""
 
     def __init__(self, names: tuple[str, ...], kept: frozenset[int] | None, prefix: str = "v_"):
         self.names = {name: _python(prefix, name) for name in names}
         self.nonneg: frozenset[str] = frozenset()  # exists variables in scope, floor >= 0
         self.kept = kept
         self.lines: list[tuple[int, str]] = []
+        self.read: set[str] = set()
+        self.risky = False
 
     def var(self, name: str) -> str:
-        if name not in self.names:
-            raise ValueError(f"not a declared identifier: {name!r}")
-        return self.names[name]
+        try:
+            python = self.names[name]
+        except KeyError:
+            raise ValueError(f"not a declared identifier: {name!r}") from None
+        self.read.add(python)
+        return python
 
-    def expr(self, expr: ast.Expr) -> str:
+    def expr(self, expr: ast.Expr, bind: int = 0) -> str:
+        """expr's source, in parentheses where Python binds it no more
+        tightly than bind asks: + and - bind 1, * binds 2, and the rest
+        (a name, a literal, a call, a parenthesized power or negation) 3.
+        An operand of + - * is bare only where it binds more tightly than
+        its operator, so a chain of one operator nests as the tree does."""
         if isinstance(expr, ast.Var):
             return self.var(expr.name)
         if isinstance(expr, ast.IntLit):
             return f"({expr.value!r})" if expr.value < 0 else repr(expr.value)
         if isinstance(expr, ast.Neg):
-            return f"(-{self.expr(expr.operand)})"
-        left, right = self.expr(expr.left), self.expr(expr.right)
+            return f"(-{self.expr(expr.operand, 3)})"
+        if expr.op in _BINDS:
+            binds = _BINDS[expr.op]
+            text = f"{self.expr(expr.left, binds + 1)} {expr.op} {self.expr(expr.right, binds + 1)}"
+            return f"({text})" if binds < bind else text
+        self.risky = True
         if expr.op == "^" and ast.sure_nonneg(expr.right, self.nonneg):
-            return f"({left} ** {right})"
-        if expr.op in _HELPERS:
-            return f"{_HELPERS[expr.op]}({left}, {right})"
-        return f"({left} {expr.op} {right})"
+            return f"({self.expr(expr.left, 3)} ** {self.expr(expr.right, 3)})"
+        return f"{_HELPERS[expr.op]}({self.expr(expr.left)}, {self.expr(expr.right)})"
 
     def pred(self, pred: ast.BoolExpr) -> str:
+        """pred's source: a comparison bare, as every context it meets
+        binds less tightly, and and, or and not in parentheses."""
         if isinstance(pred, ast.Cmp):
-            return f"({self.expr(pred.left)} {pred.op} {self.expr(pred.right)})"
+            return f"{self.expr(pred.left)} {pred.op} {self.expr(pred.right)}"
         if isinstance(pred, ast.Not):
             return f"(not {self.pred(pred.operand)})"
         if isinstance(pred, (ast.And, ast.Or)):
@@ -496,36 +518,92 @@ class _Emitter:
             return f"({word.join(map(self.pred, pred.operands))})"
         if isinstance(pred, ast.BoolLit):
             return repr(pred.value)
-        bound, body = self.exists(pred)
-        return f"any({body} for {bound} in range({pred.lo!r}, {pred.hi + 1!r}))"
+        return _any(self.exists(pred))
 
-    def exists(self, pred: ast.Exists) -> tuple[str, str]:
-        """The Python name of pred's bound variable and the source of its
-        body, in which that name is the variable's."""
+    def exists(self, pred: ast.Exists) -> tuple[str, str, str]:
+        """The Python name of pred's bound variable, the source of its
+        body, in which that name is the variable's, and of its range."""
         names, nonneg = self.names, self.nonneg
         self.names = {**names, pred.var: _python("e_", pred.var)}
         self.nonneg = nonneg | {pred.var} if pred.lo >= 0 else nonneg - {pred.var}
         bound, body = self.names[pred.var], self.pred(pred.body)
         self.names, self.nonneg = names, nonneg
-        return bound, body
+        return bound, body, f"range({pred.lo!r}, {pred.hi + 1!r})"
 
-    def conjuncts(self, preds: list, depth: int, reject: str) -> list:
-        """The lines that judge preds in order and run reject at the first
-        that is false; an exists is a for loop of its own, whose else
-        rejects."""
+    def placed(self, pred: ast.BoolExpr) -> tuple[list[list], list[bool]]:
+        """The codes of pred's top-level conjuncts but a literal TRUE, in
+        order, by the loop that judges each, the declared names being the
+        loops' variables, outermost first: 0 (before the loops) to their
+        count; and per loop, whether none of its codes can raise (no /, %
+        or ^). A conjunct goes to the deepest loop of the names that it,
+        or one before it, reads, so it is judged once per value of what it
+        may read and after the ones before it. A code is the conjunct's
+        source, or an exists conjunct's triple, as exists gives it."""
+        loops = tuple(self.names.values())
+        placed: list[list] = [[] for _ in range(len(loops) + 1)]
+        safe = [True] * len(placed)
+        level = 0
+        for conjunct in ast.flatten(pred, ast.And):
+            if isinstance(conjunct, ast.BoolLit) and conjunct.value:
+                continue
+            self.read, self.risky = set(), False
+            code = self.exists(conjunct) if isinstance(conjunct, ast.Exists) else self.pred(conjunct)
+            deeper = range(len(loops), level, -1)
+            level = next((loop for loop in deeper if loops[loop - 1] in self.read), level)
+            placed[level].append(code)
+            safe[level] = safe[level] and not self.risky
+        return placed, safe
+
+    @staticmethod
+    def conjuncts(codes: list, depth: int, reject: str) -> list:
+        """The lines that judge codes (placed's) in order and run reject
+        at the first that is false; an exists is a for loop of its own,
+        whose else rejects."""
         lines = []
-        for pred in preds:
-            if isinstance(pred, ast.Exists):
-                bound, body = self.exists(pred)
+        for code in codes:
+            if isinstance(code, tuple):
+                bound, body, values = code
                 lines += [
-                    (depth, f"for {bound} in range({pred.lo!r}, {pred.hi + 1!r}):"),
+                    (depth, f"for {bound} in {values}:"),
                     (depth + 1, f"if {body}: break"),
                     (depth, "else:"),
                     (depth + 1, reject),
                 ]
             else:
-                lines.append((depth, f"if not {self.pred(pred)}: {reject}"))
+                lines.append((depth, f"if not {code}: {reject}"))
         return lines
+
+    @staticmethod
+    def holds(codes: list, name: str, prev: str | None, depth: int, safe: bool) -> list:
+        """The lines that set name to prev (the name of what the conjuncts
+        before hold, if any) && codes (placed's): True, False or, where
+        one raises, None; unless safe, in a try. A run of codes is one and,
+        an exists a for loop of its own, whose else sets False."""
+        lines, value, inner = [], prev, depth if safe else depth + 1
+        run: list[str] = []
+        for code in (*codes, None):
+            if isinstance(code, str):
+                run.append(code)
+                continue
+            if run:
+                joined = run[0] if len(run) == 1 else f"({' and '.join(run)})"
+                lines.append((inner, f"{name} = {value} and {joined}" if value else f"{name} = {joined}"))
+                value, run = name, []
+            if code is None:
+                break
+            bound, body, values = code
+            if value != name:
+                lines.append((inner, f"{name} = {value or True}"))
+            at = inner
+            if value:
+                lines.append((at, f"if {name}:"))
+                at += 1
+            lines += [(at, f"for {bound} in {values}:"), (at + 1, f"if {body}: break"),
+                      (at, "else:"), (at + 1, f"{name} = False")]
+            value = name
+        if safe:
+            return lines
+        return [(depth, "try:"), *lines, (depth, "except Exception:"), (depth + 1, f"{name} = None")]
 
     def block(self, block: ast.Block, depth: int, after: int = 0, budget: int | None = None) -> bool:
         """Emit block's kept statements; whether there was any. They come
@@ -559,6 +637,12 @@ class _Emitter:
         elif isinstance(stmt, ast.While):
             emit((depth, f"while {self.pred(stmt.cond)}:"))
             self.block(stmt.body, depth + 1, after=1)
+
+
+def _any(code: tuple[str, str, str]) -> str:
+    """The source of an exists as one expression, from _Emitter.exists's triple."""
+    bound, body, values = code
+    return f"any({body} for {bound} in {values})"
 
 
 def _load(name: str, function: str, emit: Callable[[], list]) -> Callable | None:
@@ -600,10 +684,10 @@ def loop_nest(
     judges pre holds -> run -> post holds at each point of ranges, the
     in-parameters' (name, lo, hi) in name order, one for loop each, with
     the kept statements inline. Each conjunct of pre's && chain is judged
-    in the loop of the deepest variable that it, or a conjunct before it,
-    reads (before every loop if none), so that each is judged once per
-    value of the variables it may read and in order; an exists conjunct
-    is a for loop of its own. scan returns (None, count) or, at the first
+    in the loop that _Emitter.placed gives it: that of the deepest variable
+    that it, or a conjunct before it, reads (before every loop if none);
+    an exists conjunct is a for loop of its own, and a TRUE is no line.
+    scan returns (None, count) or, at the first
     point where pre raises, the run ends other than ok, or post is false
     or raises, (inputs, count); count is the points before it where pre
     held. A conjunct that raises in an outer loop gives the first point
@@ -618,12 +702,7 @@ def loop_nest(
         emitter.block(program.body, inner + 1, budget=step_budget)
         # the precondition reads the loop variables, i_<name>
         judge = _Emitter(tuple(name for name, _, _ in ranges), None, "i_")
-        levels = {name: level for level, (name, _, _) in enumerate(ranges, 1)}
-        at: list[list] = [[] for _ in range(inner)]  # conjuncts per loop, 0 before them
-        level = 0
-        for conjunct in ast.flatten(pre, ast.And):
-            level = max([level, *(levels.get(name, 0) for name in ast.free_vars(conjunct))])
-            at[level].append(conjunct)
+        at, _ = judge.placed(pre)
         lines = [(0, "def scan():"), (1, "count = 0")]
         for level in range(inner):
             if level:
@@ -663,30 +742,49 @@ def where(
     each point of ranges, (name, lo, hi) in name order, one for loop each,
     and yields (point, held) in that order wherever one of them holds or
     raises: point is a new dict binding the names in order, held a tuple
-    with True, False or, where it raised, None for each of preds."""
+    with True, False or, where it raised, None for each of preds.
+
+    Each top-level conjunct of a predicate is judged in the loop
+    _Emitter.placed gives it, as loop_nest judges its precondition's: what
+    the conjuncts of an outer loop hold (None where one raised) carries
+    into the loops inside it, where the rest are judged, and a loop where
+    every predicate is already False skips the loops inside it. A
+    predicate with nothing judged in an outer loop is one expression per
+    point."""
     if math.prod(hi - lo + 1 for _, lo, hi in ranges) < NEST_FROM_POINTS:
         return None
 
     def source() -> list:
-        emitter = _Emitter(tuple(name for name, _, _ in ranges), None)
-        inner = len(ranges) + 1  # the depth of one point's judging
-        point = ", ".join(f"{name!r}: v_{name}" for name, _, _ in ranges)
+        judge = _Emitter(tuple(name for name, _, _ in ranges), None)
+        inner = len(ranges)  # the innermost loop
+        at, safe = zip(*[judge.placed(pred) for pred in preds])
+        known: dict[int, str] = {}  # pred -> the name of what its conjuncts so far hold
         lines = [(0, "def visits():")]
-        lines += [(depth, f"for v_{name} in range({lo!r}, {hi + 1!r}):")
-                  for depth, (name, lo, hi) in enumerate(ranges, 1)]
-        for n, pred in enumerate(preds):
-            lines += [
-                (inner, "try:"),
-                (inner + 1, f"h_{n} = {emitter.pred(pred)}"),
-                (inner, "except Exception:"),
-                (inner + 1, f"h_{n} = None"),
-            ]
-        held = "".join(f"h_{n}, " for n in range(len(preds)))
+        for level, (name, lo, hi) in enumerate(ranges):
+            judged = [n for n, placed in enumerate(at) if placed[level]]
+            for n in judged:
+                value = f"h_{n}_{level}"
+                lines += judge.holds(at[n][level], value, known.get(n), level + 1, safe[n][level])
+                known[n] = value
+            if judged and len(known) == len(preds):
+                false = " and ".join(f"{value} is False" for value in known.values())
+                lines.append((level + 1, f"if {false}: {'continue' if level else 'return'}"))
+            lines.append((level + 1, f"for v_{name} in range({lo!r}, {hi + 1!r}):"))
+        held = []
+        for n, placed in enumerate(at):
+            if placed[inner]:
+                codes = [code if isinstance(code, str) else _any(code) for code in placed[inner]]
+                raise_free = safe[n][inner] and n in known  # else one expression, in a try
+                lines += judge.holds(codes, f"h_{n}", known.get(n), inner + 1, raise_free)
+                held.append(f"h_{n}")
+            else:
+                held.append(known.get(n, "True"))
+        point = ", ".join(f"{name!r}: v_{name}" for name, _, _ in ranges)
         return [
             *lines,
-            (inner, f"held = ({held})"),
-            (inner, f"if held != {(False,) * len(preds)!r}:"),
-            (inner + 1, f"yield {{{point}}}, held"),
+            (inner + 1, f"held = ({''.join(name + ', ' for name in held)})"),
+            (inner + 1, f"if held != {(False,) * len(preds)!r}:"),
+            (inner + 2, f"yield {{{point}}}, held"),
         ]
 
     return _load("where", "visits", source)
@@ -763,17 +861,24 @@ def run(
     points use runner instead, which checks nothing per run and builds no
     RunResult.
     """
-    code = _compiled(program)
-    if inputs.keys() != code.in_params:
-        missing = sorted(code.in_params - set(inputs))
-        extra = sorted(set(inputs) - code.in_params)
+    check_inputs(program, inputs)
+    return RunResult(*runner(program, step_budget, record=record)(inputs))
+
+
+def check_inputs(program: ast.Program, inputs: dict[str, int]) -> None:
+    """run's check of inputs: a ValueError unless they bind exactly the
+    in-parameters, and ParseError(TOO_DEEP) for a program too deeply
+    nested to compile."""
+    in_params = _compiled(program).in_params
+    if inputs.keys() != in_params:
+        missing = sorted(in_params - set(inputs))
+        extra = sorted(set(inputs) - in_params)
         parts = []
         if missing:
             parts.append(f"missing {missing}")
         if extra:
             parts.append(f"unexpected {extra}")
         raise ValueError(f"inputs must bind exactly the in-parameters: {', '.join(parts)}")
-    return RunResult(*runner(program, step_budget, record=record)(inputs))
 
 
 def project(trajectory: Trajectory, vars: set[str] | None = ALL) -> Trajectory:

@@ -1,4 +1,5 @@
-"""Canonical text rendering for programs and predicates.
+"""Canonical text rendering for programs and predicates, and the JSON
+text of the machine output (render_json).
 
 parse(pretty_print(p)) is structurally equal to p: parenthesization is
 minimal except that it always preserves the AST shape and that `&&` groups
@@ -7,6 +8,9 @@ itself is parenthesized.
 """
 
 from __future__ import annotations
+
+import math
+from json.encoder import encode_basestring_ascii as _string
 
 from . import ast
 
@@ -124,3 +128,54 @@ def _stmt_lines(block: ast.Block, depth: int) -> list[str]:
         else:
             raise TypeError(f"not a statement: {stmt!r}")
     return lines
+
+
+def render_json(value) -> str:
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for a
+    JSON value: None, a bool, int, float or str, or a list, tuple or
+    str-keyed dict of JSON values. As there, an int longer than CPython's
+    int-to-string limit (sys.get_int_max_str_digits()) is a ValueError."""
+    return _json(value, "\n")
+
+
+def _float(value: float) -> str:
+    if value != value:
+        return "NaN"
+    if value in (math.inf, -math.inf):
+        return "Infinity" if value > 0 else "-Infinity"
+    return float.__repr__(value)
+
+
+#: the JSON text of a value of each scalar type, by its exact type: no
+#: call of a Python function for a str, int, bool or None
+_SCALAR = {
+    str: _string,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): {None: "null"}.__getitem__,
+    float: _float,
+}
+
+
+def _json(value, newline: str) -> str:
+    """value's JSON text at the indent that newline ends with. A value of a
+    subclass of a JSON type is written as json writes it, as its base."""
+    kind = type(value)
+    if kind not in _SCALAR and kind not in (dict, list, tuple):
+        bases = [base for base in (str, int, float, dict, list, tuple) if isinstance(value, base)]
+        if not bases:
+            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+        kind = bases[0]
+    if kind in _SCALAR:
+        return _SCALAR[kind](value)
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = newline + "  "
+    if kind is dict:
+        items = [f"{_string(key)}: "
+                 f"{_SCALAR[type(item)](item) if type(item) in _SCALAR else _json(item, inner)}"
+                 for key, item in sorted(value.items())]
+        return f"{{{inner}{(',' + inner).join(items)}{newline}}}"
+    items = [_SCALAR[type(item)](item) if type(item) in _SCALAR else _json(item, inner)
+             for item in value]
+    return f"[{inner}{(',' + inner).join(items)}{newline}]"

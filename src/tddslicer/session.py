@@ -17,16 +17,15 @@ aborts halfway.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 from . import contracts as ct
 from .errors import ParseError, SessionFormatError
 from .lang import ast
 from .lang.ast import Record
-from .lang.interp import DEFAULT_STEP_BUDGET, OK, run
+from .lang.interp import DEFAULT_STEP_BUDGET, OK, check_inputs, run, runner
 from .lang.parser import parse_bindings, parse_domain_spec, parse_predicate, parse_program
-from .lang.printer import format_predicate
+from .lang.printer import format_predicate, render_json
 from .predicates import TRUE, Domain, Prepared, implication
 from .verifier import VACUOUS, VERIFIED, PointCheck, VerificationResult, check_all, check_point
 
@@ -403,27 +402,37 @@ class Report(Record, frozen=False, factories={"session_errors": list}):
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
+        return render_json(self.to_dict())
 
 
 def run_test(
     program: ast.Program, test: ct.TestCase, step_budget: int = DEFAULT_STEP_BUDGET
 ) -> TestOutcome:
     """Execute one test: every expected out-parameter must match exactly."""
-    result = run(program, test.inputs, step_budget, record=False)
-    if result.status != OK:
-        return TestOutcome(
-            test.name, False,
-            f"run {result.status}: {result.fault_reason} at statement {result.fault_stmt_id}",
-        )
-    mismatches = [
-        _mismatch(var, result.final[var], want)
-        for var, want in sorted(test.expected.items())
-        if result.final[var] != want
-    ]
-    if mismatches:
+    return _tester(program, step_budget)(test)
+
+
+def _tester(program: ast.Program, step_budget: int):
+    """run_test(program, test, step_budget) as a function of test, with
+    one runner for any number of tests; each test's inputs are checked as
+    run checks them."""
+    execute = runner(program, step_budget)
+
+    def outcome(test: ct.TestCase) -> TestOutcome:
+        check_inputs(program, test.inputs)
+        status, final, _, _, stmt_id, reason = execute(test.inputs)
+        if status != OK:
+            return TestOutcome(test.name, False, f"run {status}: {reason} at statement {stmt_id}")
+        if test.expected.items() <= final.items():
+            return TestOutcome(test.name, True, "")
+        mismatches = [
+            _mismatch(var, final[var], want)
+            for var, want in sorted(test.expected.items())
+            if final[var] != want
+        ]
         return TestOutcome(test.name, False, ", ".join(mismatches))
-    return TestOutcome(test.name, True, "")
+
+    return outcome
 
 
 def _mismatch(var: str, got: int, want: int) -> str:
@@ -524,16 +533,15 @@ def replay(session: Session, step_budget: int = DEFAULT_STEP_BUDGET) -> Report:
                     )
                 )
 
-        green = _guard(errors, "green check", lambda: run_test(cycle.snapshot, cycle.test, step_budget))
+        # the green and regression tests run the snapshot through one runner
+        tester = _tester(cycle.snapshot, step_budget)
+        green = _guard(errors, "green check", lambda: tester(cycle.test))
         if green is None:
             green = TestOutcome(cycle.test.name, False, "green check errored")
 
         regressions: list[TestOutcome] = []
         for earlier in session.cycles[:position]:
-            outcome = _guard(
-                errors, f"regression {earlier.test.name}",
-                lambda t=earlier.test: run_test(cycle.snapshot, t, step_budget),
-            )
+            outcome = _guard(errors, f"regression {earlier.test.name}", lambda t=earlier.test: tester(t))
             if outcome is not None:
                 regressions.append(outcome)
 

@@ -18,10 +18,10 @@ once per scan. Contracts are validated and judged through their prepared
 values (predicates.Prepared): the scope check reads their free variables
 and every scan their closures, so a contract checked many times is
 walked and compiled once.
-A Judge validates and compiles a program and its contract once for any
-number of kept-sets of its statements (the slicer's candidates);
-Judge.first_failure() settles given points whose precondition is known
-to hold. check_all() decides many (program, contract) pairs in one scan,
+A Judge validates a program and its contract once, and compiles each at
+most once, for any number of kept-sets of its statements (the slicer's
+candidates); Judge.first_failure() settles given points whose
+precondition is known to hold. check_all() decides many (program, contract) pairs in one scan,
 remembering each shared program and (program, postcondition) for the
 latest point only, which suffices because the triples judged at a point
 read the same inputs and final states. check_point() judges a single
@@ -46,7 +46,7 @@ from .lang.interp import (
     run,
     runner,
 )
-from .predicates import Domain, Prepared, State, visits
+from .predicates import Domain, State, visits
 
 VERIFIED = "verified"
 COUNTEREXAMPLE = "counterexample"
@@ -199,10 +199,12 @@ def _failed(outcome: tuple, point: State, checked: int, dom: Domain) -> Verifica
 
 
 class Judge:
-    """program and contract made ready to judge over dom: validated and
-    compiled once, so judging the program with many kept-sets of its
-    statement ids (runner's kept), as the slicer judges its candidates,
-    pays for both once.
+    """program and contract made ready to judge over dom: validated once,
+    and each compiled at most once, so judging the program with many
+    kept-sets of its statement ids (runner's kept), as the slicer judges
+    its candidates, pays for both once. The contract's closures (its
+    prepared values keep them) are made when a point is first judged on
+    them: a loop nest that finds no failure needs none.
     """
 
     def __init__(
@@ -215,8 +217,6 @@ class Judge:
         _validate(program, contract, dom)
         self.program = program
         self.contract = contract
-        pre, post = contract.prepared
-        self.pre, self.post = pre.test, post.test
         self.dom = dom
         self.step_budget = step_budget
 
@@ -229,8 +229,9 @@ class Judge:
         where check() found that it holds.
         """
         execute = runner(self.program, self.step_budget, kept=kept)
+        post = self.contract.prepared[1].test
         for point in points:
-            status, final, detail, _ = _settle(execute, self.post, point)
+            status, final, detail, _ = _settle(execute, post, point)
             if status != PASS:
                 return Witness(point, final, detail)
         return None
@@ -241,21 +242,24 @@ class Judge:
         for the program with the other statements deleted. A domain of
         NEST_FROM_POINTS points or more is scanned by a loop nest, unless
         Python refuses it, and its first failure judged again by _judge;
-        other scans judge the visits of the precondition (visits)."""
-        execute = runner(self.program, self.step_budget, kept=kept)
-        pre, post = self.contract.pre, self.contract.post
-        scan = loop_nest(self.program, self.step_budget, kept, self.dom.ranges, pre, post)
+        other scans judge the visits of the precondition (visits). The
+        closures and the run are made only after the nest, if it stopped
+        at a point or Python refused its source."""
+        contract, dom = self.contract, self.dom
+        scan = loop_nest(self.program, self.step_budget, kept, dom.ranges, contract.pre, contract.post)
         if scan is not None:
             point, count = scan()
             if point is None:
-                return VerificationResult(VERIFIED if count else VACUOUS, None, count, self.dom)
-            outcome = _judge(self.pre, execute, self.post, point)
+                return VerificationResult(VERIFIED if count else VACUOUS, None, count, dom)
+        pre, post = (prepared.test for prepared in contract.prepared)
+        execute = runner(self.program, self.step_budget, kept=kept)
+        if scan is not None:
+            outcome = _judge(pre, execute, post, point)
             # the closures agree unless Python's stack or memory runs out on
             # one side only: then the scan of the visits decides
             if outcome is not None and outcome[0] != PASS:
-                return _failed(outcome, point, count + outcome[3], self.dom)
-        triple = (0, self.pre, execute, self.post)
-        (verdict,) = _scan([triple], visits(self.dom, ((pre, self.pre),)), self.dom)
+                return _failed(outcome, point, count + outcome[3], dom)
+        (verdict,) = _scan([(0, pre, execute, post)], visits(dom, ((contract.pre, pre),)), dom)
         if isinstance(verdict, Exception):
             raise verdict
         return verdict
@@ -275,9 +279,7 @@ def check_all(
     costing its run and postcondition at its first failure. Memory is
     bounded by one point per shared item, whatever the size of dom.
     """
-    programs: list[ast.Program] = []
-    pres: list[Prepared] = []
-    posts: list[Prepared] = []
+    programs, pres, posts = _Shared(), _Shared(_PRED), _Shared(_PRED)
     triples: dict[tuple[int, int, int], int] = {}  # (pre, program, post) slots -> triple
     asked: list = []  # per pair: its triple, or the exception validating it raised
     for program, contract in pairs:
@@ -287,19 +289,19 @@ def check_all(
             asked.append(err)
             continue
         pre, post = contract.prepared
-        slots = (_slot(pres, pre, _PRED), _slot(programs, program), _slot(posts, post, _PRED))
+        slots = (pres.slot(pre), programs.slot(program), posts.slot(post))
         asked.append(triples.setdefault(slots, len(triples)))
 
     # every point's inputs and final states are shared by the triples
     # judged at that point, so remembering the latest argument suffices
-    executors = [_latest(runner(program, step_budget)) for program in programs]
+    executors = [_latest(runner(program, step_budget)) for program in programs.items]
     post_getters: dict[tuple[int, int], object] = {}
     verdicts: dict[int, object] = {}  # triple -> its exception or verdict
     judged: dict[int, tuple] = {}  # triple -> (pre, test, execute, post) for the scan
     scanned: dict[int, int] = {}  # pre slot of a judged triple -> its place in held
     for triple, (pre, code, post) in enumerate(triples):
         try:
-            pre_test, post_test = pres[pre].test, posts[post].test
+            pre_test, post_test = pres.items[pre].test, posts.items[post].test
         except Exception as err:
             verdicts[triple] = err
             continue
@@ -308,7 +310,7 @@ def check_all(
         place = scanned.setdefault(pre, len(scanned))
         judged[triple] = (place, pre_test, executors[code], post_getters[code, post])
     if judged:
-        visited = visits(dom, [(pres[pre].pred, pres[pre].test) for pre in scanned])
+        visited = visits(dom, [(pres.items[pre].pred, pres.items[pre].test) for pre in scanned])
         verdicts.update(zip(judged, _scan(list(judged.values()), visited, dom)))
     return [verdicts[triple] if isinstance(triple, int) else triple for triple in asked]
 
@@ -317,21 +319,32 @@ def check_all(
 _PRED = attrgetter("pred")
 
 
-def _slot(known: list, item, key=lambda entry: entry) -> int:
-    """Index of the first entry of known whose key equals item's,
-    appending item if there is none.
+class _Shared:
+    """The distinct items seen, in slots: an item takes the slot of the
+    first one seen that is the same object or whose key (the item itself,
+    unless key is given) is equal, found by hashing (a Record hashes at
+    any depth, ast._deep_hash). Sharing only saves work, so an item whose
+    key is too deeply nested to compare takes a slot of its own."""
 
-    Sharing only saves work, so items too deeply nested to compare are
-    kept apart.
-    """
-    for slot, other in enumerate(known):
-        try:
-            if key(other) == key(item):
-                return slot
-        except RecursionError:
-            pass
-    known.append(item)
-    return len(known) - 1
+    def __init__(self, key=None):
+        self.items: list = []  # the first item of each slot
+        self._key = key
+        self._ids: dict[int, tuple] = {}  # id -> (item, slot); holding the item keeps its id
+        self._keys: dict = {}  # key -> slot
+
+    def slot(self, item) -> int:
+        """item's slot, a new one if no item before it shares it."""
+        seen = self._ids.get(id(item))
+        if seen is None:
+            slot = len(self.items)
+            try:
+                slot = self._keys.setdefault(item if self._key is None else self._key(item), slot)
+            except RecursionError:
+                pass
+            if slot == len(self.items):
+                self.items.append(item)
+            seen = self._ids[id(item)] = (item, slot)
+        return seen[1]
 
 
 def _latest(fn):

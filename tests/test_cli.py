@@ -6,10 +6,13 @@ import json
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tddslicer import cli
 from tddslicer.cli import main
 from tddslicer.corpus import corpus_path
+from tddslicer.lang.printer import render_json
 
 MAX2 = str(corpus_path("max2.prog"))
 DIV_ORACLE = str(corpus_path("div_oracle.prog"))
@@ -534,3 +537,72 @@ def test_internal_error_exits_three_with_one_line_and_no_traceback(capsys, monke
         capsys, "check", MAX2, "--pre", "a > b", "--post", "a > b && max == a", "--domain", DOM,
     )
     assert (code, out, err) == (3, "", "internal error: RuntimeError: lost track\n")
+
+
+class TestRenderJson:
+    """The machine output is render_json's, which is json.dumps(value,
+    indent=2, sort_keys=True) byte for byte."""
+
+    @staticmethod
+    def _dumps(value):
+        return json.dumps(value, indent=2, sort_keys=True)
+
+    def test_every_command_payload(self, capsys, monkeypatch, tmp_path):
+        (tmp_path / "inc.prog").write_text("proc inc(in x, out y) { y := x + 1; }")
+        broken = tmp_path / "bad.session"
+        broken.write_text(
+            "[session]\nfinal = inc.prog\ndomain = x in 0..3\n"
+            "[cycle 1]\ntest.name = t\ntest.inputs = x=1\ntest.expect = y=3\n"
+            "contract.pre = TRUE\ncontract.post = y > 4\nsnapshot = inc.prog\n"
+        )
+        calls = [
+            ("check", MAX2, "--pre", "a > b", "--post", "a > b && max == a", "--domain", DOM),
+            ("check", MAX2, "--pre", "TRUE", "--post", "max == a", "--domain", DOM),
+            ("slice", MAX2, "--pre", "a > b", "--post", "a > b && max == a", "--domain", DOM),
+            ("union", "--pre", "a > b", "--post", "max == a", "--pre", "a < b", "--post", "max == b",
+             "--domain", DOM),
+            ("union", "--pre", "a > b", "--post", "max == a", "--pre", "a <= b", "--post", "max == b"),
+            ("replay", DIV_SESSION),
+            ("replay", str(broken)),
+            ("trace", DIV_ORACLE, "--inputs", "x=7, y=2", "--vars", "q"),
+        ]
+        payloads = []
+        real = cli.render_json
+
+        def spy(value):
+            payloads.append(value)
+            return real(value)
+
+        monkeypatch.setattr(cli, "render_json", spy)
+        for argv in calls:
+            code, out, err = run_cli(capsys, *argv, "--format", "machine")
+            assert code in (0, 1) and err == "", argv
+            assert out == self._dumps(payloads[-1]) + "\n"
+        assert len(payloads) == len(calls)
+
+    _scalars = (st.none() | st.booleans() | st.integers()
+                | st.integers(min_value=-(10**40), max_value=10**40)
+                | st.floats() | st.sampled_from([100.0, 0.5, -0.0, 1e300, 12.0]) | st.text())
+    _values = st.recursive(
+        _scalars,
+        lambda inner: (st.lists(inner, max_size=4) | st.tuples(inner, inner)
+                       | st.dictionaries(st.text(), inner, max_size=4)),
+        max_leaves=25,
+    )
+
+    @given(_values)
+    @example({"é": " \x00\"\\\U0001f600", "": [], "z": {}, "a": [100.0, -(2**70), ()]})
+    @settings(max_examples=300, deadline=None)
+    def test_json_values(self, value):
+        assert render_json(value) == self._dumps(value)
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="str() takes ints of any length",
+    )
+    def test_an_int_too_long_to_print_is_a_value_error(self):
+        for value in (10**5000, {"o": [1, 10**5000]}):
+            with pytest.raises(ValueError):
+                self._dumps(value)
+            with pytest.raises(ValueError):
+                render_json(value)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import subprocess
@@ -1257,6 +1258,157 @@ class TestWhere:
         assert filters == []
         implies(p1, p2, Domain.from_dict({"a": (1, below + 1), "b": (0, 0)}))
         assert filters == [True]
+
+
+
+def _emitted(monkeypatch):
+    """The source of each function interp compiles from here on, as text."""
+    sources = []
+    real = interp._load
+
+    def spy(name, function, emit):
+        lines = emit()
+        sources.append("\n".join("    " * depth + text for depth, text in lines))
+        return real(name, function, lambda: lines)
+
+    monkeypatch.setattr(interp, "_load", spy)
+    return sources
+
+
+class TestWherePlacement:
+    """where judges each top-level conjunct of each predicate in the
+    outermost loop that binds what it, or a conjunct before it, reads, and
+    yields what judging every point on the closures (predicates.visits
+    below the gate) and bf_holds yield: the same points, in the same
+    order and key order, with the same True, False or None (raised) for
+    each predicate."""
+
+    @staticmethod
+    def _three_ways(monkeypatch, ranges, preds):
+        """where's visits, checked against the closures and bf_holds."""
+        dom = Domain.from_dict(ranges)
+        assert math.prod(hi - lo + 1 for _, lo, hi in dom.ranges) >= interp.NEST_FROM_POINTS
+        compiled = interp.where(dom.ranges, preds)
+        assert compiled is not None
+        got = [(list(point.items()), held) for point, held in compiled()]
+        assert all(h is True or h is False or h is None for _, held in got for h in held)
+        with monkeypatch.context() as patch:
+            patch.setattr(interp, "NEST_FROM_POINTS", 10**18)
+            pairs = [(pred, interp.compile_bool(pred)) for pred in preds]
+            closures = [(list(point.items()), tuple(held)) for point, held in predicates.visits(dom, pairs)]
+        names = [name for name, _, _ in dom.ranges]
+        brute = []
+        for values in itertools.product(*(range(lo, hi + 1) for _, lo, hi in dom.ranges)):
+            point = dict(zip(names, values))
+            held = []
+            for pred in preds:
+                try:
+                    held.append(bf_holds(pred, dict(point)))
+                except ZeroDivisionError:
+                    held.append(None)
+            if True in held or None in held:
+                brute.append((list(point.items()), tuple(held)))
+        assert got == closures == brute, [format_predicate(p) for p in preds]
+        return got
+
+    @staticmethod
+    def _chain(rng, names):
+        """An && chain of one to four conjuncts that may fault, each a
+        random predicate over the first one or more of names, or TRUE."""
+        parts = []
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.1:
+                parts.append("TRUE")
+            else:
+                read = names[:rng.randint(1, len(names))]
+                parts.append(f"({predicate_text(rng, read, 1, read)})")
+        return parse_predicate(" && ".join(parts))
+
+    def test_random_faulting_chains_over_two_and_three_variables(self, monkeypatch):
+        sources = _emitted(monkeypatch)
+        rng = random.Random(2811)
+        seen = Counter()
+        for case in range(160):
+            names = rng.choice((("a", "b"), ("a", "n"), ("a", "b", "n")))
+            # at least NEST_FROM_POINTS points, small values: powers stay small
+            sizes = (12, 10) if len(names) == 2 else (5, 5, 5)
+            ranges = {}
+            for name, size in zip(names, sizes):
+                lo = rng.randint(-4, 0)
+                ranges[name] = (lo, lo + size - 1 + rng.randint(0, 1))
+            preds = tuple(self._chain(rng, names) for _ in range(rng.randint(1, 3)))
+            got = self._three_ways(monkeypatch, ranges, preds)
+            source = sources[-1]
+            seen["outer conjunct"] += f"h_0_{len(names) - 1} =" in source or "h_0_1 =" in source
+            seen["skips inner loops"] += "is False: continue" in source
+            seen["outer exists loop"] += "else:\n" in source
+            seen["raised"] += any(None in held for _, held in got)
+            seen["three variables"] += len(names) == 3
+        assert len(sources) == 160
+        for what in ("outer conjunct", "skips inner loops", "outer exists loop", "raised"):
+            assert seen[what] >= 20, seen
+        assert seen["three variables"] >= 40, seen
+
+    XY = {"x": (0, 16), "y": (1, 9)}
+    XYZ = {"x": (0, 5), "y": (0, 4), "z": (1, 4)}
+
+    @pytest.mark.parametrize("preds, ranges, lines", [
+        # conjuncts that read x, then y: the first is judged once per x
+        (("x > 3 && y < x", "(x == 2 || x == 4) && y == 2"), XY,
+         ["h_0_1 = v_x > 3", "h_1_1 = (v_x == 2 or v_x == 4)", "h_0 = h_0_1 and v_y < v_x"]),
+        # a first conjunct that reads x only and raises at x == 12, before any y
+        (("10 / (x - 12) > -100 && y == 2",), XY,
+         ["h_0_1 = _div(10, v_x - 12) > (-100)", "h_0_1 = None"]),
+        # a top-level exists judged per x, and one nested in an || judged in
+        # the same loop as the conjunct it is part of
+        (("(exists n in 1..4 : x == 2 ^ n) && y == 2",
+          "(x == 0 || (exists n in 1..4 : x == 2 ^ n)) && y == 2",
+          "exists k in 0..16 : x == y * k"), XY,
+         ["for e_n in range(1, 5):", "h_0_1 = False",
+          "h_1_1 = (v_x == 0 or any(v_x == (2 ** e_n) for e_n in range(1, 5)))",
+          "h_2 = any(v_x == v_y * e_k for e_k in range(0, 17))"]),
+        # an exists that binds y, a domain variable, reads x only: it is
+        # judged per x, and the y after it per y
+        (("(exists y in 0..2 : x == 2 * y) && y > 3",), XY,
+         ["for e_y in range(0, 3):", "if v_x == 2 * e_y: break", "h_0 = h_0_1 and v_y > 3"]),
+        # literal TRUE conjuncts emit nothing
+        (("TRUE && x > 2 && TRUE", "TRUE"), XY, ["h_0_1 = v_x > 2", "held = (h_0_1, True, )"]),
+        # where every predicate is False at x, the loops inside are skipped;
+        # before every loop, the function returns
+        (("x < 2 && y > 0", "x == 5 && z == y"), XYZ,
+         ["if h_0_1 is False and h_1_1 is False: continue"]),
+        (("FALSE && x > 0", "1 > 2"), XYZ, ["h_0_0 = False", "h_1_0 = 1 > 2",
+                                            "if h_0_0 is False and h_1_0 is False: return"]),
+        # a conjunct that reads x and y of three variables goes to y's loop
+        (("x + y > 6 && z > y", "y / (x - 2) > 0 && z == 2"), XYZ,
+         ["h_0_2 = v_x + v_y > 6", "h_1_2 = _div(v_y, v_x - 2) > 0", "h_1 = h_1_2 and v_z == 2"]),
+    ])
+    def test_cases(self, preds, ranges, lines, monkeypatch):
+        sources = _emitted(monkeypatch)
+        self._three_ways(monkeypatch, ranges, tuple(map(parse_predicate, preds)))
+        (source,) = sources
+        emitted = [line.strip() for line in source.splitlines()]
+        for line in lines:
+            assert line in emitted, source
+
+    def test_conjuncts_that_all_read_the_innermost_variable_keep_one_expression(self, monkeypatch):
+        """With nothing to judge in an outer loop, a predicate is one
+        expression in one try, at each point."""
+        sources = _emitted(monkeypatch)
+        pred = parse_predicate("y > 1 && x < y && (exists k in 0..2 : x == y * k)")
+        self._three_ways(monkeypatch, self.XY, (pred,))
+        assert sources == ["\n".join([
+            "def visits():",
+            "    for v_x in range(0, 17):",
+            "        for v_y in range(1, 10):",
+            "            try:",
+            "                h_0 = (v_y > 1 and v_x < v_y and any(v_x == v_y * e_k for e_k in range(0, 3)))",
+            "            except Exception:",
+            "                h_0 = None",
+            "            held = (h_0, )",
+            "            if held != (False,):",
+            "                yield {'x': v_x, 'y': v_y}, held",
+        ])]
 
 
 class TestFirstFailure:
