@@ -35,57 +35,7 @@ _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ALL",
-    "Classification",
-    "Contract",
-    "DEFAULT_STEP_BUDGET",
-    "DeletionUnit",
-    "Domain",
-    "EvaluationFault",
-    "ExhaustiveCapError",
-    "ImplicationResult",
-    "InstanceCheck",
-    "OriginalNotVerifiedError",
-    "ParseError",
-    "PointCheck",
-    "Predicate",
-    "PredicateUndefinedError",
-    "Report",
-    "RunResult",
-    "Session",
-    "SliceResult",
-    "SubsumptionCheck",
-    "TestCase",
-    "UnboundVariableError",
-    "VacuousContractError",
-    "VerificationResult",
-    "Witness",
-    "apply_deletion",
-    "check",
-    "check_all",
-    "check_point",
-    "classify_test",
-    "deletable_units",
-    "eval_predicate",
-    "format_predicate",
-    "free_vars",
-    "implies",
-    "is_instance",
-    "is_tautology",
-    "load_session",
-    "parse_predicate",
-    "parse_program",
-    "parse_session",
-    "pretty_print",
-    "project",
-    "qlty",
-    "replay",
-    "run",
-    "slice",
-    "subsumed_by",
-    "union",
-]
+__all__ = sorted(_SOURCE)
 
 
 def __getattr__(name: str):

@@ -16,18 +16,20 @@ after Neumann, "Efficiently Compiling Efficient Query Plans for Modern
 Hardware", VLDB 2011): a for loop per domain variable, each conjunct of
 the precondition in the outermost loop that binds what it reads, the
 program's statements with one budget charge per block, and the
-postcondition, all inline. It gives the first
-point that does not pass and the count before it; the verifier words
-that point's outcome on the closures. where emits the precondition half
-of a scan the same way: a generator of the points where one of several
-predicates holds or raises, read only through predicates.visits, which
-gives check_all, implies and Judge.check's fallback their points. Each
-top-level conjunct of each of its predicates is judged in the outermost
-loop that binds what it, or a conjunct before it, reads, by the one
-placement loop_nest uses (_Emitter.placed), and a loop where every
-predicate is already false skips the loops inside it. Both compile only
-for NEST_FROM_POINTS points or more, the one gate: fewer do not repay
-the compile, and their callers judge those on the closures.
+postcondition, all inline. It gives the first point that does not pass
+and the count before it; the verifier words that point's outcome on the
+closures. where emits the precondition half of a scan the same way: a
+generator of the points where one of several predicates holds or raises,
+read only through predicates.visits, which gives check_all, implies and
+Judge.check's fallback their points. Both place conjuncts by one rule
+(_Emitter.placed): a top-level conjunct is judged in the outermost loop
+that binds what it, or a conjunct before it, reads, except that one that
+can raise (a /, % or a ^ whose exponent may be negative), and every one
+after it, is judged in the innermost loop; && judges left to right, so
+the results are the same, and no outer loop raises. In where, a loop
+where every predicate is already false skips the loops inside it. Both
+compile only for NEST_FROM_POINTS points or more, the one gate: fewer do
+not repay the compile, and their callers judge those on the closures.
 
 A run produces the final state plus, when recorded, the trajectory: one
 (stmt_id, var, value) entry per executed assignment, in execution order.
@@ -466,8 +468,8 @@ class _Emitter:
     name that is not declared is a ValueError. An exists variable is
     e_<name> in its body, and a ^ whose exponent cannot be negative
     (ast.sure_nonneg) is Python's **. read holds the Python names of the
-    variables written, and risky whether a /, % or ^ has been written,
-    since placed last reset them."""
+    variables written, and risky whether a /, % or ^ that may raise (not
+    a **) has been written, since placed last reset them."""
 
     def __init__(self, names: tuple[str, ...], kept: frozenset[int] | None, prefix: str = "v_"):
         self.names = {name: _python(prefix, name) for name in names}
@@ -501,9 +503,9 @@ class _Emitter:
             binds = _BINDS[expr.op]
             text = f"{self.expr(expr.left, binds + 1)} {expr.op} {self.expr(expr.right, binds + 1)}"
             return f"({text})" if binds < bind else text
-        self.risky = True
         if expr.op == "^" and ast.sure_nonneg(expr.right, self.nonneg):
             return f"({self.expr(expr.left, 3)} ** {self.expr(expr.right, 3)})"
+        self.risky = True
         return f"{_HELPERS[expr.op]}({self.expr(expr.left)}, {self.expr(expr.right)})"
 
     def pred(self, pred: ast.BoolExpr) -> str:
@@ -530,29 +532,30 @@ class _Emitter:
         self.names, self.nonneg = names, nonneg
         return bound, body, f"range({pred.lo!r}, {pred.hi + 1!r})"
 
-    def placed(self, pred: ast.BoolExpr) -> tuple[list[list], list[bool]]:
+    def placed(self, pred: ast.BoolExpr) -> tuple[list[list], bool]:
         """The codes of pred's top-level conjuncts but a literal TRUE, in
         order, by the loop that judges each, the declared names being the
         loops' variables, outermost first: 0 (before the loops) to their
-        count; and per loop, whether none of its codes can raise (no /, %
-        or ^). A conjunct goes to the deepest loop of the names that it,
-        or one before it, reads, so it is judged once per value of what it
-        may read and after the ones before it. A code is the conjunct's
-        source, or an exists conjunct's triple, as exists gives it."""
+        count; and whether one of them can raise (see risky). A conjunct
+        goes to the deepest loop of the names that it, or one before it,
+        reads, so it is judged once per value of what it may read and
+        after the ones before it; but one that can raise, and every one
+        after it, goes to the innermost loop, so no outer loop raises. A
+        code is the conjunct's source, or an exists conjunct's triple, as
+        exists gives it."""
         loops = tuple(self.names.values())
         placed: list[list] = [[] for _ in range(len(loops) + 1)]
-        safe = [True] * len(placed)
-        level = 0
+        level, risky = 0, False
         for conjunct in ast.flatten(pred, ast.And):
             if isinstance(conjunct, ast.BoolLit) and conjunct.value:
                 continue
             self.read, self.risky = set(), False
             code = self.exists(conjunct) if isinstance(conjunct, ast.Exists) else self.pred(conjunct)
+            risky = risky or self.risky
             deeper = range(len(loops), level, -1)
-            level = next((loop for loop in deeper if loops[loop - 1] in self.read), level)
+            level = next((loop for loop in deeper if risky or loops[loop - 1] in self.read), level)
             placed[level].append(code)
-            safe[level] = safe[level] and not self.risky
-        return placed, safe
+        return placed, risky
 
     @staticmethod
     def conjuncts(codes: list, depth: int, reject: str) -> list:
@@ -574,12 +577,12 @@ class _Emitter:
         return lines
 
     @staticmethod
-    def holds(codes: list, name: str, prev: str | None, depth: int, safe: bool) -> list:
+    def holds(codes: list, name: str, prev: str | None, depth: int, risky: bool) -> list:
         """The lines that set name to prev (the name of what the conjuncts
-        before hold, if any) && codes (placed's): True, False or, where
-        one raises, None; unless safe, in a try. A run of codes is one and,
-        an exists a for loop of its own, whose else sets False."""
-        lines, value, inner = [], prev, depth if safe else depth + 1
+        before hold, if any) && codes (placed's): True or False or, if
+        risky, in a try that sets None where one raises. A run of codes is
+        one and, an exists a for loop of its own, whose else sets False."""
+        lines, value, inner = [], prev, depth + 1 if risky else depth
         run: list[str] = []
         for code in (*codes, None):
             if isinstance(code, str):
@@ -601,7 +604,7 @@ class _Emitter:
             lines += [(at, f"for {bound} in {values}:"), (at + 1, f"if {body}: break"),
                       (at, "else:"), (at + 1, f"{name} = False")]
             value = name
-        if safe:
+        if not risky:
             return lines
         return [(depth, "try:"), *lines, (depth, "except Exception:"), (depth + 1, f"{name} = None")]
 
@@ -661,16 +664,6 @@ def _load(name: str, function: str, emit: Callable[[], list]) -> Callable | None
     return namespace[function]
 
 
-def _point(ranges: tuple[tuple[str, int, int], ...], level: int) -> str:
-    """The source of the dict of the current point of the first level
-    loops of ranges and the first of the loops inside them: the loop
-    variable i_<name> of each outer loop, lo of each inner one."""
-    return "{" + ", ".join(
-        f"{name!r}: " + (f"i_{name}" if depth <= level else repr(lo))
-        for depth, (name, lo, _) in enumerate(ranges, 1)
-    ) + "}"
-
-
 def loop_nest(
     program: ast.Program,
     step_budget: int,
@@ -685,13 +678,12 @@ def loop_nest(
     in-parameters' (name, lo, hi) in name order, one for loop each, with
     the kept statements inline. Each conjunct of pre's && chain is judged
     in the loop that _Emitter.placed gives it: that of the deepest variable
-    that it, or a conjunct before it, reads (before every loop if none);
-    an exists conjunct is a for loop of its own, and a TRUE is no line.
-    scan returns (None, count) or, at the first
-    point where pre raises, the run ends other than ok, or post is false
-    or raises, (inputs, count); count is the points before it where pre
-    held. A conjunct that raises in an outer loop gives the first point
-    of the loops inside it, where pre raises too."""
+    that it, or a conjunct before it, reads (before every loop if none),
+    or the innermost from the first that can raise on; an exists conjunct
+    is a for loop of its own, and a TRUE is no line. Only the innermost
+    loop raises. scan returns (None, count) or, at the first point where
+    pre raises, the run ends other than ok, or post is false or raises,
+    (inputs, count); count is the points before it where pre held."""
     if math.prod(hi - lo + 1 for _, lo, hi in ranges) < NEST_FROM_POINTS or step_budget < 1:
         return None
 
@@ -703,18 +695,12 @@ def loop_nest(
         # the precondition reads the loop variables, i_<name>
         judge = _Emitter(tuple(name for name, _, _ in ranges), None, "i_")
         at, _ = judge.placed(pre)
-        lines = [(0, "def scan():"), (1, "count = 0")]
-        for level in range(inner):
-            if level:
-                name, lo, hi = ranges[level - 1]
-                lines.append((level, f"for i_{name} in range({lo!r}, {hi + 1!r}):"))
-            if at[level] and level < inner - 1:
-                lines += [
-                    (level + 1, "try:"),
-                    *judge.conjuncts(at[level], level + 2, "continue" if level else "return None, count"),
-                    (level + 1, "except Exception:"),
-                    (level + 2, f"return {_point(ranges, level)}, count"),
-                ]
+        lines = [(0, "def scan():"), (1, "count = 0"), *judge.conjuncts(at[0], 1, "return None, count")]
+        for level, (name, lo, hi) in enumerate(ranges, 1):
+            lines.append((level, f"for i_{name} in range({lo!r}, {hi + 1!r}):"))
+            if level < len(ranges):
+                lines += judge.conjuncts(at[level], level + 1, "continue")
+        point = ", ".join(f"{name!r}: i_{name}" for name, _, _ in ranges)
         return [
             *lines,
             (inner, "try:"),
@@ -727,7 +713,7 @@ def loop_nest(
             (inner + 2, "continue"),
             (inner, "except Exception:"),
             (inner + 1, "pass"),
-            (inner, f"return {_point(ranges, len(ranges))}, count"),
+            (inner, f"return {{{point}}}, count"),
             (1, "return None, count"),
         ]
 
@@ -746,25 +732,25 @@ def where(
 
     Each top-level conjunct of a predicate is judged in the loop
     _Emitter.placed gives it, as loop_nest judges its precondition's: what
-    the conjuncts of an outer loop hold (None where one raised) carries
-    into the loops inside it, where the rest are judged, and a loop where
-    every predicate is already False skips the loops inside it. A
-    predicate with nothing judged in an outer loop is one expression per
-    point."""
+    the conjuncts of an outer loop hold, True or False, carries into the
+    loops inside it, where the rest are judged, and a loop where every
+    predicate is already False skips the loops inside it. Only the
+    innermost conjuncts can raise, and they are in a try exactly when
+    they can."""
     if math.prod(hi - lo + 1 for _, lo, hi in ranges) < NEST_FROM_POINTS:
         return None
 
     def source() -> list:
         judge = _Emitter(tuple(name for name, _, _ in ranges), None)
         inner = len(ranges)  # the innermost loop
-        at, safe = zip(*[judge.placed(pred) for pred in preds])
+        at, risky = zip(*[judge.placed(pred) for pred in preds])
         known: dict[int, str] = {}  # pred -> the name of what its conjuncts so far hold
         lines = [(0, "def visits():")]
         for level, (name, lo, hi) in enumerate(ranges):
             judged = [n for n, placed in enumerate(at) if placed[level]]
             for n in judged:
                 value = f"h_{n}_{level}"
-                lines += judge.holds(at[n][level], value, known.get(n), level + 1, safe[n][level])
+                lines += judge.holds(at[n][level], value, known.get(n), level + 1, False)
                 known[n] = value
             if judged and len(known) == len(preds):
                 false = " and ".join(f"{value} is False" for value in known.values())
@@ -774,8 +760,7 @@ def where(
         for n, placed in enumerate(at):
             if placed[inner]:
                 codes = [code if isinstance(code, str) else _any(code) for code in placed[inner]]
-                raise_free = safe[n][inner] and n in known  # else one expression, in a try
-                lines += judge.holds(codes, f"h_{n}", known.get(n), inner + 1, raise_free)
+                lines += judge.holds(codes, f"h_{n}", known.get(n), inner + 1, risky[n])
                 held.append(f"h_{n}")
             else:
                 held.append(known.get(n, "True"))

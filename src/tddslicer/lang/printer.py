@@ -134,7 +134,8 @@ def render_json(value) -> str:
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, for a
     JSON value: None, a bool, int, float or str, or a list, tuple or
     str-keyed dict of JSON values. As there, an int longer than CPython's
-    int-to-string limit (sys.get_int_max_str_digits()) is a ValueError."""
+    int-to-string limit (sys.get_int_max_str_digits()) is a ValueError;
+    any other type, a subclass of one of these too, is a TypeError."""
     return _json(value, "\n")
 
 
@@ -158,16 +159,12 @@ _SCALAR = {
 
 
 def _json(value, newline: str) -> str:
-    """value's JSON text at the indent that newline ends with. A value of a
-    subclass of a JSON type is written as json writes it, as its base."""
+    """value's JSON text at the indent that newline ends with."""
     kind = type(value)
-    if kind not in _SCALAR and kind not in (dict, list, tuple):
-        bases = [base for base in (str, int, float, dict, list, tuple) if isinstance(value, base)]
-        if not bases:
-            raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-        kind = bases[0]
     if kind in _SCALAR:
         return _SCALAR[kind](value)
+    if kind not in (dict, list, tuple):
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
     if not value:
         return "{}" if kind is dict else "[]"
     inner = newline + "  "

@@ -25,7 +25,7 @@ from .lang import ast
 from .lang.ast import Record
 from .lang.interp import DEFAULT_STEP_BUDGET, OK, check_inputs, run, runner
 from .lang.parser import parse_bindings, parse_domain_spec, parse_predicate, parse_program
-from .lang.printer import format_predicate, render_json
+from .lang.printer import format_predicate
 from .predicates import TRUE, Domain, Prepared, implication
 from .verifier import VACUOUS, VERIFIED, PointCheck, VerificationResult, check_all, check_point
 
@@ -401,20 +401,11 @@ class Report(Record, frozen=False, factories={"session_errors": list}):
             "cycles": [record.to_dict() for record in self.cycles],
         }
 
-    def to_json(self) -> str:
-        return render_json(self.to_dict())
-
-
-def run_test(
-    program: ast.Program, test: ct.TestCase, step_budget: int = DEFAULT_STEP_BUDGET
-) -> TestOutcome:
-    """Execute one test: every expected out-parameter must match exactly."""
-    return _tester(program, step_budget)(test)
-
 
 def _tester(program: ast.Program, step_budget: int):
-    """run_test(program, test, step_budget) as a function of test, with
-    one runner for any number of tests; each test's inputs are checked as
+    """A function of a test that runs it on program, with one runner for
+    any number of tests, and gives its TestOutcome: every expected
+    out-parameter must match exactly. Each test's inputs are checked as
     run checks them."""
     execute = runner(program, step_budget)
 
@@ -487,6 +478,7 @@ def replay(session: Session, step_budget: int = DEFAULT_STEP_BUDGET) -> Report:
     # every cycle contract against its snapshot, then against the final
     # program, decided in one scan of the domain
     count = len(session.cycles)
+    tester = None  # the previous snapshot's, for the red check
     contract_checks = check_all(
         [(c.snapshot, c.contract) for c in session.cycles]
         + [(session.final, c.contract) for c in session.cycles],
@@ -513,8 +505,7 @@ def replay(session: Session, step_budget: int = DEFAULT_STEP_BUDGET) -> Report:
         if position == 0 or cycle.is_refactor:
             red = RedCheck(NOT_APPLICABLE, "first cycle" if position == 0 else "refactor cycle")
         else:
-            previous = session.cycles[position - 1].snapshot
-            outcome = _guard(errors, "red check", lambda: run_test(previous, cycle.test, step_budget))
+            outcome = _guard(errors, "red check", lambda: tester(cycle.test))
             if outcome is None:
                 red = RedCheck(NOT_APPLICABLE, "red check errored")
             elif kind == ct.NEW:
@@ -533,7 +524,8 @@ def replay(session: Session, step_budget: int = DEFAULT_STEP_BUDGET) -> Report:
                     )
                 )
 
-        # the green and regression tests run the snapshot through one runner
+        # the green and regression tests, and the next cycle's red check, run
+        # the snapshot through one runner
         tester = _tester(cycle.snapshot, step_budget)
         green = _guard(errors, "green check", lambda: tester(cycle.test))
         if green is None:

@@ -218,21 +218,22 @@ def _relevant(program: ast.Program, post: ast.BoolExpr) -> frozenset[int]:
     variable is relevant, and so are the variables it reads" and "an if or
     while enclosing a relevant statement is relevant, and so are the
     variables of its condition". It holds the enclosing statement of each
-    of its members. Walked with stacks of its own, so no depth of program
-    fails here.
+    of its members. The statements are walked with a stack of its own;
+    each expression's variables are ast.free_vars, which recurses no
+    deeper than compiling the program, which slice's first check has done.
     """
     enclosing: dict[int, int | None] = {}
-    reads: dict[int, set[str]] = {}
+    reads: dict[int, frozenset[str]] = {}
     assigns: dict[str, list[int]] = {}
     stack: list[tuple[ast.Stmt, int | None]] = [(stmt, None) for stmt in program.body.stmts]
     while stack:
         stmt, outer = stack.pop()
         enclosing[stmt.stmt_id] = outer
         if isinstance(stmt, ast.Assign):
-            reads[stmt.stmt_id] = _names(stmt.expr)
+            reads[stmt.stmt_id] = ast.free_vars(stmt.expr)
             assigns.setdefault(stmt.target, []).append(stmt.stmt_id)
         elif isinstance(stmt, (ast.If, ast.While)):
-            reads[stmt.stmt_id] = _names(stmt.cond)
+            reads[stmt.stmt_id] = ast.free_vars(stmt.cond)
             blocks = (stmt.then, stmt.orelse) if isinstance(stmt, ast.If) else (stmt.body,)
             stack.extend((inner, stmt.stmt_id) for block in blocks for inner in block.stmts)
     seen = set(ast.free_vars(post))
@@ -247,24 +248,6 @@ def _relevant(program: ast.Program, post: ast.BoolExpr) -> frozenset[int]:
                 pending.extend(fresh)
                 sid = enclosing[sid]
     return frozenset(relevant)
-
-
-def _names(node: ast.Expr | ast.BoolExpr) -> set[str]:
-    """The variables a program expression or condition reads. Unlike
-    ast.free_vars it does not recurse, so it takes any depth the parser
-    takes."""
-    names, stack = set(), [node]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, ast.Var):
-            names.add(node.name)
-        elif isinstance(node, (ast.Neg, ast.Not)):
-            stack.append(node.operand)
-        elif isinstance(node, (ast.Arith, ast.Cmp)):
-            stack += (node.left, node.right)
-        elif isinstance(node, (ast.And, ast.Or)):
-            stack += node.operands
-    return names
 
 
 def _verifies(judge: Judge, kept: frozenset[int], killers: list) -> VerificationResult | None:
@@ -313,12 +296,12 @@ def _preorder(block: ast.Block, keep: frozenset[int] | set[int]) -> list[tuple[i
 
 
 def _retainable(
-    block: ast.Block, relevant: frozenset[int]
+    table: list[tuple[int, int, int]], total: int
 ) -> Iterator[tuple[int, tuple[int, ...]]]:
-    """Every set of the statements of block in relevant that a deletion can
-    leave, as (retained units, retained statement ids in pre-order), in
-    ascending order and one at a time. relevant must hold the enclosing
-    statement of each of its members.
+    """Every set of the statements of table (_preorder's) that a deletion
+    can leave, as (retained units, retained statement ids in pre-order), in
+    ascending order and one at a time; total is the table's count of
+    units, its statements and the else blocks that hold one.
 
     For each unit count, one walk of the pre-order list tries each
     statement retained before deleted; deleting one skips its subtree.
@@ -326,7 +309,6 @@ def _retainable(
     so the one holding the smallest id in which they differ is the
     smaller: the sets of one unit count come in ascending order.
     """
-    table = _preorder(block, relevant)
     ids = [sid for sid, _, _ in table]
     # the first retained statement of an else block retains the else
     # clause too: opens[i] is where the block holding the i-th one starts
@@ -338,7 +320,7 @@ def _retainable(
     leaves_from = len(table)
     while leaves_from and table[leaves_from - 1][1:] == (leaves_from, -1):
         leaves_from -= 1
-    for n in range(most[0] + 1):
+    for n in range(total + 1):
         stack = [(0, 0, -1, ())]
         while stack:
             i, units, last, kept = stack.pop()
@@ -370,7 +352,7 @@ def _slice_exhaustive(
     if most > EXHAUSTIVE_CAP:
         raise ExhaustiveCapError(most, EXHAUSTIVE_CAP)
     killers: list = []
-    for n, ids in _retainable(program.body, relevant):
+    for n, ids in _retainable(table, most):
         kept = frozenset(ids)
         # a candidate retaining every unit inside relevant verifies as the
         # program does, with the same result

@@ -16,6 +16,8 @@ from tddslicer.cli import main
 from tddslicer.contracts import REGRESSION
 from tddslicer.corpus import corpus_path
 from tddslicer.lang import ast, interp, parse_program
+from tddslicer.lang.interp import DEFAULT_STEP_BUDGET
+from tddslicer.lang.printer import render_json
 from tddslicer.session import (
     FAILED_AS_EXPECTED,
     NOT_APPLICABLE,
@@ -25,10 +27,21 @@ from tddslicer.session import (
     SessionFormatError,
     load_session,
     parse_session,
-    run_test,
 )
 
 from long_session import POSTS, write_long_session
+
+
+def run_test(program, test, step_budget=DEFAULT_STEP_BUDGET):
+    """Execute one test as replay does: every expected out-parameter must
+    match exactly."""
+    return session_module._tester(program, step_budget)(test)
+
+
+def to_json(report):
+    """A replay report's machine output, as the command line prints it."""
+    return render_json(report.to_dict())
+
 
 MINIMAL_PROG = "proc inc(in x, out y) {\n    y := x + 1;\n}\n"
 
@@ -224,7 +237,7 @@ class TestReplayDiv:
             assert run_test(last, cycle.test).passed
 
     def test_replay_is_deterministic(self, div_session):
-        assert replay(div_session).to_json() == replay(div_session).to_json()
+        assert to_json(replay(div_session)) == to_json(replay(div_session))
 
 
 class TestReplayNegative:
@@ -348,7 +361,7 @@ WIDE_DIV_REPLAY_SHA256 = "f7843370655aa4e5032b5cc0f24c61fe1a14073b1f0cd54626ac3f
 
 FAULT_PRONE_POST = "r == x % y && x == y * q + r"
 
-# SHA-256 of the fault-prone long session's to_json() at 10 and 40 cycles,
+# SHA-256 of the fault-prone long session's machine output at 10 and 40 cycles,
 # recorded when every chain check still enumerated its post domain
 FAULT_PRONE_REPLAY_SHA256 = {
     10: "d4c817659433ca0dbdd0fd2ac51f8aed20a102d22f4ce226dd13f336ffda15fc",
@@ -502,7 +515,7 @@ class TestReplayGoldens:
         report = replay(session)
         assert report.ok
         assert len(verifier_runs) == 754
-        digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(to_json(report).encode("utf-8")).hexdigest()
         assert digest == WIDE_DIV_REPLAY_SHA256
 
 
@@ -536,7 +549,7 @@ class TestLongSession:
             parsed.clear()
             loaded = load_session(path)
             assert len(parsed) == parses
-            reports.append(replay(loaded).to_json())
+            reports.append(to_json(replay(loaded)))
         assert reports[0] == reports[1]
         assert json.loads(reports[0])["ok"]
 
@@ -615,5 +628,5 @@ class TestLongSession:
             report = replay(load_session(path))
             assert report.ok
             assert loaded == [("where", "visits", False)] * 2
-            digest = hashlib.sha256(report.to_json().encode("utf-8")).hexdigest()
+            digest = hashlib.sha256(to_json(report).encode("utf-8")).hexdigest()
             assert digest == FAULT_PRONE_REPLAY_SHA256[cycles]

@@ -10,6 +10,7 @@ import pytest
 from tddslicer import (
     Contract,
     Domain,
+    ParseError,
     apply_deletion,
     check,
     deletable_units,
@@ -658,6 +659,14 @@ def _eager_retainable(block):
     return sets
 
 
+def _retainable(block, relevant):
+    """slicer._retainable's candidates among the statements of block in
+    relevant: their table counts a unit per statement and per else block
+    that holds one."""
+    table = slicer._preorder(block, relevant)
+    return list(slicer._retainable(table, len(table) + len({owner for _, _, owner in table} - {-1})))
+
+
 def test_streamed_candidates_come_in_sorted_order():
     rng = random.Random(9)
     shapes = (PADDED_DIV, PADDED_MAX, ALL_FAIL, FIVE_IF_ELSE, ELSE_NESTED)
@@ -669,7 +678,7 @@ def test_streamed_candidates_come_in_sorted_order():
     assert sum(map(_nested, programs)) >= 30
     for program in programs:
         everything = frozenset(s.stmt_id for s in program.statements())
-        assert list(slicer._retainable(program.body, everything)) == sorted(_eager_retainable(program.body))
+        assert _retainable(program.body, everything) == sorted(_eager_retainable(program.body))
 
 
 def test_all_fail_slice_compiles_each_statement_once_and_builds_once(monkeypatch):
@@ -768,8 +777,8 @@ def test_slice_ending_at_its_first_candidate_enumerates_no_other(monkeypatch):
     pulled = []
     real_retainable = slicer._retainable
 
-    def counting_retainable(block, relevant):
-        for key in real_retainable(block, relevant):
+    def counting_retainable(table, units):
+        for key in real_retainable(table, units):
             pulled.append(key)
             yield key
 
@@ -795,6 +804,54 @@ def test_relevance_closure_of_the_padded_programs():
     max_ = parse_program(PADDED_MAX)
     assert slicer._relevant(max_, parse_predicate("max == a")) == frozenset({1, 4, 6})
     assert slicer._relevant(max_, parse_predicate("d == 0")) == frozenset({1, 2, 3, 7, 8})
+
+
+def test_the_relevance_walk_is_never_what_a_deep_program_fails(monkeypatch):
+    """S* reads each expression's variables with ast.free_vars, which
+    recurses; slice judges the program first, which recurses at least as
+    deep. So around the first depth at which slicing `o := a + ... + a`
+    fails, it fails with ParseError(TOO_DEEP), as check does, and never
+    inside _relevant."""
+    contract, dom = Contract(parse_predicate("TRUE"), parse_predicate("o >= 0")), Domain.parse("a in 0..1")
+
+    def program(terms):
+        return parse_program("proc f(in a, out o) { o := a" + " + a" * (terms - 1) + "; }")
+
+    def fails(terms):
+        try:
+            check(program(terms), contract, dom)
+        except ParseError as error:
+            assert str(error) == "expression nested too deeply"
+            return True
+        return False
+
+    lo, hi = 2, 5000  # check passes lo terms and fails hi
+    assert not fails(lo) and fails(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fails(mid) else (mid, hi)
+    real, raised = slicer._relevant, []
+
+    def relevant(program, post):
+        try:
+            return real(program, post)
+        except ParseError:
+            raised.append(program)
+            raise
+
+    monkeypatch.setattr(slicer, "_relevant", relevant)
+    sliced = []
+    for terms in range(hi - 5, hi + 5):
+        try:
+            compute_slice(program(terms), contract, dom)
+        except ParseError as error:
+            assert str(error) == "expression nested too deeply"
+        else:
+            sliced.append(terms)
+    assert raised == []
+    # slice fails from one depth on, within a frame or two of check
+    first = hi - 5 + len(sliced)
+    assert sliced == list(range(hi - 5, first)) and abs(first - hi) <= 2, (sliced, hi)
 
 
 def test_the_part_inside_the_relevance_closure_of_a_verifying_kept_set_verifies():
@@ -882,7 +939,7 @@ def test_pruned_candidates_are_the_sorted_candidates_inside_the_relevance_closur
         for post in ("o == 0", "w == 0" if "w" in program.locals else "d == 0", "TRUE"):
             relevant = slicer._relevant(program, parse_predicate(post))
             inside = [key for key in sorted(_eager_retainable(program.body)) if set(key[1]) <= relevant]
-            assert list(slicer._retainable(program.body, relevant)) == inside
+            assert _retainable(program.body, relevant) == inside
             pruned += relevant not in (frozenset(), _ids(program))
     assert pruned >= 100
 

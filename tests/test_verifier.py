@@ -708,7 +708,8 @@ NEST_COMMANDS = {
     # once per x
     "hoisted": ("div_oracle.prog", "--pre", "(x == 0 || (exists n in 1..4 : x == 2 ^ n)) && y == 2",
                 "--post", "r == 0 && q < 8", "--domain", "x in 0..60, y in 1..10"),
-    # a precondition conjunct that reads x only and raises at x == 30
+    # a precondition conjunct that reads x only but can raise (at x == 30),
+    # so it and the conjunct after it are judged per point
     "outer-fault": ("div_oracle.prog", "--pre", "10 / (x - 30) > -100 && y > 0", "--post", DIV_SPEC,
                     "--domain", "x in 0..60, y in 1..10"),
 }
@@ -820,8 +821,8 @@ class TestLoopNest:
     XY = "proc f(in x, in y, out o){ o := x + y; }"
 
     @pytest.mark.parametrize("program, pre, post, ranges, verdict, witness, checked", [
-        # the first conjunct reads x only and raises at x == 30, before any
-        # y: the nest gives the first point there, {x: 30, y: 1}
+        # the first conjunct reads x only but can raise, so it is judged
+        # per point: it raises first at {x: 30, y: 1}
         (XY, "10 / (x - 30) > -100 && y > 0", "o >= 0", {"x": (0, 60), "y": (1, 10)},
          FAULT, {"x": 30, "y": 1}, 300),
         # the second conjunct reads x only, but may raise where the first,
@@ -840,7 +841,8 @@ class TestLoopNest:
          FAULT, {"x": 4, "y": 0}, 0),
         (XY, "(exists n in 0..3 : x == 2 ^ n) && y < x", "o < 12", {"x": (0, 9), "y": (0, 9)},
          COUNTEREXAMPLE, {"x": 8, "y": 4}, 12),
-        # conjuncts that read no variable are judged before every loop
+        # conjuncts that read no variable are judged before every loop,
+        # unless they can raise: then per point, from the first
         (XY, "TRUE && 1 / 0 > 0 && x > 0", "TRUE", {"x": (0, 3), "y": (0, 3)},
          FAULT, {"x": 0, "y": 0}, 0),
         (XY, "FALSE && x > 0", "FALSE", {"x": (0, 3), "y": (0, 3)}, VACUOUS, None, 0),
@@ -1277,11 +1279,11 @@ def _emitted(monkeypatch):
 
 class TestWherePlacement:
     """where judges each top-level conjunct of each predicate in the
-    outermost loop that binds what it, or a conjunct before it, reads, and
-    yields what judging every point on the closures (predicates.visits
-    below the gate) and bf_holds yield: the same points, in the same
-    order and key order, with the same True, False or None (raised) for
-    each predicate."""
+    outermost loop that binds what it, or a conjunct before it, reads (in
+    the innermost loop from the first that can raise on), and yields what
+    judging every point on the closures (predicates.visits below the gate)
+    and bf_holds yield: the same points, in the same order and key order,
+    with the same True, False or None (raised) for each predicate."""
 
     @staticmethod
     def _three_ways(monkeypatch, ranges, preds):
@@ -1324,11 +1326,12 @@ class TestWherePlacement:
                 parts.append(f"({predicate_text(rng, read, 1, read)})")
         return parse_predicate(" && ".join(parts))
 
-    def test_random_faulting_chains_over_two_and_three_variables(self, monkeypatch):
-        sources = _emitted(monkeypatch)
+    @classmethod
+    def _cases(cls):
+        """160 seeded (names, ranges, preds) of one to three faulting
+        chains over two or three variables."""
         rng = random.Random(2811)
-        seen = Counter()
-        for case in range(160):
+        for _ in range(160):
             names = rng.choice((("a", "b"), ("a", "n"), ("a", "b", "n")))
             # at least NEST_FROM_POINTS points, small values: powers stay small
             sizes = (12, 10) if len(names) == 2 else (5, 5, 5)
@@ -1336,7 +1339,12 @@ class TestWherePlacement:
             for name, size in zip(names, sizes):
                 lo = rng.randint(-4, 0)
                 ranges[name] = (lo, lo + size - 1 + rng.randint(0, 1))
-            preds = tuple(self._chain(rng, names) for _ in range(rng.randint(1, 3)))
+            yield names, ranges, tuple(cls._chain(rng, names) for _ in range(rng.randint(1, 3)))
+
+    def test_random_faulting_chains_over_two_and_three_variables(self, monkeypatch):
+        sources = _emitted(monkeypatch)
+        seen = Counter()
+        for names, ranges, preds in self._cases():
             got = self._three_ways(monkeypatch, ranges, preds)
             source = sources[-1]
             seen["outer conjunct"] += f"h_0_{len(names) - 1} =" in source or "h_0_1 =" in source
@@ -1349,6 +1357,33 @@ class TestWherePlacement:
             assert seen[what] >= 20, seen
         assert seen["three variables"] >= 40, seen
 
+    def test_only_the_innermost_loop_can_raise(self, monkeypatch):
+        """No try: line of a where or loop_nest source sits outside its
+        innermost domain loop, over the seeded chains above and a seeded
+        sample of faulting preconditions: an outer loop judges only
+        conjuncts that cannot raise."""
+        sources = _emitted(monkeypatch)
+        for _, ranges, preds in self._cases():
+            interp.where(Domain.from_dict(ranges).ranges, preds)
+        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 0)
+        rng = random.Random(6007)
+        for _ in range(160):
+            program = random_program(rng, 3, faults=True)
+            pre = parse_predicate(" && ".join(f"({predicate_text(rng, names, 1, names)})"
+                                              for names in (("a",), ("b",), ("a", "b"))))
+            interp.loop_nest(program, 10000, None, (("a", -2, 2), ("b", -2, 2)), pre, TRUE)
+        assert len(sources) == 320
+        risky = 0
+        for source in sources:
+            lines = source.splitlines()
+            loop = max(i for i, line in enumerate(lines) if line.lstrip().startswith(("for v_", "for i_")))
+            indent = len(lines[loop]) - len(lines[loop].lstrip())
+            for i, line in enumerate(lines):
+                if line.strip() == "try:":
+                    assert i > loop and len(line) - len(line.lstrip()) > indent, source
+            risky += any(helper in source for helper in ("_div(", "_mod(", "_pow("))
+        assert risky >= 100, risky
+
     XY = {"x": (0, 16), "y": (1, 9)}
     XYZ = {"x": (0, 5), "y": (0, 4), "z": (1, 4)}
 
@@ -1356,9 +1391,10 @@ class TestWherePlacement:
         # conjuncts that read x, then y: the first is judged once per x
         (("x > 3 && y < x", "(x == 2 || x == 4) && y == 2"), XY,
          ["h_0_1 = v_x > 3", "h_1_1 = (v_x == 2 or v_x == 4)", "h_0 = h_0_1 and v_y < v_x"]),
-        # a first conjunct that reads x only and raises at x == 12, before any y
+        # a first conjunct that reads x only but can raise (at x == 12): it
+        # and every conjunct after it are judged per point, in a try
         (("10 / (x - 12) > -100 && y == 2",), XY,
-         ["h_0_1 = _div(10, v_x - 12) > (-100)", "h_0_1 = None"]),
+         ["try:", "h_0 = (_div(10, v_x - 12) > (-100) and v_y == 2)", "h_0 = None"]),
         # a top-level exists judged per x, and one nested in an || judged in
         # the same loop as the conjunct it is part of
         (("(exists n in 1..4 : x == 2 ^ n) && y == 2",
@@ -1379,9 +1415,10 @@ class TestWherePlacement:
          ["if h_0_1 is False and h_1_1 is False: continue"]),
         (("FALSE && x > 0", "1 > 2"), XYZ, ["h_0_0 = False", "h_1_0 = 1 > 2",
                                             "if h_0_0 is False and h_1_0 is False: return"]),
-        # a conjunct that reads x and y of three variables goes to y's loop
+        # a conjunct that reads x and y of three variables goes to y's loop,
+        # unless it can raise: then it goes to z's, with the one after it
         (("x + y > 6 && z > y", "y / (x - 2) > 0 && z == 2"), XYZ,
-         ["h_0_2 = v_x + v_y > 6", "h_1_2 = _div(v_y, v_x - 2) > 0", "h_1 = h_1_2 and v_z == 2"]),
+         ["h_0_2 = v_x + v_y > 6", "h_1 = (_div(v_y, v_x - 2) > 0 and v_z == 2)", "h_1 = None"]),
     ])
     def test_cases(self, preds, ranges, lines, monkeypatch):
         sources = _emitted(monkeypatch)
@@ -1393,7 +1430,7 @@ class TestWherePlacement:
 
     def test_conjuncts_that_all_read_the_innermost_variable_keep_one_expression(self, monkeypatch):
         """With nothing to judge in an outer loop, a predicate is one
-        expression in one try, at each point."""
+        expression at each point, with no try, as none of it can raise."""
         sources = _emitted(monkeypatch)
         pred = parse_predicate("y > 1 && x < y && (exists k in 0..2 : x == y * k)")
         self._three_ways(monkeypatch, self.XY, (pred,))
@@ -1401,10 +1438,7 @@ class TestWherePlacement:
             "def visits():",
             "    for v_x in range(0, 17):",
             "        for v_y in range(1, 10):",
-            "            try:",
-            "                h_0 = (v_y > 1 and v_x < v_y and any(v_x == v_y * e_k for e_k in range(0, 3)))",
-            "            except Exception:",
-            "                h_0 = None",
+            "            h_0 = (v_y > 1 and v_x < v_y and any(v_x == v_y * e_k for e_k in range(0, 3)))",
             "            held = (h_0, )",
             "            if held != (False,):",
             "                yield {'x': v_x, 'y': v_y}, held",
