@@ -372,6 +372,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exit_:
         return USAGE_ERROR if exit_.code not in (0, None) else 0
     try:
+        if args.budget < 1:
+            raise ValueError("step_budget must be positive")
         return args.func(args)
     except OriginalNotVerifiedError as err:
         print(f"error: {err}", file=sys.stderr)

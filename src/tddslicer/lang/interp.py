@@ -26,10 +26,13 @@ Judge.check's fallback their points. Both place conjuncts by one rule
 that binds what it, or a conjunct before it, reads, except that one that
 can raise (a /, % or a ^ whose exponent may be negative), and every one
 after it, is judged in the innermost loop; && judges left to right, so
-the results are the same, and no outer loop raises. In where, a loop
-where every predicate is already false skips the loops inside it. Both
-compile only for NEST_FROM_POINTS points or more, the one gate: fewer do
-not repay the compile, and their callers judge those on the closures.
+the results are the same, and no outer loop raises. loop_nest gives each
+conjunct a line and an exists a for loop of its own; where judges what a
+predicate places in a loop with one expression, an exists in it as
+any(...), and a loop where every predicate is already false skips the
+loops inside it. Both compile only for NEST_FROM_POINTS points or more,
+the one gate: fewer do not repay the compile, and their callers judge
+those on the closures.
 
 A run produces the final state plus, when recorded, the trajectory: one
 (stmt_id, var, value) entry per executed assignment, in execution order.
@@ -576,38 +579,6 @@ class _Emitter:
                 lines.append((depth, f"if not {code}: {reject}"))
         return lines
 
-    @staticmethod
-    def holds(codes: list, name: str, prev: str | None, depth: int, risky: bool) -> list:
-        """The lines that set name to prev (the name of what the conjuncts
-        before hold, if any) && codes (placed's): True or False or, if
-        risky, in a try that sets None where one raises. A run of codes is
-        one and, an exists a for loop of its own, whose else sets False."""
-        lines, value, inner = [], prev, depth + 1 if risky else depth
-        run: list[str] = []
-        for code in (*codes, None):
-            if isinstance(code, str):
-                run.append(code)
-                continue
-            if run:
-                joined = run[0] if len(run) == 1 else f"({' and '.join(run)})"
-                lines.append((inner, f"{name} = {value} and {joined}" if value else f"{name} = {joined}"))
-                value, run = name, []
-            if code is None:
-                break
-            bound, body, values = code
-            if value != name:
-                lines.append((inner, f"{name} = {value or True}"))
-            at = inner
-            if value:
-                lines.append((at, f"if {name}:"))
-                at += 1
-            lines += [(at, f"for {bound} in {values}:"), (at + 1, f"if {body}: break"),
-                      (at, "else:"), (at + 1, f"{name} = False")]
-            value = name
-        if not risky:
-            return lines
-        return [(depth, "try:"), *lines, (depth, "except Exception:"), (depth + 1, f"{name} = None")]
-
     def block(self, block: ast.Block, depth: int, after: int = 0, budget: int | None = None) -> bool:
         """Emit block's kept statements; whether there was any. They come
         after the charge: one step per statement (a leaf, an if's test, a
@@ -731,12 +702,15 @@ def where(
     with True, False or, where it raised, None for each of preds.
 
     Each top-level conjunct of a predicate is judged in the loop
-    _Emitter.placed gives it, as loop_nest judges its precondition's: what
-    the conjuncts of an outer loop hold, True or False, carries into the
-    loops inside it, where the rest are judged, and a loop where every
-    predicate is already False skips the loops inside it. Only the
-    innermost conjuncts can raise, and they are in a try exactly when
-    they can."""
+    _Emitter.placed gives it, as loop_nest judges its precondition's. A
+    loop judges the conjuncts it gets with one line, h_<n>_<level> =
+    prev and (c1 and ... and cn), an exists as any(...), where prev is
+    what the loops outside hold, True or False (h_<n> in the innermost
+    loop); && judges left to right with a short circuit, so h is what
+    judging the conjuncts one by one gives. A loop where every predicate
+    is already False skips the loops inside it. Only the innermost
+    conjuncts can raise, and they are in a try, which sets None where one
+    raises, exactly when they can."""
     if math.prod(hi - lo + 1 for _, lo, hi in ranges) < NEST_FROM_POINTS:
         return None
 
@@ -746,28 +720,30 @@ def where(
         at, risky = zip(*[judge.placed(pred) for pred in preds])
         known: dict[int, str] = {}  # pred -> the name of what its conjuncts so far hold
         lines = [(0, "def visits():")]
-        for level, (name, lo, hi) in enumerate(ranges):
+        for level in range(inner + 1):
             judged = [n for n, placed in enumerate(at) if placed[level]]
             for n in judged:
-                value = f"h_{n}_{level}"
-                lines += judge.holds(at[n][level], value, known.get(n), level + 1, False)
+                value = f"h_{n}_{level}" if level < inner else f"h_{n}"
+                codes = " and ".join(code if isinstance(code, str) else _any(code) for code in at[n][level])
+                line = f"{value} = {known[n]} and ({codes})" if n in known else f"{value} = ({codes})"
+                if level == inner and risky[n]:
+                    lines += [(level + 1, "try:"), (level + 2, line),
+                              (level + 1, "except Exception:"), (level + 2, f"{value} = None")]
+                else:
+                    lines.append((level + 1, line))
                 known[n] = value
+            if level == inner:
+                break
             if judged and len(known) == len(preds):
                 false = " and ".join(f"{value} is False" for value in known.values())
                 lines.append((level + 1, f"if {false}: {'continue' if level else 'return'}"))
+            name, lo, hi = ranges[level]
             lines.append((level + 1, f"for v_{name} in range({lo!r}, {hi + 1!r}):"))
-        held = []
-        for n, placed in enumerate(at):
-            if placed[inner]:
-                codes = [code if isinstance(code, str) else _any(code) for code in placed[inner]]
-                lines += judge.holds(codes, f"h_{n}", known.get(n), inner + 1, risky[n])
-                held.append(f"h_{n}")
-            else:
-                held.append(known.get(n, "True"))
+        held = "".join(known.get(n, "True") + ", " for n in range(len(preds)))
         point = ", ".join(f"{name!r}: v_{name}" for name, _, _ in ranges)
         return [
             *lines,
-            (inner + 1, f"held = ({''.join(name + ', ' for name in held)})"),
+            (inner + 1, f"held = ({held})"),
             (inner + 1, f"if held != {(False,) * len(preds)!r}:"),
             (inner + 2, f"yield {{{point}}}, held"),
         ]

@@ -504,6 +504,19 @@ def test_usage_error_exits_two(capsys):
     assert main([]) == 2
 
 
+@pytest.mark.parametrize("budget", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["check", MAX2, "--pre", "a > b", "--post", "TRUE", "--domain", DOM],
+    ["slice", MAX2, "--pre", "a > b", "--post", "a > b && max == a", "--domain", DOM],
+    ["union", "--pre", "a > b", "--post", "o == a", "--pre", "a <= b", "--post", "o == b", "--domain", DOM],
+    ["replay", DIV_SESSION],
+    ["trace", MAX2, "--inputs", "a=1, b=2"],
+], ids=lambda argv: argv[0])
+def test_a_nonpositive_budget_is_a_usage_error_for_every_command(capsys, argv, budget):
+    code, out, err = run_cli(capsys, *argv, "--budget", budget)
+    assert (code, out, err) == (2, "", "error: step_budget must be positive\n")
+
+
 def test_one_parser_serves_every_call_in_a_process(capsys):
     """main builds its argument parser once per process; each call gives
     the exit code, stdout and stderr it gives on a parser of its own."""

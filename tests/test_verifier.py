@@ -8,6 +8,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1349,11 +1350,11 @@ class TestWherePlacement:
             source = sources[-1]
             seen["outer conjunct"] += f"h_0_{len(names) - 1} =" in source or "h_0_1 =" in source
             seen["skips inner loops"] += "is False: continue" in source
-            seen["outer exists loop"] += "else:\n" in source
+            seen["outer any"] += re.search(r"^ *h_\d+_\d+ = .*\bany\(", source, re.M) is not None
             seen["raised"] += any(None in held for _, held in got)
             seen["three variables"] += len(names) == 3
         assert len(sources) == 160
-        for what in ("outer conjunct", "skips inner loops", "outer exists loop", "raised"):
+        for what in ("outer conjunct", "skips inner loops", "outer any", "raised"):
             assert seen[what] >= 20, seen
         assert seen["three variables"] >= 40, seen
 
@@ -1390,35 +1391,36 @@ class TestWherePlacement:
     @pytest.mark.parametrize("preds, ranges, lines", [
         # conjuncts that read x, then y: the first is judged once per x
         (("x > 3 && y < x", "(x == 2 || x == 4) && y == 2"), XY,
-         ["h_0_1 = v_x > 3", "h_1_1 = (v_x == 2 or v_x == 4)", "h_0 = h_0_1 and v_y < v_x"]),
+         ["h_0_1 = (v_x > 3)", "h_1_1 = ((v_x == 2 or v_x == 4))", "h_0 = h_0_1 and (v_y < v_x)"]),
         # a first conjunct that reads x only but can raise (at x == 12): it
         # and every conjunct after it are judged per point, in a try
         (("10 / (x - 12) > -100 && y == 2",), XY,
          ["try:", "h_0 = (_div(10, v_x - 12) > (-100) and v_y == 2)", "h_0 = None"]),
-        # a top-level exists judged per x, and one nested in an || judged in
-        # the same loop as the conjunct it is part of
+        # a top-level exists judged per x, as an any(…) in that loop's line,
+        # and one nested in an || judged in the same loop as the conjunct it
+        # is part of
         (("(exists n in 1..4 : x == 2 ^ n) && y == 2",
           "(x == 0 || (exists n in 1..4 : x == 2 ^ n)) && y == 2",
           "exists k in 0..16 : x == y * k"), XY,
-         ["for e_n in range(1, 5):", "h_0_1 = False",
-          "h_1_1 = (v_x == 0 or any(v_x == (2 ** e_n) for e_n in range(1, 5)))",
-          "h_2 = any(v_x == v_y * e_k for e_k in range(0, 17))"]),
+         ["h_0_1 = (any(v_x == (2 ** e_n) for e_n in range(1, 5)))",
+          "h_1_1 = ((v_x == 0 or any(v_x == (2 ** e_n) for e_n in range(1, 5))))",
+          "h_2 = (any(v_x == v_y * e_k for e_k in range(0, 17)))"]),
         # an exists that binds y, a domain variable, reads x only: it is
         # judged per x, and the y after it per y
         (("(exists y in 0..2 : x == 2 * y) && y > 3",), XY,
-         ["for e_y in range(0, 3):", "if v_x == 2 * e_y: break", "h_0 = h_0_1 and v_y > 3"]),
+         ["h_0_1 = (any(v_x == 2 * e_y for e_y in range(0, 3)))", "h_0 = h_0_1 and (v_y > 3)"]),
         # literal TRUE conjuncts emit nothing
-        (("TRUE && x > 2 && TRUE", "TRUE"), XY, ["h_0_1 = v_x > 2", "held = (h_0_1, True, )"]),
+        (("TRUE && x > 2 && TRUE", "TRUE"), XY, ["h_0_1 = (v_x > 2)", "held = (h_0_1, True, )"]),
         # where every predicate is False at x, the loops inside are skipped;
         # before every loop, the function returns
         (("x < 2 && y > 0", "x == 5 && z == y"), XYZ,
          ["if h_0_1 is False and h_1_1 is False: continue"]),
-        (("FALSE && x > 0", "1 > 2"), XYZ, ["h_0_0 = False", "h_1_0 = 1 > 2",
+        (("FALSE && x > 0", "1 > 2"), XYZ, ["h_0_0 = (False)", "h_1_0 = (1 > 2)",
                                             "if h_0_0 is False and h_1_0 is False: return"]),
         # a conjunct that reads x and y of three variables goes to y's loop,
         # unless it can raise: then it goes to z's, with the one after it
         (("x + y > 6 && z > y", "y / (x - 2) > 0 && z == 2"), XYZ,
-         ["h_0_2 = v_x + v_y > 6", "h_1 = (_div(v_y, v_x - 2) > 0 and v_z == 2)", "h_1 = None"]),
+         ["h_0_2 = (v_x + v_y > 6)", "h_1 = (_div(v_y, v_x - 2) > 0 and v_z == 2)", "h_1 = None"]),
     ])
     def test_cases(self, preds, ranges, lines, monkeypatch):
         sources = _emitted(monkeypatch)
