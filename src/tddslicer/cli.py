@@ -319,9 +319,10 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--budget", type=int, default=DEFAULT_STEP_BUDGET,
-                       help="step budget per run (default %(default)s)")
+    def common(p: argparse.ArgumentParser, runs: bool = True) -> None:
+        if runs:  # union runs no program
+            p.add_argument("--budget", type=int, default=DEFAULT_STEP_BUDGET,
+                           help="step budget per run (default %(default)s)")
         p.add_argument("--format", choices=("human", "machine"), default="human",
                        help="output format (default %(default)s)")
 
@@ -348,7 +349,7 @@ def _parser() -> argparse.ArgumentParser:
     p_union.add_argument("--post", action="append", required=True,
                          help="postcondition (give twice)")
     p_union.add_argument("--domain", help="also check whether the union pre is a tautology")
-    common(p_union)
+    common(p_union, runs=False)
     p_union.set_defaults(func=cmd_union)
 
     p_replay = sub.add_parser("replay", help="replay a TDD session file")
@@ -372,7 +373,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exit_:
         return USAGE_ERROR if exit_.code not in (0, None) else 0
     try:
-        if args.budget < 1:
+        if "budget" in args and args.budget < 1:
             raise ValueError("step_budget must be positive")
         return args.func(args)
     except OriginalNotVerifiedError as err:

@@ -360,15 +360,6 @@ def _free_vars(node: Expr | BoolExpr) -> frozenset[str]:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def sure_nonneg(exponent: Expr, nonneg: frozenset[str]) -> bool:
-    """Whether exponent, the right operand of a ^, cannot be negative: a
-    literal >= 0, or a variable in nonneg, the exists variables in scope
-    whose range floor is >= 0. A ^ with such an exponent cannot fault."""
-    if isinstance(exponent, IntLit):
-        return exponent.value >= 0
-    return isinstance(exponent, Var) and exponent.name in nonneg
-
-
 def flatten(pred: BoolExpr, kind: type[And] | type[Or]) -> tuple[BoolExpr, ...]:
     """The operands of pred's chain of kind (And or Or) in order, with
     parenthesized chains of kind flattened too; (pred,) if pred is not one."""
@@ -380,6 +371,68 @@ def flatten(pred: BoolExpr, kind: type[And] | type[Or]) -> tuple[BoolExpr, ...]:
         else:
             flat.append(node)
     return tuple(flat)
+
+
+#: a product whose operands' magnitudes have more bits than this between
+#: them is not computed: its interval is unknown, so the walk's cost does
+#: not grow with the numbers it bounds
+_SPAN_BITS = 4096
+
+_ZERO = IntLit(0)
+
+
+def fault_free(pred: BoolExpr, ranges: tuple[tuple[str, int, int], ...]) -> bool:
+    """Whether pred cannot fault at any point of ranges, (name, lo, hi)
+    each, by interval arithmetic (Moore, Interval Analysis, 1966). A
+    variable's interval is its range, or inside an exists body the bound
+    variable's bounds; + - * and negation are exact, and every other value
+    (a quotient, remainder or power, a product past _SPAN_BITS, a variable
+    outside ranges) is unknown. A / or % is safe when its divisor's
+    interval excludes 0, a ^ when its exponent's floor is >= 0; unknown is
+    unsafe. Nothing is evaluated, and the walk keeps its own stack."""
+    todo: list = [(pred, {name: (lo, hi) for name, lo, hi in ranges})]
+    spans: list = []  # the intervals of operands walked, None where unknown
+    while todo:
+        node, env = todo.pop()
+        if isinstance(node, str):  # an operator whose operands are on spans
+            right, left = spans.pop(), spans.pop()
+            if node in ("/", "%"):
+                if right is None or right[0] <= 0 <= right[1]:
+                    return False
+                spans.append(None)
+            elif node == "^":
+                if right is None or right[0] < 0:
+                    return False
+                spans.append(None)
+            elif node in CMP_OPS:
+                continue
+            elif left is None or right is None:
+                spans.append(None)
+            elif node == "+":
+                spans.append((left[0] + right[0], left[1] + right[1]))
+            elif node == "-":
+                spans.append((left[0] - right[1], left[1] - right[0]))
+            elif (max(-left[0], left[1]).bit_length()
+                  + max(-right[0], right[1]).bit_length() > _SPAN_BITS):
+                spans.append(None)
+            else:
+                corners = [x * y for x in left for y in right]
+                spans.append((min(corners), max(corners)))
+        elif isinstance(node, IntLit):
+            spans.append((node.value, node.value))
+        elif isinstance(node, Var):
+            spans.append(env.get(node.name))
+        elif isinstance(node, Neg):  # as 0 - operand
+            todo += [("-", env), (node.operand, env), (_ZERO, env)]
+        elif isinstance(node, (Arith, Cmp)):
+            todo += [(node.op, env), (node.right, env), (node.left, env)]
+        elif isinstance(node, (And, Or)):
+            todo += [(operand, env) for operand in reversed(node.operands)]
+        elif isinstance(node, Not):
+            todo.append((node.operand, env))
+        elif isinstance(node, Exists):
+            todo.append((node.body, {**env, node.var: (node.lo, node.hi)}))
+    return True
 
 
 # --- statements and programs ----------------------------------------------

@@ -24,15 +24,15 @@ read only through predicates.visits, which gives check_all, implies and
 Judge.check's fallback their points. Both place conjuncts by one rule
 (_Emitter.placed): a top-level conjunct is judged in the outermost loop
 that binds what it, or a conjunct before it, reads, except that one that
-can raise (a /, % or a ^ whose exponent may be negative), and every one
-after it, is judged in the innermost loop; && judges left to right, so
-the results are the same, and no outer loop raises. loop_nest gives each
-conjunct a line and an exists a for loop of its own; where judges what a
-predicate places in a loop with one expression, an exists in it as
-any(...), and a loop where every predicate is already false skips the
-loops inside it. Both compile only for NEST_FROM_POINTS points or more,
-the one gate: fewer do not repay the compile, and their callers judge
-those on the closures.
+can raise (a /, % or ^ that ast.fault_free, implies' interval walk, cannot
+clear over the scan's ranges), and every one after it, is judged in the
+innermost loop; && judges left to right, so the results are the same,
+and no outer loop raises. loop_nest gives each conjunct a line and an
+exists a for loop of its own; where judges what a predicate places in a
+loop with one expression, an exists in it as any(...), and a loop where
+every predicate is already false skips the loops inside it. Both compile
+only for NEST_FROM_POINTS points or more, the one gate: fewer do not
+repay the compile, and their callers judge those on the closures.
 
 A run produces the final state plus, when recorded, the trajectory: one
 (stmt_id, var, value) entry per executed assignment, in execution order.
@@ -469,18 +469,17 @@ class _Emitter:
     """The source of one program's statements, kept-set and variables:
     lines of (indent, text). A declared variable is prefix + its name; a
     name that is not declared is a ValueError. An exists variable is
-    e_<name> in its body, and a ^ whose exponent cannot be negative
-    (ast.sure_nonneg) is Python's **. read holds the Python names of the
-    variables written, and risky whether a /, % or ^ that may raise (not
-    a **) has been written, since placed last reset them."""
+    e_<name> in its body, and a ^ whose exponent is a literal >= 0 is
+    Python's **. read holds the Python names of the variables written, and
+    called whether a call to _div, _mod or _pow has been written, since
+    placed last reset them."""
 
     def __init__(self, names: tuple[str, ...], kept: frozenset[int] | None, prefix: str = "v_"):
         self.names = {name: _python(prefix, name) for name in names}
-        self.nonneg: frozenset[str] = frozenset()  # exists variables in scope, floor >= 0
         self.kept = kept
         self.lines: list[tuple[int, str]] = []
         self.read: set[str] = set()
-        self.risky = False
+        self.called = False
 
     def var(self, name: str) -> str:
         try:
@@ -506,9 +505,9 @@ class _Emitter:
             binds = _BINDS[expr.op]
             text = f"{self.expr(expr.left, binds + 1)} {expr.op} {self.expr(expr.right, binds + 1)}"
             return f"({text})" if binds < bind else text
-        if expr.op == "^" and ast.sure_nonneg(expr.right, self.nonneg):
-            return f"({self.expr(expr.left, 3)} ** {self.expr(expr.right, 3)})"
-        self.risky = True
+        if expr.op == "^" and isinstance(expr.right, ast.IntLit) and expr.right.value >= 0:
+            return f"({self.expr(expr.left, 3)} ** {expr.right.value!r})"
+        self.called = True
         return f"{_HELPERS[expr.op]}({self.expr(expr.left)}, {self.expr(expr.right)})"
 
     def pred(self, pred: ast.BoolExpr) -> str:
@@ -528,33 +527,33 @@ class _Emitter:
     def exists(self, pred: ast.Exists) -> tuple[str, str, str]:
         """The Python name of pred's bound variable, the source of its
         body, in which that name is the variable's, and of its range."""
-        names, nonneg = self.names, self.nonneg
+        names = self.names
         self.names = {**names, pred.var: _python("e_", pred.var)}
-        self.nonneg = nonneg | {pred.var} if pred.lo >= 0 else nonneg - {pred.var}
         bound, body = self.names[pred.var], self.pred(pred.body)
-        self.names, self.nonneg = names, nonneg
+        self.names = names
         return bound, body, f"range({pred.lo!r}, {pred.hi + 1!r})"
 
-    def placed(self, pred: ast.BoolExpr) -> tuple[list[list], bool]:
+    def placed(self, pred: ast.BoolExpr, ranges: tuple[tuple[str, int, int], ...]) -> tuple[list, bool]:
         """The codes of pred's top-level conjuncts but a literal TRUE, in
         order, by the loop that judges each, the declared names being the
-        loops' variables, outermost first: 0 (before the loops) to their
-        count; and whether one of them can raise (see risky). A conjunct
-        goes to the deepest loop of the names that it, or one before it,
-        reads, so it is judged once per value of what it may read and
-        after the ones before it; but one that can raise, and every one
-        after it, goes to the innermost loop, so no outer loop raises. A
-        code is the conjunct's source, or an exists conjunct's triple, as
-        exists gives it."""
+        loops' variables, outermost first, with ranges: 0 (before the loops)
+        to their count; and whether one of them can raise, that is, calls
+        _div, _mod or _pow (see called) where ast.fault_free cannot clear it
+        over ranges. A conjunct goes to the deepest loop of the names that
+        it, or one before it, reads, so it is judged once per value of what
+        it may read and after the ones before it; but one that can raise,
+        and every one after it, goes to the innermost loop, so no outer loop
+        raises. A code is the conjunct's source, or an exists conjunct's
+        triple, as exists gives it."""
         loops = tuple(self.names.values())
         placed: list[list] = [[] for _ in range(len(loops) + 1)]
         level, risky = 0, False
         for conjunct in ast.flatten(pred, ast.And):
             if isinstance(conjunct, ast.BoolLit) and conjunct.value:
                 continue
-            self.read, self.risky = set(), False
+            self.read, self.called = set(), False
             code = self.exists(conjunct) if isinstance(conjunct, ast.Exists) else self.pred(conjunct)
-            risky = risky or self.risky
+            risky = risky or self.called and not ast.fault_free(conjunct, ranges)
             deeper = range(len(loops), level, -1)
             level = next((loop for loop in deeper if risky or loops[loop - 1] in self.read), level)
             placed[level].append(code)
@@ -665,7 +664,7 @@ def loop_nest(
         emitter.block(program.body, inner + 1, budget=step_budget)
         # the precondition reads the loop variables, i_<name>
         judge = _Emitter(tuple(name for name, _, _ in ranges), None, "i_")
-        at, _ = judge.placed(pre)
+        at, _ = judge.placed(pre, ranges)
         lines = [(0, "def scan():"), (1, "count = 0"), *judge.conjuncts(at[0], 1, "return None, count")]
         for level, (name, lo, hi) in enumerate(ranges, 1):
             lines.append((level, f"for i_{name} in range({lo!r}, {hi + 1!r}):"))
@@ -717,7 +716,7 @@ def where(
     def source() -> list:
         judge = _Emitter(tuple(name for name, _, _ in ranges), None)
         inner = len(ranges)  # the innermost loop
-        at, risky = zip(*[judge.placed(pred) for pred in preds])
+        at, risky = zip(*[judge.placed(pred, ranges) for pred in preds])
         known: dict[int, str] = {}  # pred -> the name of what its conjuncts so far hold
         lines = [(0, "def visits():")]
         for level in range(inner + 1):

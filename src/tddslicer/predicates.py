@@ -168,68 +168,6 @@ class ImplicationResult(Record):
         return self.holds
 
 
-#: a product whose operands' magnitudes have more bits than this between
-#: them is not computed: its interval is unknown, so the walk's cost does
-#: not grow with the numbers it bounds
-_SPAN_BITS = 4096
-
-_ZERO = ast.IntLit(0)
-
-
-def _fault_free(pred: Predicate, ranges: tuple[tuple[str, int, int], ...]) -> bool:
-    """Whether pred cannot fault at any point of ranges (a Domain's), by
-    interval arithmetic (Moore, Interval Analysis, 1966). A variable's
-    interval is its range, or inside an exists body the bound variable's
-    bounds; + - * and negation are exact, and every other value (a
-    quotient, remainder or power, a product past _SPAN_BITS) is unknown.
-    A / or % is safe when its divisor's interval excludes 0, a ^ when its
-    exponent's floor is >= 0; unknown is unsafe. Nothing is evaluated, and
-    the walk keeps its own stack."""
-    todo: list = [(pred, {name: (lo, hi) for name, lo, hi in ranges})]
-    spans: list = []  # the intervals of operands walked, None where unknown
-    while todo:
-        node, env = todo.pop()
-        if isinstance(node, str):  # an operator whose operands are on spans
-            right, left = spans.pop(), spans.pop()
-            if node in ("/", "%"):
-                if right is None or right[0] <= 0 <= right[1]:
-                    return False
-                spans.append(None)
-            elif node == "^":
-                if right is None or right[0] < 0:
-                    return False
-                spans.append(None)
-            elif node in ast.CMP_OPS:
-                continue
-            elif left is None or right is None:
-                spans.append(None)
-            elif node == "+":
-                spans.append((left[0] + right[0], left[1] + right[1]))
-            elif node == "-":
-                spans.append((left[0] - right[1], left[1] - right[0]))
-            elif (max(-left[0], left[1]).bit_length()
-                  + max(-right[0], right[1]).bit_length() > _SPAN_BITS):
-                spans.append(None)
-            else:
-                corners = [x * y for x in left for y in right]
-                spans.append((min(corners), max(corners)))
-        elif isinstance(node, ast.IntLit):
-            spans.append((node.value, node.value))
-        elif isinstance(node, ast.Var):
-            spans.append(env.get(node.name))
-        elif isinstance(node, ast.Neg):  # as 0 - operand
-            todo += [("-", env), (node.operand, env), (_ZERO, env)]
-        elif isinstance(node, (ast.Arith, ast.Cmp)):
-            todo += [(node.op, env), (node.right, env), (node.left, env)]
-        elif isinstance(node, (ast.And, ast.Or)):
-            todo += [(operand, env) for operand in reversed(node.operands)]
-        elif isinstance(node, ast.Not):
-            todo.append((node.operand, env))
-        elif isinstance(node, ast.Exists):
-            todo.append((node.body, {**env, node.var: (node.lo, node.hi)}))
-    return True
-
-
 class Prepared:
     """A predicate with the facts its queries read, each derived on first
     use and then kept:
@@ -237,7 +175,7 @@ class Prepared:
     - free: its free variables;
     - disjuncts: the set of its OR-disjuncts (ast.flatten);
     - fault_free(dom): whether it cannot fault at any point of dom
-      (_fault_free), one fact per dom.ranges;
+      (ast.fault_free), one fact per dom.ranges;
     - test: its closure, as compile_bool gives it.
 
     either(a, b) is the prepared union a.pred || b.pred, whose parts are
@@ -271,7 +209,7 @@ class Prepared:
 
     def fault_free(self, dom: Domain) -> bool:
         ranges = dom.ranges
-        return self._fact(("fault_free", ranges), lambda pred: _fault_free(pred, ranges),
+        return self._fact(("fault_free", ranges), lambda pred: ast.fault_free(pred, ranges),
                           lambda *safe: all(safe))
 
     @property
@@ -295,7 +233,7 @@ def implies(p1: Predicate, p2: Predicate, dom: Domain) -> ImplicationResult:
 
     On failure the witness is the first counterexample in enumeration
     order. When every OR-disjunct of p1 is syntactically one of p2's and
-    neither side can fault at any point of dom (Prepared.fault_free), the
+    neither side can fault at any point of dom (ast.fault_free), the
     implication holds by construction: nothing is enumerated and
     checked_points is 0. A predicate too deeply nested to walk, compare or
     evaluate raises ParseError(TOO_DEEP).

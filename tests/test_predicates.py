@@ -36,8 +36,8 @@ from tddslicer.lang import ast
 from tddslicer.lang.interp import compile_bool
 from tddslicer.predicates import TRUE, ImplicationResult, Prepared, implication
 
-from bruteforce import bf_holds, bf_implies
-from generators import CMP_OPS, comparison, random_contract, random_predicate, union_all
+from bruteforce import _bf_cannot_fault, bf_holds, bf_implies
+from generators import CMP_OPS, comparison, predicate_text, random_contract, random_predicate, union_all
 
 
 class TestDomainPoints:
@@ -527,6 +527,57 @@ class TestDisjunctRule:
         unsafe = parse_predicate("exists b in -1..1 : a % b == 0 || b > 0")
         result = implies(unsafe, ast.Or((TRUE, unsafe)), dom)
         assert (result.holds, result.checked_points) == (True, 5)
+
+
+class TestFaultFree:
+    """ast.fault_free, the one rule for whether a predicate can fault over
+    ranges (implies' static shortcut, and where's and loop_nest's placement
+    of conjuncts), gives bruteforce's _bf_cannot_fault, and is sound: where
+    it says True, bf_holds raises at no point of the ranges."""
+
+    @staticmethod
+    def _cases():
+        """400 seeded faulting predicates over a and b, small ranges, four
+        in ten with an exists conjunct whose floor may be negative."""
+        rng = random.Random(3107)
+        for _ in range(400):
+            ranges = {}
+            for name in ("a", "b"):
+                lo = rng.randint(-3, 2)
+                ranges[name] = (lo, lo + rng.randint(0, 4))
+            text = predicate_text(rng, ("a", "b"), 3, ("a", "b"))
+            if rng.random() < 0.4:
+                lo, names = rng.randint(-2, 1), ("a", "b", "n")
+                body = predicate_text(rng, names, 1, names)
+                text = f"({text}) && (exists n in {lo}..{lo + rng.randint(0, 2)} : ({body}))"
+            yield parse_predicate(text), ranges
+
+    def test_random_predicates_and_exists_floors(self):
+        seen = collections.Counter()
+        for pred, ranges in self._cases():
+            safe = ast.fault_free(pred, Domain.from_dict(ranges).ranges)
+            assert safe == _bf_cannot_fault(pred, ranges), format_predicate(pred)
+            seen[safe] += 1
+            raised = False
+            for values in itertools.product(*(range(lo, hi + 1) for lo, hi in ranges.values())):
+                try:
+                    bf_holds(pred, dict(zip(ranges, values)))
+                except ZeroDivisionError:
+                    raised = True
+            assert not (safe and raised), format_predicate(pred)
+            seen["raised"] += raised
+        assert min(seen[True], seen[False], seen["raised"]) >= 60, seen
+
+    @pytest.mark.parametrize("bits, safe", [(2046, True), (2047, True), (2048, False), (2049, False)])
+    def test_a_product_past_the_span_bits_is_unknown(self, bits, safe):
+        """a * a has 2 * (bits + 1) bits at a's bounds: from bits 2048 on,
+        past 4,096, its interval is not computed, so the divisor a * a + 1
+        may be 0 for all the walk knows, and likewise for -a * a - 1."""
+        for ranges in ({"a": (1, 2 ** bits), "b": (0, 3)}, {"a": (-2 ** bits, -1), "b": (-3, 0)}):
+            for text in ("b / (a * a + 1) > 0", "b % (-(a * a) - 1) == 0 || b > 0"):
+                pred = parse_predicate(text)
+                assert ast.fault_free(pred, Domain.from_dict(ranges).ranges) is safe
+                assert _bf_cannot_fault(pred, ranges) is safe
 
 
 class TestTautology:

@@ -872,7 +872,32 @@ class TestLoopNest:
             _agrees(program, contract, ranges, 10000, result)
         assert nests == [True, True]
 
-    def test_exponents_that_cannot_be_negative_are_powers(self, monkeypatch):
+    @pytest.mark.parametrize("pre, post, verdict, judged", [
+        # a / or % whose divisor's interval excludes 0 (ast.fault_free)
+        # cannot raise: conjuncts of them that read x only are judged once
+        # per x, before the y loop and outside the try
+        ("x % 4 == 0 && 10 / (x + 1) >= 0 && y > 0", DIV_SPEC, VERIFIED,
+         ["        if not _mod(i_x, 4) == 0: continue", "        if not _div(10, i_x + 1) >= 0: continue"]),
+        ("x % 4 == 0 && 10 / (x + 1) >= 0 && y > 0", "r == 0", COUNTEREXAMPLE,
+         ["        if not _mod(i_x, 4) == 0: continue", "        if not _div(10, i_x + 1) >= 0: continue"]),
+        # a divisor whose interval holds 0 keeps its conjunct per point, in the try
+        ("10 / (x - 30) > -100 && y > 0", DIV_SPEC, FAULT,
+         ["            try:", "                if not _div(10, i_x - 30) > (-100): continue"]),
+    ])
+    def test_conjuncts_the_interval_walk_clears_are_judged_in_outer_loops(
+        self, pre, post, verdict, judged, div_oracle, monkeypatch
+    ):
+        sources = _emitted(monkeypatch)
+        ranges, contract = {"x": (0, 60), "y": (1, 10)}, _contract(pre, post)
+        result = self._both_ways(monkeypatch, div_oracle, contract, Domain.from_dict(ranges))
+        assert result.verdict == verdict
+        _agrees(div_oracle, contract, ranges, 10000, result)
+        (source,) = sources
+        lines = source.splitlines()
+        for line in judged:
+            assert line in lines, source
+
+    def test_literal_exponents_are_powers(self, monkeypatch):
         sources = []
         real = interp._load
 
@@ -888,7 +913,7 @@ class TestLoopNest:
         check(program, _contract("exists n in 0..2 : x == 2 ^ n", "o >= 0"), dom)
         check(program, _contract("exists n in -1..2 : x == 2 ^ n", "o >= 0"), dom)
         first, second = sources
-        assert "(2 ** e_n)" in first and "(v_x ** 2)" in first and "_pow(2, v_x)" in first
+        assert "_pow(2, e_n)" in first and "(v_x ** 2)" in first and "_pow(2, v_x)" in first
         assert "_pow(2, e_n)" in second
 
     #: an if whose then block holds a while: 3 steps outside the if, 2 more
@@ -1402,8 +1427,8 @@ class TestWherePlacement:
         (("(exists n in 1..4 : x == 2 ^ n) && y == 2",
           "(x == 0 || (exists n in 1..4 : x == 2 ^ n)) && y == 2",
           "exists k in 0..16 : x == y * k"), XY,
-         ["h_0_1 = (any(v_x == (2 ** e_n) for e_n in range(1, 5)))",
-          "h_1_1 = ((v_x == 0 or any(v_x == (2 ** e_n) for e_n in range(1, 5))))",
+         ["h_0_1 = (any(v_x == _pow(2, e_n) for e_n in range(1, 5)))",
+          "h_1_1 = ((v_x == 0 or any(v_x == _pow(2, e_n) for e_n in range(1, 5))))",
           "h_2 = (any(v_x == v_y * e_k for e_k in range(0, 17)))"]),
         # an exists that binds y, a domain variable, reads x only: it is
         # judged per x, and the y after it per y
@@ -1421,6 +1446,13 @@ class TestWherePlacement:
         # unless it can raise: then it goes to z's, with the one after it
         (("x + y > 6 && z > y", "y / (x - 2) > 0 && z == 2"), XYZ,
          ["h_0_2 = (v_x + v_y > 6)", "h_1 = (_div(v_y, v_x - 2) > 0 and v_z == 2)", "h_1 = None"]),
+        # a / or % whose divisor's interval excludes 0 (ast.fault_free) cannot
+        # raise: conjuncts of them that read x only are judged once per x,
+        # outside any try; one whose divisor's interval holds 0 stays per
+        # point, in a try
+        (("x % 4 == 0 && 10 / (x + 1) >= 0 && y > 0", "x % (x - 8) == 0 && y > 2"), XY,
+         ["h_0_1 = (_mod(v_x, 4) == 0 and _div(10, v_x + 1) >= 0)", "h_0 = h_0_1 and (v_y > 0)",
+          "try:", "h_1 = (_mod(v_x, v_x - 8) == 0 and v_y > 2)", "h_1 = None"]),
     ])
     def test_cases(self, preds, ranges, lines, monkeypatch):
         sources = _emitted(monkeypatch)
