@@ -5,6 +5,8 @@ Exit status: 0 when every check passed, 1 when a check failed
 file errors, 3 on an internal error (one line on stderr, no traceback).
 `--format machine` emits stable JSON with format_version 1; human output
 uses a little color unless TDDSLICER_COLOR=0 or stdout is not a terminal.
+Every command renders its whole output, in either format, before _show
+prints it at once, so an output that fails to render prints nothing.
 
 The slice and replay commands' functions are imported when a command
 first asks for them, through this module's attributes (PEP 562), so that
@@ -178,13 +180,16 @@ def cmd_slice(args: argparse.Namespace) -> int:
             }
         )
     else:
-        print(pretty_print(result.program), end="")
-        print(f"strategy: {result.strategy} (minimal: {'yes' if result.minimal else 'not guaranteed'})")
-        print(f"retained: {', '.join(map(str, retained)) or '(nothing)'}")
-        print(f"deleted:  {', '.join(map(str, deleted)) or '(nothing)'}")
-        print(f"verification: {_verdict_text(result.verification.verdict)} "
-              f"over {result.verification.domain}")
+        _show(_slice_lines(result, retained, deleted))
     return OK_STATUS
+
+
+def _slice_lines(result, retained, deleted) -> Iterator[str]:
+    yield pretty_print(result.program).removesuffix("\n")
+    yield f"strategy: {result.strategy} (minimal: {'yes' if result.minimal else 'not guaranteed'})"
+    yield f"retained: {', '.join(map(str, retained)) or '(nothing)'}"
+    yield f"deleted:  {', '.join(map(str, deleted)) or '(nothing)'}"
+    yield f"verification: {_verdict_text(result.verification.verdict)} over {result.verification.domain}"
 
 
 def cmd_union(args: argparse.Namespace) -> int:
@@ -194,7 +199,7 @@ def cmd_union(args: argparse.Namespace) -> int:
     second = _contract_from_args(args.pre[1], args.post[1])
     combined = ct.union(first, second)
     tautology = None
-    if args.domain:
+    if args.domain is not None:
         dom = Domain.parse(args.domain)
         tautology = is_tautology(combined.pre, dom)
     if args.format == "machine":
@@ -209,61 +214,67 @@ def cmd_union(args: argparse.Namespace) -> int:
             }
         )
     else:
-        print(f"pre:  {format_predicate(combined.pre)}")
-        print(f"post: {format_predicate(combined.post)}")
-        if tautology is not None:
-            print(f"precondition is a tautology over domain: {str(tautology.holds).lower()}")
-            if tautology.witness is not None:
-                print(f"counterexample: {_fmt_state(tautology.witness)}")
+        _show(_union_lines(combined, tautology))
     return OK_STATUS
+
+
+def _union_lines(combined, tautology) -> Iterator[str]:
+    yield f"pre:  {format_predicate(combined.pre)}"
+    yield f"post: {format_predicate(combined.post)}"
+    if tautology is not None:
+        yield f"precondition is a tautology over domain: {str(tautology.holds).lower()}"
+        if tautology.witness is not None:
+            yield f"counterexample: {_fmt_state(tautology.witness)}"
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
     session = _lazy("load_session")(args.session)
     report = _lazy("replay")(session, args.budget)
     if args.format == "machine":
-        _show(report.to_dict())
+        payload = report.to_dict()
+        _show(payload)
+        failures = payload["failures"]
     else:
-        _print_report(report)
-    return OK_STATUS if report.ok else CHECK_FAILED
+        failures = report.failures()
+        _show(_report_lines(report, failures))
+    return CHECK_FAILED if failures else OK_STATUS
 
 
-def _print_report(report) -> None:
-    print(f"session: {report.session_name}")
-    print(f"domain:  {report.domain}")
+def _report_lines(report, failures: list[str]) -> Iterator[str]:
+    yield f"session: {report.session_name}"
+    yield f"domain:  {report.domain}"
     for record in report.cycles:
         kind = record.classification
         if record.kind_mismatch:
             kind += f" (declared {record.declared_kind})"
-        print(f"cycle {record.index}: {record.test_name} [{kind}]")
-        print(f"  red:    {record.red.status.replace('_', ' ')}"
-              + (f" - {record.red.detail}" if record.red.detail else ""))
+        yield f"cycle {record.index}: {record.test_name} [{kind}]"
+        detail = f" - {record.red.detail}" if record.red.detail else ""
+        yield f"  red:    {record.red.status.replace('_', ' ')}{detail}"
         green = _good("pass") if record.green.passed else _bad(f"FAIL ({record.green.detail})")
-        print(f"  green:  {green}")
+        yield f"  green:  {green}"
         passed = sum(1 for r in record.regressions if r.passed)
         total = len(record.regressions)
         mark = _good(f"{passed}/{total} pass") if passed == total else _bad(f"{passed}/{total} pass")
-        print(f"  regressions: {mark}")
+        yield f"  regressions: {mark}"
         point = record.contract_point.status if record.contract_point else "error"
         snap = record.snapshot_contract.verdict if record.snapshot_contract else "error"
         oracle = record.oracle_contract.verdict if record.oracle_contract else "error"
-        chain = "ok" if record.chain_holds else "BROKEN"
-        print(f"  contract: point {point} | snapshot {_verdict_text(snap)} "
-              f"| oracle {_verdict_text(oracle)} | chain {chain}")
+        chain = "error" if record.chain_holds is None else "ok" if record.chain_holds else "BROKEN"
+        yield (f"  contract: point {point} | snapshot {_verdict_text(snap)} "
+               f"| oracle {_verdict_text(oracle)} | chain {chain}")
         for error in record.errors:
-            print(f"  {_bad('error')}: {error}")
-    print(f"union pre:  {format_predicate(report.union_contract.pre)}")
-    print(f"union post: {format_predicate(report.union_contract.post)}")
-    print(f"union pre tautology over domain: {report.union_pre_tautology}")
-    qlty = "None" if report.qlty is None else f"{report.qlty:.1f}"
-    print(f"QLTY: {qlty}")
-    for warning in report.warnings():
-        print(_warn(f"warning: {warning}"))
-    failures = report.failures()
+            yield f"  {_bad('error')}: {error}"
+    yield f"union pre:  {format_predicate(report.union_contract.pre)}"
+    yield f"union post: {format_predicate(report.union_contract.post)}"
+    yield f"union pre tautology over domain: {report.union_pre_tautology}"
+    yield f"QLTY: {'None' if report.qlty is None else f'{report.qlty:.1f}'}"
+    warnings = report.warnings()
+    for warning in warnings:
+        yield _warn(f"warning: {warning}")
     for failure in failures:
-        print(_bad(f"failure: {failure}"))
+        yield _bad(f"failure: {failure}")
     verdict = _good("OK") if not failures else _bad("FAILED")
-    print(f"result: {verdict} ({len(failures)} failures, {len(report.warnings())} warnings)")
+    yield f"result: {verdict} ({len(failures)} failures, {len(warnings)} warnings)"
 
 
 def cmd_trace(args: argparse.Namespace) -> int:

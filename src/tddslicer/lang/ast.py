@@ -1,8 +1,8 @@
 """AST for the mini while-language and its contract predicates, and
 Record, the base of every value record in the package.
 
-All nodes are frozen records: values are immutable after construction
-and safe to share between threads. Statements carry a pre-order id assigned
+Every record, node or not, is frozen: values are immutable after
+construction and safe to share between threads. Statements carry a pre-order id assigned
 by the parser (1-based, contiguous); deletion-based slicing preserves the
 ids of surviving statements, so ids in a sliced program may have gaps.
 
@@ -13,7 +13,6 @@ program parser rejects them, the shared evaluator handles both.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from operator import attrgetter
 
 from ..errors import TOO_DEEP, ParseError
 
@@ -27,23 +26,20 @@ class Record:
     """A class of plain values: its fields are the names of its __slots__
     that do not start with "_" (one that does is a slot outside them, such
     as a value derived and kept on first use). _values is the tuple of the
-    fields' values: a frozen record keeps the tuple it was built from, a
-    mutable one reads its fields when asked. Defining a subclass gives it:
+    fields' values, kept from construction. Every record is frozen:
+    assigning or deleting an attribute raises AttributeError (__init__,
+    __post_init__ and a derived slot write through the slots' own setters
+    or object.__setattr__). A subclass gets:
 
     - __init__, a closure over its fields, taking them by position or by
-      keyword; a field missing from the call takes its default or a new
-      value from its factory. It then calls __post_init__ if the class has
-      one;
+      keyword; a field missing from the call takes its default (the class
+      keyword defaults). It then calls __post_init__ if the class has one;
     - __eq__: equal to a record of the same class with equal values;
-    - __hash__: the hash of _values (see _deep_hash), or None if mutable;
+    - __hash__: the hash of _values (see _deep_hash), which raises
+      TypeError where a value is unhashable (a list or a dict);
     - __repr__: Name(field=value, ...), each value as repr gives it;
-    - with order=True, <, <=, > and >= on _values, within the class.
-
-    Class keywords: frozen (default True) makes assigning or deleting an
-    attribute raise AttributeError (construction, __post_init__ and a
-    derived slot use object.__setattr__); defaults and factories map
-    trailing fields to a default value or to a callable that makes one per
-    instance.
+    - with the class keyword order=True, <, <=, > and >= on _values,
+      within the class.
     """
 
     __slots__ = ("_values",)
@@ -51,19 +47,19 @@ class Record:
     #: the class's fields, in order
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, frozen=True, order=False, defaults=None, factories=None, **kwargs):
+    def __init_subclass__(cls, order=False, defaults=None, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls._fields = fields
-        cls.__init__ = _init(cls, fields, frozen, defaults or {}, factories or {})
-        if frozen:
-            cls.__setattr__ = _frozen_setattr
-            cls.__delattr__ = _frozen_delattr
-        else:
-            cls._values = property(_field_tuple(fields))
-            cls.__hash__ = None
+        cls.__init__ = _init(cls, fields, defaults or {})
         if order:
             cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = _ORDER
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -108,14 +104,6 @@ def _deep_hash(record: Record) -> int:
     return int(hashes[id(record)])
 
 
-def _field_tuple(fields: tuple[str, ...]):
-    """A function from a record to the tuple of its fields' values."""
-    if len(fields) > 1:
-        return attrgetter(*fields)
-    get = attrgetter(*fields)
-    return lambda record: (get(record),)
-
-
 def _comparison(compare):
     def method(self, other):
         if other.__class__ is self.__class__:
@@ -129,18 +117,10 @@ def _comparison(compare):
 _ORDER = tuple(map(_comparison, (tuple.__lt__, tuple.__le__, tuple.__gt__, tuple.__ge__)))
 
 
-def _frozen_setattr(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
-
-
-def _frozen_delattr(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
-def _init(cls: type, fields: tuple[str, ...], frozen: bool, defaults: dict, factories: dict):
-    # the slots' own setters, which a frozen __setattr__ does not stop
+def _init(cls: type, fields: tuple[str, ...], defaults: dict):
+    # the slots' own setters, which Record.__setattr__ does not stop
     setters = tuple(getattr(cls, name).__set__ for name in fields)
-    set_values = Record._values.__set__ if frozen else None
+    set_values = Record._values.__set__
     count = len(fields)
     post_init = getattr(cls, "__post_init__", None)
 
@@ -153,8 +133,6 @@ def _init(cls: type, fields: tuple[str, ...], frozen: bool, defaults: dict, fact
                 values.append(kwargs.pop(name))
             elif name in defaults:
                 values.append(defaults[name])
-            elif name in factories:
-                values.append(factories[name]())
             else:
                 raise TypeError(f"{cls.__name__}() missing argument {name!r}")
         for name in kwargs:
@@ -162,9 +140,8 @@ def _init(cls: type, fields: tuple[str, ...], frozen: bool, defaults: dict, fact
             raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
         return tuple(values)
 
-    if frozen and post_init is None and count <= len(_UNROLLED):
+    if post_init is None and count <= len(_UNROLLED):
         return _UNROLLED[count - 1](setters, set_values, bind)
-    values_now = _field_tuple(fields)
 
     def __init__(self, *args, **kwargs):
         if kwargs or len(args) != count:
@@ -173,14 +150,13 @@ def _init(cls: type, fields: tuple[str, ...], frozen: bool, defaults: dict, fact
             set_field(self, value)
         if post_init is not None:
             post_init(self)  # which may set a field again
-            args = values_now(self)
-        if set_values is not None:
-            set_values(self, args)
+            args = tuple(getattr(self, name) for name in fields)
+        set_values(self, args)
 
     return __init__
 
 
-# the loop of _init's __init__ unrolled, for frozen records of one to four
+# the loop of _init's __init__ unrolled, for records of one to four
 # fields (every AST node): a construction takes about a third less time
 
 

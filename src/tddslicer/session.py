@@ -274,7 +274,7 @@ class RedCheck(Record, defaults={"detail": ""}):
         return {"status": self.status, "detail": self.detail}
 
 
-class CycleRecord(Record, frozen=False, factories={"errors": list}):
+class CycleRecord(Record):
     __slots__ = ("index", "test_name", "classification", "matched_contract", "declared_kind",
                  "kind_mismatch", "red", "green", "regressions", "contract_point",
                  "snapshot_contract", "oracle_contract", "implication_witnessed", "chain_holds",
@@ -315,7 +315,7 @@ class CycleRecord(Record, frozen=False, factories={"errors": list}):
         }
 
 
-class Report(Record, frozen=False, factories={"session_errors": list}):
+class Report(Record):
     __slots__ = ("session_name", "domain", "cycles", "union_contract", "union_pre_tautology",
                  "qlty", "final_matches_last_snapshot", "session_errors")
     session_name: str
@@ -378,11 +378,8 @@ class Report(Record, frozen=False, factories={"session_errors": list}):
                     found.append(f"{where}: {label} contract check is vacuous")
         return found
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures()
-
     def to_dict(self) -> dict:
+        failures = self.failures()
         return {
             "format_version": 1,
             "command": "replay",
@@ -395,8 +392,8 @@ class Report(Record, frozen=False, factories={"session_errors": list}):
                 "post": format_predicate(self.union_contract.post),
             },
             "union_pre_tautology": self.union_pre_tautology,
-            "ok": self.ok,
-            "failures": self.failures(),
+            "ok": not failures,
+            "failures": failures,
             "warnings": self.warnings(),
             "cycles": [record.to_dict() for record in self.cycles],
         }

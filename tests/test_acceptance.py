@@ -108,7 +108,7 @@ def test_criterion_3_div_session_replay():
             assert record.oracle_contract.verdict == "verified"
             assert record.chain_holds
         assert report.qlty == 100.0
-        assert report.ok
+        assert not report.failures()
         assert elapsed < 10.0
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import shutil
 import sys
 
 import pytest
@@ -24,6 +26,15 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _unrenderable(*args):
+    raise ValueError("cannot render")
+
+
+#: what a command gives when a line after its first fails to render: no
+#: line at all
+NOTHING_RENDERED = (2, "", "error: value too large to print\n")
 
 
 class TestCheck:
@@ -147,6 +158,12 @@ class TestSlice:
         assert {"kind": "statement", "anchor": 1} in payload["retained"]
         assert payload["verification"]["verdict"] == "verified"
 
+    def test_human_output_prints_nothing_unless_every_line_renders(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_verdict_text", _unrenderable)  # the last line's
+        result = run_cli(capsys, "slice", MAX2, "--pre", "a > b", "--post", "a > b && max == a",
+                         "--domain", DOM)
+        assert result == NOTHING_RENDERED
+
 
 class TestUnion:
     def test_paper_union_with_tautology(self, capsys):
@@ -188,6 +205,25 @@ class TestUnion:
         assert "tautology over domain: false" in out
         assert "counterexample: a=-8, b=-7" in out
 
+    def test_human_output_prints_nothing_unless_every_line_renders(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_fmt_state", _unrenderable)  # the counterexample's
+        result = run_cli(capsys, "union", "--pre", "a > b", "--post", "max == a",
+                         "--pre", "a == b", "--post", "max == a", "--domain", DOM)
+        assert result == NOTHING_RENDERED
+
+    def test_an_empty_domain_judges_the_pre_at_its_one_point(self, capsys):
+        """--domain "" is the domain of no variables, not a missing --domain."""
+        code, out, _ = run_cli(capsys, "union", "--pre", "TRUE", "--post", "o == 1",
+                               "--pre", "FALSE", "--post", "o == 2", "--domain", "",
+                               "--format", "machine")
+        assert code == 0
+        assert json.loads(out)["pre_tautology"] is True
+
+    def test_an_empty_domain_refuses_a_pre_with_a_free_variable(self, capsys):
+        result = run_cli(capsys, "union", "--pre", "a > 1", "--post", "o == 1",
+                         "--pre", "FALSE", "--post", "o == 2", "--domain", "")
+        assert result == (2, "", "error: domain does not cover free variables: ['a']\n")
+
 
 class TestReplay:
     def test_div_session_ok(self, capsys):
@@ -223,6 +259,34 @@ class TestReplay:
         assert payload["format_version"] == 1
         assert payload["qlty"] == 100.0
         assert len(payload["cycles"]) == 9
+
+    def test_human_output_prints_nothing_unless_every_line_renders(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_verdict_text", _unrenderable)  # each cycle's contract line's
+        assert run_cli(capsys, "replay", DIV_SESSION) == NOTHING_RENDERED
+
+    def test_a_chain_check_that_raised_reads_error(self, capsys, tmp_path):
+        """A cycle's contract is a disjunct of the union it is checked
+        against, so its chain check holds or raises. With cycle 2's
+        precondition dividing by zero at x = 12, the check raises in five
+        cycles (2 and 6-9): the human report says `chain error` there, as
+        it says `error` for a point, snapshot or oracle check that raised.
+        The machine report is the one it always was, chain_holds null."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_path("div.session").parent, corpus)
+        session = corpus / "div.session"
+        pre = "contract.pre = (x == 2 || x == 4) && y == 2\n"
+        text = session.read_text()
+        assert text.count(pre) == 1
+        session.write_text(text.replace(pre, "contract.pre = 10 / (x - 12) > -100 && y == 2\n"))
+        code, out, err = run_cli(capsys, "replay", str(session))
+        assert (code, err) == (1, "")
+        assert out.count(" | chain error\n") == 5 and "BROKEN" not in out
+        assert out.count("error: chain subsumption: predicate undefined") == 5
+        code, out, err = run_cli(capsys, "replay", str(session), "--format", "machine")
+        assert (code, err) == (1, "")
+        assert [cycle["chain_holds"] for cycle in json.loads(out)["cycles"]].count(None) == 5
+        digest = "773c17ca4f6e61ba0b6d35f97a58cda9e32664c30fdf6f97ebe061571243ec09"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestTrace:

@@ -1,8 +1,8 @@
 """Records: the value classes built on lang.ast.Record keep the semantics
-they had as frozen (or, for CycleRecord and Report, mutable) dataclasses:
-construction by position or keyword with defaults, repr, equality within
-one class, hashing over the field tuple, immutability and DeletionUnit's
-order."""
+they had as frozen dataclasses: construction by position or keyword with
+defaults, repr, equality within one class, hashing over the field tuple
+(a TypeError where a field holds a dict or a list, as in CycleRecord and
+Report), immutability and DeletionUnit's order."""
 
 from __future__ import annotations
 
@@ -22,8 +22,6 @@ from tddslicer.verifier import PointCheck, VerificationResult, Witness
 
 MODULES = ("lang.ast", "lang.interp", "predicates", "contracts", "verifier", "slicer", "session")
 
-MUTABLE = (CycleRecord, Report)
-
 
 def samples() -> dict:
     """One record of each class, or two where defaults matter, built by
@@ -39,7 +37,7 @@ def samples() -> dict:
     result = RunResult("ok", {"o": 1}, (TrajectoryEntry(1, "o", 1),), 1)
     record = CycleRecord(1, "t", "new", None, None, False, RedCheck("not_applicable"), green,
                          [green], PointCheck("pass", {}, {"o": 1}, None, result), None, None,
-                         False, None)
+                         False, None, [])
     return {
         "IntLit": one,
         "Var": x,
@@ -81,7 +79,7 @@ def samples() -> dict:
         "TestOutcome": Outcome("t", False, "o=2, expected 1"),
         "RedCheck": RedCheck("not_applicable"),
         "CycleRecord": record,
-        "Report": Report("s", Domain(()), [record], contract, True, 100.0, None),
+        "Report": Report("s", Domain(()), [record], contract, True, 100.0, None, []),
     }
 
 
@@ -185,28 +183,22 @@ def test_equal_fields_make_equal_records(name):
     by_keyword = cls(**dict(zip(record._fields, values)))
     assert by_position == record and by_keyword == record and not by_position != record
     assert repr(by_position) == repr(record)
-    if cls in MUTABLE:
-        assert cls.__hash__ is None
-        with pytest.raises(TypeError):
-            hash(record)
-        return
     try:
         expected = hash(values)
-    except TypeError:  # a dict field: unhashable, as the dataclass was
+    except TypeError:  # a dict or list field: unhashable, as the dataclass was
         with pytest.raises(TypeError):
             hash(record)
     else:
         assert hash(record) == hash(by_position) == hash(by_keyword) == expected
 
 
-def test_defaults_and_factories():
+def test_defaults_and_argument_errors():
     assert ast.Block() == ast.Block(()) == ast.Block(stmts=())
     assert Witness({"x": 1}) == Witness({"x": 1}, None, None) == Witness(inputs={"x": 1})
     assert RunResult("ok", {}, (), 0).fault_reason is None
     assert RedCheck("s").detail == ""
-    first, second = SAMPLES["CycleRecord"], CycleRecord(*_values(SAMPLES["CycleRecord"])[:-1])
-    assert first.errors == second.errors == [] and first.errors is not second.errors
-    assert Report("s", None, [], None, None, None, None).session_errors == []
+    with pytest.raises(TypeError):  # errors has no default
+        CycleRecord(*_values(SAMPLES["CycleRecord"])[:-1])
     with pytest.raises(TypeError):
         ast.Var()
     with pytest.raises(TypeError):
@@ -241,8 +233,7 @@ def test_records_of_different_classes_are_unequal():
     assert ast.IntLit(1) != ast.IntLit(2) and ast.IntLit(True) == ast.IntLit(1)
 
 
-@pytest.mark.parametrize("name", [name for name, record in SAMPLES.items()
-                                  if not isinstance(record, MUTABLE)])
+@pytest.mark.parametrize("name", list(SAMPLES))
 def test_frozen_records_refuse_assignment_and_deletion(name):
     record = SAMPLES[name]
     for field in (*record._fields, "other"):
@@ -251,19 +242,6 @@ def test_frozen_records_refuse_assignment_and_deletion(name):
         with pytest.raises(AttributeError):
             delattr(record, field)
     assert repr(record) == REPRS[name]
-
-
-def test_mutable_records_take_assignment():
-    record = CycleRecord(*_values(SAMPLES["CycleRecord"]))
-    record.chain_holds = True
-    record.errors.append("e")
-    report = Report("s", Domain(()), [record], None, None, None, None)
-    report.qlty = 50.0
-    assert (record.chain_holds, record.errors, report.qlty) == (True, ["e"], 50.0)
-    assert record != SAMPLES["CycleRecord"]
-    for value in (record, report):
-        with pytest.raises(TypeError):
-            hash(value)
 
 
 def test_deletion_units_sort_by_kind_then_anchor():

@@ -205,7 +205,7 @@ class TestReplayDiv:
 
     def test_cycle6_new_test_already_passing_is_warning(self, report):
         assert report.cycles[5].red.status == PASSED_UNEXPECTEDLY
-        assert report.ok  # a warning, not a failure
+        assert not report.failures()  # a warning, not a failure
 
     def test_triangulation_cycles_classified_regression(self, report):
         assert report.cycles[6].classification == REGRESSION
@@ -261,7 +261,7 @@ snapshot = inc.prog
         record = report.cycles[0]
         assert record.green.passed  # the test itself passes
         assert record.snapshot_contract.verdict == "counterexample"
-        assert not report.ok
+        assert report.failures()
         assert any("counterexample" in f for f in report.failures())
 
     def test_replay_records_errors_without_aborting(self, minimal_dir):
@@ -276,7 +276,7 @@ snapshot = inc.prog
         assert record.green.passed
         assert record.snapshot_contract.verdict == "fault"
         assert any("chain" in err for err in record.errors)
-        assert not report.ok
+        assert report.failures()
 
     def test_final_snapshot_divergence_warns(self, minimal_dir):
         (minimal_dir / "other.prog").write_text(
@@ -286,7 +286,7 @@ snapshot = inc.prog
         report = replay(parse_session(text, minimal_dir))
         assert not report.final_matches_last_snapshot
         assert any("differs" in w for w in report.warnings())
-        assert report.ok  # divergence alone is a warning
+        assert not report.failures()  # divergence alone is a warning
 
 
 class TestQlty:
@@ -499,7 +499,7 @@ class TestReplayGoldens:
         The 9 contract point checks add one run each. Checking the 18
         pairs one by one took 858 runs."""
         report = replay(div_session)
-        assert report.ok
+        assert not report.failures()
         assert len(verifier_runs) == 223
 
     def test_wider_div_session_report_and_run_count(self, verifier_runs):
@@ -513,7 +513,7 @@ class TestReplayGoldens:
         assert narrow in text
         session = parse_session(text.replace(narrow, "domain = x in 0..38, y in 1..16"), path.parent)
         report = replay(session)
-        assert report.ok
+        assert not report.failures()
         assert len(verifier_runs) == 754
         digest = hashlib.sha256(to_json(report).encode("utf-8")).hexdigest()
         assert digest == WIDE_DIV_REPLAY_SHA256
@@ -589,7 +589,7 @@ class TestLongSession:
         for cycles in (10, 20, 40):
             loaded = load_session(write_long_session(tmp_path / str(cycles), cycles))
             counts.clear()
-            assert replay(loaded).ok
+            assert not replay(loaded).failures()
             seen[cycles] = dict(counts)
         for kind in ("walks", "compiles"):
             first, second = (seen[20][kind] - seen[10][kind], seen[40][kind] - seen[20][kind])
@@ -626,7 +626,7 @@ class TestLongSession:
             path.write_text(text.replace(post, f"contract.post = {FAULT_PRONE_POST}", 1), encoding="utf-8")
             loaded.clear()
             report = replay(load_session(path))
-            assert report.ok
+            assert not report.failures()
             assert loaded == [("where", "visits", False)] * 2
             digest = hashlib.sha256(to_json(report).encode("utf-8")).hexdigest()
             assert digest == FAULT_PRONE_REPLAY_SHA256[cycles]
