@@ -193,18 +193,22 @@ def classify_test(test: TestCase, history: list[Contract]) -> Classification:
     """
     if not history:
         return Classification(NEW, None)
+    checks = []
     for index, contract in enumerate(history):
-        if is_instance(test, contract).holds:
+        check = is_instance(test, contract)
+        if check.holds:
             return Classification(REGRESSION, index)
+        checks.append(check)
     # The union can hold without any single contract holding (pre of one
     # disjunct, post of another); it still counts as covered territory.
     # Every pre was judged above without raising, so the union's pre holds
-    # iff one of them does; its post is judged in order, as the Or would be.
-    combined = {**test.inputs, **test.expected}
-    if any(c.prepared[0].test(test.inputs) for c in history) and any(
-        c.prepared[1].test(combined) for c in history
-    ):
-        return Classification(REGRESSION, None)
+    # iff one of them did. Its post is judged in order, as the Or would be:
+    # each post judged above was false and did not raise, so only the
+    # others are judged now.
+    if any(check.pre_holds for check in checks):
+        combined = {**test.inputs, **test.expected}
+        if any(c.prepared[1].test(combined) for c, check in zip(history, checks) if not check.pre_holds):
+            return Classification(REGRESSION, None)
     return Classification(NEW, None)
 
 
@@ -224,20 +228,3 @@ def validate_scope(contract: Contract, in_params: frozenset[str], out_params: fr
         raise ValueError(
             f"postcondition reads out-of-scope variables: {sorted(bad_post)}"
         )
-
-
-__all__ = [
-    "Classification",
-    "Contract",
-    "InstanceCheck",
-    "NEW",
-    "REGRESSION",
-    "TRIANGULATION",
-    "SubsumptionCheck",
-    "TestCase",
-    "classify_test",
-    "is_instance",
-    "subsumed_by",
-    "union",
-    "validate_scope",
-]

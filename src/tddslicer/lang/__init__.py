@@ -12,20 +12,3 @@ from .interp import (
 )
 from .parser import load_program, parse_bindings, parse_domain_spec, parse_program
 from .printer import format_predicate, pretty_print
-
-__all__ = [
-    "ALL",
-    "DEFAULT_STEP_BUDGET",
-    "RunResult",
-    "Trajectory",
-    "TrajectoryEntry",
-    "ast",
-    "format_predicate",
-    "load_program",
-    "parse_bindings",
-    "parse_domain_spec",
-    "parse_program",
-    "pretty_print",
-    "project",
-    "run",
-]

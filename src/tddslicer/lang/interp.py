@@ -813,22 +813,16 @@ def run(
 ) -> RunResult:
     """Execute program with the given in-parameter binding.
 
-    inputs must bind exactly the in-parameters; out-parameters and locals
-    start at 0. The result is deterministic and, on success, identical for
-    any budget at least as large. With record=False the trajectory is left
-    empty (every other field is the same), which saves its cost for callers
-    that only judge the final state. Callers that run one program at many
-    points use runner instead, which checks nothing per run and builds no
-    RunResult.
+    inputs must bind exactly the in-parameters, else a ValueError (a
+    program too deeply nested to compile is a ParseError(TOO_DEEP) first);
+    out-parameters and locals start at 0. The result is deterministic and,
+    on success, identical for any budget at least as large. With
+    record=False the trajectory is left empty (every other field is the
+    same), which saves its cost for callers that only judge the final
+    state. Callers that run one program at many points, or whose inputs
+    are known to fit (a Session's tests), use runner instead, which checks
+    nothing per run and builds no RunResult.
     """
-    check_inputs(program, inputs)
-    return RunResult(*runner(program, step_budget, record=record)(inputs))
-
-
-def check_inputs(program: ast.Program, inputs: dict[str, int]) -> None:
-    """run's check of inputs: a ValueError unless they bind exactly the
-    in-parameters, and ParseError(TOO_DEEP) for a program too deeply
-    nested to compile."""
     in_params = _compiled(program).in_params
     if inputs.keys() != in_params:
         missing = sorted(in_params - set(inputs))
@@ -839,6 +833,7 @@ def check_inputs(program: ast.Program, inputs: dict[str, int]) -> None:
         if extra:
             parts.append(f"unexpected {extra}")
         raise ValueError(f"inputs must bind exactly the in-parameters: {', '.join(parts)}")
+    return RunResult(*runner(program, step_budget, record=record)(inputs))
 
 
 def project(trajectory: Trajectory, vars: set[str] | None = ALL) -> Trajectory:

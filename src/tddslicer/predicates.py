@@ -320,19 +320,3 @@ def visits(dom: Domain, pairs: Sequence[tuple[Predicate, Callable[[State], bool]
 def is_tautology(pred: Predicate, dom: Domain) -> ImplicationResult:
     """True iff pred holds at every assignment within dom."""
     return implies(TRUE, pred, dom)
-
-
-__all__ = [
-    "Domain",
-    "ImplicationResult",
-    "Predicate",
-    "PredicateUndefinedError",
-    "Prepared",
-    "State",
-    "TRUE",
-    "eval_predicate",
-    "implication",
-    "implies",
-    "is_tautology",
-    "visits",
-]

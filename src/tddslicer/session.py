@@ -23,7 +23,7 @@ from . import contracts as ct
 from .errors import ParseError, SessionFormatError
 from .lang import ast
 from .lang.ast import Record
-from .lang.interp import DEFAULT_STEP_BUDGET, OK, check_inputs, run, runner
+from .lang.interp import DEFAULT_STEP_BUDGET, OK, run, runner
 from .lang.parser import parse_bindings, parse_domain_spec, parse_predicate, parse_program
 from .lang.printer import format_predicate
 from .predicates import TRUE, Domain, Prepared, implication
@@ -49,6 +49,13 @@ class Cycle(Record, defaults={"note": None}):
 
 
 class Session(Record, defaults={"out_ranges": None}):
+    """Cycles judged against the final program over dom. Valid when built,
+    from a file or in Python, else a ValueError: at least one cycle; dom
+    ranges exactly the final's in-parameters; each cycle's test binds
+    exactly its in- and its out-parameters, its snapshot has its name and
+    parameters, and its contract keeps to their scope; out_ranges names
+    only out-parameters."""
+
     __slots__ = ("name", "cycles", "final", "dom", "out_ranges")
     name: str
     cycles: tuple[Cycle, ...]
@@ -57,9 +64,25 @@ class Session(Record, defaults={"out_ranges": None}):
     out_ranges: dict[str, tuple[int, int]] | None
 
     def __post_init__(self):
+        final = self.final
+        in_params, out_params = frozenset(final.in_params), frozenset(final.out_params)
         if not self.cycles:
             raise ValueError("a session needs at least one cycle")
-        stray = sorted(set(self.out_ranges or ()) - set(self.final.out_params))
+        if self.dom.vars != in_params:
+            raise ValueError(f"domain must cover exactly the in-parameters {sorted(in_params)}")
+        for cycle in self.cycles:
+            where = f"[cycle {cycle.index}]"
+            if cycle.test.inputs.keys() != in_params:
+                raise ValueError(f"{where}: test.inputs must bind exactly {sorted(in_params)}")
+            if cycle.test.expected.keys() != out_params:
+                raise ValueError(f"{where}: test.expect must bind exactly {sorted(out_params)}")
+            if cycle.snapshot.name != final.name or cycle.snapshot.params != final.params:
+                raise ValueError(f"{where}: snapshot signature differs from the final program")
+            try:
+                ct.validate_scope(cycle.contract, in_params, out_params)
+            except ValueError as err:
+                raise ValueError(f"{where}: {err}") from err
+        stray = sorted(set(self.out_ranges or ()) - out_params)
         if stray:
             raise ValueError(f"outrange names variables that are not out-parameters: {stray}")
 
@@ -111,8 +134,9 @@ def _take(
 
 def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "session") -> Session:
     """Parse a .session file body; referenced .prog files load relative to
-    base_dir. Raises SessionFormatError on malformed input, missing files,
-    non-contiguous cycle indices, or contract scope violations.
+    base_dir. Raises SessionFormatError on malformed input, missing files or
+    non-contiguous cycle indices, and then for a Session that is not valid
+    (see Session), with its ValueError's message.
 
     Each distinct program path, the final's included, is parsed once and
     its Program shared by the cycles that name it. Each distinct predicate
@@ -160,10 +184,6 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
             raise SessionFormatError(f"bad domain: {err}") from err
     else:
         dom = Domain.from_dict({p: DEFAULT_RANGE for p in final.in_params})
-    if dom.vars != frozenset(final.in_params):
-        raise SessionFormatError(
-            f"domain must cover exactly the in-parameters {sorted(final.in_params)}"
-        )
     out_ranges = None
     if outrange_text is not None:
         try:
@@ -203,31 +223,8 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
         except ParseError as err:
             raise SessionFormatError(f"{where}: {err}") from err
         snapshot = load(snapshot_text, where)
-
-        if set(inputs) != set(final.in_params):
-            raise SessionFormatError(
-                f"{where}: test.inputs must bind exactly {sorted(final.in_params)}"
-            )
-        if set(expected) != set(final.out_params):
-            raise SessionFormatError(
-                f"{where}: test.expect must bind exactly {sorted(final.out_params)}"
-            )
-        if snapshot.name != final.name or snapshot.params != final.params:
-            raise SessionFormatError(
-                f"{where}: snapshot signature differs from the final program"
-            )
-        contract = ct.Contract.of(pre, post)
-        try:
-            ct.validate_scope(
-                contract,
-                frozenset(final.in_params),
-                frozenset(final.out_params),
-            )
-        except ValueError as err:
-            raise SessionFormatError(f"{where}: {err}") from err
-        cycles.append(
-            Cycle(index, ct.TestCase(test_name, inputs, expected, kind), contract, snapshot, note)
-        )
+        cycles.append(Cycle(index, ct.TestCase(test_name, inputs, expected, kind),
+                            ct.Contract.of(pre, post), snapshot, note))
     if not cycles:
         raise SessionFormatError("session has no cycles")
     try:
@@ -402,12 +399,11 @@ class Report(Record):
 def _tester(program: ast.Program, step_budget: int):
     """A function of a test that runs it on program, with one runner for
     any number of tests, and gives its TestOutcome: every expected
-    out-parameter must match exactly. Each test's inputs are checked as
-    run checks them."""
+    out-parameter must match exactly. The inputs are not checked: a
+    Session's tests bind exactly its programs' in-parameters."""
     execute = runner(program, step_budget)
 
     def outcome(test: ct.TestCase) -> TestOutcome:
-        check_inputs(program, test.inputs)
         status, final, _, _, stmt_id, reason = execute(test.inputs)
         if status != OK:
             return TestOutcome(test.name, False, f"run {status}: {reason} at statement {stmt_id}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from tddslicer import (
     subsumed_by,
     union,
 )
+from tddslicer import predicates
 from tddslicer.contracts import NEW, REGRESSION, Classification, validate_scope
 
 from generators import random_contract, random_predicate, random_test, union_all
@@ -151,6 +153,29 @@ class TestClassify:
         result = classify_test(test, [c1, c2])
         assert result.kind == REGRESSION
         assert result.matched_contract is None
+
+    def test_union_only_instance_judges_each_predicate_once(self, monkeypatch):
+        """The union's pre is read from the instance checks' pre_holds and
+        its post judges only the posts those checks did not: the first
+        contract's pre and post, and the second's pre, are judged once."""
+        calls = collections.Counter()
+        compile_bool = predicates.compile_bool
+
+        def counting(pred):
+            test = compile_bool(pred)
+
+            def counted(state):
+                calls[format_predicate(pred)] += 1
+                return test(state)
+
+            return counted
+
+        monkeypatch.setattr(predicates, "compile_bool", counting)
+        c1 = Contract(parse_predicate("a > b"), parse_predicate("max == a"))
+        c2 = Contract(parse_predicate("a < b"), parse_predicate("max == b"))
+        result = classify_test(_max_test(2, 1, 1), [c1, c2])
+        assert (result.kind, result.matched_contract) == (REGRESSION, None)
+        assert calls == {"a > b": 1, "max == a": 1, "a < b": 1, "max == b": 1}
 
     def test_declared_kind_compatibility(self, max_contract_gt):
         regression = classify_test(_max_test(-1, -2, -1), [max_contract_gt])

@@ -74,8 +74,10 @@ def samples() -> dict:
         "SliceResult": SliceResult(frozenset({DeletionUnit("statement", 1)}), frozenset(), program,
                                    True, "exhaustive", None),
         "Cycle": Cycle(1, test, contract, program),
-        "Session": Session("s", (Cycle(2, test, contract, program, "refactor"),), program, dom,
-                           {"o": (0, 1)}),
+        # a valid session of program, which has no in-parameter
+        "Session": Session("s", (Cycle(2, TestCase("t", {}, {"o": 1}),
+                                       Contract(ast.BoolLit(True), ast.Cmp("<", ast.Var("o"), one)),
+                                       program, "refactor"),), program, Domain(()), {"o": (0, 1)}),
         "TestOutcome": Outcome("t", False, "o=2, expected 1"),
         "RedCheck": RedCheck("not_applicable"),
         "CycleRecord": record,
@@ -141,8 +143,10 @@ REPRS = {
                     f"deleted=frozenset(), program={PROGRAM}, minimal=True, strategy='exhaustive', "
                     "verification=None)"),
     "Cycle": f"Cycle(index=1, test={TEST}, contract={CONTRACT}, snapshot={PROGRAM}, note=None)",
-    "Session": (f"Session(name='s', cycles=(Cycle(index=2, test={TEST}, contract={CONTRACT}, "
-                f"snapshot={PROGRAM}, note='refactor'),), final={PROGRAM}, dom={DOM}, "
+    "Session": ("Session(name='s', cycles=(Cycle(index=2, test=TestCase(name='t', inputs={}, "
+                "expected={'o': 1}, declared_kind=None), contract=Contract(pre=BoolLit(value=True), "
+                "post=Cmp(op='<', left=Var(name='o'), right=IntLit(value=1))), "
+                f"snapshot={PROGRAM}, note='refactor'),), final={PROGRAM}, dom=Domain(ranges=()), "
                 "out_ranges={'o': (0, 1)})"),
     "TestOutcome": "TestOutcome(test='t', passed=False, detail='o=2, expected 1')",
     "RedCheck": "RedCheck(status='not_applicable', detail='')",

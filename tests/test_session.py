@@ -9,7 +9,7 @@ import shutil
 
 import pytest
 
-from tddslicer import Contract, TestCase, check_point, parse_predicate, qlty, replay
+from tddslicer import Contract, Domain, TestCase, check_point, parse_predicate, qlty, replay
 from tddslicer import contracts
 from tddslicer import session as session_module
 from tddslicer.cli import main
@@ -23,6 +23,7 @@ from tddslicer.session import (
     NOT_APPLICABLE,
     PASSED_AS_EXPECTED,
     PASSED_UNEXPECTEDLY,
+    Cycle,
     Session,
     SessionFormatError,
     load_session,
@@ -176,10 +177,71 @@ class TestParseSession:
         narrowed = with_out_ranges({"r": (0, 16)})
         assert narrowed.out_ranges == {"r": (0, 16)}
 
+    @pytest.mark.parametrize("old, new, changed, message", [
+        ("domain = x in 0..16, y in 1..9", "domain = x in 0..16",
+         lambda session, max2: {"dom": Domain.parse("x in 0..16")},
+         "domain must cover exactly the in-parameters ['x', 'y']"),
+        ("test.inputs = x=4, y=2", "test.inputs = x=4",
+         lambda session, max2: _cycle2(session, test=TestCase("divide_4_by_2", {"x": 4}, {"q": 2, "r": 0})),
+         "[cycle 2]: test.inputs must bind exactly ['x', 'y']"),
+        ("test.expect = q=2, r=0", "test.expect = q=2",
+         lambda session, max2: _cycle2(session, test=TestCase("divide_4_by_2", {"x": 4, "y": 2}, {"q": 2})),
+         "[cycle 2]: test.expect must bind exactly ['q', 'r']"),
+        ("snapshot = div_cycle2.prog", "snapshot = max2.prog",
+         lambda session, max2: _cycle2(session, snapshot=max2),
+         "[cycle 2]: snapshot signature differs from the final program"),
+        ("contract.pre = (x == 2 || x == 4) && y == 2", "contract.pre = q == 2 && y == 2",
+         lambda session, max2: _cycle2(session, contract=Contract(
+             parse_predicate("q == 2 && y == 2"), session.cycles[1].contract.post)),
+         "[cycle 2]: precondition may only read in-parameters; out of scope: ['q']"),
+    ], ids=["domain", "inputs", "expect", "signature", "scope"])
+    def test_session_built_in_python_is_checked_as_a_file_is(
+        self, div_session, max2, tmp_path, capsys, old, new, changed, message
+    ):
+        fields = dict(zip(div_session._fields, div_session._values))
+        with pytest.raises(ValueError) as raised:
+            Session(**{**fields, **changed(div_session, max2)})
+        assert str(raised.value) == message
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_path("div.session").parent, corpus)
+        path = corpus / "div.session"
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
+        with pytest.raises(SessionFormatError) as raised:
+            load_session(path)
+        assert str(raised.value) == message
+        assert main(["replay", str(path), "--format", "machine"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_parse_errors_come_before_the_session_checks(self, tmp_path, capsys):
+        """Cycle 2 binds only x and cycle 6's pre is cut short: the parse
+        error is reported, though the binding error comes first in the
+        file."""
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_path("div.session").parent, corpus)
+        path = corpus / "div.session"
+        pre6 = "contract.pre = exists k in 0..16 : x == y * k"
+        text = path.read_text().replace("test.inputs = x=4, y=2", "test.inputs = x=4")
+        path.write_text(text.replace(pre6, "contract.pre = x ==", 1))
+        assert main(["replay", str(path), "--format", "machine"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: [cycle 6]: expected expression, found 'end of input' at 1:5\n"
+        )
+
     def test_bad_kind_rejected(self, minimal_dir):
         text = MINIMAL_SESSION + "test.kind = flaky\n"
         with pytest.raises(SessionFormatError, match="test.kind"):
             parse_session(text, minimal_dir)
+
+
+def _cycle2(session, test=None, contract=None, snapshot=None):
+    """The Session fields that give session's cycle 2 the test, contract or
+    snapshot given."""
+    cycle = session.cycles[1]
+    changed = Cycle(cycle.index, test or cycle.test, contract or cycle.contract,
+                    snapshot or cycle.snapshot, cycle.note)
+    return {"cycles": (session.cycles[0], changed, *session.cycles[2:])}
 
 
 @pytest.fixture(scope="module")
