@@ -9,7 +9,12 @@ same compiled statements. A predicate is compiled by compile_bool, once
 per contract: its Prepared value (predicates) keeps the closure. runner,
 made once per (program, budget, kept-set), is the one per-run core: the
 verifier's scans call it per point for a plain tuple; run wraps it with
-the input checks and returns a RunResult. Every run runs on the closures.
+the input checks and returns a RunResult. A run runs on the closures
+unless its caller knows that it will call the runner NEST_FROM_POINTS
+times or more (check_all for a program judged under a precondition that
+holds at every point, replay for a snapshot's tests): then runner emits
+the unrecorded run as one Python function, _Emitter's statements inline,
+and the closures run only the points where it raises.
 
 loop_nest emits a whole scan as one Python function (operator fusion,
 after Neumann, "Efficiently Compiling Efficient Query Plans for Modern
@@ -31,8 +36,9 @@ and no outer loop raises. loop_nest gives each conjunct a line and an
 exists a for loop of its own; where judges what a predicate places in a
 loop with one expression, an exists in it as any(...), and a loop where
 every predicate is already false skips the loops inside it. Both compile
-only for NEST_FROM_POINTS points or more, the one gate: fewer do not
-repay the compile, and their callers judge those on the closures.
+only for NEST_FROM_POINTS points or more, and runner only for as many
+calls, the one gate: fewer do not repay the compile, and their callers
+judge those on the closures.
 
 A run produces the final state plus, when recorded, the trajectory: one
 (stmt_id, var, value) entry per executed assignment, in execution order.
@@ -58,8 +64,8 @@ from .ast import Record
 
 DEFAULT_STEP_BUDGET = 10000
 
-#: domain points from which loop_nest and where compile a scan: fewer do
-#: not repay the compile
+#: domain points from which loop_nest and where compile a scan, and calls
+#: from which runner compiles a run: fewer do not repay the compile
 NEST_FROM_POINTS = 120
 
 #: pass for `vars` in project() to keep everything
@@ -631,7 +637,8 @@ def _load(name: str, function: str, emit: Callable[[], list]) -> Callable | None
         exec(compile(source, f"<{name}>", "exec"), namespace)
     except (SyntaxError, RecursionError, MemoryError, ValueError, ParseError):
         return None
-    return namespace[function]
+    # popped, so that the function does not hold itself through __globals__
+    return namespace.pop(function)
 
 
 def loop_nest(
@@ -756,6 +763,7 @@ def runner(
     *,
     record: bool = False,
     kept: frozenset[int] | None = None,
+    calls: int = 1,
 ) -> Callable[[dict[str, int]], tuple]:
     """The per-run core: program as a function of its inputs that returns
     the plain tuple of run's RunResult fields, (status, final, trajectory,
@@ -769,6 +777,14 @@ def runner(
     been deleted (ids unchanged), as the slicer's deletions do: the result
     equals that of running the program so built. The original is compiled
     once; runner composes kept's body from its compiled statements.
+
+    calls is how many calls the caller knows it will make. From
+    NEST_FROM_POINTS calls on, an unrecorded run is emitted as the source
+    of one Python function (see _run_source), which repays its compile
+    there, unless Python refuses the source (see _load). The function
+    gives what the closures give wherever it returns; at any exception,
+    a fault, the budget or an unbound variable, the closures run that
+    point again and word it.
     """
     if step_budget < 1:
         return _refuse(ValueError, "step_budget must be positive")
@@ -794,7 +810,41 @@ def runner(
         trajectory = tuple(counters.log) if record else ()
         return status, state, trajectory, step_budget - counters.left, stmt_id, reason
 
-    return execute
+    if record or calls < NEST_FROM_POINTS:
+        return execute
+    emitted = _load(program.name, "run", lambda: _run_source(program, step_budget, kept, tuple(zeroed)))
+    if emitted is None:
+        return execute
+
+    def fast(inputs: dict[str, int]) -> tuple:
+        try:
+            return emitted(inputs)
+        except Exception:
+            return execute(inputs)
+
+    return fast
+
+
+def _run_source(program: ast.Program, step_budget: int, kept: frozenset[int] | None,
+                zeroed: tuple[str, ...]) -> list:
+    """The lines of `run(inputs)`: program's kept statements inline, as
+    loop_nest emits them, after reading each in-parameter from inputs and
+    zeroing zeroed, the out-parameters and locals in the closures' order.
+    It returns (OK, final, (), steps, None, None), final being {**inputs}
+    updated with every variable's value, so that its keys come in the
+    order of the closures' state; it raises where the run ends other than
+    ok, or an in-parameter is missing from inputs."""
+    names = (*program.in_params, *zeroed)
+    emitter = _Emitter(names, kept)
+    emitter.block(program.body, 1, budget=step_budget)
+    final = "".join(f", {name!r}: v_{name}" for name in names)
+    return [
+        (0, "def run(inputs):"),
+        *[(1, f"v_{name} = inputs[{name!r}]") for name in program.in_params],
+        *[(1, f"v_{name} = 0") for name in zeroed],
+        *emitter.lines,
+        (1, f"return {OK!r}, {{**inputs{final}}}, (), {step_budget!r} - left, None, None"),
+    ]
 
 
 def _refuse(error: type[Exception], message: str):

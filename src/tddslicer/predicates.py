@@ -254,7 +254,7 @@ def implication(p1: Prepared, p2: Prepared, dom: Domain) -> ImplicationResult:
     if uncovered:
         raise ValueError(f"domain does not cover free variables: {sorted(uncovered)}")
     try:
-        if p1.disjuncts <= p2.disjuncts and p1.fault_free(dom) and p2.fault_free(dom):
+        if static_implication(p1, p2, dom):
             return ImplicationResult(True, None, 0, dom)
         floor = {name: lo for name, lo, _ in dom.ranges if name not in needed}
         varying = Domain(tuple(entry for entry in dom.ranges if entry[0] in needed))
@@ -288,6 +288,13 @@ def implication(p1: Prepared, p2: Prepared, dom: Domain) -> ImplicationResult:
         # the checks and evaluation above recurse once per nesting level,
         # as free_vars does, but from deeper frames
         raise ParseError(TOO_DEEP) from None
+
+
+def static_implication(p1: Prepared, p2: Prepared, dom: Domain) -> bool:
+    """Whether p1 => p2 holds at every point of dom by construction: every
+    OR-disjunct of p1 is one of p2's and neither can fault at any point of
+    dom (ast.fault_free). Nothing is evaluated."""
+    return p1.disjuncts <= p2.disjuncts and p1.fault_free(dom) and p2.fault_free(dom)
 
 
 def visits(dom: Domain, pairs: Sequence[tuple[Predicate, Callable[[State], bool]]]) -> Iterator:

@@ -51,10 +51,11 @@ class Cycle(Record, defaults={"note": None}):
 class Session(Record, defaults={"out_ranges": None}):
     """Cycles judged against the final program over dom. Valid when built,
     from a file or in Python, else a ValueError: at least one cycle; dom
-    ranges exactly the final's in-parameters; each cycle's test binds
-    exactly its in- and its out-parameters, its snapshot has its name and
-    parameters, and its contract keeps to their scope; out_ranges names
-    only out-parameters."""
+    ranges exactly the final's in-parameters; the cycles are indexed 1, 2,
+    ... in order; each cycle's test declares no kind or one of new,
+    regression and triangulation, binds exactly its in- and its
+    out-parameters, its snapshot has its name and parameters, and its
+    contract keeps to their scope; out_ranges names only out-parameters."""
 
     __slots__ = ("name", "cycles", "final", "dom", "out_ranges")
     name: str
@@ -70,8 +71,14 @@ class Session(Record, defaults={"out_ranges": None}):
             raise ValueError("a session needs at least one cycle")
         if self.dom.vars != in_params:
             raise ValueError(f"domain must cover exactly the in-parameters {sorted(in_params)}")
-        for cycle in self.cycles:
+        for position, cycle in enumerate(self.cycles, 1):
+            if cycle.index != position:
+                raise ValueError(
+                    f"cycle indices must be contiguous from 1; found {cycle.index} after {position - 1}"
+                )
             where = f"[cycle {cycle.index}]"
+            if cycle.test.declared_kind not in (None, ct.NEW, ct.REGRESSION, ct.TRIANGULATION):
+                raise ValueError(f"{where}: unknown test.kind {cycle.test.declared_kind!r}")
             if cycle.test.inputs.keys() != in_params:
                 raise ValueError(f"{where}: test.inputs must bind exactly {sorted(in_params)}")
             if cycle.test.expected.keys() != out_params:
@@ -134,9 +141,9 @@ def _take(
 
 def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "session") -> Session:
     """Parse a .session file body; referenced .prog files load relative to
-    base_dir. Raises SessionFormatError on malformed input, missing files or
-    non-contiguous cycle indices, and then for a Session that is not valid
-    (see Session), with its ValueError's message.
+    base_dir. Raises SessionFormatError on malformed input or missing
+    files, and then for a Session that is not valid (see Session), with
+    its ValueError's message.
 
     Each distinct program path, the final's included, is parsed once and
     its Program shared by the cycles that name it. Each distinct predicate
@@ -197,11 +204,6 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
         if len(parts) != 2 or parts[0] != "cycle" or not (parts[1].isascii() and parts[1].isdigit()):
             raise SessionFormatError(f"unexpected section [{header}]", line_no)
         index = int(parts[1])
-        if index != len(cycles) + 1:
-            raise SessionFormatError(
-                f"cycle indices must be contiguous from 1; found {index} after {len(cycles)}",
-                line_no,
-            )
         where = f"[cycle {index}]"
         test_name = _take(keys, "test.name", where)
         inputs_text = _take(keys, "test.inputs", where)
@@ -213,8 +215,6 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
         note = _take(keys, "note", where, required=False)
         if keys:
             raise SessionFormatError(f"unknown {where} keys: {sorted(keys)}", line_no)
-        if kind is not None and kind not in (ct.NEW, ct.REGRESSION, ct.TRIANGULATION):
-            raise SessionFormatError(f"{where}: unknown test.kind {kind!r}", line_no)
         try:
             inputs = parse_bindings(inputs_text)
             expected = parse_bindings(expect_text)
@@ -396,12 +396,14 @@ class Report(Record):
         }
 
 
-def _tester(program: ast.Program, step_budget: int):
+def _tester(program: ast.Program, step_budget: int, calls: int):
     """A function of a test that runs it on program, with one runner for
-    any number of tests, and gives its TestOutcome: every expected
-    out-parameter must match exactly. The inputs are not checked: a
-    Session's tests bind exactly its programs' in-parameters."""
-    execute = runner(program, step_budget)
+    the calls tests the caller will run, and gives its TestOutcome: every
+    expected out-parameter must match exactly. The runner is made for
+    that many calls, so from NEST_FROM_POINTS tests on it runs the
+    program's emitted source (lang.interp.runner). The inputs are not
+    checked: a Session's tests bind exactly its programs' in-parameters."""
+    execute = runner(program, step_budget, calls=calls)
 
     def outcome(test: ct.TestCase) -> TestOutcome:
         status, final, _, _, stmt_id, reason = execute(test.inputs)
@@ -519,7 +521,8 @@ def replay(session: Session, step_budget: int = DEFAULT_STEP_BUDGET) -> Report:
 
         # the green and regression tests, and the next cycle's red check, run
         # the snapshot through one runner
-        tester = _tester(cycle.snapshot, step_budget)
+        red_next = position + 1 < count and not session.cycles[position + 1].is_refactor
+        tester = _tester(cycle.snapshot, step_budget, 1 + position + red_next)
         green = _guard(errors, "green check", lambda: tester(cycle.test))
         if green is None:
             green = TestOutcome(cycle.test.name, False, "green check errored")

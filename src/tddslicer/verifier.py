@@ -24,12 +24,18 @@ candidates); Judge.first_failure() settles given points whose
 precondition is known to hold. check_all() decides many (program, contract) pairs in one scan,
 remembering each shared program and (program, postcondition) for the
 latest point only, which suffices because the triples judged at a point
-read the same inputs and final states. check_point() judges a single
-input with _judge through the checked run.
+read the same inputs and final states. It makes a program's runner for
+every point of the domain when one of its triples is judged under a
+precondition that holds at every point by construction
+(predicates.static_implication from TRUE), so from NEST_FROM_POINTS
+points on that program runs its emitted source; every other runner is
+made for one call and runs on the closures. check_point() judges a
+single input with _judge through the checked run.
 """
 
 from __future__ import annotations
 
+import math
 from operator import attrgetter
 
 from .contracts import Contract, validate_scope
@@ -46,7 +52,7 @@ from .lang.interp import (
     run,
     runner,
 )
-from .predicates import Domain, State, visits
+from .predicates import TRUE, Domain, Prepared, State, static_implication, visits
 
 VERIFIED = "verified"
 COUNTEREXAMPLE = "counterexample"
@@ -292,9 +298,14 @@ def check_all(
         slots = (pres.slot(pre), programs.slot(program), posts.slot(post))
         asked.append(triples.setdefault(slots, len(triples)))
 
+    # a program judged under a precondition that holds at every point, by
+    # construction, runs at every point of dom until that triple fails
+    always, size = Prepared(TRUE), math.prod(hi - lo + 1 for _, lo, hi in dom.ranges)
+    everywhere = {code for pre, code, _ in triples if static_implication(always, pres.items[pre], dom)}
     # every point's inputs and final states are shared by the triples
     # judged at that point, so remembering the latest argument suffices
-    executors = [_latest(runner(program, step_budget)) for program in programs.items]
+    executors = [_latest(runner(program, step_budget, calls=size if code in everywhere else 1))
+                 for code, program in enumerate(programs.items)]
     post_getters: dict[tuple[int, int], object] = {}
     verdicts: dict[int, object] = {}  # triple -> its exception or verdict
     judged: dict[int, tuple] = {}  # triple -> (pre, test, execute, post) for the scan

@@ -25,11 +25,13 @@ from tddslicer import (
     run,
 )
 from tddslicer.lang import ast, parse_bindings, parse_domain_spec
-from tddslicer.lang.interp import BUDGET_EXCEEDED, FAULT, OK, TrajectoryEntry, runner
+from tddslicer.lang import interp
+from tddslicer.lang.interp import BUDGET_EXCEEDED, FAULT, NEST_FROM_POINTS, OK, TrajectoryEntry, runner
 from tddslicer.lang.lexer import EOF, position, scan
+from tddslicer.slicer import STATEMENT, DeletionUnit
 from tddslicer.corpus import corpus_path
 
-from bruteforce import bf_run, bf_tokenize, replay_trajectory
+from bruteforce import bf_delete, bf_run, bf_tokenize, replay_trajectory
 from generators import random_program
 from slices import lint
 
@@ -579,6 +581,103 @@ class TestRunAgainstOracle:
             assert unrecorded.trajectory == ()
             assert unrecorded == RunResult(recorded.status, recorded.final, (), recorded.steps,
                                            recorded.fault_stmt_id, recorded.fault_reason)
+
+
+def _loaded_runs(monkeypatch):
+    """Each run function interp compiles from here on, None where Python
+    refused its source."""
+    loaded = []
+    real = interp._load
+
+    def spy(name, function, emit):
+        code = real(name, function, emit)
+        if function == "run":
+            loaded.append(code)
+        return code
+
+    monkeypatch.setattr(interp, "_load", spy)
+    return loaded
+
+
+def _outcome(execute, inputs):
+    """What execute, a runner's function, gives at inputs, with final's key
+    order, or the name of the variable it found unbound."""
+    try:
+        result = execute(inputs)
+    except UnboundVariableError as unbound:
+        return "unbound", unbound.name
+    return result, list(result[1])
+
+
+def _bf_outcome(program, inputs, budget):
+    """What bf_run gives, as _outcome gives a runner's."""
+    try:
+        status, steps, stmt_id, reason, final, _ = bf_run(program, inputs, budget)
+    except KeyError as unbound:
+        return "unbound", unbound.args[0]
+    return (status, final, (), steps, stmt_id, reason), list(final)
+
+
+class TestCompiledRun:
+    """A runner made for NEST_FROM_POINTS calls or more runs the program's
+    emitted source; wherever that raises, the closures run the point."""
+
+    def test_every_field_matches_the_closures_and_bf_run(self, monkeypatch):
+        loaded = _loaded_runs(monkeypatch)
+        rng = random.Random(34)
+        returned = 0  # results the emitted function gave itself
+        for program, inputs, budget in _oracle_cases(20261017):
+            ids = [stmt.stmt_id for stmt in program.statements()]
+            for kept in (None, frozenset(rng.sample(ids, rng.randint(0, len(ids))))):
+                built = program if kept is None else bf_delete(
+                    program, [DeletionUnit(STATEMENT, i) for i in ids if i not in kept])
+                for steps in (budget, rng.randint(1, 60)):
+                    closures = runner(program, steps, kept=kept)
+                    compiled = runner(program, steps, kept=kept, calls=NEST_FROM_POINTS)
+                    (emitted,) = loaded
+                    loaded.clear()
+                    # an extra key, an out-parameter bound first, b missing
+                    points = (inputs, {**inputs, "zz": 7}, {"o": 5, **inputs}, {"a": inputs["a"]})
+                    for point in points:
+                        got = _outcome(compiled, point)
+                        assert got == _outcome(closures, point) == _bf_outcome(built, point, steps), \
+                            pretty_print(program)
+                        # the source itself returns exactly where the run is
+                        # ok with every in-parameter bound, and raises elsewhere
+                        try:
+                            mine = emitted(point)
+                        except Exception:
+                            mine = None
+                        assert (mine is not None) == ("b" in point and got[0][0] == OK)
+                        if mine is not None:
+                            assert mine == got[0]
+                            returned += 1
+        assert returned >= 1000
+
+    def test_a_program_python_refuses_stays_on_the_closures(self, monkeypatch):
+        """300 nested parentheses are past Python's parser, not past the
+        closures; 5,000 terms are past both, so runner refuses the run
+        as run does and emits nothing."""
+        loaded = _loaded_runs(monkeypatch)
+        nested = parse_program(f"proc f(in a, out o) {{ o := {'a - (' * 300}a{')' * 300}; }}")
+        compiled = runner(nested, 100, calls=NEST_FROM_POINTS)
+        assert loaded == [None]
+        assert compiled({"a": 3}) == runner(nested, 100)({"a": 3}) == (OK, {"a": 3, "o": 3}, (), 1, None, None)
+        deep = parse_program(f"proc f(in a, out o) {{ o := {' + '.join(['a'] * 5000)}; }}")
+        with pytest.raises(ParseError, match="too deeply"):
+            runner(deep, 100, calls=NEST_FROM_POINTS)({"a": 1})
+        assert loaded == [None]
+
+    def test_recorded_runs_and_fewer_calls_never_compile(self, monkeypatch, div_oracle):
+        loaded = _loaded_runs(monkeypatch)
+        point = {"x": 7, "y": 2}
+        recorded = runner(div_oracle, 100, record=True, calls=10**6)(point)
+        assert recorded[2] and run(div_oracle, point, 100) == RunResult(*recorded)
+        runner(div_oracle, 100, calls=NEST_FROM_POINTS - 1)(point)
+        assert loaded == []
+        compiled = runner(div_oracle, 100, calls=NEST_FROM_POINTS)
+        assert len(loaded) == 1
+        assert RunResult(*compiled(point)) == run(div_oracle, point, 100, record=False)
 
 
 class TestUnboundVariable:

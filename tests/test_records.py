@@ -75,7 +75,7 @@ def samples() -> dict:
                                    True, "exhaustive", None),
         "Cycle": Cycle(1, test, contract, program),
         # a valid session of program, which has no in-parameter
-        "Session": Session("s", (Cycle(2, TestCase("t", {}, {"o": 1}),
+        "Session": Session("s", (Cycle(1, TestCase("t", {}, {"o": 1}),
                                        Contract(ast.BoolLit(True), ast.Cmp("<", ast.Var("o"), one)),
                                        program, "refactor"),), program, Domain(()), {"o": (0, 1)}),
         "TestOutcome": Outcome("t", False, "o=2, expected 1"),
@@ -143,7 +143,7 @@ REPRS = {
                     f"deleted=frozenset(), program={PROGRAM}, minimal=True, strategy='exhaustive', "
                     "verification=None)"),
     "Cycle": f"Cycle(index=1, test={TEST}, contract={CONTRACT}, snapshot={PROGRAM}, note=None)",
-    "Session": ("Session(name='s', cycles=(Cycle(index=2, test=TestCase(name='t', inputs={}, "
+    "Session": ("Session(name='s', cycles=(Cycle(index=1, test=TestCase(name='t', inputs={}, "
                 "expected={'o': 1}, declared_kind=None), contract=Contract(pre=BoolLit(value=True), "
                 "post=Cmp(op='<', left=Var(name='o'), right=IntLit(value=1))), "
                 f"snapshot={PROGRAM}, note='refactor'),), final={PROGRAM}, dom=Domain(ranges=()), "

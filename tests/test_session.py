@@ -36,7 +36,7 @@ from long_session import POSTS, write_long_session
 def run_test(program, test, step_budget=DEFAULT_STEP_BUDGET):
     """Execute one test as replay does: every expected out-parameter must
     match exactly."""
-    return session_module._tester(program, step_budget)(test)
+    return session_module._tester(program, step_budget, 1)(test)
 
 
 def to_json(report):
@@ -194,7 +194,14 @@ class TestParseSession:
          lambda session, max2: _cycle2(session, contract=Contract(
              parse_predicate("q == 2 && y == 2"), session.cycles[1].contract.post)),
          "[cycle 2]: precondition may only read in-parameters; out of scope: ['q']"),
-    ], ids=["domain", "inputs", "expect", "signature", "scope"])
+        ("[cycle 2]", "[cycle 7]",
+         lambda session, max2: _cycle2(session, index=7),
+         "cycle indices must be contiguous from 1; found 7 after 1"),
+        ("test.expect = q=2, r=0\ntest.kind = new", "test.expect = q=2, r=0\ntest.kind = flaky",
+         lambda session, max2: _cycle2(session, test=TestCase("divide_4_by_2", {"x": 4, "y": 2},
+                                                              {"q": 2, "r": 0}, "flaky")),
+         "[cycle 2]: unknown test.kind 'flaky'"),
+    ], ids=["domain", "inputs", "expect", "signature", "scope", "index", "kind"])
     def test_session_built_in_python_is_checked_as_a_file_is(
         self, div_session, max2, tmp_path, capsys, old, new, changed, message
     ):
@@ -235,11 +242,11 @@ class TestParseSession:
             parse_session(text, minimal_dir)
 
 
-def _cycle2(session, test=None, contract=None, snapshot=None):
-    """The Session fields that give session's cycle 2 the test, contract or
-    snapshot given."""
+def _cycle2(session, test=None, contract=None, snapshot=None, index=None):
+    """The Session fields that give session's cycle 2 the test, contract,
+    snapshot or index given."""
     cycle = session.cycles[1]
-    changed = Cycle(cycle.index, test or cycle.test, contract or cycle.contract,
+    changed = Cycle(index or cycle.index, test or cycle.test, contract or cycle.contract,
                     snapshot or cycle.snapshot, cycle.note)
     return {"cycles": (session.cycles[0], changed, *session.cycles[2:])}
 
@@ -529,9 +536,12 @@ class TestReplayGoldens:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIV_REPLAY_SHA256
 
-    def test_div_session_compiles_only_its_where_filter(self, capsys, monkeypatch):
-        """Every run of a replay runs on the closures: the one function it
-        emits and compiles is check_all's precondition filter."""
+    def test_div_session_compiles_its_where_filter_and_final_run(self, capsys, monkeypatch):
+        """A replay of div.session emits and compiles two functions:
+        check_all's run of the final program (div), which cycles 8 and 9
+        judge under TRUE, so at each of the 153 points, and its
+        precondition filter. Every other run, the tests' included (at most
+        9 per snapshot), runs on the closures."""
         loaded = []
         real = interp._load
 
@@ -543,7 +553,7 @@ class TestReplayGoldens:
         code, out = self._replay_output(capsys, corpus_path("div.session"))
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIV_REPLAY_SHA256
-        assert loaded == [("where", "visits")]
+        assert loaded == [("div", "run"), ("where", "visits")]
 
     def test_broken_session_machine_output(self, capsys, minimal_dir):
         path = minimal_dir / "broken.session"
@@ -628,6 +638,29 @@ class TestLongSession:
         assert all(cycle["chain_holds"] for cycle in report["cycles"])
         pres = tuple(cycle.contract.pre for cycle in load_session(path).cycles)
         assert parse_predicate(report["union_contract"]["pre"]) == ast.Or(pres)
+
+    def test_testers_compile_where_their_test_count_reaches_the_gate(self, monkeypatch, tmp_path):
+        """A snapshot's tester is made for the tests it will run: the
+        green one, the earlier ones and the next cycle's red check, so
+        position + 2 at a position counted from 0, and position + 1 at the
+        last. Of 125 cycles, positions 118 to 124 reach NEST_FROM_POINTS
+        (120) and run the snapshot's emitted source; the report is the
+        one the closures give."""
+        path = write_long_session(tmp_path, 125)
+        loaded = []
+        real = interp._load
+
+        def spy(name, function, emit):
+            loaded.append((name, function))
+            return real(name, function, emit)
+
+        monkeypatch.setattr(interp, "_load", spy)
+        compiled = to_json(replay(load_session(path)))
+        assert interp.NEST_FROM_POINTS == 120
+        assert loaded.count(("div", "run")) == 7
+        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 10**18)
+        assert to_json(replay(load_session(path))) == compiled
+        assert json.loads(compiled)["ok"]
 
     def test_predicate_walks_and_compiles_grow_linearly(self, monkeypatch, tmp_path):
         """Nodes walked for free variables and compiled into closures by
