@@ -6,12 +6,12 @@ clauses. Union is the purely syntactic OR-composition {P or P'}{Q or Q'};
 it weakens both sides, which is what makes earlier tests keep passing as
 cycles accumulate.
 
-Every query reads a contract through its prepared values
-(predicates.Prepared, made on first use and kept by the Contract): the
-scope check its predicates' free variables, instance checks and test
-classification their closures, subsumption all four facts. A union's
-values compose its parts', so a replay that extends its running union
-once per cycle never walks or compiles the union again, and
+Every query reads the facts a contract's predicates keep (predicates:
+free, disjuncts, fault_free, closure, each made on first use): the scope
+check their free variables, instance checks and test classification
+their closures, subsumption all four. A union's predicates compose their
+parts' facts (predicates.either), so a replay that extends its running
+union once per cycle never walks or compiles the union again, and
 classify_test judges the union of the history from the contracts' own
 closures without building it.
 """
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from .lang.ast import Record
 from .lang.printer import format_predicate
-from .predicates import Domain, ImplicationResult, Predicate, Prepared, State, implication
+from .predicates import Domain, ImplicationResult, Predicate, State, _state_text, closure, either, free, implies
 
 NEW = "new"
 REGRESSION = "regression"
@@ -38,30 +38,9 @@ class Contract(Record):
     read in- and out-parameters.
     """
 
-    __slots__ = ("pre", "post", "_prepared")
+    __slots__ = ("pre", "post")
     pre: Predicate
     post: Predicate
-
-    @classmethod
-    def of(cls, pre: Prepared, post: Prepared) -> "Contract":
-        """The contract {pre.pred}{post.pred}, keeping pre and post as its
-        prepared values."""
-        contract = cls(pre.pred, post.pred)
-        object.__setattr__(contract, "_prepared", (pre, post))
-        return contract
-
-    @property
-    def prepared(self) -> tuple[Prepared, Prepared]:
-        """The pre and post as Prepared values, made on first use and kept
-        in the _prepared slot (Contract is frozen, hence object.__setattr__;
-        equality, hashing and repr see only pre and post)."""
-        try:
-            return self._prepared
-        except AttributeError:
-            pass
-        prepared = (Prepared(self.pre), Prepared(self.post))
-        object.__setattr__(self, "_prepared", prepared)
-        return prepared
 
     def __str__(self) -> str:
         return f"{{{format_predicate(self.pre)}}}{{{format_predicate(self.post)}}}"
@@ -97,27 +76,23 @@ class InstanceCheck(Record):
 
 def is_instance(test: TestCase, contract: Contract) -> InstanceCheck:
     """A test instantiates a contract when its inputs satisfy the pre and
-    its inputs plus expected outputs satisfy the post."""
-    pre, post = contract.prepared
-    pre_holds = pre.test(test.inputs)
-    if not pre_holds:
+    its inputs plus expected outputs satisfy the post. The explanation
+    words the values as predicates._state_text does."""
+    if not closure(contract.pre)(test.inputs):
         return InstanceCheck(
-            False, False, None, f"inputs {test.inputs} do not satisfy the precondition"
+            False, False, None, f"inputs {_state_text(test.inputs)} do not satisfy the precondition"
         )
-    combined = {**test.inputs, **test.expected}
-    post_holds = post.test(combined)
-    if not post_holds:
+    if not closure(contract.post)({**test.inputs, **test.expected}):
         return InstanceCheck(
-            False, True, False, f"expected outputs {test.expected} violate the postcondition"
+            False, True, False, f"expected outputs {_state_text(test.expected)} violate the postcondition"
         )
     return InstanceCheck(True, True, True, "inputs satisfy pre and outputs satisfy post")
 
 
 def union(c1: Contract, c2: Contract) -> Contract:
     """Syntactic OR of the preconditions and of the postconditions, whose
-    prepared values compose c1's and c2's."""
-    (pre1, post1), (pre2, post2) = c1.prepared, c2.prepared
-    return Contract.of(Prepared.either(pre1, pre2), Prepared.either(post1, post2))
+    facts compose c1's and c2's (predicates.either)."""
+    return Contract(either(c1.pre, c2.pre), either(c1.post, c2.post))
 
 
 class SubsumptionCheck(Record):
@@ -153,9 +128,8 @@ def subsumed_by(
     out-parameters; they default to the widest range appearing in dom,
     overridable per variable via out_ranges.
     """
-    (pre1, post1), (pre2, post2) = c1.prepared, c2.prepared
-    pre_result = implication(pre1, pre2, dom)
-    extra = (post1.free | post2.free) - dom.vars
+    pre_result = implies(c1.pre, c2.pre, dom)
+    extra = (free(c1.post) | free(c2.post)) - dom.vars
     extension: dict[str, tuple[int, int]] = {}
     for name in sorted(extra):
         if out_ranges and name in out_ranges:
@@ -165,7 +139,7 @@ def subsumed_by(
     post_dom = dom.extend(extension) if extension else dom
     if not pre_result.holds:
         return SubsumptionCheck(False, pre_result, None, dom, post_dom)
-    post_result = implication(post1, post2, post_dom)
+    post_result = implies(c1.post, c2.post, post_dom)
     return SubsumptionCheck(post_result.holds, pre_result, post_result, dom, post_dom)
 
 
@@ -189,26 +163,26 @@ class Classification(Record):
 def classify_test(test: TestCase, history: list[Contract]) -> Classification:
     """regression iff the test instantiates the union of the history,
     otherwise new. An empty history always classifies new. A pointwise
-    check: nothing is enumerated.
+    check: nothing is enumerated. Each contract is judged as is_instance
+    judges it, pre then post, in history order.
     """
     if not history:
         return Classification(NEW, None)
-    checks = []
+    combined = {**test.inputs, **test.expected}
+    held = []  # per contract: whether its pre holds
     for index, contract in enumerate(history):
-        check = is_instance(test, contract)
-        if check.holds:
+        pre_holds = closure(contract.pre)(test.inputs)
+        if pre_holds and closure(contract.post)(combined):
             return Classification(REGRESSION, index)
-        checks.append(check)
+        held.append(pre_holds)
     # The union can hold without any single contract holding (pre of one
     # disjunct, post of another); it still counts as covered territory.
     # Every pre was judged above without raising, so the union's pre holds
     # iff one of them did. Its post is judged in order, as the Or would be:
     # each post judged above was false and did not raise, so only the
     # others are judged now.
-    if any(check.pre_holds for check in checks):
-        combined = {**test.inputs, **test.expected}
-        if any(c.prepared[1].test(combined) for c, check in zip(history, checks) if not check.pre_holds):
-            return Classification(REGRESSION, None)
+    if any(held) and any(closure(c.post)(combined) for c, pre_holds in zip(history, held) if not pre_holds):
+        return Classification(REGRESSION, None)
     return Classification(NEW, None)
 
 
@@ -217,13 +191,12 @@ def validate_scope(contract: Contract, in_params: frozenset[str], out_params: fr
 
     Raises ValueError naming the out-of-scope variables.
     """
-    pre, post = contract.prepared
-    bad_pre = pre.free - in_params
+    bad_pre = free(contract.pre) - in_params
     if bad_pre:
         raise ValueError(
             f"precondition may only read in-parameters; out of scope: {sorted(bad_pre)}"
         )
-    bad_post = post.free - (in_params | out_params)
+    bad_post = free(contract.post) - (in_params | out_params)
     if bad_post:
         raise ValueError(
             f"postcondition reads out-of-scope variables: {sorted(bad_post)}"

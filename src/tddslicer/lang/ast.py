@@ -7,7 +7,9 @@ by the parser (1-based, contiguous); deletion-based slicing preserves the
 ids of surviving statements, so ids in a sliced program may have gaps.
 
 BoolLit and Exists only occur in predicates, never in program bodies; the
-program parser rejects them, the shared evaluator handles both.
+program parser rejects them, the shared evaluator handles both. Every
+predicate node has a _facts slot, outside its fields, where predicates
+keeps what queries derive from it.
 """
 
 from __future__ import annotations
@@ -37,9 +39,7 @@ class Record:
     - __eq__: equal to a record of the same class with equal values;
     - __hash__: the hash of _values (see _deep_hash), which raises
       TypeError where a value is unhashable (a list or a dict);
-    - __repr__: Name(field=value, ...), each value as repr gives it;
-    - with the class keyword order=True, <, <=, > and >= on _values,
-      within the class.
+    - __repr__: Name(field=value, ...), each value as repr gives it.
     """
 
     __slots__ = ("_values",)
@@ -47,13 +47,11 @@ class Record:
     #: the class's fields, in order
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, order=False, defaults=None, **kwargs):
+    def __init_subclass__(cls, defaults=None, **kwargs):
         super().__init_subclass__(**kwargs)
         fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
         cls._fields = fields
         cls.__init__ = _init(cls, fields, defaults or {})
-        if order:
-            cls.__lt__, cls.__le__, cls.__gt__, cls.__ge__ = _ORDER
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -102,19 +100,6 @@ def _deep_hash(record: Record) -> int:
                     else hashes.get(id(value), value) for value in node._values]
         hashes[id(node)] = _Hashed(hash(tuple(stand_in)))
     return int(hashes[id(record)])
-
-
-def _comparison(compare):
-    def method(self, other):
-        if other.__class__ is self.__class__:
-            return compare(self._values, other._values)
-        return NotImplemented
-
-    method.__name__ = compare.__name__
-    return method
-
-
-_ORDER = tuple(map(_comparison, (tuple.__lt__, tuple.__le__, tuple.__gt__, tuple.__ge__)))
 
 
 def _init(cls: type, fields: tuple[str, ...], defaults: dict):
@@ -258,26 +243,26 @@ Expr = IntLit | Var | Neg | Arith
 
 
 class Cmp(Record):
-    __slots__ = ("op", "left", "right")
+    __slots__ = ("op", "left", "right", "_facts")
     op: str
     left: Expr
     right: Expr
 
 
 class Not(Record):
-    __slots__ = ("operand",)
+    __slots__ = ("operand", "_facts")
     operand: "BoolExpr"
 
 
 # And, Or: one `&&`/`||` chain of two or more operands, judged in order. The
 # first is never of the node's own kind, a later one only as in `a || (b || c)`.
 class And(Record):
-    __slots__ = ("operands",)
+    __slots__ = ("operands", "_facts")
     operands: tuple["BoolExpr", ...]
 
 
 class Or(Record):
-    __slots__ = ("operands",)
+    __slots__ = ("operands", "_facts")
     operands: tuple["BoolExpr", ...]
 
 
@@ -290,7 +275,7 @@ And.right = Or.right = property(lambda node: node.operands[-1])
 class BoolLit(Record):
     """TRUE / FALSE. Predicate-only."""
 
-    __slots__ = ("value",)
+    __slots__ = ("value", "_facts")
     value: bool
 
 
@@ -301,7 +286,7 @@ class Exists(Record):
     any program variable of the same name inside body.
     """
 
-    __slots__ = ("var", "lo", "hi", "body")
+    __slots__ = ("var", "lo", "hi", "body", "_facts")
     var: str
     lo: int
     hi: int

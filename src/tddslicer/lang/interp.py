@@ -6,7 +6,7 @@ Generation", 1987) and the closures then run once per input. A program is
 compiled on its first run and kept on the Program instance; a run that
 keeps only some statements (a slice candidate) composes its body from the
 same compiled statements. A predicate is compiled by compile_bool, once
-per contract: its Prepared value (predicates) keeps the closure. runner,
+per node: the node keeps its closure (predicates.closure). runner,
 made once per (program, budget, kept-set), is the one per-run core: the
 verifier's scans call it per point for a plain tuple; run wraps it with
 the input checks and returns a RunResult. A run runs on the closures

@@ -16,13 +16,14 @@ judges each point where p1 && !p2 holds or raises again on the closures,
 so every answer, witness, count and fault is that of judging the points
 in order.
 
-A Prepared value holds what queries derive from one predicate: its free
-variables, its OR-disjuncts, whether it can fault over a domain and its
-compiled closure, each derived on first use and kept. A Contract keeps the
-Prepared values of its pre and post, and union composes its parts'
-values instead of walking the growing Or again. implies and is_tautology
-prepare their arguments and take the one entry, implication, which the
-contract algebra calls with the values its contracts keep.
+Every predicate node keeps the facts queries derive from it in its _facts
+slot: its free variables (free), its OR-disjuncts (disjuncts), whether it
+can fault over a domain (fault_free) and its compiled closure (closure),
+each derived on first use and then kept. either(a, b), the Or that
+contracts.union builds, composes its facts from its parts' instead of
+walking the growing Or again. What the package asks on its own of TRUE it
+asks of a fresh BoolLit, so that no fact outlives its query on a module
+constant.
 """
 
 from __future__ import annotations
@@ -168,64 +169,88 @@ class ImplicationResult(Record):
         return self.holds
 
 
-class Prepared:
-    """A predicate with the facts its queries read, each derived on first
-    use and then kept:
+def free(pred: Predicate) -> frozenset[str]:
+    """pred's free variables (ast.free_vars)."""
+    return _fact(pred, "free", ast.free_vars, _union)
 
-    - free: its free variables;
-    - disjuncts: the set of its OR-disjuncts (ast.flatten);
-    - fault_free(dom): whether it cannot fault at any point of dom
-      (ast.fault_free), one fact per dom.ranges;
-    - test: its closure, as compile_bool gives it.
 
-    either(a, b) is the prepared union a.pred || b.pred, whose parts are
-    the values it joins, flat: each fact is composed over them in one pass
-    (set union, set union, all, interp.join_pairwise). A fact is derived
-    where a query first asks for it, so a predicate too deep to walk or
-    compile fails there. What has been derived never changes.
-    """
+def disjuncts(pred: Predicate) -> frozenset[Predicate]:
+    """The set of pred's OR-disjuncts (ast.flatten)."""
+    return _fact(pred, "disjuncts", _disjunct_set, _union)
 
-    __slots__ = ("pred", "_parts", "_facts")
 
-    def __init__(self, pred: Predicate, parts: tuple["Prepared", ...] | None = None):
-        self.pred = pred
-        self._parts = parts
-        self._facts: dict[Hashable, object] = {}
+def fault_free(pred: Predicate, dom: Domain) -> bool:
+    """Whether pred cannot fault at any point of dom (ast.fault_free), one
+    fact per dom.ranges."""
+    ranges = dom.ranges
+    return _fact(pred, ("fault_free", ranges), lambda node: ast.fault_free(node, ranges), all)
 
-    @classmethod
-    def either(cls, first: "Prepared", second: "Prepared") -> "Prepared":
-        """first's disjuncts, then second.pred as one operand. It copies
-        first's tuples: folding n predicates copies O(n^2) entries."""
-        head = first.pred.operands if isinstance(first.pred, ast.Or) else (first.pred,)
-        return cls(ast.Or(head + (second.pred,)), (first._parts or (first,)) + (second._parts or (second,)))
 
-    @property
-    def free(self) -> frozenset[str]:
-        return self._fact("free", ast.free_vars, frozenset().union)
+def closure(pred: Predicate) -> Callable[[State], bool]:
+    """pred's closure, as compile_bool gives it."""
+    return _fact(pred, "closure", compile_bool, _join)
 
-    @property
-    def disjuncts(self) -> frozenset[Predicate]:
-        return self._fact("disjuncts", lambda pred: frozenset(ast.flatten(pred, ast.Or)), frozenset().union)
 
-    def fault_free(self, dom: Domain) -> bool:
-        ranges = dom.ranges
-        return self._fact(("fault_free", ranges), lambda pred: ast.fault_free(pred, ranges),
-                          lambda *safe: all(safe))
+def either(first: Predicate, second: Predicate) -> ast.Or:
+    """first || second: first's disjuncts, then second as one operand. It
+    keeps the flat tuple of the parts it joins, which compose its facts
+    in one pass (set union, set union, all, interp.join_pairwise). It
+    copies first's tuples: folding n predicates copies O(n^2) entries."""
+    head = first.operands if isinstance(first, ast.Or) else (first,)
+    joined = ast.Or(head + (second,))
+    parts = _kept(first).get(_PARTS, (first,)) + _kept(second).get(_PARTS, (second,))
+    object.__setattr__(joined, "_facts", {_PARTS: parts})
+    return joined
 
-    @property
-    def test(self) -> Callable[[State], bool]:
-        return self._fact("test", compile_bool, lambda *tests: join_pairwise(list(tests), ast.Or))
 
-    def _fact(self, name: Hashable, derive: Callable, compose: Callable):
-        """The fact keyed by name: derive(pred), or compose(its parts' facts)."""
-        facts = self._facts
-        if name not in facts:
-            if self._parts is None:
-                facts[name] = derive(self.pred)
-            else:
-                facts[name] = compose(*[part._facts[name] if name in part._facts
-                                        else part._fact(name, derive, compose) for part in self._parts])
-        return facts[name]
+#: the key of the parts an either node composes its facts from
+_PARTS = "parts"
+
+
+def _kept(pred: Predicate) -> dict:
+    """pred's _facts, an empty dict kept from now on if it had none.
+    Predicate nodes are frozen records, hence object.__setattr__;
+    equality, hashing and repr see only their fields."""
+    try:
+        return pred._facts
+    except AttributeError:
+        object.__setattr__(pred, "_facts", {})
+        return pred._facts
+
+
+def _disjunct_set(pred: Predicate) -> frozenset[Predicate]:
+    """An Or's flattened operands, or for any other node an equal copy of
+    it: pred keeps the set, which must not hold pred itself, or every
+    predicate asked would be a reference cycle only the collector frees."""
+    if isinstance(pred, ast.Or):
+        return frozenset(ast.flatten(pred, ast.Or))
+    return frozenset((type(pred)(*pred._values),))
+
+
+def _union(sets: list) -> frozenset:
+    return frozenset().union(*sets)
+
+
+def _join(tests: list) -> Callable:
+    return join_pairwise(tests, ast.Or)
+
+
+def _fact(pred: Predicate, name: Hashable, derive: Callable, compose: Callable):
+    """The fact keyed by name that pred keeps: derive(pred), or for an
+    either node compose(the list of its parts' facts), made on first use. A fact is
+    derived where a query first asks for it, so a predicate too deep to
+    walk or compile fails there."""
+    try:
+        return pred._facts[name]
+    except (AttributeError, KeyError):
+        facts = _kept(pred)
+    parts = facts.get(_PARTS)
+    if parts is None:
+        facts[name] = derive(pred)
+    else:  # either gave each part a _facts dict
+        facts[name] = compose([part._facts[name] if name in part._facts
+                               else _fact(part, name, derive, compose) for part in parts])
+    return facts[name]
 
 
 def implies(p1: Predicate, p2: Predicate, dom: Domain) -> ImplicationResult:
@@ -243,13 +268,7 @@ def implies(p1: Predicate, p2: Predicate, dom: Domain) -> ImplicationResult:
     that p1 && !p2 holds or raises, so the witness, checked_points and
     the first fault are those of judging every point in order.
     """
-    return implication(Prepared(p1), Prepared(p2), dom)
-
-
-def implication(p1: Prepared, p2: Prepared, dom: Domain) -> ImplicationResult:
-    """implies(p1.pred, p2.pred, dom), reading the facts p1 and p2 keep
-    instead of deriving them again."""
-    needed = p1.free | p2.free
+    needed = free(p1) | free(p2)
     uncovered = needed - dom.vars
     if uncovered:
         raise ValueError(f"domain does not cover free variables: {sorted(uncovered)}")
@@ -266,10 +285,10 @@ def implication(p1: Prepared, p2: Prepared, dom: Domain) -> ImplicationResult:
         def refute(state: State) -> bool:
             nonlocal premise, conclusion
             if premise is None:
-                premise, conclusion = p1.test, p2.test
+                premise, conclusion = closure(p1), closure(p2)
             return premise(state) and not conclusion(state)
 
-        for point, _ in visits(varying, ((ast.And((p1.pred, ast.Not(p2.pred))), refute),)):
+        for point, _ in visits(varying, ((ast.And((p1, ast.Not(p2))), refute),)):
             state = {**floor, **point}
             try:
                 if not refute(state):
@@ -290,11 +309,11 @@ def implication(p1: Prepared, p2: Prepared, dom: Domain) -> ImplicationResult:
         raise ParseError(TOO_DEEP) from None
 
 
-def static_implication(p1: Prepared, p2: Prepared, dom: Domain) -> bool:
+def static_implication(p1: Predicate, p2: Predicate, dom: Domain) -> bool:
     """Whether p1 => p2 holds at every point of dom by construction: every
     OR-disjunct of p1 is one of p2's and neither can fault at any point of
     dom (ast.fault_free). Nothing is evaluated."""
-    return p1.disjuncts <= p2.disjuncts and p1.fault_free(dom) and p2.fault_free(dom)
+    return disjuncts(p1) <= disjuncts(p2) and fault_free(p1, dom) and fault_free(p2, dom)
 
 
 def visits(dom: Domain, pairs: Sequence[tuple[Predicate, Callable[[State], bool]]]) -> Iterator:
@@ -326,4 +345,4 @@ def visits(dom: Domain, pairs: Sequence[tuple[Predicate, Callable[[State], bool]
 
 def is_tautology(pred: Predicate, dom: Domain) -> ImplicationResult:
     """True iff pred holds at every assignment within dom."""
-    return implies(TRUE, pred, dom)
+    return implies(ast.BoolLit(True), pred, dom)

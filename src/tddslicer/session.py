@@ -26,7 +26,7 @@ from .lang.ast import Record
 from .lang.interp import DEFAULT_STEP_BUDGET, OK, run, runner
 from .lang.parser import parse_bindings, parse_domain_spec, parse_predicate, parse_program
 from .lang.printer import format_predicate
-from .predicates import TRUE, Domain, Prepared, implication
+from .predicates import Domain, Predicate, is_tautology
 from .verifier import VACUOUS, VERIFIED, PointCheck, VerificationResult, check_all, check_point
 
 REFACTOR_NOTE = "refactor"
@@ -147,12 +147,12 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
 
     Each distinct program path, the final's included, is parsed once and
     its Program shared by the cycles that name it. Each distinct predicate
-    text is parsed once and its Prepared value shared by the contracts
-    that name it, so replay derives its facts once.
+    text is parsed once and its node shared by the contracts that name
+    it, so replay derives the facts it keeps once (predicates).
     """
     base = Path(base_dir)
     programs: dict[Path, ast.Program] = {}
-    predicates: dict[str, Prepared] = {}
+    predicates: dict[str, Predicate] = {}
 
     def load(path_text: str, where: str) -> ast.Program:
         path = base / path_text  # an absolute path_text replaces base
@@ -165,9 +165,9 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
                 raise SessionFormatError(f"{where}: {path}: {err}") from err
         return programs[path]
 
-    def prepared(text: str) -> Prepared:
+    def parsed(text: str) -> Predicate:
         if text not in predicates:
-            predicates[text] = Prepared(parse_predicate(text))
+            predicates[text] = parse_predicate(text)
         return predicates[text]
 
     sections = _split_sections(text)
@@ -218,13 +218,13 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
         try:
             inputs = parse_bindings(inputs_text)
             expected = parse_bindings(expect_text)
-            pre = prepared(pre_text)
-            post = prepared(post_text)
+            pre = parsed(pre_text)
+            post = parsed(post_text)
         except ParseError as err:
             raise SessionFormatError(f"{where}: {err}") from err
         snapshot = load(snapshot_text, where)
         cycles.append(Cycle(index, ct.TestCase(test_name, inputs, expected, kind),
-                            ct.Contract.of(pre, post), snapshot, note))
+                            ct.Contract(pre, post), snapshot, note))
     if not cycles:
         raise SessionFormatError("session has no cycles")
     try:
@@ -578,7 +578,7 @@ def replay(session: Session, step_budget: int = DEFAULT_STEP_BUDGET) -> Report:
     session_errors: list[str] = []
     tautology = _guard(
         session_errors, "union precondition tautology",
-        lambda: implication(Prepared(TRUE), union_so_far.prepared[0], session.dom).holds,
+        lambda: is_tautology(union_so_far.pre, session.dom).holds,
     )
     score = _guard(
         session_errors, "qlty",

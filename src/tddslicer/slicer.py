@@ -22,6 +22,7 @@ structurally identical to one with no else at all.
 
 from __future__ import annotations
 
+from functools import total_ordering
 from itertools import combinations
 from collections.abc import Iterator
 
@@ -47,13 +48,19 @@ ELSE_CLAUSE = "else_clause"
 EXHAUSTIVE_CAP = 16
 
 
-class DeletionUnit(Record, order=True):
+@total_ordering
+class DeletionUnit(Record):
     """Something deletion can remove: a statement (with its subtree) or the
-    else clause of an If."""
+    else clause of an If. Units order by kind, then anchor."""
 
     __slots__ = ("kind", "anchor")
     kind: str
     anchor: int
+
+    def __lt__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values < other._values
+        return NotImplemented
 
     def __str__(self) -> str:
         return f"{self.kind}@{self.anchor}"

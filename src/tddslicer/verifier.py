@@ -14,8 +14,8 @@ detail and exception comes from one place. _scan judges every other
 scan from its visits, the points where some precondition holds or
 raises, as predicates.visits gives them: one compiled filter at or above
 the gate, the closures below it. Its runs are lang.interp.runner's, made
-once per scan. Contracts are validated and judged through their prepared
-values (predicates.Prepared): the scope check reads their free variables
+once per scan. Contracts are validated and judged through the facts their
+predicates keep (predicates): the scope check reads their free variables
 and every scan their closures, so a contract checked many times is
 walked and compiled once.
 A Judge validates a program and its contract once, and compiles each at
@@ -36,7 +36,6 @@ single input with _judge through the checked run.
 from __future__ import annotations
 
 import math
-from operator import attrgetter
 
 from .contracts import Contract, validate_scope
 from .errors import EvaluationFault
@@ -52,7 +51,7 @@ from .lang.interp import (
     run,
     runner,
 )
-from .predicates import TRUE, Domain, Prepared, State, static_implication, visits
+from .predicates import Domain, State, closure, static_implication, visits
 
 VERIFIED = "verified"
 COUNTEREXAMPLE = "counterexample"
@@ -209,8 +208,8 @@ class Judge:
     and each compiled at most once, so judging the program with many
     kept-sets of its statement ids (runner's kept), as the slicer judges
     its candidates, pays for both once. The contract's closures (its
-    prepared values keep them) are made when a point is first judged on
-    them: a loop nest that finds no failure needs none.
+    predicates keep them) are made when a point is first judged on them:
+    a loop nest that finds no failure needs none.
     """
 
     def __init__(
@@ -235,7 +234,7 @@ class Judge:
         where check() found that it holds.
         """
         execute = runner(self.program, self.step_budget, kept=kept)
-        post = self.contract.prepared[1].test
+        post = closure(self.contract.post)
         for point in points:
             status, final, detail, _ = _settle(execute, post, point)
             if status != PASS:
@@ -257,7 +256,7 @@ class Judge:
             point, count = scan()
             if point is None:
                 return VerificationResult(VERIFIED if count else VACUOUS, None, count, dom)
-        pre, post = (prepared.test for prepared in contract.prepared)
+        pre, post = closure(contract.pre), closure(contract.post)
         execute = runner(self.program, self.step_budget, kept=kept)
         if scan is not None:
             outcome = _judge(pre, execute, post, point)
@@ -285,7 +284,7 @@ def check_all(
     costing its run and postcondition at its first failure. Memory is
     bounded by one point per shared item, whatever the size of dom.
     """
-    programs, pres, posts = _Shared(), _Shared(_PRED), _Shared(_PRED)
+    programs, pres, posts = _Shared(), _Shared(), _Shared()
     triples: dict[tuple[int, int, int], int] = {}  # (pre, program, post) slots -> triple
     asked: list = []  # per pair: its triple, or the exception validating it raised
     for program, contract in pairs:
@@ -294,13 +293,13 @@ def check_all(
         except Exception as err:
             asked.append(err)
             continue
-        pre, post = contract.prepared
-        slots = (pres.slot(pre), programs.slot(program), posts.slot(post))
+        slots = (pres.slot(contract.pre), programs.slot(program), posts.slot(contract.post))
         asked.append(triples.setdefault(slots, len(triples)))
 
     # a program judged under a precondition that holds at every point, by
-    # construction, runs at every point of dom until that triple fails
-    always, size = Prepared(TRUE), math.prod(hi - lo + 1 for _, lo, hi in dom.ranges)
+    # construction, runs at every point of dom until that triple fails; a
+    # fresh TRUE keeps its facts for this call only
+    always, size = ast.BoolLit(True), math.prod(hi - lo + 1 for _, lo, hi in dom.ranges)
     everywhere = {code for pre, code, _ in triples if static_implication(always, pres.items[pre], dom)}
     # every point's inputs and final states are shared by the triples
     # judged at that point, so remembering the latest argument suffices
@@ -312,7 +311,7 @@ def check_all(
     scanned: dict[int, int] = {}  # pre slot of a judged triple -> its place in held
     for triple, (pre, code, post) in enumerate(triples):
         try:
-            pre_test, post_test = pres.items[pre].test, posts.items[post].test
+            pre_test, post_test = closure(pres.items[pre]), closure(posts.items[post])
         except Exception as err:
             verdicts[triple] = err
             continue
@@ -321,27 +320,21 @@ def check_all(
         place = scanned.setdefault(pre, len(scanned))
         judged[triple] = (place, pre_test, executors[code], post_getters[code, post])
     if judged:
-        visited = visits(dom, [(pres.items[pre].pred, pres.items[pre].test) for pre in scanned])
+        visited = visits(dom, [(pres.items[pre], closure(pres.items[pre])) for pre in scanned])
         verdicts.update(zip(judged, _scan(list(judged.values()), visited, dom)))
     return [verdicts[triple] if isinstance(triple, int) else triple for triple in asked]
 
 
-#: what check_all compares to share a Prepared: its predicate
-_PRED = attrgetter("pred")
-
-
 class _Shared:
     """The distinct items seen, in slots: an item takes the slot of the
-    first one seen that is the same object or whose key (the item itself,
-    unless key is given) is equal, found by hashing (a Record hashes at
-    any depth, ast._deep_hash). Sharing only saves work, so an item whose
-    key is too deeply nested to compare takes a slot of its own."""
+    first one seen that is the same object or equal to it, found by hashing
+    (a Record hashes at any depth, ast._deep_hash). Sharing only saves
+    work, so an item too deeply nested to compare takes a slot of its own."""
 
-    def __init__(self, key=None):
+    def __init__(self):
         self.items: list = []  # the first item of each slot
-        self._key = key
         self._ids: dict[int, tuple] = {}  # id -> (item, slot); holding the item keeps its id
-        self._keys: dict = {}  # key -> slot
+        self._keys: dict = {}  # item -> slot
 
     def slot(self, item) -> int:
         """item's slot, a new one if no item before it shares it."""
@@ -349,7 +342,7 @@ class _Shared:
         if seen is None:
             slot = len(self.items)
             try:
-                slot = self._keys.setdefault(item if self._key is None else self._key(item), slot)
+                slot = self._keys.setdefault(item, slot)
             except RecursionError:
                 pass
             if slot == len(self.items):
@@ -408,7 +401,6 @@ def check_point(
 ) -> PointCheck:
     """Check one concrete input against a contract (the single-test view)."""
     validate_scope(contract, frozenset(program.in_params), frozenset(program.out_params))
-    pre, post = contract.prepared
     ran: list[RunResult] = []
 
     def execute(inputs: State) -> tuple:
@@ -419,7 +411,7 @@ def check_point(
 
     # the post's closure is read only if the point gets that far, so a
     # postcondition too deep to compile fails only a point it judges
-    outcome = _judge(pre.test, execute, lambda final: post.test(final), inputs)
+    outcome = _judge(closure(contract.pre), execute, lambda final: closure(contract.post)(final), inputs)
     if outcome is None:
         return PointCheck(
             PRE_VIOLATION, inputs, None, "inputs do not satisfy the precondition"

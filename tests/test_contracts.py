@@ -177,6 +177,26 @@ class TestClassify:
         assert (result.kind, result.matched_contract) == (REGRESSION, None)
         assert calls == {"a > b": 1, "max == a": 1, "a < b": 1, "max == b": 1}
 
+    def test_values_too_long_to_print_are_judged_not_printed(self):
+        """An input past CPython's int-to-string limit: classify_test judges
+        the closures and words nothing, and is_instance words such a value
+        as predicates._state_text does."""
+        big = 10 ** 5000
+        test = _max_test(big, 0, big)
+        below = Contract(parse_predicate("a < b"), parse_predicate("max == b"))
+        above = Contract(parse_predicate("a > b"), parse_predicate("max == b"))
+        assert classify_test(test, [below]) == Classification(NEW, None)
+        assert classify_test(test, [below, above]) == Classification(NEW, None)
+        assert is_instance(test, below).explanation == (
+            "inputs {'a': too large to print, 'b': 0} do not satisfy the precondition"
+        )
+        assert is_instance(test, above).explanation == (
+            "expected outputs {'max': too large to print} violate the postcondition"
+        )
+        assert is_instance(_max_test(3, 4, 3), below).explanation == (
+            "expected outputs {'max': 3} violate the postcondition"
+        )
+
     def test_declared_kind_compatibility(self, max_contract_gt):
         regression = classify_test(_max_test(-1, -2, -1), [max_contract_gt])
         assert regression.matches_declared("regression")

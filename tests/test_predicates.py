@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import collections
+import gc
 import itertools
 import random
 import sys
@@ -28,13 +29,17 @@ from tddslicer import (
     Contract,
     check,
     check_all,
+    load_session,
     parse_program,
+    predicates,
+    replay,
     subsumed_by,
 )
 from tddslicer.contracts import validate_scope
+from tddslicer.corpus import corpus_path
 from tddslicer.lang import ast
 from tddslicer.lang.interp import compile_bool
-from tddslicer.predicates import TRUE, ImplicationResult, Prepared, implication
+from tddslicer.predicates import TRUE, ImplicationResult
 
 from bruteforce import _bf_cannot_fault, bf_holds, bf_implies
 from generators import CMP_OPS, comparison, predicate_text, random_contract, random_predicate, union_all
@@ -444,27 +449,27 @@ class TestDisjunctRule:
                 narrow, wide = texts + rng.choices(texts, k=rng.randint(1, 2)), texts
             admits = bool(self.ADMITS & set(kinds))
             if rng.random() < 0.5:  # parsed text
-                prepared = [Prepared(parse_predicate(_nested(rng, side))) for side in (narrow, wide)]
+                sides = [parse_predicate(_nested(rng, side)) for side in (narrow, wide)]
             else:  # the pres of contracts built with union
-                prepared = [_nested(rng, [Contract(parse_predicate(t), TRUE) for t in side]).prepared[0]
-                            for side in (narrow, wide)]
+                sides = [_nested(rng, [Contract(parse_predicate(t), TRUE) for t in side]).pre
+                         for side in (narrow, wide)]
             for forward in (True, False):
-                p1, p2 = prepared if forward else prepared[::-1]
-                expected = bf_implies(p1.pred, p2.pred, ranges)
+                p1, p2 = sides if forward else sides[::-1]
+                expected = bf_implies(p1, p2, ranges)
                 try:
-                    result = implication(p1, p2, dom)
+                    result = implies(p1, p2, dom)
                 except PredicateUndefinedError as err:
                     got = ("fault", err.assignment, err.reason)
                 else:
                     got = (result.holds, result.witness, result.checked_points)
-                assert got == expected, (format_predicate(p1.pred), format_predicate(p2.pred), ranges)
+                assert got == expected, (format_predicate(p1), format_predicate(p2), ranges)
                 assert list(got[1] or {}) == list(expected[1] or {})
                 static = got == (True, None, 0)
                 if forward:
                     seen["static" if static else "fault" if got[0] == "fault" else "enumerated"] += 1
                     seen["admits"] += admits
                     # nothing whose interval admits a fault is decided statically
-                    assert not (admits and static), (format_predicate(p1.pred), ranges)
+                    assert not (admits and static), (format_predicate(p1), ranges)
                     seen["admits, raised"] += admits and got[0] == "fault"
                     seen["admits, enumerated"] += admits and got[0] is True
                 else:
@@ -515,8 +520,8 @@ class TestDisjunctRule:
         for _ in range(900):
             product = ast.Arith("*", product, a)
         pred = ast.Cmp(">", ast.Arith("/", ast.IntLit(1), ast.Arith("+", product, ast.IntLit(1))), a)
-        assert not Prepared(pred).fault_free(Domain.from_dict({"a": (0, big)}))
-        assert Prepared(pred).fault_free(Domain.from_dict({"a": (0, 3)}))
+        assert not predicates.fault_free(pred, Domain.from_dict({"a": (0, big)}))
+        assert predicates.fault_free(pred, Domain.from_dict({"a": (0, 3)}))
         assert time.perf_counter() - start < 1
 
     def test_a_shadowing_exists_is_judged_by_its_own_bounds(self):
@@ -675,24 +680,34 @@ def _outcome(fn, *args):
         return type(err), str(err)
 
 
-class TestPrepared:
-    """A Prepared value's facts equal a fresh derivation from its
-    predicate, for generated predicates (faulting ones included) and for
-    unions of them, whichever facts were derived before the union was
-    built."""
+def _renewed(value):
+    """An equal tree of new nodes, of a predicate or contract, none of
+    which keeps a fact."""
+    if isinstance(value, Contract):
+        return Contract(_renewed(value.pre), _renewed(value.post))
+    renewed = parse_predicate(format_predicate(value))
+    assert renewed == value
+    return renewed
 
-    FACTS = ("free", "disjuncts", "test")
+
+class TestPrepared:
+    """The facts a predicate keeps (predicates: free, disjuncts, fault_free,
+    closure) equal a fresh derivation from an equal tree of new nodes, for
+    generated predicates (faulting ones included) and for unions of them,
+    whichever facts were derived before the union was built."""
+
+    FACTS = (predicates.free, predicates.disjuncts, predicates.closure)
     POINTS = [{"a": a, "b": b} for a in range(-2, 3) for b in range(-2, 3)]
     DOM = Domain.parse("a in -2..2, b in -2..2")
 
-    def _assert_fresh(self, prepared):
-        pred = prepared.pred
-        assert prepared.free == free_vars(pred)
-        assert prepared.disjuncts == set(ast.flatten(pred, ast.Or))
-        assert prepared.fault_free(self.DOM) == Prepared(pred).fault_free(self.DOM)
-        fresh = compile_bool(pred)
+    def _assert_fresh(self, pred):
+        new = _renewed(pred)
+        assert predicates.free(pred) == free_vars(new)
+        assert predicates.disjuncts(pred) == set(ast.flatten(new, ast.Or))
+        assert predicates.fault_free(pred, self.DOM) == ast.fault_free(new, self.DOM.ranges)
+        test, fresh = predicates.closure(pred), compile_bool(new)
         for point in self.POINTS:
-            assert _outcome(prepared.test, dict(point)) == _outcome(fresh, dict(point))
+            assert _outcome(test, dict(point)) == _outcome(fresh, dict(point))
 
     def _contract(self, rng, faults):
         return Contract(
@@ -706,12 +721,12 @@ class TestPrepared:
             faults = round_ % 2 == 1
             parts = [self._contract(rng, faults) for _ in range(rng.randint(1, 5))]
             for contract in parts:
-                for prepared in contract.prepared:
+                for pred in (contract.pre, contract.post):
                     for fact in self.FACTS:
                         if rng.random() < 0.3:
-                            getattr(prepared, fact)
+                            fact(pred)
                     if rng.random() < 0.3:
-                        prepared.fault_free(self.DOM)
+                        predicates.fault_free(pred, self.DOM)
             shape = rng.choice(("left", "right", "twice"))
             if shape == "left":
                 combined = union_all(parts)
@@ -721,18 +736,17 @@ class TestPrepared:
                     combined = union(contract, combined)
             else:  # one contract twice: a part shared by both sides
                 combined = union(parts[0], parts[0])
-            plain = Contract(combined.pre, combined.post)
             for contract in (*parts, combined):
-                for prepared, pred in zip(contract.prepared, (contract.pre, contract.post)):
-                    assert prepared.pred is pred
-                    self._assert_fresh(prepared)
-            # the algebra over composed values answers as over fresh ones
+                for pred in (contract.pre, contract.post):
+                    self._assert_fresh(pred)
+            # the algebra over composed facts answers as over fresh ones
+            plain = _renewed(combined)
             for contract in parts:
                 composed = _outcome(subsumed_by, contract, combined, self.DOM)
-                fresh = _outcome(subsumed_by, Contract(contract.pre, contract.post), plain, self.DOM)
+                fresh = _outcome(subsumed_by, _renewed(contract), plain, self.DOM)
                 assert composed == fresh
-            assert _outcome(implication, Prepared(TRUE), combined.prepared[0], self.DOM) == (
-                _outcome(is_tautology, combined.pre, self.DOM)
+            assert _outcome(implies, ast.BoolLit(True), combined.pre, self.DOM) == (
+                _outcome(is_tautology, plain.pre, self.DOM)
             )
 
     def test_a_long_union_needs_no_stack(self):
@@ -741,15 +755,99 @@ class TestPrepared:
         loop: not one frame per part, so checks over it get answers."""
         contracts = [Contract(parse_predicate(f"a == {n}"), TRUE) for n in range(3000)]
         combined = union_all(contracts)
-        pre = combined.prepared[0]
+        pre = combined.pre
         dom = Domain.parse("a in 2990..3009")
-        assert pre.free == {"a"}
-        assert pre.disjuncts == {c.pre for c in contracts}
-        assert pre.fault_free(dom)
-        assert (pre.test({"a": 2999}), pre.test({"a": 3000})) == (True, False)
+        assert predicates.free(pre) == {"a"}
+        assert predicates.disjuncts(pre) == {c.pre for c in contracts}
+        assert predicates.fault_free(pre, dom)
+        test = predicates.closure(pre)
+        assert (test({"a": 2999}), test({"a": 3000})) == (True, False)
         program = parse_program("proc f(in a, out o) { o := a; }")
         result = check(program, combined, dom)
         assert (result.verdict, result.checked_points) == ("verified", 10)
+
+    def test_a_right_fold_composes_its_facts_without_recursion(self):
+        """union(c1, union(c2, ...)) over 3,000 contracts nests its Or 3,000
+        deep, past what a walk by recursion reaches: its facts compose its
+        parts' in a loop, and its closure, the tautology check and a check
+        over it answer."""
+        contracts = [Contract(parse_predicate(f"a == {n}"), parse_predicate(f"o == {n}"))
+                     for n in range(3000)]
+        combined = contracts[-1]
+        for contract in reversed(contracts[:-1]):
+            combined = union(contract, combined)
+        pre = combined.pre
+        with pytest.raises(ParseError):
+            free_vars(pre)
+        dom = Domain.parse("a in 2990..3009")
+        assert predicates.free(pre) == {"a"} and predicates.free(combined.post) == {"o"}
+        assert predicates.disjuncts(pre) == {c.pre for c in contracts}
+        assert predicates.fault_free(pre, dom)
+        test = predicates.closure(pre)
+        assert (test({"a": 2999}), test({"a": 3000})) == (True, False)
+        result = is_tautology(pre, dom)
+        assert (result.holds, result.witness, result.checked_points) == (False, {"a": 3000}, 11)
+        program = parse_program("proc f(in a, out o) { o := a; }")
+        result = check(program, combined, dom)
+        assert (result.verdict, result.checked_points) == ("verified", 10)
+
+    def test_a_second_request_returns_the_kept_fact(self, monkeypatch):
+        """Each fact is derived once per node, or composed once per union,
+        and every later request gets that very object."""
+        walks = collections.Counter()
+        real = ast.fault_free
+
+        def fault_free(pred, ranges):
+            walks[pred] += 1
+            return real(pred, ranges)
+
+        monkeypatch.setattr(ast, "fault_free", fault_free)
+        first, second = parse_predicate("a > 0 || 10 / a > 1"), parse_predicate("b == 1")
+        joined = predicates.either(first, second)
+        positive = Domain.parse("a in 1..2, b in 0..0")
+        for pred in (first, second, joined):
+            for fact in self.FACTS:
+                assert fact(pred) is fact(pred)
+            for _ in range(2):
+                assert predicates.fault_free(pred, self.DOM) == (pred is second)
+                assert predicates.fault_free(pred, positive)
+        # one walk per node and domain; the union composes its parts' facts
+        assert walks == {first: 2, second: 2}
+
+    def test_kept_facts_hold_no_reference_cycle(self):
+        """A predicate's facts never hold the predicate, so what a replay
+        or a union leaves behind is freed by reference counting, with no
+        garbage left for the cycle collector."""
+        gc.collect()
+        gc.disable()
+        try:
+            pred = parse_predicate("a > 0 && 10 / a > 1")
+            joined = predicates.either(pred, parse_predicate("b == 1 || a < 0"))
+            for node in (pred, joined):
+                for fact in self.FACTS:
+                    fact(node)
+                predicates.fault_free(node, self.DOM)
+            del pred, joined, node
+            replay(load_session(corpus_path("div.session")))
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    def test_the_package_keeps_no_fact_on_true(self):
+        """predicates.TRUE lives as long as the process, so what the package
+        asks of TRUE on its own it asks of a fresh BoolLit: is_tautology,
+        check_all's rule for a precondition that holds everywhere and a
+        replay of the bundled session leave TRUE's facts as they were."""
+        object.__setattr__(TRUE, "_facts", {})  # what earlier tests kept on it
+        for lo in range(5):
+            assert is_tautology(parse_predicate("TRUE || a <= 0"), Domain.parse(f"a in {lo}..9"))
+        program = parse_program("proc f(in a, out o) { o := a; }")
+        contract = Contract(parse_predicate("TRUE"), parse_predicate("o == a"))
+        (result,) = check_all([(program, contract)], Domain.parse("a in 0..199"))
+        assert (result.verdict, result.checked_points) == ("verified", 200)
+        assert replay(load_session(corpus_path("div.session"))).failures() == []
+        assert TRUE._facts == {}
+
 
     def test_every_public_function_answers_on_a_long_union(self):
         """Two equal but distinct unions of 3,000 contracts, each post an

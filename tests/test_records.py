@@ -10,8 +10,8 @@ import importlib
 
 import pytest
 
-from tddslicer import parse_predicate
-from tddslicer.contracts import Classification, Contract, InstanceCheck, SubsumptionCheck, TestCase
+from tddslicer import parse_predicate, predicates
+from tddslicer.contracts import Classification, Contract, InstanceCheck, SubsumptionCheck, TestCase, union
 from tddslicer.lang import ast, parse_program, run
 from tddslicer.lang.interp import RunResult, TrajectoryEntry
 from tddslicer.predicates import Domain, ImplicationResult
@@ -266,9 +266,16 @@ def test_kept_values_never_change_equality_hash_or_repr():
     assert compiled == fresh and hash(compiled) == hash(fresh) and repr(compiled) == repr(fresh)
     assert "_compiled" not in compiled._fields
     contract = SAMPLES["Contract"]
-    prepared = contract.prepared
-    assert prepared is contract.prepared
-    plain = Contract(contract.pre, contract.post)
-    assert contract == plain and hash(contract) == hash(plain) and repr(contract) == CONTRACT
+    pre, post = contract.pre, contract.post
+    assert predicates.closure(pre) is predicates.closure(pre)  # kept in its _facts slot
+    assert predicates.free(pre) == {"x"} and "_facts" not in pre._fields
+    plain = ast.Cmp(pre.op, pre.left, pre.right)
+    assert pre == plain and hash(pre) == hash(plain) and repr(pre) == LESS
+    assert contract == Contract(plain, ast.BoolLit(True)) and repr(contract) == CONTRACT
+    assert hash(contract) == hash(Contract(plain, ast.BoolLit(True)))
     assert contract._fields == ("pre", "post")
-    assert Contract.of(*prepared) == contract
+    # a union keeps the parts its facts compose, and is the Or it prints as
+    joined = union(contract, contract)
+    assert predicates.free(joined.pre) == {"x"} and predicates.disjuncts(joined.post) == {post}
+    twice = Contract(ast.Or((plain, plain)), ast.Or((ast.BoolLit(True), ast.BoolLit(True))))
+    assert joined == twice and hash(joined) == hash(twice) and repr(joined) == repr(twice)
