@@ -20,10 +20,10 @@ _EXPORTS = {
                    "TestCase", "classify_test", "is_instance", "subsumed_by", "union"),
     ".errors": ("EvaluationFault", "ExhaustiveCapError", "OriginalNotVerifiedError",
                 "ParseError", "UnboundVariableError", "VacuousContractError"),
-    ".lang": ("ALL", "DEFAULT_STEP_BUDGET", "RunResult", "format_predicate", "parse_program",
-              "pretty_print", "project", "run"),
     ".lang.ast": ("free_vars",),
-    ".lang.parser": ("parse_predicate",),
+    ".lang.interp": ("DEFAULT_STEP_BUDGET", "RunResult", "project", "run"),
+    ".lang.parser": ("parse_predicate", "parse_program"),
+    ".lang.printer": ("format_predicate", "pretty_print"),
     ".predicates": ("Domain", "ImplicationResult", "Predicate", "PredicateUndefinedError",
                     "eval_predicate", "implies", "is_tautology"),
     ".session": ("Report", "Session", "load_session", "parse_session", "qlty", "replay"),

@@ -8,16 +8,14 @@ uses a little color unless TDDSLICER_COLOR=0 or stdout is not a terminal.
 Every command renders its whole output, in either format, before _show
 prints it at once, so an output that fails to render prints nothing.
 
-The slice and replay commands' functions are imported when a command
-first asks for them, through this module's attributes (PEP 562), so that
-check, union and trace never load the slicer or the session modules.
+cmd_slice and cmd_replay import the slicer and the session modules when
+they run, so that check, union and trace never load either.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import os
 import sys
 from collections.abc import Iterable, Iterator
@@ -33,44 +31,17 @@ from .errors import (
     SessionFormatError,
     VacuousContractError,
 )
-from .lang import load_program, parse_bindings, pretty_print, project, run
-from .lang.interp import DEFAULT_STEP_BUDGET, OK
-from .lang.parser import parse_predicate
-from .lang.printer import format_predicate, render_json
+from .lang.interp import DEFAULT_STEP_BUDGET, OK, project, run
+from .lang.parser import load_program, parse_bindings, parse_predicate
+from .lang.printer import FORMAT_VERSION, format_predicate, pretty_print, render_json
 from .predicates import Domain, PredicateUndefinedError, is_tautology
 from .verifier import VACUOUS, VERIFIED, check
 from . import contracts as ct
-
-FORMAT_VERSION = 1
 
 OK_STATUS = 0
 CHECK_FAILED = 1
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
-
-#: the attributes imported on first use: (module, name there)
-_LAZY = {
-    "compute_slice": (".slicer", "slice"),
-    "load_session": (".session", "load_session"),
-    "replay": (".session", "replay"),
-}
-
-
-def __getattr__(name: str):
-    try:
-        source, attr = _LAZY[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
-    value = getattr(importlib.import_module(source, __package__), attr)
-    globals()[name] = value
-    return value
-
-
-def _lazy(name: str):
-    """This module's attribute name, imported on first use: what a command
-    calls, so that whatever replaces the attribute is what runs."""
-    return getattr(sys.modules[__name__], name)
-
 
 def _color_enabled() -> bool:
     return sys.stdout.isatty() and os.environ.get("TDDSLICER_COLOR") != "0"
@@ -159,11 +130,12 @@ def _check_lines(result) -> Iterator[str]:
 
 
 def cmd_slice(args: argparse.Namespace) -> int:
+    from .slicer import slice as compute_slice
+
     program = load_program(args.program)
     contract = _contract_from_args(args.pre, args.post)
     dom = Domain.parse(args.domain)
-    result = _lazy("compute_slice")(program, contract, dom, strategy=args.strategy,
-                                    step_budget=args.budget)
+    result = compute_slice(program, contract, dom, strategy=args.strategy, step_budget=args.budget)
     retained = sorted(result.retained)
     deleted = sorted(result.deleted)
     if args.format == "machine":
@@ -228,8 +200,10 @@ def _union_lines(combined, tautology) -> Iterator[str]:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    session = _lazy("load_session")(args.session)
-    report = _lazy("replay")(session, args.budget)
+    from .session import load_session, replay
+
+    session = load_session(args.session)
+    report = replay(session, args.budget)
     if args.format == "machine":
         payload = report.to_dict()
         _show(payload)

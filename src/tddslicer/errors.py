@@ -60,11 +60,7 @@ class SessionFormatError(Exception):
         self.line = line
 
 
-class SliceError(Exception):
-    pass
-
-
-class OriginalNotVerifiedError(SliceError):
+class OriginalNotVerifiedError(Exception):
     """The full program does not satisfy the contract, so no deletion can.
     verification is the full program's VerificationResult."""
 
@@ -76,7 +72,7 @@ class OriginalNotVerifiedError(SliceError):
         )
 
 
-class VacuousContractError(SliceError):
+class VacuousContractError(Exception):
     """No domain point satisfies the precondition; every deletion would
     'verify', so slicing is refused. verification is the full program's
     VerificationResult."""
@@ -88,7 +84,7 @@ class VacuousContractError(SliceError):
         )
 
 
-class ExhaustiveCapError(SliceError):
+class ExhaustiveCapError(Exception):
     def __init__(self, units: int, cap: int):
         self.units = units
         self.cap = cap

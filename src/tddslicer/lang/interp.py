@@ -68,9 +68,6 @@ DEFAULT_STEP_BUDGET = 10000
 #: from which runner compiles a run: fewer do not repay the compile
 NEST_FROM_POINTS = 120
 
-#: pass for `vars` in project() to keep everything
-ALL = None
-
 OK = "ok"
 FAULT = "fault"
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -886,8 +883,8 @@ def run(
     return RunResult(*runner(program, step_budget, record=record)(inputs))
 
 
-def project(trajectory: Trajectory, vars: set[str] | None = ALL) -> Trajectory:
-    """Keep the entries whose variable is in vars; ALL (None) keeps every
-    entry. Order is preserved, so the result is a subsequence of the input.
+def project(trajectory: Trajectory, vars: set[str] | None = None) -> Trajectory:
+    """Keep the entries whose variable is in vars; None keeps every entry.
+    Order is preserved, so the result is a subsequence of the input.
     """
-    return tuple(entry for entry in trajectory if vars is ALL or entry.var in vars)
+    return tuple(entry for entry in trajectory if vars is None or entry.var in vars)

@@ -130,6 +130,10 @@ def _stmt_lines(block: ast.Block, depth: int) -> list[str]:
     return lines
 
 
+#: the format_version of every command's machine output (render_json)
+FORMAT_VERSION = 1
+
+
 def render_json(value) -> str:
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, for a
     JSON value: None, a bool, int, float or str, or a list, tuple or

@@ -21,9 +21,7 @@ slot: its free variables (free), its OR-disjuncts (disjuncts), whether it
 can fault over a domain (fault_free) and its compiled closure (closure),
 each derived on first use and then kept. either(a, b), the Or that
 contracts.union builds, composes its facts from its parts' instead of
-walking the growing Or again. What the package asks on its own of TRUE it
-asks of a fresh BoolLit, so that no fact outlives its query on a module
-constant.
+walking the growing Or again.
 """
 
 from __future__ import annotations
@@ -38,8 +36,6 @@ from .lang.interp import compile_bool, join_pairwise, where
 from .lang.parser import parse_domain_spec
 
 Predicate = ast.BoolExpr
-
-TRUE = ast.BoolLit(True)
 
 State = dict[str, int]
 
@@ -146,9 +142,10 @@ def eval_predicate(pred: Predicate, state: State) -> bool:
     """Standard short-circuit semantics; existentials enumerate their range.
 
     Raises UnboundVariableError when state misses a free variable and
-    EvaluationFault on arithmetic faults inside the evaluation.
+    EvaluationFault on arithmetic faults inside the evaluation. pred keeps
+    its closure, so only the first call compiles it.
     """
-    return compile_bool(pred)(dict(state))
+    return closure(pred)(dict(state))
 
 
 class ImplicationResult(Record):

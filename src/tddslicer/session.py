@@ -25,7 +25,7 @@ from .lang import ast
 from .lang.ast import Record
 from .lang.interp import DEFAULT_STEP_BUDGET, OK, run, runner
 from .lang.parser import parse_bindings, parse_domain_spec, parse_predicate, parse_program
-from .lang.printer import format_predicate
+from .lang.printer import FORMAT_VERSION, format_predicate
 from .predicates import Domain, Predicate, is_tautology
 from .verifier import VACUOUS, VERIFIED, PointCheck, VerificationResult, check_all, check_point
 
@@ -378,7 +378,7 @@ class Report(Record):
     def to_dict(self) -> dict:
         failures = self.failures()
         return {
-            "format_version": 1,
+            "format_version": FORMAT_VERSION,
             "command": "replay",
             "session": self.session_name,
             "domain": str(self.domain),
@@ -422,13 +422,17 @@ def _tester(program: ast.Program, step_budget: int, calls: int):
 
 
 def _mismatch(var: str, got: int, want: int) -> str:
-    """A failed assertion's detail: the value got, or for a value longer
-    than CPython's int-to-string limit (sys.get_int_max_str_digits()) only
-    the variable's name."""
+    """A failed assertion's detail: the value got and the value expected,
+    where each longer than CPython's int-to-string limit
+    (sys.get_int_max_str_digits()) is only said to be too large to print."""
     try:
-        return f"{var}={got} (expected {want})"
+        expected = f"expected {want}"
     except ValueError:
-        return f"{var} is too large to print (expected {want})"
+        expected = "expected a value too large to print"
+    try:
+        return f"{var}={got} ({expected})"
+    except ValueError:
+        return f"{var} is too large to print ({expected})"
 
 
 def qlty(program: ast.Program, suite: list[ct.TestCase] | tuple[ct.TestCase, ...],

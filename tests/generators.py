@@ -14,9 +14,8 @@ import random
 from functools import reduce
 
 from tddslicer.contracts import Contract, TestCase, union
-from tddslicer.lang import parse_program
 from tddslicer.lang.ast import Program
-from tddslicer.lang.parser import parse_predicate
+from tddslicer.lang.parser import parse_predicate, parse_program
 
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
 

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from tddslicer.lang import ast
 from tddslicer.lang.interp import (
-    ALL,
     DEFAULT_STEP_BUDGET,
     RunResult,
     Trajectory,
@@ -122,7 +121,7 @@ def check_projection(
     original: ast.Program,
     sliced: ast.Program,
     inputs: dict[str, int],
-    vars: set[str] | None = ALL,
+    vars: set[str] | None = None,
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> ProjectionCheck:
     """Run both programs and compare their trajectories projected onto vars.

@@ -24,10 +24,11 @@ from tddslicer import (
     project,
     run,
 )
-from tddslicer.lang import ast, parse_bindings, parse_domain_spec
+from tddslicer.lang import ast
 from tddslicer.lang import interp
 from tddslicer.lang.interp import BUDGET_EXCEEDED, FAULT, NEST_FROM_POINTS, OK, TrajectoryEntry, runner
 from tddslicer.lang.lexer import EOF, position, scan
+from tddslicer.lang.parser import parse_bindings, parse_domain_spec
 from tddslicer.slicer import STATEMENT, DeletionUnit
 from tddslicer.corpus import corpus_path
 

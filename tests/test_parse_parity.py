@@ -19,7 +19,8 @@ import re
 
 from tddslicer import ParseError, parse_predicate, parse_program, pretty_print
 from tddslicer.corpus import corpus_path
-from tddslicer.lang import ast, parse_bindings, parse_domain_spec
+from tddslicer.lang import ast
+from tddslicer.lang.parser import parse_bindings, parse_domain_spec
 
 from generators import predicate_text, random_program
 

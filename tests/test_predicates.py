@@ -39,10 +39,12 @@ from tddslicer.contracts import validate_scope
 from tddslicer.corpus import corpus_path
 from tddslicer.lang import ast
 from tddslicer.lang.interp import compile_bool
-from tddslicer.predicates import TRUE, ImplicationResult
+from tddslicer.predicates import ImplicationResult
 
 from bruteforce import _bf_cannot_fault, bf_holds, bf_implies
 from generators import CMP_OPS, comparison, predicate_text, random_contract, random_predicate, union_all
+
+TRUE = ast.BoolLit(True)
 
 
 class TestDomainPoints:
@@ -168,6 +170,22 @@ class TestEval:
     def test_bound_variable_shadows_state(self):
         pred = parse_predicate("exists x in 5..5 : x == 5")
         assert eval_predicate(pred, {"x": 0}) is True
+
+    def test_repeated_calls_compile_once(self, monkeypatch):
+        """pred keeps its closure: three evaluations compile it once, and
+        each gives what a fresh compile gives, a fault included."""
+        compiled = []
+
+        def counting(node):
+            compiled.append(node)
+            return compile_bool(node)
+
+        monkeypatch.setattr(predicates, "compile_bool", counting)
+        pred = parse_predicate("10 / a > 1")
+        assert [eval_predicate(pred, {"a": a}) for a in (5, 20)] == [True, False]
+        with pytest.raises(EvaluationFault, match="division by zero"):
+            eval_predicate(pred, {"a": 0})
+        assert compiled == [pred]
 
 
 class TestFreeVars:
@@ -832,22 +850,6 @@ class TestPrepared:
             assert gc.collect() == 0
         finally:
             gc.enable()
-
-    def test_the_package_keeps_no_fact_on_true(self):
-        """predicates.TRUE lives as long as the process, so what the package
-        asks of TRUE on its own it asks of a fresh BoolLit: is_tautology,
-        check_all's rule for a precondition that holds everywhere and a
-        replay of the bundled session leave TRUE's facts as they were."""
-        object.__setattr__(TRUE, "_facts", {})  # what earlier tests kept on it
-        for lo in range(5):
-            assert is_tautology(parse_predicate("TRUE || a <= 0"), Domain.parse(f"a in {lo}..9"))
-        program = parse_program("proc f(in a, out o) { o := a; }")
-        contract = Contract(parse_predicate("TRUE"), parse_predicate("o == a"))
-        (result,) = check_all([(program, contract)], Domain.parse("a in 0..199"))
-        assert (result.verdict, result.checked_points) == ("verified", 200)
-        assert replay(load_session(corpus_path("div.session"))).failures() == []
-        assert TRUE._facts == {}
-
 
     def test_every_public_function_answers_on_a_long_union(self):
         """Two equal but distinct unions of 3,000 contracts, each post an

@@ -12,8 +12,9 @@ import pytest
 
 from tddslicer import parse_predicate, predicates
 from tddslicer.contracts import Classification, Contract, InstanceCheck, SubsumptionCheck, TestCase, union
-from tddslicer.lang import ast, parse_program, run
-from tddslicer.lang.interp import RunResult, TrajectoryEntry
+from tddslicer.lang import ast
+from tddslicer.lang.interp import RunResult, TrajectoryEntry, run
+from tddslicer.lang.parser import parse_program
 from tddslicer.predicates import Domain, ImplicationResult
 from tddslicer.session import Cycle, CycleRecord, RedCheck, Report, Session
 from tddslicer.session import TestOutcome as Outcome  # not a test class

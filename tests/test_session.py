@@ -6,6 +6,7 @@ import collections
 import hashlib
 import json
 import shutil
+import sys
 
 import pytest
 
@@ -15,8 +16,9 @@ from tddslicer import session as session_module
 from tddslicer.cli import main
 from tddslicer.contracts import REGRESSION
 from tddslicer.corpus import corpus_path
-from tddslicer.lang import ast, interp, parse_program
+from tddslicer.lang import ast, interp
 from tddslicer.lang.interp import DEFAULT_STEP_BUDGET
+from tddslicer.lang.parser import parse_program
 from tddslicer.lang.printer import render_json
 from tddslicer.session import (
     FAILED_AS_EXPECTED,
@@ -356,6 +358,26 @@ snapshot = inc.prog
         assert not report.final_matches_last_snapshot
         assert any("differs" in w for w in report.warnings())
         assert not report.failures()  # divergence alone is a warning
+
+
+@pytest.mark.skipif(
+    not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+    reason="str() takes ints of any length",
+)
+@pytest.mark.parametrize("body, detail", [
+    ("o := 1;", "o=1 (expected a value too large to print)"),
+    ("o := 10 ^ 5000 + 1;", "o is too large to print (expected a value too large to print)"),
+], ids=["got-printable", "got-too-large"])
+def test_an_expected_value_too_large_to_print_fails_the_test(body, detail):
+    """A test, built in Python, that expects a value longer than the
+    int-to-string limit fails its green check with a detail that says so,
+    instead of erroring."""
+    program = parse_program(f"proc f(in a, out o) {{ {body} }}")
+    test = TestCase("t", {"a": 1}, {"o": 10 ** 5000})
+    contract = Contract(parse_predicate("TRUE"), parse_predicate("TRUE"))
+    session = Session("big", (Cycle(1, test, contract, program),), program, Domain.parse("a in 0..3"))
+    (record,) = replay(session).cycles
+    assert (record.green.passed, record.green.detail, record.errors) == (False, detail, [])
 
 
 class TestQlty:

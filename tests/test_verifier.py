@@ -38,7 +38,6 @@ from tddslicer.cli import main
 from tddslicer.corpus import corpus_path
 from tddslicer.lang import ast, interp
 from tddslicer.lang.interp import OK
-from tddslicer.predicates import TRUE
 from tddslicer.verifier import (
     BUDGET_EXCEEDED,
     COUNTEREXAMPLE,
@@ -52,6 +51,8 @@ from tddslicer.verifier import (
 
 from bruteforce import bf_check, bf_holds, bf_implies
 from generators import CMP_OPS, predicate_text, random_contract, random_predicate, random_program
+
+TRUE = ast.BoolLit(True)
 
 ONE_SIDED_MAX = "proc max2(in a, in b, out max) { if (a > b) { max := a; } }"
 
