@@ -3,10 +3,11 @@
 Exit status: 0 when every check passed, 1 when a check failed
 (counterexample, failing green/regression check), 2 on usage, parse, or
 file errors, 3 on an internal error (one line on stderr, no traceback).
-`--format machine` emits stable JSON with format_version 1; human output
+Each cmd_* prints nothing and returns its Outcome. main alone reads
+--format and hands _show the payload or the lines; _show stamps the
+machine header (format_version 1, command) and prints the whole output at
+once, so an output that fails to render prints nothing. Human output
 uses a little color unless TDDSLICER_COLOR=0 or stdout is not a terminal.
-Every command renders its whole output, in either format, before _show
-prints it at once, so an output that fails to render prints nothing.
 
 cmd_slice and cmd_replay import the slicer and the session modules when
 they run, so that check, union and trace never load either.
@@ -18,7 +19,7 @@ import argparse
 import functools
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 
 from .contracts import Contract
 from .errors import (
@@ -42,6 +43,10 @@ OK_STATUS = 0
 CHECK_FAILED = 1
 USAGE_ERROR = 2
 INTERNAL_ERROR = 3
+
+#: what a cmd_* returns: a function that builds its machine payload, its
+#: human lines, undrawn, and its exit status
+Outcome = tuple[Callable[[], dict], Iterator[str], int]
 
 def _color_enabled() -> bool:
     return sys.stdout.isatty() and os.environ.get("TDDSLICER_COLOR") != "0"
@@ -71,15 +76,16 @@ def _fmt_state(state: dict[str, int] | None) -> str:
     return ", ".join(f"{name}={value}" for name, value in sorted(state.items()))
 
 
-def _show(output: dict | Iterable[str]) -> None:
+def _show(command: str, output: dict | Iterable[str]) -> None:
     """Print a command's whole output at once: a payload as one JSON
-    document (render_json), or lines made as they are drawn. A value
-    longer than CPython's int-to-string limit
+    document (render_json) under the header every machine document
+    shares, its format_version and command, or lines made as they are
+    drawn. A value longer than CPython's int-to-string limit
     (sys.get_int_max_str_digits()) fails the rendering, so nothing is
     printed and the error is ValueError("value too large to print")."""
     try:
         if isinstance(output, dict):
-            text = render_json(output)
+            text = render_json({**output, "format_version": FORMAT_VERSION, "command": command})
         else:
             text = "\n".join(output)
     except ValueError:
@@ -102,18 +108,13 @@ def _verdict_text(verdict: str) -> str:
 # --- subcommands ---------------------------------------------------------
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: argparse.Namespace) -> Outcome:
     program = load_program(args.program)
     contract = _contract_from_args(args.pre, args.post)
     dom = Domain.parse(args.domain)
     result = check(program, contract, dom, args.budget)
-    if args.format == "machine":
-        payload = {"format_version": FORMAT_VERSION, "command": "check"}
-        payload.update(result.to_dict())
-        _show(payload)
-    else:
-        _show(_check_lines(result))
-    return OK_STATUS if result.verdict in (VERIFIED, VACUOUS) else CHECK_FAILED
+    status = OK_STATUS if result.verdict in (VERIFIED, VACUOUS) else CHECK_FAILED
+    return result.to_dict, _check_lines(result), status
 
 
 def _check_lines(result) -> Iterator[str]:
@@ -129,42 +130,36 @@ def _check_lines(result) -> Iterator[str]:
         yield _warn("warning: no domain point satisfies the precondition")
 
 
-def cmd_slice(args: argparse.Namespace) -> int:
+def cmd_slice(args: argparse.Namespace) -> Outcome:
     from .slicer import slice as compute_slice
 
     program = load_program(args.program)
     contract = _contract_from_args(args.pre, args.post)
     dom = Domain.parse(args.domain)
     result = compute_slice(program, contract, dom, strategy=args.strategy, step_budget=args.budget)
-    retained = sorted(result.retained)
-    deleted = sorted(result.deleted)
-    if args.format == "machine":
-        _show(
-            {
-                "format_version": FORMAT_VERSION,
-                "command": "slice",
-                "strategy": result.strategy,
-                "minimal": result.minimal,
-                "retained": [{"kind": u.kind, "anchor": u.anchor} for u in retained],
-                "deleted": [{"kind": u.kind, "anchor": u.anchor} for u in deleted],
-                "program": pretty_print(result.program),
-                "verification": result.verification.to_dict(),
-            }
-        )
-    else:
-        _show(_slice_lines(result, retained, deleted))
-    return OK_STATUS
+    return functools.partial(_slice_document, result), _slice_lines(result), OK_STATUS
 
 
-def _slice_lines(result, retained, deleted) -> Iterator[str]:
+def _slice_document(result) -> dict:
+    return {
+        "strategy": result.strategy,
+        "minimal": result.minimal,
+        "retained": [{"kind": u.kind, "anchor": u.anchor} for u in sorted(result.retained)],
+        "deleted": [{"kind": u.kind, "anchor": u.anchor} for u in sorted(result.deleted)],
+        "program": pretty_print(result.program),
+        "verification": result.verification.to_dict(),
+    }
+
+
+def _slice_lines(result) -> Iterator[str]:
     yield pretty_print(result.program).removesuffix("\n")
     yield f"strategy: {result.strategy} (minimal: {'yes' if result.minimal else 'not guaranteed'})"
-    yield f"retained: {', '.join(map(str, retained)) or '(nothing)'}"
-    yield f"deleted:  {', '.join(map(str, deleted)) or '(nothing)'}"
+    yield f"retained: {', '.join(map(str, sorted(result.retained))) or '(nothing)'}"
+    yield f"deleted:  {', '.join(map(str, sorted(result.deleted))) or '(nothing)'}"
     yield f"verification: {_verdict_text(result.verification.verdict)} over {result.verification.domain}"
 
 
-def cmd_union(args: argparse.Namespace) -> int:
+def cmd_union(args: argparse.Namespace) -> Outcome:
     if len(args.pre) != 2 or len(args.post) != 2:
         raise ValueError("union needs exactly two --pre and two --post predicates")
     first = _contract_from_args(args.pre[0], args.post[0])
@@ -174,20 +169,17 @@ def cmd_union(args: argparse.Namespace) -> int:
     if args.domain is not None:
         dom = Domain.parse(args.domain)
         tautology = is_tautology(combined.pre, dom)
-    if args.format == "machine":
-        _show(
-            {
-                "format_version": FORMAT_VERSION,
-                "command": "union",
-                "pre": format_predicate(combined.pre),
-                "post": format_predicate(combined.post),
-                "pre_tautology": None if tautology is None else tautology.holds,
-                "tautology_witness": None if tautology is None else tautology.witness,
-            }
-        )
-    else:
-        _show(_union_lines(combined, tautology))
-    return OK_STATUS
+    document = functools.partial(_union_document, combined, tautology)
+    return document, _union_lines(combined, tautology), OK_STATUS
+
+
+def _union_document(combined, tautology) -> dict:
+    return {
+        "pre": format_predicate(combined.pre),
+        "post": format_predicate(combined.post),
+        "pre_tautology": None if tautology is None else tautology.holds,
+        "tautology_witness": None if tautology is None else tautology.witness,
+    }
 
 
 def _union_lines(combined, tautology) -> Iterator[str]:
@@ -199,19 +191,13 @@ def _union_lines(combined, tautology) -> Iterator[str]:
             yield f"counterexample: {_fmt_state(tautology.witness)}"
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
+def cmd_replay(args: argparse.Namespace) -> Outcome:
     from .session import load_session, replay
 
     session = load_session(args.session)
     report = replay(session, args.budget)
-    if args.format == "machine":
-        payload = report.to_dict()
-        _show(payload)
-        failures = payload["failures"]
-    else:
-        failures = report.failures()
-        _show(_report_lines(report, failures))
-    return CHECK_FAILED if failures else OK_STATUS
+    failures = report.failures()
+    return report.to_dict, _report_lines(report, failures), CHECK_FAILED if failures else OK_STATUS
 
 
 def _report_lines(report, failures: list[str]) -> Iterator[str]:
@@ -251,33 +237,27 @@ def _report_lines(report, failures: list[str]) -> Iterator[str]:
     yield f"result: {verdict} ({len(failures)} failures, {len(warnings)} warnings)"
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def cmd_trace(args: argparse.Namespace) -> Outcome:
     program = load_program(args.program)
     inputs = parse_bindings(args.inputs)
     wanted = None
-    if args.vars:
+    if args.vars is not None:  # "" names no variable
         wanted = {name.strip() for name in args.vars.split(",") if name.strip()}
     result = run(program, inputs, args.budget)
     trajectory = project(result.trajectory, wanted)
-    if args.format == "machine":
-        _show(
-            {
-                "format_version": FORMAT_VERSION,
-                "command": "trace",
-                "status": result.status,
-                "steps": result.steps,
-                "final": result.final,
-                "trajectory": [
-                    {"stmt_id": e.stmt_id, "var": e.var, "value": e.value}
-                    for e in trajectory
-                ],
-                "fault_stmt_id": result.fault_stmt_id,
-                "fault_reason": result.fault_reason,
-            }
-        )
-    else:
-        _show(_trace_lines(result, trajectory))
-    return OK_STATUS if result.status == OK else CHECK_FAILED
+    status = OK_STATUS if result.status == OK else CHECK_FAILED
+    return functools.partial(_trace_document, result, trajectory), _trace_lines(result, trajectory), status
+
+
+def _trace_document(result, trajectory) -> dict:
+    return {
+        "status": result.status,
+        "steps": result.steps,
+        "final": result.final,
+        "trajectory": [{"stmt_id": e.stmt_id, "var": e.var, "value": e.value} for e in trajectory],
+        "fault_stmt_id": result.fault_stmt_id,
+        "fault_reason": result.fault_reason,
+    }
 
 
 def _trace_lines(result, trajectory) -> Iterator[str]:
@@ -360,17 +340,14 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "budget" in args and args.budget < 1:
             raise ValueError("step_budget must be positive")
-        return args.func(args)
-    except OriginalNotVerifiedError as err:
+        payload, lines, status = args.func(args)
+        _show(args.command, payload() if args.format == "machine" else lines)
+        return status
+    except (OriginalNotVerifiedError, PredicateUndefinedError) as err:
         print(f"error: {err}", file=sys.stderr)
         return CHECK_FAILED
-    except (ExhaustiveCapError, VacuousContractError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
-    except PredicateUndefinedError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return CHECK_FAILED
-    except (ParseError, SessionFormatError, ValueError, OSError) as err:
+    except (ExhaustiveCapError, VacuousContractError, ParseError, SessionFormatError, ValueError,
+            OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR
     except RecursionError:

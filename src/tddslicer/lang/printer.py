@@ -130,7 +130,7 @@ def _stmt_lines(block: ast.Block, depth: int) -> list[str]:
     return lines
 
 
-#: the format_version of every command's machine output (render_json)
+#: the format_version of every command's machine output, which cli._show stamps
 FORMAT_VERSION = 1
 
 

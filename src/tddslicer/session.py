@@ -25,7 +25,7 @@ from .lang import ast
 from .lang.ast import Record
 from .lang.interp import DEFAULT_STEP_BUDGET, OK, run, runner
 from .lang.parser import parse_bindings, parse_domain_spec, parse_predicate, parse_program
-from .lang.printer import FORMAT_VERSION, format_predicate
+from .lang.printer import format_predicate
 from .predicates import Domain, Predicate, is_tautology
 from .verifier import VACUOUS, VERIFIED, PointCheck, VerificationResult, check_all, check_point
 
@@ -55,7 +55,8 @@ class Session(Record, defaults={"out_ranges": None}):
     ... in order; each cycle's test declares no kind or one of new,
     regression and triangulation, binds exactly its in- and its
     out-parameters, its snapshot has its name and parameters, and its
-    contract keeps to their scope; out_ranges names only out-parameters."""
+    contract keeps to their scope; out_ranges names only out-parameters,
+    each range nonempty."""
 
     __slots__ = ("name", "cycles", "final", "dom", "out_ranges")
     name: str
@@ -92,6 +93,8 @@ class Session(Record, defaults={"out_ranges": None}):
         stray = sorted(set(self.out_ranges or ()) - out_params)
         if stray:
             raise ValueError(f"outrange names variables that are not out-parameters: {stray}")
+        if self.out_ranges:
+            Domain.from_dict(self.out_ranges)  # refuses an empty range
 
     @property
     def acceptance_suite(self) -> tuple[ct.TestCase, ...]:
@@ -378,8 +381,6 @@ class Report(Record):
     def to_dict(self) -> dict:
         failures = self.failures()
         return {
-            "format_version": FORMAT_VERSION,
-            "command": "replay",
             "session": self.session_name,
             "domain": str(self.domain),
             "final_matches_last_snapshot": self.final_matches_last_snapshot,

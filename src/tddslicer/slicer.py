@@ -190,8 +190,11 @@ def slice(
     Each candidate is judged first on the inputs at which earlier
     candidates failed, most recent first; one that passes them all is
     checked over the whole domain, so the slice's verification is what
-    check returns for the built slice.
+    check returns for the built slice. An unknown strategy is a
+    ValueError before anything is judged.
     """
+    if strategy not in (EXHAUSTIVE, GREEDY):
+        raise ValueError(f"unknown strategy {strategy!r}")
     judge = Judge(program, contract, dom, step_budget)
     base = judge.check()
     if base.verdict == VACUOUS:
@@ -202,10 +205,8 @@ def slice(
     relevant = _relevant(program, contract.post)
     if strategy == EXHAUSTIVE:
         kept, verification = _slice_exhaustive(program, judge, base, relevant)
-    elif strategy == GREEDY:
-        kept, verification = _slice_greedy(program, judge, units, base, relevant)
     else:
-        raise ValueError(f"unknown strategy {strategy!r}")
+        kept, verification = _slice_greedy(program, judge, units, base, relevant)
     built = _build(program, kept)
     retained = frozenset(deletable_units(built))
     return SliceResult(

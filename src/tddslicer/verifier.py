@@ -42,7 +42,6 @@ from .errors import EvaluationFault
 from .lang import ast
 from .lang.ast import Record
 from .lang.interp import (
-    BUDGET_EXCEEDED,
     DEFAULT_STEP_BUDGET,
     FAULT,
     OK,
@@ -56,7 +55,7 @@ from .predicates import Domain, State, closure, static_implication, visits
 VERIFIED = "verified"
 COUNTEREXAMPLE = "counterexample"
 VACUOUS = "vacuous"
-# the run statuses FAULT and BUDGET_EXCEEDED are verdicts too
+# lang.interp's run statuses FAULT and BUDGET_EXCEEDED are verdicts too
 
 PASS = "pass"
 FAIL = "fail"

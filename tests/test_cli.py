@@ -316,6 +316,16 @@ class TestTrace:
         assert "stmt 1: y := 7" in out  # partial trajectory survives
         assert "budget_exceeded" in out
 
+    @pytest.mark.parametrize("names", ["", ",", " , "])
+    def test_an_empty_variable_list_projects_onto_no_variable(self, capsys, names):
+        argv = ("trace", DIV_ORACLE, "--inputs", "x=7, y=2", "--vars", names)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == "final: q=3, r=1, t=1, x=7, y=2\nsteps: 13\n"
+        code, out, err = run_cli(capsys, *argv, "--format", "machine")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["trajectory"] == []
+
     def test_machine_trace(self, capsys):
         code, out, _ = run_cli(
             capsys, "trace", DIV_ORACLE, "--inputs", "x=7, y=2", "--format", "machine",
@@ -608,6 +618,46 @@ def test_one_parser_serves_every_call_in_a_process(capsys):
     assert shared == fresh
     assert [code for code, _, _ in shared] == [0, 2, 0, 0, 0]
     assert "the following arguments are required: --post, --domain" in shared[1][2]
+
+
+EVERY_COMMAND = [
+    ("check", MAX2, "--pre", "a > b", "--post", "a > b && max == a", "--domain", DOM),
+    ("slice", MAX2, "--pre", "a > b", "--post", "a > b && max == a", "--domain", DOM),
+    ("union", "--pre", "a > b", "--post", "max == a", "--pre", "a <= b", "--post", "max == b"),
+    ("replay", DIV_SESSION),
+    ("trace", DIV_ORACLE, "--inputs", "x=7, y=2"),
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_the_cli_stamps_every_machine_header(capsys, monkeypatch, argv):
+    """format_version and command are written by the command line alone,
+    on every command's machine document."""
+    monkeypatch.setattr(cli, "FORMAT_VERSION", 2)
+    code, out, err = run_cli(capsys, *argv, "--format", "machine")
+    assert (code, err) == (0, "")
+    document = json.loads(out)
+    assert (document["format_version"], document["command"]) == (2, argv[0])
+
+
+def test_a_run_builds_only_the_output_of_its_format(capsys, monkeypatch):
+    """A human replay builds no payload, and a machine one draws no line."""
+    from tddslicer.session import Report
+
+    def unbuilt(report):
+        raise AssertionError("built the payload")
+
+    def undrawn(report, failures):
+        raise AssertionError("drew a line")
+        yield
+
+    human = run_cli(capsys, "replay", DIV_SESSION)
+    machine = run_cli(capsys, "replay", DIV_SESSION, "--format", "machine")
+    monkeypatch.setattr(Report, "to_dict", unbuilt)
+    assert run_cli(capsys, "replay", DIV_SESSION) == human
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_report_lines", undrawn)
+    assert run_cli(capsys, "replay", DIV_SESSION, "--format", "machine") == machine
 
 
 def test_internal_error_exits_three_with_one_line_and_no_traceback(capsys, monkeypatch):

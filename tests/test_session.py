@@ -19,7 +19,7 @@ from tddslicer.corpus import corpus_path
 from tddslicer.lang import ast, interp
 from tddslicer.lang.interp import DEFAULT_STEP_BUDGET
 from tddslicer.lang.parser import parse_program
-from tddslicer.lang.printer import render_json
+from tddslicer.lang.printer import FORMAT_VERSION, render_json
 from tddslicer.session import (
     FAILED_AS_EXPECTED,
     NOT_APPLICABLE,
@@ -42,8 +42,9 @@ def run_test(program, test, step_budget=DEFAULT_STEP_BUDGET):
 
 
 def to_json(report):
-    """A replay report's machine output, as the command line prints it."""
-    return render_json(report.to_dict())
+    """A replay report's machine output, as the command line prints it:
+    its payload under the header cli._show stamps."""
+    return render_json({**report.to_dict(), "format_version": FORMAT_VERSION, "command": "replay"})
 
 
 MINIMAL_PROG = "proc inc(in x, out y) {\n    y := x + 1;\n}\n"
@@ -178,6 +179,19 @@ class TestParseSession:
             with_out_ranges({"x": (0, 3), "qq": (0, 16), "r": (0, 16)})
         narrowed = with_out_ranges({"r": (0, 16)})
         assert narrowed.out_ranges == {"r": (0, 16)}
+
+    def test_session_object_rejects_an_empty_out_range(self, div_session, tmp_path, capsys):
+        """Built in Python, a session refuses an empty out-range as a Domain
+        does; in a file the parser refuses it first, at its position."""
+        with pytest.raises(ValueError, match=r"^empty range 5\.\.1 for 'q'$"):
+            Session(div_session.name, div_session.cycles, div_session.final, div_session.dom,
+                    {"q": (5, 1), "r": (0, 16)})
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_path("div.session").parent, corpus)
+        path = corpus / "div.session"
+        path.write_text(path.read_text().replace("outrange = q in 0..16", "outrange = q in 5..1"))
+        assert main(["replay", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: bad outrange: empty range 5..1 for 'q' at 1:1\n")
 
     @pytest.mark.parametrize("old, new, changed, message", [
         ("domain = x in 0..16, y in 1..9", "domain = x in 0..16",

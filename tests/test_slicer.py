@@ -217,6 +217,17 @@ class TestSlice:
         with pytest.raises(OriginalNotVerifiedError):
             compute_slice(max2, wrong, dom_ab8)
 
+    def test_unknown_strategy_refused_before_judging(self, max2, dom_ab8, monkeypatch):
+        """The strategy is refused first: even a contract the program fails
+        gives the ValueError, and nothing is judged."""
+        checks = []
+        monkeypatch.setattr(verifier.Judge, "check", lambda judge: checks.append(judge))
+        for post in ("a > b && max == a", "max == b"):
+            contract = Contract(parse_predicate("a > b"), parse_predicate(post))
+            with pytest.raises(ValueError, match="^unknown strategy 'bogus'$"):
+                compute_slice(max2, contract, dom_ab8, strategy="bogus")
+        assert checks == []
+
     def test_vacuous_contract_refused(self, max2, dom_ab8):
         empty = Contract(parse_predicate("FALSE"), parse_predicate("TRUE"))
         with pytest.raises(VacuousContractError):

@@ -37,9 +37,8 @@ from tddslicer import predicates, slicer, verifier
 from tddslicer.cli import main
 from tddslicer.corpus import corpus_path
 from tddslicer.lang import ast, interp
-from tddslicer.lang.interp import OK
+from tddslicer.lang.interp import BUDGET_EXCEEDED, OK
 from tddslicer.verifier import (
-    BUDGET_EXCEEDED,
     COUNTEREXAMPLE,
     FAIL,
     FAULT,
