@@ -114,22 +114,24 @@ def _removals(program: ast.Program) -> dict[DeletionUnit, tuple[int, ...]]:
 def _build(program: ast.Program, kept: frozenset[int] | set[int]) -> ast.Program:
     """program with only the statements whose id is in kept and whose
     enclosing statements are kept too; ids are unchanged."""
+    return ast.Program(program.name, program.params, program.locals, _rebuild(program.body, kept))
 
-    def rebuild(block: ast.Block) -> ast.Block:
-        stmts: list[ast.Stmt] = []
-        for stmt in block.stmts:
-            if stmt.stmt_id not in kept:
-                continue
-            if isinstance(stmt, ast.If):
-                then, orelse = rebuild(stmt.then), rebuild(stmt.orelse)
-                stmts.append(ast.If(stmt.stmt_id, stmt.cond, then, orelse))
-            elif isinstance(stmt, ast.While):
-                stmts.append(ast.While(stmt.stmt_id, stmt.cond, rebuild(stmt.body)))
-            else:
-                stmts.append(stmt)
-        return ast.Block(tuple(stmts))
 
-    return ast.Program(program.name, program.params, program.locals, rebuild(program.body))
+def _rebuild(block: ast.Block, kept: frozenset[int] | set[int]) -> ast.Block:
+    """block with only the statements of _build's kept, rebuilt; a function
+    of the module, so no call leaves a closure that holds itself."""
+    stmts: list[ast.Stmt] = []
+    for stmt in block.stmts:
+        if stmt.stmt_id not in kept:
+            continue
+        if isinstance(stmt, ast.If):
+            then, orelse = _rebuild(stmt.then, kept), _rebuild(stmt.orelse, kept)
+            stmts.append(ast.If(stmt.stmt_id, stmt.cond, then, orelse))
+        elif isinstance(stmt, ast.While):
+            stmts.append(ast.While(stmt.stmt_id, stmt.cond, _rebuild(stmt.body, kept)))
+        else:
+            stmts.append(stmt)
+    return ast.Block(tuple(stmts))
 
 
 class SliceResult(Record):
@@ -189,8 +191,10 @@ def slice(
     (runner's kept), and only the result is built as a Program.
     Each candidate is judged first on the inputs at which earlier
     candidates failed, most recent first; one that passes them all is
-    checked over the whole domain, so the slice's verification is what
-    check returns for the built slice. An unknown strategy is a
+    checked over the points where the precondition holds, so the slice's
+    verification is what check returns for the built slice. Below the
+    gate those are the points the original's check kept on the Judge, so
+    no candidate judges the precondition again. An unknown strategy is a
     ValueError before anything is judged.
     """
     if strategy not in (EXHAUSTIVE, GREEDY):

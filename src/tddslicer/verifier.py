@@ -21,7 +21,11 @@ walked and compiled once.
 A Judge validates a program and its contract once, and compiles each at
 most once, for any number of kept-sets of its statements (the slicer's
 candidates); Judge.first_failure() settles given points whose
-precondition is known to hold. check_all() decides many (program, contract) pairs in one scan,
+precondition is known to hold. Below the gate a Judge also keeps the
+points where its precondition holds, as its first closure scan that
+verifies draws them, and scans every later kept-set over those points
+only, in first_failure's loop, so the slicer judges the precondition
+once per point. check_all() decides many (program, contract) pairs in one scan,
 remembering each shared program and (program, postcondition) for the
 latest point only, which suffices because the triples judged at a point
 read the same inputs and final states. It makes a program's runner for
@@ -39,7 +43,7 @@ import math
 
 from .contracts import Contract, validate_scope
 from .errors import EvaluationFault
-from .lang import ast
+from .lang import ast, interp
 from .lang.ast import Record
 from .lang.interp import (
     DEFAULT_STEP_BUDGET,
@@ -208,7 +212,9 @@ class Judge:
     kept-sets of its statement ids (runner's kept), as the slicer judges
     its candidates, pays for both once. The contract's closures (its
     predicates keep them) are made when a point is first judged on them:
-    a loop nest that finds no failure needs none.
+    a loop nest that finds no failure needs none. Below the gate the
+    precondition is judged once per point for all kept-sets: check keeps
+    the points where it holds (pre_points).
     """
 
     def __init__(
@@ -223,6 +229,10 @@ class Judge:
         self.contract = contract
         self.dom = dom
         self.step_budget = step_budget
+        # the points of dom where the precondition holds, in enumeration
+        # order, once a scan on the closures below the gate has drawn them
+        # all without the precondition raising; None until then
+        self.pre_points: tuple[State, ...] | None = None
 
     def first_failure(self, points, kept: frozenset[int] | None = None) -> Witness | None:
         """The witness at the first of points that the program, keeping the
@@ -230,14 +240,26 @@ class Judge:
 
         Each of points must satisfy the precondition, which is not judged
         again: the slicer gives the witnesses of earlier runs, each a point
-        where check() found that it holds.
+        where check() found that it holds. check() runs its kept points
+        through the same loop (_first).
         """
+        found = self._first(points, kept)
+        if found is None:
+            return None
+        _, point, (_, final, detail, _) = found
+        return Witness(point, final, detail)
+
+    def _first(self, points, kept: frozenset[int] | None) -> tuple | None:
+        """(position, point, outcome) at the first of points, each one where
+        the precondition holds, that the program keeping kept does not pass,
+        outcome being _settle's, or None: the one loop that judges points
+        without their precondition."""
         execute = runner(self.program, self.step_budget, kept=kept)
         post = closure(self.contract.post)
-        for point in points:
-            status, final, detail, _ = _settle(execute, post, point)
-            if status != PASS:
-                return Witness(point, final, detail)
+        for position, point in enumerate(points):
+            outcome = _settle(execute, post, point)
+            if outcome[0] != PASS:
+                return position, point, outcome
         return None
 
     def check(self, kept: frozenset[int] | None = None) -> VerificationResult:
@@ -248,9 +270,25 @@ class Judge:
         Python refuses it, and its first failure judged again by _judge;
         other scans judge the visits of the precondition (visits). The
         closures and the run are made only after the nest, if it stopped
-        at a point or Python refused its source."""
+        at a point or Python refused its source.
+
+        Below the gate, read at each call, the first scan that ends
+        verified or vacuous without the precondition raising keeps the
+        points where it holds (pre_points), recorded as the scan draws
+        them, so no point is judged that the scan would not judge. Later
+        scans below the gate run only those points, in first_failure's
+        loop, and give a witness a copy of its point."""
         contract, dom = self.contract, self.dom
-        scan = loop_nest(self.program, self.step_budget, kept, dom.ranges, contract.pre, contract.post)
+        below = math.prod(hi - lo + 1 for _, lo, hi in dom.ranges) < interp.NEST_FROM_POINTS
+        if below and self.pre_points is not None:
+            found = self._first(self.pre_points, kept)
+            if found is None:
+                count = len(self.pre_points)
+                return VerificationResult(VERIFIED if count else VACUOUS, None, count, dom)
+            position, point, outcome = found
+            return _failed(outcome, dict(point), position + 1, dom)
+        scan = None if below else loop_nest(self.program, self.step_budget, kept, dom.ranges,
+                                            contract.pre, contract.post)
         if scan is not None:
             point, count = scan()
             if point is None:
@@ -263,10 +301,21 @@ class Judge:
             # one side only: then the scan of the visits decides
             if outcome is not None and outcome[0] != PASS:
                 return _failed(outcome, point, count + outcome[3], dom)
-        (verdict,) = _scan([(0, pre, execute, post)], visits(dom, ((contract.pre, pre),)), dom)
+        drawn: list = []
+        visited = visits(dom, ((contract.pre, pre),))
+        (verdict,) = _scan([(0, pre, execute, post)], _recorded(visited, drawn) if below else visited, dom)
         if isinstance(verdict, Exception):
             raise verdict
+        if below and verdict.verdict in (VERIFIED, VACUOUS) and all(held[0] for _, held in drawn):
+            self.pre_points = tuple(point for point, _ in drawn)
         return verdict
+
+
+def _recorded(visited, drawn: list):
+    """visited, each visit appended to drawn as it is drawn."""
+    for visit in visited:
+        drawn.append(visit)
+        yield visit
 
 
 def check_all(

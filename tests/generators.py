@@ -14,6 +14,7 @@ import random
 from functools import reduce
 
 from tddslicer.contracts import Contract, TestCase, union
+from tddslicer.lang import ast
 from tddslicer.lang.ast import Program
 from tddslicer.lang.parser import parse_predicate, parse_program
 
@@ -202,3 +203,18 @@ def random_program(
     lines.extend(_block_lines(rng, budget, 0, targets, reads, "    ", allow_while, small))
     lines.append("}")
     return parse_program("\n".join(lines))
+
+
+def random_kept(rng: random.Random, block: ast.Block, keep: float) -> set[int]:
+    """Ids of a random set of block's statements that holds the enclosing
+    statement of each of its members, each kept with probability keep."""
+    kept = set()
+    for stmt in block.stmts:
+        if rng.random() >= keep:
+            continue
+        kept.add(stmt.stmt_id)
+        if isinstance(stmt, ast.If):
+            kept |= random_kept(rng, stmt.then, keep) | random_kept(rng, stmt.orelse, keep)
+        elif isinstance(stmt, ast.While):
+            kept |= random_kept(rng, stmt.body, keep)
+    return kept

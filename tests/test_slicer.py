@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 
@@ -45,7 +46,7 @@ from tddslicer.slicer import (
 )
 
 from bruteforce import bf_check, bf_delete, bf_holds, bf_run, bf_slice, bf_units
-from generators import comparison, linear_expr, random_contract, random_program
+from generators import comparison, linear_expr, random_contract, random_kept, random_program
 from slices import check_projection, is_slice_of
 
 dom5 = Domain.parse("a in -2..2, b in -2..2")
@@ -604,21 +605,6 @@ def test_all_fail_slice_runs_and_output_are_pinned(strategy, capsys, tmp_path, v
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
 
-def _random_kept(rng, block, keep):
-    """Ids of a random set of block's statements that holds the enclosing
-    statement of each of its members."""
-    kept = set()
-    for stmt in block.stmts:
-        if rng.random() >= keep:
-            continue
-        kept.add(stmt.stmt_id)
-        if isinstance(stmt, ast.If):
-            kept |= _random_kept(rng, stmt.then, keep) | _random_kept(rng, stmt.orelse, keep)
-        elif isinstance(stmt, ast.While):
-            kept |= _random_kept(rng, stmt.body, keep)
-    return kept
-
-
 def test_kept_set_run_equals_run_of_the_built_program():
     """runner(p, budget, kept=K), the scans' per-run core, recorded and
     not, gives run of p with every statement outside K deleted, field by
@@ -628,7 +614,7 @@ def test_kept_set_run_equals_run_of_the_built_program():
     statuses = {OK: 0, FAULT: 0, BUDGET_EXCEEDED: 0}
     for _ in range(240):
         program = random_program(rng, max_stmts=rng.randint(1, 10), allow_while=True, faults=True)
-        kept_sets = [frozenset(_random_kept(rng, program.body, rng.random())) for _ in range(3)]
+        kept_sets = [frozenset(random_kept(rng, program.body, rng.random())) for _ in range(3)]
         for _ in range(6):
             kept = rng.choice(kept_sets)
             if rng.random() < 0.3:
@@ -874,7 +860,7 @@ def test_the_part_inside_the_relevance_closure_of_a_verifying_kept_set_verifies(
         program, contract, budget = _oracle_case(rng, ORACLE_KINDS[index % len(ORACLE_KINDS)])
         relevant = slicer._relevant(program, contract.post)
         for _ in range(4):
-            kept = frozenset(_random_kept(rng, program.body, rng.random()))
+            kept = frozenset(random_kept(rng, program.body, rng.random()))
             judged = bf_check(slicer._build(program, kept), contract.pre, contract.post,
                               ORACLE_RANGES, budget)
             if judged[0] != "verified":
@@ -976,3 +962,20 @@ def test_greedy_lists_what_each_unit_deletes_in_one_walk(monkeypatch, verifier_r
     # the original's four points, then deleting o := a fails at a == 1
     assert len(verifier_runs) == 4 + 2
     assert visited < 10 * 1001
+
+
+@pytest.mark.parametrize("strategy", [EXHAUSTIVE, GREEDY])
+def test_a_slice_leaves_no_reference_cycle(strategy, max2):
+    """With the cyclic collector off, a slice frees everything it made: the
+    collector then finds nothing (a call warms the caches first)."""
+    contract = Contract(parse_predicate("a > b"), parse_predicate("a > b && max == a"))
+    dom = Domain.parse("a in -4..4, b in -4..4")
+    compute_slice(max2, contract, dom, strategy)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            compute_slice(max2, contract, dom, strategy)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

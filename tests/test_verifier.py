@@ -49,7 +49,14 @@ from tddslicer.verifier import (
 )
 
 from bruteforce import bf_check, bf_holds, bf_implies
-from generators import CMP_OPS, predicate_text, random_contract, random_predicate, random_program
+from generators import (
+    CMP_OPS,
+    predicate_text,
+    random_contract,
+    random_kept,
+    random_predicate,
+    random_program,
+)
 
 TRUE = ast.BoolLit(True)
 
@@ -1527,3 +1534,169 @@ class TestFirstFailure:
             seen[expected.status] += 1
         for status in ("none", FAIL, FAULT, BUDGET_EXCEEDED):
             assert seen[status] >= 10, seen
+
+
+def _counting_pre(monkeypatch, pre) -> list:
+    """The points at which the closure of pre, as verifier.closure gives
+    it, is called, in order."""
+    calls = []
+    real = verifier.closure
+
+    def spying(pred):
+        test = real(pred)
+        if pred is not pre:
+            return test
+
+        def counted(point):
+            calls.append(dict(point))
+            return test(point)
+
+        return counted
+
+    monkeypatch.setattr(verifier, "closure", spying)
+    return calls
+
+
+class TestKeptPoints:
+    """Below the gate, a Judge keeps the points where its precondition
+    holds once a scan on the closures has drawn them all, ending verified
+    or vacuous with no point where the precondition raised, and judges
+    later kept-sets on those points only: every result stays that of a
+    fresh check of the built program and of bf_check, and no point is
+    judged that the scan would not judge."""
+
+    RANGES = {"a": (-2, 2), "b": (-3, 3)}  # 35 points, below the gate
+    KINDS = ("everywhere", "part", "vacuous", "raising")
+    #: a precondition of each kind over RANGES, for when none is drawn
+    FALLBACK = {"everywhere": "a * a >= 0", "part": "a > b", "vacuous": "a * a < 0",
+                "raising": "10 / (a - 1) > -100"}
+
+    @staticmethod
+    def _kind(pre, dom) -> str:
+        held = []
+        for point in dom.points():
+            try:
+                held.append(bf_holds(pre, dict(point)))
+            except ZeroDivisionError:
+                return "raising"
+        if all(held):
+            return "everywhere"
+        return "part" if any(held) else "vacuous"
+
+    def _pre(self, rng, kind, dom):
+        """A random faulting precondition of kind over dom."""
+        for _ in range(40):
+            pre = random_predicate(rng, ("a", "b"), faults=True)
+            if self._kind(pre, dom) == kind:
+                return pre
+        return parse_predicate(self.FALLBACK[kind])
+
+    @pytest.mark.parametrize("gate", [None, 0, 10**18])
+    def test_one_judge_many_kept_sets_agrees_with_bruteforce(self, gate, monkeypatch):
+        if gate is not None:
+            monkeypatch.setattr(interp, "NEST_FROM_POINTS", gate)
+        below = math.prod(hi - lo + 1 for lo, hi in self.RANGES.values()) < interp.NEST_FROM_POINTS
+        rng = random.Random(3838)
+        dom = Domain.from_dict(self.RANGES)
+        verdicts, kept = Counter(), Counter()
+        for case in range(160):
+            kind = self.KINDS[case % 4]
+            program = random_program(rng, 5, True, faults=True)
+            # a postcondition of TRUE now and then, so that more scans verify
+            post = TRUE if case % 5 == 0 else random_predicate(rng, ("a", "b", "o"), faults=True)
+            contract = Contract(self._pre(rng, kind, dom), post)
+            budget = rng.randint(1, 10) if case % 3 == 0 else rng.choice((25, 10000))
+            kept_sets = [None, *(frozenset(random_kept(rng, program.body, rng.random())) for _ in range(4))]
+            calls = kept_sets * 2
+            rng.shuffle(calls)
+            judge = verifier.Judge(program, contract, dom, budget)
+            for kept_set in calls:
+                built = program if kept_set is None else slicer._build(program, kept_set)
+                result = judge.check(kept_set)
+                fresh = check(built, contract, dom, budget)
+                assert result == fresh
+                if result.witness is not None:
+                    assert list(result.witness.inputs) == list(fresh.witness.inputs)
+                verdicts[_agrees(built, contract, self.RANGES, budget, result)] += 1
+            kept[kind, judge.pre_points is not None] += 1
+        for verdict in (VERIFIED, COUNTEREXAMPLE, VACUOUS, FAULT, BUDGET_EXCEEDED):
+            assert verdicts[verdict] >= 20, verdicts
+        assert kept["raising", True] == 0
+        for kind in ("everywhere", "part", "vacuous"):
+            if below:
+                assert kept[kind, True] >= 10, kept
+            else:
+                assert kept[kind, True] == 0, kept
+
+    def test_a_witness_holds_a_copy_of_a_kept_point(self):
+        program, contract = parse_program("proc f(in a, out o) { o := a; }"), _contract("a > 0", "o < 3")
+        judge = verifier.Judge(program, contract, Domain.parse("a in 0..5"))
+        # without its one statement the program verifies: the points are kept
+        kept = judge.check(frozenset())
+        assert (kept.verdict, kept.checked_points) == (VERIFIED, 5)
+        first = judge.check()
+        assert (first.witness.inputs, first.checked_points) == ({"a": 3}, 3)
+        first.witness.inputs["a"] = 0
+        assert judge.check() == verifier.VerificationResult(
+            COUNTEREXAMPLE, verifier.Witness({"a": 3}, {"a": 3, "o": 3}, "postcondition is false"),
+            3, judge.dom)
+
+    def test_the_gate_is_read_at_each_call(self, monkeypatch):
+        """Points kept below the gate are not used once the gate falls
+        below the domain: that scan runs a loop nest, and the next one
+        below the gate runs the kept points again."""
+        nests = _compiled_sources(monkeypatch, "scan")
+        program, contract = parse_program("proc f(in a, out o) { o := a; }"), _contract("a > 1", "o < 4")
+        dom = Domain.parse("a in 0..5")
+        judge = verifier.Judge(program, contract, dom)
+        assert judge.check(frozenset()).checked_points == 4
+        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 0)
+        assert judge.check() == check(program, contract, dom)
+        assert nests == [True, True]
+        monkeypatch.setattr(interp, "NEST_FROM_POINTS", 10**18)
+        monkeypatch.setattr(verifier, "visits", None)
+        result = judge.check()
+        assert (result.verdict, result.witness.inputs, result.checked_points) == (COUNTEREXAMPLE, {"a": 4}, 3)
+        assert nests == [True, True]
+
+    def test_an_exception_propagates_from_the_kept_points(self):
+        reads_z = ast.Assign(2, "y", ast.Arith("+", ast.Var("x"), ast.Var("z")))
+        program = ast.Program("f", (ast.Param("x", "in"), ast.Param("y", "out")), frozenset(),
+                              ast.Block((ast.Assign(1, "y", ast.Var("x")), reads_z)))
+        judge = verifier.Judge(program, _contract("x > 0", "TRUE"), Domain.parse("x in -3..3"))
+        assert judge.check(frozenset({1})).checked_points == 3
+        assert judge.pre_points == ({"x": 1}, {"x": 2}, {"x": 3})
+        with pytest.raises(UnboundVariableError) as excinfo:
+            judge.check()
+        assert excinfo.value.name == "z"
+
+    def test_an_exhaustive_slice_judges_the_precondition_once_per_point(self, max2, monkeypatch):
+        """The original's scan judges every point; no candidate judges one
+        again (81 points, below the gate)."""
+        pre = parse_predicate("a > b")
+        calls = _counting_pre(monkeypatch, pre)
+        checks = []
+        real_check = verifier.Judge.check
+
+        def counted_check(judge, kept=None):
+            checks.append(kept)
+            return real_check(judge, kept)
+
+        monkeypatch.setattr(verifier.Judge, "check", counted_check)
+        dom = Domain.parse("a in -4..4, b in -4..4")
+        result = tddslicer.slice(max2, Contract(pre, parse_predicate("a > b && max == a")), dom)
+        assert result.verification.checked_points == 36
+        assert len(checks) >= 3
+        assert calls == list(dom.points())
+
+    def test_a_scan_failing_at_its_first_point_judges_the_precondition_there_only(self, monkeypatch):
+        """Points are kept as the scan draws them: a precondition that would
+        take forever at the second point is never judged there."""
+        pre = parse_predicate("a >= 0")
+        calls = _counting_pre(monkeypatch, pre)
+        program = parse_program("proc copy(in a, out o) { o := a; }")
+        judge = verifier.Judge(program, Contract(pre, parse_predicate("o == 1")), Domain.parse("a in 0..5"))
+        result = judge.check()
+        assert (result.verdict, result.witness.inputs, result.checked_points) == (COUNTEREXAMPLE, {"a": 0}, 1)
+        assert calls == [{"a": 0}]
+        assert judge.pre_points is None
