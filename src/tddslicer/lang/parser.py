@@ -371,11 +371,16 @@ def parse_program(text: str) -> ast.Program:
 
 def load_program(path: str | os.PathLike[str]) -> ast.Program:
     """Parse the program file at path. Raises FileNotFoundError when there
-    is no such file and ParseError when its text is not a program."""
+    is no such file and ParseError when its text is not a program, or,
+    naming path, when it is not UTF-8 text."""
     if not os.path.isfile(path):
         raise FileNotFoundError(f"program file not found: {path}")
     with open(path, encoding="utf-8") as file:
-        return parse_program(file.read())
+        try:
+            text = file.read()
+        except UnicodeDecodeError as err:
+            raise ParseError(f"{path}: not UTF-8 text ({err.reason})") from err
+    return parse_program(text)
 
 
 def _predicate(parser: _Parser) -> ast.BoolExpr:

@@ -24,7 +24,7 @@ from .errors import ParseError, SessionFormatError
 from .lang import ast
 from .lang.ast import Record
 from .lang.interp import DEFAULT_STEP_BUDGET, OK, run, runner
-from .lang.parser import parse_bindings, parse_domain_spec, parse_predicate, parse_program
+from .lang.parser import load_program, parse_bindings, parse_domain_spec, parse_predicate
 from .lang.printer import format_predicate
 from .predicates import Domain, Predicate, is_tautology
 from .verifier import VACUOUS, VERIFIED, PointCheck, VerificationResult, check_all, check_point
@@ -163,9 +163,11 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
             if not path.is_file():
                 raise SessionFormatError(f"{where}: program file not found: {path}")
             try:
-                programs[path] = parse_program(path.read_text(encoding="utf-8"))
+                programs[path] = load_program(path)
             except ParseError as err:
-                raise SessionFormatError(f"{where}: {path}: {err}") from err
+                # load_program names the file when it is not UTF-8 text
+                named = err if isinstance(err.__cause__, UnicodeDecodeError) else f"{path}: {err}"
+                raise SessionFormatError(f"{where}: {named}") from err
         return programs[path]
 
     def parsed(text: str) -> Predicate:
@@ -206,7 +208,10 @@ def parse_session(text: str, base_dir: str | Path = ".", name_hint: str = "sessi
         parts = header.split()
         if len(parts) != 2 or parts[0] != "cycle" or not (parts[1].isascii() and parts[1].isdigit()):
             raise SessionFormatError(f"unexpected section [{header}]", line_no)
-        index = int(parts[1])
+        try:
+            index = int(parts[1])
+        except ValueError:  # more digits than int() converts
+            raise SessionFormatError("cycle number too long", line_no) from None
         where = f"[cycle {index}]"
         test_name = _take(keys, "test.name", where)
         inputs_text = _take(keys, "test.inputs", where)
@@ -240,9 +245,11 @@ def load_session(path: str | Path) -> Session:
     path = Path(path)
     if not path.is_file():
         raise SessionFormatError(f"session file not found: {path}")
-    return parse_session(
-        path.read_text(encoding="utf-8"), path.parent, name_hint=path.stem
-    )
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise SessionFormatError(f"{path}: not UTF-8 text ({err.reason})") from err
+    return parse_session(text, path.parent, name_hint=path.stem)
 
 
 # --- replay -------------------------------------------------------------------

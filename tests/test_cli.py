@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 from tddslicer import cli
 from tddslicer.cli import main
 from tddslicer.corpus import corpus_path
+from tddslicer.errors import ParseError
+from tddslicer.lang.parser import load_program
 from tddslicer.lang.printer import render_json
 
 MAX2 = str(corpus_path("max2.prog"))
@@ -62,6 +64,15 @@ class TestCheck:
         )
         assert code == 2
         assert "not found" in err
+
+    def test_a_program_that_is_not_utf8_exits_two_naming_its_file(self, capsys, tmp_path):
+        path = tmp_path / "latin1.prog"
+        path.write_bytes("proc f(in a, out o) { o := a; } // café\n".encode("latin-1"))
+        with pytest.raises(ParseError, match="latin1.prog: not UTF-8 text"):
+            load_program(path)
+        code, out, err = run_cli(capsys, "check", str(path), "--pre", "TRUE", "--post", "TRUE",
+                                 "--domain", "a in 0..1")
+        assert (code, out, err) == (2, "", f"error: {path}: not UTF-8 text (invalid continuation byte)\n")
 
     def test_bad_predicate_exits_two(self, capsys):
         code, _, err = run_cli(

@@ -162,6 +162,45 @@ class TestParseSession:
         assert main(["replay", str(path), "--format", "machine"]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
 
+    def test_a_snapshot_that_is_not_utf8_names_its_cycle_and_file(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_path("div.session").parent, corpus)
+        snapshot = corpus / "div_cycle3.prog"
+        snapshot.write_bytes(snapshot.read_bytes() + b"// \xff\n")
+        message = f"[cycle 3]: {snapshot}: not UTF-8 text (invalid start byte)"
+        with pytest.raises(SessionFormatError) as raised:
+            load_session(corpus / "div.session")
+        assert str(raised.value) == message
+        assert main(["replay", str(corpus / "div.session"), "--format", "machine"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_a_session_file_that_is_not_utf8_names_it(self, minimal_dir, capsys):
+        path = minimal_dir / "minimal.session"
+        path.write_bytes(MINIMAL_SESSION.encode() + b"# \xff\n")
+        message = f"{path}: not UTF-8 text (invalid start byte)"
+        with pytest.raises(SessionFormatError) as raised:
+            load_session(path)
+        assert str(raised.value) == message
+        assert main(["replay", str(path), "--format", "machine"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+        reason="int() takes strings of any length",
+    )
+    def test_a_cycle_number_too_long_for_int_is_a_format_error(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_path("div.session").parent, corpus)
+        path = corpus / "div.session"
+        digits = "0" * sys.get_int_max_str_digits() + "2"
+        path.write_text(path.read_text().replace("[cycle 2]", f"[cycle {digits}]"))
+        message = "cycle number too long (line 21)"
+        with pytest.raises(SessionFormatError) as raised:
+            load_session(path)
+        assert str(raised.value) == message
+        assert main(["replay", str(path), "--format", "machine"]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_outrange_may_cover_some_out_parameters(self, minimal_dir):
         text = MINIMAL_SESSION.replace(
             "domain = x in 0..4\n", "domain = x in 0..4\noutrange = y in 0..9\n"
@@ -645,13 +684,13 @@ class TestLongSession:
             text = text.replace("snapshot = div.prog", f"snapshot = div{index}.prog", 1)
         (apart / "long.session").write_text(text, encoding="utf-8")
         parsed = []
-        real = session_module.parse_program
+        real = session_module.load_program
 
-        def counting(source):
-            parsed.append(source)
-            return real(source)
+        def counting(path):
+            parsed.append(path)
+            return real(path)
 
-        monkeypatch.setattr(session_module, "parse_program", counting)
+        monkeypatch.setattr(session_module, "load_program", counting)
         reports = []
         for path, parses in ((shared, 1), (apart / "long.session", 41)):
             parsed.clear()

@@ -388,6 +388,17 @@ class TestCheckAll:
             assert result.witness.final == {"a": 0, "b": -2, "o": 0}
             assert result.witness.detail == "postcondition fault: division by zero"
 
+    @pytest.mark.parametrize("spec", ["a in 0..5", "a in 0..200"])  # each side of the gate
+    def test_witnesses_failing_at_one_point_share_nothing(self, spec):
+        """Two triples of one program that fail at one point each get their
+        own inputs and final state: changing one witness leaves the other."""
+        program = parse_program("proc f(in a, out o) { o := a; }")
+        contracts = [_contract("TRUE", "o < 2"), _contract("TRUE", "o < 2 && o >= 0")]
+        first, second = check_all([(program, c) for c in contracts], Domain.parse(spec))
+        first.witness.inputs["a"] = 99
+        first.witness.final["o"] = 99
+        assert (second.witness.inputs, second.witness.final) == ({"a": 2}, {"a": 2, "o": 2})
+
     def test_an_error_in_a_shared_run_reaches_every_pair_that_runs(self, max2, dom_ab8):
         contracts = [_contract("a > b", "max == a"), _contract("a <= b", "max == b")]
         pairs = [(max2, c) for c in contracts] + [(max2, _contract("FALSE", "TRUE"))]
@@ -1558,12 +1569,12 @@ def _counting_pre(monkeypatch, pre) -> list:
 
 
 class TestKeptPoints:
-    """Below the gate, a Judge keeps the points where its precondition
-    holds once a scan on the closures has drawn them all, ending verified
-    or vacuous with no point where the precondition raised, and judges
-    later kept-sets on those points only: every result stays that of a
-    fresh check of the built program and of bf_check, and no point is
-    judged that the scan would not judge."""
+    """Below the gate, a Judge keeps its precondition's visits as its scans
+    draw them, and every scan reads those drawn before it draws more: every
+    result stays that of a fresh check of the built program and of
+    bf_check, the precondition is judged once per point for all kept-sets
+    (again only where it raised), and no scan draws a visit it does not
+    judge."""
 
     RANGES = {"a": (-2, 2), "b": (-3, 3)}  # 35 points, below the gate
     KINDS = ("everywhere", "part", "vacuous", "raising")
@@ -1595,10 +1606,11 @@ class TestKeptPoints:
     def test_one_judge_many_kept_sets_agrees_with_bruteforce(self, gate, monkeypatch):
         if gate is not None:
             monkeypatch.setattr(interp, "NEST_FROM_POINTS", gate)
-        below = math.prod(hi - lo + 1 for lo, hi in self.RANGES.values()) < interp.NEST_FROM_POINTS
+        size = math.prod(hi - lo + 1 for lo, hi in self.RANGES.values())
+        below = size < interp.NEST_FROM_POINTS
         rng = random.Random(3838)
         dom = Domain.from_dict(self.RANGES)
-        verdicts, kept = Counter(), Counter()
+        verdicts, drawn_all, judged_again = Counter(), Counter(), Counter()
         for case in range(160):
             kind = self.KINDS[case % 4]
             program = random_program(rng, 5, True, faults=True)
@@ -1610,23 +1622,40 @@ class TestKeptPoints:
             calls = kept_sets * 2
             rng.shuffle(calls)
             judge = verifier.Judge(program, contract, dom, budget)
-            for kept_set in calls:
-                built = program if kept_set is None else slicer._build(program, kept_set)
-                result = judge.check(kept_set)
-                fresh = check(built, contract, dom, budget)
-                assert result == fresh
-                if result.witness is not None:
-                    assert list(result.witness.inputs) == list(fresh.witness.inputs)
-                verdicts[_agrees(built, contract, self.RANGES, budget, result)] += 1
-            kept[kind, judge.pre_points is not None] += 1
+            judged = []  # the points where judge's scans call the precondition's closure
+            with monkeypatch.context() as patch:
+                pre_calls = _counting_pre(patch, contract.pre)
+                for kept_set in calls:
+                    built = program if kept_set is None else slicer._build(program, kept_set)
+                    before = len(pre_calls)
+                    result = judge.check(kept_set)
+                    judged += pre_calls[before:]
+                    fresh = check(built, contract, dom, budget)
+                    assert result == fresh
+                    if result.witness is not None:
+                        assert list(result.witness.inputs) == list(fresh.witness.inputs)
+                    verdicts[_agrees(built, contract, self.RANGES, budget, result)] += 1
+            if not below:
+                # each scan judges the precondition's closure only where its
+                # loop nest stopped: nothing is kept across scans
+                assert len(judged) <= len(calls)
+                continue
+            # once per point for all kept-sets, and again only where it
+            # raised, by the scans that stop there
+            times = Counter(tuple(point.items()) for point in judged)
+            for point, count in times.items():
+                if count > 1:
+                    with pytest.raises(ZeroDivisionError):
+                        bf_holds(contract.pre, dict(point))
+            drawn_all[kind] += len(times) == size
+            # a raising point judged by visits, then by two scans or more
+            judged_again[kind] += max(times.values(), default=0) > 2
         for verdict in (VERIFIED, COUNTEREXAMPLE, VACUOUS, FAULT, BUDGET_EXCEEDED):
             assert verdicts[verdict] >= 20, verdicts
-        assert kept["raising", True] == 0
-        for kind in ("everywhere", "part", "vacuous"):
-            if below:
-                assert kept[kind, True] >= 10, kept
-            else:
-                assert kept[kind, True] == 0, kept
+        if below:
+            for kind in ("everywhere", "part", "vacuous"):
+                assert drawn_all[kind] >= 10, drawn_all
+            assert judged_again["raising"] >= 10, judged_again
 
     def test_a_witness_holds_a_copy_of_a_kept_point(self):
         program, contract = parse_program("proc f(in a, out o) { o := a; }"), _contract("a > 0", "o < 3")
@@ -1642,9 +1671,9 @@ class TestKeptPoints:
             3, judge.dom)
 
     def test_the_gate_is_read_at_each_call(self, monkeypatch):
-        """Points kept below the gate are not used once the gate falls
+        """Visits kept below the gate are not used once the gate falls
         below the domain: that scan runs a loop nest, and the next one
-        below the gate runs the kept points again."""
+        below the gate reads the kept visits again."""
         nests = _compiled_sources(monkeypatch, "scan")
         program, contract = parse_program("proc f(in a, out o) { o := a; }"), _contract("a > 1", "o < 4")
         dom = Domain.parse("a in 0..5")
@@ -1659,16 +1688,19 @@ class TestKeptPoints:
         assert (result.verdict, result.witness.inputs, result.checked_points) == (COUNTEREXAMPLE, {"a": 4}, 3)
         assert nests == [True, True]
 
-    def test_an_exception_propagates_from_the_kept_points(self):
+    def test_an_exception_propagates_from_the_kept_points(self, monkeypatch):
         reads_z = ast.Assign(2, "y", ast.Arith("+", ast.Var("x"), ast.Var("z")))
         program = ast.Program("f", (ast.Param("x", "in"), ast.Param("y", "out")), frozenset(),
                               ast.Block((ast.Assign(1, "y", ast.Var("x")), reads_z)))
-        judge = verifier.Judge(program, _contract("x > 0", "TRUE"), Domain.parse("x in -3..3"))
+        pre, dom = parse_predicate("x > 0"), Domain.parse("x in -3..3")
+        calls = _counting_pre(monkeypatch, pre)
+        judge = verifier.Judge(program, Contract(pre, TRUE), dom)
         assert judge.check(frozenset({1})).checked_points == 3
-        assert judge.pre_points == ({"x": 1}, {"x": 2}, {"x": 3})
+        assert calls == list(dom.points())
         with pytest.raises(UnboundVariableError) as excinfo:
             judge.check()
         assert excinfo.value.name == "z"
+        assert calls == list(dom.points())
 
     def test_an_exhaustive_slice_judges_the_precondition_once_per_point(self, max2, monkeypatch):
         """The original's scan judges every point; no candidate judges one
@@ -1699,4 +1731,59 @@ class TestKeptPoints:
         result = judge.check()
         assert (result.verdict, result.witness.inputs, result.checked_points) == (COUNTEREXAMPLE, {"a": 0}, 1)
         assert calls == [{"a": 0}]
-        assert judge.pre_points is None
+        assert judge.check() == result
+        assert calls == [{"a": 0}]
+
+    def test_a_scan_after_a_failed_one_reads_its_visits_and_draws_the_rest(self, monkeypatch):
+        pre = parse_predicate("a >= 0")
+        calls = _counting_pre(monkeypatch, pre)
+        program = parse_program("proc copy(in a, out o) { o := a; }")
+        judge = verifier.Judge(program, Contract(pre, parse_predicate("o < 1")), Domain.parse("a in 0..5"))
+        failed = judge.check()
+        assert (failed.verdict, failed.witness.inputs, failed.checked_points) == (COUNTEREXAMPLE, {"a": 1}, 2)
+        assert len(calls) == 2
+        # without its statement o stays 0, so every point passes
+        assert judge.check(frozenset()) == verifier.VerificationResult(VERIFIED, None, 6, judge.dom)
+        assert calls == list(judge.dom.points())
+
+    def test_a_raising_point_is_judged_again_by_each_scan_that_reaches_it(self, monkeypatch):
+        pre = parse_predicate("10 / (a - 3) > -100")
+        calls = _counting_pre(monkeypatch, pre)
+        program = parse_program("proc copy(in a, out o) { o := a; }")
+        judge = verifier.Judge(program, Contract(pre, TRUE), Domain.parse("a in 0..5"))
+        counts = []
+        for _ in range(3):
+            result = judge.check()
+            assert (result.verdict, result.witness.inputs, result.checked_points) == (FAULT, {"a": 3}, 3)
+            assert result.witness.detail == "precondition fault: division by zero"
+            counts.append(len(calls))
+        # visits judges a = 0..3 once; _judge judges a = 3 again in every scan
+        assert counts == [5, 6, 7]
+
+    def test_a_scan_interrupted_while_drawing_leaves_no_spent_visits(self, monkeypatch):
+        """A precondition that raises past visits' own handler (here an
+        interrupt at a = 3) ends that scan; the next one draws afresh
+        instead of taking the spent visits for all of them."""
+        pre = parse_predicate("a >= 0")
+        interrupt = [True]
+        real = verifier.closure
+
+        def spying(pred):
+            test = real(pred)
+            if pred is not pre:
+                return test
+
+            def interrupted(point):
+                if interrupt[0] and point["a"] == 3:
+                    raise KeyboardInterrupt
+                return test(point)
+
+            return interrupted
+
+        monkeypatch.setattr(verifier, "closure", spying)
+        program = parse_program("proc copy(in a, out o) { o := a; }")
+        judge = verifier.Judge(program, Contract(pre, TRUE), Domain.parse("a in 0..5"))
+        with pytest.raises(KeyboardInterrupt):
+            judge.check()
+        interrupt[0] = False
+        assert judge.check() == verifier.VerificationResult(VERIFIED, None, 6, judge.dom)
