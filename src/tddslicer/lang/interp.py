@@ -11,9 +11,8 @@ made once per (program, budget, kept-set), is the one per-run core: the
 verifier's scans call it per point for a plain tuple; run wraps it with
 the input checks and returns a RunResult. A run runs on the closures
 unless its caller knows that it will call the runner NEST_FROM_POINTS
-times or more (check_all for a program judged under a precondition that
-holds at every point, replay for a snapshot's tests): then runner emits
-the unrecorded run as one Python function, _Emitter's statements inline,
+times or more (replay for a snapshot's tests): then runner emits the
+unrecorded run as one Python function, _Emitter's statements inline,
 and the closures run only the points where it raises.
 
 loop_nest emits a whole scan as one Python function (operator fusion,
@@ -775,7 +774,8 @@ def runner(
     equals that of running the program so built. The original is compiled
     once; runner composes kept's body from its compiled statements.
 
-    calls is how many calls the caller knows it will make. From
+    calls is how many calls the caller knows it will make (replay's
+    tester, for a snapshot's tests; the scans make one call). From
     NEST_FROM_POINTS calls on, an unrecorded run is emitted as the source
     of one Python function (see _run_source), which repays its compile
     there, unless Python refuses the source (see _load). The function

@@ -370,12 +370,12 @@ def parse_program(text: str) -> ast.Program:
 
 
 def load_program(path: str | os.PathLike[str]) -> ast.Program:
-    """Parse the program file at path. Raises FileNotFoundError when there
-    is no such file and ParseError when its text is not a program, or,
-    naming path, when it is not UTF-8 text."""
+    """Parse the program file at path, dropping a leading byte-order mark.
+    Raises FileNotFoundError when there is no such file and ParseError when
+    its text is not a program, or, naming path, when it is not UTF-8 text."""
     if not os.path.isfile(path):
         raise FileNotFoundError(f"program file not found: {path}")
-    with open(path, encoding="utf-8") as file:
+    with open(path, encoding="utf-8-sig") as file:
         try:
             text = file.read()
         except UnicodeDecodeError as err:

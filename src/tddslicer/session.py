@@ -246,7 +246,7 @@ def load_session(path: str | Path) -> Session:
     if not path.is_file():
         raise SessionFormatError(f"session file not found: {path}")
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as err:
         raise SessionFormatError(f"{path}: not UTF-8 text ({err.reason})") from err
     return parse_session(text, path.parent, name_hint=path.stem)

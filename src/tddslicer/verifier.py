@@ -24,16 +24,14 @@ candidates); Judge.first_failure() settles given points whose
 precondition is known to hold. Below the gate a Judge also keeps its
 precondition's visits, drawn lazily and kept as drawn, and every scan
 of a kept-set is _scan over that one sequence, so the slicer judges the
-precondition once per point. check_all() decides many (program, contract) pairs in one scan,
-remembering each shared program and (program, postcondition) for the
-latest point only, which suffices because the triples judged at a point
-read the same inputs and final states. It makes a program's runner for
-every point of the domain when one of its triples is judged under a
-precondition that holds at every point by construction
-(predicates.static_implication from TRUE), so from NEST_FROM_POINTS
-points on that program runs its emitted source; every other runner is
-made for one call and runs on the closures. check_point() judges a
-single input with _judge through the checked run.
+precondition once per point. check_all() decides many (program,
+contract) pairs: from NEST_FROM_POINTS points on, check decides each
+triple whose precondition TRUE implies by construction
+(predicates.static_implication), and the rest share one scan on the
+closures, which remembers each shared program and (program,
+postcondition) for the latest point only: the triples judged at a point
+read the same inputs and final states. check_point() judges a single
+input with _judge through the checked run.
 """
 
 from __future__ import annotations
@@ -309,14 +307,14 @@ def check_all(
     dom: Domain,
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> list[VerificationResult | Exception]:
-    """Decide every (program, contract) pair over dom in one scan of dom.
+    """Decide every (program, contract) pair over dom.
 
     Result i is what check(*pairs[i], dom, step_budget) returns, or the
-    exception it raises. Equal pairs are decided once; equal
-    preconditions, programs and (program, postcondition) pairs are judged
-    once per point, shared by the pairs that read them; a pair stops
-    costing its run and postcondition at its first failure. Memory is
-    bounded by one point per shared item, whatever the size of dom.
+    exception it raises. Equal pairs are decided once. From the gate on,
+    check decides those whose precondition TRUE implies by construction;
+    the rest share one scan of dom that judges equal preconditions,
+    programs and (program, postcondition) pairs once per point and drops
+    a pair at its first failure, in memory of one point per shared item.
     """
     programs, pres, posts = _Shared(), _Shared(), _Shared()
     triples: dict[tuple[int, int, int], int] = {}  # (pre, program, post) slots -> triple
@@ -330,25 +328,27 @@ def check_all(
         slots = (pres.slot(contract.pre), programs.slot(program), posts.slot(contract.post))
         asked.append(triples.setdefault(slots, len(triples)))
 
-    # a program judged under a precondition that holds at every point, by
-    # construction, runs at every point of dom until that triple fails; a
-    # fresh TRUE keeps its facts for this call only
+    # a fresh TRUE keeps its facts for this call only
     always, size = ast.BoolLit(True), math.prod(hi - lo + 1 for _, lo, hi in dom.ranges)
-    everywhere = {code for pre, code, _ in triples if static_implication(always, pres.items[pre], dom)}
     # every point's inputs and final states are shared by the triples
     # judged at that point, so remembering the latest argument suffices
-    executors = [_latest(runner(program, step_budget, calls=size if code in everywhere else 1))
-                 for code, program in enumerate(programs.items)]
+    executors: dict[int, object] = {}  # program slot -> its run in the scan
     post_getters: dict[tuple[int, int], object] = {}
     verdicts: dict[int, object] = {}  # triple -> its exception or verdict
     judged: dict[int, tuple] = {}  # triple -> (pre, test, execute, post) for the scan
     scanned: dict[int, int] = {}  # pre slot of a judged triple -> its place in held
     for triple, (pre, code, post) in enumerate(triples):
         try:
+            if size >= interp.NEST_FROM_POINTS and static_implication(always, pres.items[pre], dom):
+                contract = Contract(pres.items[pre], posts.items[post])
+                verdicts[triple] = Judge(programs.items[code], contract, dom, step_budget).check()
+                continue
             pre_test, post_test = closure(pres.items[pre]), closure(posts.items[post])
         except Exception as err:
             verdicts[triple] = err
             continue
+        if code not in executors:
+            executors[code] = _latest(runner(programs.items[code], step_budget))
         if (code, post) not in post_getters:
             post_getters[code, post] = _latest(post_test)
         place = scanned.setdefault(pre, len(scanned))

@@ -300,6 +300,77 @@ class TestReplay:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8, which some editors put at the start of a file
+
+
+class TestByteOrderMark:
+    """A byte-order mark at the start of a program, session or snapshot
+    file is dropped; a U+FEFF anywhere else is text, and refused."""
+
+    def _copies(self, tmp_path):
+        """Two copies of the corpus, plain and marked, to mark files in."""
+        for name in ("plain", "marked"):
+            shutil.copytree(corpus_path("div.session").parent, tmp_path / name)
+        return tmp_path / "plain", tmp_path / "marked"
+
+    @pytest.mark.parametrize("form", ["human", "machine"])
+    def test_a_marked_program_checks_as_the_plain_one(self, capsys, tmp_path, form):
+        plain, marked = self._copies(tmp_path)
+        path = marked / "max2.prog"
+        path.write_bytes(BOM + path.read_bytes())
+        argv = ("--pre", "a > b", "--post", "a > b && max == a", "--domain", DOM, "--format", form)
+        want = run_cli(capsys, "check", str(plain / "max2.prog"), *argv)
+        assert want[0] == 0
+        assert run_cli(capsys, "check", str(path), *argv) == want
+
+    @pytest.mark.parametrize("marked_files", [["div.session"], ["div_cycle3.prog"],
+                                              ["div.session", "div_cycle3.prog", "div_oracle.prog"]])
+    def test_a_marked_session_and_snapshot_replay_as_the_plain_ones(self, capsys, tmp_path,
+                                                                   marked_files):
+        plain, marked = self._copies(tmp_path)
+        for name in marked_files:
+            (marked / name).write_bytes(BOM + (marked / name).read_bytes())
+        for form in ("human", "machine"):
+            want = run_cli(capsys, "replay", str(plain / "div.session"), "--format", form)
+            assert want[0] == 0
+            assert run_cli(capsys, "replay", str(marked / "div.session"), "--format", form) == want
+
+    def test_a_syntax_error_on_the_first_line_keeps_its_place(self, tmp_path):
+        text = "proc f(in a, out o) { o := ; }\n"
+        (tmp_path / "plain.prog").write_text(text, encoding="utf-8")
+        (tmp_path / "marked.prog").write_bytes(BOM + text.encode("utf-8"))
+        with pytest.raises(ParseError) as plain:
+            load_program(tmp_path / "plain.prog")
+        with pytest.raises(ParseError) as marked:
+            load_program(tmp_path / "marked.prog")
+        assert "at 1:28" in str(plain.value)
+        assert str(marked.value) == str(plain.value)
+
+    @pytest.mark.parametrize("text, where", [
+        ("proc f(in a, out o) { o := a;\ufeff }\n", "1:30"),
+        ("\ufeffproc f(in a, out o) { o := a; }\n", "1:1"),
+        ("proc f(in a, out o) {\n\ufeff o := a; }\n", "2:1"),
+    ])
+    def test_a_mark_past_the_first_is_refused_in_a_program(self, capsys, tmp_path, text, where):
+        """Each file starts with a mark, dropped, and has a second."""
+        path = tmp_path / "f.prog"
+        path.write_bytes(BOM + text.encode("utf-8"))
+        code, out, err = run_cli(capsys, "check", str(path), "--pre", "TRUE", "--post", "TRUE",
+                                 "--domain", "a in 0..1")
+        assert (code, out, err) == (2, "", f"error: unexpected character '\\ufeff' at {where}\n")
+
+    def test_a_mark_past_the_first_is_refused_in_a_session(self, capsys, tmp_path):
+        _, marked = self._copies(tmp_path)
+        path = marked / "div.session"
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[4] == "[session]\n"
+        lines[4] = "\ufeff" + lines[4]
+        path.write_bytes(BOM + "".join(lines).encode("utf-8"))
+        code, out, err = run_cli(capsys, "replay", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and "'\\ufeff[session]' (line 5)" in err
+
+
 class TestTrace:
     def test_projected_trace(self, capsys):
         code, out, _ = run_cli(

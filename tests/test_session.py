@@ -611,12 +611,9 @@ class TestReplayGoldens:
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIV_REPLAY_SHA256
 
-    def test_div_session_compiles_its_where_filter_and_final_run(self, capsys, monkeypatch):
-        """A replay of div.session emits and compiles two functions:
-        check_all's run of the final program (div), which cycles 8 and 9
-        judge under TRUE, so at each of the 153 points, and its
-        precondition filter. Every other run, the tests' included (at most
-        9 per snapshot), runs on the closures."""
+    def _compiled(self, monkeypatch, capsys, path):
+        """What a replay of path emits and compiles, as (name, function)
+        pairs in order, with its exit code and machine output."""
         loaded = []
         real = interp._load
 
@@ -625,10 +622,34 @@ class TestReplayGoldens:
             return real(name, function, emit)
 
         monkeypatch.setattr(interp, "_load", spy)
-        code, out = self._replay_output(capsys, corpus_path("div.session"))
+        code, out = self._replay_output(capsys, path)
+        return loaded, code, out
+
+    def test_div_session_compiles_its_final_scan_and_where_filter(self, capsys, monkeypatch):
+        """A replay of div.session emits and compiles two functions: the
+        loop nest that judges the final program (div) under TRUE, the
+        triple of cycles 8 and 9, at each of the 153 points, and check_all's
+        precondition filter for the other triples. Every other run, the
+        tests' included (at most 9 per snapshot), runs on the closures."""
+        loaded, code, out = self._compiled(monkeypatch, capsys, corpus_path("div.session"))
         assert code == 0
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == DIV_REPLAY_SHA256
-        assert loaded == [("div", "run"), ("where", "visits")]
+        assert loaded == [("div", "scan"), ("where", "visits")]
+
+    def test_small_div_session_compiles_nothing(self, capsys, monkeypatch, tmp_path):
+        """div.session over 11 x 9 = 99 points, below the gate: the TRUE
+        triple is judged in check_all's shared scan on the closures, like
+        every other, and nothing is emitted."""
+        shutil.copytree(corpus_path("div.session").parent, tmp_path / "corpus")
+        path = tmp_path / "corpus" / "div.session"
+        text = path.read_text(encoding="utf-8")
+        narrow = "domain = x in 0..16, y in 1..9"
+        assert narrow in text
+        path.write_text(text.replace(narrow, "domain = x in 0..10, y in 1..9"), encoding="utf-8")
+        loaded, code, out = self._compiled(monkeypatch, capsys, path)
+        assert code == 0
+        assert json.loads(out)["cycles"][7]["oracle_contract"]["checked_points"] == 99
+        assert loaded == []
 
     def test_broken_session_machine_output(self, capsys, minimal_dir):
         path = minimal_dir / "broken.session"
@@ -639,21 +660,26 @@ class TestReplayGoldens:
 
     def test_div_session_run_count(self, div_session, verifier_runs):
         """Each distinct program runs once per point at which a pair using
-        it still needs it: the 18 contract checks of div.session use 6
-        distinct programs (snapshots 5 to 7 are equal, and so are snapshots
-        8, 9 and the final program) over 153 points, and a pair needs its
-        program only where its precondition holds, up to its first failure.
-        The 9 contract point checks add one run each. Checking the 18
-        pairs one by one took 858 runs."""
+        it still needs it in check_all's shared scan: the 18 contract checks
+        of div.session use 6 distinct programs (snapshots 5 to 7 are equal,
+        and so are snapshots 8, 9 and the final program) over 153 points,
+        and a pair needs its program only where its precondition holds, up
+        to its first failure. The 4 pairs of cycles 8 and 9 under TRUE are
+        one triple, judged by check's loop nest, whose runs the counter
+        does not see: it checks all 153 points. The 9 contract point checks
+        add one run each. Checking the 18 pairs one by one took 858 runs."""
         report = replay(div_session)
         assert not report.failures()
-        assert len(verifier_runs) == 223
+        assert len(verifier_runs) == 122
+        assert _true_checked_points(div_session, report) == [153] * 4
 
     def test_wider_div_session_report_and_run_count(self, verifier_runs):
         """div.session over 39 x 16 = 624 points instead of 153: every
         cycle contract holds on all of them, so each pair scans the whole
-        domain. Report hash and run count were captured when check_all
-        still scanned in chunks, and have not changed since."""
+        domain, and the TRUE triple of cycles 8 and 9 checks all 624 points
+        in check's loop nest, unseen by the run counter. The report hash was
+        captured when check_all still scanned in chunks, and has not changed
+        since."""
         path = corpus_path("div.session")
         text = path.read_text(encoding="utf-8")
         narrow = "domain = x in 0..16, y in 1..9"
@@ -661,9 +687,19 @@ class TestReplayGoldens:
         session = parse_session(text.replace(narrow, "domain = x in 0..38, y in 1..16"), path.parent)
         report = replay(session)
         assert not report.failures()
-        assert len(verifier_runs) == 754
+        assert len(verifier_runs) == 242
+        assert _true_checked_points(session, report) == [624] * 4
         digest = hashlib.sha256(to_json(report).encode("utf-8")).hexdigest()
         assert digest == WIDE_DIV_REPLAY_SHA256
+
+
+def _true_checked_points(session, report):
+    """checked_points of the snapshot and oracle checks of each cycle whose
+    precondition is TRUE, in cycle order."""
+    return [check.checked_points
+            for cycle, record in zip(session.cycles, report.cycles)
+            if cycle.contract.pre == ast.BoolLit(True)
+            for check in (record.snapshot_contract, record.oracle_contract)]
 
 
 class TestLongSession:

@@ -708,6 +708,96 @@ class TestSharedWork:
         assert points == {"TRUE": 6, "a >= 0": 6, "a < 3": 6, "o == 1": 6, "o > 0": 6}
 
 
+class TestNestRouting:
+    """From the gate on, check_all hands each distinct triple whose
+    precondition holds at every point by construction to check itself, so
+    its loop nest judges it, and the shared scan judges the rest: every
+    entry is still check's, on both sides of the gate."""
+
+    # 25 points below a moved gate and at it; 169 points, above the real one
+    SIDES = [({"a": (-2, 2), "b": (-2, 2)}, 26), ({"a": (-2, 2), "b": (-2, 2)}, 25),
+             ({"a": (-6, 6), "b": (-6, 6)}, None)]
+
+    def _batch(self, rng):
+        """2-8 pairs over 1-3 programs that may fault or loop, as the same
+        objects and as equal copies, whose preconditions mix TRUE and
+        TRUE || p with sparse ones and one that can fault."""
+        seeds = [rng.randrange(10**6) for _ in range(rng.randint(1, 3))]
+        sample = predicate_text(rng, ("a", "b"))
+        k = rng.randint(-2, 2)
+        pre_texts = [
+            "TRUE",
+            f"TRUE || ({sample})",
+            f"({sample}) || TRUE",
+            # never faults, since TRUE comes first, but the fault walk
+            # cannot clear it: not TRUE by construction
+            f"TRUE || 10 / (a - {k}) > 0",
+            f"a == {k} && b == {rng.randint(-2, 2)}",
+            sample,
+        ]
+        post_texts = [
+            predicate_text(rng, ("a", "b", "o")),
+            _fault_text(rng, ("a", "o"), ("b", "o")),
+            "o != a",
+            "TRUE",
+        ]
+        same_object = random_program(random.Random(seeds[0]), 4, True, faults=True)
+        pairs = []
+        for _ in range(rng.randint(2, 8)):
+            if rng.random() < 0.3:
+                program = same_object
+            else:
+                program = random_program(random.Random(rng.choice(seeds)), 4, True, faults=True)
+            contract = _contract(rng.choice(pre_texts), rng.choice(post_texts))
+            pairs.append((program, contract))
+            if rng.random() < 0.2:
+                pairs.append((program, contract))  # the very pair again
+        return pairs
+
+    def test_every_entry_is_checks_own(self, monkeypatch):
+        rng = random.Random(4040)
+        routed = []
+
+        class Spy(verifier.Judge):
+            def check(self, kept=None):
+                routed.append((self.program, self.contract.pre, self.contract.post))
+                return super().check(kept)
+
+        monkeypatch.setattr(verifier, "Judge", Spy)
+        verdicts = Counter()
+        unproven_above = errors = 0
+        real_gate = interp.NEST_FROM_POINTS
+        for batch in range(180):
+            ranges, gate = self.SIDES[batch % len(self.SIDES)]
+            gate = real_gate if gate is None else gate
+            monkeypatch.setattr(interp, "NEST_FROM_POINTS", gate)
+            dom = Domain.from_dict(ranges)
+            pairs = self._batch(rng)
+            budget = rng.choice((0, 1, 3, 8, 25, 10000) if batch % 9 == 8 else (1, 3, 8, 25, 10000))
+            routed.clear()
+            results = check_all(pairs, dom, budget)
+            nest = math.prod(hi - lo + 1 for lo, hi in ranges.values()) >= gate
+            expected = {(program, contract.pre, contract.post) for program, contract in pairs
+                        if nest and predicates.static_implication(ast.BoolLit(True), contract.pre, dom)}
+            assert len(routed) == len(expected) and set(routed) == expected
+            assert not any("10 /" in format_predicate(pre) for _, pre, _ in routed)
+            unproven_above += nest and any("10 /" in format_predicate(c.pre) for _, c in pairs)
+            for (program, contract), result in zip(pairs, results):
+                solo = _solo(program, contract, dom, budget)
+                if isinstance(solo, Exception):
+                    assert type(result) is type(solo) and str(result) == str(solo)
+                    errors += 1
+                    continue
+                assert result == solo
+                verdict = _agrees(program, contract, ranges, budget, result)
+                if (program, contract.pre, contract.post) in expected:
+                    verdicts[verdict] += 1
+        assert unproven_above >= 20 and errors >= 10, (unproven_above, errors)
+        # the routed triples meet every verdict a TRUE precondition can give
+        for verdict in (VERIFIED, COUNTEREXAMPLE, FAULT, BUDGET_EXCEEDED):
+            assert verdicts[verdict] >= 30, verdicts
+
+
 DIV_SPEC = "0 <= r && r < y && x == y * q + r"
 
 
