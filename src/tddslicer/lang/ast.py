@@ -334,10 +334,11 @@ def flatten(pred: BoolExpr, kind: type[And] | type[Or]) -> tuple[BoolExpr, ...]:
     return tuple(flat)
 
 
-#: a product whose operands' magnitudes have more bits than this between
-#: them is not computed: its interval is unknown, so the walk's cost does
-#: not grow with the numbers it bounds
-_SPAN_BITS = 4096
+#: the widest int a static check computes, in bits: a product whose
+#: operands' magnitudes have more bits than this between them is not
+#: computed (its interval is unknown), so the walk's cost does not grow with
+#: the numbers it bounds; predicates' truth tables stop at as many rows
+SPAN_BITS = 4096
 
 _ZERO = IntLit(0)
 
@@ -347,7 +348,7 @@ def fault_free(pred: BoolExpr, ranges: tuple[tuple[str, int, int], ...]) -> bool
     each, by interval arithmetic (Moore, Interval Analysis, 1966). A
     variable's interval is its range, or inside an exists body the bound
     variable's bounds; + - * and negation are exact, and every other value
-    (a quotient, remainder or power, a product past _SPAN_BITS, a variable
+    (a quotient, remainder or power, a product past SPAN_BITS, a variable
     outside ranges) is unknown. A / or % is safe when its divisor's
     interval excludes 0, a ^ when its exponent's floor is >= 0; unknown is
     unsafe. Nothing is evaluated, and the walk keeps its own stack."""
@@ -374,7 +375,7 @@ def fault_free(pred: BoolExpr, ranges: tuple[tuple[str, int, int], ...]) -> bool
             elif node == "-":
                 spans.append((left[0] - right[1], left[1] - right[0]))
             elif (max(-left[0], left[1]).bit_length()
-                  + max(-right[0], right[1]).bit_length() > _SPAN_BITS):
+                  + max(-right[0], right[1]).bit_length() > SPAN_BITS):
                 spans.append(None)
             else:
                 corners = [x * y for x in left for y in right]

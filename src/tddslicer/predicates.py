@@ -14,7 +14,10 @@ the closures below the gate or where Python refuses the source. implies
 and the verifier's scans take their points from visits only. implies
 judges each point where p1 && !p2 holds or raises again on the closures,
 so every answer, witness, count and fault is that of judging the points
-in order.
+in order. Before it scans, implies settles what holds by construction:
+by disjunct inclusion (static_implication), or by a truth table over the
+two sides' comparisons and exists (_tabled), each only where neither
+side can fault over the domain.
 
 Every predicate node keeps the facts queries derive from it in its _facts
 slot: its free variables (free), its OR-disjuncts (disjuncts), whether it
@@ -257,8 +260,14 @@ def implies(p1: Predicate, p2: Predicate, dom: Domain) -> ImplicationResult:
     order. When every OR-disjunct of p1 is syntactically one of p2's and
     neither side can fault at any point of dom (ast.fault_free), the
     implication holds by construction: nothing is enumerated and
-    checked_points is 0. A predicate too deeply nested to walk, compare or
-    evaluate raises ParseError(TOO_DEEP).
+    checked_points is 0. Otherwise, when neither side can fault and
+    p1 && !p2 is false in every row of the truth table over their
+    comparisons and exists (_tabled; a case split such as
+    s || (!s && t) || (!s && !t), or a > b || a <= b), it holds with
+    nothing compiled or enumerated, and the result is the one judging
+    every point gives: checked_points is the number of points that vary.
+    A predicate too deeply nested to walk, compare or evaluate raises
+    ParseError(TOO_DEEP).
 
     Only the variables either side reads vary (the others stay at their
     range floor). The closures judge again each point where visits finds
@@ -274,6 +283,10 @@ def implies(p1: Predicate, p2: Predicate, dom: Domain) -> ImplicationResult:
             return ImplicationResult(True, None, 0, dom)
         floor = {name: lo for name, lo, _ in dom.ranges if name not in needed}
         varying = Domain(tuple(entry for entry in dom.ranges if entry[0] in needed))
+        size = math.prod(hi - lo + 1 for _, lo, hi in varying.ranges)
+        if fault_free(p1, dom) and fault_free(p2, dom) and _tabled(p1, p2, size):
+            # p1 && !p2 holds at no point: what judging every one gives
+            return ImplicationResult(True, None, size, dom)
 
         # p1 && !p2 on the closures, compiled at the first point judged on
         # them; no And is compiled
@@ -298,12 +311,92 @@ def implies(p1: Predicate, p2: Predicate, dom: Domain) -> ImplicationResult:
             for name, lo, hi in varying.ranges:
                 index = index * (hi - lo + 1) + point[name] - lo
             return ImplicationResult(False, state, index + 1, dom)
-        size = math.prod(hi - lo + 1 for _, lo, hi in varying.ranges)
         return ImplicationResult(True, None, size, dom)
     except RecursionError:
         # the checks and evaluation above recurse once per nesting level,
         # as free_vars does, but from deeper frames
         raise ParseError(TOO_DEEP) from None
+
+
+#: each comparison operator as (the operator of the atom it is stated by,
+#: operands swapped, negated): over ints a <= b is !(a > b), b < a is a > b,
+#: a >= b is !(b > a), and a != b is !(a == b), b == a being a == b
+_ATOM_OF = {">": (">", False, False), "<": (">", True, False),
+            "<=": (">", False, True), ">=": (">", True, True),
+            "==": ("==", False, False), "!=": ("==", False, True)}
+
+# the operations of a truth table's postfix program besides an atom's index
+_NOT, _AND, _OR, _TRUE, _FALSE = "~", "&", "|", "T", "F"
+
+
+def _tabled(p1: Predicate, p2: Predicate, size: int) -> bool:
+    """Whether p1 && !p2 is false in every row of the truth table over the
+    atoms of p1 and p2, so at every point where neither side can fault.
+    An atom is a comparison or an exists; equal ones are one atom, and so
+    are a comparison, its mirror image and, negated, its complement
+    (_ATOM_OF). Row r gives atom i the value of bit i of r, and atom i's
+    column is the int whose bit r is that value (O'Neil and Quass, SIGMOD
+    1997, over the rows rather than the points), so each connective is one
+    & | or ~ over every row at once. False, deciding nothing, once the
+    table would have more rows than size, the points it stands for, or
+    than ast.SPAN_BITS. The walk keeps its own stack and hashes each atom
+    once, mapping it to its index; the program it leaves is then run with
+    no lookup."""
+    most = min(size, ast.SPAN_BITS).bit_length() - 1  # the most atoms: 2^k rows
+    atoms: dict = {}
+    program: list = []  # p1's then p2's postfix program, reversed
+    todo = [p1, p2]
+    while todo:
+        node = todo.pop()
+        kind = type(node)
+        if kind is ast.Cmp:
+            op, left, right = node._values
+            op, swapped, negated = _ATOM_OF[op]
+            if swapped:
+                left, right = right, left
+            index = atoms.setdefault((left, right) if op == ">" else frozenset((left, right)), len(atoms))
+            if negated:
+                program.append(_NOT)
+        elif kind is ast.Exists:
+            index = atoms.setdefault(node, len(atoms))
+        elif kind is ast.Not:
+            program.append(_NOT)
+            todo.append(node.operand)
+            continue
+        elif kind is ast.BoolLit:
+            program.append(_TRUE if node.value else _FALSE)
+            continue
+        else:  # And, Or: one operation per operand after the first
+            operands = node.operands
+            program += [_AND if kind is ast.And else _OR] * (len(operands) - 1)
+            todo += operands
+            continue
+        if index == most:  # one atom too many
+            return False
+        program.append(index)
+    rows = 1 << len(atoms)
+    every = (1 << rows) - 1
+    columns = []
+    for i in range(len(atoms)):
+        run = 1 << i  # 0 in 2^i rows, then 1 in 2^i rows, and again
+        columns.append(every // ((1 << 2 * run) - 1) * (((1 << run) - 1) << run))
+    stack: list = []
+    for step in reversed(program):
+        if type(step) is int:
+            stack.append(columns[step])
+        elif step is _NOT:
+            stack[-1] = ~stack[-1]
+        elif step is _AND:
+            last = stack.pop()
+            stack[-1] &= last
+        elif step is _OR:
+            last = stack.pop()
+            stack[-1] |= last
+        else:  # a constant, all rows or none (~0 is every bit)
+            stack.append(-1 if step is _TRUE else 0)
+    held, concluded = stack
+    # the bits past the last row repeat row 0, where every atom is false
+    return held & ~concluded == 0
 
 
 def static_implication(p1: Predicate, p2: Predicate, dom: Domain) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import collections
 import gc
 import itertools
+import math
 import random
 import sys
 import time
@@ -37,12 +38,13 @@ from tddslicer import (
 )
 from tddslicer.contracts import validate_scope
 from tddslicer.corpus import corpus_path
-from tddslicer.lang import ast
+from tddslicer.lang import ast, interp
 from tddslicer.lang.interp import compile_bool
 from tddslicer.predicates import ImplicationResult
 
 from bruteforce import _bf_cannot_fault, bf_holds, bf_implies
-from generators import CMP_OPS, comparison, predicate_text, random_contract, random_predicate, union_all
+from generators import (CMP_OPS, comparison, faulting_expr, linear_expr, predicate_text, random_contract,
+                        random_predicate, union_all)
 
 TRUE = ast.BoolLit(True)
 
@@ -550,6 +552,270 @@ class TestDisjunctRule:
         unsafe = parse_predicate("exists b in -1..1 : a % b == 0 || b > 0")
         result = implies(unsafe, ast.Or((TRUE, unsafe)), dom)
         assert (result.holds, result.checked_points) == (True, 5)
+
+
+_COMPLEMENT = {"==": "!=", "!=": "==", "<": ">=", ">=": "<", ">": "<=", "<=": ">"}
+_MIRROR = {"==": "==", "!=": "!=", "<": ">", ">": "<", "<=": ">=", ">=": "<="}
+
+
+def _judged(p1, p2, ranges):
+    """implies' whole outcome as bf_implies states it, with the witness's
+    or the fault's key order: (holds, witness, checked_points) or
+    ("fault", assignment, reason)."""
+    dom = Domain.from_dict(ranges)
+    try:
+        result = implies(p1, p2, dom)
+    except PredicateUndefinedError as err:
+        return ("fault", err.assignment, err.reason), list(err.assignment)
+    assert result.domain == dom
+    return (result.holds, result.witness, result.checked_points), list(result.witness or {})
+
+
+def _expected(p1, p2, ranges):
+    expected = bf_implies(p1, p2, ranges)
+    return expected, list(expected[1] or {})
+
+
+@pytest.fixture
+def visited(monkeypatch):
+    """The number of implies calls that reached visits, the one scan of a
+    domain's points, so far."""
+    calls = []
+    real = predicates.visits
+
+    def spy(dom, pairs):
+        calls.append(dom)
+        return real(dom, pairs)
+
+    monkeypatch.setattr(predicates, "visits", spy)
+    return calls
+
+
+@pytest.fixture
+def loaded(monkeypatch):
+    """The (name, function) of each function lang.interp emits and compiles."""
+    calls = []
+    real = interp._load
+
+    def spy(name, function, emit):
+        calls.append((name, function))
+        return real(name, function, emit)
+
+    monkeypatch.setattr(interp, "_load", spy)
+    return calls
+
+
+class TestTruthTable:
+    """implies settles p1 => p2 from the truth table over its comparisons
+    and exists (a comparison, its mirror image and its complement being
+    one) when p1 && !p2 is false in every row and neither side can fault
+    over the domain: nothing is compiled or enumerated, and the result is
+    enumeration's, every point checked. bf_implies, which judges point by
+    point, gives the same answer in every field."""
+
+    @staticmethod
+    def _template(rng, vars, small):
+        """(kind, branches, near-miss branches): OR-branches whose
+        disjunction is a tautology by its propositional structure alone,
+        and the same with one branch dropped."""
+        kind = rng.choice(("split", "complement", "exists", "constants"))
+        split = f"({predicate_text(rng, vars, 1, small)})"
+        other = f"({predicate_text(rng, vars, 1, small)})"
+        if kind == "split":
+            branches = [split, f"!{split} && {other}", f"!{split} && !{other}"]
+        elif kind == "complement":
+            left = faulting_expr(rng, vars, small) if small and rng.random() < 0.4 else linear_expr(rng, vars)
+            right, op = linear_expr(rng, vars), rng.choice(CMP_OPS)
+            negated = _COMPLEMENT[op]
+            opposite = (f"{left} {negated} {right}" if rng.random() < 0.5
+                        else f"{right} {_MIRROR[negated]} {left}")
+            branches = [f"{left} {op} {right}", opposite, other]
+        elif kind == "exists":
+            lo = rng.randint(-1, 1)
+            names = (*vars, "n")
+            bound = f"(exists n in {lo}..{lo + rng.randint(0, 2)} : {comparison(rng, names, names if small else ())})"
+            branches = [f"{bound} && {other}", f"!{bound}", f"{bound} && !{other}"]
+        else:
+            branches = [f"{split} && TRUE", f"!{split} || FALSE", "FALSE"]
+        rng.shuffle(branches)
+        near = list(branches)
+        del near[rng.choice([i for i, branch in enumerate(near) if branch != "FALSE"])]
+        return kind, branches, near
+
+    def test_case_splits_agree_with_the_oracle_in_every_field(self, visited):
+        """600 seeded implications into case-split templates built on
+        tests/generators.py predicates (half of them with faults) and into
+        their near-misses, from TRUE, from a random predicate and from
+        another template, over domains of 25 to 64 points (below
+        NEST_FROM_POINTS) and 121 to 196 (above it)."""
+        rng = random.Random(4141)
+        seen = collections.Counter()
+        assert interp.NEST_FROM_POINTS == 120
+        for round_ in range(600):
+            faults = round_ % 2 == 1
+            vars = ("a", "b")
+            small = vars if faults else ()
+            above = rng.random() < 0.5
+            ranges = {}
+            for name in vars:
+                lo = rng.randint(-5, 0)
+                ranges[name] = (lo, lo + (rng.randint(10, 13) if above else rng.randint(4, 7)))
+            if rng.random() < 0.2:
+                ranges["z"] = (2, 4)
+            kind, branches, near = self._template(rng, vars, small)
+            missing = rng.random() < 0.35
+            p2 = parse_predicate(_nested(rng, near if missing else branches))
+            start = rng.choice(("TRUE", "random", "template"))
+            if start == "TRUE":
+                p1 = TRUE
+            elif start == "random":
+                p1 = random_predicate(rng, vars, faults=faults)
+            else:
+                p1 = parse_predicate(_nested(rng, self._template(rng, vars, small)[1]))
+            dom = Domain.from_dict(ranges)
+            before = len(visited)
+            got = _judged(p1, p2, ranges)
+            assert got == _expected(p1, p2, ranges), (format_predicate(p1), format_predicate(p2), ranges)
+            scanned = len(visited) > before
+            safe = predicates.fault_free(p1, dom) and predicates.fault_free(p2, dom)
+            size = math.prod(hi - lo + 1 for name, (lo, hi) in ranges.items()
+                             if name in free_vars(p1) | free_vars(p2))
+            tabled = not scanned and got[0][2] != 0
+            if tabled:  # only a fault-free implication that holds is tabled
+                assert safe and got[0] == (True, None, size)
+            if not safe:
+                assert scanned
+            gate = "above" if above else "below"
+            seen[f"{'near' if missing else 'full'} {'tabled' if tabled else 'scanned'}"] += 1
+            seen[f"tabled {gate}"] += tabled
+            seen[f"tabled {kind}"] += tabled
+            seen[f"unsafe {got[0][0]}"] += not safe
+            seen[f"near {got[0][0]}"] += missing
+        assert seen["full tabled"] >= 150 and seen["near scanned"] >= 150, seen
+        assert min(seen["tabled above"], seen["tabled below"]) >= 60, seen
+        assert min(seen[f"tabled {kind}"] for kind in ("split", "complement", "exists", "constants")) >= 25, seen
+        assert min(seen["unsafe fault"], seen["unsafe True"], seen["unsafe False"]) >= 15, seen
+        assert min(seen["near True"], seen["near False"]) >= 40, seen
+
+    @pytest.mark.parametrize("text", ["a > b || a <= b", "a > b || b >= a", "b < a || a <= b",
+                                      "a >= b || a < b", "a == b || b != a", "a != b || a == b",
+                                      "!(a > b) || !(b >= a)", "a - 1 < 2 * b || 2 * b <= a - 1"])
+    def test_complements_and_mirror_images_are_one_atom(self, text, visited, loaded):
+        """Over 1,681 points a comparison or its mirror image, ORed with
+        its complement or its complement's mirror image, is a tautology by
+        its truth table over one atom: nothing is scanned or compiled."""
+        ranges = {"a": (-20, 20), "b": (-20, 20)}
+        pred = parse_predicate(text)
+        assert _judged(TRUE, pred, ranges) == ((True, None, 1681), [])
+        assert _expected(TRUE, pred, ranges) == ((True, None, 1681), [])
+        assert visited == [] and loaded == []
+
+    @pytest.mark.parametrize("text", ["a > b || a < b", "a >= b || b >= a + 1", "a == b || a != b + 1"])
+    def test_different_comparisons_are_different_atoms(self, text, visited, loaded):
+        """Comparisons that are not one another's mirror image or
+        complement are judged point by point, by the compiled filter."""
+        ranges = {"a": (-20, 20), "b": (-20, 20)}
+        pred = parse_predicate(text)
+        assert _judged(TRUE, pred, ranges) == _expected(TRUE, pred, ranges)
+        assert len(visited) == 1 and loaded == [("where", "visits")]
+
+    def test_a_tautology_compiles_nothing_and_a_near_miss_its_filter(self, loaded):
+        """Above the gate a case split compiles nothing; dropping one of
+        its branches compiles the filter for p1 && !p2, which finds the
+        first counterexample, as point-by-point judging does."""
+        ranges = {"a": (-10, 10), "b": (-10, 10)}
+        split, other = "(exists n in 0..2 : a == 3 * n + b)", "a + b < 4"
+        branches = [split, f"!{split} && {other}", f"!{split} && !({other})"]
+        whole = parse_predicate(" || ".join(branches))
+        assert _judged(TRUE, whole, ranges) == ((True, None, 441), [])
+        assert loaded == []
+        for dropped in range(3):
+            near = parse_predicate(" || ".join(branches[:dropped] + branches[dropped + 1:]))
+            expected = _expected(TRUE, near, ranges)
+            assert expected[0][0] is False
+            assert _judged(TRUE, near, ranges) == expected
+            assert loaded == [("where", "visits")] * (dropped + 1)
+
+    def test_a_side_that_can_fault_is_judged_point_by_point(self, visited):
+        """C || !C is a tautology by its structure, but where C can fault
+        the first point where it does is the answer."""
+        ranges = {"a": (-20, 20), "b": (-20, 20)}
+        pred = parse_predicate("a > b || (a <= b && (10 / (a + b + 5) > -100 || 10 / (a + b + 5) <= -100))")
+        with pytest.raises(PredicateUndefinedError) as excinfo:
+            is_tautology(pred, Domain.from_dict(ranges))
+        assert (excinfo.value.assignment, excinfo.value.reason) == ({"a": -20, "b": 15}, "division by zero")
+        assert len(visited) == 1
+        assert _judged(TRUE, pred, ranges) == _expected(TRUE, pred, ranges)
+
+    @pytest.mark.parametrize("ranges, atoms, tabled", [
+        ({"a": (0, 7)}, 3, True),        # 8 points: 2^3 rows
+        ({"a": (0, 7)}, 4, False),       # 16 rows stand for more than 8 points
+        ({"a": (0, 9999)}, 12, True),    # 4,096 rows, ast.SPAN_BITS
+        ({"a": (0, 9999)}, 13, False),   # 8,192 rows, past ast.SPAN_BITS
+        ({"a": (0, 0), "b": (5, 5)}, 0, True),
+    ])
+    def test_the_table_has_no_more_rows_than_points(self, ranges, atoms, tabled, visited):
+        """The table stops at its first atom past 2^k rows for the points
+        of the domain that vary, or past ast.SPAN_BITS rows; the points
+        are then judged, with the same result."""
+        text = " || ".join([f"a > {n}" for n in range(atoms)] + ["a <= 0"] if atoms else ["TRUE && !FALSE"])
+        pred = parse_predicate(text)
+        size = math.prod(hi - lo + 1 for lo, hi in ranges.values()) if atoms else 1
+        assert _judged(TRUE, pred, ranges) == ((True, None, size), [])
+        assert _expected(TRUE, pred, ranges) == ((True, None, size), [])
+        assert (visited == []) is tabled
+
+    def test_a_deep_not_chain_and_a_long_or_chain(self):
+        """A 900-deep ! chain and 2,000-operand || chains: each call gives
+        the answer of point-by-point judging (of an equal shallow predicate
+        for the deep chain), or ParseError(TOO_DEEP) where the stack runs
+        out, as before the table; a 2,000-deep || nest is too deep to walk."""
+        ranges = {"a": (-4, 4), "b": (0, 2)}
+        dom = Domain.from_dict(ranges)
+        atom = parse_predicate("a > b")
+        chain = atom
+        for _ in range(900):
+            chain = ast.Not(chain)
+        cases = [
+            (ast.Or((chain, parse_predicate("a <= b"))), parse_predicate("a > b || a <= b")),
+            (ast.Or((chain, parse_predicate("a < b"))), parse_predicate("a > b || a < b")),
+            (ast.Or((ast.Not(chain), chain)), parse_predicate("a > b || !(a > b)")),
+        ]
+        flat = [parse_predicate(f"a > {n % 3}") for n in range(2000)]
+        for last in ("a <= 0", "a <= -1", "b > 4"):
+            pred = ast.Or((*flat, parse_predicate(last)))
+            cases.append((pred, pred))
+        distinct = ast.Or(tuple(parse_predicate(f"a != {n}") for n in range(2000)))
+        cases.append((distinct, distinct))
+        for pred, shallow in cases:
+            try:
+                got = _judged(TRUE, pred, ranges)
+            except ParseError as err:
+                assert str(err) == "expression nested too deeply"
+            else:
+                assert got == _expected(TRUE, shallow, ranges), format_predicate(shallow)
+        nest = parse_predicate("a > 2")
+        for n in range(2000):
+            nest = ast.Or((parse_predicate(f"a > {n % 3}"), nest))
+        with pytest.raises(ParseError) as excinfo:
+            is_tautology(nest, dom)
+        assert str(excinfo.value) == "expression nested too deeply"
+
+    def test_the_table_leaves_no_garbage(self):
+        """The table's walk and its program are plain lists: a settled
+        implication and one the table gives up on leave nothing for the
+        cycle collector."""
+        dom = Domain.parse("a in -20..20, b in -20..20")
+        tautology = parse_predicate("a > b || (a <= b && b > 0) || (b >= a && b <= 0)")
+        wide = parse_predicate(" || ".join(f"a == {n}" for n in range(40)))
+        gc.collect()
+        gc.disable()
+        try:
+            assert is_tautology(tautology, dom).checked_points == 1681
+            assert not is_tautology(wide, dom)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFaultFree:

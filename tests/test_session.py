@@ -601,6 +601,37 @@ BROKEN_REPLAY = """\
 """
 
 
+SPLIT_SESSION = """
+[session]
+name = split
+final = inc.prog
+domain = x in 0..199
+
+[cycle 1]
+test.name = low
+test.inputs = x=1
+test.expect = y=2
+contract.pre = x < 8
+contract.post = y == x + 1
+snapshot = inc_low.prog
+
+[cycle 2]
+test.name = high
+test.inputs = x=9
+test.expect = y=10
+contract.pre = x >= 8
+contract.post = y == x + 1
+snapshot = inc.prog
+"""
+
+#: SHA-256 of SPLIT_SESSION's replay output in each format, as judging the
+#: union pre's 200 points gave it
+SPLIT_REPLAY_SHA256 = {
+    "machine": "7c365dd04d1c7b552a4f5f624cc4bedb6505923db24657c9a181f9a7a1c3613b",
+    "human": "2fb528e73a1ff0191fcf84f1f3af2d75239d70bab846177fb5fef8e4c43fd96e",
+}
+
+
 class TestReplayGoldens:
     def _replay_output(self, capsys, path):
         code = main(["replay", str(path), "--format", "machine"])
@@ -650,6 +681,26 @@ class TestReplayGoldens:
         assert code == 0
         assert json.loads(out)["cycles"][7]["oracle_contract"]["checked_points"] == 99
         assert loaded == []
+
+    def test_a_split_union_pre_compiles_no_tautology_filter(self, capsys, monkeypatch, tmp_path):
+        """Two cycles whose preconditions x < 8 and x >= 8 split 200 points
+        without a TRUE: the union pre x < 8 || x >= 8 is a tautology by its
+        truth table over the one atom x < 8 (x >= 8 is its complement), so
+        the replay compiles only check_all's filter, and its report in both
+        formats is the one judging the 200 points gave."""
+        (tmp_path / "inc.prog").write_text(MINIMAL_PROG)
+        (tmp_path / "inc_low.prog").write_text("proc inc(in x, out y) {\n    if (x < 8) {\n"
+                                               "        y := x + 1;\n    }\n}\n")
+        path = tmp_path / "split.session"
+        path.write_text(SPLIT_SESSION)
+        loaded, code, out = self._compiled(monkeypatch, capsys, path)
+        assert code == 0
+        assert loaded == [("where", "visits")]
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SPLIT_REPLAY_SHA256["machine"]
+        assert json.loads(out)["union_pre_tautology"] is True
+        assert main(["replay", str(path), "--format", "human"]) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SPLIT_REPLAY_SHA256["human"]
 
     def test_broken_session_machine_output(self, capsys, minimal_dir):
         path = minimal_dir / "broken.session"
